@@ -1,7 +1,7 @@
 """Round-trip study: synthesize certified polynomials, re-certify, compare.
 
 For each seed, draw a random xy-convexity certificate, expand it into the
-polynomial it certifies, then run the Gram completion pipeline on that
+polynomial it certifies, then run the Gram certificate pipeline on that
 polynomial from scratch and verify the reassembled certificate.  Reports the
 worst identity residual across all rounds.
 """

@@ -3,8 +3,8 @@
 Submodules
 ----------
 ncalg      free polynomials in two letter classes and their matrix evaluation
-matkit     hermitian linear algebra helpers, block tensor calculus, PSD
-           completion under entry constraints
+matkit     hermitian linear algebra helpers, block tensor calculus, seeded
+           samplers
 realize    descriptor realizations: linearize, minimize, symmetrize, domains
 butterfly  convexity-adapted forms of a realization and their domains
 partialcvx Hessians in the designated letters, convexity verdicts, witnesses

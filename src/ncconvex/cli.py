@@ -51,7 +51,6 @@ class AnalysisConfig:
     samples: int = 30
     tol_psd: float = 1e-8
     tol_inv: float = 1e-10
-    tol_aff: float = 1e-9
     region: str = "default"
     scale: float = 0.6
     workers: int = 1
@@ -62,9 +61,10 @@ class AnalysisConfig:
             raise InputError("sizes must be positive")
         if int(self.samples) < 1:
             raise InputError("samples must be at least 1")
-        for name in ("tol_psd", "tol_inv", "tol_aff", "scale"):
-            if float(getattr(self, name)) <= 0:
-                raise InputError("%s must be positive" % name)
+        for name in ("tol_psd", "tol_inv", "scale"):
+            value = float(getattr(self, name))
+            if not (np.isfinite(value) and value > 0):
+                raise InputError("%s must be positive and finite" % name)
         if int(self.workers) < 1:
             raise InputError("workers must be at least 1")
         if int(self.seed) < 0:
@@ -74,9 +74,8 @@ class AnalysisConfig:
         return {
             "seed": int(self.seed), "sizes": [int(s) for s in self.sizes],
             "samples": int(self.samples), "tol_psd": float(self.tol_psd),
-            "tol_inv": float(self.tol_inv), "tol_aff": float(self.tol_aff),
-            "region": self.region, "scale": float(self.scale),
-            "workers": int(self.workers),
+            "tol_inv": float(self.tol_inv), "region": self.region,
+            "scale": float(self.scale), "workers": int(self.workers),
         }
 
 
@@ -89,9 +88,8 @@ def config_from_args(args):
             raise InputError("bad --sizes %r; expected e.g. 1,2,3" % sizes)
     return AnalysisConfig(
         seed=args.seed, sizes=sizes, samples=args.samples,
-        tol_psd=args.tol_psd, tol_inv=args.tol_inv, tol_aff=args.tol_aff,
-        region=args.region, scale=args.scale, workers=args.workers,
-        out=args.out)
+        tol_psd=args.tol_psd, tol_inv=args.tol_inv, region=args.region,
+        scale=args.scale, workers=args.workers, out=args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +102,13 @@ def jmat(M):
 
 def junmat(rows):
     try:
-        return np.array([[complex(re, im) for re, im in row]
-                         for row in rows], dtype=complex)
+        M = np.array([[complex(re, im) for re, im in row]
+                      for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InputError("bad matrix entry: %s" % exc)
+    if not np.all(np.isfinite(M)):
+        raise InputError("non-finite matrix entry")
+    return M
 
 
 def jvec(v):
@@ -226,8 +227,11 @@ def region_predicate(name, R, frame, cfg):
     if name.startswith("ball:"):
         try:
             radius = float(name.split(":", 1)[1])
+            if not (np.isfinite(radius) and radius > 0):
+                raise ValueError
         except ValueError:
-            raise InputError("bad region %r; expected ball:RADIUS" % name)
+            raise InputError("bad region %r; expected ball:RADIUS with a "
+                             "positive finite radius" % name)
         return lambda t: all(float(np.linalg.norm(M, 2)) <= radius
                              for M in t.mats)
     raise InputError("unknown region %r (dom, dom-plus, kebab, kebab-plus, "
@@ -370,10 +374,10 @@ def cmd_partial(args):
                 entry["witness"] = _serialize_midpoint_witness(exc.witness, p)
                 negative = True
             results["not_convexible"] = entry
-            R = realize.symmetrize(realize.minimize(realize.linearize_poly(p)))
+            R = realize.linearize_poly(p)
         except (butterfly.NotApplicable, butterfly.KebabError) as exc:
             results["butterfly_poly"] = {"error": str(exc)}
-            R = realize.symmetrize(realize.minimize(realize.linearize_poly(p)))
+            R = realize.linearize_poly(p)
     else:
         R = _ensure_smr(obj, notes)
         results["input"] = {"kind": "realization", "e": R.e,
@@ -612,7 +616,6 @@ def _add_config_flags(sub):
                      help="samples per size")
     sub.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-8)
     sub.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-10)
-    sub.add_argument("--tol-aff", dest="tol_aff", type=float, default=1e-9)
     sub.add_argument("--region", default="default",
                      help="dom, dom-plus, kebab, kebab-plus, or ball:RADIUS")
     sub.add_argument("--scale", type=float, default=0.6,

@@ -2,13 +2,13 @@
 
 Eigendecomposition-backed PSD predicates, PSD square roots, signature
 decomposition C* H C = J, Khatri-Rao (blockwise Kronecker) products with
-their isometric embeddings, Schur complements, Dykstra-style PSD completion
-under affine entry constraints, and seeded Hermitian samplers.
+their isometric embeddings, Schur complements, and seeded Hermitian
+samplers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .ncalg import HermitianError, HermTuple, ShapeError
 TOL_INV = 1e-10
 TOL_PSD = 1e-8
 TOL_SQRT = 1e-9
-TOL_AFF = 1e-9
 TOL_HERM = 1e-10
 
 
@@ -27,10 +26,6 @@ class DomainError(ValueError):
 
 class SingularError(ValueError):
     """A (near-)singular matrix where an invertible one is required."""
-
-
-class InfeasibleAffine(ValueError):
-    """The affine constraint system is inconsistent."""
 
 
 def herm(M):
@@ -201,164 +196,6 @@ def build_embedding_E(parts_A, parts_B):
     V1, V2 = _inclusions(parts_A)
     W1, W2 = _inclusions(parts_B)
     return np.hstack([np.kron(V1, W1), np.kron(V2, W2)])
-
-
-# ---------------------------------------------------------------------------
-# PSD completion of Hermitian matrices under affine entry constraints
-
-@dataclass(frozen=True)
-class EntryConstraint:
-    """Linear pin sum_t weight_t * G[j_t, k_t] = value on a Hermitian G.
-
-    Entries are (j, k, weight) triples; the mirrored entries G[k, j] are not
-    constrained separately (they follow from Hermiticity).
-    """
-
-    entries: tuple  # ((j, k, weight), ...)
-    value: complex
-
-    @classmethod
-    def pin(cls, j, k, value):
-        return cls(((j, k, 1.0),), complex(value))
-
-    @classmethod
-    def pin_herm_pair(cls, j, k, j2, k2, value):
-        """Pin (G[j,k] + conj(G[k2,j2]))/... i.e. G[j,k] + G[j2,k2]^bar-free.
-
-        Used as G[j,k] + conj(G[k2,j2]) for Hermitian-part pins; since G is
-        Hermitian, conj(G[k2,j2]) = G[j2,k2], so the pin is entry (j,k) plus
-        entry (j2,k2) with unit weights.
-        """
-        return cls(((j, k, 1.0), (j2, k2, 1.0)), complex(value))
-
-
-def _herm_basis_index(d):
-    """Real parametrization of Hermitian d x d matrices.
-
-    Order: d real diagonal entries, then for j<k the real and imaginary
-    parts of G[j,k].  Returns maps for assembling G and reading entries.
-    """
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    dim = d + 2 * len(pairs)
-    return pairs, dim
-
-
-def _vec_to_herm(x, d, pairs):
-    G = np.zeros((d, d), dtype=complex)
-    G[np.arange(d), np.arange(d)] = x[:d]
-    for t, (j, k) in enumerate(pairs):
-        re, im = x[d + 2 * t], x[d + 2 * t + 1]
-        G[j, k] = re + 1j * im
-        G[k, j] = re - 1j * im
-    return G
-
-
-def _herm_to_vec(G, d, pairs):
-    x = np.zeros(d + 2 * len(pairs))
-    x[:d] = np.real(np.diag(G))
-    for t, (j, k) in enumerate(pairs):
-        x[d + 2 * t] = G[j, k].real
-        x[d + 2 * t + 1] = G[j, k].imag
-    return x
-
-
-def _entry_row(j, k, weight, d, pairs):
-    """Real-linear rows for weight * G[j,k] as (real_part_row, imag_part_row)."""
-    dim = d + 2 * len(pairs)
-    re_row = np.zeros(dim)
-    im_row = np.zeros(dim)
-    wr, wi = weight.real, weight.imag
-    if j == k:
-        # G[j,j] = x_j (real)
-        re_row[j] = wr
-        im_row[j] = wi
-    else:
-        lo, hi = (j, k) if j < k else (k, j)
-        t = pairs.index((lo, hi))
-        sgn = 1.0 if j < k else -1.0  # G[k,j] = conj(G[j,k])
-        # w*(re + i*sgn*im) = (wr*re - wi*sgn*im) + i(wi*re + wr*sgn*im)
-        re_row[d + 2 * t] = wr
-        re_row[d + 2 * t + 1] = -wi * sgn
-        im_row[d + 2 * t] = wi
-        im_row[d + 2 * t + 1] = wr * sgn
-    return re_row, im_row
-
-
-@dataclass
-class CompletionResult:
-    status: str  # "ok" | "infeasible" | "stalled"
-    G: np.ndarray | None
-    iterations: int
-    affine_residual: float
-    lambda_min: float
-
-
-def psd_complete(constraints, d, init=None, tol_aff=TOL_AFF,
-                 tol_psd=1e-9, max_iter=20000):
-    """Find a Hermitian PSD d x d matrix satisfying the entry constraints.
-
-    Dykstra's alternating projections between the affine set (projected by
-    precomputed least squares) and the PSD cone (eigenvalue clipping), with
-    the correction term attached to the cone projection.  Raises
-    InfeasibleAffine when the constraints alone are inconsistent; returns
-    status "infeasible" when the iteration cap passes without meeting both
-    tolerances.
-    """
-    pairs, dim = _herm_basis_index(d)
-    rows, vals = [], []
-    for con in constraints:
-        re_row = np.zeros(dim)
-        im_row = np.zeros(dim)
-        for (j, k, wt) in con.entries:
-            r, i = _entry_row(j, k, complex(wt), d, pairs)
-            re_row += r
-            im_row += i
-        rows.append(re_row)
-        vals.append(con.value.real)
-        rows.append(im_row)
-        vals.append(con.value.imag)
-    A = np.array(rows) if rows else np.zeros((0, dim))
-    b = np.array(vals) if vals else np.zeros(0)
-
-    # affine projection x -> x - pinv(A)(Ax - b), precomputed via SVD
-    if A.shape[0]:
-        pinv = np.linalg.pinv(A, rcond=1e-12)
-        x_ls = pinv @ b
-        if np.linalg.norm(A @ x_ls - b) > 1e-8 * max(1.0, np.linalg.norm(b)):
-            raise InfeasibleAffine("affine constraint system is inconsistent")
-
-        def proj_affine(x):
-            return x - pinv @ (A @ x - b)
-    else:
-        def proj_affine(x):
-            return x
-
-    def proj_psd(x):
-        G = _vec_to_herm(x, d, pairs)
-        lam, U = np.linalg.eigh(herm(G))
-        lam = np.clip(lam, 0.0, None)
-        return _herm_to_vec(U @ np.diag(lam) @ U.conj().T, d, pairs)
-
-    if init is None:
-        x = proj_affine(np.zeros(dim))
-    else:
-        x = _herm_to_vec(np.asarray(init, dtype=complex), d, pairs)
-
-    corr = np.zeros(dim)
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = proj_psd(x + corr)
-        corr = (x + corr) - y
-        x = proj_affine(y)
-        G = _vec_to_herm(x, d, pairs)
-        aff_res = float(np.linalg.norm(A @ x - b)) if A.shape[0] else 0.0
-        lam_min = float(np.linalg.eigvalsh(G)[0]) if d else 0.0
-        if aff_res <= tol_aff and lam_min >= -tol_psd:
-            return CompletionResult("ok", G, it, aff_res, lam_min)
-    G = _vec_to_herm(x, d, pairs)
-    aff_res = float(np.linalg.norm(A @ x - b)) if A.shape[0] else 0.0
-    lam_min = float(np.linalg.eigvalsh(G)[0]) if d else 0.0
-    return CompletionResult("infeasible", None, it, aff_res, lam_min)
 
 
 # ---------------------------------------------------------------------------

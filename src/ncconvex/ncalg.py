@@ -310,9 +310,12 @@ def parse_complex(s):
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise ValueError("bad complex literal %r" % s) from exc
+    if not np.isfinite(z):
+        raise ValueError("non-finite coefficient %r" % s)
+    return z
 
 
 def format_poly(p):

@@ -45,7 +45,7 @@ def _direction_op(R, H, n):
     return L
 
 
-def partial_hessian(R, t, H, frame=None, tol_inv=matkit.TOL_INV):
+def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i."""
     res = resolvent(R, t, tol_inv)
     L = _direction_op(R, H, t.n)
@@ -128,7 +128,6 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     rng = np.random.default_rng(0) if rng is None else rng
     if region is None:
         region = lambda t: in_dom(R, t)
-    frame = range_t_frame(R)
     count = 0
     min_lambda = np.inf
     for n in sizes:
@@ -138,7 +137,7 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
                 continue
             H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
             try:
-                val = partial_hessian(R, t, H, frame)
+                val = partial_hessian(R, t, H)
             except NotInDomain:
                 continue
             lam = float(np.linalg.eigvalsh(val)[0]) if val.size else 0.0
@@ -334,7 +333,7 @@ def negativity_witness(R, bad, rng=None, region=None, tol=1e-6):
     point = HermTuple(M + m, A, X, validate=False)
     h = np.concatenate([v, np.zeros(m, dtype=complex)])
     h = h / np.linalg.norm(h)
-    val = partial_hessian(R, point, tuple(H), frame)
+    val = partial_hessian(R, point, tuple(H))
     quad = float(np.real(h.conj() @ val @ h))
     if quad >= 0:
         raise SpanFailure(span.achieved_dim, span.target_dim)

@@ -434,4 +434,6 @@ def realization_from_json(obj):
     S = [mat(M) for M in obj["S"]]
     T = [mat(M) for M in obj["T"]]
     c = np.array([complex(re, im) for re, im in obj["c"]])
+    if not all(np.all(np.isfinite(M)) for M in [J, c] + S + T):
+        raise ValueError("non-finite entry")
     return Realization.make(J, S, T, c)

@@ -8,10 +8,12 @@ the pair has a three-block form, and on the admissible support class
 quadratic form: border vector [alpha, t0 alpha, gamma, s0 gamma] against a
 middle matrix Mxy built from twelve structural coefficients.
 
-Certificates p = pencil + Lambda* Lambda come from a 6 x 6 Gram completion
+Certificates p = pencil + Lambda* Lambda come from a 6 x 6 Gram matrix
 whose pins encode the compressed form (first and third block rows of Mxy)
-of the middle matrix; feasibility is decided by alternating projections and
-the factor columns reassemble the polynomial coefficientwise.
+of the middle matrix.  Two of its columns are structurally zero, so the
+Gram matrix is the eigenvalue-optimized solve of the pinned 4 x 4 problem on
+the surviving columns; the factor columns reassemble the polynomial
+coefficientwise.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from scipy.optimize import minimize as _minimize
 
 from . import matkit
-from .matkit import (BlockMatrix2, EntryConstraint, TOL_PSD, build_embedding_E,
-                     herm, is_psd, psd_complete, sample_herm)
+from .matkit import (BlockMatrix2, TOL_PSD, build_embedding_E, herm, is_psd,
+                     sample_herm)
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
 
@@ -88,54 +90,6 @@ class PLPoly:
     def c(self, word):
         """Coefficient by word string, e.g. c("xyx")."""
         return self.poly.scalar_coeff(_w(word))
-
-    @property
-    def px2(self):
-        return self.c("xx")
-
-    @property
-    def py2(self):
-        return self.c("yy")
-
-    @property
-    def pxyx(self):
-        return self.c("xyx")
-
-    @property
-    def pyxy(self):
-        return self.c("yxy")
-
-    @property
-    def pxy2(self):
-        return self.c("xyy")
-
-    @property
-    def py2x(self):
-        return self.c("yyx")
-
-    @property
-    def px2y(self):
-        return self.c("xxy")
-
-    @property
-    def pyx2(self):
-        return self.c("yxx")
-
-    @property
-    def pxy2x(self):
-        return self.c("xyyx")
-
-    @property
-    def pyx2y(self):
-        return self.c("yxxy")
-
-    @property
-    def pxyxy(self):
-        return self.c("xyxy")
-
-    @property
-    def pyxyx(self):
-        return self.c("yxyx")
 
 
 def from_coeffs(coeffs):
@@ -334,22 +288,22 @@ def _hessian_formula(p, ins):
     s0, t0 = ins.s0, ins.t0
     d0, d1 = ins.delta0, ins.delta1
     b1, b2 = ins.beta1, ins.beta2
-    H = p.px2 * (a @ ah) + p.py2 * (g @ gh)
-    H = H + p.pxyx * (a @ d0 @ ah) + p.pyxy * (g @ b2 @ gh)
-    H = H + p.pxy2 * (s0 @ g @ gh + a @ d1 @ gh)
-    H = H + p.py2x * (g @ gh @ s0 + g @ d1.conj().T @ ah)
-    H = H + p.px2y * (a @ ah @ t0 + a @ b1 @ gh)
-    H = H + p.pyx2 * (t0 @ a @ ah + g @ b1.conj().T @ ah)
-    H = H + p.pxy2x * (s0 @ g @ gh @ s0 + a @ d1 @ gh @ s0
-                       + s0 @ g @ d1.conj().T @ ah
-                       + a @ (d0 @ d0 + d1 @ d1.conj().T) @ ah)
-    H = H + p.pxyxy * (a @ d0 @ ah @ t0 + a @ d0 @ b1 @ gh
-                       + s0 @ g @ b2 @ gh + a @ d1 @ b2 @ gh)
-    H = H + p.pyxyx * (t0 @ a @ d0 @ ah + g @ b1.conj().T @ d0 @ ah
-                       + g @ b2 @ gh @ s0 + g @ b2 @ d1.conj().T @ ah)
-    H = H + p.pyx2y * (t0 @ a @ ah @ t0 + g @ b1.conj().T @ ah @ t0
-                       + t0 @ a @ b1 @ gh
-                       + g @ (b1.conj().T @ b1 + b2 @ b2) @ gh)
+    H = p.c("xx") * (a @ ah) + p.c("yy") * (g @ gh)
+    H = H + p.c("xyx") * (a @ d0 @ ah) + p.c("yxy") * (g @ b2 @ gh)
+    H = H + p.c("xyy") * (s0 @ g @ gh + a @ d1 @ gh)
+    H = H + p.c("yyx") * (g @ gh @ s0 + g @ d1.conj().T @ ah)
+    H = H + p.c("xxy") * (a @ ah @ t0 + a @ b1 @ gh)
+    H = H + p.c("yxx") * (t0 @ a @ ah + g @ b1.conj().T @ ah)
+    H = H + p.c("xyyx") * (s0 @ g @ gh @ s0 + a @ d1 @ gh @ s0
+                           + s0 @ g @ d1.conj().T @ ah
+                           + a @ (d0 @ d0 + d1 @ d1.conj().T) @ ah)
+    H = H + p.c("xyxy") * (a @ d0 @ ah @ t0 + a @ d0 @ b1 @ gh
+                           + s0 @ g @ b2 @ gh + a @ d1 @ b2 @ gh)
+    H = H + p.c("yxyx") * (t0 @ a @ d0 @ ah + g @ b1.conj().T @ d0 @ ah
+                           + g @ b2 @ gh @ s0 + g @ b2 @ d1.conj().T @ ah)
+    H = H + p.c("yxxy") * (t0 @ a @ ah @ t0 + g @ b1.conj().T @ ah @ t0
+                           + t0 @ a @ b1 @ gh
+                           + g @ (b1.conj().T @ b1 + b2 @ b2) @ gh)
     return H
 
 
@@ -411,25 +365,25 @@ def middle_matrix(p, beta1, beta2, delta0, delta1):
     I2 = np.eye(n2)
     b1h, d1h = beta1.conj().T, delta1.conj().T
     M11 = np.block([
-        [p.px2 * I1 + p.pxyx * delta0
-         + p.pxy2x * (delta0 @ delta0 + delta1 @ d1h),
-         p.px2y * I1 + p.pxyxy * delta0],
-        [p.pyx2 * I1 + p.pyxyx * delta0, p.pyx2y * I1]])
+        [p.c("xx") * I1 + p.c("xyx") * delta0
+         + p.c("xyyx") * (delta0 @ delta0 + delta1 @ d1h),
+         p.c("xxy") * I1 + p.c("xyxy") * delta0],
+        [p.c("yxx") * I1 + p.c("yxyx") * delta0, p.c("yxxy") * I1]])
     M12 = np.block([
-        [p.px2y * beta1 + p.pxy2 * delta1
-         + p.pxyxy * (delta0 @ beta1 + delta1 @ beta2),
-         p.pxy2x * delta1],
-        [p.pyx2y * beta1, np.zeros((n1, n2))]])
+        [p.c("xxy") * beta1 + p.c("xyy") * delta1
+         + p.c("xyxy") * (delta0 @ beta1 + delta1 @ beta2),
+         p.c("xyyx") * delta1],
+        [p.c("yxxy") * beta1, np.zeros((n1, n2))]])
     M21 = np.block([
-        [p.pyx2 * b1h + p.py2x * d1h
-         + p.pyxyx * (b1h @ delta0 + beta2 @ d1h),
-         p.pyx2y * b1h],
-        [p.pxy2x * d1h, np.zeros((n2, n1))]])
+        [p.c("yxx") * b1h + p.c("yyx") * d1h
+         + p.c("yxyx") * (b1h @ delta0 + beta2 @ d1h),
+         p.c("yxxy") * b1h],
+        [p.c("xyyx") * d1h, np.zeros((n2, n1))]])
     M22 = np.block([
-        [p.py2 * I2 + p.pyxy * beta2
-         + p.pyx2y * (beta2 @ beta2 + b1h @ beta1),
-         p.py2x * I2 + p.pyxyx * beta2],
-        [p.pxy2 * I2 + p.pxyxy * beta2, p.pxy2x * I2]])
+        [p.c("yy") * I2 + p.c("yxy") * beta2
+         + p.c("yxxy") * (beta2 @ beta2 + b1h @ beta1),
+         p.c("yyx") * I2 + p.c("yxyx") * beta2],
+        [p.c("xyy") * I2 + p.c("xyxy") * beta2, p.c("xyyx") * I2]])
     M = np.block([[M11, M12], [M21, M22]])
     return MxyEval(M, (n1, n1, n2, n2))
 
@@ -551,14 +505,14 @@ class QForm:
         q = delta0.shape[0]
         r = beta2.shape[0]
         b1h, d1h = beta1.conj().T, delta1.conj().T
-        Q11 = p.px2 * np.eye(q) + p.pxyx * delta0 \
-            + p.pxy2x * (delta0 @ delta0 + delta1 @ d1h)
-        Q12 = p.px2y * beta1 + p.pxy2 * delta1 \
-            + p.pxyxy * (delta0 @ beta1 + delta1 @ beta2)
-        Q21 = p.pyx2 * b1h + p.py2x * d1h \
-            + p.pyxyx * (b1h @ delta0 + beta2 @ d1h)
-        Q22 = p.py2 * np.eye(r) + p.pyxy * beta2 \
-            + p.pyx2y * (beta2 @ beta2 + b1h @ beta1)
+        Q11 = p.c("xx") * np.eye(q) + p.c("xyx") * delta0 \
+            + p.c("xyyx") * (delta0 @ delta0 + delta1 @ d1h)
+        Q12 = p.c("xxy") * beta1 + p.c("xyy") * delta1 \
+            + p.c("xyxy") * (delta0 @ beta1 + delta1 @ beta2)
+        Q21 = p.c("yxx") * b1h + p.c("yyx") * d1h \
+            + p.c("yxyx") * (b1h @ delta0 + beta2 @ d1h)
+        Q22 = p.c("yy") * np.eye(r) + p.c("yxy") * beta2 \
+            + p.c("yxxy") * (beta2 @ beta2 + b1h @ beta1)
         return np.block([[Q11, Q12], [Q21, Q22]])
 
 
@@ -577,13 +531,15 @@ class PData:
 
 
 def build_P(p):
-    P00 = np.array([[p.px2, 0], [0, p.py2]], dtype=complex)
-    P01 = 0.5 * np.array([[p.pxyx, p.pxy2], [p.py2x, 0]], dtype=complex)
-    P02 = 0.5 * np.array([[0, p.px2y], [p.pyx2, p.pyxy]], dtype=complex)
-    P12 = np.array([[0, p.pxyxy], [0, 0]], dtype=complex)
-    P21 = np.array([[0, 0], [p.pyxyx, 0]], dtype=complex)
-    P11 = np.array([[p.pxy2x, 0], [0, 0]], dtype=complex)
-    P22 = np.array([[0, 0], [0, p.pyx2y]], dtype=complex)
+    P00 = np.array([[p.c("xx"), 0], [0, p.c("yy")]], dtype=complex)
+    P01 = 0.5 * np.array([[p.c("xyx"), p.c("xyy")], [p.c("yyx"), 0]],
+                         dtype=complex)
+    P02 = 0.5 * np.array([[0, p.c("xxy")], [p.c("yxx"), p.c("yxy")]],
+                         dtype=complex)
+    P12 = np.array([[0, p.c("xyxy")], [0, 0]], dtype=complex)
+    P21 = np.array([[0, 0], [p.c("yxyx"), 0]], dtype=complex)
+    P11 = np.array([[p.c("xyyx"), 0], [0, 0]], dtype=complex)
+    P22 = np.array([[0, 0], [0, p.c("yxxy")]], dtype=complex)
     return PData({(0, 0): P00, (0, 1): P01, (1, 0): P01, (0, 2): P02,
                   (2, 0): P02, (1, 1): P11, (1, 2): P12, (2, 1): P21,
                   (2, 2): P22})
@@ -660,16 +616,17 @@ def psi_apply(P, T, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Gram completion certificates
+# Gram certificates
 
 @dataclass(frozen=True)
 class GramCertResult:
-    """Outcome of the 6 x 6 Gram completion for p = pencil + Lambda*Lambda.
+    """Outcome of the 6 x 6 Gram solve for p = pencil + Lambda*Lambda.
 
     status: "feasible", "not-certifiable-pinned" (the fully pinned part of
     the pattern is already indefinite, a proof of infeasibility), or
-    "not-certifiable" (alternating projections failed to converge; treat as
-    numerical evidence, cross-check against a middle-matrix scan).
+    "not-certifiable" (the optimized smallest eigenvalue of the reduced
+    Gram stays negative, or its pins do not reproduce p; treat as numerical
+    evidence, cross-check against a middle-matrix scan).
     """
 
     status: str
@@ -682,31 +639,10 @@ class GramCertResult:
     pinned_lambda_min: float = 0.0
     pin_residual: float = 0.0
     reduced_lambda: float = 0.0
-    completion: matkit.CompletionResult = None
 
     @property
     def is_feasible(self):
         return self.status == "feasible"
-
-
-def _gram_constraints(P):
-    cons = []
-    for (j, k) in ((1, 1), (1, 2), (2, 2)):
-        Pjk = P[(j, k)]
-        for a in range(2):
-            for b in range(2):
-                row, col = 2 * j + a, 2 * k + b
-                if row <= col:
-                    cons.append(EntryConstraint.pin(row, col, Pjk[a, b]))
-    for k in (1, 2):
-        P0k = P[(0, k)]
-        for a in range(2):
-            for b in range(2):
-                cons.append(EntryConstraint.pin_herm_pair(
-                    a, 2 * k + b, 2 * k + a, b, 2 * P0k[a, b]))
-    cons.append(EntryConstraint.pin(0, 0, P[(0, 0)][0, 0]))
-    cons.append(EntryConstraint.pin(1, 1, P[(0, 0)][1, 1]))
-    return cons
 
 
 def _reduced_pins(p):
@@ -716,9 +652,9 @@ def _reduced_pins(p):
     coefficient identities become pins on the surviving 4 x 4 matrix.
     full pins fix an entry, half pins fix twice its real part.
     """
-    diag = np.array([p.px2, p.py2, p.pxy2x, p.pyx2y])
-    full = {(1, 2): p.py2x, (0, 3): p.px2y, (2, 3): p.pxyxy}
-    half = {(0, 2): p.pxyx, (1, 3): p.pyxy}
+    diag = np.array([p.c("xx"), p.c("yy"), p.c("xyyx"), p.c("yxxy")])
+    full = {(1, 2): p.c("yyx"), (0, 3): p.c("xxy"), (2, 3): p.c("xyxy")}
+    half = {(0, 2): p.c("xyx"), (1, 3): p.c("yxy")}
     return diag, full, half
 
 
@@ -801,8 +737,11 @@ def _reduced_feasibility(p, tol):
                 add * np.conj(U[j, :]) * U[k, :])))
         return -val, -g
 
+    # the ascent stops about mu below a rank-deficient optimum and the
+    # factor step clips that gap out of the pins, so the last mu sits far
+    # below the assembly tolerance
     theta = np.zeros(len(params))
-    for mu in (1e-1 * scale, 1e-3 * scale, 1e-6 * scale, 1e-9 * scale):
+    for mu in (1e-1 * scale, 1e-4 * scale, 1e-8 * scale, 1e-12 * scale):
         out = _minimize(soft_neg, theta, args=(mu,), jac=True,
                         method="L-BFGS-B",
                         options={"maxiter": 400, "ftol": 1e-16,
@@ -815,12 +754,12 @@ def _reduced_feasibility(p, tol):
 _SURVIVING_COLS = (0, 1, 2, 5)
 
 
-def gram_complete_certificate(p, tol=1e-8, max_iter=20000):
-    """PSD-complete the pinned Gram pattern and factor out q0, q1, q2.
+def gram_complete_certificate(p, tol=1e-8):
+    """Solve for the pinned Gram pattern and factor out q0, q1, q2.
 
-    The completion is warm-started from an eigenvalue-optimized solve of
-    the reduced problem with the structurally zero columns removed; the
-    full pinned system is then validated by alternating projections.
+    G is the eigenvalue-optimized solve of the reduced problem placed on
+    the surviving columns; the structurally zero columns stay zero.  The
+    pins are then re-checked on the full 6 x 6 pattern.
     """
     P = build_P(p)
     verdict, lam_red, G4 = _reduced_feasibility(p, tol)
@@ -833,25 +772,12 @@ def gram_complete_certificate(p, tol=1e-8, max_iter=20000):
     if lam_red < -tol * scale:
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
                               reduced_lambda=lam_red)
-    init = np.zeros((6, 6), dtype=complex)
-    init[np.ix_(_SURVIVING_COLS, _SURVIVING_COLS)] = G4
-    cons = _gram_constraints(P)
-    try:
-        res = psd_complete(cons, 6, init=init, tol_psd=max(tol / 10, 1e-9),
-                           max_iter=max_iter)
-    except matkit.InfeasibleAffine:
-        return GramCertResult("not-certifiable-pinned",
-                              pinned_lambda_min=lam_pin,
-                              reduced_lambda=lam_red)
-    if res.status != "ok":
+    G = np.zeros((6, 6), dtype=complex)
+    G[np.ix_(_SURVIVING_COLS, _SURVIVING_COLS)] = G4
+    resid = _pin_residual(G, P)
+    if resid > tol * scale:
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
-                              reduced_lambda=lam_red, completion=res)
-    # the two structurally zero columns carry only completion noise; the
-    # compression keeps G PSD and moves pins by at most the affine residual
-    G = res.G.copy()
-    dead = [i for i in range(6) if i not in _SURVIVING_COLS]
-    G[dead, :] = 0
-    G[:, dead] = 0
+                              pin_residual=resid, reduced_lambda=lam_red)
     lam, U = np.linalg.eigh(herm(G))
     lam = np.clip(lam, 0.0, None)
     cutoff = 1e-10 * max(lam[-1], 1e-300)
@@ -859,9 +785,8 @@ def gram_complete_certificate(p, tol=1e-8, max_iter=20000):
     F = np.diag(np.sqrt(lam[keep])) @ U[:, keep].conj().T
     q0, q1, q2 = F[:, 0:2], F[:, 2:4], F[:, 4:6]
     r1 = complex(G[0, 1])
-    resid = _pin_residual(G, P)
     return GramCertResult("feasible", G, q0, q1, q2, r1, F.shape[0],
-                          lam_pin, resid, lam_red, res)
+                          lam_pin, resid, lam_red)
 
 
 def _pin_residual(G, P):
@@ -921,22 +846,6 @@ def _lambda_square_coeffs(Lx, Ly, Lxy, Lyx):
     }
 
 
-_IDENTITY_CHECKS = (
-    ("xx", lambda L: np.vdot(L["x"], L["x"])),
-    ("yy", lambda L: np.vdot(L["y"], L["y"])),
-    ("xyx", lambda L: np.vdot(L["yx"], L["x"]) + np.vdot(L["x"], L["yx"])),
-    ("yxy", lambda L: np.vdot(L["xy"], L["y"]) + np.vdot(L["y"], L["xy"])),
-    ("xxy", lambda L: np.vdot(L["x"], L["xy"])),
-    ("yyx", lambda L: np.vdot(L["y"], L["yx"])),
-    ("yxx", lambda L: np.vdot(L["xy"], L["x"])),
-    ("xyy", lambda L: np.vdot(L["yx"], L["y"])),
-    ("xyyx", lambda L: np.vdot(L["yx"], L["yx"])),
-    ("yxxy", lambda L: np.vdot(L["xy"], L["xy"])),
-    ("yxyx", lambda L: np.vdot(L["xy"], L["yx"])),
-    ("xyxy", lambda L: np.vdot(L["yx"], L["xy"])),
-)
-
-
 def assemble_certificate(p, q0, q1, q2, r1, tol=1e-8):
     """Columns of the Gram factor to a verified certificate.
 
@@ -946,23 +855,23 @@ def assemble_certificate(p, q0, q1, q2, r1, tol=1e-8):
     """
     L = {"x": q0[:, 0], "y": q0[:, 1], "yx": q1[:, 0], "xy": q2[:, 1]}
     # pinned zero diagonal entries force these columns to vanish; their
-    # numerical size scales like sqrt of the completion residual
+    # numerical size scales like sqrt of the eigenvalue clip in the factor
     aux = max(float(np.linalg.norm(q1[:, 1])), float(np.linalg.norm(q2[:, 0])))
     if aux > 10 * np.sqrt(tol):
         raise AssemblyError("auxiliary Gram columns should vanish "
                             "(norm %.2e)" % aux)
     residuals = {"aux_columns": aux}
+    square = _lambda_square_coeffs(L["x"], L["y"], L["xy"], L["yx"])
     worst = 0.0
-    for word, form in _IDENTITY_CHECKS:
-        residuals[word] = abs(complex(form(L)) - p.c(word))
+    for word in STRUCTURAL:
+        residuals[word] = abs(square[word] - p.c(word))
         worst = max(worst, residuals[word])
     if worst > tol:
         raise AssemblyError("structural identity residual %.2e" % worst)
-    r1_resid = abs(complex(np.vdot(L["x"], L["y"])) - complex(r1))
+    r1_resid = abs(square["xy"] - complex(r1))
     residuals["r1"] = r1_resid
     if r1_resid > tol:
         raise AssemblyError("r1 relation residual %.2e" % r1_resid)
-    square = _lambda_square_coeffs(L["x"], L["y"], L["xy"], L["yx"])
     pencil = {w: p.c(w) - square.get(w, 0j) for w in PENCIL_WORDS}
     # support check: everything of degree >= 2 must be matched by Lambda*Lambda
     for w in p.poly.words():

@@ -3,6 +3,9 @@ re-verification of serialized witnesses by independent recomputation.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +287,45 @@ def test_reproduce_mismatch_prints_diff(monkeypatch, capsys):
 def test_bad_config_exits_input(flags, capsys):
     code = cli.main(["partial", str(DATA / "xax_poly.txt")] + flags)
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    ("partial", "vars a: | x: x\nnan * x x\n", []),
+    ("partial", "vars a: | x: x\ninf * x x\n", []),
+    ("xy", "vars a: | x: x y\nnan * x x\n1 * y y\n", []),
+    ("partial", None, ["--scale", "nan"]),
+    ("partial", None, ["--region", "ball:nan"]),
+], ids=["partial-nan", "partial-inf", "xy-nan", "scale-nan", "ball-nan"])
+def test_non_finite_input_exits_input(tmp_path, command, text, flags):
+    path = DATA / "xax_poly.txt"
+    if text is not None:
+        path = tmp_path / "poly.txt"
+        path.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncconvex.cli", command, str(path)] + flags,
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_non_finite_json_entries_exit_input(tmp_path, capsys):
+    tup = json.loads((DATA / "intro_tuple.json").read_text())
+    tup["X"][0][0][0] = [float("nan"), 0.0]
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(tup))
+    assert cli.main(["eval", str(DATA / "intro_poly.txt"),
+                     str(tfile)]) == EXIT_INPUT
+    p = ncalg.parse_poly((DATA / "xax_poly.txt").read_text())
+    rj = realize.realization_to_json(realize.linearize_poly(p))
+    rj["c"][0] = [float("inf"), 0.0]
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps(rj))
+    assert cli.main(["partial", str(rfile)]) == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_strip_timings_removes_nested_keys():

@@ -1,5 +1,5 @@
 """Matrix utilities: PSD tools, Schur complements, blockwise Kronecker
-products, and PSD completion under entry pins.
+products, and seeded samplers.
 
 The blockwise product is checked against a literal four-block loop written
 here, and the embedding identity against full Kronecker products.
@@ -14,14 +14,11 @@ from ncconvex import matkit
 from ncconvex.matkit import (
     BlockMatrix2,
     DomainError,
-    EntryConstraint,
-    InfeasibleAffine,
     SingularError,
     build_embedding_E,
     herm,
     is_psd,
     khatri_rao,
-    psd_complete,
     sample_herm,
     schur_complement,
     signature_decompose,
@@ -163,59 +160,6 @@ def test_block_matrix_partition_validation():
     with pytest.raises(matkit.ShapeError):
         BlockMatrix2.from_blocks(np.eye(2), np.eye(2), np.eye(2),
                                  np.zeros((3, 2)))
-
-
-# ---------------------------------------------------------------------------
-# PSD completion
-
-@settings(max_examples=20, deadline=None)
-@given(seed=seeds, d=st.integers(2, 5))
-def test_psd_complete_recovers_pinned_entries(seed, d):
-    rng = np.random.default_rng(seed)
-    G = rand_psd(d, rng) + 0.1 * np.eye(d)
-    cons = [EntryConstraint.pin(j, j, G[j, j].real) for j in range(d)]
-    cons.append(EntryConstraint.pin(0, d - 1, G[0, d - 1]))
-    res = psd_complete(cons, d)
-    assert res.status == "ok"
-    got = res.G
-    assert is_psd(got, 1e-7).is_psd
-    for j in range(d):
-        assert got[j, j].real == pytest.approx(G[j, j].real, abs=1e-7)
-    assert got[0, d - 1] == pytest.approx(G[0, d - 1], abs=1e-7)
-
-
-def test_psd_complete_negative_diagonal_is_infeasible():
-    cons = [EntryConstraint.pin(0, 0, -1.0), EntryConstraint.pin(1, 1, 1.0)]
-    res = psd_complete(cons, 2, max_iter=2000)
-    assert res.status == "infeasible"
-
-
-def test_psd_complete_contradictory_pins():
-    cons = [EntryConstraint.pin(0, 1, 1.0), EntryConstraint.pin(0, 1, 2.0)]
-    with pytest.raises(InfeasibleAffine):
-        psd_complete(cons, 2)
-
-
-def test_psd_complete_warm_start_short_circuit():
-    rng = np.random.default_rng(7)
-    G = rand_psd(3, rng)
-    cons = [EntryConstraint.pin(j, k, G[j, k]) for j in range(3)
-            for k in range(j, 3)]
-    res = psd_complete(cons, 3, init=G)
-    assert res.status == "ok"
-    assert np.allclose(res.G, G, atol=1e-8)
-
-
-def test_psd_complete_herm_pair_pin():
-    # pin the sum G[0,1] + G[1,0] = 0.6 alongside PSD diagonal pins
-    cons = [
-        EntryConstraint.pin(0, 0, 1.0),
-        EntryConstraint.pin(1, 1, 1.0),
-        EntryConstraint.pin_herm_pair(0, 1, 1, 0, 0.6),
-    ]
-    res = psd_complete(cons, 2)
-    assert res.status == "ok"
-    assert (res.G[0, 1] + res.G[1, 0]).real == pytest.approx(0.6, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

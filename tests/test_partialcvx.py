@@ -111,7 +111,7 @@ def test_xax_hessian_psd_exactly_on_psd_a():
         if not in_dom(R, t):
             continue
         H = (matkit.sample_herm(n, 1.0, rng),)
-        lam = np.linalg.eigvalsh(partial_hessian(R, t, H, frame))[0]
+        lam = np.linalg.eigvalsh(partial_hessian(R, t, H))[0]
         if in_dom_plus(R, t, frame):
             assert lam >= -1e-8
             pos += 1

@@ -80,14 +80,14 @@ def rand_plpoly(rng, scale=1.0, with_pencil=True):
 def test_screen_accepts_a4():
     pl = a4_poly()
     assert pl.accepted
-    assert pl.px2 == pytest.approx(1.0)
-    assert pl.py2 == pytest.approx(1.0)
-    assert pl.pxy2x == pytest.approx(1.0)
-    assert pl.pyx2y == pytest.approx(1.0)
-    assert pl.pxyxy == pytest.approx(2.0)
-    assert pl.pyxyx == pytest.approx(2.0)
-    assert pl.pxyx == pytest.approx(0.0)
-    assert pl.px2y == pytest.approx(0.0)
+    assert pl.c("xx") == pytest.approx(1.0)
+    assert pl.c("yy") == pytest.approx(1.0)
+    assert pl.c("xyyx") == pytest.approx(1.0)
+    assert pl.c("yxxy") == pytest.approx(1.0)
+    assert pl.c("xyxy") == pytest.approx(2.0)
+    assert pl.c("yxyx") == pytest.approx(2.0)
+    assert pl.c("xyx") == pytest.approx(0.0)
+    assert pl.c("xxy") == pytest.approx(0.0)
 
 
 def test_screen_rejects_off_support_monomial():
@@ -113,8 +113,8 @@ def test_screen_rejects_wrong_context():
 def test_plpoly_coefficient_lookup():
     pl = rand_plpoly(np.random.default_rng(0))
     assert pl.c(("x", "y", "y", "x")[0:0]) == pl.c(())
-    assert pl.pxy2 == pl.c(("x", "y", "y"))
-    assert pl.py2x == pl.c(("y", "y", "x"))
+    assert pl.c("xyy") == pl.c(("x", "y", "y"))
+    assert pl.c("yyx") == pl.c(("y", "y", "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +357,28 @@ def test_a4_gram_pinned_rejection():
     assert res.pinned_lambda_min == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_gram_reduced_lambda_negative_is_not_certifiable():
+    # every pin is consistent, but the pinned 4 x 4 Gram cannot be PSD
+    pl = support_screen(from_coeffs({
+        "xx": 1.0, "yy": 1.0, "xyyx": 1.0, "yxxy": 1.0, "xyxy": 1.0,
+        "yxyx": 1.0, "xxy": 1.0, "yxx": 1.0, "xyx": -2.0}))
+    res = gram_complete_certificate(pl)
+    assert res.status == "not-certifiable"
+    assert not res.is_feasible
+    assert res.reduced_lambda == pytest.approx(-1.0, abs=1e-6)
+    assert res.pinned_lambda_min == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, N=st.integers(1, 4), scale=st.sampled_from((0.3, 1, 3)))
+def test_gram_pins_hold_by_construction(seed, N, scale):
+    rng = np.random.default_rng(seed)
+    p, _ = synthesize_certified(rng, N=N, scale=scale)
+    res = gram_complete_certificate(support_screen(p))
+    assert res.is_feasible, res.status
+    assert res.pin_residual <= 1e-12 * max(1.0, float(np.max(np.abs(res.G))))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, N=st.integers(1, 4))
 def test_gram_round_trip_certifies_synthesized(seed, N):
@@ -371,6 +393,20 @@ def test_gram_round_trip_certifies_synthesized(seed, N):
     assert rep.ok
     assert rep.max_coeff_residual <= 1e-8
     assert rep.min_defect_eig >= -1e-8
+
+
+@pytest.mark.parametrize("seed", [3, 18])
+def test_gram_certifies_large_rank_one(seed):
+    # a rank-one Gram has a triple zero eigenvalue; the optimizer's gap below
+    # it is clipped out of the pins in the factor step and must stay under
+    # the assembly tolerance at coefficients near 100
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=1, scale=10.0)
+    pl = support_screen(p)
+    res = gram_complete_certificate(pl)
+    assert res.is_feasible, res.status
+    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    assert verify_certificate(pl, cert, samples=5,
+                              rng=np.random.default_rng(seed)).ok
 
 
 def test_certificate_json_round_trip(rng):
