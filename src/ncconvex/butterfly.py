@@ -23,7 +23,8 @@ from . import matkit, realize
 from .ncalg import FreePoly, HermTuple, eval_poly
 from .matkit import TOL_INV, TOL_PSD, is_psd, sqrt_psd
 from .realize import (NotInDomain, RangeTFrame, Realization, in_dom,
-                      in_dom_kebab, linearize_poly, range_t_frame, resolvent)
+                      in_dom_kebab, kron_sum, linearize_poly, range_t_frame,
+                      resolvent)
 
 
 class KebabError(ValueError):
@@ -50,12 +51,9 @@ class NotApplicable(ValueError):
     """The construction's hypothesis (invertible J22) fails."""
 
 
-def _kron_sum(coeffs, mats, n):
-    e = coeffs[0].shape[0] if coeffs else 0
-    out = np.zeros((e * n, e * n), dtype=complex)
-    for C, M in zip(coeffs, mats):
-        out += np.kron(C, M)
-    return out
+def _pencil_block(C0, coeffs, A_mats, n):
+    """C0 (x) I_n - sum_j coeffs[j] (x) A_j."""
+    return kron_sum((C0,) + tuple(coeffs), [np.eye(n)] + [-A for A in A_mats])
 
 
 def caterpillar_eval(R, t, tol_inv=TOL_INV):
@@ -67,7 +65,7 @@ def caterpillar_eval(R, t, tol_inv=TOL_INV):
     res = resolvent(R, t, tol_inv)
     n = t.n
     C = np.kron(R.c.reshape(-1, 1), np.eye(n))
-    L = _kron_sum(R.T, t.X, n)
+    L = kron_sum(R.T, t.X)
     Wc = W @ C
     term0 = C.conj().T @ Wc
     term1 = Wc.conj().T @ L @ Wc
@@ -113,7 +111,7 @@ class ButterflyCert:
         return out
 
     def lhat(self, t):
-        return _kron_sum(self.frame.That, t.X, t.n)
+        return kron_sum(self.frame.That, t.X)
 
     def eval_resolvent_form(self, t, tol_inv=TOL_INV):
         """fbar + ell* w (I - Lhat w)^{-1} ell, valid on dom-kebab."""
@@ -191,13 +189,8 @@ class SliceNormalForm:
     empty: bool = False
 
     def lam(self, X):
-        k, n = self.frame.k, self.n
-        out = np.kron(self.J11, np.eye(n)).astype(complex)
-        for C, M in zip(self.S11, self.A_mats):
-            out -= np.kron(C, M)
-        for C, M in zip(self.frame.That, X):
-            out -= np.kron(C, M)
-        return out
+        return _pencil_block(self.J11, self.S11 + self.frame.That,
+                             self.A_mats + tuple(X), self.n)
 
     def reduced(self, X):
         return self.W.conj().T @ self.lam(X) @ self.W - self.F
@@ -260,12 +253,8 @@ def slice_reduce(R, A_mats, n=None, tol_inv=TOL_INV, rtol=realize.RTOL_RANK):
     S12 = tuple(V.conj().T @ M @ Vp for M in R.S)
     S22 = tuple(matkit.herm(Vp.conj().T @ M @ Vp) for M in R.S)
 
-    B = np.kron(J12, np.eye(n)).astype(complex)
-    D = np.kron(J22, np.eye(n)).astype(complex)
-    for C, M in zip(S12, A_mats):
-        B -= np.kron(C, M)
-    for C, M in zip(S22, A_mats):
-        D -= np.kron(C, M)
+    B = _pencil_block(J12, S12, A_mats, n)
+    D = _pencil_block(J22, S22, A_mats, n)
 
     kn = k * n
     if D.size == 0:
@@ -325,23 +314,25 @@ class PolyButterfly:
         return self.w.shape[0]
 
 
-def _word_series_terms(J, coeffs, max_len):
-    """Terms of (J - sum_j coeffs[j] letter_j)^{-1} = sum_w (J C_w1)...(J C_wm) J.
+def _word_series_terms(J, coeffs, B, max_len):
+    """Terms of (J - sum_j coeffs[j] letter_j)^{-1} B = sum_w M_w B with
+    M_w = (J C_w1)...(J C_wm) J.
 
-    Yields (word, matrix) for words over range(len(coeffs)) up to max_len.
+    Returns (words, terms): the words over range(len(coeffs)) up to
+    max_len in degree-lexicographic order and the blocks M_w B stacked
+    in that order, one batched product per word length
+    (M_{jw} B = (J C_j) M_w B).
     """
     e = J.shape[0]
-    frontier = {(): np.eye(e, dtype=complex)}
-    yield (), J.copy()
+    JC = np.array([J @ C for C in coeffs]).reshape(-1, e, e)
+    level_w, level = [()], (J @ B)[None]
+    words, terms = [()], [level]
     for _ in range(max_len):
-        nxt = {}
-        for w, M in frontier.items():
-            for j, C in enumerate(coeffs):
-                nw = w + (j,)
-                nxt[nw] = M @ (J @ C)
-        frontier = nxt
-        for w, M in frontier.items():
-            yield w, M @ J
+        level_w = [(j,) + w for j in range(len(JC)) for w in level_w]
+        level = (JC[:, None] @ level[None]).reshape(-1, *B.shape)
+        words += level_w
+        terms.append(level)
+    return words, np.concatenate(terms)
 
 
 @dataclass(frozen=True)
@@ -401,61 +392,48 @@ def poly_butterfly(p, tol=1e-10):
     R = linearize_poly(p)
     frame = range_t_frame(R)
     V = frame.V_T
-    k, e = frame.k, R.e
+    k = frame.k
     dega = p.degree_in_class("a")
     max_len = max(dega, p.degree()) + 1
 
-    # a-side resolvent series W(a) = (J - sum S_j a_j)^{-1}
-    a_terms = list(_word_series_terms(R.J, R.S, max_len))
-    for w, M in a_terms:
-        if len(w) > dega and np.max(np.abs(V.conj().T @ M @ V)) > tol * 10:
-            raise RealizationError(
-                "a-series fails to terminate at degree %d" % len(w))
-
-    def aword(w):
-        # a-letter j in the series corresponds to global letter j
-        return tuple(w)
+    # a-side resolvent series W(a) = (J - sum S_j a_j)^{-1}; a-letter j in
+    # the series is global letter j
+    words, terms = _word_series_terms(R.J, R.S, np.hstack([V, R.c[:, None]]),
+                                      max_len)
+    VMV = V.conj().T @ terms[:, :, :k]
+    low = np.array([len(w) <= dega for w in words])
+    alive = np.max(np.abs(VMV), axis=(1, 2), initial=0.0) > tol * 10
+    if np.any(alive & ~low):
+        raise RealizationError("a-series fails to terminate at degree %d"
+                               % len(words[np.argmax(alive & ~low)]))
+    words = [w for w, keep in zip(words, low) if keep]
+    VMV = VMV[low]
+    WC = terms[low, :, k].T  # e x N, column W_w c
 
     # w(a) = V* W(a) V restricted to words within degree
-    w_terms = {}
-    for w, M in a_terms:
-        if len(w) > dega:
-            continue
-        C = V.conj().T @ M @ V
-        if np.max(np.abs(C)) > tol:
-            w_terms[aword(w)] = C
+    w_terms = {w: C for w, C in zip(words, VMV) if np.max(np.abs(C)) > tol}
     w_poly = FreePoly.from_terms(ctx, w_terms, (k, k)) if w_terms \
         else FreePoly.zero(ctx, (k, k))
 
     # ell_j(a) = V* T_j W(a) c ; ell = sum_j x_j ell_j
     ell_terms = {}
     for jx, T in enumerate(R.T):
-        lead = V.conj().T @ T
-        for w, M in a_terms:
-            if len(w) > dega:
-                continue
-            vec = (lead @ M @ R.c).reshape(k, 1)
+        for w, vec in zip(words, ((V.conj().T @ T) @ WC).T):
             if np.max(np.abs(vec)) > tol:
-                word = (ctx.h + jx,) + aword(w)
-                ell_terms[word] = ell_terms.get(word, 0) + vec
+                ell_terms[(ctx.h + jx,) + w] = vec.reshape(k, 1)
     ell_poly = FreePoly.from_terms(ctx, ell_terms, (k, 1)) if ell_terms \
         else FreePoly.zero(ctx, (k, 1))
 
-    # fbar = c* W c + c* W (sum T_j x_j) W c
+    # fbar = c* W c + c* W (sum T_j x_j) W c; the x-linear part is the
+    # Gram product G = WC* T_j WC, G[r, l] = (W_wr c)* T_j W_wl c
     f_terms = {}
-    wc = [(w, M @ R.c) for w, M in a_terms if len(w) <= dega]
-    for w, vec in wc:
-        val = complex(R.c.conj() @ vec)
+    for w, val in zip(words, R.c.conj() @ WC):
         if abs(val) > tol:
-            f_terms[aword(w)] = f_terms.get(aword(w), 0) + val
+            f_terms[w] = val
     for jx, T in enumerate(R.T):
-        for wl, vl in wc:
-            tv = T @ vl
-            for wr, vr in wc:
-                val = complex(vr.conj() @ tv)
-                if abs(val) > tol:
-                    word = aword(wr)[::-1] + (ctx.h + jx,) + aword(wl)
-                    f_terms[word] = f_terms.get(word, 0) + val
+        G = WC.conj().T @ (T @ WC)
+        for l, r in zip(*np.nonzero(np.abs(G.T) > tol)):
+            f_terms[words[r][::-1] + (ctx.h + jx,) + words[l]] = G[r, l]
     fbar = FreePoly.from_terms(ctx, {w: np.array([[c]])
                                      for w, c in f_terms.items()})
 
@@ -528,13 +506,8 @@ class SchurButterfly:
     def m_eval(self, A_mats, tol_inv=TOL_INV):
         b = self.blocks
         n = A_mats[0].shape[0] if A_mats else 1
-        P11 = np.kron(b["J11"], np.eye(n)).astype(complex)
-        P12 = np.kron(b["J12"], np.eye(n)).astype(complex)
-        P22 = np.kron(b["J22"], np.eye(n)).astype(complex)
-        for S11, S12, S22, A in zip(b["S11"], b["S12"], b["S22"], A_mats):
-            P11 -= np.kron(S11, A)
-            P12 -= np.kron(S12, A)
-            P22 -= np.kron(S22, A)
+        P11, P12, P22 = (_pencil_block(b["J" + ij], b["S" + ij], A_mats, n)
+                         for ij in ("11", "12", "22"))
         sv = np.linalg.svd(P22, compute_uv=False)
         if P22.size and sv[-1] <= tol_inv * max(1.0, sv[0]):
             raise NotInDomain("lower pencil block singular at this A")
@@ -543,7 +516,7 @@ class SchurButterfly:
 
     def r_T_eval(self, t, tol_inv=TOL_INV):
         M = self.m_eval(t.A, tol_inv)
-        M = M - _kron_sum(self.frame.That, t.X, t.n)
+        M = M - kron_sum(self.frame.That, t.X)
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[-1] <= tol_inv * max(1.0, sv[0]):
             raise NotInDomain("reduced pencil singular")

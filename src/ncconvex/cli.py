@@ -12,12 +12,17 @@ reproduce  rerun a pinned example study and compare with the stored summary
 Reports are JSON with matrices as row-major [re, im] entries.  With a fixed
 seed and config a rerun reproduces the report byte for byte apart from the
 time_s fields.  Exit codes: 0 success, 1 mathematical negative (verified
-witness or screen rejection), 2 input error, 3 numerically inconclusive.
+witness or screen rejection), 2 input error (including input so large that
+partial or xy overflows float64), 3 numerically inconclusive (including a
+numerical breakdown such as a singular intertwiner or a failed
+factorization; the reason goes to stderr), 4 internal error (any other
+uncaught exception; its type and message go to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -27,14 +32,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, butterfly, examples, ncalg, partialcvx, realize, \
-    xycvx
+from . import __version__, butterfly, examples, matkit, ncalg, partialcvx, \
+    realize, xycvx
 from .ncalg import ContextError, HermTuple, ShapeError, SymmetryError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
+
+# the float64 computation broke down: no verdict either way
+NUMERICAL_BREAKDOWNS = (np.linalg.LinAlgError, matkit.SingularError,
+                        realize.SymmetrizationError,
+                        butterfly.RealizationError)
 
 
 class InputError(Exception):
@@ -135,7 +146,7 @@ def load_input(path):
     if text.lstrip().startswith("{"):
         try:
             R = realize.realization_from_json(json.loads(text))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("%s: bad realization JSON: %s" % (path, exc))
         return "realization", R
     try:
@@ -327,10 +338,15 @@ def _partial_scan_chunk(payload):
     return out
 
 
+def _raise_on_overflow():
+    np.seterr(over="raise")
+
+
 def _run_chunks(fn, payloads, workers):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_raise_on_overflow) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -659,14 +675,26 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    overflow = np.errstate(over="raise") if args.command in ("partial", "xy") \
+        else contextlib.nullcontext()
     try:
-        return args.fn(args)
-    except InputError as exc:
+        with overflow:
+            return args.fn(args)
+    except (InputError, ContextError, ShapeError, SymmetryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (ContextError, ShapeError, SymmetryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except FloatingPointError as exc:
+        print("error: the input is too large for float64 (%s)" % exc,
+              file=sys.stderr)
         return EXIT_INPUT
+    except NUMERICAL_BREAKDOWNS as exc:
+        print("inconclusive: numerical breakdown: %s: %s"
+              % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -34,8 +34,12 @@ def herm(M):
 
 
 def check_herm(M, tol=TOL_HERM, what="matrix"):
-    nM = max(1.0, np.linalg.norm(M, 2))
-    if np.linalg.norm(M - M.conj().T, 2) > tol * nM:
+    """Hermitian part of M; raises when ||M - M*|| > tol max(1, ||M||).
+
+    An exactly Hermitian M skips the two spectral norms.
+    """
+    D = M - M.conj().T
+    if D.any() and np.linalg.norm(D, 2) > tol * max(1.0, np.linalg.norm(M, 2)):
         raise HermitianError("%s is not Hermitian" % what)
     return herm(M)
 

@@ -267,8 +267,9 @@ class HermTuple:
         t = cls(n, A, X, validate)
         if validate:
             for M in mats:
-                scale = max(1.0, np.linalg.norm(M, 2))
-                if np.linalg.norm(M - M.conj().T, 2) > TOL_HERM * scale:
+                D = M - M.conj().T
+                if D.any() and np.linalg.norm(D, 2) > TOL_HERM * max(
+                        1.0, np.linalg.norm(M, 2)):
                     raise HermitianError("tuple entry is not Hermitian")
         return t
 
@@ -372,6 +373,9 @@ def parse_poly(text):
             except ContextError as exc:
                 raise ValueError("line %d: %s" % (lineno, exc))
         terms[w] = terms.get(w, 0j) + coeff
+        if not np.isfinite(terms[w]):
+            raise ValueError("line %d: coefficients of %r sum to a non-finite "
+                             "value" % (lineno, word_s.strip()))
     if ctx is None:
         raise ValueError("no vars header found")
     return FreePoly.from_terms(ctx, {w: np.array([[c]]) for w, c in terms.items()})

@@ -39,10 +39,10 @@ class SpanFailure(ValueError):
 
 
 def _direction_op(R, H, n):
-    L = np.zeros((R.e * n, R.e * n), dtype=complex)
-    for T, Hi in zip(R.T, H):
-        L += np.kron(T, Hi)
-    return L
+    """L = sum T_i (x) H_i, the zero en x en matrix when there is no x."""
+    if not R.T:
+        return np.zeros((R.e * n, R.e * n), dtype=complex)
+    return realize.kron_sum(R.T, H)
 
 
 def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):

@@ -18,6 +18,21 @@ so (u, M, v) with u = J^{-1} c, M_i = Z_i J^{-1}, v = c is a linear
 representation of the coefficient series, and all word-series machinery
 (Krylov reduction, Hankel-style minimality, symmetrization by the unique
 Hermitian intertwiner) happens on that side.
+
+The intertwiner Sigma (Sigma M_i = M_i* Sigma, Sigma v = u) is read off
+the Krylov columns.  Pushing Sigma through a word letter by letter gives
+
+    Sigma M_w v = M_{i1}* ... M_{im}* Sigma v = (M_{w~})* u,
+
+with w~ the reversed word, so Sigma C = D for C = [M_w v] and
+D = [(M_{w~})* u] over any set of words.  A minimal representation is
+reachable, so some d of the columns M_w v are independent; with those as
+C, Sigma = D C^{-1}, an O(d^3) solve.
+
+At a point (A, X) the pencil J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
+is Hermitian, so one Hermitian eigendecomposition P = Q diag(lam) Q*
+serves every domain predicate: the singular values are the |lam|, and
+P^{-1} = Q diag(1/lam) Q*.
 """
 
 from __future__ import annotations
@@ -101,13 +116,8 @@ class Realization:
 
     def pencil(self, t):
         """P(A, X) = J (x) I - sum T_i (x) X_i - sum S_j (x) A_j."""
-        n = t.n
-        P = np.kron(self.J, np.eye(n)).astype(complex)
-        for M, val in zip(self.S, t.A):
-            P -= np.kron(M, val)
-        for M, val in zip(self.T, t.X):
-            P -= np.kron(M, val)
-        return P
+        return kron_sum((self.J,) + self.S + self.T,
+                        [np.eye(t.n)] + [-M for M in t.mats])
 
     def zero_x(self, t):
         """The point (A, 0) of the same size."""
@@ -115,26 +125,61 @@ class Realization:
         return HermTuple(t.n, t.A, z, t.validate)
 
 
+def kron_sum(coeffs, mats):
+    """sum_k coeffs[k] (x) mats[k] as one tensor contraction.
+
+    coeffs are e x f and mats n x m; the result is en x fm, and the
+    empty sum is the 0 x 0 matrix.
+    """
+    if len(coeffs) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    C = np.asarray(coeffs, dtype=complex)
+    M = np.asarray(mats, dtype=complex)
+    (_, e, f), (_, n, m) = C.shape, M.shape
+    return np.tensordot(C, M, axes=(0, 0)).transpose(0, 2, 1, 3) \
+        .reshape(e * n, f * m)
+
+
+def _invertible(lam, tol_inv):
+    """Relative smin threshold on the eigenvalues of a Hermitian matrix."""
+    a = np.abs(lam)
+    return a.min() > tol_inv * max(1.0, a.max())
+
+
+def _pencil_eigh(R, t, tol_inv):
+    """(lam, Q) of the Hermitian pencil; raises NotInDomain when singular."""
+    lam, Q = np.linalg.eigh(R.pencil(t))
+    if not _invertible(lam, tol_inv):
+        raise NotInDomain("pencil is numerically singular (smin=%g)"
+                          % np.abs(lam).min())
+    return lam, Q
+
+
 def in_dom(R, t, tol_inv=TOL_INV):
-    """(A, X) in dom r: pencil invertible at relative threshold tol_inv."""
-    sv = np.linalg.svd(R.pencil(t), compute_uv=False)
-    return sv[-1] > tol_inv * max(1.0, sv[0])
+    """(A, X) in dom r: pencil invertible at relative threshold tol_inv.
+
+    smin and smax are the extreme |eigenvalues| of the Hermitian pencil.
+    """
+    return _invertible(np.linalg.eigvalsh(R.pencil(t)), tol_inv)
 
 
 def resolvent(R, t, tol_inv=TOL_INV):
-    """P(A, X)^{-1}; raises NotInDomain at singular pencils."""
-    P = R.pencil(t)
-    sv = np.linalg.svd(P, compute_uv=False)
-    if sv[-1] <= tol_inv * max(1.0, sv[0]):
-        raise NotInDomain("pencil is numerically singular (smin=%g)" % sv[-1])
-    return np.linalg.inv(P)
+    """P(A, X)^{-1} = Q diag(1/lam) Q* from one Hermitian eigendecomposition;
+    raises NotInDomain at singular pencils."""
+    lam, Q = _pencil_eigh(R, t, tol_inv)
+    return (Q / lam) @ Q.conj().T
+
+
+def _compress(lam, Q, V, n):
+    """(V (x) I)* Q diag(1/lam) Q* (V (x) I), Hermitian."""
+    Y = Q.conj().T @ np.kron(V, np.eye(n))
+    return matkit.herm(Y.conj().T @ (Y / lam[:, None]))
 
 
 def eval_realization(R, t):
-    """(c (x) I)* P(A,X)^{-1} (c (x) I); Hermitian for signature-J inputs."""
-    res = resolvent(R, t)
-    V = np.kron(R.c.reshape(-1, 1), np.eye(t.n))
-    return V.conj().T @ res @ V
+    """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian; raises NotInDomain at
+    singular pencils."""
+    return _compress(*_pencil_eigh(R, t, TOL_INV), R.c.reshape(-1, 1), t.n)
 
 
 @dataclass(frozen=True)
@@ -164,22 +209,23 @@ def range_t_frame(R, rtol=RTOL_RANK):
 
 
 def r_T(R, t, frame=None, tol_inv=TOL_INV):
-    """Compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I)."""
+    """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I)."""
     frame = range_t_frame(R) if frame is None else frame
-    res = resolvent(R, t, tol_inv)
-    W = np.kron(frame.V_T, np.eye(t.n))
-    return W.conj().T @ res @ W
+    return _compress(*_pencil_eigh(R, t, tol_inv), frame.V_T, t.n)
 
 
 def in_dom_plus(R, t, frame=None, tol=TOL_PSD, tol_inv=TOL_INV):
-    """(A, X) in dom+ r: in dom and R_T(A, X) PSD (vacuous when k = 0)."""
-    if not in_dom(R, t, tol_inv):
-        return False
+    """(A, X) in dom+ r: in dom and R_T(A, X) PSD (vacuous when k = 0).
+
+    Both tests read the same Hermitian eigendecomposition of the pencil.
+    """
     frame = range_t_frame(R) if frame is None else frame
+    lam, Q = np.linalg.eigh(R.pencil(t))
+    if not _invertible(lam, tol_inv):
+        return False
     if frame.k == 0:
         return True
-    M = matkit.herm(r_T(R, t, frame, tol_inv))
-    return is_psd(M, tol).is_psd
+    return is_psd(_compress(lam, Q, frame.V_T, t.n), tol).is_psd
 
 
 def in_dom_kebab(R, t, tol_inv=TOL_INV):
@@ -300,26 +346,70 @@ def is_minimal_rep(rep, rtol=RTOL_RANK):
     return _krylov_closure(adj, rep.u, rtol).shape[1] == d
 
 
+def _krylov_pairs(rep, rtol=RTOL_RANK):
+    """d independent Krylov columns C = [M_w v] and their partners
+    D = [(M_{w~})* u], built breadth first by C_{iw} = M_i C_w and
+    D_{iw} = M_i* D_w from the columns kept so far.
+
+    Each level keeps, largest first, the candidates whose component
+    orthogonal to the kept columns exceeds rtol times the scale
+    max(1, ||v||, ||M_i||_F) (column-pivoted Gram-Schmidt); each kept
+    pair is scaled to a unit C column, which leaves D C^{-1} unchanged.
+    Raises SymmetrizationError when the span stops short of d (the
+    representation is not reachable, so not minimal).
+    """
+    d = rep.dim
+    cut = rtol * max([1.0, np.linalg.norm(rep.v)]
+                     + [np.linalg.norm(M) for M in rep.mats])
+    Q = np.zeros((d, 0), dtype=complex)
+    C, D = [Q], [Q]
+    cand, part = rep.v[:, None], rep.u[:, None]
+    while cand.shape[1] and Q.shape[1] < d:
+        res = cand - Q @ (Q.conj().T @ cand)
+        res = res - Q @ (Q.conj().T @ res)
+        kept = []
+        while Q.shape[1] < d:
+            norms = np.linalg.norm(res, axis=0)
+            j = int(np.argmax(norms))
+            if norms[j] <= cut:
+                break
+            q = res[:, j] / norms[j]
+            res = res - np.outer(q, q.conj() @ res)
+            Q = np.hstack([Q, q[:, None]])
+            kept.append(j)
+        scale = np.linalg.norm(cand[:, kept], axis=0)
+        newC, newD = cand[:, kept] / scale, part[:, kept] / scale
+        C.append(newC)
+        D.append(newD)
+        cand = np.hstack([M @ newC for M in rep.mats])
+        part = np.hstack([M.conj().T @ newD for M in rep.mats])
+    C, D = np.hstack(C), np.hstack(D)
+    if C.shape[1] < d:
+        raise SymmetrizationError(
+            "Krylov columns span %d of %d states; the representation is "
+            "not minimal" % (C.shape[1], d))
+    return C, D
+
+
 def _solve_intertwiner(rep, tol=1e-6):
     """Unique Sigma with Sigma M_i = M_i* Sigma and Sigma v = u.
 
-    Row-major vec convention: vec(S M) = (I (x) M^T) vec(S) and
-    vec(M* S) = (M.conj().T (x) I) vec(S).
+    Sigma M_w v = (M_{w~})* u for every word w (w~ reversed), so Sigma
+    C = D on the Krylov pairs of _krylov_pairs.  Minimality makes the
+    representation reachable, so C is d x d of full rank and Sigma =
+    D C^{-1}.  The solve is accepted when the residual of the full system,
+    sqrt(sum_i ||Sigma M_i - M_i* Sigma||_F^2 + ||Sigma v - u||^2) /
+    max(1, ||u||), and the relative Hermitian defect are both <= tol.
     """
-    d = rep.dim
-    I = np.eye(d)
-    rows = [np.kron(I, M.T) - np.kron(M.conj().T, I) for M in rep.mats]
-    rhs = [np.zeros(d * d, dtype=complex) for _ in rep.mats]
-    rows.append(np.kron(I, rep.v.reshape(1, -1)))
-    rhs.append(rep.u)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
-    Sig = x.reshape(d, d)
+    C, D = _krylov_pairs(rep)
+    Sig = np.linalg.solve(C.T, D.T).T
+    sq = sum(np.linalg.norm(Sig @ M - M.conj().T @ Sig) ** 2
+             for M in rep.mats)
+    sq += np.linalg.norm(Sig @ rep.v - rep.u) ** 2
+    res = np.sqrt(sq) / max(1.0, np.linalg.norm(rep.u))
     nS = max(np.linalg.norm(Sig, 2), 1e-300)
     herm_res = np.linalg.norm(Sig - Sig.conj().T, 2) / nS
-    if res > tol or herm_res > tol:
+    if not (res <= tol and herm_res <= tol):
         raise SymmetrizationError(
             "intertwiner solve failed (residual %g, Hermitian defect %g)"
             % (res, herm_res))

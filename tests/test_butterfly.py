@@ -258,6 +258,79 @@ def test_poly_butterfly_reconstructs_squares(seed):
         assert np.allclose(got, want, atol=1e-7 * max(1.0, np.linalg.norm(want, 2)))
 
 
+def pair_loop_fbar_ell(pb, tol=1e-10):
+    """Reference fbar and ell of a PolyButterfly from its realization: the
+    resolvent series word by word and fbar's x-linear part pair by pair."""
+    R = pb.realization
+    p_ctx = pb.fbar.ctx
+    V = range_t_frame(R).V_T
+    dega = max((sum(1 for i in w if p_ctx.letter_class(i) == "a")
+                for w in pb.w.coeffs), default=0)
+    prods = {(): np.eye(R.e, dtype=complex)}
+    level = [()]
+    for _ in range(dega):
+        level = [w + (j,) for w in level for j in range(R.h)]
+        prods.update({w: prods[w[:-1]] @ R.J @ R.S[w[-1]] for w in level})
+    wc = [(w, M @ R.J @ R.c) for w, M in prods.items()]
+    fbar, ell = {}, {}
+    for w, v in wc:
+        val = complex(R.c.conj() @ v)
+        if abs(val) > tol:
+            fbar[w] = val
+    for jx, T in enumerate(R.T):
+        letter = (p_ctx.h + jx,)
+        for w, v in wc:
+            vec = V.conj().T @ T @ v
+            if np.max(np.abs(vec)) > tol:
+                ell[letter + w] = vec
+        for wl, vl in wc:
+            tv = T @ vl
+            for wr, vr in wc:
+                val = complex(vr.conj() @ tv)
+                if abs(val) > tol:
+                    fbar[wr[::-1] + letter + wl] = val
+    return fbar, ell
+
+
+@pytest.mark.parametrize("span", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
+    """Sums of squares q* q with q = c0 w0 + sum c_i u_i x v_i, complex
+    c_i and |u_i v_i| = span, so p has a-degree 2 span (4 to 8)."""
+    rng = np.random.default_rng(seed)
+    ctx = VarContext(("a", "b"), ("x",))
+
+    def aword(m):
+        return tuple(int(i) for i in rng.integers(0, 2, size=m))
+
+    def coeff():
+        return complex(rng.normal(), rng.normal())
+
+    p = FreePoly.zero(ctx)
+    for _ in range(2):
+        q = FreePoly.from_terms(ctx, {aword(1): coeff()})
+        for _ in range(2):
+            m = int(rng.integers(0, span + 1))
+            q = q + FreePoly.from_terms(
+                ctx, {aword(m) + (2,) + aword(span - m): coeff()})
+        p = p + q.adjoint() @ q
+    assert p.degree_in_class("a") == 2 * span
+    pb = poly_butterfly(p)
+    fbar, ell = pair_loop_fbar_ell(pb)
+    assert set(pb.fbar.coeffs) == set(fbar)
+    scale = max(abs(c) for c in fbar.values())
+    for w, c in fbar.items():
+        assert abs(pb.fbar.scalar_coeff(w) - c) <= 1e-12 * scale
+    # ell is unique up to the isometry of the dead-direction trim and the
+    # phase rule, so compare the Gram matrices of its coefficients
+    assert set(pb.ell.coeffs) == set(ell)
+    words = sorted(ell)
+    E = np.hstack([pb.ell.coeffs[w] for w in words])
+    E_ref = np.column_stack([ell[w] for w in words])
+    assert np.allclose(E.conj().T @ E, E_ref.conj().T @ E_ref,
+                       atol=1e-12 * scale, rtol=0)
+
+
 def test_poly_butterfly_rejects_quartic_with_witness():
     ctx = VarContext((), ("x",))
     p = FreePoly.from_terms(ctx, {(0, 0, 0, 0): 1.0})

@@ -15,12 +15,14 @@ from ncconvex import cli, examples, matkit, ncalg, realize, xycvx
 from ncconvex.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     strip_timings,
 )
 
 DATA = Path(cli.__file__).parent / "data"
+TEST_DATA = Path(__file__).parent / "data"
 
 
 def unmat(rows):
@@ -289,24 +291,65 @@ def test_bad_config_exits_input(flags, capsys):
     assert code == EXIT_INPUT
 
 
+def run_python(argv):
+    """`python ARGV` in a fresh interpreter that imports this ncconvex."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable] + argv, capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("name", ["ill_conditioned_sos_1.txt",
+                                  "ill_conditioned_sos_2.txt"])
+def test_numerical_breakdown_exits_inconclusive(name):
+    """Sums of squares whose Hankel matrix is close to lower rank: the
+    reduced realization is too large and its intertwiner singular."""
+    proc = run_python(["-m", "ncconvex.cli", "partial", str(TEST_DATA / name),
+                       "--sizes", "1,2", "--samples", "2"])
+    assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("inconclusive: numerical breakdown:")
+
+
+def test_unexpected_exception_exits_internal():
+    code = ("import sys\n"
+            "from ncconvex import cli, ncalg\n"
+            "def broken(text):\n"
+            "    raise RuntimeError('broken parser')\n"
+            "ncalg.parse_poly = broken\n"
+            "sys.exit(cli.main(['partial', %r]))\n"
+            % str(DATA / "xax_poly.txt"))
+    proc = run_python(["-c", code])
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("internal error: RuntimeError")
+
+
+def test_malformed_realization_json_exits_input(tmp_path, capsys):
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"J": 1, "S": [], "T": [], "c": []}))
+    assert cli.main(["partial", str(rfile)]) == EXIT_INPUT
+    assert "bad realization JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text, flags", [
     ("partial", "vars a: | x: x\nnan * x x\n", []),
     ("partial", "vars a: | x: x\ninf * x x\n", []),
     ("xy", "vars a: | x: x y\nnan * x x\n1 * y y\n", []),
     ("partial", None, ["--scale", "nan"]),
     ("partial", None, ["--region", "ball:nan"]),
-], ids=["partial-nan", "partial-inf", "xy-nan", "scale-nan", "ball-nan"])
+    ("partial", "vars a: | x: x\n1e308 * x x\n", []),
+    ("partial", "vars a: | x: x\n1e308 * x x\n1e308 * x x\n", []),
+    ("xy", "vars a: | x: x y\n1e308 * x x\n1 * y y\n", []),
+], ids=["partial-nan", "partial-inf", "xy-nan", "scale-nan", "ball-nan",
+        "partial-overflow", "partial-summed-inf", "xy-overflow"])
 def test_non_finite_input_exits_input(tmp_path, command, text, flags):
     path = DATA / "xax_poly.txt"
     if text is not None:
         path = tmp_path / "poly.txt"
         path.write_text(text)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncconvex.cli", command, str(path)] + flags,
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = run_python(["-m", "ncconvex.cli", command, str(path)] + flags)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_herm_tuple, rand_minimal_smr, rand_smr, rand_symmetric_poly
+from conftest import (rand_herm_tuple, rand_minimal_smr, rand_poly, rand_smr,
+                      rand_symmetric_poly)
 from ncconvex import matkit, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
 from ncconvex.realize import (
     NotEquivalent,
+    NotInDomain,
     Realization,
     eval_realization,
     in_dom,
@@ -26,6 +28,7 @@ from ncconvex.realize import (
     range_t_frame,
     realization_from_json,
     realization_to_json,
+    resolvent,
     state_space_similarity,
     symmetrize,
 )
@@ -235,6 +238,79 @@ def test_kebab_requires_zero_slice():
                   (np.array([[0.2]], dtype=complex),), validate=False)
     assert in_dom_kebab(R, t) == (in_dom(R, t)
                                   and in_dom(R, R.zero_x(t)))
+
+
+# ---------------------------------------------------------------------------
+# kernels: intertwiner, eigen-threshold domain test, Kronecker sums
+
+def kron_lstsq_intertwiner(rep):
+    """Reference: the stacked-Kronecker least-squares solve of
+    Sigma M_i = M_i* Sigma, Sigma v = u (row-major vec)."""
+    d = rep.dim
+    I = np.eye(d)
+    rows = [np.kron(I, M.T) - np.kron(M.conj().T, I) for M in rep.mats]
+    rows.append(np.kron(I, rep.v.reshape(1, -1)))
+    b = np.concatenate([np.zeros(d * d, dtype=complex)] * len(rep.mats)
+                       + [rep.u])
+    x, *_ = np.linalg.lstsq(np.vstack(rows), b, rcond=None)
+    return x.reshape(d, d)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_intertwiner_matches_kron_lstsq(seed):
+    rng = np.random.default_rng(seed)
+    ctx = VarContext(("a",), ("x", "y")) if seed % 2 else CTX_AX
+    rep = None
+    while rep is None or not 2 <= rep.dim <= 12:
+        p = rand_symmetric_poly(ctx, rng, max_len=3, terms=6)
+        rep = realize.reduce_linear_rep(realize.poly_linear_rep(p))
+    got = realize._solve_intertwiner(rep)
+    want = kron_lstsq_intertwiner(rep)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_intertwiner_rejects_nonsymmetric_series():
+    rng = np.random.default_rng(5)
+    rep = realize.reduce_linear_rep(realize.poly_linear_rep(
+        rand_poly(CTX_AX, rng, max_len=3, terms=6)))
+    with pytest.raises(realize.SymmetrizationError):
+        realize._solve_intertwiner(rep)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_in_dom_eigen_threshold_matches_svd_rule(seed):
+    """smin/smax from one eigvalsh give the SVD verdict on both sides of
+    the threshold."""
+    rng = np.random.default_rng(seed)
+    R = rand_smr(rng, e=4, h=1, g=2, scale=0.8)
+    for n in (1, 2, 3):
+        t = rand_herm_tuple(VarContext(("a",), ("x", "y")), n, rng, scale=1.0)
+        sv = np.linalg.svd(R.pencil(t), compute_uv=False)
+        ratio = sv[-1] / max(1.0, sv[0])
+        for tol_inv, want in ((0.99 * ratio, True), (1.01 * ratio, False)):
+            assert in_dom(R, t, tol_inv) == want
+            assert (sv[-1] > tol_inv * max(1.0, sv[0])) == want
+
+
+def test_singular_pencil_is_outside_dom():
+    one = np.eye(1, dtype=complex)
+    R = Realization.make(one, [one], [], [1.0])
+    t = HermTuple(1, (one,), (), validate=False)
+    assert not in_dom(R, t)
+    assert not in_dom_plus(R, t)
+    with pytest.raises(NotInDomain):
+        resolvent(R, t)
+
+
+def test_kron_sum_equals_sum_of_krons():
+    rng = np.random.default_rng(3)
+    coeffs = [rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+              for _ in range(3)]
+    mats = [rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+            for _ in range(3)]
+    want = sum(np.kron(C, M) for C, M in zip(coeffs, mats))
+    assert np.allclose(realize.kron_sum(coeffs, mats), want, atol=1e-13)
+    assert realize.kron_sum((), ()).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
