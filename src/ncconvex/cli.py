@@ -224,29 +224,17 @@ def _poly_json(p):
 # ---------------------------------------------------------------------------
 # regions
 
-def region_predicate(name, R, frame, cfg):
-    if name in ("default", "dom-plus"):
-        return lambda t: realize.in_dom_plus(R, t, frame, cfg.tol_psd,
-                                             cfg.tol_inv)
-    if name == "dom":
-        return lambda t: realize.in_dom(R, t, cfg.tol_inv)
-    if name == "kebab":
-        return lambda t: realize.in_dom_kebab(R, t, cfg.tol_inv)
-    if name == "kebab-plus":
-        return lambda t: realize.in_dom_kebab_plus(R, t, frame, cfg.tol_psd,
-                                                   cfg.tol_inv)
-    if name.startswith("ball:"):
-        try:
-            radius = float(name.split(":", 1)[1])
-            if not (np.isfinite(radius) and radius > 0):
-                raise ValueError
-        except ValueError:
-            raise InputError("bad region %r; expected ball:RADIUS with a "
-                             "positive finite radius" % name)
-        return lambda t: all(float(np.linalg.norm(M, 2)) <= radius
-                             for M in t.mats)
-    raise InputError("unknown region %r (dom, dom-plus, kebab, kebab-plus, "
-                     "ball:RADIUS)" % name)
+def make_region(name, R, frame, cfg):
+    """The realize.Region named by --region ("default" is dom-plus)."""
+    kind, radius = ("dom-plus" if name == "default" else name), None
+    try:
+        if name.startswith("ball:"):
+            kind, radius = "ball", float(name.split(":", 1)[1])
+        return realize.Region(R, kind, frame, cfg.tol_psd, cfg.tol_inv,
+                              radius)
+    except ValueError as exc:
+        raise InputError("bad region %r (%s); expected dom, dom-plus, kebab, "
+                         "kebab-plus or ball:RADIUS" % (name, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +307,7 @@ def _partial_scan_chunk(payload):
     R = realize.realization_from_json(rjson)
     frame = realize.range_t_frame(R)
     cfg = AnalysisConfig(tol_psd=tol_psd, tol_inv=tol_inv, scale=scale)
-    region = region_predicate(region_name, R, frame, cfg)
+    region = make_region(region_name, R, frame, cfg)
     rng = np.random.default_rng(seed)
     try:
         verdict = partialcvx.convexity_verdict(
@@ -372,6 +360,14 @@ def cmd_partial(args):
         p = obj
         results["input"] = {"kind": "polynomial",
                             "coefficients": _poly_json(p)}
+        if not p.is_symmetric():
+            raise SymmetryError("polynomial is not symmetric")
+        if p.degree_in_class("x") == 0:
+            results["trivial"] = ("no term has an x-letter, so the x-Hessian "
+                                  "vanishes identically and the polynomial "
+                                  "is convex in x")
+            emit_report(report, cfg.out)
+            return EXIT_OK
         t0 = time.monotonic()
         try:
             pb = butterfly.poly_butterfly(p)
@@ -422,15 +418,17 @@ def cmd_partial(args):
     t0 = time.monotonic()
     neg_entry = {"checked": 0, "indefinite_points": 0}
     rng = np.random.default_rng(seeds[-1])
-    dom_region = region_predicate("dom", R, frame, cfg)
+    dom_region = make_region("dom", R, frame, cfg)
     for n in cfg.sizes:
         for _ in range(cfg.samples):
-            t = partialcvx._sample_in_region(R, dom_region, int(n),
-                                             cfg.scale, rng, max_attempts=50)
-            if t is None:
+            hit = partialcvx._sample_in_region(dom_region, int(n), cfg.scale,
+                                               rng, max_attempts=50)
+            if hit is None:
                 continue
+            t, factors = hit
             neg_entry["checked"] += 1
-            lam = float(np.linalg.eigvalsh(realize.r_T(R, t, frame))[0])
+            lam = float(np.linalg.eigvalsh(
+                realize.r_T(R, t, frame, factors=factors))[0])
             if lam < -1e-3:
                 neg_entry["indefinite_points"] += 1
                 if "sharpness_witness" not in neg_entry:

@@ -29,8 +29,8 @@ class SingularError(ValueError):
 
 
 def herm(M):
-    """Hermitian part (M + M*)/2."""
-    return (M + M.conj().T) / 2
+    """Hermitian part (M + M*)/2, of each matrix of a stack (..., n, n)."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def check_herm(M, tol=TOL_HERM, what="matrix"):
@@ -207,19 +207,32 @@ def build_embedding_E(parts_A, parts_B):
 
 def sample_herm(n, scale, rng):
     """Gaussian Hermitian matrix rescaled to spectral norm <= scale."""
+    return sample_stack(n, (1, 0), scale, rng, 1)[0, 0]
+
+
+def sample_stack(n, counts, scale, rng, size):
+    """size tuples of counts = (h, g) Hermitian n x n matrices of spectral
+    norm <= scale, as an array (size, h + g, n, n).
+
+    Each matrix is the Hermitian part of a complex Gaussian, rescaled
+    to norm scale when its norm is larger.  One rng.normal call fills
+    the stack in the order of size sample_tuple calls (per tuple the
+    a-class matrices, then the x-class ones; per matrix the real part,
+    then the imaginary part), and the rescale reads the norms from one
+    batched svd(., compute_uv=False), the LAPACK call behind norm(., 2).
+    """
+    h, g = counts
     if scale == 0:
-        return np.zeros((n, n), dtype=complex)
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    H = herm(G)
-    nH = np.linalg.norm(H, 2)
-    if nH > scale:
-        H = H * (scale / nH)
-    return H
+        return np.zeros((size, h + g, n, n), dtype=complex)
+    Z = rng.normal(size=(size, h + g, 2, n, n))
+    H = herm(Z[:, :, 0] + 1j * Z[:, :, 1])
+    nH = np.linalg.svd(H, compute_uv=False).max(axis=-1)
+    big = nH > scale
+    f = np.divide(scale, nH, out=np.ones_like(nH), where=big)
+    return np.where(big[..., None, None], H * f[..., None, None], H)
 
 
 def sample_tuple(n, counts, scale, rng):
     """HermTuple with counts = (h, g) matrices of spectral norm <= scale."""
-    h, g = counts
-    A = [sample_herm(n, scale, rng) for _ in range(h)]
-    X = [sample_herm(n, scale, rng) for _ in range(g)]
-    return HermTuple.make(A, X)
+    M = sample_stack(n, counts, scale, rng, 1)[0]
+    return HermTuple.make(M[:counts[0]], M[counts[0]:])

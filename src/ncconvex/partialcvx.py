@@ -10,6 +10,15 @@ convexity verdicts over regions, and when R_T is indefinite at a point it
 assembles a dispersed-variable witness: a doubled point, an antidiagonal
 direction and a vector h with h* r_xx h < 0, built from a span-saturation
 probe over direct sums.
+
+Region points come from a block rejection sampler (_sample_in_region):
+candidates are drawn in blocks of 1, 2, 4, ... with matkit.sample_stack
+and tested with one realize.Region.test call per block.  The generator
+ends where a loop of per-draw sample_tuple calls would leave it, so every
+draw, and with it every verdict, is that of the per-draw loop.  The
+accepted point comes with the eigenpairs of its pencil, and the Hessian
+probe, the midpoint triple and the span probe evaluate from them instead
+of factoring the point again.
 """
 
 from __future__ import annotations
@@ -21,8 +30,11 @@ import numpy as np
 from . import matkit, realize
 from .ncalg import HermTuple
 from .matkit import TOL_PSD, sample_herm
-from .realize import (NotInDomain, eval_realization, in_dom, r_T,
+from .realize import (NotInDomain, Region, eval_realization, r_T,
                       range_t_frame, resolvent)
+
+# pencil entries per sampled block, B (en)^2: 16 MB of complex numbers
+BLOCK_ENTRIES = 1 << 20
 
 
 class RegionEmpty(ValueError):
@@ -45,9 +57,10 @@ def _direction_op(R, H, n):
     return realize.kron_sum(R.T, H)
 
 
-def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
-    """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i."""
-    res = resolvent(R, t, tol_inv)
+def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV, factors=None):
+    """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
+    factors are the pencil's eigenpairs at t when already known."""
+    res = resolvent(R, t, tol_inv, factors)
     L = _direction_op(R, H, t.n)
     C = np.kron(R.c.reshape(-1, 1), np.eye(t.n))
     Rc = res @ C
@@ -108,11 +121,34 @@ class Witness:
         return True
 
 
-def _sample_in_region(R, region, n, scale, rng, max_attempts=500):
-    for _ in range(max_attempts):
-        t = matkit.sample_tuple(n, (R.h, R.g), scale, rng)
-        if region(t):
-            return t
+def _sample_in_region(region, n, scale, rng, max_attempts=500):
+    """The first of max_attempts sample_tuple draws that lies in the
+    region, with its pencil eigenpairs (lam, Q); None when none does.
+
+    Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
+    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
+    block.  When the accepted candidate is not the last of its block, the
+    generator is rewound to the block's start and only the draws up to it
+    are made again, so it ends where the per-draw loop would.
+    """
+    R = region.R
+    counts = (R.h, R.g)
+    cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
+    done, size = 0, 1
+    while done < max_attempts:
+        B = min(size, cap, max_attempts - done)
+        state = rng.bit_generator.state
+        mats = matkit.sample_stack(n, counts, scale, rng, B)
+        mask, lam, Q = region.test(mats)
+        if mask.any():
+            i = int(np.argmax(mask))
+            if i < B - 1:
+                rng.bit_generator.state = state
+                matkit.sample_stack(n, counts, scale, rng, i + 1)
+            t = HermTuple.make(mats[i, :R.h], mats[i, R.h:])
+            return t, (lam[i], Q[i])
+        done += B
+        size *= 2
     return None
 
 
@@ -121,23 +157,24 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
                       midpoint_pairs=10):
     """Sample Hessian probes over the region; witness on first negativity.
 
-    region is a predicate on HermTuple; the default is membership in dom r.
-    The midpoint inequality r(A, (X+Y)/2) <= (r(A,X) + r(A,Y))/2 is
-    cross-checked on paired samples from the same region.
+    region is a realize.Region of R; the default is dom r.  The midpoint
+    inequality r(A, (X+Y)/2) <= (r(A,X) + r(A,Y))/2 is cross-checked on
+    paired samples from the same region.  Each probe and each midpoint
+    triple evaluates from the eigenpairs the region test handed on.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    if region is None:
-        region = lambda t: in_dom(R, t)
+    region = Region(R) if region is None else region
     count = 0
     min_lambda = np.inf
     for n in sizes:
         for _ in range(samples):
-            t = _sample_in_region(R, region, n, scale, rng)
-            if t is None:
+            hit = _sample_in_region(region, n, scale, rng)
+            if hit is None:
                 continue
+            t, factors = hit
             H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
             try:
-                val = partial_hessian(R, t, H)
+                val = partial_hessian(R, t, H, factors=factors)
             except NotInDomain:
                 continue
             lam = float(np.linalg.eigvalsh(val)[0]) if val.size else 0.0
@@ -152,20 +189,23 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     pairs = viol = 0
     for n in sizes:
         for _ in range(midpoint_pairs):
-            t1 = _sample_in_region(R, region, n, scale, rng)
-            if t1 is None:
+            hit = _sample_in_region(region, n, scale, rng)
+            if hit is None:
                 continue
+            t1, f1 = hit
             Y = tuple(sample_herm(n, scale, rng) for _ in range(R.g))
             t2 = HermTuple(n, t1.A, Y, validate=False)
             mid = HermTuple(
                 n, t1.A,
                 tuple((a + b) / 2 for a, b in zip(t1.X, Y)),
                 validate=False)
-            if not (region(t2) and region(mid)):
+            inside, lams, Qs = region.test_points([t2, mid])
+            if not inside.all():
                 continue
             try:
-                gap = (eval_realization(R, t1) + eval_realization(R, t2)) / 2 \
-                    - eval_realization(R, mid)
+                gap = (eval_realization(R, t1, f1)
+                       + eval_realization(R, t2, (lams[0], Qs[0]))) / 2 \
+                    - eval_realization(R, mid, (lams[1], Qs[1]))
             except NotInDomain:
                 continue
             pairs += 1
@@ -224,8 +264,7 @@ def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
     raised.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    if region is None:
-        region = lambda t: in_dom(R, t)
+    region = Region(R) if region is None else region
     frame = range_t_frame(R) if frame is None else frame
     k = frame.k
     target = k * m
@@ -245,13 +284,14 @@ def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
         n = probe_sizes[min(rounds - 1, len(probe_sizes) - 1)] \
             if rounds <= len(probe_sizes) else \
             probe_sizes[(rounds - 1) % len(probe_sizes)]
-        t = _sample_in_region(R, region, n, scale, rng, max_attempts=200)
-        if t is None:
+        hit = _sample_in_region(region, n, scale, rng, max_attempts=200)
+        if hit is None:
             continue
+        t, factors = hit
         H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         try:
-            res = resolvent(R, t)
+            res = resolvent(R, t, factors=factors)
         except NotInDomain:
             continue
         C = np.kron(R.c.reshape(-1, 1), np.eye(n))
@@ -362,8 +402,7 @@ def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
     alongside.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    if region is None:
-        region = lambda t: in_dom(R, t)
+    region = Region(R) if region is None else region
     count = viol = 0
     min_gap = np.inf
     fwd_min = np.inf
@@ -384,11 +423,8 @@ def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
                 tuple(V.conj().T @ M @ V for M in B),
                 tuple(V.conj().T @ M @ V for M in Z),
                 validate=False)
-            if not (region(big) and region(small)):
-                continue
-            try:
-                gap = _compressed_gap(R, big, small, V)
-            except NotInDomain:
+            gap = _compressed_gap(R, region, big, small, V)
+            if gap is None:
                 continue
             lam = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
             count += 1
@@ -397,12 +433,13 @@ def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
                 viol += 1
         for _ in range(samples):
             # forward doubling branch: midpoint convexity
-            t1 = _sample_in_region(R, region, n, scale, rng)
-            if t1 is None:
+            hit = _sample_in_region(region, n, scale, rng)
+            if hit is None:
                 continue
+            t1 = hit[0]
             Y = tuple(sample_herm(n, scale, rng) for _ in range(R.g))
             t2 = HermTuple(n, t1.A, Y, validate=False)
-            if not region(t2):
+            if t2 not in region:
                 continue
             B = tuple(_dirsum([a, a]) for a in t1.A)
             Z = tuple(_dirsum([x, y]) for x, y in zip(t1.X, Y))
@@ -412,11 +449,8 @@ def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
                 n, t1.A,
                 tuple((x + y) / 2 for x, y in zip(t1.X, Y)),
                 validate=False)
-            if not (region(big) and region(small)):
-                continue
-            try:
-                gap = _compressed_gap(R, big, small, V)
-            except NotInDomain:
+            gap = _compressed_gap(R, region, big, small, V)
+            if gap is None:
                 continue
             lam = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
             count += 1
@@ -428,8 +462,17 @@ def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
     return A2Verdict(count, viol, float(min_gap), float(fwd_min))
 
 
-def _compressed_gap(R, big, small, V):
-    """V* r(big) V - r(small), Hermitian."""
-    val_big = eval_realization(R, big)
-    val_small = eval_realization(R, small)
-    return matkit.herm(V.conj().T @ val_big @ V - val_small)
+def _compressed_gap(R, region, big, small, V):
+    """V* r(big) V - r(small), Hermitian, evaluated from the eigenpairs the
+    region test hands on; None when a point is outside the region or its
+    pencil is singular."""
+    vals = []
+    for t in (big, small):
+        mask, lam, Q = region.test_points([t])
+        if not mask[0]:
+            return None
+        try:
+            vals.append(eval_realization(R, t, (lam[0], Q[0])))
+        except NotInDomain:
+            return None
+    return matkit.herm(V.conj().T @ vals[0] @ V - vals[1])

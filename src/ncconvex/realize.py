@@ -32,7 +32,11 @@ C, Sigma = D C^{-1}, an O(d^3) solve.
 At a point (A, X) the pencil J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
 is Hermitian, so one Hermitian eigendecomposition P = Q diag(lam) Q*
 serves every domain predicate: the singular values are the |lam|, and
-P^{-1} = Q diag(1/lam) Q*.
+P^{-1} = Q diag(1/lam) Q*.  A Region tests a whole stack of points with
+one batched eigendecomposition and hands the eigenpairs of each point on:
+resolvent, r_T and eval_realization take them as factors= and then do
+not factor the pencil again.  in_dom, in_dom_plus, in_dom_kebab and
+in_dom_kebab_plus are the one-point case.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import matkit
 from .ncalg import FreePoly, HermTuple, SymmetryError, VarContext
-from .matkit import TOL_INV, TOL_PSD, check_herm, is_psd, signature_decompose
+from .matkit import TOL_INV, TOL_PSD, check_herm, signature_decompose
 
 RTOL_RANK = 1e-10
 
@@ -116,8 +120,14 @@ class Realization:
 
     def pencil(self, t):
         """P(A, X) = J (x) I - sum T_i (x) X_i - sum S_j (x) A_j."""
+        return self.pencils(_stack([t]))[0]
+
+    def pencils(self, mats):
+        """The pencils at a stack of points (B, h + g, n, n), as (B, en, en)."""
+        B, _, n, _ = mats.shape
+        eye = np.broadcast_to(np.eye(n), (B, 1, n, n))
         return kron_sum((self.J,) + self.S + self.T,
-                        [np.eye(t.n)] + [-M for M in t.mats])
+                        np.concatenate([eye, -mats], axis=1))
 
     def zero_x(self, t):
         """The point (A, 0) of the same size."""
@@ -125,61 +135,67 @@ class Realization:
         return HermTuple(t.n, t.A, z, t.validate)
 
 
+def _stack(points):
+    """Points of one size n as an array (B, h + g, n, n)."""
+    t = points[0]
+    return np.asarray([p.mats for p in points], dtype=complex) \
+        .reshape(len(points), len(t.mats), t.n, t.n)
+
+
 def kron_sum(coeffs, mats):
-    """sum_k coeffs[k] (x) mats[k] as one tensor contraction.
+    """sum_k coeffs[k] (x) mats[k] as one matrix product per point.
 
     coeffs are e x f and mats n x m; the result is en x fm, and the
-    empty sum is the 0 x 0 matrix.
+    empty sum is the 0 x 0 matrix.  mats may carry leading batch axes
+    (..., L, n, m), giving (..., en, fm): each point gets its own
+    product, so it comes out bit for bit the same alone or in a stack.
     """
     if len(coeffs) == 0:
         return np.zeros((0, 0), dtype=complex)
     C = np.asarray(coeffs, dtype=complex)
     M = np.asarray(mats, dtype=complex)
-    (_, e, f), (_, n, m) = C.shape, M.shape
-    return np.tensordot(C, M, axes=(0, 0)).transpose(0, 2, 1, 3) \
-        .reshape(e * n, f * m)
+    (L, e, f), (n, m), batch = C.shape, M.shape[-2:], M.shape[:-3]
+    P = C.reshape(L, e * f).T @ M.reshape(batch + (L, n * m))
+    return P.reshape(batch + (e, f, n, m)).swapaxes(-3, -2) \
+        .reshape(batch + (e * n, f * m))
 
 
 def _invertible(lam, tol_inv):
-    """Relative smin threshold on the eigenvalues of a Hermitian matrix."""
+    """Relative smin threshold on the eigenvalues of each Hermitian matrix
+    of a stack (..., en)."""
     a = np.abs(lam)
-    return a.min() > tol_inv * max(1.0, a.max())
+    return a.min(axis=-1) > tol_inv * np.maximum(1.0, a.max(axis=-1))
 
 
-def _pencil_eigh(R, t, tol_inv):
-    """(lam, Q) of the Hermitian pencil; raises NotInDomain when singular."""
-    lam, Q = np.linalg.eigh(R.pencil(t))
+def _pencil_eigh(R, t, tol_inv, factors=None):
+    """(lam, Q) of the Hermitian pencil at t: the handed-on factors, or one
+    eigh when there are none; raises NotInDomain when singular."""
+    lam, Q = np.linalg.eigh(R.pencil(t)) if factors is None else factors
     if not _invertible(lam, tol_inv):
         raise NotInDomain("pencil is numerically singular (smin=%g)"
                           % np.abs(lam).min())
     return lam, Q
 
 
-def in_dom(R, t, tol_inv=TOL_INV):
-    """(A, X) in dom r: pencil invertible at relative threshold tol_inv.
-
-    smin and smax are the extreme |eigenvalues| of the Hermitian pencil.
-    """
-    return _invertible(np.linalg.eigvalsh(R.pencil(t)), tol_inv)
-
-
-def resolvent(R, t, tol_inv=TOL_INV):
-    """P(A, X)^{-1} = Q diag(1/lam) Q* from one Hermitian eigendecomposition;
-    raises NotInDomain at singular pencils."""
-    lam, Q = _pencil_eigh(R, t, tol_inv)
+def resolvent(R, t, tol_inv=TOL_INV, factors=None):
+    """P(A, X)^{-1} = Q diag(1/lam) Q* from the pencil's eigenpairs (see
+    _pencil_eigh); raises NotInDomain at singular pencils."""
+    lam, Q = _pencil_eigh(R, t, tol_inv, factors)
     return (Q / lam) @ Q.conj().T
 
 
 def _compress(lam, Q, V, n):
-    """(V (x) I)* Q diag(1/lam) Q* (V (x) I), Hermitian."""
-    Y = Q.conj().T @ np.kron(V, np.eye(n))
-    return matkit.herm(Y.conj().T @ (Y / lam[:, None]))
+    """(V (x) I)* Q diag(1/lam) Q* (V (x) I), Hermitian; lam and Q may be
+    stacks (B, en) and (B, en, en)."""
+    Y = Q.conj().swapaxes(-1, -2) @ np.kron(V, np.eye(n))
+    return matkit.herm(Y.conj().swapaxes(-1, -2) @ (Y / lam[..., None]))
 
 
-def eval_realization(R, t):
-    """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian; raises NotInDomain at
-    singular pencils."""
-    return _compress(*_pencil_eigh(R, t, TOL_INV), R.c.reshape(-1, 1), t.n)
+def eval_realization(R, t, factors=None):
+    """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian, from the pencil's
+    eigenpairs (see _pencil_eigh); raises NotInDomain at singular pencils."""
+    return _compress(*_pencil_eigh(R, t, TOL_INV, factors),
+                     R.c.reshape(-1, 1), t.n)
 
 
 @dataclass(frozen=True)
@@ -208,34 +224,97 @@ def range_t_frame(R, rtol=RTOL_RANK):
     return RangeTFrame(V, That)
 
 
-def r_T(R, t, frame=None, tol_inv=TOL_INV):
-    """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I)."""
+def r_T(R, t, frame=None, tol_inv=TOL_INV, factors=None):
+    """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
+    from the pencil's eigenpairs (see _pencil_eigh)."""
     frame = range_t_frame(R) if frame is None else frame
-    return _compress(*_pencil_eigh(R, t, tol_inv), frame.V_T, t.n)
+    return _compress(*_pencil_eigh(R, t, tol_inv, factors), frame.V_T, t.n)
+
+
+REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
+
+
+class Region:
+    """A sampling region of R, tested a stack of points at a time.
+
+    dom: the pencil is invertible at relative threshold tol_inv (smin and
+    smax are the extreme |eigenvalues| of the Hermitian pencil).
+    dom-plus: also R_T(A, X) PSD at tol (vacuous when k = 0).
+    kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
+    ball: every matrix of spectral norm <= radius.
+
+    test reads every kind from one batched pencil build, one batched eigh
+    (over 2B pencils for the kebab kinds), one batched R_T compression of
+    the invertible points and one batched eigvalsh, and hands on the
+    eigenpairs of each point's own pencil, so that a consumer evaluating
+    there (resolvent, r_T, eval_realization with factors=) does not
+    factor it again.
+    """
+
+    def __init__(self, R, kind="dom", frame=None, tol=TOL_PSD,
+                 tol_inv=TOL_INV, radius=None):
+        if kind not in REGION_KINDS:
+            raise ValueError("unknown region kind %r" % kind)
+        if kind == "ball" and not (radius is not None and np.isfinite(radius)
+                                   and radius > 0):
+            raise ValueError("a ball needs a positive finite radius")
+        if frame is None and kind.endswith("plus"):
+            frame = range_t_frame(R)
+        self.R, self.kind, self.frame = R, kind, frame
+        self.tol, self.tol_inv, self.radius = tol, tol_inv, radius
+
+    def test(self, mats):
+        """(mask, lam, Q) for a stack of points (B, h + g, n, n): which lie
+        in the region, and the eigenpairs (B, en), (B, en, en) of their
+        pencils."""
+        B, n = mats.shape[0], mats.shape[-1]
+        kebab = self.kind.startswith("kebab")
+        if kebab:
+            at_zero = mats.copy()
+            at_zero[:, self.R.h:] = 0
+            mats_all = np.concatenate([mats, at_zero])
+        else:
+            mats_all = mats
+        lam, Q = np.linalg.eigh(self.R.pencils(mats_all))
+        if self.kind == "ball":
+            norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+            return np.all(norms <= self.radius, axis=1), lam, Q
+        mask = _invertible(lam, self.tol_inv)
+        if self.kind.endswith("plus") and self.frame.k:
+            idx = np.flatnonzero(mask)
+            ev = np.linalg.eigvalsh(
+                _compress(lam[idx], Q[idx], self.frame.V_T, n))
+            lo, hi = ev[:, 0], ev[:, -1]
+            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            mask[idx] = lo >= -self.tol * scale
+        if kebab:
+            mask = mask[:B] & mask[B:]
+        return mask, lam[:B], Q[:B]
+
+    def test_points(self, points):
+        """test on a sequence of HermTuples of one size."""
+        return self.test(_stack(points))
+
+    def __contains__(self, t):
+        return bool(self.test_points([t])[0][0])
+
+
+def in_dom(R, t, tol_inv=TOL_INV):
+    """(A, X) in dom r: pencil invertible at relative threshold tol_inv."""
+    return t in Region(R, "dom", tol_inv=tol_inv)
 
 
 def in_dom_plus(R, t, frame=None, tol=TOL_PSD, tol_inv=TOL_INV):
-    """(A, X) in dom+ r: in dom and R_T(A, X) PSD (vacuous when k = 0).
-
-    Both tests read the same Hermitian eigendecomposition of the pencil.
-    """
-    frame = range_t_frame(R) if frame is None else frame
-    lam, Q = np.linalg.eigh(R.pencil(t))
-    if not _invertible(lam, tol_inv):
-        return False
-    if frame.k == 0:
-        return True
-    return is_psd(_compress(lam, Q, frame.V_T, t.n), tol).is_psd
+    """(A, X) in dom+ r: in dom and R_T(A, X) PSD (vacuous when k = 0)."""
+    return t in Region(R, "dom-plus", frame, tol, tol_inv)
 
 
 def in_dom_kebab(R, t, tol_inv=TOL_INV):
-    return in_dom(R, t, tol_inv) and in_dom(R, R.zero_x(t), tol_inv)
+    return t in Region(R, "kebab", tol_inv=tol_inv)
 
 
 def in_dom_kebab_plus(R, t, frame=None, tol=TOL_PSD, tol_inv=TOL_INV):
-    frame = range_t_frame(R) if frame is None else frame
-    return (in_dom_plus(R, t, frame, tol, tol_inv)
-            and in_dom_plus(R, R.zero_x(t), frame, tol, tol_inv))
+    return t in Region(R, "kebab-plus", frame, tol, tol_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,35 @@ def test_non_finite_input_exits_input(tmp_path, command, text, flags):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    "vars a: | x: x\n0 * x x\n",
+    "vars a: | x: x\n2 * 1\n",
+    "vars a: a | x:\n1 * a a\n",
+], ids=["zero", "constant", "no-x-letter"])
+def test_x_degree_zero_is_trivially_convex(tmp_path, text):
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    proc = run_python(["-m", "ncconvex.cli", "partial", str(path)])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert "x-Hessian vanishes identically" in results["trivial"]
+    assert "hessian_scan" not in results
+
+
+@pytest.mark.parametrize("text", [
+    "vars a: a b | x:\n1 * a b\n",
+    "vars a: a | x: x\n1 * a x\n",
+], ids=["x-free", "x-linear"])
+def test_non_symmetric_polynomial_exits_input(tmp_path, text):
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    proc = run_python(["-m", "ncconvex.cli", "partial", str(path)])
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "not symmetric" in proc.stderr
+
+
 def test_non_finite_json_entries_exit_input(tmp_path, capsys):
     tup = json.loads((DATA / "intro_tuple.json").read_text())
     tup["X"][0][0][0] = [float("nan"), 0.0]

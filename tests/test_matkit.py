@@ -172,6 +172,23 @@ def test_sample_herm_is_hermitian(rng):
         assert np.allclose(M, M.conj().T, atol=1e-14)
 
 
+def test_sample_herm_keeps_its_draws():
+    """sample_herm is sample_stack's one-matrix case; it draws the real
+    part, then the imaginary part, and rescales by the norm(., 2) factor,
+    bit for bit, leaving the generator where that loop leaves it."""
+    for n in (1, 2, 5):
+        for scale in (0.3, 5.0):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(4):
+                H = matkit.herm(ref.normal(size=(n, n))
+                                + 1j * ref.normal(size=(n, n)))
+                nH = np.linalg.norm(H, 2)
+                want = H * (scale / nH) if nH > scale else H
+                assert np.array_equal(sample_herm(n, scale, rng), want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+    assert not np.any(sample_herm(3, 0, rng))
+
+
 def test_sample_tuple_counts(rng):
     t = matkit.sample_tuple(3, (2, 1), 0.5, rng)
     assert len(t.A) == 2 and len(t.X) == 1

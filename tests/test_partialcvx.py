@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_minimal_smr, rand_smr
-from ncconvex import matkit, partialcvx, realize
+from ncconvex import matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 from ncconvex.partialcvx import (
     ConvexEvidence,
@@ -26,6 +26,7 @@ from ncconvex.partialcvx import (
     span_probe,
 )
 from ncconvex.realize import (
+    Region,
     in_dom,
     in_dom_plus,
     linearize_poly,
@@ -174,12 +175,129 @@ def test_span_probe_direct_sum_shapes(rng):
 
 
 # ---------------------------------------------------------------------------
+# block rejection sampler against a per-draw loop
+
+THIN_AB = ncalg.parse_poly("vars a: a b | x: x\n1 * x a x\n1 * x b x\n"
+                           "1 * b x\n1 * x b\n")
+X4 = FreePoly.from_terms(VarContext((), ("x",)), {(0, 0, 0, 0): 1.0})
+
+
+def reference_member(R, kind, tol=1e-8, tol_inv=1e-10, radius=0.45):
+    """Region membership of one point from first principles: an explicit
+    Kronecker pencil, its singular values and an inverse-based R_T."""
+    V_T = range_t_frame(R).V_T
+
+    def pencil(t):
+        P = np.kron(R.J, np.eye(t.n))
+        for Z, M in zip(R.S + R.T, t.A + t.X):
+            P = P - np.kron(Z, M)
+        return P
+
+    def dom(t):
+        sv = np.linalg.svd(pencil(t), compute_uv=False)
+        return sv[-1] > tol_inv * max(1.0, sv[0])
+
+    def plus(t):
+        if not dom(t):
+            return False
+        if V_T.shape[1] == 0:
+            return True
+        V = np.kron(V_T, np.eye(t.n))
+        ev = np.linalg.eigvalsh(
+            matkit.herm(V.conj().T @ np.linalg.inv(pencil(t)) @ V))
+        return ev[0] >= -tol * max(1.0, np.abs(ev).max())
+
+    return {
+        "dom": dom,
+        "dom-plus": plus,
+        "kebab": lambda t: dom(t) and dom(R.zero_x(t)),
+        "kebab-plus": lambda t: plus(t) and plus(R.zero_x(t)),
+        "ball": lambda t: all(np.linalg.norm(M, 2) <= radius
+                              for M in t.mats),
+    }[kind]
+
+
+def reference_herm(n, scale, rng):
+    """One Gaussian Hermitian draw: real part, then imaginary part, then
+    the rescale to spectral norm scale when the norm is larger."""
+    H = matkit.herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    nH = np.linalg.norm(H, 2)
+    return H * (scale / nH) if nH > scale else H
+
+
+def reference_sample(R, member, n, scale, rng, max_attempts):
+    """The per-draw loop: one reference_herm per matrix, a-class first,
+    and one membership test per draw.  Returns (attempt index, point)."""
+    for k in range(max_attempts):
+        A = tuple(reference_herm(n, scale, rng) for _ in range(R.h))
+        X = tuple(reference_herm(n, scale, rng) for _ in range(R.g))
+        t = HermTuple(n, A, X, validate=False)
+        if member(t):
+            return k, t
+    return None, None
+
+
+def block_position(k):
+    """first / middle / last: where attempt k falls in blocks 1, 2, 4, ..."""
+    size = 1
+    while k >= size:
+        k -= size
+        size *= 2
+    return "first" if k == 0 else "last" if k == size - 1 else "middle"
+
+
+def test_block_sampler_matches_per_draw_loop():
+    # 1 / (1 - 2a - 2x) with tol_inv 0.3: dom, kebab, dom-plus and
+    # kebab-plus all differ, where a polynomial's pencil is always invertible
+    one = np.eye(1)
+    resolvent_1 = realize.Realization.make(one, [2 * one], [2 * one], [1.0])
+    cases = [(R, kind, tol_inv) for kind in realize.REGION_KINDS
+             for R, tol_inv in ((linearize_poly(THIN_AB), 1e-10),
+                                (resolvent_1, 0.3))]
+    cases += [(xax_realization(), kind, 1e-10) for kind in ("dom-plus", "ball")]
+    seen = set()
+    for R, kind, tol_inv in cases:
+        region = Region(R, kind, tol_inv=tol_inv,
+                        radius=0.45 if kind == "ball" else None)
+        member = reference_member(R, kind, tol_inv=tol_inv)
+        for n in (1, 2, 3):
+            for seed in range(4):
+                ref_rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(seed)
+                for _ in range(3):
+                    k, want = reference_sample(R, member, n, 0.6, ref_rng, 40)
+                    hit = partialcvx._sample_in_region(region, n, 0.6, rng,
+                                                       max_attempts=40)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    if want is None:
+                        assert hit is None
+                        seen.add("exhausted")
+                        continue
+                    got = hit[0]
+                    for M, N in zip(got.mats, want.mats):
+                        assert np.array_equal(M, N)
+                    seen.add(block_position(k))
+    assert seen == {"first", "middle", "last", "exhausted"}
+
+
+@pytest.mark.parametrize("max_attempts", [1, 11, 500])
+def test_block_sampler_empty_region_exhausts_budget(max_attempts):
+    R = linearize_poly(X4)
+    member = reference_member(R, "dom-plus")
+    ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+    assert reference_sample(R, member, 2, 0.6, ref_rng,
+                            max_attempts) == (None, None)
+    assert partialcvx._sample_in_region(Region(R, "dom-plus"), 2, 0.6, rng,
+                                        max_attempts) is None
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # sampled verdicts
 
 def test_convexity_verdict_positive_on_xax_psd_region():
     R = xax_realization()
-    frame = range_t_frame(R)
-    region = lambda t: in_dom_plus(R, t, frame)
+    region = Region(R, "dom-plus")
     out = convexity_verdict(R, region=region, sizes=(1, 2), samples=20,
                             rng=np.random.default_rng(5))
     assert isinstance(out, ConvexEvidence)
@@ -202,8 +320,10 @@ def test_convexity_verdict_witness_on_quartic():
 
 
 def test_convexity_verdict_empty_region():
-    R = xax_realization()
-    region = lambda t: False
+    # x^4: R_T is negative definite wherever the pencil is invertible
+    R = linearize_poly(FreePoly.from_terms(VarContext((), ("x",)),
+                                           {(0, 0, 0, 0): 1.0}))
+    region = Region(R, "dom-plus")
     with pytest.raises(RegionEmpty):
         convexity_verdict(R, region=region, sizes=(1,), samples=4,
                           rng=np.random.default_rng(0))
@@ -211,8 +331,7 @@ def test_convexity_verdict_empty_region():
 
 def test_a2_verdict_on_xax_psd_region():
     R = xax_realization()
-    frame = range_t_frame(R)
-    region = lambda t: in_dom_plus(R, t, frame)
+    region = Region(R, "dom-plus")
     out = a2_convexity_test(R, region=region, sizes=(1, 2), samples=15,
                             rng=np.random.default_rng(4))
     assert out.violations == 0

@@ -311,6 +311,57 @@ def test_kron_sum_equals_sum_of_krons():
     want = sum(np.kron(C, M) for C, M in zip(coeffs, mats))
     assert np.allclose(realize.kron_sum(coeffs, mats), want, atol=1e-13)
     assert realize.kron_sum((), ()).shape == (0, 0)
+    # with leading batch axes each point's sum comes out bit for bit as
+    # it does alone, for one term (a single x-letter) and for several
+    for L, n in ((1, 1), (1, 3), (3, 1), (3, 3)):
+        coeffs = rng.normal(size=(L, 4, 3)) + 1j * rng.normal(size=(L, 4, 3))
+        mats = rng.normal(size=(2, 6, L, n, n)) \
+            + 1j * rng.normal(size=(2, 6, L, n, n))
+        stack = realize.kron_sum(coeffs, mats)
+        assert stack.shape == (2, 6, 4 * n, 3 * n)
+        for i in range(2):
+            for j in range(6):
+                alone = realize.kron_sum(coeffs, mats[i, j])
+                assert np.array_equal(stack[i, j], alone)
+                want = sum(np.kron(C, M) for C, M in zip(coeffs, mats[i, j]))
+                assert np.allclose(alone, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["dom", "dom-plus", "kebab-plus", "ball"])
+def test_handed_on_factors_match_from_scratch(seed, kind):
+    """resolvent, r_T and eval_realization from the eigenpairs a region
+    test hands on equal the functions that factor the pencil themselves."""
+    rng = np.random.default_rng(seed)
+    R = rand_smr(rng, e=4, h=1, g=2)
+    if kind.endswith("plus"):  # R_T of a random R is rarely PSD
+        R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
+    frame = range_t_frame(R)
+    region = realize.Region(R, kind, frame, radius=0.5)
+    checked = 0
+    for n in (1, 2, 3):
+        points = [matkit.sample_tuple(n, (R.h, R.g), 0.5, rng)
+                  for _ in range(6)]
+        mask, lam, Q = region.test_points(points)
+        for t, inside, f in zip(points, mask, zip(lam, Q)):
+            if not (inside and in_dom(R, t)):
+                continue
+            checked += 1
+            for got, want in ((resolvent(R, t, factors=f), resolvent(R, t)),
+                              (r_T(R, t, frame, factors=f), r_T(R, t, frame)),
+                              (eval_realization(R, t, f),
+                               eval_realization(R, t))):
+                assert np.abs(got - want).max() \
+                    <= 1e-13 * max(1.0, np.abs(want).max())
+    assert checked > 0
+
+
+def test_region_rejects_bad_kind_and_radius():
+    R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
+    for kind, radius in (("dom+", None), ("ball", None), ("ball", 0.0),
+                         ("ball", float("nan"))):
+        with pytest.raises(ValueError):
+            realize.Region(R, kind, radius=radius)
 
 
 # ---------------------------------------------------------------------------
