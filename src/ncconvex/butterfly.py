@@ -64,7 +64,7 @@ def caterpillar_eval(R, t, tol_inv=TOL_INV):
     W = resolvent(R, t0_point, tol_inv)
     res = resolvent(R, t, tol_inv)
     n = t.n
-    C = np.kron(R.c.reshape(-1, 1), np.eye(n))
+    C = R.c_lift(n)
     L = kron_sum(R.T, t.X)
     Wc = W @ C
     term0 = C.conj().T @ Wc
@@ -96,7 +96,7 @@ class ButterflyCert:
         R = self.R
         n = t.n
         W = resolvent(R, R.zero_x(t), tol_inv)
-        C = np.kron(R.c.reshape(-1, 1), np.eye(n))
+        C = R.c_lift(n)
         Wc = W @ C
         V = self.frame.V_T
         return [np.kron(V.conj().T @ T, np.eye(n)) @ Wc for T in R.T]

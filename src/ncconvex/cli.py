@@ -470,10 +470,10 @@ def cmd_partial(args):
 # xy convexity
 
 def _xy_scan_chunk(payload):
-    coeff_pairs, size, samples, seed, scale, tol = payload
-    p = xycvx.support_screen(xycvx.from_coeffs(dict(coeff_pairs)))
+    """One size of the middle-matrix scan; module level for pickling."""
+    pl, size, samples, seed, scale, tol = payload
     rng = np.random.default_rng(seed)
-    ev = xycvx.middle_matrix_psd_scan(p, sizes=(size,), samples=samples,
+    ev = xycvx.middle_matrix_psd_scan(pl, sizes=(size,), samples=samples,
                                       rng=rng, scale=scale, tol=tol)
     if ev.is_witness:
         return {"size": list(size), "witness": {
@@ -482,15 +482,6 @@ def _xy_scan_chunk(payload):
             "lambda_min": float(ev.lambda_min), "vector": jvec(ev.vector)}}
     return {"size": list(size), "inputs": ev.samples,
             "min_lambda": float(ev.min_lambda)}
-
-
-def _poly_coeff_pairs(p):
-    out = []
-    for w in p.words():
-        key = "".join("x" if i == 0 else "y" for i in w)
-        c = p.scalar_coeff(w)
-        out.append((key if key else "", complex(c)))
-    return out
 
 
 def cmd_xy(args):
@@ -511,9 +502,8 @@ def cmd_xy(args):
     results["screen"] = {"accepted": True}
     pl = scr
 
-    coeff_pairs = _poly_coeff_pairs(pl.poly)
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(coeff_pairs, (int(s), int(s)), cfg.samples, seeds[i],
+    payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
                  cfg.scale, cfg.tol_psd)
                 for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
@@ -529,7 +519,18 @@ def cmd_xy(args):
                                w["lambda_min"],
                                np.array([complex(a, b)
                                          for a, b in w["vector"]]))
-        pair = xycvx.mxy_witness_pair(pl, wit)
+        # exit 1 only on a completed pair that passes the re-check
+        try:
+            pair = xycvx.mxy_witness_pair(pl, wit)
+            reason = pair.recheck(cfg.tol_psd)
+        except xycvx.PairError as exc:
+            reason = "the witness completion failed: %s" % exc
+        if reason is not None:
+            results["pair_witness_error"] = reason
+            results["verdict"] = "inconclusive"
+            emit_report(report, cfg.out)
+            print("inconclusive: %s" % reason, file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         results["pair_witness"] = {
             "X": jmat(pair.pair.X), "Y": jmat(pair.pair.Y),
             "V": jmat(pair.pair.V), "h": jvec(pair.h),

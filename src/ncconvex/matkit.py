@@ -224,12 +224,49 @@ def sample_stack(n, counts, scale, rng, size):
     h, g = counts
     if scale == 0:
         return np.zeros((size, h + g, n, n), dtype=complex)
-    Z = rng.normal(size=(size, h + g, 2, n, n))
-    H = herm(Z[:, :, 0] + 1j * Z[:, :, 1])
+    return _rescaled_herm(rng.normal(size=(size, h + g, 2, n, n)), scale)
+
+
+def _rescaled_herm(Z, scale):
+    """Hermitian parts of Z[..., 0, :, :] + i Z[..., 1, :, :], each rescaled
+    to spectral norm scale when its norm is larger."""
+    H = herm(Z[..., 0, :, :] + 1j * Z[..., 1, :, :])
     nH = np.linalg.svd(H, compute_uv=False).max(axis=-1)
     big = nH > scale
     f = np.divide(scale, nH, out=np.ones_like(nH), where=big)
     return np.where(big[..., None, None], H * f[..., None, None], H)
+
+
+def sample_blocks(parts, scale, rng, size):
+    """size draws of a list of matrices, as one stack (size, r, c) per part.
+
+    parts lists (r, c, hermitian).  A Hermitian part (r = c) is drawn as
+    sample_herm draws it; a rectangular one is the complex Gaussian
+    (real + i imag) * scale / sqrt 2, real part first.  One rng.normal
+    call fills the stacks in the order of size loops that draw the parts
+    one after another, and the Hermitian parts of one size share one
+    batched rescale.
+    """
+    widths = [0 if herm_ and scale == 0 else 2 * r * c
+              for r, c, herm_ in parts]
+    Z = rng.normal(size=(size, sum(widths)))
+    at = np.concatenate([[0], np.cumsum(widths)])
+    out = [None] * len(parts)
+    by_size = {}
+    for k, (r, c, herm_) in enumerate(parts):
+        if widths[k] == 0:
+            out[k] = np.zeros((size, r, c), dtype=complex)
+            continue
+        raw = Z[:, at[k]:at[k + 1]].reshape(size, 2, r, c)
+        if herm_:
+            by_size.setdefault(r, []).append((k, raw))
+        else:
+            out[k] = (raw[:, 0] + 1j * raw[:, 1]) * scale / np.sqrt(2)
+    for group in by_size.values():
+        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1), scale)
+        for j, (k, _) in enumerate(group):
+            out[k] = H[:, j]
+    return out
 
 
 def sample_tuple(n, counts, scale, rng):

@@ -280,18 +280,31 @@ class HermTuple:
 
 
 def eval_poly(p, t):
-    """Evaluate p at the tuple: sum_w coeff(w) (x) prod(matrices of w)."""
+    """Evaluate p at the tuple: sum_w coeff(w) (x) prod(matrices of w).
+
+    The matrices may carry leading batch axes (..., n, n), all the same,
+    giving (..., r n, s n) for r x s coefficients; each point gets its own
+    products, so it comes out bit for bit the same alone or in a stack.
+    Every word prefix is multiplied out once, left to right, and shared by
+    the words that extend it.
+    """
     if len(t.A) != p.ctx.h or len(t.X) != p.ctx.g:
         raise ContextError("tuple has %d+%d matrices, context wants %d+%d"
                            % (len(t.A), len(t.X), p.ctx.h, p.ctx.g))
     n = t.n
-    mats = t.mats
-    out = np.zeros((p.shape[0] * n, p.shape[1] * n), dtype=complex)
+    mats = [np.asarray(M, dtype=complex) for M in t.mats]
+    batch = mats[0].shape[:-2] if mats else ()
+    r, s = p.shape
+    prods = {(): np.broadcast_to(np.eye(n, dtype=complex), batch + (n, n))}
+    out = np.zeros(batch + (r * n, s * n), dtype=complex)
     for w, c in p.coeffs.items():
-        prod = np.eye(n, dtype=complex)
-        for i in w:
-            prod = prod @ mats[i]
-        out += np.kron(c, prod)
+        for k in range(len(w)):
+            if w[:k + 1] not in prods:
+                prods[w[:k + 1]] = mats[w[0]] if k == 0 \
+                    else prods[w[:k]] @ mats[w[k]]
+        # coeff (x) prod as one broadcast product, c[i, j] prod[k, l]
+        term = c[:, None, :, None] * prods[w][..., None, :, None, :]
+        out += term.reshape(batch + (r * n, s * n))
     return out
 
 

@@ -62,7 +62,7 @@ def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV, factors=None):
     factors are the pencil's eigenpairs at t when already known."""
     res = resolvent(R, t, tol_inv, factors)
     L = _direction_op(R, H, t.n)
-    C = np.kron(R.c.reshape(-1, 1), np.eye(t.n))
+    C = R.c_lift(t.n)
     Rc = res @ C
     LRc = L @ Rc
     return matkit.herm(2.0 * (LRc.conj().T @ res @ LRc))
@@ -73,10 +73,10 @@ def partial_hessian_forms(R, t, H, frame=None, tol_inv=matkit.TOL_INV):
     frame = range_t_frame(R) if frame is None else frame
     res = resolvent(R, t, tol_inv)
     L = _direction_op(R, H, t.n)
-    C = np.kron(R.c.reshape(-1, 1), np.eye(t.n))
+    C = R.c_lift(t.n)
     LRc = L @ (res @ C)
     form1 = 2.0 * (LRc.conj().T @ res @ LRc)
-    V = np.kron(frame.V_T, np.eye(t.n))
+    V = frame.lift(t.n)
     RT = V.conj().T @ res @ V
     half = V.conj().T @ LRc
     form2 = 2.0 * (half.conj().T @ RT @ half)
@@ -278,7 +278,7 @@ def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
     acc = np.zeros((target, 0), dtype=complex)
     rank = 0
     rounds = 0
-    Vm = np.kron(frame.V_T, np.eye(m))
+    Vm = frame.lift(m)
     while rank < target and rounds < cap:
         rounds += 1
         n = probe_sizes[min(rounds - 1, len(probe_sizes) - 1)] \
@@ -294,7 +294,7 @@ def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
             res = resolvent(R, t, factors=factors)
         except NotInDomain:
             continue
-        C = np.kron(R.c.reshape(-1, 1), np.eye(n))
+        C = R.c_lift(n)
         L = _direction_op(R, H, n)
         cols = np.kron(np.eye(R.e), z) @ (L @ (res @ C))
         cols = Vm.conj().T @ cols
@@ -352,11 +352,11 @@ def negativity_witness(R, bad, rng=None, region=None, tol=1e-6):
     M = span.M
     K = tuple(span.w @ Hi for Hi in span.H)  # m x M each
     res1 = resolvent(R, HermTuple(M, span.A1, span.X1, validate=False))
-    C1 = np.kron(R.c.reshape(-1, 1), np.eye(M))
+    C1 = R.c_lift(M)
     G = np.zeros((R.e * m, M), dtype=complex)
     for T, Ki in zip(R.T, K):
         G += np.kron(T, Ki) @ (res1 @ C1)
-    targetv = np.kron(frame.V_T, np.eye(m)) @ xi
+    targetv = frame.lift(m) @ xi
     v, *_ = np.linalg.lstsq(G, targetv, rcond=None)
     rel = np.linalg.norm(G @ v - targetv) / max(1e-300, np.linalg.norm(targetv))
     if rel > 1e-6:

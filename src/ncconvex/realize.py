@@ -88,6 +88,8 @@ class Realization:
     c: np.ndarray
     minimal: bool = False
     symmetric: bool = False
+    _lifts: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def make(cls, J, S, T, c, minimal=False, symmetric=False):
@@ -129,10 +131,23 @@ class Realization:
         return kron_sum((self.J,) + self.S + self.T,
                         np.concatenate([eye, -mats], axis=1))
 
+    def c_lift(self, n):
+        """c (x) I_n, built once per n (read-only)."""
+        return _lift(self._lifts, self.c.reshape(-1, 1), n)
+
     def zero_x(self, t):
         """The point (A, 0) of the same size."""
         z = tuple(np.zeros((t.n, t.n), dtype=complex) for _ in t.X)
         return HermTuple(t.n, t.A, z, t.validate)
+
+
+def _lift(cache, V, n):
+    """V (x) I_n, built once per n into cache and kept read-only."""
+    if n not in cache:
+        L = np.kron(V, np.eye(n))
+        L.flags.writeable = False
+        cache[n] = L
+    return cache[n]
 
 
 def _stack(points):
@@ -184,18 +199,17 @@ def resolvent(R, t, tol_inv=TOL_INV, factors=None):
     return (Q / lam) @ Q.conj().T
 
 
-def _compress(lam, Q, V, n):
-    """(V (x) I)* Q diag(1/lam) Q* (V (x) I), Hermitian; lam and Q may be
-    stacks (B, en) and (B, en, en)."""
-    Y = Q.conj().swapaxes(-1, -2) @ np.kron(V, np.eye(n))
+def _compress(lam, Q, lift):
+    """lift* Q diag(1/lam) Q* lift for a lift V (x) I, Hermitian; lam and Q
+    may be stacks (B, en) and (B, en, en)."""
+    Y = Q.conj().swapaxes(-1, -2) @ lift
     return matkit.herm(Y.conj().swapaxes(-1, -2) @ (Y / lam[..., None]))
 
 
 def eval_realization(R, t, factors=None):
     """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian, from the pencil's
     eigenpairs (see _pencil_eigh); raises NotInDomain at singular pencils."""
-    return _compress(*_pencil_eigh(R, t, TOL_INV, factors),
-                     R.c.reshape(-1, 1), t.n)
+    return _compress(*_pencil_eigh(R, t, TOL_INV, factors), R.c_lift(t.n))
 
 
 @dataclass(frozen=True)
@@ -204,10 +218,16 @@ class RangeTFrame:
 
     V_T: np.ndarray  # e x k
     That: tuple      # k x k Hermitian compressions V_T* T_i V_T
+    _lifts: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def k(self):
         return self.V_T.shape[1]
+
+    def lift(self, n):
+        """V_T (x) I_n, built once per n (read-only)."""
+        return _lift(self._lifts, self.V_T, n)
 
 
 def range_t_frame(R, rtol=RTOL_RANK):
@@ -228,7 +248,7 @@ def r_T(R, t, frame=None, tol_inv=TOL_INV, factors=None):
     """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
     from the pencil's eigenpairs (see _pencil_eigh)."""
     frame = range_t_frame(R) if frame is None else frame
-    return _compress(*_pencil_eigh(R, t, tol_inv, factors), frame.V_T, t.n)
+    return _compress(*_pencil_eigh(R, t, tol_inv, factors), frame.lift(t.n))
 
 
 REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
@@ -283,7 +303,7 @@ class Region:
         if self.kind.endswith("plus") and self.frame.k:
             idx = np.flatnonzero(mask)
             ev = np.linalg.eigvalsh(
-                _compress(lam[idx], Q[idx], self.frame.V_T, n))
+                _compress(lam[idx], Q[idx], self.frame.lift(n)))
             lo, hi = ev[:, 0], ev[:, -1]
             scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
             mask[idx] = lo >= -self.tol * scale

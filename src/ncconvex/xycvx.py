@@ -25,7 +25,7 @@ from scipy.optimize import minimize as _minimize
 
 from . import matkit
 from .matkit import (BlockMatrix2, TOL_PSD, build_embedding_E, herm, is_psd,
-                     sample_herm)
+                     sample_blocks)
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
 
@@ -131,59 +131,73 @@ class XYPair:
         return self.V.conj().T @ self.Y @ self.V
 
 
+def _norm2(M):
+    """Spectral norm of each matrix of a stack (..., r, c), as norm(M, 2)
+    reads it: the largest singular value."""
+    return np.linalg.svd(M, compute_uv=False).max(axis=-1)
+
+
 def xy_pair_residual(X, Y, V):
-    """Norm of V*YXV - (V*YV)(V*XV), the defining product identity."""
+    """Norm of V*YXV - (V*YV)(V*XV), the defining product identity; X and
+    Y may be stacks (B, n, n) sharing V, giving one norm per pair."""
     Vh = V.conj().T
-    return float(np.linalg.norm(Vh @ Y @ X @ V - (Vh @ Y @ V) @ (Vh @ X @ V), 2))
+    return _norm2(Vh @ Y @ X @ V - (Vh @ Y @ V) @ (Vh @ X @ V))
 
 
 def is_xy_pair(X, Y, V, tol=1e-10):
-    if np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]), 2) > tol:
-        return False
-    scale = max(1.0, np.linalg.norm(X, 2) * np.linalg.norm(Y, 2))
-    return xy_pair_residual(X, Y, V) <= tol * scale
+    """V is an isometry and the product identity holds at relative tol;
+    X and Y may be stacks sharing V, giving one verdict per pair."""
+    iso = _norm2(V.conj().T @ V - np.eye(V.shape[1])) <= tol
+    scale = np.maximum(1.0, _norm2(X) * _norm2(Y))
+    return iso & (xy_pair_residual(X, Y, V) <= tol * scale)
 
 
 def _three_block(top, side, blocks, left):
     """Assemble [[top, side, 0], [side*, b11, b12], [0, b12*, b22]] or the
-    mirrored version with the coupling in the third block column."""
-    n0 = top.shape[0]
+    mirrored version with the coupling in the third block column; the
+    blocks may be stacks (..., r, c), giving a stack."""
+    n0 = top.shape[-1]
     b11, b12, b22 = blocks
-    n1, n2 = b11.shape[0], b22.shape[0]
-    M = np.zeros((n0 + n1 + n2, n0 + n1 + n2), dtype=complex)
-    M[:n0, :n0] = top
-    M[n0:n0 + n1, n0:n0 + n1] = b11
-    M[n0:n0 + n1, n0 + n1:] = b12
-    M[n0 + n1:, n0:n0 + n1] = b12.conj().T
-    M[n0 + n1:, n0 + n1:] = b22
-    if left:
-        M[:n0, n0:n0 + n1] = side
-        M[n0:n0 + n1, :n0] = side.conj().T
-    else:
-        M[:n0, n0 + n1:] = side
-        M[n0 + n1:, :n0] = side.conj().T
+    n1, n2 = b11.shape[-1], b22.shape[-1]
+    N = n0 + n1 + n2
+    M = np.zeros(top.shape[:-2] + (N, N), dtype=complex)
+    M[..., :n0, :n0] = top
+    M[..., n0:n0 + n1, n0:n0 + n1] = b11
+    M[..., n0:n0 + n1, n0 + n1:] = b12
+    M[..., n0 + n1:, n0:n0 + n1] = b12.conj().swapaxes(-1, -2)
+    M[..., n0 + n1:, n0 + n1:] = b22
+    cols = slice(n0, n0 + n1) if left else slice(n0 + n1, N)
+    M[..., :n0, cols] = side
+    M[..., cols, :n0] = side.conj().swapaxes(-1, -2)
     return M
+
+
+def sample_xy_pairs(dims, scale, rng, size):
+    """size random xy-pairs in the canonical three-block form, as stacks
+    X, Y (size, n, n) and the isometry V they share.
+
+    The draws are those of size sample_xy_pair calls, from one
+    matkit.sample_blocks call.
+    """
+    n0, n1, n2 = dims
+    # X couples the top block to the second, Y couples it to the third
+    parts = [(n0, n0, True), (n0, n1, False), (n1, n1, True),
+             (n1, n2, False), (n2, n2, True),
+             (n0, n0, True), (n0, n2, False), (n1, n1, True),
+             (n1, n2, False), (n2, n2, True)]
+    m = sample_blocks(parts, scale, rng, size)
+    X = _three_block(m[0], m[1], (m[2], m[3], m[4]), left=True)
+    Y = _three_block(m[5], m[6], (m[7], m[8], m[9]), left=False)
+    V = np.zeros((n0 + n1 + n2, n0), dtype=complex)
+    V[:n0, :n0] = np.eye(n0)
+    return X, Y, V
 
 
 def sample_xy_pair(dims, scale=1.0, rng=None):
     """Random xy-pair in the canonical three-block form."""
     rng = np.random.default_rng(0) if rng is None else rng
-    n0, n1, n2 = dims
-
-    def rect(a, b):
-        return (rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))) \
-            * scale / np.sqrt(2)
-
-    # X couples the top block to the second, Y couples it to the third
-    X = _three_block(sample_herm(n0, scale, rng), rect(n0, n1),
-                     (sample_herm(n1, scale, rng), rect(n1, n2),
-                      sample_herm(n2, scale, rng)), left=True)
-    Y = _three_block(sample_herm(n0, scale, rng), rect(n0, n2),
-                     (sample_herm(n1, scale, rng), rect(n1, n2),
-                      sample_herm(n2, scale, rng)), left=False)
-    V = np.zeros((n0 + n1 + n2, n0), dtype=complex)
-    V[:n0, :n0] = np.eye(n0)
-    return XYPair(X, Y, V)
+    X, Y, V = sample_xy_pairs(dims, scale, rng, 1)
+    return XYPair(X[0], Y[0], V)
 
 
 @dataclass(frozen=True)
@@ -196,17 +210,24 @@ class DefectReport:
         return self.report.is_psd
 
 
+def _defects(poly, X, Y, V, pair_tol):
+    """Hermitian defects V* p(X, Y) V - p(V*XV, V*YV) of a stack of pairs
+    (or of one pair) sharing V; raises PairError unless every pair passes
+    is_xy_pair at pair_tol."""
+    if not np.all(is_xy_pair(X, Y, V, pair_tol)):
+        raise PairError("V* YX V != (V*YV)(V*XV) beyond tolerance")
+    Vh = V.conj().T
+    big = eval_poly(poly, HermTuple(X.shape[-1], (), (X, Y), validate=False))
+    X0, Y0 = Vh @ X @ V, Vh @ Y @ V
+    small = eval_poly(poly, HermTuple(X0.shape[-1], (), (X0, Y0),
+                                      validate=False))
+    return herm(Vh @ big @ V - small)
+
+
 def xy_convexity_test(p, pair, tol=TOL_PSD, pair_tol=1e-8):
     """Defect V* p(X,Y) V - p(X0, Y0) with a PSD verdict."""
     poly = p.poly if isinstance(p, PLPoly) else p
-    if not is_xy_pair(pair.X, pair.Y, pair.V, pair_tol):
-        raise PairError("V* YX V != (V*YV)(V*XV) beyond tolerance")
-    n = pair.X.shape[0]
-    big = eval_poly(poly, HermTuple(n, (), (pair.X, pair.Y), validate=False))
-    X0, Y0 = pair.X0, pair.Y0
-    small = eval_poly(poly, HermTuple(X0.shape[0], (), (X0, Y0),
-                                      validate=False))
-    defect = herm(pair.V.conj().T @ big @ pair.V - small)
+    defect = _defects(poly, pair.X, pair.Y, pair.V, pair_tol)
     return DefectReport(defect, is_psd(defect, tol))
 
 
@@ -268,17 +289,14 @@ class XYInputs:
 def sample_xy_inputs(dims, scale=1.0, rng=None):
     rng = np.random.default_rng(0) if rng is None else rng
     n0, n1, n2 = dims
-
-    def rect(a, b):
-        return (rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))) \
-            * scale / np.sqrt(2)
-
-    return XYInputs(
-        s0=sample_herm(n0, scale, rng), t0=sample_herm(n0, scale, rng),
-        alpha=rect(n0, n1), gamma=rect(n0, n2),
-        delta0=sample_herm(n1, scale, rng), delta1=rect(n1, n2),
-        beta1=rect(n1, n2), beta2=sample_herm(n2, scale, rng),
-        beta0=sample_herm(n1, scale, rng), delta2=sample_herm(n2, scale, rng))
+    # s0, t0, alpha, gamma, delta0, delta1, beta1, beta2, beta0, delta2
+    parts = [(n0, n0, True), (n0, n0, True), (n0, n1, False),
+             (n0, n2, False), (n1, n1, True), (n1, n2, False),
+             (n1, n2, False), (n2, n2, True), (n1, n1, True), (n2, n2, True)]
+    m = [M[0] for M in sample_blocks(parts, scale, rng, 1)]
+    return XYInputs(s0=m[0], t0=m[1], alpha=m[2], gamma=m[3], delta0=m[4],
+                    delta1=m[5], beta1=m[6], beta2=m[7], beta0=m[8],
+                    delta2=m[9])
 
 
 def _hessian_formula(p, ins):
@@ -352,40 +370,49 @@ class MxyEval:
 
     def block(self, j, k):
         starts = np.concatenate([[0], np.cumsum(self.block_sizes)])
-        return self.matrix[starts[j]:starts[j + 1], starts[k]:starts[k + 1]]
+        return self.matrix[..., starts[j]:starts[j + 1],
+                           starts[k]:starts[k + 1]]
 
 
 def middle_matrix(p, beta1, beta2, delta0, delta1):
-    """The 4 x 4-block middle matrix at the given inner blocks."""
-    n1 = delta0.shape[0]
-    n2 = beta2.shape[0]
-    if beta1.shape != (n1, n2) or delta1.shape != (n1, n2):
+    """The 4 x 4-block middle matrix at the given inner blocks.
+
+    The blocks may carry leading batch axes (..., n1, n2), all the same,
+    giving a stack of middle matrices; each point gets its own products,
+    so it comes out bit for bit the same alone or in a stack.
+    """
+    n1 = delta0.shape[-1]
+    n2 = beta2.shape[-1]
+    if beta1.shape[-2:] != (n1, n2) or delta1.shape[-2:] != (n1, n2):
         raise ShapeError("beta1, delta1 must be n1 x n2")
+    c = {w: p.c(w) for w in STRUCTURAL}
     I1 = np.eye(n1)
     I2 = np.eye(n2)
-    b1h, d1h = beta1.conj().T, delta1.conj().T
-    M11 = np.block([
-        [p.c("xx") * I1 + p.c("xyx") * delta0
-         + p.c("xyyx") * (delta0 @ delta0 + delta1 @ d1h),
-         p.c("xxy") * I1 + p.c("xyxy") * delta0],
-        [p.c("yxx") * I1 + p.c("yxyx") * delta0, p.c("yxxy") * I1]])
-    M12 = np.block([
-        [p.c("xxy") * beta1 + p.c("xyy") * delta1
-         + p.c("xyxy") * (delta0 @ beta1 + delta1 @ beta2),
-         p.c("xyyx") * delta1],
-        [p.c("yxxy") * beta1, np.zeros((n1, n2))]])
-    M21 = np.block([
-        [p.c("yxx") * b1h + p.c("yyx") * d1h
-         + p.c("yxyx") * (b1h @ delta0 + beta2 @ d1h),
-         p.c("yxxy") * b1h],
-        [p.c("xyyx") * d1h, np.zeros((n2, n1))]])
-    M22 = np.block([
-        [p.c("yy") * I2 + p.c("yxy") * beta2
-         + p.c("yxxy") * (beta2 @ beta2 + b1h @ beta1),
-         p.c("yyx") * I2 + p.c("yxyx") * beta2],
-        [p.c("xyy") * I2 + p.c("xyxy") * beta2, p.c("xyyx") * I2]])
-    M = np.block([[M11, M12], [M21, M22]])
-    return MxyEval(M, (n1, n1, n2, n2))
+    b1, b2, d0, d1 = beta1, beta2, delta0, delta1
+    b1h, d1h = b1.conj().swapaxes(-1, -2), d1.conj().swapaxes(-1, -2)
+    # block rows and columns of sizes (n1, n1, n2, n2); None is a zero block
+    rows = (
+        (c["xx"] * I1 + c["xyx"] * d0
+         + c["xyyx"] * (d0 @ d0 + d1 @ d1h),
+         c["xxy"] * I1 + c["xyxy"] * d0,
+         c["xxy"] * b1 + c["xyy"] * d1 + c["xyxy"] * (d0 @ b1 + d1 @ b2),
+         c["xyyx"] * d1),
+        (c["yxx"] * I1 + c["yxyx"] * d0, c["yxxy"] * I1, c["yxxy"] * b1,
+         None),
+        (c["yxx"] * b1h + c["yyx"] * d1h + c["yxyx"] * (b1h @ d0 + b2 @ d1h),
+         c["yxxy"] * b1h,
+         c["yy"] * I2 + c["yxy"] * b2 + c["yxxy"] * (b2 @ b2 + b1h @ b1),
+         c["yyx"] * I2 + c["yxyx"] * b2),
+        (c["xyyx"] * d1h, None, c["xyy"] * I2 + c["xyxy"] * b2,
+         c["xyyx"] * I2))
+    sizes = (n1, n1, n2, n2)
+    at = np.concatenate([[0], np.cumsum(sizes)])
+    M = np.zeros(d0.shape[:-2] + (at[-1], at[-1]), dtype=complex)
+    for j, row in enumerate(rows):
+        for k, blk in enumerate(row):
+            if blk is not None:
+                M[..., at[j]:at[j + 1], at[k]:at[k + 1]] = blk
+    return MxyEval(M, sizes)
 
 
 @dataclass(frozen=True)
@@ -414,45 +441,85 @@ class MxyWitness:
         return True
 
 
+def _inner_parts(n1, n2):
+    """delta0, beta2, delta1, beta1: the scan's draw order per sample."""
+    return [(n1, n1, True), (n2, n2, True), (n1, n2, False), (n1, n2, False)]
+
+
 def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
                            rng=None, scale=1.0, sampler=None, tol=TOL_PSD):
     """Eigencheck the middle matrix over sampled inner blocks.
 
     sampler(rng, (n1, n2)) may replace the default Gaussian draw, e.g. to
     restrict to a biconvexity region.
+
+    Each size is scanned in blocks of 1, 2, 4, ... samples: one draw (one
+    matkit.sample_blocks call, or one sampler call per sample), one
+    stacked middle_matrix, one batched eigh and one batched svd for the
+    witness threshold per block.  The scan stops at the first sample that
+    fails.  When that sample is not the last of its block, the generator
+    is rewound to the block's start and only the samples up to it are
+    drawn again, so it ends where a per-sample loop would.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+
+    def draw(nm, size):
+        if sampler is None:
+            d0, b2, d1, b1 = sample_blocks(_inner_parts(*nm), scale, rng,
+                                           size)
+            return d0, d1, b1, b2
+        return tuple(np.stack(m) for m in
+                     zip(*(sampler(rng, nm) for _ in range(size))))
+
     count = 0
     min_lambda = np.inf
-    for (n1, n2) in sizes:
-        for _ in range(samples):
-            if sampler is None:
-                d0 = sample_herm(n1, scale, rng)
-                b2 = sample_herm(n2, scale, rng)
-                d1 = (rng.normal(size=(n1, n2))
-                      + 1j * rng.normal(size=(n1, n2))) * scale / np.sqrt(2)
-                b1 = (rng.normal(size=(n1, n2))
-                      + 1j * rng.normal(size=(n1, n2))) * scale / np.sqrt(2)
-            else:
-                d0, d1, b1, b2 = sampler(rng, (n1, n2))
+    for nm in sizes:
+        done, size = 0, 1
+        while done < samples:
+            B = min(size, samples - done)
+            state = rng.bit_generator.state
+            d0, d1, b1, b2 = draw(nm, B)
             M = middle_matrix(p, b1, b2, d0, d1).matrix
             lam, vecs = np.linalg.eigh(herm(M))
-            count += 1
-            min_lambda = min(min_lambda, float(lam[0]))
-            if lam[0] < -tol * max(1.0, float(np.linalg.norm(M, 2))):
-                return MxyWitness(d0, d1, b1, b2, float(lam[0]), vecs[:, 0])
+            bad = lam[:, 0] < -tol * np.maximum(1.0, _norm2(M))
+            if bad.any():
+                i = int(np.argmax(bad))
+                if i < B - 1:
+                    rng.bit_generator.state = state
+                    draw(nm, i + 1)
+                return MxyWitness(d0[i], d1[i], b1[i], b2[i],
+                                  float(lam[i, 0]), vecs[i, :, 0])
+            count += B
+            min_lambda = min([min_lambda] + lam[:, 0].tolist())
+            done += B
+            size *= 2
     return AllPsdEvidence(count, float(min_lambda))
 
 
 @dataclass(frozen=True)
 class PairWitness:
-    """Concrete xy-pair + vector with h* defect h < 0, from an Mxy witness."""
+    """Concrete xy-pair + vector h and the pair's defect D, from an Mxy
+    witness; value is h* D h."""
 
     pair: XYPair
     h: np.ndarray
     value: float
     X0: np.ndarray
     Y0: np.ndarray
+    defect: np.ndarray
+
+    def recheck(self, tol=TOL_PSD):
+        """None when the completed pair passes is_xy_pair and
+        h* D h < -tol max(1, ||D||), else a one-line reason."""
+        pair = self.pair
+        if not is_xy_pair(pair.X, pair.Y, pair.V):
+            return "the completed witness is not an xy-pair"
+        val = float(np.real(self.h.conj() @ self.defect @ self.h))
+        bound = -tol * max(1.0, float(_norm2(self.defect)))
+        if not val < bound:
+            return ("the completed witness has h* D h = %.6g, not below %.6g"
+                    % (val, bound))
+        return None
 
 
 def mxy_witness_pair(p, wit, X0=None, Y0=None, h=None):
@@ -488,7 +555,7 @@ def mxy_witness_pair(p, wit, X0=None, Y0=None, h=None):
     pair = XYPair(X, Y, V)
     defect = xy_convexity_test(p, pair, pair_tol=1e-6).defect
     val = float(np.real(h.conj() @ defect @ h))
-    return PairWitness(pair, h, val, X0, Y0)
+    return PairWitness(pair, h, val, X0, Y0, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -917,19 +984,13 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2),
         max_resid = max(max_resid,
                         abs(poly.scalar_coeff(w) - recon.scalar_coeff(w)))
     coeff_ok = max_resid <= tol
-    min_eig = np.inf
-    pairs = 0
-    sampled_ok = True
-    for _ in range(samples):
-        pair = sample_xy_pair(dims, scale, rng)
-        rep = xy_convexity_test(poly, pair)
-        pairs += 1
-        lam = float(rep.report.lambda_min)
-        min_eig = min(min_eig, lam)
-        if not rep.is_psd:
-            sampled_ok = False
-    return VerifyReport(coeff_ok, max_resid, sampled_ok, pairs,
-                        float(min_eig))
+    # the sampled pairs as one stack, with is_psd's verdict per defect
+    X, Y, V = sample_xy_pairs(dims, scale, rng, samples)
+    ev = np.linalg.eigvalsh(_defects(poly, X, Y, V, 1e-8))
+    lo, hi = ev[:, 0], ev[:, -1]
+    psd = lo >= -TOL_PSD * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return VerifyReport(coeff_ok, max_resid, bool(psd.all()), int(samples),
+                        float(min([np.inf] + lo.tolist())))
 
 
 def certificate_to_json(cert):
@@ -1014,18 +1075,13 @@ def mxy_q_equivalence_probe(p, dims=(2, 2), t_values=(1e2, 1e4, 1e6),
     n, m = dims
     Q = extract_Q(p)
     worst = {float(t): 0.0 for t in t_values}
-    for _ in range(samples):
-        d0 = sample_herm(n, scale, rng)
-        b2 = sample_herm(m, scale, rng)
-        d1 = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) \
-            * scale / np.sqrt(2)
-        b1 = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) \
-            * scale / np.sqrt(2)
-        M = middle_matrix(p, b1, b2, d0, d1).matrix
-        # block order (1, 4, 3, 2) of the (n, n, m, m) partition
-        idx = np.concatenate([
-            np.arange(0, n), np.arange(2 * n + m, 2 * n + 2 * m),
-            np.arange(2 * n, 2 * n + m), np.arange(n, 2 * n)])
+    D0, B2, D1, B1 = sample_blocks(_inner_parts(n, m), scale, rng, samples)
+    Ms = middle_matrix(p, B1, B2, D0, D1).matrix
+    # block order (1, 4, 3, 2) of the (n, n, m, m) partition
+    idx = np.concatenate([
+        np.arange(0, n), np.arange(2 * n + m, 2 * n + 2 * m),
+        np.arange(2 * n, 2 * n + m), np.arange(n, 2 * n)])
+    for d0, d1, b1, b2, M in zip(D0, D1, B1, B2, Ms):
         target = M[np.ix_(idx, idx)]
         for t in t_values:
             hd0, hd1, hb1, hb2 = _hat_blocks(d0, d1, b1, b2, t)

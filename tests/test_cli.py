@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,47 @@ def test_xy_square_poly_pair_witness_reverifies(tmp_path):
     rep2 = xycvx.xy_convexity_test(p, xycvx.XYPair(X, Y, V))
     quad = float(np.real(h.conj() @ rep2.defect @ h))
     assert quad == pytest.approx(pw["defect_value"], rel=1e-6, abs=1e-9)
+
+
+# square_xy_poly.txt at these flags ends in a pair witness (exit 1)
+SQUARE_XY_NEGATIVE = ["xy", str(DATA / "square_xy_poly.txt"), "--sizes", "1,2",
+                      "--samples", "30", "--scale", "0.9", "--seed", "0"]
+
+
+def test_xy_pair_witness_that_fails_recheck_is_inconclusive(
+        tmp_path, monkeypatch, capsys):
+    complete = xycvx.mxy_witness_pair
+
+    def flipped(p, wit):
+        # the completed pair with the sign of its defect turned around
+        pw = complete(p, wit)
+        return replace(pw, defect=-pw.defect, value=-pw.value)
+
+    monkeypatch.setattr(xycvx, "mxy_witness_pair", flipped)
+    code, rep = run_out(tmp_path, "xy.json", SQUARE_XY_NEGATIVE)
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE
+    assert "Traceback" not in err
+    assert err.startswith("inconclusive: the completed witness has h* D h")
+    assert err.count("\n") == 1
+    res = rep["results"]
+    assert res["verdict"] == "inconclusive"
+    assert "pair_witness" not in res
+    assert res["pair_witness_error"] == err[len("inconclusive: "):].strip()
+
+
+def test_xy_pair_completion_error_is_inconclusive(tmp_path, monkeypatch,
+                                                  capsys):
+    def broken(p, wit):
+        raise xycvx.PairError("V* YX V != (V*YV)(V*XV) beyond tolerance")
+
+    monkeypatch.setattr(xycvx, "mxy_witness_pair", broken)
+    code, rep = run_out(tmp_path, "xy.json", SQUARE_XY_NEGATIVE)
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE
+    assert "Traceback" not in err
+    assert err.startswith("inconclusive: the witness completion failed")
+    assert rep["results"]["verdict"] == "inconclusive"
 
 
 def test_xy_square_poly_small_scale_inconclusive(tmp_path):
@@ -421,6 +463,20 @@ def test_reports_independent_of_workers(tmp_path):
             "--seed", "4"]
     _, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
     _, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "3"])
+    assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
+        == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
+
+
+def test_xy_certificate_report_independent_of_workers(tmp_path):
+    # the screened polynomial goes to the scan chunks as it is
+    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
+    pfile = tmp_path / "cert_poly.txt"
+    pfile.write_text(ncalg.format_poly(p))
+    base = ["xy", str(pfile), "--sizes", "1,2,3", "--samples", "8",
+            "--seed", "5"]
+    code1, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
+    code2, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "2"])
+    assert code1 == code2 == EXIT_OK
     assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
         == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
 

@@ -150,6 +150,47 @@ def test_eval_unitary_equivariance(seed, n):
                        atol=1e-10)
 
 
+def kron_loop_eval(p, t):
+    """The per-word evaluation eval_poly replaced: each word multiplied out
+    from the identity, and its coefficient applied by np.kron."""
+    n = t.n
+    out = np.zeros((p.shape[0] * n, p.shape[1] * n), dtype=complex)
+    for w, c in p.coeffs.items():
+        prod = np.eye(n, dtype=complex)
+        for i in w:
+            prod = prod @ t.mats[i]
+        out += np.kron(c, prod)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("real", [False, True])
+def test_eval_poly_matches_kron_loop(shape, real):
+    # words of length up to 4 over three letters share many prefixes;
+    # real matrices check that the products still run in complex arithmetic
+    rng = np.random.default_rng(7 + shape[1] + 10 * real)
+    for _ in range(12):
+        terms = {}
+        for _ in range(int(rng.integers(1, 14))):
+            w = tuple(int(i) for i in rng.integers(0, 3, rng.integers(0, 5)))
+            terms[w] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        p = FreePoly.from_terms(CTX_BIG, terms, shape)
+        n, B = int(rng.integers(1, 5)), 3
+        mats = rng.normal(size=(4, B, n, n))
+        if not real:
+            mats = mats + 1j * rng.normal(size=(4, B, n, n))
+        mats = mats + np.conj(np.swapaxes(mats, -1, -2))
+        stacked = eval_poly(p, HermTuple(n, tuple(mats[:2]), tuple(mats[2:]),
+                                         validate=False))
+        assert stacked.shape == (B, shape[0] * n, shape[1] * n)
+        for b in range(B):
+            t = HermTuple(n, tuple(mats[:2, b]), tuple(mats[2:, b]),
+                          validate=False)
+            want = kron_loop_eval(p, t)
+            assert np.array_equal(eval_poly(p, t), want)
+            assert np.array_equal(stacked[b], want)
+
+
 def test_eval_rejects_wrong_counts():
     p = rand_poly(CTX_BIG, np.random.default_rng(0))
     t = HermTuple(2, (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),),

@@ -333,6 +333,260 @@ def test_boundary_witness_value_matches_form():
 
 
 # ---------------------------------------------------------------------------
+# the block scan and the stacked verification against per-sample loops
+
+def reference_herm(n, scale, rng):
+    """One Gaussian Hermitian draw: real part, then imaginary part, then
+    the rescale to spectral norm scale when the norm is larger."""
+    H = matkit.herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    nH = np.linalg.norm(H, 2)
+    return H * (scale / nH) if nH > scale else H
+
+
+def reference_rect(r, c, scale, rng):
+    return (rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))) \
+        * scale / np.sqrt(2)
+
+
+def reference_middle_matrix(p, beta1, beta2, delta0, delta1):
+    """The middle matrix as four np.block rows, one point at a time."""
+    n1, n2 = delta0.shape[0], beta2.shape[0]
+    I1, I2 = np.eye(n1), np.eye(n2)
+    b1h, d1h = beta1.conj().T, delta1.conj().T
+    M11 = np.block([
+        [p.c("xx") * I1 + p.c("xyx") * delta0
+         + p.c("xyyx") * (delta0 @ delta0 + delta1 @ d1h),
+         p.c("xxy") * I1 + p.c("xyxy") * delta0],
+        [p.c("yxx") * I1 + p.c("yxyx") * delta0, p.c("yxxy") * I1]])
+    M12 = np.block([
+        [p.c("xxy") * beta1 + p.c("xyy") * delta1
+         + p.c("xyxy") * (delta0 @ beta1 + delta1 @ beta2),
+         p.c("xyyx") * delta1],
+        [p.c("yxxy") * beta1, np.zeros((n1, n2))]])
+    M21 = np.block([
+        [p.c("yxx") * b1h + p.c("yyx") * d1h
+         + p.c("yxyx") * (b1h @ delta0 + beta2 @ d1h),
+         p.c("yxxy") * b1h],
+        [p.c("xyyx") * d1h, np.zeros((n2, n1))]])
+    M22 = np.block([
+        [p.c("yy") * I2 + p.c("yxy") * beta2
+         + p.c("yxxy") * (beta2 @ beta2 + b1h @ beta1),
+         p.c("yyx") * I2 + p.c("yxyx") * beta2],
+        [p.c("xyy") * I2 + p.c("xyxy") * beta2, p.c("xyyx") * I2]])
+    return np.block([[M11, M12], [M21, M22]])
+
+
+def reference_scan(p, sizes, samples, rng, scale, sampler=None,
+                   tol=matkit.TOL_PSD):
+    """The per-sample loop: one draw, one middle matrix, one eigh and one
+    norm per sample.  Returns (witness index within its size, outcome)."""
+    count = 0
+    min_lambda = np.inf
+    for (n1, n2) in sizes:
+        for k in range(samples):
+            if sampler is None:
+                d0 = reference_herm(n1, scale, rng)
+                b2 = reference_herm(n2, scale, rng)
+                d1 = reference_rect(n1, n2, scale, rng)
+                b1 = reference_rect(n1, n2, scale, rng)
+            else:
+                d0, d1, b1, b2 = sampler(rng, (n1, n2))
+            M = reference_middle_matrix(p, b1, b2, d0, d1)
+            lam, vecs = np.linalg.eigh(matkit.herm(M))
+            count += 1
+            min_lambda = min(min_lambda, float(lam[0]))
+            if lam[0] < -tol * max(1.0, float(np.linalg.norm(M, 2))):
+                return k, xycvx.MxyWitness(d0, d1, b1, b2, float(lam[0]),
+                                           vecs[:, 0])
+    return None, xycvx.AllPsdEvidence(count, float(min_lambda))
+
+
+def level_sampler(rng, nm):
+    """Real symmetric delta0, beta2 and complex delta1, beta1 at a random
+    norm level, so that a witness may come at any sample."""
+    n1, n2 = nm
+    level = rng.uniform(0.3, 0.95)
+    d0 = rng.normal(size=(n1, n1))
+    d0 = level * (d0 + d0.T) / np.linalg.norm(d0 + d0.T, 2)
+    b2 = rng.normal(size=(n2, n2))
+    b2 = level * (b2 + b2.T) / np.linalg.norm(b2 + b2.T, 2)
+    return (d0, reference_rect(n1, n2, level, rng),
+            reference_rect(n1, n2, level, rng), b2)
+
+
+def block_position(k):
+    """Where sample k of a size falls in the blocks 1, 2, 4, ..."""
+    start, size = 0, 1
+    while k >= start + size:
+        start, size = start + size, 2 * size
+    if size == 1:
+        return "single"
+    return {start: "first", start + size - 1: "last"}.get(k, "middle")
+
+
+# Mxy is PSD exactly when I + 1.3 delta0 and I + 1.3 beta2 are; the
+# witness comes at a random sample
+LINEAR_COEFFS = {"xx": 1.0, "yy": 1.0, "xyx": 1.3, "yxy": 1.3}
+
+
+def doubling_blocks(samples, k):
+    """Block sizes 1, 2, 4, ... of a scan of samples that stops at sample
+    k (None: no stop)."""
+    out, done = [], 0
+    while done < samples and (k is None or done <= k):
+        out.append(min(2 ** len(out), samples - done))
+        done += out[-1]
+    return out
+
+
+@pytest.mark.parametrize("use_sampler", [False, True])
+def test_block_scan_matches_per_sample_loop(use_sampler, monkeypatch):
+    sampler = level_sampler if use_sampler else None
+    stacks = []
+    build = xycvx.middle_matrix
+
+    def counted(p, beta1, beta2, delta0, delta1):
+        stacks.append(delta0.shape[0])
+        return build(p, beta1, beta2, delta0, delta1)
+
+    monkeypatch.setattr(xycvx, "middle_matrix", counted)
+    polys = [support_screen(from_coeffs(LINEAR_COEFFS)), a4_poly(),
+             support_screen(synthesize_certified(np.random.default_rng(5),
+                                                 N=2)[0])]
+    seen = set()
+    for pi, p in enumerate(polys):
+        for nm in ((1, 1), (2, 1), (2, 2), (3, 3)):
+            for seed in range(4):
+                for scale in (0.5, 0.8):
+                    rng1 = np.random.default_rng(seed)
+                    rng2 = np.random.default_rng(seed)
+                    k, want = reference_scan(p, (nm,), 30, rng1, scale,
+                                             sampler)
+                    stacks.clear()
+                    got = middle_matrix_psd_scan(p, sizes=(nm,), samples=30,
+                                                 rng=rng2, scale=scale,
+                                                 sampler=sampler)
+                    assert rng1.bit_generator.state \
+                        == rng2.bit_generator.state
+                    assert stacks == doubling_blocks(30, k)
+                    assert got.is_witness == want.is_witness
+                    if want.is_witness:
+                        seen.add(block_position(k))
+                        for f in ("delta0", "delta1", "beta1", "beta2",
+                                  "vector"):
+                            assert np.array_equal(getattr(got, f),
+                                                  getattr(want, f)), f
+                        assert got.lambda_min == want.lambda_min
+                    else:
+                        seen.add("none")
+                        assert got == want
+    assert {"first", "middle", "last", "none"} <= seen
+
+
+def test_block_scan_over_several_sizes_matches_per_sample_loop():
+    # one generator across sizes: evidence counts and the generator state
+    # carry over from one size to the next
+    p = support_screen(from_coeffs(LINEAR_COEFFS))
+    sizes = ((1, 1), (2, 1), (2, 2), (3, 3))
+    for scale in (0.5, 0.7):
+        for seed in range(3):
+            rng1 = np.random.default_rng(seed)
+            rng2 = np.random.default_rng(seed)
+            _, want = reference_scan(p, sizes, 9, rng1, scale)
+            got = middle_matrix_psd_scan(p, sizes=sizes, samples=9,
+                                         rng=rng2, scale=scale)
+            assert rng1.bit_generator.state == rng2.bit_generator.state
+            assert got.is_witness == want.is_witness
+            if not want.is_witness:
+                assert got == want
+
+
+def reference_pair(dims, scale, rng):
+    """The per-pair three-block draw, X coupling the top block to the
+    second and Y coupling it to the third."""
+    n0, n1, n2 = dims
+
+    def draw(side):
+        return (reference_herm(n0, scale, rng),
+                reference_rect(n0, side, scale, rng),
+                reference_herm(n1, scale, rng),
+                reference_rect(n1, n2, scale, rng),
+                reference_herm(n2, scale, rng))
+
+    def O(r, c):
+        return np.zeros((r, c))
+
+    s0, a, b11, b12, b22 = draw(n1)
+    X = np.block([[s0, a, O(n0, n2)], [a.conj().T, b11, b12],
+                  [O(n2, n0), b12.conj().T, b22]])
+    t0, g, d11, d12, d22 = draw(n2)
+    Y = np.block([[t0, O(n0, n1), g], [O(n1, n0), d11, d12],
+                  [g.conj().T, d12.conj().T, d22]])
+    V = np.zeros((n0 + n1 + n2, n0), dtype=complex)
+    V[:n0, :n0] = np.eye(n0)
+    return X, Y, V
+
+
+def kron_loop_eval(poly, n, mats):
+    out = np.zeros((n, n), dtype=complex)
+    for w, c in poly.coeffs.items():
+        prod = np.eye(n, dtype=complex)
+        for i in w:
+            prod = prod @ mats[i]
+        out += np.kron(c, prod)
+    return out
+
+
+def reference_verify(pl, samples, rng, dims, scale):
+    """Sampled part of verify_certificate, one pair at a time:
+    (sampled_ok, min_defect_eig, the pairs)."""
+    ok, min_eig, pairs = True, np.inf, []
+    for _ in range(samples):
+        X, Y, V = reference_pair(dims, scale, rng)
+        pairs.append((X, Y))
+        Vh = V.conj().T
+        big = kron_loop_eval(pl.poly, X.shape[0], (X, Y))
+        small = kron_loop_eval(pl.poly, dims[0],
+                               (Vh @ X @ V, Vh @ Y @ V))
+        rep = matkit.is_psd(matkit.herm(Vh @ big @ V - small))
+        min_eig = min(min_eig, float(rep.lambda_min))
+        ok = ok and rep.is_psd
+    return ok, float(min_eig), pairs
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 3), (3, 1, 2)])
+def test_verify_certificate_matches_per_pair_loop(dims):
+    seen = set()
+    for seed in range(4):
+        p, _ = synthesize_certified(np.random.default_rng(seed), N=2)
+        pl = support_screen(p)
+        res = gram_complete_certificate(pl)
+        cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+        # the xx-negated twin fails the sampled defects, not the identity
+        twin = {"".join("xy"[i] for i in w): p.scalar_coeff(w)
+                for w in p.words()}
+        twin["xx"] = -abs(twin["xx"])
+        for poly in (pl, support_screen(from_coeffs(twin))):
+            rng1 = np.random.default_rng(seed)
+            rng2 = np.random.default_rng(seed)
+            ok, min_eig, pairs = reference_verify(poly, 7, rng1, dims, 0.8)
+            rep = verify_certificate(poly, cert, samples=7, rng=rng2,
+                                     dims=dims)
+            assert rng1.bit_generator.state == rng2.bit_generator.state
+            assert rep.sampled_ok == ok
+            assert rep.min_defect_eig == min_eig
+            assert rep.pairs == 7
+            seen.add(ok)
+            # the size-1 case draws the same pairs
+            rng3 = np.random.default_rng(seed)
+            for X, Y in pairs:
+                pair = sample_xy_pair(dims, 0.8, rng3)
+                assert np.array_equal(pair.X, X)
+                assert np.array_equal(pair.Y, Y)
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # certified polynomials: defect positivity on sampled pairs
 
 @settings(max_examples=10, deadline=None)
