@@ -544,8 +544,14 @@ def cmd_xy(args):
     gram_entry = {"status": gram.status,
                   "pinned_lambda_min": float(gram.pinned_lambda_min),
                   "reduced_lambda": float(gram.reduced_lambda),
+                  "solver_steps": int(gram.solver_steps),
+                  "gap": float(gram.gap),
                   "time_s": time.monotonic() - t0}
     results["gram"] = gram_entry
+    if gram.Z is not None:
+        # the dual certificate: no completion of the pins is PSD
+        gram_entry["dual_value"] = float(gram.dual_value)
+        gram_entry["Z"] = jmat(gram.Z)
     if not gram.is_feasible:
         # no scan witness and no certificate: report both artifacts
         results["verdict"] = "inconclusive"

@@ -11,9 +11,10 @@ middle matrix Mxy built from twelve structural coefficients.
 Certificates p = pencil + Lambda* Lambda come from a 6 x 6 Gram matrix
 whose pins encode the compressed form (first and third block rows of Mxy)
 of the middle matrix.  Two of its columns are structurally zero, so the
-Gram matrix is the eigenvalue-optimized solve of the pinned 4 x 4 problem on
-the surviving columns; the factor columns reassemble the polynomial
-coefficientwise.
+Gram matrix comes from the pinned 4 x 4 problem on the surviving columns:
+a log-barrier solve maximizes its smallest eigenvalue over the free
+entries, and its dual certificate proves the negative outcomes.  The factor
+columns reassemble the polynomial coefficientwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 from . import matkit
 from .matkit import (BlockMatrix2, TOL_PSD, build_embedding_E, herm, is_psd,
@@ -691,9 +691,17 @@ class GramCertResult:
 
     status: "feasible", "not-certifiable-pinned" (the fully pinned part of
     the pattern is already indefinite, a proof of infeasibility), or
-    "not-certifiable" (the optimized smallest eigenvalue of the reduced
-    Gram stays negative, or its pins do not reproduce p; treat as numerical
-    evidence, cross-check against a middle-matrix scan).
+    "not-certifiable" (the largest smallest eigenvalue of the reduced Gram
+    over its free entries is negative, or its pins do not reproduce p).
+    In the first case Z is the barrier solve's dual certificate: Z is PSD
+    with tr Z = 1 and <E_i, Z> = 0 for every free direction E_i, so
+    <G, Z> = dual_value is the same for every completion G of the pins,
+    and lambda_min(G) <= dual_value < 0 proves that none is PSD, up to the
+    float64 residuals of those identities.
+
+    solver_steps and gap are the Newton step count and the duality gap of
+    the reduced solve (0 when no solve ran: a pinned reject, or no free
+    entry).
     """
 
     status: str
@@ -706,6 +714,10 @@ class GramCertResult:
     pinned_lambda_min: float = 0.0
     pin_residual: float = 0.0
     reduced_lambda: float = 0.0
+    Z: np.ndarray = None
+    dual_value: float = 0.0
+    solver_steps: int = 0
+    gap: float = 0.0
 
     @property
     def is_feasible(self):
@@ -728,27 +740,28 @@ def _reduced_pins(p):
 def _reduced_feasibility(p, tol):
     """Best achievable smallest eigenvalue of the pinned reduced Gram.
 
-    Returns (verdict, lambda_or_pin, G4) where verdict "pinned-reject"
-    carries a provable obstruction, otherwise lambda_or_pin is the
-    optimized smallest eigenvalue and G4 the optimizing matrix.
+    Returns (verdict, lambda_or_pin, G4, sol) where verdict
+    "pinned-reject" carries a provable obstruction, otherwise
+    lambda_or_pin is the optimized smallest eigenvalue, G4 the optimizing
+    matrix and sol its matkit.max_min_eig solve (None with no free entry).
     """
     diag, full, half = _reduced_pins(p)
     scale = max([1.0] + [abs(v) for v in diag]
                 + [abs(v) for v in full.values()]
                 + [abs(v) for v in half.values()])
     if float(np.max(np.abs(diag.imag))) > tol * scale:
-        return "pinned-reject", float(-np.max(np.abs(diag.imag))), None
+        return "pinned-reject", float(-np.max(np.abs(diag.imag))), None, None
     if float(np.min(diag.real)) < -tol * scale:
-        return "pinned-reject", float(np.min(diag.real)), None
+        return "pinned-reject", float(np.min(diag.real)), None, None
     alive = [i for i in range(4) if diag.real[i] > tol * scale]
     dead = set(range(4)) - set(alive)
     # pins hitting an eliminated (zero) column must themselves vanish
     for (j, k), v in full.items():
         if (j in dead or k in dead) and abs(v) > tol * scale:
-            return "pinned-reject", -abs(v), None
+            return "pinned-reject", -abs(v), None, None
     for (j, k), v in half.items():
         if (j in dead or k in dead) and abs(v) / 2 > tol * scale:
-            return "pinned-reject", -abs(v) / 2, None
+            return "pinned-reject", -abs(v) / 2, None, None
     # fully pinned principal 2 x 2 blocks are PSD-necessary
     pin_lam = 0.0
     for (j, k), v in full.items():
@@ -757,7 +770,7 @@ def _reduced_feasibility(p, tol):
                             [np.conj(v), diag.real[k]]])
             pin_lam = min(pin_lam, float(np.linalg.eigvalsh(blk)[0]))
     if pin_lam < -tol * scale:
-        return "pinned-reject", pin_lam, None
+        return "pinned-reject", pin_lam, None, None
 
     base = np.zeros((4, 4), dtype=complex)
     for i in alive:
@@ -770,52 +783,25 @@ def _reduced_feasibility(p, tol):
         if j in alive and k in alive:
             base[j, k] = v.real / 2
             base[k, j] = v.real / 2
+    # free entries: Re and Im of G[0, 1], Im of G[0, 2] and of G[1, 3]
     params = []
     if 0 in alive and 1 in alive:
-        params += [("re", 0, 1), ("im", 0, 1)]
+        params += [(1.0, 0, 1), (1j, 0, 1)]
     if 0 in alive and 2 in alive:
-        params.append(("im", 0, 2))
+        params.append((1j, 0, 2))
     if 1 in alive and 3 in alive:
-        params.append(("im", 1, 3))
-
-    def build(theta):
-        G = base.copy()
-        for t, (kind, j, k) in zip(theta, params):
-            add = t if kind == "re" else 1j * t
-            G[j, k] += add
-            G[k, j] += np.conj(add)
-        return G
-
+        params.append((1j, 1, 3))
     if not params:
-        G = build(())
-        return "solved", float(np.linalg.eigvalsh(G)[0]), G
-
-    def soft_neg(theta, mu):
-        # smoothed minimum eigenvalue and its gradient, for the ascent
-        G = build(theta)
-        lam, U = np.linalg.eigh(G)
-        w = np.exp(-(lam - lam[0]) / mu)
-        val = lam[0] - mu * np.log(np.sum(w))
-        w = w / np.sum(w)
-        g = np.zeros(len(params))
-        for idx, (kind, j, k) in enumerate(params):
-            add = 1.0 if kind == "re" else 1j
-            g[idx] = float(np.sum(w * 2 * np.real(
-                add * np.conj(U[j, :]) * U[k, :])))
-        return -val, -g
-
-    # the ascent stops about mu below a rank-deficient optimum and the
-    # factor step clips that gap out of the pins, so the last mu sits far
-    # below the assembly tolerance
-    theta = np.zeros(len(params))
-    for mu in (1e-1 * scale, 1e-4 * scale, 1e-8 * scale, 1e-12 * scale):
-        out = _minimize(soft_neg, theta, args=(mu,), jac=True,
-                        method="L-BFGS-B",
-                        options={"maxiter": 400, "ftol": 1e-16,
-                                 "gtol": 1e-14})
-        theta = out.x
-    G = build(theta)
-    return "solved", float(np.linalg.eigvalsh(G)[0]), G
+        return "solved", float(np.linalg.eigvalsh(base)[0]), base, None
+    E = np.zeros((len(params), 4, 4), dtype=complex)
+    for i, (v, j, k) in enumerate(params):
+        E[i, j, k] = v
+        E[i, k, j] = np.conj(v)
+    # the barrier's gap n mu sits far below the assembly tolerance, and
+    # the factor step clips it out of the pins
+    sol = matkit.max_min_eig(base, E)
+    G = base + np.tensordot(sol.theta, E, 1)
+    return "solved", float(np.linalg.eigvalsh(G)[0]), G, sol
 
 
 _SURVIVING_COLS = (0, 1, 2, 5)
@@ -824,27 +810,32 @@ _SURVIVING_COLS = (0, 1, 2, 5)
 def gram_complete_certificate(p, tol=1e-8):
     """Solve for the pinned Gram pattern and factor out q0, q1, q2.
 
-    G is the eigenvalue-optimized solve of the reduced problem placed on
-    the surviving columns; the structurally zero columns stay zero.  The
-    pins are then re-checked on the full 6 x 6 pattern.
+    G is the barrier solve of the reduced problem placed on the surviving
+    columns; the structurally zero columns stay zero.  The pins are then
+    re-checked on the full 6 x 6 pattern.
     """
     P = build_P(p)
-    verdict, lam_red, G4 = _reduced_feasibility(p, tol)
+    verdict, lam_red, G4, sol = _reduced_feasibility(p, tol)
     if verdict == "pinned-reject":
         return GramCertResult("not-certifiable-pinned",
                               pinned_lambda_min=lam_red)
+    solve = {} if sol is None else {"solver_steps": sol.steps,
+                                    "gap": sol.gap}
     pinned = np.block([[P[(1, 1)], P[(1, 2)]], [P[(2, 1)], P[(2, 2)]]])
     lam_pin = float(np.linalg.eigvalsh(herm(pinned))[0])
     scale = max(1.0, float(np.max(np.abs(G4))))
     if lam_red < -tol * scale:
+        if sol is not None:
+            solve.update(Z=sol.Z, dual_value=float(np.vdot(G4, sol.Z).real))
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
-                              reduced_lambda=lam_red)
+                              reduced_lambda=lam_red, **solve)
     G = np.zeros((6, 6), dtype=complex)
     G[np.ix_(_SURVIVING_COLS, _SURVIVING_COLS)] = G4
     resid = _pin_residual(G, P)
     if resid > tol * scale:
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
-                              pin_residual=resid, reduced_lambda=lam_red)
+                              pin_residual=resid, reduced_lambda=lam_red,
+                              **solve)
     lam, U = np.linalg.eigh(herm(G))
     lam = np.clip(lam, 0.0, None)
     cutoff = 1e-10 * max(lam[-1], 1e-300)
@@ -853,7 +844,7 @@ def gram_complete_certificate(p, tol=1e-8):
     q0, q1, q2 = F[:, 0:2], F[:, 2:4], F[:, 4:6]
     r1 = complex(G[0, 1])
     return GramCertResult("feasible", G, q0, q1, q2, r1, F.shape[0],
-                          lam_pin, resid, lam_red)
+                          lam_pin, resid, lam_red, **solve)
 
 
 def _pin_residual(G, P):

@@ -272,6 +272,57 @@ def test_xy_certified_poly(tmp_path):
             p.scalar_coeff(w), abs=1e-7)
 
 
+def test_xy_certified_report_counts_the_solve(tmp_path):
+    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
+    pfile = tmp_path / "cert_poly.txt"
+    pfile.write_text(ncalg.format_poly(p))
+    code, rep = run_out(tmp_path, "xy.json", [
+        "xy", str(pfile), "--sizes", "1", "--samples", "4"])
+    assert code == EXIT_OK
+    gram = rep["results"]["gram"]
+    assert gram["solver_steps"] > 0
+    assert 0 < gram["gap"] <= 1e-10
+    assert "dual_value" not in gram and "Z" not in gram
+
+
+def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch):
+    # a scan that finds nothing sends this input to the Gram stage, whose
+    # dual certificate then proves that no completion is PSD
+    def no_witness(payload):
+        return {"size": list(payload[1]), "inputs": 0, "min_lambda": 0.0}
+
+    monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
+    pfile = tmp_path / "nc_poly.txt"
+    pfile.write_text("vars a: | x: x y\n1 * x x\n1 * y y\n1 * x y y x\n"
+                     "1 * y x x y\n1 * x y x y\n1 * y x y x\n1 * x x y\n"
+                     "1 * y x x\n-2 * x y x\n")
+    code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
+    assert code == EXIT_INCONCLUSIVE
+    gram = rep["results"]["gram"]
+    assert gram["status"] == "not-certifiable"
+    assert gram["dual_value"] == pytest.approx(-1.0, abs=1e-9)
+    assert gram["solver_steps"] > 0
+    Z = cli.junmat(gram["Z"])
+    assert np.linalg.eigvalsh(Z)[0] >= -1e-12
+    assert np.trace(Z).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_xy_loads_no_scipy(tmp_path):
+    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
+    pfile = tmp_path / "cert_poly.txt"
+    pfile.write_text(ncalg.format_poly(p))
+    code = ("import sys\n"
+            "import ncconvex.cli\n"
+            "rc = ncconvex.cli.main(['xy', %r, '--sizes', '1', '--samples',"
+            " '4', '--out', %r])\n"
+            "assert rc == 0, rc\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            % (str(pfile), str(tmp_path / "xy.json")))
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_xy_off_support_rejected(tmp_path):
     pfile = tmp_path / "x2y2.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x y y\n1 * y y x x\n")

@@ -1,5 +1,5 @@
-"""Matrix utilities: PSD tools, Schur complements, blockwise Kronecker
-products, and seeded samplers.
+"""Matrix utilities: PSD tools, Schur complements, the largest smallest
+eigenvalue solver, blockwise Kronecker products, and seeded samplers.
 
 The blockwise product is checked against a literal four-block loop written
 here, and the embedding identity against full Kronecker products.
@@ -19,6 +19,7 @@ from ncconvex.matkit import (
     herm,
     is_psd,
     khatri_rao,
+    max_min_eig,
     sample_herm,
     schur_complement,
     signature_decompose,
@@ -110,6 +111,84 @@ def test_schur_complement_singular_block():
     M[0, 0] = 1.0
     with pytest.raises(SingularError):
         schur_complement(M, 1, which="upper")
+
+
+# ---------------------------------------------------------------------------
+# largest smallest eigenvalue of an affine family, with its dual
+
+def pair_directions(n, pairs):
+    """Re and Im directions of the Hermitian entries (j, k), as a stack."""
+    E = []
+    for j, k in pairs:
+        for v in (1.0, 1j):
+            M = np.zeros((n, n), dtype=complex)
+            M[j, k], M[k, j] = v, np.conj(v)
+            E.append(M)
+    return np.array(E).reshape(-1, n, n)
+
+
+def assert_dual_certificate(F0, Fs, sol):
+    """Z PSD, tr Z = 1, <F_i, Z> = 0 and <F0, Z> - t = gap (weak duality)."""
+    scale = max(1.0, float(np.max(np.abs(F0))))
+    Z = sol.Z
+    assert np.array_equal(Z, Z.conj().T)
+    assert np.linalg.eigvalsh(Z)[0] >= -1e-12
+    assert abs(np.trace(Z).real - 1) <= 1e-10
+    for Fi in Fs:
+        assert abs(np.vdot(Fi, Z)) <= 1e-10
+    assert np.vdot(F0, Z).real - sol.t == pytest.approx(sol.gap,
+                                                      abs=1e-12 * scale)
+    assert 0 < sol.gap <= matkit.GAP_REL * scale
+    G = F0 + np.tensordot(sol.theta, np.reshape(Fs, (-1,) + F0.shape), 1)
+    # t is strictly feasible and within the gap of the dual bound
+    assert sol.t < np.linalg.eigvalsh(G)[0] <= np.vdot(F0, Z).real + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, n=st.integers(1, 4), scale=st.sampled_from((0.1, 1, 30)))
+def test_max_min_eig_without_parameters_is_lambda_min(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    F0 = herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+    sol = max_min_eig(F0, np.zeros((0, n, n)))
+    lam = np.linalg.eigvalsh(F0)[0]
+    assert sol.theta.shape == (0,)
+    assert sol.t == pytest.approx(lam, abs=1e-12 * max(1.0, np.abs(F0).max()))
+    assert sol.steps > 0
+    assert_dual_certificate(F0, [], sol)
+
+
+@pytest.mark.parametrize("diag", [(1.0, 2.0, 3.0, 4.0), (3.0, -1.5, 0.5, 2.0),
+                                  (2.0, 2.0, 5.0, -7.0)])
+@pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 3)])
+def test_max_min_eig_diagonal_with_one_free_pair(diag, pair):
+    # a free off-diagonal entry only spreads the spectrum of its 2 x 2
+    # block, so the optimum keeps it at zero
+    F0 = np.diag(diag).astype(complex)
+    E = pair_directions(4, [pair])
+    sol = max_min_eig(F0, E)
+    assert sol.t == pytest.approx(min(diag), abs=1e-12 * max(map(abs, diag)))
+    assert np.abs(sol.theta).max() <= 1e-9
+    assert_dual_certificate(F0, E, sol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, scale=st.sampled_from((0.1, 1, 30)))
+def test_max_min_eig_dual_certificate_on_random_families(seed, scale):
+    rng = np.random.default_rng(seed)
+    F0 = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * scale
+    E = pair_directions(4, [(0, 1), (0, 2), (1, 3)])
+    sol = max_min_eig(F0, E)
+    assert_dual_certificate(F0, E, sol)
+
+
+def test_max_min_eig_is_deterministic():
+    rng = np.random.default_rng(7)
+    F0 = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    E = pair_directions(4, [(0, 1), (2, 3)])
+    a, b = max_min_eig(F0, E), max_min_eig(F0, E)
+    assert (a.t, a.gap, a.steps) == (b.t, b.gap, b.steps)
+    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.Z, b.Z)
 
 
 # ---------------------------------------------------------------------------

@@ -623,6 +623,56 @@ def test_gram_reduced_lambda_negative_is_not_certifiable():
     assert res.pinned_lambda_min == pytest.approx(0.0, abs=1e-12)
 
 
+def test_gram_not_certifiable_carries_a_dual_certificate():
+    # the same input; base and the free directions written out by hand
+    pl = support_screen(from_coeffs({
+        "xx": 1.0, "yy": 1.0, "xyyx": 1.0, "yxxy": 1.0, "xyxy": 1.0,
+        "yxyx": 1.0, "xxy": 1.0, "yxx": 1.0, "xyx": -2.0}))
+    res = gram_complete_certificate(pl)
+    assert res.status == "not-certifiable"
+    base = np.array([[1, 0, -1, 1], [0, 1, 0, 0], [-1, 0, 1, 1],
+                     [1, 0, 1, 1]], dtype=complex)
+    E = np.zeros((4, 4, 4), dtype=complex)
+    for i, (v, j, k) in enumerate([(1, 0, 1), (1j, 0, 1), (1j, 0, 2),
+                                   (1j, 1, 3)]):
+        E[i, j, k], E[i, k, j] = v, np.conj(v)
+    Z = res.Z
+    assert np.linalg.eigvalsh(Z)[0] >= -1e-12
+    assert abs(np.trace(Z).real - 1) <= 1e-10
+    for Ei in E:
+        assert abs(np.vdot(Ei, Z)) <= 1e-10
+    # <G, Z> = <base, Z> for every completion G, and it is negative
+    assert np.vdot(base, Z).real == pytest.approx(-1.0, abs=1e-10)
+    assert res.dual_value == pytest.approx(np.vdot(base, Z).real, abs=1e-12)
+    assert res.solver_steps > 0
+    assert 0 < res.gap <= 1e-12
+
+
+@pytest.mark.parametrize("seed, scale", [(3, 10.0), (18, 10.0), (0, 1.0),
+                                         (1, 0.3), (2, 3.0)])
+def test_gram_rank_one_closes_the_gap(seed, scale):
+    # a rank-one Gram is the degenerate optimum: a triple zero eigenvalue
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=1, scale=scale)
+    pl = support_screen(p)
+    res = gram_complete_certificate(pl)
+    assert res.is_feasible, res.status
+    assert res.N == 1
+    assert 0 < res.gap <= 1e-12 * max(1.0, float(np.max(np.abs(res.G))))
+    assert res.solver_steps > 0
+    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    assert max(cert.residuals.values()) <= 1e-8
+
+
+def test_gram_solve_is_deterministic():
+    pl = support_screen(synthesize_certified(np.random.default_rng(4),
+                                             N=3)[0])
+    a, b = gram_complete_certificate(pl), gram_complete_certificate(pl)
+    assert np.array_equal(a.G, b.G)
+    assert np.array_equal(a.q0, b.q0)
+    assert (a.gap, a.solver_steps, a.reduced_lambda) \
+        == (b.gap, b.solver_steps, b.reduced_lambda)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, N=st.integers(1, 4), scale=st.sampled_from((0.3, 1, 3)))
 def test_gram_pins_hold_by_construction(seed, N, scale):
