@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -302,10 +303,8 @@ def _serialize_midpoint_witness(wit, p):
 
 def _partial_scan_chunk(payload):
     """One size of the region Hessian scan; module level for pickling."""
-    (rjson, region_name, size, samples, seed, tol_psd, tol_inv, scale) \
+    (R, frame, region_name, size, samples, seed, tol_psd, tol_inv, scale) \
         = payload
-    R = realize.realization_from_json(rjson)
-    frame = realize.range_t_frame(R)
     cfg = AnalysisConfig(tol_psd=tol_psd, tol_inv=tol_inv, scale=scale)
     region = make_region(region_name, R, frame, cfg)
     rng = np.random.default_rng(seed)
@@ -324,6 +323,51 @@ def _partial_scan_chunk(payload):
                    midpoint_pairs=verdict.midpoint_pairs,
                    midpoint_violations=verdict.midpoint_violations)
     return out
+
+
+def _localizing_scan(R, frame, cfg, rng):
+    """Search dom for points where the localizing matrix R_T goes
+    indefinite.  A doubled-point witness at the first such point shows that
+    convexity stops at the PSD region (sharpness); it does not contradict
+    the region verdict.  The dom points, 50 attempts each, come from
+    partialcvx.scan_region, which stops at an indefinite point while there
+    is no witness yet, so that negativity_witness draws from where the
+    per-sample loop would."""
+    entry = {"checked": 0, "indefinite_points": 0}
+    dom_region = make_region("dom", R, frame, cfg)
+    stop = []
+
+    def visit(mats, extra, lam, Q, comp):
+        if not realize._invertible(lam, matkit.TOL_INV).all():
+            raise realize.NotInDomain("pencil is numerically singular")
+        # with k = 0, R_T is the empty matrix: PSD, never indefinite
+        lows = np.linalg.eigvalsh(realize._compress(
+            lam, Q, frame.lift(mats.shape[-1])))[:, 0] if frame.k \
+            else np.zeros(len(lam))
+        for i, low in enumerate(lows.tolist()):
+            entry["checked"] += 1
+            if low < -1e-3:
+                entry["indefinite_points"] += 1
+                if "sharpness_witness" not in entry:
+                    stop.append(HermTuple.make(mats[i, :R.h], mats[i, R.h:]))
+                    return i
+        return None
+
+    for n in cfg.sizes:
+        left, size = cfg.samples, 1
+        while left:
+            used, size = partialcvx.scan_region(
+                dom_region, int(n), left, rng, cfg.scale, visit,
+                max_attempts=50, size=size)
+            left -= used
+            if stop:
+                try:
+                    wit = partialcvx.negativity_witness(R, stop.pop(), rng=rng)
+                    entry["sharpness_witness"] = \
+                        _serialize_doubling_witness(wit)
+                except partialcvx.SpanFailure as exc:
+                    entry["span_failure"] = str(exc)
+    return entry
 
 
 def _raise_on_overflow():
@@ -396,11 +440,10 @@ def cmd_partial(args):
                             "classes": {"a": R.h, "x": R.g}}
 
     frame = realize.range_t_frame(R)
-    rjson = realize.realization_to_json(R)
 
     # Hessian scan over the configured region, one chunk per size
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(rjson, cfg.region, int(s), cfg.samples, seeds[i],
+    payloads = [(R, frame, cfg.region, int(s), cfg.samples, seeds[i],
                  cfg.tol_psd, cfg.tol_inv, cfg.scale)
                 for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
@@ -412,32 +455,9 @@ def cmd_partial(args):
         if "witness" in chunk:
             negative = True
 
-    # search dom for points where the localizing matrix goes indefinite;
-    # a doubled-point witness there shows convexity stops at the PSD
-    # region (sharpness), it does not contradict the region verdict
     t0 = time.monotonic()
-    neg_entry = {"checked": 0, "indefinite_points": 0}
-    rng = np.random.default_rng(seeds[-1])
-    dom_region = make_region("dom", R, frame, cfg)
-    for n in cfg.sizes:
-        for _ in range(cfg.samples):
-            hit = partialcvx._sample_in_region(dom_region, int(n), cfg.scale,
-                                               rng, max_attempts=50)
-            if hit is None:
-                continue
-            t, factors = hit
-            neg_entry["checked"] += 1
-            lam = float(np.linalg.eigvalsh(
-                realize.r_T(R, t, frame, factors=factors))[0])
-            if lam < -1e-3:
-                neg_entry["indefinite_points"] += 1
-                if "sharpness_witness" not in neg_entry:
-                    try:
-                        wit = partialcvx.negativity_witness(R, t, rng=rng)
-                        neg_entry["sharpness_witness"] = \
-                            _serialize_doubling_witness(wit)
-                    except partialcvx.SpanFailure as exc:
-                        neg_entry["span_failure"] = str(exc)
+    neg_entry = _localizing_scan(R, frame, cfg,
+                                 np.random.default_rng(seeds[-1]))
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 
@@ -645,7 +665,9 @@ def _add_config_flags(sub):
     sub.add_argument("--out", default=None, help="write the JSON report here")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ncconvex",
         description="convexity analysis for nc polynomials and rationals")

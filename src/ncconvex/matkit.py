@@ -318,7 +318,8 @@ def sample_stack(n, counts, scale, rng, size):
 
 def _rescaled_herm(Z, scale):
     """Hermitian parts of Z[..., 0, :, :] + i Z[..., 1, :, :], each rescaled
-    to spectral norm scale when its norm is larger."""
+    to spectral norm scale when its norm is larger; scale may be an array
+    that broadcasts against the stack axes."""
     H = herm(Z[..., 0, :, :] + 1j * Z[..., 1, :, :])
     nH = np.linalg.svd(H, compute_uv=False).max(axis=-1)
     big = nH > scale
@@ -329,15 +330,17 @@ def _rescaled_herm(Z, scale):
 def sample_blocks(parts, scale, rng, size):
     """size draws of a list of matrices, as one stack (size, r, c) per part.
 
-    parts lists (r, c, hermitian).  A Hermitian part (r = c) is drawn as
-    sample_herm draws it; a rectangular one is the complex Gaussian
-    (real + i imag) * scale / sqrt 2, real part first.  One rng.normal
-    call fills the stacks in the order of size loops that draw the parts
-    one after another, and the Hermitian parts of one size share one
-    batched rescale.
+    parts lists (r, c, hermitian); scale is one scale for every part or a
+    sequence of one scale per part.  A Hermitian part (r = c) is drawn as
+    sample_herm draws it at its scale; a rectangular one is the complex
+    Gaussian (real + i imag) * scale / sqrt 2, real part first.  One
+    rng.normal call fills the stacks in the order of size loops that draw
+    the parts one after another, and the Hermitian parts of one size share
+    one batched rescale, each to its own scale.
     """
-    widths = [0 if herm_ and scale == 0 else 2 * r * c
-              for r, c, herm_ in parts]
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(parts),))
+    widths = [0 if herm_ and s == 0 else 2 * r * c
+              for (r, c, herm_), s in zip(parts, scales)]
     Z = rng.normal(size=(size, sum(widths)))
     at = np.concatenate([[0], np.cumsum(widths)])
     out = [None] * len(parts)
@@ -350,10 +353,12 @@ def sample_blocks(parts, scale, rng, size):
         if herm_:
             by_size.setdefault(r, []).append((k, raw))
         else:
-            out[k] = (raw[:, 0] + 1j * raw[:, 1]) * scale / np.sqrt(2)
+            out[k] = (raw[:, 0] + 1j * raw[:, 1]) * scales[k] / np.sqrt(2)
     for group in by_size.values():
-        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1), scale)
-        for j, (k, _) in enumerate(group):
+        ks = [k for k, _ in group]
+        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1),
+                           scales[ks])
+        for j, k in enumerate(ks):
             out[k] = H[:, j]
     return out
 

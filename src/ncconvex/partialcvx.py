@@ -13,12 +13,17 @@ probe over direct sums.
 
 Region points come from a block rejection sampler (_sample_in_region):
 candidates are drawn in blocks of 1, 2, 4, ... with matkit.sample_stack
-and tested with one realize.Region.test call per block.  The generator
-ends where a loop of per-draw sample_tuple calls would leave it, so every
-draw, and with it every verdict, is that of the per-draw loop.  The
-accepted point comes with the eigenpairs of its pencil, and the Hessian
-probe, the midpoint triple and the span probe evaluate from them instead
-of factoring the point again.
+and tested with one realize.Region.test call per block.  The Hessian and
+midpoint scans draw whole probes (a point and the matrices drawn after
+it) the same way, speculatively (scan_region): a block of probes is drawn
+with one matkit.sample_blocks call and its points are tested with one
+Region.test, and only a point outside the region falls back to the
+rejection sampler.  The generator always ends where a loop of per-draw
+sample_tuple and sample_herm calls would leave it, so every draw, and
+with it every verdict, is that of the per-sample loop.  An accepted point
+comes with the eigenpairs of its pencil, and the Hessian probe, the
+midpoint triple and the span probe evaluate from them instead of
+factoring the point again.
 """
 
 from __future__ import annotations
@@ -60,12 +65,9 @@ def _direction_op(R, H, n):
 def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV, factors=None):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
     factors are the pencil's eigenpairs at t when already known."""
-    res = resolvent(R, t, tol_inv, factors)
-    L = _direction_op(R, H, t.n)
-    C = R.c_lift(t.n)
-    Rc = res @ C
-    LRc = L @ Rc
-    return matkit.herm(2.0 * (LRc.conj().T @ res @ LRc))
+    lam, Q = realize._pencil_eigh(R, t, tol_inv, factors)
+    H = np.asarray(H, dtype=complex).reshape(1, R.g, t.n, t.n)
+    return _hessians(R, lam[None], Q[None], H)[0]
 
 
 def partial_hessian_forms(R, t, H, frame=None, tol_inv=matkit.TOL_INV):
@@ -121,20 +123,21 @@ class Witness:
         return True
 
 
-def _sample_in_region(region, n, scale, rng, max_attempts=500):
+def _sample_in_region(region, n, scale, rng, max_attempts=500, size=1):
     """The first of max_attempts sample_tuple draws that lies in the
     region, with its pencil eigenpairs (lam, Q); None when none does.
 
-    Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
-    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
-    block.  When the accepted candidate is not the last of its block, the
-    generator is rewound to the block's start and only the draws up to it
-    are made again, so it ends where the per-draw loop would.
+    Candidates are drawn in blocks of size, 2 size, 4 size, ... (capped by
+    the attempts left and by BLOCK_ENTRIES), one sample_stack and one
+    region.test per block.  When the accepted candidate is not the last of
+    its block, the generator is rewound to the block's start and only the
+    draws up to it are made again, so it ends where the per-draw loop
+    would.
     """
     R = region.R
     counts = (R.h, R.g)
     cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
-    done, size = 0, 1
+    done = 0
     while done < max_attempts:
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
@@ -152,6 +155,121 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     return None
 
 
+def _rewind(rng, state, normals):
+    """Put the generator at state and past the next normals draws."""
+    rng.bit_generator.state = state
+    rng.normal(size=normals)
+
+
+def scan_region(region, n, samples, rng, scale, visit, extra=(),
+                companions=None, max_attempts=500, size=1):
+    """Draw samples region probes in the order of the per-sample loop and
+    hand them to visit run by run; returns (probes drawn, next block size).
+
+    A probe is a point drawn as _sample_in_region draws it (the first of
+    max_attempts sample_tuple draws at scale that lies in the region),
+    followed by one Hermitian n x n draw per entry of extra, at that
+    scale.  A probe whose draws all miss the region draws nothing more and
+    is dropped.  companions = (c, points): points(mats, extra) maps a
+    stack of probes to the (B, c, h + g, n, n) points that each of them
+    also needs tested.
+
+    Probes are drawn speculatively, in blocks of size, 2 size, 4 size, ...
+    (capped by the probes left and by BLOCK_ENTRIES): one sample_blocks
+    call draws a block's points and extras in draw order, and one
+    region.test tests its points together with their companions.
+    visit(mats, extra, lam, Q, comp) gets the probes before the first
+    point outside the region: their points (B, h + g, n, n), extras
+    (B, m, n, n), pencil eigenpairs (B, en) and (B, en, en), and comp =
+    (inside, lam, Q) of their companions, shaped (B, c, ...), or None.  It
+    returns None to go on, or the index of the probe after which the scan
+    stops; the generator is then rewound to the end of that probe's draws.
+    At a point outside the region the generator is rewound past that draw,
+    _sample_in_region finishes the probe from its second attempt on, and
+    the next block has size 1 again.  Every draw is that of the per-sample
+    loop, and the generator ends where that loop would leave it.
+    """
+    R = region.R
+    hg = R.h + R.g
+    parts = [(n, n, True)] * (hg + len(extra))
+    scales = [scale] * hg + list(extra)
+    widths = [0 if s == 0 else 2 * n * n for s in scales]
+    per_point, per_probe = sum(widths[:hg]), sum(widths)
+
+    def draw(first, B):
+        """B draws of the parts from first on, as (B, parts, n, n)."""
+        if first == len(parts):
+            return np.zeros((B, 0, n, n), dtype=complex)
+        return np.stack(matkit.sample_blocks(parts[first:], scales[first:],
+                                             rng, B), axis=1)
+
+    c, points = (0, None) if companions is None else companions
+    cap = max(1, BLOCK_ENTRIES // ((1 + c) * (R.e * n) ** 2))
+    done = 0
+    while done < samples:
+        B = min(size, cap, samples - done)
+        state = rng.bit_generator.state
+        probes = draw(0, B)
+        mats, ext = probes[:, :hg], probes[:, hg:]
+        pts = mats if points is None else np.concatenate(
+            [mats, points(mats, ext).reshape((B * c,) + mats.shape[1:])])
+        mask, lam, Q = region.test(pts)
+        r = B if mask[:B].all() else int(np.argmin(mask[:B]))
+        if r:
+            comp = None if points is None else tuple(
+                a[B:].reshape((B, c) + a.shape[1:])[:r]
+                for a in (mask, lam, Q))
+            stop = visit(mats[:r], ext[:r], lam[:r], Q[:r], comp)
+            if stop is not None:
+                _rewind(rng, state, (stop + 1) * per_probe)
+                return done + stop + 1, size
+        done += r
+        if r == B:
+            size *= 2
+            continue
+        # probe r's point missed: finish that probe one point at a time
+        _rewind(rng, state, r * per_probe + per_point)
+        done, size = done + 1, 1
+        hit = _sample_in_region(region, n, scale, rng, max_attempts - 1, 2)
+        if hit is None:
+            continue
+        t, (lam, Q) = hit
+        mats, ext = realize._stack([t]), draw(hg, 1)
+        comp = None if points is None else tuple(
+            a[None] for a in region.test(points(mats, ext)[0]))
+        if visit(mats, ext, lam[None], Q[None], comp) is not None:
+            return done, size
+    return done, size
+
+
+def _hessians(R, lam, Q, H):
+    """partial_hessian at a stack of points from their pencil eigenpairs
+    (B, en) and (B, en, en), in the directions H (B, g, n, n)."""
+    B, n = H.shape[0], H.shape[-1]
+    res = (Q / lam[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+    L = realize.kron_sum(R.T, H) if R.T \
+        else np.zeros((B, R.e * n, R.e * n), dtype=complex)
+    LRc = L @ (res @ R.c_lift(n))
+    return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ res @ LRc))
+
+
+def _midpoint_companions(h):
+    """companions for scan_region: the points (A, Y) and (A, (X + Y)/2) of
+    each probe (A, X) with extras Y."""
+    def points(mats, Y):
+        A, X = mats[:, :h], mats[:, h:]
+        return np.stack([np.concatenate([A, Y], axis=1),
+                         np.concatenate([A, (X + Y) / 2], axis=1)], axis=1)
+    return 2, points
+
+
+def _below(lows, vals, tol):
+    """Indices i with lows[i] < -tol max(1, ||vals[i]||_2), in order;
+    the norm is computed only where lows[i] < -tol."""
+    return [i for i in np.flatnonzero(lows < -tol)
+            if lows[i] < -tol * max(1.0, float(np.linalg.norm(vals[i], 2)))]
+
+
 def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
                       rng=None, tol=TOL_PSD, scale=0.5,
                       midpoint_pairs=10):
@@ -159,59 +277,73 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     region is a realize.Region of R; the default is dom r.  The midpoint
     inequality r(A, (X+Y)/2) <= (r(A,X) + r(A,Y))/2 is cross-checked on
-    paired samples from the same region.  Each probe and each midpoint
-    triple evaluates from the eigenpairs the region test handed on.
+    paired samples from the same region.
+
+    Both scans run through scan_region, which draws probes in speculative
+    blocks: a Hessian probe is a region point and its g directions H (at
+    scale 1), a midpoint probe a point (A, X) and its Y (at scale), with
+    (A, Y) and the midpoint tested in the same region.test as the points.
+    The Hessians of a run are evaluated as one stack from the eigenpairs
+    the region test handed on, with one batched eigvalsh, and so are the
+    midpoint gaps.  The midpoint blocks of a size start at the size the
+    Hessian blocks reached.  Every draw, and so every verdict, is that of
+    a loop that draws and evaluates one sample at a time.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
-    count = 0
-    min_lambda = np.inf
+    count, min_lambda, found = 0, np.inf, []
+
+    def hessian_run(mats, H, lam, Q, comp):
+        nonlocal count, min_lambda
+        ok = np.flatnonzero(realize._invertible(lam, matkit.TOL_INV))
+        if not ok.size:
+            return None
+        vals = _hessians(R, lam[ok], Q[ok], H[ok])
+        lows = np.linalg.eigvalsh(vals)[:, 0]
+        bad = _below(lows, vals, tol)
+        upto = bad[0] + 1 if bad else len(ok)
+        count += upto
+        min_lambda = min([min_lambda] + lows[:upto].tolist())
+        if not bad:
+            return None
+        j, i = bad[0], int(ok[bad[0]])
+        t = HermTuple.make(mats[i, :R.h], mats[i, R.h:])
+        probe = HessianProbe(t, tuple(H[i]), vals[j], float(lows[j]))
+        found.append(Witness(probe, -float(lows[j])))
+        return i
+
+    grown = {}
     for n in sizes:
-        for _ in range(samples):
-            hit = _sample_in_region(region, n, scale, rng)
-            if hit is None:
-                continue
-            t, factors = hit
-            H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
-            try:
-                val = partial_hessian(R, t, H, factors=factors)
-            except NotInDomain:
-                continue
-            lam = float(np.linalg.eigvalsh(val)[0]) if val.size else 0.0
-            count += 1
-            min_lambda = min(min_lambda, lam)
-            if lam < -tol * max(1.0, float(np.linalg.norm(val, 2))):
-                probe = HessianProbe(t, H, val, lam)
-                return Witness(probe, -lam)
+        _, grown[n] = scan_region(region, n, samples, rng, scale, hessian_run,
+                                  extra=(1.0,) * R.g)
+        if found:
+            return found[0]
     if count == 0:
         raise RegionEmpty("no region point found at sizes %r" % (sizes,))
 
     pairs = viol = 0
+
+    def midpoint_run(mats, Y, lam, Q, comp):
+        nonlocal pairs, viol
+        inside, clam, cQ = comp
+        ok = np.flatnonzero(
+            inside.all(axis=1) & realize._invertible(lam, matkit.TOL_INV)
+            & realize._invertible(clam, matkit.TOL_INV).all(axis=1))
+        if not ok.size:
+            return None
+        lift = R.c_lift(mats.shape[-1])
+        gap = (realize._compress(lam[ok], Q[ok], lift)
+               + realize._compress(clam[ok, 0], cQ[ok, 0], lift)) / 2 \
+            - realize._compress(clam[ok, 1], cQ[ok, 1], lift)
+        pairs += len(ok)
+        viol += len(_below(np.linalg.eigvalsh(matkit.herm(gap))[:, 0], gap,
+                           tol))
+        return None
+
     for n in sizes:
-        for _ in range(midpoint_pairs):
-            hit = _sample_in_region(region, n, scale, rng)
-            if hit is None:
-                continue
-            t1, f1 = hit
-            Y = tuple(sample_herm(n, scale, rng) for _ in range(R.g))
-            t2 = HermTuple(n, t1.A, Y, validate=False)
-            mid = HermTuple(
-                n, t1.A,
-                tuple((a + b) / 2 for a, b in zip(t1.X, Y)),
-                validate=False)
-            inside, lams, Qs = region.test_points([t2, mid])
-            if not inside.all():
-                continue
-            try:
-                gap = (eval_realization(R, t1, f1)
-                       + eval_realization(R, t2, (lams[0], Qs[0]))) / 2 \
-                    - eval_realization(R, mid, (lams[1], Qs[1]))
-            except NotInDomain:
-                continue
-            pairs += 1
-            lam = float(np.linalg.eigvalsh(matkit.herm(gap))[0])
-            if lam < -tol * max(1.0, float(np.linalg.norm(gap, 2))):
-                viol += 1
+        scan_region(region, n, midpoint_pairs, rng, scale, midpoint_run,
+                    extra=(scale,) * R.g,
+                    companions=_midpoint_companions(R.h), size=grown[n])
     return ConvexEvidence(count, float(min_lambda), pairs, viol)
 
 

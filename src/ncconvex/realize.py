@@ -411,15 +411,51 @@ def _orth(B, rtol=RTOL_RANK):
     return U[:, :k]
 
 
+def _krylov_cut(mats, seed, rtol):
+    """Absolute rank cut rtol max(1, ||seed||, ||M_i||_F) of a Krylov loop."""
+    return rtol * max([1.0, np.linalg.norm(seed)]
+                      + [np.linalg.norm(M) for M in mats])
+
+
+def _pivoted_gs(Q, cand, cut):
+    """Extend the orthonormal columns Q by the candidates that leave its
+    span: column-pivoted Gram-Schmidt, taking largest residual first while
+    it exceeds cut (re-orthogonalized once against Q, never beyond
+    dimension Q.shape[0]).  Returns (Q extended, indices of the kept
+    candidates in the order taken)."""
+    d = Q.shape[0]
+    res = cand - Q @ (Q.conj().T @ cand)
+    res = res - Q @ (Q.conj().T @ res)
+    kept, new = [], []
+    while Q.shape[1] + len(new) < d:
+        norms = np.linalg.norm(res, axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] <= cut:
+            break
+        q = res[:, j] / norms[j]
+        res = res - np.outer(q, q.conj() @ res)
+        new.append(q)
+        kept.append(j)
+    return (np.column_stack([Q] + new) if new else Q), kept
+
+
 def _krylov_closure(mats, seed, rtol=RTOL_RANK):
-    """Smallest invariant subspace (under all mats) containing the seed."""
-    Q = _orth(seed.reshape(-1, 1), rtol)
-    while True:
-        cols = [Q] + [M @ Q for M in mats]
-        Q2 = _orth(np.hstack(cols), rtol)
-        if Q2.shape[1] == Q.shape[1]:
-            return Q2
-        Q = Q2
+    """Smallest invariant subspace (under all mats) containing the seed,
+    as orthonormal columns.
+
+    Built breadth first: each level orthogonalizes only the frontier, the
+    images M_i q of the columns q the previous level added, against the
+    columns kept so far (_pivoted_gs with the cut of _krylov_cut), and
+    stops when a level adds nothing.
+    """
+    cut = _krylov_cut(mats, seed, rtol)
+    Q = np.zeros((len(seed), 0), dtype=complex)
+    frontier = seed.reshape(-1, 1)
+    while frontier.shape[1]:
+        k = Q.shape[1]
+        Q, _ = _pivoted_gs(Q, frontier, cut)
+        frontier = np.hstack([Q[:, :0]] + [M @ Q[:, k:] for M in mats])
+    return Q
 
 
 def reduce_linear_rep(rep, rtol=RTOL_RANK):
@@ -445,43 +481,30 @@ def is_minimal_rep(rep, rtol=RTOL_RANK):
     return _krylov_closure(adj, rep.u, rtol).shape[1] == d
 
 
-def _krylov_pairs(rep, rtol=RTOL_RANK):
+def _krylov_pairs(mats, v, pmats, u, rtol=RTOL_RANK):
     """d independent Krylov columns C = [M_w v] and their partners
-    D = [(M_{w~})* u], built breadth first by C_{iw} = M_i C_w and
-    D_{iw} = M_i* D_w from the columns kept so far.
+    D = [P_w u], built breadth first by C_{iw} = M_i C_w and
+    D_{iw} = P_i D_w from the columns kept so far.
 
-    Each level keeps, largest first, the candidates whose component
-    orthogonal to the kept columns exceeds rtol times the scale
-    max(1, ||v||, ||M_i||_F) (column-pivoted Gram-Schmidt); each kept
-    pair is scaled to a unit C column, which leaves D C^{-1} unchanged.
-    Raises SymmetrizationError when the span stops short of d (the
-    representation is not reachable, so not minimal).
+    Each level keeps the candidates that _pivoted_gs takes, with the cut
+    of _krylov_cut on (mats, v); each kept pair is scaled to a unit C
+    column, which leaves D C^{-1} unchanged.  Raises SymmetrizationError
+    when the span stops short of d (the representation is not reachable,
+    so not minimal).
     """
-    d = rep.dim
-    cut = rtol * max([1.0, np.linalg.norm(rep.v)]
-                     + [np.linalg.norm(M) for M in rep.mats])
+    d = len(v)
+    cut = _krylov_cut(mats, v, rtol)
     Q = np.zeros((d, 0), dtype=complex)
     C, D = [Q], [Q]
-    cand, part = rep.v[:, None], rep.u[:, None]
+    cand, part = v[:, None], u[:, None]
     while cand.shape[1] and Q.shape[1] < d:
-        res = cand - Q @ (Q.conj().T @ cand)
-        res = res - Q @ (Q.conj().T @ res)
-        kept = []
-        while Q.shape[1] < d:
-            norms = np.linalg.norm(res, axis=0)
-            j = int(np.argmax(norms))
-            if norms[j] <= cut:
-                break
-            q = res[:, j] / norms[j]
-            res = res - np.outer(q, q.conj() @ res)
-            Q = np.hstack([Q, q[:, None]])
-            kept.append(j)
+        Q, kept = _pivoted_gs(Q, cand, cut)
         scale = np.linalg.norm(cand[:, kept], axis=0)
         newC, newD = cand[:, kept] / scale, part[:, kept] / scale
         C.append(newC)
         D.append(newD)
-        cand = np.hstack([M @ newC for M in rep.mats])
-        part = np.hstack([M.conj().T @ newD for M in rep.mats])
+        cand = np.hstack([newC[:, :0]] + [M @ newC for M in mats])
+        part = np.hstack([newD[:, :0]] + [P @ newD for P in pmats])
     C, D = np.hstack(C), np.hstack(D)
     if C.shape[1] < d:
         raise SymmetrizationError(
@@ -500,7 +523,8 @@ def _solve_intertwiner(rep, tol=1e-6):
     sqrt(sum_i ||Sigma M_i - M_i* Sigma||_F^2 + ||Sigma v - u||^2) /
     max(1, ||u||), and the relative Hermitian defect are both <= tol.
     """
-    C, D = _krylov_pairs(rep)
+    C, D = _krylov_pairs(rep.mats, rep.v,
+                         tuple(M.conj().T for M in rep.mats), rep.u)
     Sig = np.linalg.solve(C.T, D.T).T
     sq = sum(np.linalg.norm(Sig @ M - M.conj().T @ Sig) ** 2
              for M in rep.mats)
@@ -571,30 +595,29 @@ def state_space_similarity(R1, R2, tol=1e-8):
 
     R1 carries (J, Z, c), R2 carries (K, W, b); both must be minimal
     signature realizations of a common function, in which case S also
-    satisfies S* K S = J.  Returns NotEquivalent when the system is
-    inconsistent or the congruence check fails.
+    satisfies S* K S = J.  With A_j = J Z_j and B_j = K W_j, S maps
+    A_w J c to B_w K b for every word w, so S C1 = C2 on the Krylov pairs
+    of _krylov_pairs; R1 is reachable, so C1 is invertible and
+    S = C2 C1^{-1}, an O(e^3) solve.  Returns NotEquivalent when the
+    relative residual of the full system exceeds tol or the congruence
+    check fails.
     """
     for R in (R1, R2):
         if not is_minimal_rep(smr_linear_rep(R)):
             raise MinimalityError("state_space_similarity requires minimal inputs")
     if (R1.e != R2.e or R1.h != R2.h or R1.g != R2.g):
         return NotEquivalent("size mismatch")
-    e = R1.e
     J, K = R1.J, R2.J
-    I = np.eye(e)
-    rows, rhs = [], []
-    for Z, W in zip(R1.S + R1.T, R2.S + R2.T):
-        rows.append(np.kron(I, (J @ Z).T) - np.kron(K @ W, I))
-        rhs.append(np.zeros(e * e, dtype=complex))
-    rows.append(np.kron(I, (J @ R1.c).reshape(1, -1)))
-    rhs.append(K @ R2.c)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
+    A = tuple(J @ Z for Z in R1.S + R1.T)
+    B = tuple(K @ W for W in R2.S + R2.T)
+    a, b = J @ R1.c, K @ R2.c
+    C1, C2 = _krylov_pairs(A, a, B, b)
+    S = np.linalg.solve(C1.T, C2.T).T
+    sq = sum(np.linalg.norm(S @ Ai - Bi @ S) ** 2 for Ai, Bi in zip(A, B))
+    sq += np.linalg.norm(S @ a - b) ** 2
+    res = np.sqrt(sq) / max(1.0, np.linalg.norm(b))
     if res > tol:
         return NotEquivalent("intertwining system inconsistent (residual %g)" % res)
-    S = x.reshape(e, e)
     congr = np.linalg.norm(S.conj().T @ K @ S - J, 2)
     if congr > tol * max(1.0, np.linalg.norm(S, 2) ** 2):
         return NotEquivalent("congruence defect %g" % congr)

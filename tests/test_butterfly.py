@@ -5,6 +5,8 @@ Every alternative evaluator is compared against eval_realization, which is
 plain pencil inversion and serves as the oracle throughout.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,9 +36,13 @@ from ncconvex.realize import (
     in_dom_kebab,
     in_dom_kebab_plus,
     linearize_poly,
+    Region,
     r_T,
     range_t_frame,
 )
+
+DATA = Path(realize.__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CTX_AX = VarContext(("a",), ("x",))
 CTX_A2X = VarContext(("a",), ("x1", "x2"))
@@ -201,6 +207,32 @@ def test_slice_membership_plus_on_xax():
     neg = slice_reduce(R, (np.array([[-1.0 + 0j]]),))
     assert pos.membership_plus(X)
     assert not neg.membership_plus(X)
+
+
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_slice_membership_plus_matches_dom_plus_on_corpora(
+        workload, tmp_path, monkeypatch):
+    """At a frozen A, the slice normal form decides dom+ membership as the
+    dom-plus Region does, on the realizations of the partial corpora."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    rng = np.random.default_rng(0)
+    inside = total = 0
+    for item in corpus.build(workload, 1, tmp_path, DATA):
+        R = linearize_poly(item.poly)
+        region = Region(R, "dom-plus")
+        for n in (1, 2):
+            A = tuple(matkit.sample_herm(n, 0.6, rng) for _ in range(R.h))
+            form = slice_reduce(R, A, n=n)
+            for _ in range(4):
+                X = tuple(matkit.sample_herm(n, 0.6, rng) for _ in range(R.g))
+                want = HermTuple(n, A, X, validate=False) in region
+                assert form.membership_plus(X) == want, item.name
+                inside += want
+                total += 1
+    assert inside > 0
+    if workload == "partial-reject":
+        assert inside < total
 
 
 # ---------------------------------------------------------------------------

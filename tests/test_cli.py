@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncconvex import cli, examples, matkit, ncalg, realize, xycvx
+from ncconvex import cli, examples, matkit, ncalg, partialcvx, realize, \
+    xycvx
 from ncconvex.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -168,6 +169,21 @@ def test_partial_realization_input(tmp_path):
     assert rep["results"]["input"]["kind"] == "realization"
     assert rep["results"]["input"]["e"] == 4
     assert "butterfly" in rep["results"]
+
+
+@pytest.mark.parametrize("T", [[[[[0, 0]]]], []],
+                         ids=["zero-T", "no-letters"])
+def test_partial_realization_with_zero_x_range(tmp_path, T):
+    # ran T = 0, so R_T is the empty matrix (k = 0); with no letters at
+    # all the Krylov loops have no matrices to apply
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"J": [[[1, 0]]], "S": [], "T": T,
+                                 "c": [[1, 0]]}))
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(rfile), "--sizes", "1,2", "--samples", "2"])
+    assert code == EXIT_OK
+    assert rep["results"]["localizing_scan"]["checked"] == 4
+    assert rep["results"]["localizing_scan"]["indefinite_points"] == 0
 
 
 def test_partial_ball_region(tmp_path):
@@ -393,16 +409,35 @@ def run_python(argv):
                           text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("name", ["ill_conditioned_sos_1.txt",
-                                  "ill_conditioned_sos_2.txt"])
+@pytest.mark.parametrize("name", ["ill_conditioned_sos_1.txt"])
 def test_numerical_breakdown_exits_inconclusive(name):
-    """Sums of squares whose Hankel matrix is close to lower rank: the
-    reduced realization is too large and its intertwiner singular."""
+    """A sum of squares whose Hankel matrix is close to lower rank (16):
+    the reduced realization keeps 17 states and its intertwiner is
+    singular."""
     proc = run_python(["-m", "ncconvex.cli", "partial", str(TEST_DATA / name),
                        "--sizes", "1,2", "--samples", "2"])
     assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("inconclusive: numerical breakdown:")
+
+
+def test_ill_conditioned_sos_reduces_to_its_hankel_rank():
+    """A sum of squares whose Hankel matrix is close to lower rank: the
+    Krylov closure keeps its numerical rank at 1e-10, 17 states, the
+    realization reproduces p, and partial certifies it."""
+    path = TEST_DATA / "ill_conditioned_sos_2.txt"
+    proc = run_python(["-m", "ncconvex.cli", "partial", str(path),
+                       "--sizes", "1,2", "--samples", "2"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    p = ncalg.parse_poly(path.read_text())
+    R = realize.linearize_poly(p)
+    assert R.e == 17
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            t = matkit.sample_tuple(n, (R.h, R.g), 1.0, rng)
+            err = realize.eval_realization(R, t) - ncalg.eval_poly(p, t)
+            assert float(np.max(np.abs(err))) <= 1e-8
 
 
 def test_unexpected_exception_exits_internal():
@@ -516,6 +551,86 @@ def test_reports_independent_of_workers(tmp_path):
     _, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "3"])
     assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
         == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
+
+
+@pytest.mark.parametrize("region", ["default", "dom"])
+def test_partial_report_independent_of_workers(tmp_path, region):
+    # the realization and its frame go to the scan chunks as objects
+    base = ["partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
+            "--samples", "4", "--seed", "6", "--region", region]
+    code1, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
+    code2, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "2"])
+    assert code1 == code2
+    assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
+        == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
+
+
+def reference_localizing_scan(R, frame, cfg, rng):
+    """The localizing scan one dom point at a time."""
+    entry = {"checked": 0, "indefinite_points": 0}
+    dom_region = cli.make_region("dom", R, frame, cfg)
+    for n in cfg.sizes:
+        for _ in range(cfg.samples):
+            hit = partialcvx._sample_in_region(dom_region, n, cfg.scale, rng,
+                                               max_attempts=50)
+            if hit is None:
+                continue
+            t, factors = hit
+            entry["checked"] += 1
+            lam = float(np.linalg.eigvalsh(
+                realize.r_T(R, t, frame, factors=factors))[0])
+            if lam < -1e-3:
+                entry["indefinite_points"] += 1
+                if "sharpness_witness" not in entry:
+                    try:
+                        wit = partialcvx.negativity_witness(R, t, rng=rng)
+                        entry["sharpness_witness"] = \
+                            cli._serialize_doubling_witness(wit)
+                    except partialcvx.SpanFailure as exc:
+                        entry["span_failure"] = str(exc)
+    return entry
+
+
+RESOLVENT_1 = '{"J": [[[1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]], ' \
+    '"c": [[1, 0]]}'
+
+
+@pytest.mark.parametrize("text, seed, tol_inv", [
+    ("vars a: a | x: x\n1 * x a x\n", 0, 1e-10),
+    ("vars a: a | x: x\n1 * x a x\n", 3, 1e-10),
+    ("vars a: a | x: x\n1 * x x x x\n1 * a x x\n1 * x x a\n", 1, 1e-10),
+    ("vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n", 2,
+     1e-10),
+    # 1 / (1 - 2a - 2x): tol_inv 0.3 rejects part of each block
+    (RESOLVENT_1, 0, 0.3),
+    (RESOLVENT_1, 5, 0.3),
+])
+def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
+    if text.startswith("{"):
+        R = realize.realization_from_json(json.loads(text))
+    else:
+        R = realize.linearize_poly(ncalg.parse_poly(text))
+    frame = realize.range_t_frame(R)
+    cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
+                             tol_inv=tol_inv)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_localizing_scan(R, frame, cfg, ref_rng)
+    got = cli._localizing_scan(R, frame, cfg, rng)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_parser_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["partial", str(DATA / "xax_poly.txt"), "--samples", "x"])
+        assert ei.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+    # defaults do not leak from one parse into the next
+    args = cli.build_parser().parse_args(["partial", "p.txt", "--seed", "4"])
+    assert args.seed == 4
+    assert cli.build_parser().parse_args(["partial", "p.txt"]).seed == 0
 
 
 def test_xy_certificate_report_independent_of_workers(tmp_path):

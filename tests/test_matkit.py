@@ -272,3 +272,24 @@ def test_sample_tuple_counts(rng):
     t = matkit.sample_tuple(3, (2, 1), 0.5, rng)
     assert len(t.A) == 2 and len(t.X) == 1
     assert t.n == 3
+
+
+def test_sample_blocks_per_part_scale_keeps_the_loop_draws():
+    """With one scale per part, sample_blocks draws what a loop of one
+    sample_herm (Hermitian parts) or scaled Gaussian (rectangular parts)
+    per part draws, part after part, and skips the scale-0 Hermitian
+    parts, leaving the generator where that loop leaves it."""
+    parts = [(2, 2, True), (3, 1, False), (2, 2, True), (3, 3, True),
+             (2, 2, True)]
+    scales = [0.4, 2.0, 1.0, 0.7, 0.0]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = matkit.sample_blocks(parts, scales, rng, 3)
+    for b in range(3):
+        for (r, c, herm_), s, stack in zip(parts, scales, got):
+            if herm_:
+                want = sample_herm(r, s, ref)
+            else:
+                want = (ref.normal(size=(r, c))
+                        + 1j * ref.normal(size=(r, c))) * s / np.sqrt(2)
+            assert np.array_equal(stack[b], want)
+    assert rng.bit_generator.state == ref.bit_generator.state

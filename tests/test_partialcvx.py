@@ -292,6 +292,157 @@ def test_block_sampler_empty_region_exhausts_budget(max_attempts):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
+                      midpoint_pairs=10):
+    """convexity_verdict one sample at a time: each point from
+    _sample_in_region, then that sample's own draws and evaluations.
+    Returns the verdict (None for an empty region) and the Hessian probes
+    as (direction, lambda_min) pairs."""
+    probes = []
+    count, min_lambda = 0, np.inf
+    for n in sizes:
+        for _ in range(samples):
+            hit = partialcvx._sample_in_region(region, n, scale, rng)
+            if hit is None:
+                continue
+            t, factors = hit
+            H = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(R.g))
+            try:
+                val = partial_hessian(R, t, H, factors=factors)
+            except realize.NotInDomain:
+                continue
+            lam = float(np.linalg.eigvalsh(val)[0])
+            probes.append((H, lam))
+            count += 1
+            min_lambda = min(min_lambda, lam)
+            if lam < -tol * max(1.0, float(np.linalg.norm(val, 2))):
+                probe = partialcvx.HessianProbe(t, H, val, lam)
+                return Witness(probe, -lam), probes
+    if count == 0:
+        return None, probes
+    pairs = viol = 0
+    for n in sizes:
+        for _ in range(midpoint_pairs):
+            hit = partialcvx._sample_in_region(region, n, scale, rng)
+            if hit is None:
+                continue
+            t1, f1 = hit
+            Y = tuple(matkit.sample_herm(n, scale, rng) for _ in range(R.g))
+            t2 = HermTuple(n, t1.A, Y, validate=False)
+            mid = HermTuple(n, t1.A,
+                            tuple((a + b) / 2 for a, b in zip(t1.X, Y)),
+                            validate=False)
+            inside, lams, Qs = region.test_points([t2, mid])
+            if not inside.all():
+                continue
+            try:
+                gap = (realize.eval_realization(R, t1, f1)
+                       + realize.eval_realization(R, t2, (lams[0], Qs[0]))) \
+                    / 2 - realize.eval_realization(R, mid, (lams[1], Qs[1]))
+            except realize.NotInDomain:
+                continue
+            pairs += 1
+            lam = float(np.linalg.eigvalsh(matkit.herm(gap))[0])
+            if lam < -tol * max(1.0, float(np.linalg.norm(gap, 2))):
+                viol += 1
+    return ConvexEvidence(count, float(min_lambda), pairs, viol), probes
+
+
+def block_verdict(R, region, sizes, samples, rng, monkeypatch, **kw):
+    """convexity_verdict with its Hessian probes recorded as
+    (direction, lambda_min) pairs; None for an empty region."""
+    probes = []
+    hessians = partialcvx._hessians
+
+    def spy(R_, lam, Q, H):
+        vals = hessians(R_, lam, Q, H)
+        lows = np.linalg.eigvalsh(vals)[:, 0]
+        probes.extend((tuple(Hi), float(low)) for Hi, low in zip(H, lows))
+        return vals
+
+    monkeypatch.setattr(partialcvx, "_hessians", spy)
+    try:
+        out = convexity_verdict(R, region, sizes, samples, rng, **kw)
+    except RegionEmpty:
+        out = None
+    monkeypatch.setattr(partialcvx, "_hessians", hessians)
+    return out, probes
+
+
+def assert_same_verdict(got, want):
+    (out, probes), (ref, ref_probes) = got, want
+    if isinstance(ref, Witness):
+        # the block stack evaluates probes past the witness; drop them
+        probes = probes[:len(ref_probes)]
+    assert len(probes) == len(ref_probes)
+    for (H, lam), (H_ref, lam_ref) in zip(probes, ref_probes):
+        assert all(np.array_equal(a, b) for a, b in zip(H, H_ref))
+        assert lam == lam_ref
+    if isinstance(ref, Witness):
+        assert isinstance(out, Witness)
+        assert out.margin == ref.margin
+        assert np.array_equal(out.probe.value, ref.probe.value)
+        for M, N in zip(out.probe.point.mats + out.probe.direction,
+                        ref.probe.point.mats + ref.probe.direction):
+            assert np.array_equal(M, N)
+    else:
+        assert out == ref
+
+
+QUARTIC_SQUARE = ncalg.parse_poly("vars a: | x: x\n1 * x x x x\n"
+                                  "0.4 * x x\n")
+
+
+def test_speculative_witness_matches_per_sample_loop(monkeypatch):
+    # x^4 + 0.4 x^2 on dom: every draw is accepted and a Hessian probe is
+    # negative now and then, so witnesses fall at every block position
+    R = linearize_poly(QUARTIC_SQUARE)
+    region = Region(R, "dom")
+    seen = set()
+    for seed in range(40):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_verdict(R, region, (2,), 15, ref_rng, scale=0.9)
+        got = block_verdict(R, region, (2,), 15, rng, monkeypatch, scale=0.9)
+        assert_same_verdict(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if isinstance(want[0], Witness):
+            seen.add(block_position(len(want[1]) - 1))
+    assert seen == {"first", "middle", "last"}
+
+
+@pytest.mark.parametrize("kind", ["dom", "dom-plus", "kebab-plus", "ball"])
+def test_speculative_rejections_match_per_sample_loop(kind, monkeypatch):
+    # regions that reject part of each block; a rejected point's rewind
+    # skips whole probes and then one point
+    rewinds = []
+    rewind = partialcvx._rewind
+    monkeypatch.setattr(partialcvx, "_rewind", lambda rng, state, k: (
+        rewinds.append(k), rewind(rng, state, k)))
+    one = np.eye(1)
+    resolvent_1 = realize.Realization.make(one, [2 * one], [2 * one], [1.0])
+    cases = [(xax_realization(), 1e-10), (linearize_poly(THIN_AB), 1e-10),
+             (resolvent_1, 0.3)]
+    n = 1
+    inside_block = 0
+    for R, tol_inv in cases:
+        region = Region(R, kind, tol_inv=tol_inv, radius=0.45)
+        per_point = 2 * n * n * (R.h + R.g)
+        per_probe = per_point + 2 * n * n * R.g
+        for seed in range(6):
+            ref_rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            want = reference_verdict(R, region, (n,), 12, ref_rng,
+                                     midpoint_pairs=12)
+            rewinds.clear()
+            got = block_verdict(R, region, (n,), 12, rng, monkeypatch,
+                                scale=0.6, midpoint_pairs=12)
+            assert_same_verdict(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            inside_block += sum(k > per_point and k % per_probe == per_point
+                                for k in rewinds)
+    assert inside_block > 0
+
+
 # ---------------------------------------------------------------------------
 # sampled verdicts
 

@@ -5,6 +5,8 @@ small frozen examples (x^2, a constant, x a x) pin the expected sizes and
 signatures of the pipeline output.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ from ncconvex.realize import (
     state_space_similarity,
     symmetrize,
 )
+
+DATA = Path(realize.__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CTX_X = VarContext((), ("x",))
 CTX_AX = VarContext(("a",), ("x",))
@@ -275,6 +280,63 @@ def test_solve_intertwiner_rejects_nonsymmetric_series():
         rand_poly(CTX_AX, rng, max_len=3, terms=6)))
     with pytest.raises(realize.SymmetrizationError):
         realize._solve_intertwiner(rep)
+
+
+def svd_krylov_closure(mats, seed, rtol=realize.RTOL_RANK):
+    """The Krylov closure by one SVD rank truncation of [Q, M_i Q] per
+    round, as a reference for the Gram-Schmidt closure."""
+    Q = realize._orth(seed.reshape(-1, 1), rtol)
+    while True:
+        Q2 = realize._orth(np.hstack([Q] + [M @ Q for M in mats]), rtol)
+        if Q2.shape[1] == Q.shape[1]:
+            return Q2
+        Q = Q2
+
+
+def minimal_dims(polys, monkeypatch):
+    """(Gram-Schmidt, SVD) minimal dimensions of each polynomial."""
+    reps = [realize.poly_linear_rep(p) for p in polys]
+    got = [realize.reduce_linear_rep(rep).dim for rep in reps]
+    closure = realize._krylov_closure
+    monkeypatch.setattr(realize, "_krylov_closure", svd_krylov_closure)
+    want = [realize.reduce_linear_rep(rep).dim for rep in reps]
+    monkeypatch.setattr(realize, "_krylov_closure", closure)
+    return got, want
+
+
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_krylov_closure_dims_match_svd_closure_on_corpora(
+        workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    polys = [item.poly for seed in range(1, 6)
+             for item in corpus.build(workload, seed, tmp_path, DATA)]
+    got, want = minimal_dims(polys, monkeypatch)
+    assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, letters=st.sampled_from([CTX_X, CTX_AX,
+                                            VarContext(("a",), ("x", "y"))]))
+def test_krylov_closure_dims_match_svd_closure(seed, letters):
+    rng = np.random.default_rng(seed)
+    polys = [rand_poly(letters, rng, max_len=4, terms=6),
+             rand_symmetric_poly(letters, rng, max_len=4, terms=6)]
+    with pytest.MonkeyPatch.context() as mp:
+        got, want = minimal_dims(polys, mp)
+    assert got == want
+
+
+def test_krylov_closure_is_invariant_and_orthonormal():
+    rng = np.random.default_rng(3)
+    rep = realize.poly_linear_rep(
+        rand_symmetric_poly(CTX_AX, rng, max_len=4, terms=6))
+    Q = realize._krylov_closure(rep.mats, rep.v)
+    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    for M in rep.mats:
+        MQ = M @ Q
+        assert np.linalg.norm(MQ - Q @ (Q.conj().T @ MQ)) <= 1e-10
+    assert np.linalg.norm(rep.v - Q @ (Q.conj().T @ rep.v)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
