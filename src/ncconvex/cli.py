@@ -337,7 +337,7 @@ def _localizing_scan(R, frame, cfg, rng):
     dom_region = make_region("dom", R, frame, cfg)
     stop = []
 
-    def visit(mats, extra, lam, Q, comp):
+    def visit(mats, extra, lam, Q):
         if not realize._invertible(lam, matkit.TOL_INV).all():
             raise realize.NotInDomain("pencil is numerically singular")
         # with k = 0, R_T is the empty matrix: PSD, never indefinite
@@ -354,12 +354,10 @@ def _localizing_scan(R, frame, cfg, rng):
         return None
 
     for n in cfg.sizes:
-        left, size = cfg.samples, 1
+        left = cfg.samples
         while left:
-            used, size = partialcvx.scan_region(
-                dom_region, int(n), left, rng, cfg.scale, visit,
-                max_attempts=50, size=size)
-            left -= used
+            left -= partialcvx.scan_region(dom_region, int(n), left, rng,
+                                           cfg.scale, visit, max_attempts=50)
             if stop:
                 try:
                     wit = partialcvx.negativity_witness(R, stop.pop(), rng=rng)

@@ -123,21 +123,20 @@ class Witness:
         return True
 
 
-def _sample_in_region(region, n, scale, rng, max_attempts=500, size=1):
+def _sample_in_region(region, n, scale, rng, max_attempts=500):
     """The first of max_attempts sample_tuple draws that lies in the
     region, with its pencil eigenpairs (lam, Q); None when none does.
 
-    Candidates are drawn in blocks of size, 2 size, 4 size, ... (capped by
-    the attempts left and by BLOCK_ENTRIES), one sample_stack and one
-    region.test per block.  When the accepted candidate is not the last of
-    its block, the generator is rewound to the block's start and only the
-    draws up to it are made again, so it ends where the per-draw loop
-    would.
+    Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
+    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
+    block.  When the accepted candidate is not the last of its block, the
+    generator is rewound to the block's start and only the draws up to it
+    are made again, so it ends where the per-draw loop would.
     """
     R = region.R
     counts = (R.h, R.g)
     cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
-    done = 0
+    done, size = 0, 1
     while done < max_attempts:
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
@@ -162,26 +161,22 @@ def _rewind(rng, state, normals):
 
 
 def scan_region(region, n, samples, rng, scale, visit, extra=(),
-                companions=None, max_attempts=500, size=1):
+                max_attempts=500):
     """Draw samples region probes in the order of the per-sample loop and
-    hand them to visit run by run; returns (probes drawn, next block size).
+    hand them to visit run by run; returns the number of probes drawn.
 
     A probe is a point drawn as _sample_in_region draws it (the first of
     max_attempts sample_tuple draws at scale that lies in the region),
     followed by one Hermitian n x n draw per entry of extra, at that
     scale.  A probe whose draws all miss the region draws nothing more and
-    is dropped.  companions = (c, points): points(mats, extra) maps a
-    stack of probes to the (B, c, h + g, n, n) points that each of them
-    also needs tested.
+    is dropped.
 
-    Probes are drawn speculatively, in blocks of size, 2 size, 4 size, ...
-    (capped by the probes left and by BLOCK_ENTRIES): one sample_blocks
-    call draws a block's points and extras in draw order, and one
-    region.test tests its points together with their companions.
-    visit(mats, extra, lam, Q, comp) gets the probes before the first
+    Probes are drawn speculatively, in blocks of 1, 2, 4, ... (capped by
+    the probes left and by BLOCK_ENTRIES): one sample_blocks call draws a
+    block's points and extras in draw order, and one region.test tests its
+    points.  visit(mats, extra, lam, Q) gets the probes before the first
     point outside the region: their points (B, h + g, n, n), extras
-    (B, m, n, n), pencil eigenpairs (B, en) and (B, en, en), and comp =
-    (inside, lam, Q) of their companions, shaped (B, c, ...), or None.  It
+    (B, m, n, n) and pencil eigenpairs (B, en) and (B, en, en).  It
     returns None to go on, or the index of the probe after which the scan
     stops; the generator is then rewound to the end of that probe's draws.
     At a point outside the region the generator is rewound past that draw,
@@ -203,26 +198,20 @@ def scan_region(region, n, samples, rng, scale, visit, extra=(),
         return np.stack(matkit.sample_blocks(parts[first:], scales[first:],
                                              rng, B), axis=1)
 
-    c, points = (0, None) if companions is None else companions
-    cap = max(1, BLOCK_ENTRIES // ((1 + c) * (R.e * n) ** 2))
-    done = 0
+    cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
+    done, size = 0, 1
     while done < samples:
         B = min(size, cap, samples - done)
         state = rng.bit_generator.state
         probes = draw(0, B)
         mats, ext = probes[:, :hg], probes[:, hg:]
-        pts = mats if points is None else np.concatenate(
-            [mats, points(mats, ext).reshape((B * c,) + mats.shape[1:])])
-        mask, lam, Q = region.test(pts)
-        r = B if mask[:B].all() else int(np.argmin(mask[:B]))
+        mask, lam, Q = region.test(mats)
+        r = B if mask.all() else int(np.argmin(mask))
         if r:
-            comp = None if points is None else tuple(
-                a[B:].reshape((B, c) + a.shape[1:])[:r]
-                for a in (mask, lam, Q))
-            stop = visit(mats[:r], ext[:r], lam[:r], Q[:r], comp)
+            stop = visit(mats[:r], ext[:r], lam[:r], Q[:r])
             if stop is not None:
                 _rewind(rng, state, (stop + 1) * per_probe)
-                return done + stop + 1, size
+                return done + stop + 1
         done += r
         if r == B:
             size *= 2
@@ -230,16 +219,14 @@ def scan_region(region, n, samples, rng, scale, visit, extra=(),
         # probe r's point missed: finish that probe one point at a time
         _rewind(rng, state, r * per_probe + per_point)
         done, size = done + 1, 1
-        hit = _sample_in_region(region, n, scale, rng, max_attempts - 1, 2)
+        hit = _sample_in_region(region, n, scale, rng, max_attempts - 1)
         if hit is None:
             continue
         t, (lam, Q) = hit
-        mats, ext = realize._stack([t]), draw(hg, 1)
-        comp = None if points is None else tuple(
-            a[None] for a in region.test(points(mats, ext)[0]))
-        if visit(mats, ext, lam[None], Q[None], comp) is not None:
-            return done, size
-    return done, size
+        if visit(realize._stack([t]), draw(hg, 1), lam[None],
+                 Q[None]) is not None:
+            return done
+    return done
 
 
 def _hessians(R, lam, Q, H):
@@ -251,16 +238,6 @@ def _hessians(R, lam, Q, H):
         else np.zeros((B, R.e * n, R.e * n), dtype=complex)
     LRc = L @ (res @ R.c_lift(n))
     return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ res @ LRc))
-
-
-def _midpoint_companions(h):
-    """companions for scan_region: the points (A, Y) and (A, (X + Y)/2) of
-    each probe (A, X) with extras Y."""
-    def points(mats, Y):
-        A, X = mats[:, :h], mats[:, h:]
-        return np.stack([np.concatenate([A, Y], axis=1),
-                         np.concatenate([A, (X + Y) / 2], axis=1)], axis=1)
-    return 2, points
 
 
 def _below(lows, vals, tol):
@@ -281,19 +258,19 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     Both scans run through scan_region, which draws probes in speculative
     blocks: a Hessian probe is a region point and its g directions H (at
-    scale 1), a midpoint probe a point (A, X) and its Y (at scale), with
-    (A, Y) and the midpoint tested in the same region.test as the points.
-    The Hessians of a run are evaluated as one stack from the eigenpairs
-    the region test handed on, with one batched eigvalsh, and so are the
-    midpoint gaps.  The midpoint blocks of a size start at the size the
-    Hessian blocks reached.  Every draw, and so every verdict, is that of
-    a loop that draws and evaluates one sample at a time.
+    scale 1), a midpoint probe a point (A, X) and its Y (at scale).  The
+    Hessians of a run of accepted points are evaluated as one stack from
+    the eigenpairs the region test handed on, with one batched eigvalsh.
+    The points (A, Y) and (A, (X + Y)/2) of a midpoint run are tested with
+    one more region.test, and the run's gaps come from one _compress stack
+    each.  Every draw, and so every verdict, is that of a loop that draws
+    and evaluates one sample at a time.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
     count, min_lambda, found = 0, np.inf, []
 
-    def hessian_run(mats, H, lam, Q, comp):
+    def hessian_run(mats, H, lam, Q):
         nonlocal count, min_lambda
         ok = np.flatnonzero(realize._invertible(lam, matkit.TOL_INV))
         if not ok.size:
@@ -312,10 +289,9 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
         found.append(Witness(probe, -float(lows[j])))
         return i
 
-    grown = {}
     for n in sizes:
-        _, grown[n] = scan_region(region, n, samples, rng, scale, hessian_run,
-                                  extra=(1.0,) * R.g)
+        scan_region(region, n, samples, rng, scale, hessian_run,
+                    extra=(1.0,) * R.g)
         if found:
             return found[0]
     if count == 0:
@@ -323,18 +299,21 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     pairs = viol = 0
 
-    def midpoint_run(mats, Y, lam, Q, comp):
+    def midpoint_run(mats, Y, lam, Q):
         nonlocal pairs, viol
-        inside, clam, cQ = comp
-        ok = np.flatnonzero(
-            inside.all(axis=1) & realize._invertible(lam, matkit.TOL_INV)
-            & realize._invertible(clam, matkit.TOL_INV).all(axis=1))
+        r, (A, X) = len(mats), (mats[:, :R.h], mats[:, R.h:])
+        inside, clam, cQ = region.test(np.concatenate(
+            [np.concatenate([A, Y], axis=1),
+             np.concatenate([A, (X + Y) / 2], axis=1)]))
+        inv = realize._invertible(np.concatenate([lam, clam]), matkit.TOL_INV)
+        ok = np.flatnonzero(inside[:r] & inside[r:]
+                            & inv[:r] & inv[r:2 * r] & inv[2 * r:])
         if not ok.size:
             return None
         lift = R.c_lift(mats.shape[-1])
         gap = (realize._compress(lam[ok], Q[ok], lift)
-               + realize._compress(clam[ok, 0], cQ[ok, 0], lift)) / 2 \
-            - realize._compress(clam[ok, 1], cQ[ok, 1], lift)
+               + realize._compress(clam[ok], cQ[ok], lift)) / 2 \
+            - realize._compress(clam[r + ok], cQ[r + ok], lift)
         pairs += len(ok)
         viol += len(_below(np.linalg.eigvalsh(matkit.herm(gap))[:, 0], gap,
                            tol))
@@ -342,8 +321,7 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     for n in sizes:
         scan_region(region, n, midpoint_pairs, rng, scale, midpoint_run,
-                    extra=(scale,) * R.g,
-                    companions=_midpoint_companions(R.h), size=grown[n])
+                    extra=(scale,) * R.g)
     return ConvexEvidence(count, float(min_lambda), pairs, viol)
 
 

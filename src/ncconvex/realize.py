@@ -411,10 +411,10 @@ def _orth(B, rtol=RTOL_RANK):
     return U[:, :k]
 
 
-def _krylov_cut(mats, seed, rtol):
-    """Absolute rank cut rtol max(1, ||seed||, ||M_i||_F) of a Krylov loop."""
-    return rtol * max([1.0, np.linalg.norm(seed)]
-                      + [np.linalg.norm(M) for M in mats])
+def _krylov_cut(mats, rtol):
+    """Absolute rank cut rtol max(1, ||M_i||_F) of a Krylov loop from a
+    unit seed."""
+    return rtol * max([1.0] + [np.linalg.norm(M) for M in mats])
 
 
 def _pivoted_gs(Q, cand, cut):
@@ -446,11 +446,17 @@ def _krylov_closure(mats, seed, rtol=RTOL_RANK):
     Built breadth first: each level orthogonalizes only the frontier, the
     images M_i q of the columns q the previous level added, against the
     columns kept so far (_pivoted_gs with the cut of _krylov_cut), and
-    stops when a level adds nothing.
+    stops when a level adds nothing.  The seed is normalized first, so the
+    closure does not depend on its scale: a seed of tiny norm (say the
+    coefficients of 1e-11 x x x x) spans the same subspace as its unit
+    direction; only a zero seed gives the empty closure.
     """
-    cut = _krylov_cut(mats, seed, rtol)
     Q = np.zeros((len(seed), 0), dtype=complex)
-    frontier = seed.reshape(-1, 1)
+    nrm = np.linalg.norm(seed)
+    if nrm == 0:
+        return Q
+    cut = _krylov_cut(mats, rtol)
+    frontier = (seed / nrm).reshape(-1, 1)
     while frontier.shape[1]:
         k = Q.shape[1]
         Q, _ = _pivoted_gs(Q, frontier, cut)
@@ -486,17 +492,18 @@ def _krylov_pairs(mats, v, pmats, u, rtol=RTOL_RANK):
     D = [P_w u], built breadth first by C_{iw} = M_i C_w and
     D_{iw} = P_i D_w from the columns kept so far.
 
-    Each level keeps the candidates that _pivoted_gs takes, with the cut
-    of _krylov_cut on (mats, v); each kept pair is scaled to a unit C
-    column, which leaves D C^{-1} unchanged.  Raises SymmetrizationError
-    when the span stops short of d (the representation is not reachable,
-    so not minimal).
+    The pair (v, u) is first scaled to a unit v, and each level keeps the
+    candidates that _pivoted_gs takes with the cut of _krylov_cut; each
+    kept pair is scaled to a unit C column.  Neither scaling changes
+    D C^{-1}.  Raises SymmetrizationError when the span stops short of d
+    (the representation is not reachable, so not minimal).
     """
     d = len(v)
-    cut = _krylov_cut(mats, v, rtol)
+    cut = _krylov_cut(mats, rtol)
     Q = np.zeros((d, 0), dtype=complex)
     C, D = [Q], [Q]
-    cand, part = v[:, None], u[:, None]
+    nv = np.linalg.norm(v) or 1.0
+    cand, part = v[:, None] / nv, u[:, None] / nv
     while cand.shape[1] and Q.shape[1] < d:
         Q, kept = _pivoted_gs(Q, cand, cut)
         scale = np.linalg.norm(cand[:, kept], axis=0)

@@ -292,6 +292,14 @@ def test_block_sampler_empty_region_exhausts_budget(max_attempts):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def reference_hessian(R, t, H, factors):
+    """partial_hessian one point at a time, from the resolvent:
+    2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i."""
+    res = realize.resolvent(R, t, factors=factors)
+    LRc = partialcvx._direction_op(R, H, t.n) @ (res @ R.c_lift(t.n))
+    return matkit.herm(2.0 * (LRc.conj().T @ res @ LRc))
+
+
 def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
                       midpoint_pairs=10):
     """convexity_verdict one sample at a time: each point from
@@ -308,7 +316,7 @@ def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
             t, factors = hit
             H = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(R.g))
             try:
-                val = partial_hessian(R, t, H, factors=factors)
+                val = reference_hessian(R, t, H, factors)
             except realize.NotInDomain:
                 continue
             lam = float(np.linalg.eigvalsh(val)[0])

@@ -5,6 +5,7 @@ small frozen examples (x^2, a constant, x a x) pin the expected sizes and
 signatures of the pipeline output.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,32 @@ def test_linearize_xax():
     assert R.e == 4
     assert R.is_signature()
     eval_agreement(p, R, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-6, 1e-11, 1e-13])
+def test_linearize_is_scale_invariant(scale):
+    """Coefficients far below the rank cut still realize the polynomial:
+    same state dimension as at scale 1, values relatively exact."""
+    terms = {(1, 0, 0, 0, 0): 1.0, (0, 0, 0, 0, 1): 1.0, (0, 1, 0): 0.5}
+    p = FreePoly.from_terms(CTX_AX, {w: scale * c for w, c in terms.items()})
+    R = linearize_poly(p)
+    assert R.e == linearize_poly(FreePoly.from_terms(CTX_AX, terms)).e
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(10):
+        t = rand_herm_tuple(CTX_AX, int(rng.choice((1, 2, 3))), rng, scale=0.4)
+        if not in_dom(R, t):
+            continue
+        pv = eval_poly(p, t)
+        err = np.linalg.norm(pv - eval_realization(R, t), 2)
+        assert err <= 1e-8 * np.linalg.norm(pv, 2)
+        checked += 1
+    assert checked >= 5
+    # and a realization with c scaled by the same factor is still minimal
+    # and similar to itself by the identity
+    Rc = replace(R, c=scale * R.c)
+    assert np.allclose(state_space_similarity(Rc, Rc), np.eye(R.e),
+                       atol=1e-8)
 
 
 def test_linearize_requires_symmetry():
