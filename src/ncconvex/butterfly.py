@@ -490,64 +490,3 @@ def poly_butterfly(p, tol=1e-10):
         raise RealizationError("butterfly identity residual %g" % resid)
     return PolyButterfly(ell_poly, w_poly, fbar, R, psd_at_zero)
 
-
-# ---------------------------------------------------------------------------
-# Schur-complement butterfly (invertible J22 route)
-
-@dataclass(frozen=True)
-class SchurButterfly:
-    """Evaluators m(A) with R_T(A, X) = (m(A) - sum That_i (x) X_i)^{-1}."""
-
-    R: Realization
-    frame: RangeTFrame
-    Vp: np.ndarray
-    blocks: dict
-
-    def m_eval(self, A_mats, tol_inv=TOL_INV):
-        b = self.blocks
-        n = A_mats[0].shape[0] if A_mats else 1
-        P11, P12, P22 = (_pencil_block(b["J" + ij], b["S" + ij], A_mats, n)
-                         for ij in ("11", "12", "22"))
-        sv = np.linalg.svd(P22, compute_uv=False)
-        if P22.size and sv[-1] <= tol_inv * max(1.0, sv[0]):
-            raise NotInDomain("lower pencil block singular at this A")
-        comp = P12 @ np.linalg.solve(P22, P12.conj().T) if P22.size else 0.0
-        return matkit.herm(P11 - comp)
-
-    def r_T_eval(self, t, tol_inv=TOL_INV):
-        M = self.m_eval(t.A, tol_inv)
-        M = M - kron_sum(self.frame.That, t.X)
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= tol_inv * max(1.0, sv[0]):
-            raise NotInDomain("reduced pencil singular")
-        return np.linalg.inv(M)
-
-    def eval(self, t, cert=None, tol_inv=TOL_INV):
-        """fbar + ell* (m(A) - sum That (x) X)^{-1} ell."""
-        cert = cert or butterfly_build(self.R)
-        f = fbar_eval(self.R, t, tol_inv)
-        if self.frame.k == 0:
-            return f
-        ell = cert.ell_eval(t, tol_inv)
-        return f + ell.conj().T @ self.r_T_eval(t, tol_inv) @ ell
-
-
-def schur_butterfly(R, tol_inv=TOL_INV):
-    """Blocks for the m(a) = Schur-complement form; needs J22 invertible."""
-    frame = range_t_frame(R)
-    V = frame.V_T
-    Vp = _complement(V, R.e)
-    J22 = matkit.herm(Vp.conj().T @ R.J @ Vp)
-    if J22.size:
-        sv = np.linalg.svd(J22, compute_uv=False)
-        if sv[-1] <= tol_inv * max(1.0, sv[0]):
-            raise NotApplicable("J22 block is singular")
-    blocks = {
-        "J11": matkit.herm(V.conj().T @ R.J @ V),
-        "J12": V.conj().T @ R.J @ Vp,
-        "J22": J22,
-        "S11": tuple(matkit.herm(V.conj().T @ M @ V) for M in R.S),
-        "S12": tuple(V.conj().T @ M @ Vp for M in R.S),
-        "S22": tuple(matkit.herm(Vp.conj().T @ M @ Vp) for M in R.S),
-    }
-    return SchurButterfly(R, frame, Vp, blocks)

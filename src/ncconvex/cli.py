@@ -157,20 +157,30 @@ def load_input(path):
 
 
 def load_tuple(path, ctx):
-    """JSON {n, A: [matrices], X: [matrices]} against a variable context."""
+    """JSON {n, A: [matrices], X: [matrices]} against a variable context;
+    n, a positive integer, is read only when there are no matrices."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
         raise InputError("%s: %s" % (path, exc))
-    A = [junmat(M) for M in data.get("A", [])]
-    X = [junmat(M) for M in data.get("X", [])]
+    if not isinstance(data, dict):
+        raise InputError("%s: a tuple file holds one JSON object" % path)
+    A, X = data.get("A", []), data.get("X", [])
+    if not (isinstance(A, list) and isinstance(X, list)):
+        raise InputError("%s: A and X must be lists of matrices" % path)
+    A, X = [junmat(M) for M in A], [junmat(M) for M in X]
     if len(A) != ctx.h or len(X) != ctx.g:
         raise InputError(
             "tuple has %d a-class and %d x-class matrices; polynomial "
             "expects %d and %d" % (len(A), len(X), ctx.h, ctx.g))
     mats = A + X
     if not mats:
-        n = int(data.get("n", 1))
+        n = data.get("n", 1)
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InputError("%s: n must be a positive integer, not %r"
+                             % (path, n))
     else:
         n = mats[0].shape[0]
         for M in mats:

@@ -2,9 +2,9 @@
 
 Eigendecomposition-backed PSD predicates, PSD square roots, signature
 decomposition C* H C = J, Khatri-Rao (blockwise Kronecker) products with
-their isometric embeddings, Schur complements, a log-barrier solver for
-the largest smallest eigenvalue of an affine Hermitian family (with its
-dual certificate), and seeded Hermitian samplers.
+their isometric embeddings, a log-barrier solver for the largest
+smallest eigenvalue of an affine Hermitian family (with its dual
+certificate), and seeded Hermitian samplers.
 """
 
 from __future__ import annotations
@@ -110,29 +110,6 @@ def signature_decompose(H, tol=TOL_INV):
     J = np.diag(np.sign(lam))
     C = U @ np.diag(1.0 / np.sqrt(np.abs(lam)))
     return J, C
-
-
-def schur_complement(M, p, which="upper", tol_inv=TOL_INV):
-    """Schur complement of a Hermitian 2x2 block split at row/col p.
-
-    which='upper': S = M11 - M12 M22^{-1} M21 (complements the lower block);
-    which='lower': S = M22 - M21 M11^{-1} M12.
-    """
-    M = np.asarray(M, dtype=complex)
-    M11, M12 = M[:p, :p], M[:p, p:]
-    M21, M22 = M[p:, :p], M[p:, p:]
-    if which == "upper":
-        A, B, C, D = M11, M12, M21, M22
-    elif which == "lower":
-        A, B, C, D = M22, M21, M12, M11
-    else:
-        raise ValueError("which must be 'upper' or 'lower'")
-    if D.size == 0:
-        return A.copy()
-    sv = np.linalg.svd(D, compute_uv=False)
-    if sv[-1] <= tol_inv * max(1.0, sv[0]):
-        raise SingularError("complemented block is numerically singular")
-    return A - B @ np.linalg.solve(D, C)
 
 
 # ---------------------------------------------------------------------------

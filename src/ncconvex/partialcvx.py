@@ -13,17 +13,18 @@ probe over direct sums.
 
 Region points come from a block rejection sampler (_sample_in_region):
 candidates are drawn in blocks of 1, 2, 4, ... with matkit.sample_stack
-and tested with one realize.Region.test call per block.  The Hessian and
-midpoint scans draw whole probes (a point and the matrices drawn after
-it) the same way, speculatively (scan_region): a block of probes is drawn
-with one matkit.sample_blocks call and its points are tested with one
-Region.test, and only a point outside the region falls back to the
-rejection sampler.  The generator always ends where a loop of per-draw
-sample_tuple and sample_herm calls would leave it, so every draw, and
-with it every verdict, is that of the per-sample loop.  An accepted point
-comes with the eigenpairs of its pencil, and the Hessian probe, the
-midpoint triple and the span probe evaluate from them instead of
-factoring the point again.
+and tested with one realize.Region.first call per block, which on dom+
+screens out most rejected draws with one batched LU inverse.  The
+Hessian and midpoint scans draw whole probes (a point and the matrices
+drawn after it) the same way, speculatively (scan_region): a block of
+probes is drawn with one matkit.sample_blocks call and its points are
+tested with one Region.test, and only a point outside the region falls
+back to the rejection sampler.  The generator always ends where a loop
+of per-draw sample_tuple and sample_herm calls would leave it, so every
+draw, and with it every verdict, is that of the per-sample loop.  An
+accepted point comes with the eigenpairs of its pencil, and the Hessian
+probe, the midpoint triple and the span probe evaluate from them
+instead of factoring the point again.
 """
 
 from __future__ import annotations
@@ -128,10 +129,15 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     region, with its pencil eigenpairs (lam, Q); None when none does.
 
     Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
-    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
-    block.  When the accepted candidate is not the last of its block, the
-    generator is rewound to the block's start and only the draws up to it
-    are made again, so it ends where the per-draw loop would.
+    left and by BLOCK_ENTRIES), one sample_stack and one region.first per
+    block.  For dom-plus and kebab-plus with k > 0, region.first rejects
+    the draws whose R_T is not PSD by more than a rounding bound with one
+    batched LU inverse, and factors only the draws left with eigh, one at
+    a time up to the first accepted; the other kinds test the whole block
+    with one eigh (see Region.first).  When the accepted candidate is not
+    the last of its block, the generator is rewound to the block's start
+    and only the draws up to it are made again, so it ends where the
+    per-draw loop would: every draw, point and eigenpair is the loop's.
     """
     R = region.R
     counts = (R.h, R.g)
@@ -141,14 +147,13 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
         mats = matkit.sample_stack(n, counts, scale, rng, B)
-        mask, lam, Q = region.test(mats)
-        if mask.any():
-            i = int(np.argmax(mask))
+        hit = region.first(mats)
+        if hit is not None:
+            i, factors = hit
             if i < B - 1:
                 rng.bit_generator.state = state
                 matkit.sample_stack(n, counts, scale, rng, i + 1)
-            t = HermTuple.make(mats[i, :R.h], mats[i, R.h:])
-            return t, (lam[i], Q[i])
+            return HermTuple.make(mats[i, :R.h], mats[i, R.h:]), factors
         done += B
         size *= 2
     return None

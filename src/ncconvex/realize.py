@@ -268,7 +268,11 @@ class Region:
     the invertible points and one batched eigvalsh, and hands on the
     eigenpairs of each point's own pencil, so that a consumer evaluating
     there (resolvent, r_T, eval_realization with factors=) does not
-    factor it again.
+    factor it again.  first finds the first point of a stack that lies in
+    the region: for dom-plus and kebab-plus with k > 0 it screens out
+    points whose R_T is surely not PSD with one batched LU inverse, and
+    runs test's eigh only on the points left, one at a time, until one is
+    accepted; its answer is test's bit for bit.
     """
 
     def __init__(self, R, kind="dom", frame=None, tol=TOL_PSD,
@@ -283,19 +287,25 @@ class Region:
         self.R, self.kind, self.frame = R, kind, frame
         self.tol, self.tol_inv, self.radius = tol, tol_inv, radius
 
+    def _with_zero_x(self, mats):
+        """The stack, followed for the kebab kinds by its points (A, 0)."""
+        if not self.kind.startswith("kebab"):
+            return mats
+        at_zero = mats.copy()
+        at_zero[:, self.R.h:] = 0
+        return np.concatenate([mats, at_zero])
+
     def test(self, mats):
         """(mask, lam, Q) for a stack of points (B, h + g, n, n): which lie
         in the region, and the eigenpairs (B, en), (B, en, en) of their
         pencils."""
+        return self._test(mats, self.R.pencils(self._with_zero_x(mats)))
+
+    def _test(self, mats, P):
+        """test, from the pencils P of the stack (and of its points (A, 0)
+        for the kebab kinds)."""
         B, n = mats.shape[0], mats.shape[-1]
-        kebab = self.kind.startswith("kebab")
-        if kebab:
-            at_zero = mats.copy()
-            at_zero[:, self.R.h:] = 0
-            mats_all = np.concatenate([mats, at_zero])
-        else:
-            mats_all = mats
-        lam, Q = np.linalg.eigh(self.R.pencils(mats_all))
+        lam, Q = np.linalg.eigh(P)
         if self.kind == "ball":
             norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
             return np.all(norms <= self.radius, axis=1), lam, Q
@@ -307,9 +317,66 @@ class Region:
             lo, hi = ev[:, 0], ev[:, -1]
             scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
             mask[idx] = lo >= -self.tol * scale
-        if kebab:
-            mask = mask[:B] & mask[B:]
-        return mask, lam[:B], Q[:B]
+        return mask.reshape(-1, B).all(axis=0), lam[:B], Q[:B]
+
+    def first(self, mats):
+        """(i, (lam, Q)) for the first point i of a stack (B, h + g, n, n)
+        that lies in the region, with the eigenpairs test hands on for it;
+        None when no point does.
+
+        For dom-plus and kebab-plus with k > 0 the stack is screened
+        first: one batched LU inverse of the pencils P (and of the pencils
+        at (A, 0) for kebab-plus) gives R_T = V* P^-1 V at every point,
+        V = V_T (x) I, and one batched eigvalsh its extreme eigenvalues
+        lo <= hi.  A point is rejected outright when at one of its pencils
+
+            lo + tol max(1, |lo|, |hi|) + 2 (1 + tol) delta < 0,
+            delta = en eps ||P||_F ||P^-1||_F^2
+
+        (eps the float64 machine epsilon, P^-1 as computed).  delta is a
+        first-order bound on the rounding error of R_T, both of the
+        inverse and of test's eigh-based R_T, so test rejects every such
+        point too.  The points left go through test's arithmetic (from
+        the same pencils) one at a time, in order, and the first accepted
+        is returned: the index and eigenpairs are test's bit for bit.  A
+        stack in which the LU breaks down at an exactly singular pencil,
+        and the other kinds, are tested whole with test.
+        """
+        B = len(mats)
+        P = self.R.pencils(self._with_zero_x(mats))
+        if self.kind.endswith("plus") and self.frame.k:
+            try:
+                left = np.flatnonzero(~self._surely_outside(P, B))
+            except np.linalg.LinAlgError:
+                left = None
+            if left is not None:
+                per_point = P.reshape((-1, B) + P.shape[1:])
+                for i in left:
+                    mask, lam, Q = self._test(mats[i:i + 1], per_point[:, i])
+                    if mask[0]:
+                        return int(i), (lam[0], Q[0])
+                return None
+        mask, lam, Q = self._test(mats, P)
+        i = int(np.argmax(mask))
+        return (i, (lam[i], Q[i])) if mask[i] else None
+
+    def _surely_outside(self, P, B):
+        """The screen of first on the pencils P of a stack of B points:
+        which points have an R_T that is not PSD by more than the rounding
+        bound; raises LinAlgError at an exactly singular pencil."""
+        en = P.shape[-1]
+        Pinv = np.linalg.inv(P)
+        V = self.frame.lift(en // self.R.e)
+        # eigvalsh reads one triangle, so R_T is not symmetrized: the
+        # asymmetry is rounding, inside delta
+        ev = np.linalg.eigvalsh(V.conj().T @ Pinv @ V)
+        lo, hi = ev[:, 0], ev[:, -1]
+        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        delta = en * np.finfo(float).eps \
+            * np.linalg.norm(P, axis=(-2, -1)) \
+            * np.linalg.norm(Pinv, axis=(-2, -1)) ** 2
+        out = lo + self.tol * scale + 2 * (1 + self.tol) * delta < 0
+        return out.reshape(-1, B).any(axis=0)
 
     def test_points(self, points):
         """test on a sequence of HermTuples of one size."""

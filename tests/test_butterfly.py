@@ -1,5 +1,5 @@
 """Butterfly forms: caterpillar identity, sqrt form, slice normal form,
-polynomial decomposition, and the Schur-complement route.
+polynomial decomposition.
 
 Every alternative evaluator is compared against eval_realization, which is
 plain pencil inversion and serves as the oracle throughout.
@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_herm_tuple, rand_minimal_smr
-from ncconvex import butterfly, matkit, realize
+from ncconvex import matkit, realize
 from ncconvex.butterfly import (
     ButterflyCert,
     KebabError,
     MidpointWitness,
-    NotApplicable,
     NotConvexible,
     butterfly_build,
     butterfly_eval,
@@ -26,7 +25,6 @@ from ncconvex.butterfly import (
     fbar_eval,
     midpoint_violation_search,
     poly_butterfly,
-    schur_butterfly,
     slice_reduce,
 )
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
@@ -37,7 +35,6 @@ from ncconvex.realize import (
     in_dom_kebab_plus,
     linearize_poly,
     Region,
-    r_T,
     range_t_frame,
 )
 
@@ -379,49 +376,3 @@ def test_midpoint_search_clean_on_square():
     ctx = VarContext((), ("x",))
     p = FreePoly.from_terms(ctx, {(0, 0): 1.0})
     assert midpoint_violation_search(p, samples=40) is None
-
-
-# ---------------------------------------------------------------------------
-# Schur-complement route
-
-@settings(max_examples=12, deadline=None)
-@given(seed=seeds)
-def test_schur_butterfly_matches_r_T_and_eval(seed):
-    rng = np.random.default_rng(seed)
-    R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    try:
-        sb = schur_butterfly(R)
-    except NotApplicable:
-        return
-    cert = butterfly_build(R)
-    frame = cert.frame
-    if frame.k == 0:
-        return
-    for t in kebab_points(R, rng, 4):
-        try:
-            got_rt = sb.r_T_eval(t)
-        except realize.NotInDomain:
-            continue
-        want_rt = r_T(R, t, frame)
-        assert np.allclose(got_rt, want_rt, atol=1e-7 * max(1.0, np.linalg.norm(want_rt, 2)))
-        got = sb.eval(t, cert)
-        want = eval_realization(R, t)
-        assert np.allclose(got, want, atol=1e-7 * max(1.0, np.linalg.norm(want, 2)))
-
-
-def test_schur_butterfly_rejects_singular_j22():
-    # T supported on span{e0, e1}; J vanishes on the complement span{e2, e3}
-    J = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    T1 = np.zeros((4, 4), dtype=complex)
-    T1[0, 0] = 1.0
-    T2 = np.zeros((4, 4), dtype=complex)
-    T2[1, 1] = 1.0
-    R = realize.Realization(J, (), (T1, T2),
-                            np.array([1.0, 0, 0, 0], dtype=complex),
-                            False, False)
-    frame = range_t_frame(R)
-    Vp = butterfly._complement(frame.V_T, 4)
-    J22 = Vp.conj().T @ R.J @ Vp
-    assert np.linalg.svd(J22, compute_uv=False)[-1] <= 1e-10
-    with pytest.raises(NotApplicable):
-        schur_butterfly(R)

@@ -2,6 +2,8 @@
 re-verification of serialized witnesses by independent recomputation.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncconvex import cli, examples, matkit, ncalg, partialcvx, realize, \
     xycvx
@@ -61,6 +65,32 @@ def test_eval_wrong_counts(tmp_path, capsys):
     code = cli.main(["eval", str(DATA / "intro_poly.txt"), str(bad)])
     assert code == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '"x"', '{"n": "abc"}', '{"n": -3}', '{"n": 0}', '{"n": 2.5}',
+    '{"n": true}', '{"n": NaN}', '{"A": 5}'])
+def test_eval_bad_tuple_file_exits_input(tmp_path, capsys, text):
+    """A tuple file that is not an object, or whose size n is not a
+    positive integer, is bad input (exit 2) with a message."""
+    poly = tmp_path / "const.txt"
+    poly.write_text("vars a: | x:\n2 * 1\n")
+    bad = tmp_path / "bad_tuple.json"
+    bad.write_text(text)
+    assert cli.main(["eval", str(poly), str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_eval_tuple_size_without_matrices(tmp_path, capsys):
+    poly = tmp_path / "const.txt"
+    poly.write_text("vars a: | x:\n2 * 1\n")
+    for n in ("2", "2.0"):
+        good = tmp_path / "tuple.json"
+        good.write_text('{"n": %s}' % n)
+        assert cli.main(["eval", str(poly), str(good)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[:2]
+        assert [r.split() for r in rows] == [["2", "0"], ["0", "2"]]
 
 
 def test_eval_parse_error_reports_line(tmp_path, capsys):
@@ -192,6 +222,35 @@ def test_partial_ball_region(tmp_path):
         "--region", "ball:0.3", "--sizes", "1", "--samples", "5"])
     assert code in (EXIT_OK, EXIT_NEGATIVE)
     assert rep["results"]["hessian_scan"]["region"] == "ball:0.3"
+
+
+FUZZ_REAL = st.one_of(st.integers(-3, 3),
+                     st.floats(-4, 4).map(lambda c: round(c, 3)))
+FUZZ_TERMS = st.lists(
+    st.tuples(st.lists(st.sampled_from("ax"), max_size=4).map(tuple),
+              st.one_of(FUZZ_REAL, st.builds(complex, FUZZ_REAL, FUZZ_REAL))),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=FUZZ_TERMS)
+def test_partial_fuzz_exit_codes(tmp_path_factory, terms):
+    """partial on small well-formed symmetric polynomials (each term c w
+    with its adjoint conj(c) w reversed) exits 0, 1 or 3, never 4 (an
+    internal error), and prints no traceback."""
+    lines = ["vars a: a | x: x"]
+    for w, c in terms:
+        c = complex(c)
+        lines += ["%s * %s" % (ncalg.format_complex(z), " ".join(v) or "1")
+                  for v, z in ((w, c), (w[::-1], c.conjugate()))]
+    path = tmp_path_factory.mktemp("fuzz") / "p.txt"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["partial", str(path), "--sizes", "1,2",
+                         "--samples", "2"])
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Matrix utilities: PSD tools, Schur complements, the largest smallest
-eigenvalue solver, blockwise Kronecker products, and seeded samplers.
+"""Matrix utilities: PSD tools, the largest smallest eigenvalue solver,
+blockwise Kronecker products, and seeded samplers.
 
 The blockwise product is checked against a literal four-block loop written
 here, and the embedding identity against full Kronecker products.
@@ -21,7 +21,6 @@ from ncconvex.matkit import (
     khatri_rao,
     max_min_eig,
     sample_herm,
-    schur_complement,
     signature_decompose,
     sqrt_psd,
 )
@@ -89,28 +88,6 @@ def test_signature_decompose_congruence(seed, n):
 def test_signature_decompose_singular():
     with pytest.raises(SingularError):
         signature_decompose(np.diag([1.0, 0.0]).astype(complex))
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, p=st.integers(1, 3), q=st.integers(1, 3))
-def test_schur_complement_inverse_identity(seed, p, q):
-    """For PD M, the upper Schur complement is ((M^{-1})_11)^{-1}."""
-    rng = np.random.default_rng(seed)
-    n = p + q
-    M = rand_psd(n, rng) + 0.5 * np.eye(n)
-    S = schur_complement(M, p, which="upper")
-    inv_block = np.linalg.inv(M)[:p, :p]
-    assert np.allclose(S, np.linalg.inv(inv_block), atol=1e-8)
-    S2 = schur_complement(M, p, which="lower")
-    inv_block2 = np.linalg.inv(M)[p:, p:]
-    assert np.allclose(S2, np.linalg.inv(inv_block2), atol=1e-8)
-
-
-def test_schur_complement_singular_block():
-    M = np.zeros((3, 3), dtype=complex)
-    M[0, 0] = 1.0
-    with pytest.raises(SingularError):
-        schur_complement(M, 1, which="upper")
 
 
 # ---------------------------------------------------------------------------

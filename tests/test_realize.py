@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (rand_herm_tuple, rand_minimal_smr, rand_poly, rand_smr,
                       rand_symmetric_poly)
-from ncconvex import matkit, realize
+from ncconvex import matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
 from ncconvex.realize import (
     NotEquivalent,
@@ -443,6 +443,142 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
                 assert np.abs(got - want).max() \
                     <= 1e-13 * max(1.0, np.abs(want).max())
     assert checked > 0
+
+
+THIN = "vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n"
+
+
+def boundary_point(region, out, inside):
+    """A point of the segment from out (outside the region) to inside
+    where region.test changes its answer: bisected until the parameter's
+    two ends are adjacent floats, and the accepted end returned."""
+    lo, hi = 0.0, 1.0
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        if region.test(((1 - mid) * out + mid * inside)[None])[0][0]:
+            hi = mid
+        else:
+            lo = mid
+    return (1 - hi) * out + hi * inside
+
+
+def unguarded_screen(region, mats):
+    """Region.first's LU screen with no rounding margin: which points
+    have lo + tol max(1, |lo|, |hi|) < 0 at the LU-based R_T."""
+    V = region.frame.lift(mats.shape[-1])
+    ev = np.linalg.eigvalsh(
+        V.conj().T @ np.linalg.inv(region.R.pencils(mats)) @ V)
+    lo, hi = ev[:, 0], ev[:, -1]
+    return lo + region.tol * np.maximum(
+        1.0, np.maximum(np.abs(lo), np.abs(hi))) < 0
+
+
+def assert_first_matches_test(region, mats):
+    mask, lam, Q = region.test(mats)
+    got = region.first(mats)
+    if not mask.any():
+        assert got is None
+        return
+    i = int(np.argmax(mask))
+    assert got[0] == i
+    assert np.array_equal(got[1][0], lam[i])
+    assert np.array_equal(got[1][1], Q[i])
+
+
+@pytest.mark.parametrize("kind", ["dom-plus", "kebab-plus"])
+def test_region_first_matches_test(kind):
+    """Region.first returns the index and eigenpairs of test's first
+    accepted point bit for bit, on random blocks and on constructed
+    points: points on the region's boundary (lambda_min(R_T) within
+    1e-7 scale of -tol scale; at some of them the LU screen without its
+    rounding margin rejects what test accepts), pencils of condition
+    number near 1e9 and exactly singular pencils inside a block.  The
+    rejection sampler leaves the generator where a per-draw loop does."""
+    one = np.eye(1)
+    resolvent_1 = Realization.make(one, [2 * one], [2 * one], [1.0])
+    polys = [FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}),
+             ncalg.parse_poly(THIN),
+             FreePoly.from_terms(CTX_X, {(0, 0, 0, 0): 1.0})]
+    rng = np.random.default_rng(5)
+    traps = 0
+    for R in [linearize_poly(p) for p in polys] + [resolvent_1]:
+        region = realize.Region(R, kind)
+        for n in (1, 2, 3):
+            draws = matkit.sample_stack(n, (R.h, R.g), 0.6, rng, 96)
+            mask = region.test(draws)[0]
+            for B in (1, 2, 5, 16, 32):
+                for at in range(0, 96 - B, 7):
+                    assert_first_matches_test(region, draws[at:at + B])
+            if mask.all() or not mask.any():
+                continue
+            ins, outs = draws[mask], draws[~mask]
+            for j in range(min(len(ins), len(outs), 8)):
+                b = boundary_point(region, outs[j], ins[j])
+                t = HermTuple.make(b[:R.h], b[R.h:])
+                pencils = [t, R.zero_x(t)] if kind == "kebab-plus" else [t]
+                gaps = []
+                for u in pencils:
+                    ev = np.linalg.eigvalsh(matkit.herm(r_T(R, u,
+                                                            region.frame)))
+                    scale = max(1.0, np.abs(ev).max())
+                    gaps.append(abs(ev[0] + region.tol * scale) / scale)
+                if R is not resolvent_1:  # there the crossing is a pole
+                    assert min(gaps) <= 1e-7
+                traps += bool(unguarded_screen(
+                    region, realize._stack(pencils)).any())
+                block = np.concatenate([outs[:3], b[None], ins[:2]])
+                assert_first_matches_test(region, block)
+                assert region.first(block)[0] == len(outs[:3])
+    assert traps > 0
+
+    # P = I - 2A - 2X of resolvent_1 with eigenvalues (d, 0.7) in a
+    # random frame: d = +-1e-9 gives condition number 7e8, d = 0 an
+    # exactly singular pencil (diagonal, so the LU meets a zero pivot)
+    region = realize.Region(resolvent_1, kind)
+    U = np.linalg.qr(rng.normal(size=(2, 2))
+                     + 1j * rng.normal(size=(2, 2)))[0]
+    A = np.diag([0.05, 0.1]).astype(complex)
+
+    def point(d, frame=U):
+        D = frame @ np.diag([d, 0.7]) @ frame.conj().T
+        return np.stack([A, (np.eye(2) - 2 * A - D) / 2])
+
+    for d in (1e-9, -1e-9):
+        cond = np.linalg.cond(resolvent_1.pencils(point(d)[None])[0])
+        assert 1e8 < cond < 1e10
+    singular = point(0.0, np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(resolvent_1.pencils(singular[None]))
+    far = matkit.sample_stack(2, (1, 1), 0.6, rng, 4)
+    for block in ([point(-1e-9), point(1e-9)],
+                  [point(-1e-9), singular, point(1e-9)],
+                  [singular, far[0], point(1e-9), far[1]],
+                  [far[2], far[3], singular]):
+        assert_first_matches_test(region, np.stack(block))
+
+    # the rejection sampler against a per-draw loop of test calls
+    for R in (linearize_poly(polys[1]), resolvent_1):
+        region = realize.Region(R, kind)
+        for n in (1, 2, 3):
+            for seed in range(3):
+                ref, rng = (np.random.default_rng(seed) for _ in range(2))
+                for _ in range(4):
+                    want = None
+                    for _ in range(60):
+                        t = matkit.sample_tuple(n, (R.h, R.g), 0.6, ref)
+                        mask, lam, Q = region.test_points([t])
+                        if mask[0]:
+                            want = (t, lam[0], Q[0])
+                            break
+                    got = partialcvx._sample_in_region(region, n, 0.6, rng,
+                                                       max_attempts=60)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        for M, N in zip(got[0].mats, want[0].mats):
+                            assert np.array_equal(M, N)
+                        assert np.array_equal(got[1][0], want[1])
+                        assert np.array_equal(got[1][1], want[2])
 
 
 def test_region_rejects_bad_kind_and_radius():
