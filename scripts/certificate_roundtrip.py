@@ -32,7 +32,9 @@ def main():
         assert res.is_feasible, f"round {i}: gram stage returned {res.status}"
         cert = xycvx.assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
         rep = xycvx.verify_certificate(pl, cert, rng=rng, samples=5)
-        assert rep.ok, f"round {i}: verification failed ({rep.max_residual:.3e})"
+        assert rep.ok, (f"round {i}: verification failed (coefficient "
+                        f"residual {rep.max_coeff_residual:.3e}, smallest "
+                        f"defect eigenvalue {rep.min_defect_eig:.3e})")
         resid = max(cert.residuals.values())
         worst = max(worst, resid)
         print(f"round {i:2d}  N={N}  status={res.status}  residual={resid:.3e}")

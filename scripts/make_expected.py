@@ -8,13 +8,7 @@ import argparse
 import json
 from pathlib import Path
 
-from ncconvex import examples
-
-TARGETS = {
-    "expected_intro_eval.json": examples.intro_eval_summary,
-    "expected_example_a3.json": examples.example_a3_summary,
-    "expected_example_a4.json": examples.example_a4_summary,
-}
+from ncconvex import cli
 
 
 def main():
@@ -25,7 +19,8 @@ def main():
 
     data_dir = Path(__file__).resolve().parent.parent / "src" / "ncconvex" / "data"
     ok = True
-    for name, fn in TARGETS.items():
+    # the id -> (runner, file) table that `reproduce` reads
+    for fn, name in cli._REPRODUCE.values():
         path = data_dir / name
         text = json.dumps(fn(), indent=2, sort_keys=True) + "\n"
         if args.check:

@@ -113,18 +113,6 @@ class ButterflyCert:
     def lhat(self, t):
         return kron_sum(self.frame.That, t.X)
 
-    def eval_resolvent_form(self, t, tol_inv=TOL_INV):
-        """fbar + ell* w (I - Lhat w)^{-1} ell, valid on dom-kebab."""
-        if not in_dom_kebab(self.R, t, tol_inv):
-            raise NotInDomain("point is outside dom-kebab")
-        f = fbar_eval(self.R, t, tol_inv)
-        if self.frame.k == 0:
-            return f
-        w = self.w_eval(t, tol_inv)
-        ell = self.ell_eval(t, tol_inv)
-        M = np.eye(w.shape[0]) - self.lhat(t) @ w
-        return f + ell.conj().T @ w @ np.linalg.solve(M, ell)
-
     def eval_sqrt_form(self, t, tol_psd=TOL_PSD, tol_inv=TOL_INV):
         """fbar + (sqrt(w) ell)* (I - sqrt(w) Lhat sqrt(w))^{-1} sqrt(w) ell.
 
@@ -157,14 +145,6 @@ class ButterflyCert:
 
 def butterfly_build(R):
     return ButterflyCert(R, range_t_frame(R))
-
-
-def butterfly_eval(cert, t, form="sqrt", tol_psd=TOL_PSD, tol_inv=TOL_INV):
-    if form == "sqrt":
-        return cert.eval_sqrt_form(t, tol_psd, tol_inv)
-    if form == "resolvent":
-        return cert.eval_resolvent_form(t, tol_inv)
-    raise ValueError("form must be 'sqrt' or 'resolvent'")
 
 
 # ---------------------------------------------------------------------------

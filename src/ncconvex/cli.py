@@ -48,6 +48,9 @@ NUMERICAL_BREAKDOWNS = (np.linalg.LinAlgError, matkit.SingularError,
                         realize.SymmetrizationError,
                         butterfly.RealizationError)
 
+# bound on the size n a tuple file without matrices may ask eval for
+MAX_TUPLE_N = 1024
+
 
 class InputError(Exception):
     """Bad file, flag, or precondition; maps to exit code 2."""
@@ -158,7 +161,7 @@ def load_input(path):
 
 def load_tuple(path, ctx):
     """JSON {n, A: [matrices], X: [matrices]} against a variable context;
-    n, a positive integer, is read only when there are no matrices."""
+    n, a positive integer <= MAX_TUPLE_N, is read only without matrices."""
     try:
         data = json.loads(_read(path))
     except ValueError as exc:
@@ -181,6 +184,9 @@ def load_tuple(path, ctx):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InputError("%s: n must be a positive integer, not %r"
                              % (path, n))
+        if n > MAX_TUPLE_N:
+            raise InputError("%s: n = %d is above the bound %d"
+                             % (path, n, MAX_TUPLE_N))
     else:
         n = mats[0].shape[0]
         for M in mats:

@@ -493,101 +493,3 @@ def negativity_witness(R, bad, rng=None, region=None, tol=1e-6):
     if quad >= 0:
         raise SpanFailure(span.achieved_dim, span.target_dim)
     return ConvexityWitness(point, tuple(H), h, quad, -quad, float(lam[0]))
-
-
-# ---------------------------------------------------------------------------
-# a^2-convexity: reducing isometries for the a-class
-
-@dataclass(frozen=True)
-class A2Verdict:
-    samples: int
-    violations: int
-    min_gap: float
-    forward_min_gap: float
-    agrees_with_hessian: bool | None = None
-
-
-def a2_convexity_test(R, region=None, sizes=(1, 2), samples=20, rng=None,
-                      scale=0.5, tol=TOL_PSD):
-    """Sample V* r(B, Z) V >= r(V*BV, V*ZV) for a-reducing isometries V.
-
-    B is doubled (U diag(B1, B2) U*) so ran V = U (C^n + 0) reduces every
-    B_j; Z is free.  The forward construction (Z = X + Y doubling with
-    V = (I; I)/sqrt 2) reproduces midpoint convexity in x and is sampled
-    alongside.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    region = Region(R) if region is None else region
-    count = viol = 0
-    min_gap = np.inf
-    fwd_min = np.inf
-    for n in sizes:
-        for _ in range(samples):
-            # reducing-sample branch
-            G = rng.normal(size=(2 * n, 2 * n)) \
-                + 1j * rng.normal(size=(2 * n, 2 * n))
-            U, _ = np.linalg.qr(G)
-            B = tuple(U @ _dirsum([sample_herm(n, scale, rng),
-                                   sample_herm(n, scale, rng)]) @ U.conj().T
-                      for _ in range(R.h))
-            Z = tuple(sample_herm(2 * n, scale, rng) for _ in range(R.g))
-            V = U[:, :n]
-            big = HermTuple(2 * n, B, Z, validate=False)
-            small = HermTuple(
-                n,
-                tuple(V.conj().T @ M @ V for M in B),
-                tuple(V.conj().T @ M @ V for M in Z),
-                validate=False)
-            gap = _compressed_gap(R, region, big, small, V)
-            if gap is None:
-                continue
-            lam = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
-            count += 1
-            min_gap = min(min_gap, lam)
-            if lam < -tol * max(1.0, float(np.linalg.norm(gap, 2))):
-                viol += 1
-        for _ in range(samples):
-            # forward doubling branch: midpoint convexity
-            hit = _sample_in_region(region, n, scale, rng)
-            if hit is None:
-                continue
-            t1 = hit[0]
-            Y = tuple(sample_herm(n, scale, rng) for _ in range(R.g))
-            t2 = HermTuple(n, t1.A, Y, validate=False)
-            if t2 not in region:
-                continue
-            B = tuple(_dirsum([a, a]) for a in t1.A)
-            Z = tuple(_dirsum([x, y]) for x, y in zip(t1.X, Y))
-            big = HermTuple(2 * n, B, Z, validate=False)
-            V = np.vstack([np.eye(n), np.eye(n)]) / np.sqrt(2)
-            small = HermTuple(
-                n, t1.A,
-                tuple((x + y) / 2 for x, y in zip(t1.X, Y)),
-                validate=False)
-            gap = _compressed_gap(R, region, big, small, V)
-            if gap is None:
-                continue
-            lam = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
-            count += 1
-            fwd_min = min(fwd_min, lam)
-            if lam < -tol * max(1.0, float(np.linalg.norm(gap, 2))):
-                viol += 1
-    if count == 0:
-        raise RegionEmpty("no admissible a^2 samples found")
-    return A2Verdict(count, viol, float(min_gap), float(fwd_min))
-
-
-def _compressed_gap(R, region, big, small, V):
-    """V* r(big) V - r(small), Hermitian, evaluated from the eigenpairs the
-    region test hands on; None when a point is outside the region or its
-    pencil is singular."""
-    vals = []
-    for t in (big, small):
-        mask, lam, Q = region.test_points([t])
-        if not mask[0]:
-            return None
-        try:
-            vals.append(eval_realization(R, t, (lam[0], Q[0])))
-        except NotInDomain:
-            return None
-    return matkit.herm(V.conj().T @ vals[0] @ V - vals[1])

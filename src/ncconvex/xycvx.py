@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .matkit import (BlockMatrix2, TOL_PSD, build_embedding_E, herm, is_psd,
-                     sample_blocks)
+from .matkit import BlockMatrix2, TOL_PSD, herm, is_psd, sample_blocks
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
 
@@ -232,136 +231,7 @@ def xy_convexity_test(p, pair, tol=TOL_PSD, pair_tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# the xy-Hessian, two ways
-
-@dataclass(frozen=True)
-class XYInputs:
-    """Blocks of the canonical substitution.
-
-    The x-letter becomes [[s0, (alpha 0)], [., ((beta0 beta1)(beta1* beta2))]]
-    and the y-letter [[t0, (0 gamma)], [., ((delta0 delta1)(delta1* delta2))]];
-    the Hessian depends only on alpha, gamma, s0, t0, delta0, delta1,
-    beta1, beta2.
-    """
-
-    s0: np.ndarray
-    t0: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    delta0: np.ndarray
-    delta1: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
-    beta0: np.ndarray = None
-    delta2: np.ndarray = None
-
-    def __post_init__(self):
-        n0, n1 = self.alpha.shape
-        n2 = self.gamma.shape[1]
-        if self.s0.shape != (n0, n0) or self.t0.shape != (n0, n0):
-            raise ShapeError("s0, t0 must be %d x %d" % (n0, n0))
-        if self.gamma.shape[0] != n0:
-            raise ShapeError("gamma rows must match alpha rows")
-        if self.delta0.shape != (n1, n1) or self.beta2.shape != (n2, n2):
-            raise ShapeError("delta0 is n1-square, beta2 is n2-square")
-        if self.delta1.shape != (n1, n2) or self.beta1.shape != (n1, n2):
-            raise ShapeError("delta1, beta1 must be n1 x n2")
-        if self.beta0 is None:
-            object.__setattr__(self, "beta0", np.zeros((n1, n1), complex))
-        if self.delta2 is None:
-            object.__setattr__(self, "delta2", np.zeros((n2, n2), complex))
-
-    @property
-    def dims(self):
-        return (self.alpha.shape[0], self.alpha.shape[1],
-                self.gamma.shape[1])
-
-    def x_matrix(self):
-        return _three_block(self.s0, self.alpha,
-                            (self.beta0, self.beta1, self.beta2), left=True)
-
-    def y_matrix(self):
-        return _three_block(self.t0, self.gamma,
-                            (self.delta0, self.delta1, self.delta2),
-                            left=False)
-
-
-def sample_xy_inputs(dims, scale=1.0, rng=None):
-    rng = np.random.default_rng(0) if rng is None else rng
-    n0, n1, n2 = dims
-    # s0, t0, alpha, gamma, delta0, delta1, beta1, beta2, beta0, delta2
-    parts = [(n0, n0, True), (n0, n0, True), (n0, n1, False),
-             (n0, n2, False), (n1, n1, True), (n1, n2, False),
-             (n1, n2, False), (n2, n2, True), (n1, n1, True), (n2, n2, True)]
-    m = [M[0] for M in sample_blocks(parts, scale, rng, 1)]
-    return XYInputs(s0=m[0], t0=m[1], alpha=m[2], gamma=m[3], delta0=m[4],
-                    delta1=m[5], beta1=m[6], beta2=m[7], beta0=m[8],
-                    delta2=m[9])
-
-
-def _hessian_formula(p, ins):
-    """Explicit form of the xy-Hessian as a sum over the twelve terms."""
-    a, g = ins.alpha, ins.gamma
-    ah, gh = a.conj().T, g.conj().T
-    s0, t0 = ins.s0, ins.t0
-    d0, d1 = ins.delta0, ins.delta1
-    b1, b2 = ins.beta1, ins.beta2
-    H = p.c("xx") * (a @ ah) + p.c("yy") * (g @ gh)
-    H = H + p.c("xyx") * (a @ d0 @ ah) + p.c("yxy") * (g @ b2 @ gh)
-    H = H + p.c("xyy") * (s0 @ g @ gh + a @ d1 @ gh)
-    H = H + p.c("yyx") * (g @ gh @ s0 + g @ d1.conj().T @ ah)
-    H = H + p.c("xxy") * (a @ ah @ t0 + a @ b1 @ gh)
-    H = H + p.c("yxx") * (t0 @ a @ ah + g @ b1.conj().T @ ah)
-    H = H + p.c("xyyx") * (s0 @ g @ gh @ s0 + a @ d1 @ gh @ s0
-                           + s0 @ g @ d1.conj().T @ ah
-                           + a @ (d0 @ d0 + d1 @ d1.conj().T) @ ah)
-    H = H + p.c("xyxy") * (a @ d0 @ ah @ t0 + a @ d0 @ b1 @ gh
-                           + s0 @ g @ b2 @ gh + a @ d1 @ b2 @ gh)
-    H = H + p.c("yxyx") * (t0 @ a @ d0 @ ah + g @ b1.conj().T @ d0 @ ah
-                           + g @ b2 @ gh @ s0 + g @ b2 @ d1.conj().T @ ah)
-    H = H + p.c("yxxy") * (t0 @ a @ ah @ t0 + g @ b1.conj().T @ ah @ t0
-                           + t0 @ a @ b1 @ gh
-                           + g @ (b1.conj().T @ b1 + b2 @ b2) @ gh)
-    return H
-
-
-def _hessian_substitution(p, ins):
-    """Defect of the canonical three-block substitution (exact on the class)."""
-    X = ins.x_matrix()
-    Y = ins.y_matrix()
-    n = X.shape[0]
-    n0 = ins.s0.shape[0]
-    big = eval_poly(p.poly, HermTuple(n, (), (X, Y), validate=False))
-    small = eval_poly(p.poly, HermTuple(n0, (), (ins.s0, ins.t0),
-                                        validate=False))
-    return big[:n0, :n0] - small
-
-
-@dataclass(frozen=True)
-class HessianEval:
-    value: np.ndarray
-    path_formula: np.ndarray
-    path_substitution: np.ndarray
-
-    @property
-    def agreement(self):
-        return float(np.max(np.abs(self.path_formula
-                                   - self.path_substitution)))
-
-
-def xy_hessian(p, ins):
-    """Hessian by the explicit formula and by block substitution."""
-    Ha = _hessian_formula(p, ins)
-    Hb = _hessian_substitution(p, ins)
-    return HessianEval(herm(Ha), Ha, Hb)
-
-
-# ---------------------------------------------------------------------------
-# border vector and middle matrix
-
-def border_vector(s0, t0, alpha, gamma):
-    return np.hstack([alpha, t0 @ alpha, gamma, s0 @ gamma])
-
+# middle matrix
 
 @dataclass(frozen=True)
 class MxyEval:
@@ -545,11 +415,10 @@ def mxy_witness_pair(p, wit, X0=None, Y0=None, h=None):
     Bx = np.column_stack([h, X0 @ h])
     A = np.linalg.solve(By.T, np.column_stack([f1, f2]).T).T.conj().T
     C = np.linalg.solve(Bx.T, np.column_stack([f3, f4]).T).T.conj().T
-    ins = XYInputs(s0=X0.astype(complex), t0=Y0.astype(complex),
-                   alpha=A, gamma=C, delta0=wit.delta0, delta1=wit.delta1,
-                   beta1=wit.beta1, beta2=wit.beta2)
-    X = ins.x_matrix()
-    Y = ins.y_matrix()
+    X = _three_block(X0, A, (np.zeros((n1, n1), complex), wit.beta1,
+                             wit.beta2), left=True)
+    Y = _three_block(Y0, C, (wit.delta0, wit.delta1,
+                             np.zeros((n2, n2), complex)), left=False)
     V = np.zeros((X.shape[0], 2), dtype=complex)
     V[:2, :2] = np.eye(2)
     pair = XYPair(X, Y, V)
@@ -621,18 +490,9 @@ def _ast(tau, R, parts):
     return matkit.khatri_rao(A, B).full()
 
 
-@dataclass(frozen=True)
-class EOpResult:
-    kr_sum: np.ndarray
-    compressed: np.ndarray
-
-    @property
-    def agreement(self):
-        return float(np.max(np.abs(self.kr_sum - self.compressed)))
-
-
-def e_operator(P, S, parts):
-    """ℰP(S) as a blockwise tensor sum and as the E-compression of P(S)."""
+def eval_Q_via_P(P, S, parts):
+    """ℰP(S) = E* (sum P_jk (x) S_j S_k) E as a blockwise tensor sum; at the
+    canonical block pair S it equals the Q form on those blocks."""
     S1, S2 = S
     n = sum(parts)
     if S1.shape != (n, n) or S2.shape != (n, n):
@@ -640,46 +500,10 @@ def e_operator(P, S, parts):
     mats = (np.eye(n, dtype=complex), np.asarray(S1, complex),
             np.asarray(S2, complex))
     kr = np.zeros((n, n), dtype=complex)
-    full = np.zeros((2 * n, 2 * n), dtype=complex)
     for j in range(3):
         for k in range(3):
-            Pjk = P[(j, k)]
-            prod = mats[j] @ mats[k]
-            kr = kr + _ast(Pjk, prod, parts)
-            full = full + np.kron(Pjk, prod)
-    E = build_embedding_E((1, 1), parts)
-    return EOpResult(kr, E.conj().T @ full @ E)
-
-
-def eval_Q_via_P(P, sigma, parts):
-    """ℰP at the canonical block pair; equals the Q form on those blocks."""
-    return e_operator(P, sigma, parts).kr_sum
-
-
-def psi_apply(P, T, tol=1e-8):
-    """Schur-coefficient functional on the operator system of 3 x 3 blocks.
-
-    T is 6 x 6, indexed by words (1, x1, x2) with 2 x 2 entries satisfying
-    T[1, w] = T[w, 1] and diagonal T[1, 1].
-    """
-    T = np.asarray(T, dtype=complex)
-    if T.shape != (6, 6):
-        raise ShapeError("operator system element must be 6 x 6")
-
-    def blk(j, k):
-        return T[2 * j:2 * j + 2, 2 * k:2 * k + 2]
-
-    scale = max(1.0, float(np.linalg.norm(T, 2)))
-    for k in range(3):
-        if np.max(np.abs(blk(0, k) - blk(k, 0))) > tol * scale:
-            raise ValueError("operator system constraint T[1,w] = T[w,1] fails")
-    if abs(blk(0, 0)[0, 1]) + abs(blk(0, 0)[1, 0]) > tol * scale:
-        raise ValueError("operator system constraint: T[1,1] must be diagonal")
-    out = np.zeros((2, 2), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            out = out + P[(j, k)] * blk(j, k)
-    return out
+            kr = kr + _ast(P[(j, k)], mats[j] @ mats[k], parts)
+    return kr
 
 
 # ---------------------------------------------------------------------------

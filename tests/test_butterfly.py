@@ -20,7 +20,6 @@ from ncconvex.butterfly import (
     MidpointWitness,
     NotConvexible,
     butterfly_build,
-    butterfly_eval,
     caterpillar_eval,
     fbar_eval,
     midpoint_violation_search,
@@ -113,22 +112,6 @@ def test_fbar_is_affine_in_x(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds)
-def test_resolvent_form_matches_eval(seed):
-    rng = np.random.default_rng(seed)
-    R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    cert = butterfly_build(R)
-    for t in kebab_points(R, rng, 5):
-        try:
-            got = cert.eval_resolvent_form(t)
-        except np.linalg.LinAlgError:
-            continue
-        want = eval_realization(R, t)
-        err = np.linalg.norm(got - want, 2) / max(1.0, np.linalg.norm(want, 2))
-        assert err <= 1e-9
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=seeds)
 def test_sqrt_form_matches_eval_on_item4_domain(seed):
     rng = np.random.default_rng(seed)
     R = rand_minimal_smr(rng, e=4, h=1, g=2)
@@ -161,23 +144,6 @@ def test_item4_membership_matches_definitional_domain(seed):
         lhs = cert.in_domain_item4(t)
         rhs = in_dom_kebab_plus(R, t, frame)
         assert lhs == rhs
-
-
-def test_butterfly_eval_form_dispatch(rng):
-    t = cert = None
-    for _ in range(20):
-        R = rand_minimal_smr(rng, e=4, h=1, g=2)
-        cert = butterfly_build(R)
-        pts = kebab_points(R, rng, 10, scale=0.2)
-        t = next((p for p in pts if cert.in_domain_item4(p)), None)
-        if t is not None:
-            break
-    assert t is not None
-    a = butterfly_eval(cert, t, form="sqrt")
-    b = butterfly_eval(cert, t, form="resolvent")
-    assert np.allclose(a, b, atol=1e-8)
-    with pytest.raises(ValueError):
-        butterfly_eval(cert, t, form="nope")
 
 
 # ---------------------------------------------------------------------------

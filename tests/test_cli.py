@@ -69,10 +69,11 @@ def test_eval_wrong_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "[1, 2]", '"x"', '{"n": "abc"}', '{"n": -3}', '{"n": 0}', '{"n": 2.5}',
-    '{"n": true}', '{"n": NaN}', '{"A": 5}'])
+    '{"n": true}', '{"n": NaN}', '{"A": 5}', '{"n": 10000000}'])
 def test_eval_bad_tuple_file_exits_input(tmp_path, capsys, text):
     """A tuple file that is not an object, or whose size n is not a
-    positive integer, is bad input (exit 2) with a message."""
+    positive integer at most cli.MAX_TUPLE_N, is bad input (exit 2) with a
+    message, before anything of size n is allocated."""
     poly = tmp_path / "const.txt"
     poly.write_text("vars a: | x:\n2 * 1\n")
     bad = tmp_path / "bad_tuple.json"
@@ -91,6 +92,10 @@ def test_eval_tuple_size_without_matrices(tmp_path, capsys):
         assert cli.main(["eval", str(poly), str(good)]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[:2]
         assert [r.split() for r in rows] == [["2", "0"], ["0", "2"]]
+    big = tmp_path / "big.json"
+    big.write_text('{"n": %d}' % (cli.MAX_TUPLE_N + 1))
+    assert cli.main(["eval", str(poly), str(big)]) == EXIT_INPUT
+    assert "bound %d" % cli.MAX_TUPLE_N in capsys.readouterr().err
 
 
 def test_eval_parse_error_reports_line(tmp_path, capsys):

@@ -17,7 +17,6 @@ from ncconvex.partialcvx import (
     ConvexEvidence,
     RegionEmpty,
     Witness,
-    a2_convexity_test,
     convexity_verdict,
     finite_diff_hessian,
     negativity_witness,
@@ -486,22 +485,3 @@ def test_convexity_verdict_empty_region():
     with pytest.raises(RegionEmpty):
         convexity_verdict(R, region=region, sizes=(1,), samples=4,
                           rng=np.random.default_rng(0))
-
-
-def test_a2_verdict_on_xax_psd_region():
-    R = xax_realization()
-    region = Region(R, "dom-plus")
-    out = a2_convexity_test(R, region=region, sizes=(1, 2), samples=15,
-                            rng=np.random.default_rng(4))
-    assert out.violations == 0
-    assert out.samples > 0
-    assert out.min_gap >= -1e-8
-    assert out.forward_min_gap >= -1e-8
-
-
-def test_a2_verdict_catches_quartic():
-    p = FreePoly.from_terms(VarContext((), ("x",)), {(0, 0, 0, 0): 1.0})
-    R = linearize_poly(p)
-    out = a2_convexity_test(R, sizes=(2,), samples=40,
-                            rng=np.random.default_rng(8))
-    assert out.violations > 0

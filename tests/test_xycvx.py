@@ -1,9 +1,10 @@
 """Separate convexity in x and y: screen, Hessian, middle matrix, Gram
 certificates, and the compressed tensor calculus.
 
-The Hessian oracle is the literal three-block substitution (path B); the
-closed formula must agree with it everywhere.  Certificates are verified by
-coefficient expansion plus sampled defects, never by the solver's own word.
+The Hessian oracle is the literal three-block substitution; the middle
+matrix between border vectors must agree with it everywhere.  Certificates
+are verified by coefficient expansion plus sampled defects, never by the
+solver's own word.
 """
 
 import numpy as np
@@ -12,19 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncconvex import matkit, xycvx
-from ncconvex.ncalg import ContextError, FreePoly, SymmetryError, VarContext
+from ncconvex.ncalg import (ContextError, FreePoly, HermTuple, SymmetryError,
+                            VarContext, eval_poly)
 from ncconvex.xycvx import (
     AssemblyError,
     PairError,
     PLPoly,
     Reject,
-    XYInputs,
     assemble_certificate,
-    border_vector,
     build_P,
     certificate_from_json,
     certificate_to_json,
-    e_operator,
     eval_Q_via_P,
     extract_Q,
     from_coeffs,
@@ -34,14 +33,11 @@ from ncconvex.xycvx import (
     middle_matrix_psd_scan,
     mxy_q_equivalence_probe,
     mxy_witness_pair,
-    psi_apply,
-    sample_xy_inputs,
     sample_xy_pair,
     support_screen,
     synthesize_certified,
     verify_certificate,
     xy_convexity_test,
-    xy_hessian,
     xy_pair_residual,
 )
 
@@ -138,49 +134,6 @@ def test_perturbed_pair_fails_and_raises(rng):
         xy_convexity_test(a4_poly(), bad)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=seeds)
-def test_substitution_matrices_are_hermitian(seed):
-    rng = np.random.default_rng(seed)
-    ins = sample_xy_inputs((2, 2, 2), rng=rng)
-    X, Y = ins.x_matrix(), ins.y_matrix()
-    assert np.allclose(X, X.conj().T, atol=1e-12)
-    assert np.allclose(Y, Y.conj().T, atol=1e-12)
-
-
-def test_inputs_shape_validation():
-    z = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(matkit.ShapeError):
-        XYInputs(s0=z, t0=z, alpha=np.zeros((2, 1), complex),
-                 gamma=np.zeros((2, 1), complex),
-                 delta0=np.zeros((1, 1), complex),
-                 delta1=np.zeros((2, 1), complex),
-                 beta1=np.zeros((1, 1), complex),
-                 beta2=np.zeros((1, 1), complex))
-
-
-# ---------------------------------------------------------------------------
-# Hessian: closed formula against the substitution oracle
-
-@settings(max_examples=25, deadline=None)
-@given(seed=seeds,
-       dims=st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)]))
-def test_hessian_formula_matches_substitution(seed, dims):
-    rng = np.random.default_rng(seed)
-    p = rand_plpoly(rng)
-    ins = sample_xy_inputs(dims, rng=rng)
-    ev = xy_hessian(p, ins)
-    scale = max(1.0, float(np.max(np.abs(ev.value))))
-    assert ev.agreement <= 1e-10 * scale
-
-
-def test_hessian_agreement_on_a4(rng):
-    p = a4_poly()
-    for _ in range(5):
-        ins = sample_xy_inputs((2, 2, 2), rng=rng)
-        assert xy_hessian(p, ins).agreement <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # border-middle-border factorization and the compressed Q
 
@@ -188,12 +141,26 @@ def test_hessian_agreement_on_a4(rng):
 @given(seed=seeds,
        dims=st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]))
 def test_hessian_factors_through_middle_matrix(seed, dims):
+    # the literal substitution x -> [[s0, (alpha 0)], [., (beta0 beta1; .
+    # beta2)]], y -> [[t0, (0 gamma)], [., (delta0 delta1; . delta2)]]: its
+    # defect p(X, Y)_00 - p(s0, t0) is B Mxy B* with the border vector
+    # B = [alpha, t0 alpha, gamma, s0 gamma]
     rng = np.random.default_rng(seed)
     p = rand_plpoly(rng)
-    ins = sample_xy_inputs(dims, rng=rng)
-    H = xy_hessian(p, ins).value
-    B = border_vector(ins.s0, ins.t0, ins.alpha, ins.gamma)
-    M = middle_matrix(p, ins.beta1, ins.beta2, ins.delta0, ins.delta1)
+    n0, n1, n2 = dims
+    parts = [(n0, n0, True), (n0, n0, True), (n0, n1, False),
+             (n0, n2, False), (n1, n1, True), (n1, n2, False),
+             (n1, n2, False), (n2, n2, True), (n1, n1, True), (n2, n2, True)]
+    s0, t0, alpha, gamma, d0, d1, b1, b2, b0, d2 = (
+        M[0] for M in matkit.sample_blocks(parts, 1.0, rng, 1))
+    X = xycvx._three_block(s0, alpha, (b0, b1, b2), left=True)
+    Y = xycvx._three_block(t0, gamma, (d0, d1, d2), left=False)
+    assert np.allclose(X, X.conj().T, atol=1e-12)
+    assert np.allclose(Y, Y.conj().T, atol=1e-12)
+    big = eval_poly(p.poly, HermTuple(n0 + n1 + n2, (), (X, Y)))
+    H = big[:n0, :n0] - eval_poly(p.poly, HermTuple(n0, (), (s0, t0)))
+    B = np.hstack([alpha, t0 @ alpha, gamma, s0 @ gamma])
+    M = middle_matrix(p, b1, b2, d0, d1)
     got = B @ M.matrix @ B.conj().T
     scale = max(1.0, float(np.max(np.abs(H))))
     assert np.max(np.abs(got - H)) <= 1e-10 * scale
@@ -227,8 +194,13 @@ def test_e_operator_embedding_identity(seed, n1, n2):
     P = build_P(p)
     n = n1 + n2
     S = (matkit.sample_herm(n, 0.7, rng), matkit.sample_herm(n, 0.7, rng))
-    out = e_operator(P, S, (n1, n2))
-    assert out.agreement <= 1e-12 * max(1.0, np.max(np.abs(out.kr_sum)))
+    got = eval_Q_via_P(P, S, (n1, n2))
+    mats = (np.eye(n), S[0], S[1])
+    full = sum(np.kron(P[(j, k)], mats[j] @ mats[k])
+               for j in range(3) for k in range(3))
+    E = matkit.build_embedding_E((1, 1), (n1, n2))
+    want = E.conj().T @ full @ E
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -246,38 +218,6 @@ def test_compressed_coefficients_reproduce_q(seed, n1, n2):
     got = eval_Q_via_P(P, (S1, S2), (n1, n2))
     want = extract_Q(p).eval(d0, d1, b1, b2)
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=seeds, u=st.floats(-1, 1), v=st.floats(-1, 1),
-       basis=st.integers(0, 1))
-def test_psi_consistent_with_scalar_substitution(seed, u, v, basis):
-    rng = np.random.default_rng(seed)
-    p = rand_plpoly(rng)
-    P = build_P(p)
-    w = np.array([1.0, u, v])
-    xi = np.zeros(2)
-    xi[basis] = 1.0
-    T = np.kron(np.outer(w, w), np.outer(xi, xi))
-    psi = psi_apply(P, T)
-    scalar = eval_Q_via_P(P, (u * np.eye(2, dtype=complex),
-                              v * np.eye(2, dtype=complex)), (1, 1))
-    assert psi[basis, basis] == pytest.approx(scalar[basis, basis],
-                                              rel=1e-9, abs=1e-9)
-
-
-def test_psi_rejects_malformed_operator_system():
-    P = build_P(a4_poly())
-    with pytest.raises(matkit.ShapeError):
-        psi_apply(P, np.eye(4))
-    T = np.zeros((6, 6))
-    T[0, 2] = 1.0  # breaks T[1,w] = T[w,1]
-    with pytest.raises(ValueError):
-        psi_apply(P, T)
-    T2 = np.zeros((6, 6))
-    T2[0, 1] = T2[1, 0] = 1.0  # off-diagonal T[1,1]
-    with pytest.raises(ValueError):
-        psi_apply(P, T2)
 
 
 # ---------------------------------------------------------------------------
