@@ -8,9 +8,11 @@ resolvent at (A, 0) and V_T for the inclusion of ran T:
   butterfly     r = ell* w (I - Lhat w)^{-1} ell + fbar, Lhat = sum That_i (x) X_i
   sqrt form     r = ell* sqrt(w) (I - sqrt(w) Lhat sqrt(w))^{-1} sqrt(w) ell + fbar
 
-with w(A) = R_T(A, 0), ell_j(A) = (V_T* T_j (x) I) W(A) (c (x) I) and fbar the
-affine-in-x part (the first two caterpillar terms).  For polynomials the
-resolvent series terminates and w, ell, fbar become polynomials.
+with w(A) = R_T(A, 0), ell(A, X) = (V_T (x) I)* L W(A) (c (x) I) and fbar
+the affine-in-x part (the first two caterpillar terms).  The evaluators
+read W, R and w from the eigenpairs of one Region(R, "dom").test of the
+pair (A, 0), (A, X).  For polynomials the resolvent series terminates and
+w, ell, fbar become polynomials.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import numpy as np
 from . import matkit, realize
 from .ncalg import FreePoly, HermTuple, eval_poly
 from .matkit import TOL_INV, TOL_PSD, is_psd, sqrt_psd
-from .realize import (NotInDomain, RangeTFrame, Realization, in_dom,
-                      in_dom_kebab, kron_sum, linearize_poly, range_t_frame,
-                      resolvent)
+from .realize import (NotInDomain, RangeTFrame, Realization, Region,
+                      kron_sum, linearize_poly)
 
 
 class KebabError(ValueError):
@@ -56,21 +57,32 @@ def _pencil_block(C0, coeffs, A_mats, n):
     return kron_sum((C0,) + tuple(coeffs), [np.eye(n)] + [-A for A in A_mats])
 
 
+def _kebab_pair(R, t, tol_inv):
+    """(inside, lam, Q) of the points (A, 0) and (A, X), in that order:
+    which lie in dom at tol_inv, and the eigenpairs of their pencils, from
+    one Region(R, "dom").test."""
+    return Region(R, "dom", tol_inv=tol_inv).test(
+        realize._stack([R.zero_x(t), t]))
+
+
+def _affine_terms(R, t, lam, Q):
+    """(C, W C, L W C) with C = c (x) I, W the resolvent at (A, 0) from its
+    pencil's eigenpairs and L = sum T_i (x) X_i."""
+    C = R.c_lift(t.n)
+    Wc = (Q / lam) @ (Q.conj().T @ C)
+    return C, Wc, kron_sum(R.T, t.X) @ Wc
+
+
 def caterpillar_eval(R, t, tol_inv=TOL_INV):
     """Three caterpillar terms at (A, X) in dom-kebab; returns (t0, t1, t2)."""
-    t0_point = R.zero_x(t)
-    if not in_dom(R, t0_point, tol_inv):
+    inside, lam, Q = _kebab_pair(R, t, tol_inv)
+    if not inside[0]:
         raise KebabError("(A, 0) is outside dom r")
-    W = resolvent(R, t0_point, tol_inv)
-    res = resolvent(R, t, tol_inv)
-    n = t.n
-    C = R.c_lift(n)
-    L = kron_sum(R.T, t.X)
-    Wc = W @ C
-    term0 = C.conj().T @ Wc
-    term1 = Wc.conj().T @ L @ Wc
-    term2 = Wc.conj().T @ L @ res @ L @ Wc
-    return term0, term1, term2
+    if not inside[1]:
+        raise NotInDomain("(A, X) is outside dom r")
+    C, Wc, LWc = _affine_terms(R, t, lam[0], Q[0])
+    return (C.conj().T @ Wc, Wc.conj().T @ LWc,
+            realize._compress(lam[1], Q[1], LWc))
 
 
 def fbar_eval(R, t, tol_inv=TOL_INV):
@@ -84,67 +96,54 @@ class ButterflyCert:
     """Evaluator bundle for the butterfly forms of one realization."""
 
     R: Realization
-    frame: RangeTFrame
 
     def w_eval(self, t, tol_inv=TOL_INV):
         """w(A) = R_T(A, 0), a Hermitian kn x kn matrix."""
-        return matkit.herm(
-            realize.r_T(self.R, self.R.zero_x(t), self.frame, tol_inv))
+        return realize.r_T(self.R, self.R.zero_x(t), tol_inv)
 
-    def ell_parts(self, t, tol_inv=TOL_INV):
-        """ell_j(A) = (V_T* T_j (x) I) W(A) (c (x) I), one kn x n block per j."""
-        R = self.R
-        n = t.n
-        W = resolvent(R, R.zero_x(t), tol_inv)
-        C = R.c_lift(n)
-        Wc = W @ C
-        V = self.frame.V_T
-        return [np.kron(V.conj().T @ T, np.eye(n)) @ Wc for T in R.T]
+    def _zero_slice(self, t):
+        """(lam, Q, w): the eigenpairs of the pencil at (A, 0) and w(A)
+        (None when k = 0); None when (A, 0) or (A, X) is outside dom."""
+        inside, lam, Q = _kebab_pair(self.R, t, TOL_INV)
+        if not inside.all():
+            return None
+        w = realize.r_T(self.R, self.R.zero_x(t), factors=(lam[0], Q[0])) \
+            if self.R.frame.k else None
+        return lam[0], Q[0], w
 
-    def ell_eval(self, t, tol_inv=TOL_INV):
-        """ell(A, X) = sum_j (I_k (x) X_j) ell_j(A)."""
-        parts = self.ell_parts(t, tol_inv)
-        k, n = self.frame.k, t.n
-        out = np.zeros((k * n, n), dtype=complex)
-        for X, part in zip(t.X, parts):
-            out += np.kron(np.eye(k), X) @ part
-        return out
+    def _sandwich(self, rw, t):
+        """I - sqrt(w) Lhat sqrt(w), Lhat = sum That_i (x) X_i."""
+        return np.eye(len(rw)) - rw @ kron_sum(self.R.frame.That, t.X) @ rw
 
-    def lhat(self, t):
-        return kron_sum(self.frame.That, t.X)
-
-    def eval_sqrt_form(self, t, tol_psd=TOL_PSD, tol_inv=TOL_INV):
+    def eval_sqrt_form(self, t):
         """fbar + (sqrt(w) ell)* (I - sqrt(w) Lhat sqrt(w))^{-1} sqrt(w) ell.
 
         Requires w(A) PSD; raises DomainError otherwise (through sqrt_psd).
         """
-        if not in_dom_kebab(self.R, t, tol_inv):
+        at = self._zero_slice(t)
+        if at is None:
             raise NotInDomain("point is outside dom-kebab")
-        f = fbar_eval(self.R, t, tol_inv)
-        if self.frame.k == 0:
+        lam, Q, w = at
+        C, Wc, LWc = _affine_terms(self.R, t, lam, Q)
+        f = C.conj().T @ Wc + Wc.conj().T @ LWc
+        if w is None:
             return f
-        w = self.w_eval(t, tol_inv)
-        rw = sqrt_psd(w, tol_psd)
-        ell = rw @ self.ell_eval(t, tol_inv)
-        M = np.eye(w.shape[0]) - rw @ self.lhat(t) @ rw
-        return f + ell.conj().T @ np.linalg.solve(M, ell)
+        rw = sqrt_psd(w)
+        ell = rw @ (self.R.frame.lift(t.n).conj().T @ LWc)
+        return f + ell.conj().T @ np.linalg.solve(self._sandwich(rw, t), ell)
 
-    def in_domain_item4(self, t, tol_psd=TOL_PSD, tol_inv=TOL_INV):
+    def in_domain_item4(self, t):
         """Characterization: dom-kebab and w(A) PSD and I - sqrt(w) Lhat sqrt(w) PD."""
-        if not in_dom_kebab(self.R, t, tol_inv):
+        at = self._zero_slice(t)
+        if at is None:
             return False
-        if self.frame.k == 0:
-            return True
-        w = self.w_eval(t, tol_inv)
-        if not is_psd(w, tol_psd).is_psd:
-            return False
-        rw = sqrt_psd(w, tol_psd)
-        M = matkit.herm(np.eye(w.shape[0]) - rw @ self.lhat(t) @ rw)
-        return is_psd(M, tol_psd).is_pd
+        w = at[2]
+        return w is None or (is_psd(w).is_psd and is_psd(
+            matkit.herm(self._sandwich(sqrt_psd(w), t))).is_pd)
 
 
 def butterfly_build(R):
-    return ButterflyCert(R, range_t_frame(R))
+    return ButterflyCert(R)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def slice_reduce(R, A_mats, n=None, tol_inv=TOL_INV, rtol=realize.RTOL_RANK):
     """
     A_mats = tuple(np.asarray(M, dtype=complex) for M in A_mats)
     n = A_mats[0].shape[0] if A_mats else (n or 1)
-    frame = range_t_frame(R)
+    frame = R.frame
     V = frame.V_T
     e, k = R.e, frame.k
     Vp = _complement(V, e)
@@ -334,24 +333,24 @@ class MidpointWitness:
         return matkit.herm(g)
 
 
-def midpoint_violation_search(p, rng=None, sizes=(2, 3), samples=120,
-                              scale=1.0, tol=1e-8):
-    """Random search for a midpoint-convexity-in-x violation; None if clean."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def midpoint_violation_search(p, samples=120):
+    """Seeded random search for a midpoint-convexity-in-x violation (gap
+    eigenvalue below -1e-8) at sizes 2 and 3, scale 1; None if clean."""
+    rng = np.random.default_rng(0)
     h, g = p.ctx.h, p.ctx.g
-    for n in sizes:
+    for n in (2, 3):
         for _ in range(samples):
-            A = tuple(matkit.sample_herm(n, scale, rng) for _ in range(h))
-            X1 = tuple(matkit.sample_herm(n, scale, rng) for _ in range(g))
-            X2 = tuple(matkit.sample_herm(n, scale, rng) for _ in range(g))
+            A = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(h))
+            X1 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
+            X2 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
             cand = MidpointWitness(A, X1, X2, 0.0)
             lam = float(np.linalg.eigvalsh(cand.gap(p))[0])
-            if lam < -tol:
+            if lam < -1e-8:
                 return MidpointWitness(A, X1, X2, lam)
     return None
 
 
-def poly_butterfly(p, tol=1e-10):
+def poly_butterfly(p):
     """Decompose a symmetric polynomial, convexible in x, as ell* w ell + fbar.
 
     Rejects degree > 2 in x with NotConvexible carrying a midpoint witness
@@ -369,8 +368,9 @@ def poly_butterfly(p, tol=1e-10):
         wit = midpoint_violation_search(p)
         raise NotConvexible("degree %d in x exceeds two" % degx, wit)
     ctx = p.ctx
+    tol = 1e-10  # coefficients below it are dropped
     R = linearize_poly(p)
-    frame = range_t_frame(R)
+    frame = R.frame
     V = frame.V_T
     k = frame.k
     dega = p.degree_in_class("a")

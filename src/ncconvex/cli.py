@@ -241,14 +241,14 @@ def _poly_json(p):
 # ---------------------------------------------------------------------------
 # regions
 
-def make_region(name, R, frame, cfg):
-    """The realize.Region named by --region ("default" is dom-plus)."""
+def make_region(name, R, cfg):
+    """The realize.Region named by --region ("default" is dom-plus); its
+    tol_inv, --tol-inv, decides every pencil of the scans it drives."""
     kind, radius = ("dom-plus" if name == "default" else name), None
     try:
         if name.startswith("ball:"):
             kind, radius = "ball", float(name.split(":", 1)[1])
-        return realize.Region(R, kind, frame, cfg.tol_psd, cfg.tol_inv,
-                              radius)
+        return realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
     except ValueError as exc:
         raise InputError("bad region %r (%s); expected dom, dom-plus, kebab, "
                          "kebab-plus or ball:RADIUS" % (name, exc))
@@ -319,15 +319,13 @@ def _serialize_midpoint_witness(wit, p):
 
 def _partial_scan_chunk(payload):
     """One size of the region Hessian scan; module level for pickling."""
-    (R, frame, region_name, size, samples, seed, tol_psd, tol_inv, scale) \
-        = payload
-    cfg = AnalysisConfig(tol_psd=tol_psd, tol_inv=tol_inv, scale=scale)
-    region = make_region(region_name, R, frame, cfg)
+    R, cfg, size, seed = payload
+    region = make_region(cfg.region, R, cfg)
     rng = np.random.default_rng(seed)
     try:
         verdict = partialcvx.convexity_verdict(
-            R, region=region, sizes=(size,), samples=samples, rng=rng,
-            tol=tol_psd, scale=scale)
+            R, region=region, sizes=(size,), samples=cfg.samples, rng=rng,
+            tol=cfg.tol_psd, scale=cfg.scale)
     except partialcvx.RegionEmpty:
         return {"size": size, "empty": True}
     out = {"size": size, "empty": False}
@@ -341,21 +339,20 @@ def _partial_scan_chunk(payload):
     return out
 
 
-def _localizing_scan(R, frame, cfg, rng):
+def _localizing_scan(R, cfg, rng):
     """Search dom for points where the localizing matrix R_T goes
     indefinite.  A doubled-point witness at the first such point shows that
     convexity stops at the PSD region (sharpness); it does not contradict
     the region verdict.  The dom points, 50 attempts each, come from
     partialcvx.scan_region, which stops at an indefinite point while there
     is no witness yet, so that negativity_witness draws from where the
-    per-sample loop would."""
+    per-sample loop would, from the same dom region."""
     entry = {"checked": 0, "indefinite_points": 0}
-    dom_region = make_region("dom", R, frame, cfg)
+    dom_region = make_region("dom", R, cfg)
+    frame = R.frame
     stop = []
 
     def visit(mats, extra, lam, Q):
-        if not realize._invertible(lam, matkit.TOL_INV).all():
-            raise realize.NotInDomain("pencil is numerically singular")
         # with k = 0, R_T is the empty matrix: PSD, never indefinite
         lows = np.linalg.eigvalsh(realize._compress(
             lam, Q, frame.lift(mats.shape[-1])))[:, 0] if frame.k \
@@ -376,7 +373,8 @@ def _localizing_scan(R, frame, cfg, rng):
                                            cfg.scale, visit, max_attempts=50)
             if stop:
                 try:
-                    wit = partialcvx.negativity_witness(R, stop.pop(), rng=rng)
+                    wit = partialcvx.negativity_witness(
+                        R, stop.pop(), rng=rng, region=dom_region)
                     entry["sharpness_witness"] = \
                         _serialize_doubling_witness(wit)
                 except partialcvx.SpanFailure as exc:
@@ -453,13 +451,9 @@ def cmd_partial(args):
         results["input"] = {"kind": "realization", "e": R.e,
                             "classes": {"a": R.h, "x": R.g}}
 
-    frame = realize.range_t_frame(R)
-
     # Hessian scan over the configured region, one chunk per size
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(R, frame, cfg.region, int(s), cfg.samples, seeds[i],
-                 cfg.tol_psd, cfg.tol_inv, cfg.scale)
-                for i, s in enumerate(cfg.sizes)]
+    payloads = [(R, cfg, int(s), seeds[i]) for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
     chunks = _run_chunks(_partial_scan_chunk, payloads, cfg.workers)
     scan = {"region": cfg.region if cfg.region != "default" else "dom-plus",
@@ -470,8 +464,7 @@ def cmd_partial(args):
             negative = True
 
     t0 = time.monotonic()
-    neg_entry = _localizing_scan(R, frame, cfg,
-                                 np.random.default_rng(seeds[-1]))
+    neg_entry = _localizing_scan(R, cfg, np.random.default_rng(seeds[-1]))
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 
@@ -480,7 +473,7 @@ def cmd_partial(args):
         try:
             cert = butterfly.butterfly_build(R)
             results["butterfly"] = {
-                "k": frame.k,
+                "k": R.frame.k,
                 "sqrt_domain_at_zero": bool(cert.in_domain_item4(
                     HermTuple(1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
                               tuple(np.zeros((1, 1))

@@ -17,7 +17,6 @@ from .ncalg import HermitianError, HermTuple, ShapeError
 
 TOL_INV = 1e-10
 TOL_PSD = 1e-8
-TOL_SQRT = 1e-9
 TOL_HERM = 1e-10
 
 
@@ -34,13 +33,14 @@ def herm(M):
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
-def check_herm(M, tol=TOL_HERM, what="matrix"):
-    """Hermitian part of M; raises when ||M - M*|| > tol max(1, ||M||).
+def check_herm(M, what="matrix"):
+    """Hermitian part of M; raises when ||M - M*|| > TOL_HERM max(1, ||M||).
 
     An exactly Hermitian M skips the two spectral norms.
     """
     D = M - M.conj().T
-    if D.any() and np.linalg.norm(D, 2) > tol * max(1.0, np.linalg.norm(M, 2)):
+    if D.any() and np.linalg.norm(D, 2) > TOL_HERM * max(
+            1.0, np.linalg.norm(M, 2)):
         raise HermitianError("%s is not Hermitian" % what)
     return herm(M)
 
@@ -61,11 +61,19 @@ class PsdReport:
         return self.verdict == "PD"
 
 
+def psd_mask(ev, tol=TOL_PSD):
+    """is_psd's PSD verdict per row of ascending eigenvalues (..., n):
+    lambda_min >= -tol max(1, |lambda_min|, |lambda_max|), the larger
+    modulus being the spectral norm of the Hermitian matrix."""
+    lo, hi = ev[..., 0], ev[..., -1]
+    return lo >= -tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+
 def is_psd(M, tol=TOL_PSD):
     """Eigenvalue verdict for a Hermitian matrix.
 
-    PSD iff lambda_min >= -tol * max(1, |lambda|_max); PD with the strict
-    +tol margin.  ND symmetric for the negative side.
+    PSD iff lambda_min >= -tol * max(1, |lambda|_max) (psd_mask); PD with
+    the strict +tol margin.  ND symmetric for the negative side.
     """
     M = check_herm(np.asarray(M, dtype=complex))
     if M.size == 0:
@@ -95,7 +103,7 @@ def sqrt_psd(M, tol=TOL_PSD):
     return herm(U @ np.diag(np.sqrt(lam)) @ U.conj().T)
 
 
-def signature_decompose(H, tol=TOL_INV):
+def signature_decompose(H):
     """Invertible Hermitian H -> (J, C) with C* H C = J, J a signature matrix.
 
     Eigenvalues are sorted descending, so H = diag(4, -9) gives
@@ -105,7 +113,7 @@ def signature_decompose(H, tol=TOL_INV):
     lam, U = np.linalg.eigh(H)
     order = np.argsort(-lam)
     lam, U = lam[order], U[:, order]
-    if np.min(np.abs(lam)) <= tol * max(1.0, np.max(np.abs(lam))):
+    if np.min(np.abs(lam)) <= TOL_INV * max(1.0, np.max(np.abs(lam))):
         raise SingularError("Hermitian matrix is numerically singular")
     J = np.diag(np.sign(lam))
     C = U @ np.diag(1.0 / np.sqrt(np.abs(lam)))
@@ -224,11 +232,10 @@ class BlockMatrix2:
         return cls(tuple(tuple(row) for row in b), rp, cp)
 
     @classmethod
-    def from_matrix(cls, M, p, q=None):
-        """Split a matrix at row p and column q (default q = p)."""
+    def from_matrix(cls, M, p):
+        """Split a matrix at row and column p."""
         M = np.asarray(M, dtype=complex)
-        q = p if q is None else q
-        return cls.from_blocks(M[:p, :q], M[:p, q:], M[p:, :q], M[p:, q:])
+        return cls.from_blocks(M[:p, :p], M[:p, p:], M[p:, :p], M[p:, p:])
 
     def full(self):
         return np.block([[self.blocks[0][0], self.blocks[0][1]],
@@ -304,6 +311,20 @@ def _rescaled_herm(Z, scale):
     return np.where(big[..., None, None], H * f[..., None, None], H)
 
 
+def _widths(parts, scale):
+    """(scale per part, normals per draw of each part): 2 r c, or none
+    for a Hermitian part at scale 0, which is drawn as zero."""
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(parts),))
+    return scales, [0 if herm_ and s == 0 else 2 * r * c
+                    for (r, c, herm_), s in zip(parts, scales)]
+
+
+def skip_blocks(parts, scale, rng, size):
+    """Move rng past the normals sample_blocks(parts, scale, rng, size)
+    draws, without building the matrices."""
+    rng.normal(size=(size, sum(_widths(parts, scale)[1])))
+
+
 def sample_blocks(parts, scale, rng, size):
     """size draws of a list of matrices, as one stack (size, r, c) per part.
 
@@ -312,12 +333,10 @@ def sample_blocks(parts, scale, rng, size):
     sample_herm draws it at its scale; a rectangular one is the complex
     Gaussian (real + i imag) * scale / sqrt 2, real part first.  One
     rng.normal call fills the stacks in the order of size loops that draw
-    the parts one after another, and the Hermitian parts of one size share
-    one batched rescale, each to its own scale.
+    the parts one after another (_widths), and the Hermitian parts of one
+    size share one batched rescale, each to its own scale.
     """
-    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(parts),))
-    widths = [0 if herm_ and s == 0 else 2 * r * c
-              for (r, c, herm_), s in zip(parts, scales)]
+    scales, widths = _widths(parts, scale)
     Z = rng.normal(size=(size, sum(widths)))
     at = np.concatenate([[0], np.cumsum(widths)])
     out = [None] * len(parts)

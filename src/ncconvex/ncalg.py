@@ -197,8 +197,9 @@ class FreePoly:
     def adjoint(self):
         return adjoint(self)
 
-    def is_symmetric(self, tol=COEFF_DROP * 10):
-        """coeff(w*) = coeff(w)^* for every word."""
+    def is_symmetric(self):
+        """coeff(w*) = coeff(w)^* for every word, up to 10 COEFF_DROP."""
+        tol = COEFF_DROP * 10
         if self.shape[0] != self.shape[1]:
             return False
         for w, c in self.coeffs.items():

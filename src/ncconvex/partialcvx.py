@@ -36,8 +36,7 @@ import numpy as np
 from . import matkit, realize
 from .ncalg import HermTuple
 from .matkit import TOL_PSD, sample_herm
-from .realize import (NotInDomain, Region, eval_realization, r_T,
-                      range_t_frame, resolvent)
+from .realize import Region, eval_realization, r_T, resolvent
 
 # pencil entries per sampled block, B (en)^2: 16 MB of complex numbers
 BLOCK_ENTRIES = 1 << 20
@@ -63,31 +62,32 @@ def _direction_op(R, H, n):
     return realize.kron_sum(R.T, H)
 
 
-def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV, factors=None):
+def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
-    factors are the pencil's eigenpairs at t when already known."""
-    lam, Q = realize._pencil_eigh(R, t, tol_inv, factors)
+    raises NotInDomain when the pencil at t is singular at tol_inv."""
+    lam, Q = realize._pencil_eigh(R, t, tol_inv)
     H = np.asarray(H, dtype=complex).reshape(1, R.g, t.n, t.n)
     return _hessians(R, lam[None], Q[None], H)[0]
 
 
-def partial_hessian_forms(R, t, H, frame=None, tol_inv=matkit.TOL_INV):
+def partial_hessian_forms(R, t, H):
     """Both algebraic forms: triple-resolvent and the R_T sandwich."""
-    frame = range_t_frame(R) if frame is None else frame
-    res = resolvent(R, t, tol_inv)
+    res = resolvent(R, t)
     L = _direction_op(R, H, t.n)
     C = R.c_lift(t.n)
     LRc = L @ (res @ C)
     form1 = 2.0 * (LRc.conj().T @ res @ LRc)
-    V = frame.lift(t.n)
+    V = R.frame.lift(t.n)
     RT = V.conj().T @ res @ V
     half = V.conj().T @ LRc
     form2 = 2.0 * (half.conj().T @ RT @ half)
     return form1, form2
 
 
-def finite_diff_hessian(R, t, H, eps=1e-4):
-    """Central second difference of s -> r(A, X + sH) at s = 0."""
+def finite_diff_hessian(R, t, H):
+    """Central second difference of s -> r(A, X + sH) at s = 0, step 1e-4."""
+    eps = 1e-4
+
     def shifted(s):
         X = tuple(Xi + s * Hi for Xi, Hi in zip(t.X, H))
         return eval_realization(R, HermTuple(t.n, t.A, X, validate=False))
@@ -141,6 +141,7 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     """
     R = region.R
     counts = (R.h, R.g)
+    parts = [(n, n, True)] * (R.h + R.g)
     cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
     done, size = 0, 1
     while done < max_attempts:
@@ -152,17 +153,11 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
             i, factors = hit
             if i < B - 1:
                 rng.bit_generator.state = state
-                matkit.sample_stack(n, counts, scale, rng, i + 1)
+                matkit.skip_blocks(parts, scale, rng, i + 1)
             return HermTuple.make(mats[i, :R.h], mats[i, R.h:]), factors
         done += B
         size *= 2
     return None
-
-
-def _rewind(rng, state, normals):
-    """Put the generator at state and past the next normals draws."""
-    rng.bit_generator.state = state
-    rng.normal(size=normals)
 
 
 def scan_region(region, n, samples, rng, scale, visit, extra=(),
@@ -183,18 +178,17 @@ def scan_region(region, n, samples, rng, scale, visit, extra=(),
     point outside the region: their points (B, h + g, n, n), extras
     (B, m, n, n) and pencil eigenpairs (B, en) and (B, en, en).  It
     returns None to go on, or the index of the probe after which the scan
-    stops; the generator is then rewound to the end of that probe's draws.
-    At a point outside the region the generator is rewound past that draw,
-    _sample_in_region finishes the probe from its second attempt on, and
-    the next block has size 1 again.  Every draw is that of the per-sample
-    loop, and the generator ends where that loop would leave it.
+    stops; the generator is then rewound to the end of that probe's draws
+    (matkit.skip_blocks).  At a point outside the region the generator is
+    rewound past that draw, _sample_in_region finishes the probe from its
+    second attempt on, and the next block has size 1 again.  Every draw
+    is that of the per-sample loop, and the generator ends where that
+    loop would leave it.
     """
     R = region.R
     hg = R.h + R.g
     parts = [(n, n, True)] * (hg + len(extra))
     scales = [scale] * hg + list(extra)
-    widths = [0 if s == 0 else 2 * n * n for s in scales]
-    per_point, per_probe = sum(widths[:hg]), sum(widths)
 
     def draw(first, B):
         """B draws of the parts from first on, as (B, parts, n, n)."""
@@ -215,14 +209,17 @@ def scan_region(region, n, samples, rng, scale, visit, extra=(),
         if r:
             stop = visit(mats[:r], ext[:r], lam[:r], Q[:r])
             if stop is not None:
-                _rewind(rng, state, (stop + 1) * per_probe)
+                rng.bit_generator.state = state
+                matkit.skip_blocks(parts, scales, rng, stop + 1)
                 return done + stop + 1
         done += r
         if r == B:
             size *= 2
             continue
         # probe r's point missed: finish that probe one point at a time
-        _rewind(rng, state, r * per_probe + per_point)
+        rng.bit_generator.state = state
+        matkit.skip_blocks(parts, scales, rng, r)
+        matkit.skip_blocks(parts[:hg], scales[:hg], rng, 1)
         done, size = done + 1, 1
         hit = _sample_in_region(region, n, scale, rng, max_attempts - 1)
         if hit is None:
@@ -237,19 +234,10 @@ def scan_region(region, n, samples, rng, scale, visit, extra=(),
 def _hessians(R, lam, Q, H):
     """partial_hessian at a stack of points from their pencil eigenpairs
     (B, en) and (B, en, en), in the directions H (B, g, n, n)."""
-    B, n = H.shape[0], H.shape[-1]
+    n = H.shape[-1]
     res = (Q / lam[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-    L = realize.kron_sum(R.T, H) if R.T \
-        else np.zeros((B, R.e * n, R.e * n), dtype=complex)
-    LRc = L @ (res @ R.c_lift(n))
+    LRc = _direction_op(R, H, n) @ (res @ R.c_lift(n))
     return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ res @ LRc))
-
-
-def _below(lows, vals, tol):
-    """Indices i with lows[i] < -tol max(1, ||vals[i]||_2), in order;
-    the norm is computed only where lows[i] < -tol."""
-    return [i for i in np.flatnonzero(lows < -tol)
-            if lows[i] < -tol * max(1.0, float(np.linalg.norm(vals[i], 2)))]
 
 
 def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
@@ -264,8 +252,10 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     Both scans run through scan_region, which draws probes in speculative
     blocks: a Hessian probe is a region point and its g directions H (at
     scale 1), a midpoint probe a point (A, X) and its Y (at scale).  The
-    Hessians of a run of accepted points are evaluated as one stack from
-    the eigenpairs the region test handed on, with one batched eigvalsh.
+    region decides which points lie in dom.  The Hessians of a run of
+    accepted points are evaluated as one stack from the eigenpairs the
+    region test handed on, with one batched eigvalsh, and judged by
+    matkit.psd_mask at tol.
     The points (A, Y) and (A, (X + Y)/2) of a midpoint run are tested with
     one more region.test, and the run's gaps come from one _compress stack
     each.  Every draw, and so every verdict, is that of a loop that draws
@@ -277,21 +267,18 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     def hessian_run(mats, H, lam, Q):
         nonlocal count, min_lambda
-        ok = np.flatnonzero(realize._invertible(lam, matkit.TOL_INV))
-        if not ok.size:
-            return None
-        vals = _hessians(R, lam[ok], Q[ok], H[ok])
-        lows = np.linalg.eigvalsh(vals)[:, 0]
-        bad = _below(lows, vals, tol)
-        upto = bad[0] + 1 if bad else len(ok)
+        vals = _hessians(R, lam, Q, H)
+        ev = np.linalg.eigvalsh(vals)
+        bad = np.flatnonzero(~matkit.psd_mask(ev, tol))
+        upto = bad[0] + 1 if bad.size else len(vals)
         count += upto
-        min_lambda = min([min_lambda] + lows[:upto].tolist())
-        if not bad:
+        min_lambda = min([min_lambda] + ev[:upto, 0].tolist())
+        if not bad.size:
             return None
-        j, i = bad[0], int(ok[bad[0]])
+        i = int(bad[0])
         t = HermTuple.make(mats[i, :R.h], mats[i, R.h:])
-        probe = HessianProbe(t, tuple(H[i]), vals[j], float(lows[j]))
-        found.append(Witness(probe, -float(lows[j])))
+        probe = HessianProbe(t, tuple(H[i]), vals[i], float(ev[i, 0]))
+        found.append(Witness(probe, -float(ev[i, 0])))
         return i
 
     for n in sizes:
@@ -310,9 +297,7 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
         inside, clam, cQ = region.test(np.concatenate(
             [np.concatenate([A, Y], axis=1),
              np.concatenate([A, (X + Y) / 2], axis=1)]))
-        inv = realize._invertible(np.concatenate([lam, clam]), matkit.TOL_INV)
-        ok = np.flatnonzero(inside[:r] & inside[r:]
-                            & inv[:r] & inv[r:2 * r] & inv[2 * r:])
+        ok = np.flatnonzero(inside[:r] & inside[r:])
         if not ok.size:
             return None
         lift = R.c_lift(mats.shape[-1])
@@ -320,8 +305,8 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
                + realize._compress(clam[ok], cQ[ok], lift)) / 2 \
             - realize._compress(clam[r + ok], cQ[r + ok], lift)
         pairs += len(ok)
-        viol += len(_below(np.linalg.eigvalsh(matkit.herm(gap))[:, 0], gap,
-                           tol))
+        viol += int(np.count_nonzero(
+            ~matkit.psd_mask(np.linalg.eigvalsh(gap), tol)))
         return None
 
     for n in sizes:
@@ -370,45 +355,35 @@ def _dirsum(blocks):
     return out
 
 
-def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
-               max_rounds=None, probe_sizes=(1, 1, 2, 3)):
+def span_probe(R, m, rng=None, region=None):
     """Direct-sum probes until the span fills ran T (x) C^m.
 
-    Probes start at size 1 (the scalar-point hypothesis) and cycle through
-    probe_sizes; the round cap is 20 k m.  Partial spans are returned, not
-    raised.
+    Each probe is a point of region (default dom r) drawn at scale 0.5,
+    200 attempts at most.  Probe sizes start at 1 (the scalar-point
+    hypothesis) and cycle through 1, 1, 2, 3; the round cap is 20 k m.
+    Partial spans are returned, not raised.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
-    frame = range_t_frame(R) if frame is None else frame
-    k = frame.k
+    k = R.frame.k
     target = k * m
     if target == 0:
         return SpanData((), (), (), np.zeros((m, 0), dtype=complex), 0, 0, 0)
-    cap = max_rounds if max_rounds is not None else 20 * k * m
-    parts_A = [[] for _ in range(R.h)]
-    parts_X = [[] for _ in range(R.g)]
-    parts_H = [[] for _ in range(R.g)]
-    parts_z = []
+    cap = 20 * k * m
+    kept = []  # (point, H, z) of each probe that grew the span
     acc = np.zeros((target, 0), dtype=complex)
-    rank = 0
-    rounds = 0
-    Vm = frame.lift(m)
+    rank = rounds = 0
+    Vm = R.frame.lift(m)
     while rank < target and rounds < cap:
         rounds += 1
-        n = probe_sizes[min(rounds - 1, len(probe_sizes) - 1)] \
-            if rounds <= len(probe_sizes) else \
-            probe_sizes[(rounds - 1) % len(probe_sizes)]
-        hit = _sample_in_region(region, n, scale, rng, max_attempts=200)
+        n = (1, 1, 2, 3)[(rounds - 1) % 4]
+        hit = _sample_in_region(region, n, 0.5, rng, max_attempts=200)
         if hit is None:
             continue
         t, factors = hit
         H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        try:
-            res = resolvent(R, t, factors=factors)
-        except NotInDomain:
-            continue
+        res = resolvent(R, t, factors=factors)
         C = R.c_lift(n)
         L = _direction_op(R, H, n)
         cols = np.kron(np.eye(R.e), z) @ (L @ (res @ C))
@@ -416,18 +391,13 @@ def span_probe(R, m, rng=None, region=None, frame=None, scale=0.5,
         trial = np.hstack([acc, cols])
         Q = realize._orth(trial, realize.RTOL_RANK)
         if Q.shape[1] > rank:
-            acc = Q
-            rank = Q.shape[1]
-            for j in range(R.h):
-                parts_A[j].append(t.A[j])
-            for j in range(R.g):
-                parts_X[j].append(t.X[j])
-                parts_H[j].append(H[j])
-            parts_z.append(z)
-    A1 = tuple(_dirsum(p) for p in parts_A)
-    X1 = tuple(_dirsum(p) for p in parts_X)
-    Hd = tuple(_dirsum(p) for p in parts_H)
-    w = np.hstack(parts_z) if parts_z else np.zeros((m, 0), dtype=complex)
+            acc, rank = Q, Q.shape[1]
+            kept.append((t, H, z))
+    A1 = tuple(_dirsum([t.A[j] for t, _, _ in kept]) for j in range(R.h))
+    X1 = tuple(_dirsum([t.X[j] for t, _, _ in kept]) for j in range(R.g))
+    Hd = tuple(_dirsum([H[j] for _, H, _ in kept]) for j in range(R.g))
+    w = np.hstack([z for _, _, z in kept]) if kept \
+        else np.zeros((m, 0), dtype=complex)
     return SpanData(A1, X1, Hd, w, rank, target, rounds)
 
 
@@ -443,30 +413,33 @@ class ConvexityWitness:
     bad_lambda: float
 
 
-def negativity_witness(R, bad, rng=None, region=None, tol=1e-6):
+def negativity_witness(R, bad, rng=None, region=None):
     """Witness h* r_xx h < 0 from a point where R_T is indefinite.
 
-    bad must satisfy lambda_min(R_T(bad)) < -tol.  The witness doubles
+    bad must satisfy lambda_min(R_T(bad)) < -1e-6.  The witness doubles
     bad with a span-saturating companion (A1, X1), takes the direction
     H_i = [[0, K_i*], [K_i, 0]] with K_i = w H_i^{probe}, and h supported
     on the companion block solving (sum T_i (x) K_i) R(A1,X1) (c (x) I) v
-    = V_T-coordinates of the negative eigenvector.
+    = V_T-coordinates of the negative eigenvector.  region is the dom
+    Region the companions are drawn from (default dom r); its tol_inv
+    decides the pencils at bad, at the companion and at the doubled point.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    frame = range_t_frame(R)
+    region = Region(R) if region is None else region
+    frame = R.frame
     m = bad.n
-    RT = matkit.herm(r_T(R, bad, frame))
-    lam, vecs = np.linalg.eigh(RT)
-    if lam[0] >= -tol:
+    lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv))
+    if lam[0] >= -1e-6:
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
     xi = vecs[:, 0]
-    span = span_probe(R, m, rng, region, frame)
+    span = span_probe(R, m, rng, region)
     if not span.saturated:
         raise SpanFailure(span.achieved_dim, span.target_dim)
     M = span.M
     K = tuple(span.w @ Hi for Hi in span.H)  # m x M each
-    res1 = resolvent(R, HermTuple(M, span.A1, span.X1, validate=False))
+    res1 = resolvent(R, HermTuple(M, span.A1, span.X1, validate=False),
+                     region.tol_inv)
     C1 = R.c_lift(M)
     G = np.zeros((R.e * m, M), dtype=complex)
     for T, Ki in zip(R.T, K):
@@ -479,17 +452,13 @@ def negativity_witness(R, bad, rng=None, region=None, tol=1e-6):
 
     A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(span.A1, bad.A))
     X = tuple(_dirsum([x1, x2]) for x1, x2 in zip(span.X1, bad.X))
-    H = []
-    for Ki in K:
-        D = np.zeros((M + m, M + m), dtype=complex)
-        D[:M, M:] = Ki.conj().T
-        D[M:, :M] = Ki
-        H.append(D)
+    H = tuple(np.block([[np.zeros((M, M)), Ki.conj().T],
+                        [Ki, np.zeros((m, m))]]) for Ki in K)
     point = HermTuple(M + m, A, X, validate=False)
     h = np.concatenate([v, np.zeros(m, dtype=complex)])
     h = h / np.linalg.norm(h)
-    val = partial_hessian(R, point, tuple(H))
+    val = partial_hessian(R, point, H, region.tol_inv)
     quad = float(np.real(h.conj() @ val @ h))
     if quad >= 0:
         raise SpanFailure(span.achieved_dim, span.target_dim)
-    return ConvexityWitness(point, tuple(H), h, quad, -quad, float(lam[0]))
+    return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))

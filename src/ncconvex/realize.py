@@ -32,24 +32,26 @@ C, Sigma = D C^{-1}, an O(d^3) solve.
 At a point (A, X) the pencil J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
 is Hermitian, so one Hermitian eigendecomposition P = Q diag(lam) Q*
 serves every domain predicate: the singular values are the |lam|, and
-P^{-1} = Q diag(1/lam) Q*.  A Region tests a whole stack of points with
-one batched eigendecomposition and hands the eigenpairs of each point on:
-resolvent, r_T and eval_realization take them as factors= and then do
-not factor the pencil again.  in_dom, in_dom_plus, in_dom_kebab and
-in_dom_kebab_plus are the one-point case.
+P^{-1} = Q diag(1/lam) Q*.  A Region, the one membership test, tests a
+stack of points with one batched eigendecomposition and hands the
+eigenpairs of each point on: resolvent, r_T and eval_realization take
+them as factors=, trusted, and do not factor the pencil again.  in_dom,
+in_dom_plus, in_dom_kebab and in_dom_kebab_plus are the one-point case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import matkit
-from .ncalg import FreePoly, HermTuple, SymmetryError, VarContext
+from .ncalg import HermTuple, SymmetryError
 from .matkit import TOL_INV, TOL_PSD, check_herm, signature_decompose
 
 RTOL_RANK = 1e-10
+TOL_SYM = 1e-6  # accepted residual and Hermitian defect of the symmetrizer
 
 
 class NotInDomain(ValueError):
@@ -117,8 +119,14 @@ class Realization:
     def g(self):
         return len(self.T)
 
-    def is_signature(self, tol=1e-8):
-        return np.linalg.norm(self.J @ self.J - np.eye(self.e), 2) <= tol
+    def is_signature(self):
+        return np.linalg.norm(self.J @ self.J - np.eye(self.e), 2) <= 1e-8
+
+    @cached_property
+    def frame(self):
+        """The RangeTFrame of ran T, built on first use (see
+        _range_t_frame); replace() gives a fresh one."""
+        return _range_t_frame(self)
 
     def pencil(self, t):
         """P(A, X) = J (x) I - sum T_i (x) X_i - sum S_j (x) A_j."""
@@ -183,9 +191,12 @@ def _invertible(lam, tol_inv):
 
 
 def _pencil_eigh(R, t, tol_inv, factors=None):
-    """(lam, Q) of the Hermitian pencil at t: the handed-on factors, or one
-    eigh when there are none; raises NotInDomain when singular."""
-    lam, Q = np.linalg.eigh(R.pencil(t)) if factors is None else factors
+    """(lam, Q) of the Hermitian pencil at t: the factors a Region handed
+    on (its test has put t in dom), or one eigh when there are none, which
+    raises NotInDomain when the pencil is singular at tol_inv."""
+    if factors is not None:
+        return factors
+    lam, Q = np.linalg.eigh(R.pencil(t))
     if not _invertible(lam, tol_inv):
         raise NotInDomain("pencil is numerically singular (smin=%g)"
                           % np.abs(lam).min())
@@ -230,25 +241,25 @@ class RangeTFrame:
         return _lift(self._lifts, self.V_T, n)
 
 
-def range_t_frame(R, rtol=RTOL_RANK):
-    """Orthonormal basis of ran T = span of the ranges of all T_i."""
+def _range_t_frame(R):
+    """Orthonormal basis of ran T = span of the ranges of all T_i; read it
+    as R.frame, which builds it once."""
     e = R.e
     if R.g == 0:
         V = np.zeros((e, 0), dtype=complex)
         return RangeTFrame(V, ())
     stack = np.hstack([np.asarray(T, dtype=complex) for T in R.T])
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    k = int(np.sum(s > rtol * max(1.0, s[0] if len(s) else 1.0)))
+    k = int(np.sum(s > RTOL_RANK * max(1.0, s[0] if len(s) else 1.0)))
     V = U[:, :k]
     That = tuple(matkit.herm(V.conj().T @ T @ V) for T in R.T)
     return RangeTFrame(V, That)
 
 
-def r_T(R, t, frame=None, tol_inv=TOL_INV, factors=None):
+def r_T(R, t, tol_inv=TOL_INV, factors=None):
     """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
     from the pencil's eigenpairs (see _pencil_eigh)."""
-    frame = range_t_frame(R) if frame is None else frame
-    return _compress(*_pencil_eigh(R, t, tol_inv, factors), frame.lift(t.n))
+    return _compress(*_pencil_eigh(R, t, tol_inv, factors), R.frame.lift(t.n))
 
 
 REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
@@ -259,9 +270,9 @@ class Region:
 
     dom: the pencil is invertible at relative threshold tol_inv (smin and
     smax are the extreme |eigenvalues| of the Hermitian pencil).
-    dom-plus: also R_T(A, X) PSD at tol (vacuous when k = 0).
+    dom-plus: also R_T(A, X) PSD at tol (psd_mask; vacuous when k = 0).
     kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
-    ball: every matrix of spectral norm <= radius.
+    ball: dom, and every matrix of spectral norm <= radius.
 
     test reads every kind from one batched pencil build, one batched eigh
     (over 2B pencils for the kebab kinds), one batched R_T compression of
@@ -275,16 +286,14 @@ class Region:
     accepted; its answer is test's bit for bit.
     """
 
-    def __init__(self, R, kind="dom", frame=None, tol=TOL_PSD,
-                 tol_inv=TOL_INV, radius=None):
+    def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV,
+                 radius=None):
         if kind not in REGION_KINDS:
             raise ValueError("unknown region kind %r" % kind)
         if kind == "ball" and not (radius is not None and np.isfinite(radius)
                                    and radius > 0):
             raise ValueError("a ball needs a positive finite radius")
-        if frame is None and kind.endswith("plus"):
-            frame = range_t_frame(R)
-        self.R, self.kind, self.frame = R, kind, frame
+        self.R, self.kind = R, kind
         self.tol, self.tol_inv, self.radius = tol, tol_inv, radius
 
     def _with_zero_x(self, mats):
@@ -306,17 +315,15 @@ class Region:
         for the kebab kinds)."""
         B, n = mats.shape[0], mats.shape[-1]
         lam, Q = np.linalg.eigh(P)
+        mask = _invertible(lam, self.tol_inv)
         if self.kind == "ball":
             norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-            return np.all(norms <= self.radius, axis=1), lam, Q
-        mask = _invertible(lam, self.tol_inv)
-        if self.kind.endswith("plus") and self.frame.k:
+            mask &= np.all(norms <= self.radius, axis=1)
+        if self.kind.endswith("plus") and self.R.frame.k:
             idx = np.flatnonzero(mask)
             ev = np.linalg.eigvalsh(
-                _compress(lam[idx], Q[idx], self.frame.lift(n)))
-            lo, hi = ev[:, 0], ev[:, -1]
-            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            mask[idx] = lo >= -self.tol * scale
+                _compress(lam[idx], Q[idx], self.R.frame.lift(n)))
+            mask[idx] = matkit.psd_mask(ev, self.tol)
         return mask.reshape(-1, B).all(axis=0), lam[:B], Q[:B]
 
     def first(self, mats):
@@ -344,7 +351,7 @@ class Region:
         """
         B = len(mats)
         P = self.R.pencils(self._with_zero_x(mats))
-        if self.kind.endswith("plus") and self.frame.k:
+        if self.kind.endswith("plus") and self.R.frame.k:
             try:
                 left = np.flatnonzero(~self._surely_outside(P, B))
             except np.linalg.LinAlgError:
@@ -366,7 +373,7 @@ class Region:
         bound; raises LinAlgError at an exactly singular pencil."""
         en = P.shape[-1]
         Pinv = np.linalg.inv(P)
-        V = self.frame.lift(en // self.R.e)
+        V = self.R.frame.lift(en // self.R.e)
         # eigvalsh reads one triangle, so R_T is not symmetrized: the
         # asymmetry is rounding, inside delta
         ev = np.linalg.eigvalsh(V.conj().T @ Pinv @ V)
@@ -391,17 +398,17 @@ def in_dom(R, t, tol_inv=TOL_INV):
     return t in Region(R, "dom", tol_inv=tol_inv)
 
 
-def in_dom_plus(R, t, frame=None, tol=TOL_PSD, tol_inv=TOL_INV):
+def in_dom_plus(R, t):
     """(A, X) in dom+ r: in dom and R_T(A, X) PSD (vacuous when k = 0)."""
-    return t in Region(R, "dom-plus", frame, tol, tol_inv)
+    return t in Region(R, "dom-plus")
 
 
 def in_dom_kebab(R, t, tol_inv=TOL_INV):
     return t in Region(R, "kebab", tol_inv=tol_inv)
 
 
-def in_dom_kebab_plus(R, t, frame=None, tol=TOL_PSD, tol_inv=TOL_INV):
-    return t in Region(R, "kebab-plus", frame, tol, tol_inv)
+def in_dom_kebab_plus(R, t):
+    return t in Region(R, "kebab-plus")
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +485,10 @@ def _orth(B, rtol=RTOL_RANK):
     return U[:, :k]
 
 
-def _krylov_cut(mats, rtol):
-    """Absolute rank cut rtol max(1, ||M_i||_F) of a Krylov loop from a
-    unit seed."""
-    return rtol * max([1.0] + [np.linalg.norm(M) for M in mats])
+def _krylov_cut(mats):
+    """Absolute rank cut RTOL_RANK max(1, ||M_i||_F) of a Krylov loop from
+    a unit seed."""
+    return RTOL_RANK * max([1.0] + [np.linalg.norm(M) for M in mats])
 
 
 def _pivoted_gs(Q, cand, cut):
@@ -506,7 +513,7 @@ def _pivoted_gs(Q, cand, cut):
     return (np.column_stack([Q] + new) if new else Q), kept
 
 
-def _krylov_closure(mats, seed, rtol=RTOL_RANK):
+def _krylov_closure(mats, seed):
     """Smallest invariant subspace (under all mats) containing the seed,
     as orthonormal columns.
 
@@ -522,7 +529,7 @@ def _krylov_closure(mats, seed, rtol=RTOL_RANK):
     nrm = np.linalg.norm(seed)
     if nrm == 0:
         return Q
-    cut = _krylov_cut(mats, rtol)
+    cut = _krylov_cut(mats)
     frontier = (seed / nrm).reshape(-1, 1)
     while frontier.shape[1]:
         k = Q.shape[1]
@@ -531,30 +538,30 @@ def _krylov_closure(mats, seed, rtol=RTOL_RANK):
     return Q
 
 
-def reduce_linear_rep(rep, rtol=RTOL_RANK):
+def reduce_linear_rep(rep):
     """Two-sided Krylov compression to a minimal linear representation."""
     u, mats, v = rep.u, rep.mats, rep.v
     while True:
         d0 = len(v)
-        Q = _krylov_closure(mats, v, rtol)
+        Q = _krylov_closure(mats, v)
         mats = tuple(Q.conj().T @ M @ Q for M in mats)
         u, v = Q.conj().T @ u, Q.conj().T @ v
-        Qo = _krylov_closure(tuple(M.conj().T for M in mats), u, rtol)
+        Qo = _krylov_closure(tuple(M.conj().T for M in mats), u)
         mats = tuple(Qo.conj().T @ M @ Qo for M in mats)
         u, v = Qo.conj().T @ u, Qo.conj().T @ v
         if len(v) == d0:
             return LinearRep(u, mats, v)
 
 
-def is_minimal_rep(rep, rtol=RTOL_RANK):
+def is_minimal_rep(rep):
     d = rep.dim
-    if _krylov_closure(rep.mats, rep.v, rtol).shape[1] != d:
+    if _krylov_closure(rep.mats, rep.v).shape[1] != d:
         return False
     adj = tuple(M.conj().T for M in rep.mats)
-    return _krylov_closure(adj, rep.u, rtol).shape[1] == d
+    return _krylov_closure(adj, rep.u).shape[1] == d
 
 
-def _krylov_pairs(mats, v, pmats, u, rtol=RTOL_RANK):
+def _krylov_pairs(mats, v, pmats, u):
     """d independent Krylov columns C = [M_w v] and their partners
     D = [P_w u], built breadth first by C_{iw} = M_i C_w and
     D_{iw} = P_i D_w from the columns kept so far.
@@ -566,7 +573,7 @@ def _krylov_pairs(mats, v, pmats, u, rtol=RTOL_RANK):
     (the representation is not reachable, so not minimal).
     """
     d = len(v)
-    cut = _krylov_cut(mats, rtol)
+    cut = _krylov_cut(mats)
     Q = np.zeros((d, 0), dtype=complex)
     C, D = [Q], [Q]
     nv = np.linalg.norm(v) or 1.0
@@ -587,7 +594,7 @@ def _krylov_pairs(mats, v, pmats, u, rtol=RTOL_RANK):
     return C, D
 
 
-def _solve_intertwiner(rep, tol=1e-6):
+def _solve_intertwiner(rep):
     """Unique Sigma with Sigma M_i = M_i* Sigma and Sigma v = u.
 
     Sigma M_w v = (M_{w~})* u for every word w (w~ reversed), so Sigma
@@ -595,7 +602,7 @@ def _solve_intertwiner(rep, tol=1e-6):
     representation reachable, so C is d x d of full rank and Sigma =
     D C^{-1}.  The solve is accepted when the residual of the full system,
     sqrt(sum_i ||Sigma M_i - M_i* Sigma||_F^2 + ||Sigma v - u||^2) /
-    max(1, ||u||), and the relative Hermitian defect are both <= tol.
+    max(1, ||u||), and the relative Hermitian defect are both <= TOL_SYM.
     """
     C, D = _krylov_pairs(rep.mats, rep.v,
                          tuple(M.conj().T for M in rep.mats), rep.u)
@@ -606,14 +613,14 @@ def _solve_intertwiner(rep, tol=1e-6):
     res = np.sqrt(sq) / max(1.0, np.linalg.norm(rep.u))
     nS = max(np.linalg.norm(Sig, 2), 1e-300)
     herm_res = np.linalg.norm(Sig - Sig.conj().T, 2) / nS
-    if not (res <= tol and herm_res <= tol):
+    if not (res <= TOL_SYM and herm_res <= TOL_SYM):
         raise SymmetrizationError(
             "intertwiner solve failed (residual %g, Hermitian defect %g)"
             % (res, herm_res))
     return matkit.herm(Sig)
 
 
-def symmetrize_linear_rep(rep, ctx_counts, tol=1e-6):
+def symmetrize_linear_rep(rep, ctx_counts):
     """Minimal linear rep of a symmetric series -> signature realization.
 
     The Hermitian intertwiner Sigma (unique by minimality) gives the
@@ -622,14 +629,14 @@ def symmetrize_linear_rep(rep, ctx_counts, tol=1e-6):
     C* H C = J via signature_decompose and Z_i = C* W_i C, c = C* ctilde.
     """
     h, g = ctx_counts
-    Sig = _solve_intertwiner(rep, tol)
+    Sig = _solve_intertwiner(rep)
     s = 1.0 / np.linalg.norm(Sig, 2)
     H = s * Sig
     Ws = []
     for M in rep.mats:
         W = H @ M
         dev = np.linalg.norm(W - W.conj().T, 2) / max(1.0, np.linalg.norm(W, 2))
-        if dev > tol:
+        if dev > TOL_SYM:
             raise SymmetrizationError("coefficient Hermitization defect %g" % dev)
         Ws.append(matkit.herm(W))
     ctilde = np.sqrt(s) * (Sig @ rep.v)
@@ -639,32 +646,31 @@ def symmetrize_linear_rep(rep, ctx_counts, tol=1e-6):
     return Realization.make(J, Zs[:h], Zs[h:], a, minimal=True, symmetric=True)
 
 
-def linearize_poly(p, tol=1e-6):
+def linearize_poly(p):
     """Symmetric scalar polynomial -> minimal signature realization."""
     if not p.is_symmetric():
         raise SymmetryError("polynomial is not symmetric")
     rep = reduce_linear_rep(poly_linear_rep(p))
-    return symmetrize_linear_rep(rep, (p.ctx.h, p.ctx.g), tol)
+    return symmetrize_linear_rep(rep, (p.ctx.h, p.ctx.g))
 
 
-def minimize(R, rtol=RTOL_RANK, tol=1e-6):
+def minimize(R):
     """Compress a realization to minimal size; identity when already minimal."""
-    rep = smr_linear_rep(R)
-    red = reduce_linear_rep(rep, rtol)
+    red = reduce_linear_rep(smr_linear_rep(R))
     if red.dim == R.e:
         return replace(R, minimal=True)
-    return symmetrize_linear_rep(red, (R.h, R.g), tol)
+    return symmetrize_linear_rep(red, (R.h, R.g))
 
 
-def symmetrize(R, tol=1e-6):
+def symmetrize(R):
     """Minimal symmetric-valued realization -> signature-J realization."""
     rep = smr_linear_rep(R)
     if not is_minimal_rep(rep):
         raise MinimalityError("symmetrize requires a minimal realization")
-    return symmetrize_linear_rep(rep, (R.h, R.g), tol)
+    return symmetrize_linear_rep(rep, (R.h, R.g))
 
 
-def state_space_similarity(R1, R2, tol=1e-8):
+def state_space_similarity(R1, R2):
     """Unique S with S J Z_j = K W_j S (all letters), S J c = K b.
 
     R1 carries (J, Z, c), R2 carries (K, W, b); both must be minimal
@@ -673,9 +679,10 @@ def state_space_similarity(R1, R2, tol=1e-8):
     A_w J c to B_w K b for every word w, so S C1 = C2 on the Krylov pairs
     of _krylov_pairs; R1 is reachable, so C1 is invertible and
     S = C2 C1^{-1}, an O(e^3) solve.  Returns NotEquivalent when the
-    relative residual of the full system exceeds tol or the congruence
-    check fails.
+    relative residual of the full system exceeds 1e-8 or the congruence
+    check fails at that tolerance.
     """
+    tol = 1e-8
     for R in (R1, R2):
         if not is_minimal_rep(smr_linear_rep(R)):
             raise MinimalityError("state_space_similarity requires minimal inputs")

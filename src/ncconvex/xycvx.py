@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .matkit import BlockMatrix2, TOL_PSD, herm, is_psd, sample_blocks
+from .matkit import (BlockMatrix2, TOL_PSD, herm, is_psd, psd_mask,
+                     sample_blocks)
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
 
@@ -223,11 +224,11 @@ def _defects(poly, X, Y, V, pair_tol):
     return herm(Vh @ big @ V - small)
 
 
-def xy_convexity_test(p, pair, tol=TOL_PSD, pair_tol=1e-8):
+def xy_convexity_test(p, pair, pair_tol=1e-8):
     """Defect V* p(X,Y) V - p(X0, Y0) with a PSD verdict."""
     poly = p.poly if isinstance(p, PLPoly) else p
     defect = _defects(poly, pair.X, pair.Y, pair.V, pair_tol)
-    return DefectReport(defect, is_psd(defect, tol))
+    return DefectReport(defect, is_psd(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,8 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
 
     Each size is scanned in blocks of 1, 2, 4, ... samples: one draw (one
     matkit.sample_blocks call, or one sampler call per sample), one
-    stacked middle_matrix, one batched eigh and one batched svd for the
-    witness threshold per block.  The scan stops at the first sample that
+    stacked middle_matrix and one batched eigh per block, judged by
+    matkit.psd_mask at tol.  The scan stops at the first sample that
     fails.  When that sample is not the last of its block, the generator
     is rewound to the block's start and only the samples up to it are
     drawn again, so it ends where a per-sample loop would.
@@ -351,7 +352,7 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
             d0, d1, b1, b2 = draw(nm, B)
             M = middle_matrix(p, b1, b2, d0, d1).matrix
             lam, vecs = np.linalg.eigh(herm(M))
-            bad = lam[:, 0] < -tol * np.maximum(1.0, _norm2(M))
+            bad = ~psd_mask(lam, tol)
             if bad.any():
                 i = int(np.argmax(bad))
                 if i < B - 1:
@@ -392,20 +393,16 @@ class PairWitness:
         return None
 
 
-def mxy_witness_pair(p, wit, X0=None, Y0=None, h=None):
+def mxy_witness_pair(p, wit):
     """Complete an Mxy witness to an xy-pair where the defect fails PSD.
 
-    Follows the vector-completion argument: pick h with {h, X0 h} and
-    {h, Y0 h} independent, then solve for the off-diagonal blocks so the
-    border vector lands on the witness eigenvector.
+    Follows the vector-completion argument: with X0 = Y0 the 2 x 2 flip
+    and h = e1, {h, X0 h} and {h, Y0 h} are independent, so the
+    off-diagonal blocks can be solved for so that the border vector lands
+    on the witness eigenvector.
     """
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    X0 = flip if X0 is None else X0
-    Y0 = flip if Y0 is None else Y0
-    h = np.array([1.0, 0.0], dtype=complex) if h is None else h
-    if np.linalg.matrix_rank(np.column_stack([h, X0 @ h])) < 2 \
-            or np.linalg.matrix_rank(np.column_stack([h, Y0 @ h])) < 2:
-        raise ValueError("need {h, X0 h} and {h, Y0 h} independent")
+    X0 = Y0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = np.array([1.0, 0.0], dtype=complex)
     n1 = wit.delta0.shape[0]
     n2 = wit.beta2.shape[0]
     f = wit.vector
@@ -437,19 +434,10 @@ class QForm:
     p: PLPoly
 
     def eval(self, delta0, delta1, beta1, beta2):
-        p = self.p
-        q = delta0.shape[0]
-        r = beta2.shape[0]
-        b1h, d1h = beta1.conj().T, delta1.conj().T
-        Q11 = p.c("xx") * np.eye(q) + p.c("xyx") * delta0 \
-            + p.c("xyyx") * (delta0 @ delta0 + delta1 @ d1h)
-        Q12 = p.c("xxy") * beta1 + p.c("xyy") * delta1 \
-            + p.c("xyxy") * (delta0 @ beta1 + delta1 @ beta2)
-        Q21 = p.c("yxx") * b1h + p.c("yyx") * d1h \
-            + p.c("yxyx") * (b1h @ delta0 + beta2 @ d1h)
-        Q22 = p.c("yy") * np.eye(r) + p.c("yxy") * beta2 \
-            + p.c("yxxy") * (beta2 @ beta2 + b1h @ beta1)
-        return np.block([[Q11, Q12], [Q21, Q22]])
+        """The (1,1), (1,3), (3,1) and (3,3) blocks of middle_matrix."""
+        M = middle_matrix(self.p, beta1, beta2, delta0, delta1)
+        return np.block([[M.block(0, 0), M.block(0, 2)],
+                         [M.block(2, 0), M.block(2, 2)]])
 
 
 def extract_Q(p):
@@ -788,9 +776,9 @@ class VerifyReport:
         return self.coeff_ok and self.sampled_ok
 
 
-def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2),
-                       scale=0.8, tol=1e-8):
-    """Coefficientwise identity plus sampled defect positivity, separately."""
+def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
+    """Coefficientwise identity (to 1e-8) plus sampled defect positivity
+    (pairs at scale 0.8, matkit.psd_mask), separately."""
     rng = np.random.default_rng(0) if rng is None else rng
     poly = p.poly if isinstance(p, PLPoly) else p
     recon = cert.reconstruct()
@@ -798,14 +786,12 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2),
     for w in set(poly.words()) | set(recon.words()):
         max_resid = max(max_resid,
                         abs(poly.scalar_coeff(w) - recon.scalar_coeff(w)))
-    coeff_ok = max_resid <= tol
+    coeff_ok = max_resid <= 1e-8
     # the sampled pairs as one stack, with is_psd's verdict per defect
-    X, Y, V = sample_xy_pairs(dims, scale, rng, samples)
+    X, Y, V = sample_xy_pairs(dims, 0.8, rng, samples)
     ev = np.linalg.eigvalsh(_defects(poly, X, Y, V, 1e-8))
-    lo, hi = ev[:, 0], ev[:, -1]
-    psd = lo >= -TOL_PSD * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return VerifyReport(coeff_ok, max_resid, bool(psd.all()), int(samples),
-                        float(min([np.inf] + lo.tolist())))
+    return VerifyReport(coeff_ok, max_resid, bool(psd_mask(ev).all()),
+                        int(samples), float(min([np.inf] + ev[:, 0].tolist())))
 
 
 def certificate_to_json(cert):
@@ -881,16 +867,16 @@ class ProbeReport:
     sampled: int
 
 
-def mxy_q_equivalence_probe(p, dims=(2, 2), t_values=(1e2, 1e4, 1e6),
-                            rng=None, scale=0.7, samples=5):
+def mxy_q_equivalence_probe(p, rng=None, samples=5):
     """Hat-substituted Q, block-conjugated by diag(1, 1/t), against the
-    row/column-permuted middle matrix; reports the deviation per t.
+    row/column-permuted middle matrix; reports the deviation per t in
+    1e2, 1e4, 1e6, on 2 x 2 inner blocks drawn at scale 0.7.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    n, m = dims
+    n = m = 2
     Q = extract_Q(p)
-    worst = {float(t): 0.0 for t in t_values}
-    D0, B2, D1, B1 = sample_blocks(_inner_parts(n, m), scale, rng, samples)
+    worst = dict.fromkeys((1e2, 1e4, 1e6), 0.0)
+    D0, B2, D1, B1 = sample_blocks(_inner_parts(n, m), 0.7, rng, samples)
     Ms = middle_matrix(p, B1, B2, D0, D1).matrix
     # block order (1, 4, 3, 2) of the (n, n, m, m) partition
     idx = np.concatenate([
@@ -898,15 +884,14 @@ def mxy_q_equivalence_probe(p, dims=(2, 2), t_values=(1e2, 1e4, 1e6),
         np.arange(2 * n, 2 * n + m), np.arange(n, 2 * n)])
     for d0, d1, b1, b2, M in zip(D0, D1, B1, B2, Ms):
         target = M[np.ix_(idx, idx)]
-        for t in t_values:
+        for t in worst:
             hd0, hd1, hb1, hb2 = _hat_blocks(d0, d1, b1, b2, t)
             Qhat = Q.eval(hd0, hd1, hb1, hb2)
             D = np.diag(np.concatenate([
                 np.ones(n), np.full(m, 1.0 / t),
                 np.ones(m), np.full(n, 1.0 / t)]))
             Qp = D @ Qhat @ D
-            worst[float(t)] = max(worst[float(t)],
-                                  float(np.max(np.abs(Qp - target))))
+            worst[t] = max(worst[t], float(np.max(np.abs(Qp - target))))
     ts = sorted(worst)
     decay_ok = all(worst[b] <= worst[a] / 10 + 1e-14
                    for a, b in zip(ts, ts[1:]))

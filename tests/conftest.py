@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ncconvex import matkit, realize
-from ncconvex.ncalg import FreePoly, HermTuple, VarContext
+from ncconvex.ncalg import FreePoly, HermTuple
 
 
 def rand_words(ctx, rng, max_len, count):

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from conftest import rand_herm_tuple, rand_minimal_smr
 from ncconvex import matkit, realize
 from ncconvex.butterfly import (
-    ButterflyCert,
     KebabError,
-    MidpointWitness,
     NotConvexible,
     butterfly_build,
     caterpillar_eval,
@@ -34,7 +32,6 @@ from ncconvex.realize import (
     in_dom_kebab_plus,
     linearize_poly,
     Region,
-    range_t_frame,
 )
 
 DATA = Path(realize.__file__).parent / "data"
@@ -135,14 +132,13 @@ def test_item4_membership_matches_definitional_domain(seed):
     rng = np.random.default_rng(seed)
     R = rand_minimal_smr(rng, e=4, h=1, g=2)
     cert = butterfly_build(R)
-    frame = cert.frame
     for _ in range(25):
         n = int(rng.choice((1, 2, 3)))
         t = matkit.sample_tuple(n, (R.h, R.g), 0.35, rng)
         if not in_dom_kebab(R, t):
             continue
         lhs = cert.in_domain_item4(t)
-        rhs = in_dom_kebab_plus(R, t, frame)
+        rhs = in_dom_kebab_plus(R, t)
         assert lhs == rhs
 
 
@@ -258,7 +254,7 @@ def pair_loop_fbar_ell(pb, tol=1e-10):
     resolvent series word by word and fbar's x-linear part pair by pair."""
     R = pb.realization
     p_ctx = pb.fbar.ctx
-    V = range_t_frame(R).V_T
+    V = R.frame.V_T
     dega = max((sum(1 for i in w if p_ctx.letter_class(i) == "a")
                 for w in pb.w.coeffs), default=0)
     prods = {(): np.eye(R.e, dtype=complex)}

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncconvex import cli, examples, matkit, ncalg, partialcvx, realize, \
-    xycvx
+from ncconvex import cli, matkit, ncalg, partialcvx, realize, xycvx
 from ncconvex.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -227,6 +226,42 @@ def test_partial_ball_region(tmp_path):
         "--region", "ball:0.3", "--sizes", "1", "--samples", "5"])
     assert code in (EXIT_OK, EXIT_NEGATIVE)
     assert rep["results"]["hessian_scan"]["region"] == "ball:0.3"
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
+def test_partial_tol_inv_decides_every_pencil(tmp_path, capsys, sign):
+    """1 / (1 - t x) with t = (1 -+ 1e-12) / 0.6: draws of norm 0.6 put
+    the pencil within about 1e-12 of singular, which --tol-inv 1e-14
+    admits to dom.  The scans and the sharpness witness decide every
+    pencil at that threshold, so partial reaches a verdict (above: with a
+    witness at a point where R_T goes indefinite) instead of an internal
+    error."""
+    t = (1 + sign * 1e-12) / 0.6
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"J": [[[1, 0]]], "S": [],
+                                 "T": [[[[t, 0]]]], "c": [[1, 0]]}))
+    code = cli.main(["partial", str(rfile), "--tol-inv", "1e-14",
+                     "--sizes", "1"])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+    assert "internal error" not in out + err
+
+
+def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
+    """The realization owns the frame of ran T (Realization.frame): one
+    partial call builds it once, through the butterfly, both scans, the
+    sharpness witness and the butterfly section."""
+    built = []
+    build = realize._range_t_frame
+    monkeypatch.setattr(realize, "_range_t_frame",
+                        lambda R: built.append(R) or build(R))
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "xax_poly.txt"),
+        "--sizes", "2", "--samples", "25", "--seed", "3"])
+    assert code == EXIT_OK
+    assert "sharpness_witness" in rep["results"]["localizing_scan"]
+    assert "sqrt_domain_at_zero" in rep["results"]["butterfly"]
+    assert len(built) == 1
 
 
 FUZZ_REAL = st.one_of(st.integers(-3, 3),
@@ -619,7 +654,7 @@ def test_reports_independent_of_workers(tmp_path):
 
 @pytest.mark.parametrize("region", ["default", "dom"])
 def test_partial_report_independent_of_workers(tmp_path, region):
-    # the realization and its frame go to the scan chunks as objects
+    # the realization, with its frame, goes to the scan chunks as an object
     base = ["partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
             "--samples", "4", "--seed", "6", "--region", region]
     code1, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
@@ -629,10 +664,11 @@ def test_partial_report_independent_of_workers(tmp_path, region):
         == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
 
 
-def reference_localizing_scan(R, frame, cfg, rng):
-    """The localizing scan one dom point at a time."""
+def reference_localizing_scan(R, cfg, rng):
+    """The localizing scan one dom point at a time; the witness draws its
+    companions from the scan's dom region."""
     entry = {"checked": 0, "indefinite_points": 0}
-    dom_region = cli.make_region("dom", R, frame, cfg)
+    dom_region = cli.make_region("dom", R, cfg)
     for n in cfg.sizes:
         for _ in range(cfg.samples):
             hit = partialcvx._sample_in_region(dom_region, n, cfg.scale, rng,
@@ -642,12 +678,13 @@ def reference_localizing_scan(R, frame, cfg, rng):
             t, factors = hit
             entry["checked"] += 1
             lam = float(np.linalg.eigvalsh(
-                realize.r_T(R, t, frame, factors=factors))[0])
+                realize.r_T(R, t, factors=factors))[0])
             if lam < -1e-3:
                 entry["indefinite_points"] += 1
                 if "sharpness_witness" not in entry:
                     try:
-                        wit = partialcvx.negativity_witness(R, t, rng=rng)
+                        wit = partialcvx.negativity_witness(
+                            R, t, rng=rng, region=dom_region)
                         entry["sharpness_witness"] = \
                             cli._serialize_doubling_witness(wit)
                     except partialcvx.SpanFailure as exc:
@@ -674,12 +711,11 @@ def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
         R = realize.realization_from_json(json.loads(text))
     else:
         R = realize.linearize_poly(ncalg.parse_poly(text))
-    frame = realize.range_t_frame(R)
     cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
                              tol_inv=tol_inv)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = reference_localizing_scan(R, frame, cfg, ref_rng)
-    got = cli._localizing_scan(R, frame, cfg, rng)
+    want = reference_localizing_scan(R, cfg, ref_rng)
+    got = cli._localizing_scan(R, cfg, rng)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

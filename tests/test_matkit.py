@@ -270,3 +270,35 @@ def test_sample_blocks_per_part_scale_keeps_the_loop_draws():
                         + 1j * ref.normal(size=(r, c))) * s / np.sqrt(2)
             assert np.array_equal(stack[b], want)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", [0.7, [0.0, 0.0, 1.3, 0.5]],
+                         ids=["one-scale", "per-part"])
+def test_skip_blocks_leaves_the_generator_where_sample_blocks_does(scale):
+    """skip_blocks draws as many normals as sample_blocks, also with a
+    Hermitian part at scale 0 (no draws) and rectangular parts (drawn at
+    any scale)."""
+    parts = [(2, 2, True), (2, 3, False), (3, 3, True), (1, 2, False)]
+    for size in (1, 3):
+        drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)
+        matkit.sample_blocks(parts, scale, drawn, size)
+        matkit.skip_blocks(parts, scale, skipped, size)
+        assert drawn.bit_generator.state == skipped.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 4),
+       scale=st.sampled_from((1e-3, 1.0, 1e4)))
+def test_psd_mask_agrees_with_is_psd(seed, n, scale):
+    """psd_mask on a stack's eigenvalues gives is_psd's verdict row by
+    row, also for lambda_min within rounding of the threshold."""
+    rng = np.random.default_rng(seed)
+    B = 12
+    U = np.linalg.qr(rng.normal(size=(B, n, n))
+                     + 1j * rng.normal(size=(B, n, n)))[0]
+    ev = rng.uniform(0, 1, size=(B, n)) * scale
+    lo = -matkit.TOL_PSD * np.maximum(1.0, np.abs(ev).max(axis=1))
+    ev[:, 0] = lo * (1 + rng.choice([-1e-9, 0.0, 1e-9, -0.5, 0.5], size=B))
+    M = herm((U * ev[:, None, :]) @ U.conj().swapaxes(-1, -2))
+    mask = matkit.psd_mask(np.linalg.eigvalsh(M))
+    assert mask.tolist() == [is_psd(Mi).is_psd for Mi in M]

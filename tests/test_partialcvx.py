@@ -30,7 +30,6 @@ from ncconvex.realize import (
     in_dom_plus,
     linearize_poly,
     r_T,
-    range_t_frame,
 )
 
 CTX_AX = VarContext(("a",), ("x",))
@@ -77,10 +76,9 @@ def test_hessian_matches_finite_differences(seed):
 def test_hessian_forms_agree(seed):
     rng = np.random.default_rng(seed)
     R = rand_smr(rng, e=4, h=1, g=2)
-    frame = range_t_frame(R)
     for t in dom_points(R, rng, 4):
         H = tuple(matkit.sample_herm(t.n, 1.0, rng) for _ in range(R.g))
-        f1, f2 = partial_hessian_forms(R, t, H, frame)
+        f1, f2 = partial_hessian_forms(R, t, H)
         assert np.allclose(f1, f2, atol=1e-10 * max(1.0, np.linalg.norm(f1, 2)))
 
 
@@ -102,7 +100,6 @@ def test_hessian_scales_quadratically_in_direction(seed):
 
 def test_xax_hessian_psd_exactly_on_psd_a():
     R = xax_realization()
-    frame = range_t_frame(R)
     rng = np.random.default_rng(11)
     pos = neg = 0
     for _ in range(60):
@@ -112,10 +109,10 @@ def test_xax_hessian_psd_exactly_on_psd_a():
             continue
         H = (matkit.sample_herm(n, 1.0, rng),)
         lam = np.linalg.eigvalsh(partial_hessian(R, t, H))[0]
-        if in_dom_plus(R, t, frame):
+        if in_dom_plus(R, t):
             assert lam >= -1e-8
             pos += 1
-        elif np.linalg.eigvalsh(matkit.herm(r_T(R, t, frame)))[0] < -1e-3:
+        elif np.linalg.eigvalsh(matkit.herm(r_T(R, t)))[0] < -1e-3:
             neg += 1
     assert pos >= 5 and neg >= 5
 
@@ -123,12 +120,11 @@ def test_xax_hessian_psd_exactly_on_psd_a():
 def test_negativity_witness_on_xax():
     R = xax_realization()
     rng = np.random.default_rng(3)
-    frame = range_t_frame(R)
     bad = None
     for _ in range(200):
         t = matkit.sample_tuple(2, (1, 1), 0.6, rng)
         if in_dom(R, t) and np.linalg.eigvalsh(
-                matkit.herm(r_T(R, t, frame)))[0] < -1e-3:
+                matkit.herm(r_T(R, t)))[0] < -1e-3:
             bad = t
             break
     assert bad is not None
@@ -159,7 +155,7 @@ def test_span_probe_saturates_on_minimal_smrs(seed, m):
     rng = np.random.default_rng(seed)
     R = rand_minimal_smr(rng, e=4, h=1, g=2)
     span = span_probe(R, m, rng=rng)
-    assert span.target_dim == range_t_frame(R).k * m
+    assert span.target_dim == R.frame.k * m
     assert span.saturated
 
 
@@ -183,8 +179,9 @@ X4 = FreePoly.from_terms(VarContext((), ("x",)), {(0, 0, 0, 0): 1.0})
 
 def reference_member(R, kind, tol=1e-8, tol_inv=1e-10, radius=0.45):
     """Region membership of one point from first principles: an explicit
-    Kronecker pencil, its singular values and an inverse-based R_T."""
-    V_T = range_t_frame(R).V_T
+    Kronecker pencil, its singular values and an inverse-based R_T.  Every
+    kind implies dom."""
+    V_T = R.frame.V_T
 
     def pencil(t):
         P = np.kron(R.J, np.eye(t.n))
@@ -211,8 +208,8 @@ def reference_member(R, kind, tol=1e-8, tol_inv=1e-10, radius=0.45):
         "dom-plus": plus,
         "kebab": lambda t: dom(t) and dom(R.zero_x(t)),
         "kebab-plus": lambda t: plus(t) and plus(R.zero_x(t)),
-        "ball": lambda t: all(np.linalg.norm(M, 2) <= radius
-                              for M in t.mats),
+        "ball": lambda t: dom(t) and all(np.linalg.norm(M, 2) <= radius
+                                         for M in t.mats),
     }[kind]
 
 
@@ -421,10 +418,10 @@ def test_speculative_witness_matches_per_sample_loop(monkeypatch):
 def test_speculative_rejections_match_per_sample_loop(kind, monkeypatch):
     # regions that reject part of each block; a rejected point's rewind
     # skips whole probes and then one point
-    rewinds = []
-    rewind = partialcvx._rewind
-    monkeypatch.setattr(partialcvx, "_rewind", lambda rng, state, k: (
-        rewinds.append(k), rewind(rng, state, k)))
+    skips = []
+    skip = matkit.skip_blocks
+    monkeypatch.setattr(matkit, "skip_blocks", lambda parts, s, rng, size: (
+        skips.append((len(parts), size)), skip(parts, s, rng, size)))
     one = np.eye(1)
     resolvent_1 = realize.Realization.make(one, [2 * one], [2 * one], [1.0])
     cases = [(xax_realization(), 1e-10), (linearize_poly(THIN_AB), 1e-10),
@@ -433,20 +430,20 @@ def test_speculative_rejections_match_per_sample_loop(kind, monkeypatch):
     inside_block = 0
     for R, tol_inv in cases:
         region = Region(R, kind, tol_inv=tol_inv, radius=0.45)
-        per_point = 2 * n * n * (R.h + R.g)
-        per_probe = per_point + 2 * n * n * R.g
+        hg = R.h + R.g
         for seed in range(6):
             ref_rng = np.random.default_rng(seed)
             rng = np.random.default_rng(seed)
             want = reference_verdict(R, region, (n,), 12, ref_rng,
                                      midpoint_pairs=12)
-            rewinds.clear()
+            skips.clear()
             got = block_verdict(R, region, (n,), 12, rng, monkeypatch,
                                 scale=0.6, midpoint_pairs=12)
             assert_same_verdict(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            inside_block += sum(k > per_point and k % per_probe == per_point
-                                for k in rewinds)
+            # one point skipped right after at least one whole probe
+            inside_block += sum(a[0] > hg and a[1] >= 1 and b == (hg, 1)
+                                for a, b in zip(skips, skips[1:]))
     assert inside_block > 0
 
 

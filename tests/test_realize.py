@@ -28,7 +28,6 @@ from ncconvex.realize import (
     linearize_poly,
     minimize,
     r_T,
-    range_t_frame,
     realization_from_json,
     realization_to_json,
     resolvent,
@@ -231,7 +230,6 @@ def test_similarity_rejects_distinct_functions():
 def test_dom_predicates_on_xax():
     p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
     R = linearize_poly(p)
-    frame = range_t_frame(R)
     Apos = np.array([[1.0]], dtype=complex)
     Aneg = np.array([[-1.0]], dtype=complex)
     X = np.array([[0.3]], dtype=complex)
@@ -239,10 +237,10 @@ def test_dom_predicates_on_xax():
     tneg = HermTuple(1, (Aneg,), (X,), validate=False)
     assert in_dom(R, tpos) and in_dom(R, tneg)
     # localizing matrix is PSD exactly when A is PSD
-    assert in_dom_plus(R, tpos, frame)
-    assert not in_dom_plus(R, tneg, frame)
-    lam_pos = np.linalg.eigvalsh(matkit.herm(r_T(R, tpos, frame)))[0]
-    lam_neg = np.linalg.eigvalsh(matkit.herm(r_T(R, tneg, frame)))[0]
+    assert in_dom_plus(R, tpos)
+    assert not in_dom_plus(R, tneg)
+    lam_pos = np.linalg.eigvalsh(matkit.herm(r_T(R, tpos)))[0]
+    lam_neg = np.linalg.eigvalsh(matkit.herm(r_T(R, tneg)))[0]
     assert lam_pos > -1e-10
     assert lam_neg < -1e-3
 
@@ -258,9 +256,8 @@ def test_dom_invariant_under_unitaries(seed, n):
     tc = HermTuple(n, tuple(U @ a @ U.conj().T for a in t.A),
                    tuple(U @ x @ U.conj().T for x in t.X), validate=False)
     assert in_dom(R, t) == in_dom(R, tc)
-    frame = range_t_frame(R)
     if in_dom(R, t):
-        assert in_dom_plus(R, t, frame) == in_dom_plus(R, tc, frame)
+        assert in_dom_plus(R, t) == in_dom_plus(R, tc)
 
 
 def test_kebab_requires_zero_slice():
@@ -391,6 +388,17 @@ def test_singular_pencil_is_outside_dom():
         resolvent(R, t)
 
 
+def test_ball_region_implies_dom():
+    # 1 / (1 - 2a - 2x) is singular at a = x = 1/4, inside the ball
+    one = np.eye(1)
+    R = Realization.make(one, [2 * one], [2 * one], [1.0])
+    ball = realize.Region(R, "ball", radius=0.5)
+    singular = HermTuple(1, (0.25 * one,), (0.25 * one,), validate=False)
+    assert not in_dom(R, singular)
+    assert singular not in ball
+    assert HermTuple(1, (0.1 * one,), (0.2 * one,), validate=False) in ball
+
+
 def test_kron_sum_equals_sum_of_krons():
     rng = np.random.default_rng(3)
     coeffs = [rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -425,8 +433,7 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
     R = rand_smr(rng, e=4, h=1, g=2)
     if kind.endswith("plus"):  # R_T of a random R is rarely PSD
         R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
-    frame = range_t_frame(R)
-    region = realize.Region(R, kind, frame, radius=0.5)
+    region = realize.Region(R, kind, radius=0.5)
     checked = 0
     for n in (1, 2, 3):
         points = [matkit.sample_tuple(n, (R.h, R.g), 0.5, rng)
@@ -437,7 +444,7 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
                 continue
             checked += 1
             for got, want in ((resolvent(R, t, factors=f), resolvent(R, t)),
-                              (r_T(R, t, frame, factors=f), r_T(R, t, frame)),
+                              (r_T(R, t, factors=f), r_T(R, t)),
                               (eval_realization(R, t, f),
                                eval_realization(R, t))):
                 assert np.abs(got - want).max() \
@@ -465,7 +472,7 @@ def boundary_point(region, out, inside):
 def unguarded_screen(region, mats):
     """Region.first's LU screen with no rounding margin: which points
     have lo + tol max(1, |lo|, |hi|) < 0 at the LU-based R_T."""
-    V = region.frame.lift(mats.shape[-1])
+    V = region.R.frame.lift(mats.shape[-1])
     ev = np.linalg.eigvalsh(
         V.conj().T @ np.linalg.inv(region.R.pencils(mats)) @ V)
     lo, hi = ev[:, 0], ev[:, -1]
@@ -518,8 +525,7 @@ def test_region_first_matches_test(kind):
                 pencils = [t, R.zero_x(t)] if kind == "kebab-plus" else [t]
                 gaps = []
                 for u in pencils:
-                    ev = np.linalg.eigvalsh(matkit.herm(r_T(R, u,
-                                                            region.frame)))
+                    ev = np.linalg.eigvalsh(matkit.herm(r_T(R, u)))
                     scale = max(1.0, np.abs(ev).max())
                     gaps.append(abs(ev[0] + region.tol * scale) / scale)
                 if R is not resolvent_1:  # there the crossing is a pole

@@ -18,7 +18,6 @@ from ncconvex.ncalg import (ContextError, FreePoly, HermTuple, SymmetryError,
 from ncconvex.xycvx import (
     AssemblyError,
     PairError,
-    PLPoly,
     Reject,
     assemble_certificate,
     build_P,
