@@ -70,7 +70,7 @@ def _affine_terms(R, t, lam, Q):
     pencil's eigenpairs and L = sum T_i (x) X_i."""
     C = R.c_lift(t.n)
     Wc = (Q / lam) @ (Q.conj().T @ C)
-    return C, Wc, kron_sum(R.T, t.X) @ Wc
+    return C, Wc, R.x_sum(t.X, t.n) @ Wc
 
 
 def caterpillar_eval(R, t, tol_inv=TOL_INV):

@@ -317,11 +317,43 @@ def _serialize_midpoint_witness(wit, p):
     }
 
 
+PLUS_REASON = ("the x-Hessian is 2 u* R_T u \u2ab0 0 on the region, and its "
+               "x-slices are LMI domains")
+
+
 def _partial_scan_chunk(payload):
-    """One size of the region Hessian scan; module level for pickling."""
+    """One size of the region Hessian scan; module level for pickling.
+
+    On dom-plus and kebab-plus there is no witness to search for: the
+    x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
+    wherever R_T is, and the x-slices of the region are LMI domains.  The
+    size is certified from one region point, the first Hessian probe of
+    convexity_verdict; a Hessian that fails psd_mask there can only come
+    from rounding, and the size is then inconclusive.  The other kinds
+    run the sampled Hessian and midpoint scan."""
     R, cfg, size, seed = payload
     region = make_region(cfg.region, R, cfg)
     rng = np.random.default_rng(seed)
+    if region.kind.endswith("plus"):
+        probe = partialcvx.first_probe(region, size, cfg.samples, rng,
+                                       cfg.scale)
+        if probe is None:
+            return {"size": size, "empty": True}
+        H, lam, Q = probe
+        ev = np.linalg.eigvalsh(
+            partialcvx._hessians(R, lam[None], Q[None], H[None]))[0]
+        rt_low = np.linalg.eigvalsh(realize._compress(
+            lam, Q, R.frame.lift(size)))[0] if R.frame.k else 0.0
+        out = {"size": size, "empty": False, "samples": 1,
+               "min_lambda": float(ev[0]), "rt_lambda_min": float(rt_low)}
+        if matkit.psd_mask(ev, cfg.tol_psd):
+            out["reason"] = PLUS_REASON
+        else:
+            out["inconclusive"] = (
+                "the x-Hessian at the region point has lambda_min %g, not "
+                "PSD at tol_psd; 2 u* R_T u is PSD there, so this is "
+                "rounding" % ev[0])
+        return out
     try:
         verdict = partialcvx.convexity_verdict(
             R, region=region, sizes=(size,), samples=cfg.samples, rng=rng,
@@ -489,6 +521,13 @@ def cmd_partial(args):
     emit_report(report, cfg.out)
     if negative:
         return EXIT_NEGATIVE
+    rounding = [c for c in chunks if "inconclusive" in c]
+    for chunk in rounding:
+        print("inconclusive: size %d: %s" % (chunk["size"],
+                                             chunk["inconclusive"]),
+              file=sys.stderr)
+    if rounding:
+        return EXIT_INCONCLUSIVE
     empty = all(c.get("empty") for c in chunks)
     return EXIT_INCONCLUSIVE if empty else EXIT_OK
 

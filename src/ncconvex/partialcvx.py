@@ -55,13 +55,6 @@ class SpanFailure(ValueError):
         super().__init__("span dimension %d of %d" % (achieved, target))
 
 
-def _direction_op(R, H, n):
-    """L = sum T_i (x) H_i, the zero en x en matrix when there is no x."""
-    if not R.T:
-        return np.zeros((R.e * n, R.e * n), dtype=complex)
-    return realize.kron_sum(R.T, H)
-
-
 def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
     raises NotInDomain when the pencil at t is singular at tol_inv."""
@@ -73,7 +66,7 @@ def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
 def partial_hessian_forms(R, t, H):
     """Both algebraic forms: triple-resolvent and the R_T sandwich."""
     res = resolvent(R, t)
-    L = _direction_op(R, H, t.n)
+    L = R.x_sum(H, t.n)
     C = R.c_lift(t.n)
     LRc = L @ (res @ C)
     form1 = 2.0 * (LRc.conj().T @ res @ LRc)
@@ -236,8 +229,24 @@ def _hessians(R, lam, Q, H):
     (B, en) and (B, en, en), in the directions H (B, g, n, n)."""
     n = H.shape[-1]
     res = (Q / lam[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-    LRc = _direction_op(R, H, n) @ (res @ R.c_lift(n))
+    LRc = R.x_sum(H, n) @ (res @ R.c_lift(n))
     return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ res @ LRc))
+
+
+def first_probe(region, n, samples, rng, scale):
+    """The first Hessian probe convexity_verdict draws at size n, as its
+    directions H (g, n, n) and its point's pencil eigenpairs lam, Q; None
+    when all samples probes miss the region.  The generator ends after
+    that probe's draws."""
+    found = []
+
+    def keep(mats, H, lam, Q):
+        found.append((H[0], lam[0], Q[0]))
+        return 0
+
+    scan_region(region, n, samples, rng, scale, keep,
+                extra=(1.0,) * region.R.g)
+    return found[0] if found else None
 
 
 def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
@@ -385,7 +394,7 @@ def span_probe(R, m, rng=None, region=None):
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         res = resolvent(R, t, factors=factors)
         C = R.c_lift(n)
-        L = _direction_op(R, H, n)
+        L = R.x_sum(H, n)
         cols = np.kron(np.eye(R.e), z) @ (L @ (res @ C))
         cols = Vm.conj().T @ cols
         trial = np.hstack([acc, cols])

@@ -139,6 +139,14 @@ class Realization:
         return kron_sum((self.J,) + self.S + self.T,
                         np.concatenate([eye, -mats], axis=1))
 
+    def x_sum(self, mats, n):
+        """L = sum T_i (x) mats[i] for g matrices n x n (mats may carry
+        leading batch axes, see kron_sum); the zero en x en matrix when
+        there is no x-letter."""
+        if not self.T:
+            return np.zeros((self.e * n, self.e * n), dtype=complex)
+        return kron_sum(self.T, mats)
+
     def c_lift(self, n):
         """c (x) I_n, built once per n (read-only)."""
         return _lift(self._lifts, self.c.reshape(-1, 1), n)

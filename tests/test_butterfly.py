@@ -85,6 +85,18 @@ def test_caterpillar_requires_zero_slice_in_dom():
         caterpillar_eval(R, t)
 
 
+def test_caterpillar_and_sqrt_form_without_x_letters():
+    # g = 0: r(a) = 1 / (1 - a / 2), so L = 0 and both forms reduce to
+    # c* (J - A (x) S)^-1 c
+    R = realize.Realization.make([[1]], [[[0.5]]], [], [1])
+    t = HermTuple(1, (np.array([[0.1 + 0j]]),), (), validate=False)
+    want = eval_realization(R, t)
+    assert want[0, 0] == pytest.approx(1 / 0.95, rel=1e-14)
+    assert np.allclose(sum(caterpillar_eval(R, t)), want, rtol=1e-14)
+    assert np.allclose(butterfly_build(R).eval_sqrt_form(t), want,
+                       rtol=1e-14)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds)
 def test_fbar_is_affine_in_x(seed):

@@ -264,6 +264,155 @@ def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PLUS_KEYS = {"size", "empty", "samples", "min_lambda", "rt_lambda_min",
+             "reason"}
+
+
+def recorded_chunks(monkeypatch):
+    """Spy on the scan chunks: a list that fills with (payload, chunk)."""
+    seen = []
+    chunk = cli._partial_scan_chunk
+
+    def spy(payload):
+        out = chunk(payload)
+        seen.append((payload, out))
+        return out
+
+    monkeypatch.setattr(cli, "_partial_scan_chunk", spy)
+    return seen
+
+
+def independent_first_probe(R, region, size, samples, scale, rng):
+    """The Hessian's and R_T's lambda_min at the first Hessian probe of the
+    per-sample loop, from an inverse of the pencil and sums of Kronecker
+    products; None when all samples points miss the region."""
+    for _ in range(samples):
+        hit = partialcvx._sample_in_region(region, size, scale, rng)
+        if hit is not None:
+            break
+    else:
+        return None
+    t = hit[0]
+    H = [matkit.sample_herm(size, 1.0, rng) for _ in range(R.g)]
+    res = np.linalg.inv(R.pencil(t))
+    L = sum(np.kron(T, Hi) for T, Hi in zip(R.T, H))
+    LRc = L @ res @ np.kron(R.c.reshape(-1, 1), np.eye(size))
+    hess = matkit.herm(2 * LRc.conj().T @ res @ LRc)
+    V = np.kron(R.frame.V_T, np.eye(size))
+    rt = matkit.herm(V.conj().T @ res @ V)
+    return (float(np.linalg.eigvalsh(hess)[0]), float(np.linalg.norm(hess, 2)),
+            float(np.linalg.eigvalsh(rt)[0]) if rt.size else 0.0)
+
+
+@pytest.mark.parametrize("workload", ["partial-reject", "partial-accept"])
+def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
+    """On dom+ each size is one region point: empty exactly when
+    convexity_verdict finds no point in the same budget, and otherwise
+    the Hessian lambda_min of that verdict's first probe, which an
+    independent resolvent formula reproduces."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    seen = recorded_chunks(monkeypatch)
+    for item in corpus.build(workload, 1, tmp_path, DATA):
+        assert cli.main(item.argv + ["--out", str(tmp_path / "p.json")]) \
+            in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+    assert len(seen) >= 25
+    empties = 0
+    for (R, cfg, size, seed), chunk in seen:
+        region = cli.make_region(cfg.region, R, cfg)
+        assert region.kind == "dom-plus"
+        lows = []
+        hessians = partialcvx._hessians
+
+        def spy(R_, lam, Q, H):
+            vals = hessians(R_, lam, Q, H)
+            lows.extend(np.linalg.eigvalsh(vals)[:, 0].tolist())
+            return vals
+
+        monkeypatch.setattr(partialcvx, "_hessians", spy)
+        try:
+            partialcvx.convexity_verdict(
+                R, region, sizes=(size,), samples=cfg.samples,
+                rng=np.random.default_rng(seed), tol=cfg.tol_psd,
+                scale=cfg.scale, midpoint_pairs=0)
+            ref_empty = False
+        except partialcvx.RegionEmpty:
+            ref_empty = True
+        monkeypatch.setattr(partialcvx, "_hessians", hessians)
+        assert chunk["empty"] == ref_empty
+        ind = independent_first_probe(R, region, size, cfg.samples,
+                                      cfg.scale, np.random.default_rng(seed))
+        assert (ind is None) == ref_empty
+        if ref_empty:
+            empties += 1
+            assert set(chunk) == {"size", "empty"}
+            continue
+        assert set(chunk) == PLUS_KEYS
+        assert chunk["samples"] == 1
+        assert chunk["reason"] == cli.PLUS_REASON
+        assert chunk["min_lambda"] == lows[0]
+        low, norm, rt_low = ind
+        assert abs(chunk["min_lambda"] - low) <= 1e-9 * max(1.0, norm)
+        assert chunk["min_lambda"] >= -cfg.tol_psd * max(1.0, norm)
+        assert abs(chunk["rt_lambda_min"] - rt_low) <= 1e-9 * max(1.0, rt_low)
+        assert chunk["rt_lambda_min"] >= -1e-8 * max(1.0, abs(rt_low))
+    # x4 and the deep inputs find no dom+ point
+    assert empties == (6 if workload == "partial-reject" else 0)
+
+
+@pytest.mark.parametrize("region", ["default", "kebab-plus"])
+def test_plus_rounding_is_inconclusive(tmp_path, monkeypatch, capsys,
+                                       region):
+    """A Hessian that is not PSD at the region point contradicts the
+    theorem, so it is rounding: exit 3 with the reason, never exit 1."""
+    hessians = partialcvx._hessians
+    monkeypatch.setattr(partialcvx, "_hessians",
+                        lambda *args: -hessians(*args))
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
+        "--samples", "4", "--seed", "1", "--region", region])
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE
+    assert "Traceback" not in err
+    chunks = [c for c in rep["results"]["hessian_scan"]["per_size"]
+              if not c["empty"]]
+    assert chunks
+    for chunk in chunks:
+        assert "witness" not in chunk and "reason" not in chunk
+        assert chunk["min_lambda"] < 0
+        assert "this is rounding" in chunk["inconclusive"]
+        assert "inconclusive: size %d: %s" % (
+            chunk["size"], chunk["inconclusive"]) in err
+
+
+# x^2 + x a^2 x: w(a) = 1 + a^2 is positive definite, so r is convex in x
+# everywhere and every scan keeps sampling to its budget
+CONVEX_X = "vars a: a | x: x\n1 * x x\n1 * x a a x\n"
+
+
+@pytest.mark.parametrize("region", ["dom", "kebab", "ball:0.7", "dom-plus",
+                                    "kebab-plus"])
+def test_partial_scan_keys_by_region(tmp_path, region):
+    """dom, kebab and ball:R run the sampled Hessian and midpoint scan;
+    the plus kinds report one region point and the theorem."""
+    path = tmp_path / "convex.txt"
+    path.write_text(CONVEX_X)
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(path), "--sizes", "1,2", "--samples", "5",
+        "--region", region])
+    assert code == EXIT_OK
+    for chunk in rep["results"]["hessian_scan"]["per_size"]:
+        assert not chunk["empty"]
+        if region.endswith("plus"):
+            assert set(chunk) == PLUS_KEYS
+        else:
+            assert chunk["samples"] == 5
+            assert chunk["midpoint_pairs"] > 0
+            assert chunk["midpoint_violations"] == 0
+            assert "reason" not in chunk and "rt_lambda_min" not in chunk
+
+
 FUZZ_REAL = st.one_of(st.integers(-3, 3),
                      st.floats(-4, 4).map(lambda c: round(c, 3)))
 FUZZ_TERMS = st.lists(
@@ -652,16 +801,18 @@ def test_reports_independent_of_workers(tmp_path):
         == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
 
 
-@pytest.mark.parametrize("region", ["default", "dom"])
+@pytest.mark.parametrize("region", ["default", "dom", "kebab-plus"])
 def test_partial_report_independent_of_workers(tmp_path, region):
-    # the realization, with its frame, goes to the scan chunks as an object
+    # the realization, with its frame, goes to the scan chunks as an object;
+    # two runs at one seed agree, and so do one and two workers
     base = ["partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
             "--samples", "4", "--seed", "6", "--region", region]
-    code1, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
-    code2, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "2"])
-    assert code1 == code2
-    assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
-        == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
+    runs = [run_out(tmp_path, "w%d.json" % i, base + ["--workers", w])
+            for i, w in enumerate(("1", "1", "2"))]
+    assert len({code for code, _ in runs}) == 1
+    texts = {json.dumps(strip_timings(rep["results"]), sort_keys=True)
+             for _, rep in runs}
+    assert len(texts) == 1
 
 
 def reference_localizing_scan(R, cfg, rng):

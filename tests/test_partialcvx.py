@@ -292,7 +292,7 @@ def reference_hessian(R, t, H, factors):
     """partial_hessian one point at a time, from the resolvent:
     2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i."""
     res = realize.resolvent(R, t, factors=factors)
-    LRc = partialcvx._direction_op(R, H, t.n) @ (res @ R.c_lift(t.n))
+    LRc = R.x_sum(H, t.n) @ (res @ R.c_lift(t.n))
     return matkit.herm(2.0 * (LRc.conj().T @ res @ LRc))
 
 
