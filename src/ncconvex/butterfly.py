@@ -48,10 +48,6 @@ class RealizationError(ValueError):
     """Structural property of the realization failed numerically."""
 
 
-class NotApplicable(ValueError):
-    """The construction's hypothesis (invertible J22) fails."""
-
-
 def _pencil_block(C0, coeffs, A_mats, n):
     """C0 (x) I_n - sum_j coeffs[j] (x) A_j."""
     return kron_sum((C0,) + tuple(coeffs), [np.eye(n)] + [-A for A in A_mats])

@@ -339,13 +339,9 @@ def _partial_scan_chunk(payload):
                                        cfg.scale)
         if probe is None:
             return {"size": size, "empty": True}
-        H, lam, Q = probe
-        ev = np.linalg.eigvalsh(
-            partialcvx._hessians(R, lam[None], Q[None], H[None]))[0]
-        rt_low = np.linalg.eigvalsh(realize._compress(
-            lam, Q, R.frame.lift(size)))[0] if R.frame.k else 0.0
+        ev, rt_low = probe
         out = {"size": size, "empty": False, "samples": 1,
-               "min_lambda": float(ev[0]), "rt_lambda_min": float(rt_low)}
+               "min_lambda": float(ev[0]), "rt_lambda_min": rt_low}
         if matkit.psd_mask(ev, cfg.tol_psd):
             out["reason"] = PLUS_REASON
         else:
@@ -354,10 +350,13 @@ def _partial_scan_chunk(payload):
                 "PSD at tol_psd; 2 u* R_T u is PSD there, so this is "
                 "rounding" % ev[0])
         return out
+    # draws wider than a ball would all miss it
+    scale = min(cfg.scale, region.radius) if region.kind == "ball" \
+        else cfg.scale
     try:
         verdict = partialcvx.convexity_verdict(
             R, region=region, sizes=(size,), samples=cfg.samples, rng=rng,
-            tol=cfg.tol_psd, scale=cfg.scale)
+            tol=cfg.tol_psd, scale=scale)
     except partialcvx.RegionEmpty:
         return {"size": size, "empty": True}
     out = {"size": size, "empty": False}
@@ -475,9 +474,6 @@ def cmd_partial(args):
                 negative = True
             results["not_convexible"] = entry
             R = realize.linearize_poly(p)
-        except (butterfly.NotApplicable, butterfly.KebabError) as exc:
-            results["butterfly_poly"] = {"error": str(exc)}
-            R = realize.linearize_poly(p)
     else:
         R = _ensure_smr(obj, notes)
         results["input"] = {"kind": "realization", "e": R.e,
@@ -502,19 +498,14 @@ def cmd_partial(args):
 
     if kind == "realization" or "butterfly_poly" in results:
         t0 = time.monotonic()
-        try:
-            cert = butterfly.butterfly_build(R)
-            results["butterfly"] = {
-                "k": R.frame.k,
-                "sqrt_domain_at_zero": bool(cert.in_domain_item4(
-                    HermTuple(1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
-                              tuple(np.zeros((1, 1))
-                                    for _ in range(R.g))))),
-                "time_s": time.monotonic() - t0,
-            }
-        except (butterfly.NotApplicable, butterfly.KebabError,
-                realize.NotInDomain) as exc:
-            results["butterfly"] = {"error": str(exc)}
+        cert = butterfly.butterfly_build(R)
+        results["butterfly"] = {
+            "k": R.frame.k,
+            "sqrt_domain_at_zero": bool(cert.in_domain_item4(
+                HermTuple(1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
+                          tuple(np.zeros((1, 1)) for _ in range(R.g))))),
+            "time_s": time.monotonic() - t0,
+        }
 
     if notes:
         results["notes"] = notes

@@ -13,10 +13,12 @@ probe over direct sums.
 
 Region points come from a block rejection sampler (_sample_in_region):
 candidates are drawn in blocks of 1, 2, 4, ... with matkit.sample_stack
-and tested with one realize.Region.first call per block, which on dom+
-screens out most rejected draws with one batched LU inverse.  The
-Hessian and midpoint scans draw whole probes (a point and the matrices
-drawn after it) the same way, speculatively (scan_region): a block of
+and tested with one realize.Region.test call per block, which on dom+
+screens out most rejected draws with one batched LU inverse.  On the
+plus kinds partial checks one point per size (first_probe): the first
+point of a plain per-sample loop of such calls, and its directions.
+The Hessian and midpoint scans draw whole probes (a point and the
+matrices drawn after it) speculatively (scan_region): a block of
 probes is drawn with one matkit.sample_blocks call and its points are
 tested with one Region.test, and only a point outside the region falls
 back to the rejection sampler.  The generator always ends where a loop
@@ -122,15 +124,15 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     region, with its pencil eigenpairs (lam, Q); None when none does.
 
     Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
-    left and by BLOCK_ENTRIES), one sample_stack and one region.first per
-    block.  For dom-plus and kebab-plus with k > 0, region.first rejects
-    the draws whose R_T is not PSD by more than a rounding bound with one
-    batched LU inverse, and factors only the draws left with eigh, one at
-    a time up to the first accepted; the other kinds test the whole block
-    with one eigh (see Region.first).  When the accepted candidate is not
-    the last of its block, the generator is rewound to the block's start
-    and only the draws up to it are made again, so it ends where the
-    per-draw loop would: every draw, point and eigenpair is the loop's.
+    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
+    block, and the first True of its mask is taken (on dom-plus and
+    kebab-plus, region.test screens the block with one batched LU inverse
+    and factors only the draws left).  When the accepted candidate is
+    not the last of its block, the generator is rewound to the block's
+    start and only the draws up to it are made again, so it ends where
+    the per-draw loop would: every draw, point and eigenpair is the
+    loop's.  The point is built unvalidated (the draws are Hermitian), so
+    a realization with no letters gives the empty tuple of size n.
     """
     R = region.R
     counts = (R.h, R.g)
@@ -141,13 +143,14 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
         mats = matkit.sample_stack(n, counts, scale, rng, B)
-        hit = region.first(mats)
-        if hit is not None:
-            i, factors = hit
+        mask, lam, Q = region.test(mats)
+        if mask.any():
+            i = int(np.argmax(mask))
             if i < B - 1:
                 rng.bit_generator.state = state
                 matkit.skip_blocks(parts, scale, rng, i + 1)
-            return HermTuple.make(mats[i, :R.h], mats[i, R.h:]), factors
+            return HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
+                             validate=False), (lam[i], Q[i])
         done += B
         size *= 2
     return None
@@ -234,19 +237,24 @@ def _hessians(R, lam, Q, H):
 
 
 def first_probe(region, n, samples, rng, scale):
-    """The first Hessian probe convexity_verdict draws at size n, as its
-    directions H (g, n, n) and its point's pencil eigenpairs lam, Q; None
-    when all samples probes miss the region.  The generator ends after
-    that probe's draws."""
-    found = []
-
-    def keep(mats, H, lam, Q):
-        found.append((H[0], lam[0], Q[0]))
-        return 0
-
-    scan_region(region, n, samples, rng, scale, keep,
-                extra=(1.0,) * region.R.g)
-    return found[0] if found else None
+    """The x-Hessian's eigenvalues and R_T's lambda_min (0 when k = 0) at
+    the first Hessian probe convexity_verdict draws at size n: the point
+    of the first of samples _sample_in_region calls that finds one, and
+    its g directions H at scale 1.  None when every call misses the
+    region; the generator ends after the probe's draws."""
+    R = region.R
+    for _ in range(samples):
+        hit = _sample_in_region(region, n, scale, rng)
+        if hit is not None:
+            break
+    else:
+        return None
+    lam, Q = hit[1]
+    H = matkit.sample_stack(n, (R.g, 0), 1.0, rng, 1)
+    ev = np.linalg.eigvalsh(_hessians(R, lam[None], Q[None], H))[0]
+    rt_low = np.linalg.eigvalsh(realize._compress(
+        lam, Q, R.frame.lift(n)))[0] if R.frame.k else 0.0
+    return ev, float(rt_low)
 
 
 def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,

@@ -282,16 +282,28 @@ class Region:
     kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
     ball: dom, and every matrix of spectral norm <= radius.
 
-    test reads every kind from one batched pencil build, one batched eigh
-    (over 2B pencils for the kebab kinds), one batched R_T compression of
-    the invertible points and one batched eigvalsh, and hands on the
-    eigenpairs of each point's own pencil, so that a consumer evaluating
-    there (resolvent, r_T, eval_realization with factors=) does not
-    factor it again.  first finds the first point of a stack that lies in
-    the region: for dom-plus and kebab-plus with k > 0 it screens out
-    points whose R_T is surely not PSD with one batched LU inverse, and
-    runs test's eigh only on the points left, one at a time, until one is
-    accepted; its answer is test's bit for bit.
+    test is the one membership call.  It reads every kind from one
+    batched pencil build, one batched eigh (over 2B pencils for the kebab
+    kinds), one batched R_T compression of the invertible points and one
+    batched eigvalsh, and hands on the eigenpairs of each point's own
+    pencil, so that a consumer evaluating there (resolvent, r_T,
+    eval_realization with factors=) does not factor it again.  For
+    dom-plus and kebab-plus with k > 0 it first screens the stack: one
+    batched LU inverse of the pencils P (and of the pencils at (A, 0) for
+    kebab-plus) gives R_T = V* P^-1 V at every point, V = V_T (x) I, and
+    one batched eigvalsh its extreme eigenvalues lo <= hi.  A point is
+    rejected outright, with zero eigenpairs, when at one of its pencils
+
+        lo + tol max(1, |lo|, |hi|) + 2 (1 + tol) delta < 0,
+        delta = en eps ||P||_F ||P^-1||_F^2
+
+    (eps the float64 machine epsilon, P^-1 as computed).  delta is a
+    first-order bound on the rounding error of R_T, both of the inverse
+    and of the eigh-based R_T, so the unscreened test (_test) rejects
+    every such point too.  Only the points left get the eigh, from the
+    same pencils: the mask, and the eigenpairs of every point left, are
+    _test's bit for bit.  A stack in which the LU meets an exactly
+    singular pencil is tested whole.
     """
 
     def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV,
@@ -315,12 +327,28 @@ class Region:
     def test(self, mats):
         """(mask, lam, Q) for a stack of points (B, h + g, n, n): which lie
         in the region, and the eigenpairs (B, en), (B, en, en) of their
-        pencils."""
-        return self._test(mats, self.R.pencils(self._with_zero_x(mats)))
+        pencils (zero at the points the screen rejects)."""
+        B = len(mats)
+        P = self.R.pencils(self._with_zero_x(mats))
+        if not (self.kind.endswith("plus") and self.R.frame.k):
+            return self._test(mats, P)
+        try:
+            left = np.flatnonzero(~self._surely_outside(P, B))
+        except np.linalg.LinAlgError:
+            return self._test(mats, P)
+        en = P.shape[-1]
+        mask = np.zeros(B, dtype=bool)
+        lam = np.zeros((B, en))
+        Q = np.zeros((B, en, en), dtype=complex)
+        if left.size:
+            per_point = P.reshape((-1, B) + P.shape[1:])[:, left]
+            mask[left], lam[left], Q[left] = self._test(
+                mats[left], per_point.reshape((-1,) + P.shape[1:]))
+        return mask, lam, Q
 
     def _test(self, mats, P):
-        """test, from the pencils P of the stack (and of its points (A, 0)
-        for the kebab kinds)."""
+        """test without the screen, from the pencils P of the stack (and
+        of its points (A, 0) for the kebab kinds)."""
         B, n = mats.shape[0], mats.shape[-1]
         lam, Q = np.linalg.eigh(P)
         mask = _invertible(lam, self.tol_inv)
@@ -334,49 +362,8 @@ class Region:
             mask[idx] = matkit.psd_mask(ev, self.tol)
         return mask.reshape(-1, B).all(axis=0), lam[:B], Q[:B]
 
-    def first(self, mats):
-        """(i, (lam, Q)) for the first point i of a stack (B, h + g, n, n)
-        that lies in the region, with the eigenpairs test hands on for it;
-        None when no point does.
-
-        For dom-plus and kebab-plus with k > 0 the stack is screened
-        first: one batched LU inverse of the pencils P (and of the pencils
-        at (A, 0) for kebab-plus) gives R_T = V* P^-1 V at every point,
-        V = V_T (x) I, and one batched eigvalsh its extreme eigenvalues
-        lo <= hi.  A point is rejected outright when at one of its pencils
-
-            lo + tol max(1, |lo|, |hi|) + 2 (1 + tol) delta < 0,
-            delta = en eps ||P||_F ||P^-1||_F^2
-
-        (eps the float64 machine epsilon, P^-1 as computed).  delta is a
-        first-order bound on the rounding error of R_T, both of the
-        inverse and of test's eigh-based R_T, so test rejects every such
-        point too.  The points left go through test's arithmetic (from
-        the same pencils) one at a time, in order, and the first accepted
-        is returned: the index and eigenpairs are test's bit for bit.  A
-        stack in which the LU breaks down at an exactly singular pencil,
-        and the other kinds, are tested whole with test.
-        """
-        B = len(mats)
-        P = self.R.pencils(self._with_zero_x(mats))
-        if self.kind.endswith("plus") and self.R.frame.k:
-            try:
-                left = np.flatnonzero(~self._surely_outside(P, B))
-            except np.linalg.LinAlgError:
-                left = None
-            if left is not None:
-                per_point = P.reshape((-1, B) + P.shape[1:])
-                for i in left:
-                    mask, lam, Q = self._test(mats[i:i + 1], per_point[:, i])
-                    if mask[0]:
-                        return int(i), (lam[0], Q[0])
-                return None
-        mask, lam, Q = self._test(mats, P)
-        i = int(np.argmax(mask))
-        return (i, (lam[i], Q[i])) if mask[i] else None
-
     def _surely_outside(self, P, B):
-        """The screen of first on the pencils P of a stack of B points:
+        """The screen of test on the pencils P of a stack of B points:
         which points have an R_T that is not PSD by more than the rounding
         bound; raises LinAlgError at an exactly singular pencil."""
         en = P.shape[-1]

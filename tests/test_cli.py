@@ -228,6 +228,18 @@ def test_partial_ball_region(tmp_path):
     assert rep["results"]["hessian_scan"]["region"] == "ball:0.3"
 
 
+def test_partial_ball_below_scale_is_not_empty(tmp_path):
+    """The ball of radius 0.5 is drawn at scale min(--scale, 0.5): at the
+    default scale, draws of n >= 2 all had norm above 0.5 and every size
+    but 1 came out empty."""
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "xax_poly.txt"), "--region", "ball:0.5"])
+    assert code in (EXIT_OK, EXIT_NEGATIVE)
+    chunks = rep["results"]["hessian_scan"]["per_size"]
+    assert len(chunks) >= 2
+    assert not any(c["empty"] for c in chunks)
+
+
 @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
 def test_partial_tol_inv_decides_every_pencil(tmp_path, capsys, sign):
     """1 / (1 - t x) with t = (1 -+ 1e-12) / 0.6: draws of norm 0.6 put

@@ -288,6 +288,22 @@ def test_block_sampler_empty_region_exhausts_budget(max_attempts):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", realize.REGION_KINDS)
+def test_block_sampler_with_no_letters(kind):
+    """With no letters the one point of size n is the empty tuple: the
+    sampler hands it on at the first draw, with the pencil J (x) I_n's
+    eigenpairs, and draws no normals."""
+    R = realize.Realization.make(np.eye(1), [], [], [1.0])
+    region = Region(R, kind, radius=0.5 if kind == "ball" else None)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    t, (lam, Q) = partialcvx._sample_in_region(region, 2, 0.6, rng)
+    assert (t.n, t.A, t.X) == (2, (), ())
+    assert np.array_equal(lam, [1.0, 1.0])
+    assert np.allclose(Q @ Q.conj().T, np.eye(2))
+    assert rng.bit_generator.state == state
+
+
 def reference_hessian(R, t, H, factors):
     """partial_hessian one point at a time, from the resolvent:
     2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i."""

@@ -470,7 +470,7 @@ def boundary_point(region, out, inside):
 
 
 def unguarded_screen(region, mats):
-    """Region.first's LU screen with no rounding margin: which points
+    """Region.test's LU screen with no rounding margin: which points
     have lo + tol max(1, |lo|, |hi|) < 0 at the LU-based R_T."""
     V = region.R.frame.lift(mats.shape[-1])
     ev = np.linalg.eigvalsh(
@@ -480,34 +480,45 @@ def unguarded_screen(region, mats):
         1.0, np.maximum(np.abs(lo), np.abs(hi))) < 0
 
 
-def assert_first_matches_test(region, mats):
+def unscreened(region, mats):
+    """Region.test with the LU screen left out."""
+    return region._test(mats, region.R.pencils(region._with_zero_x(mats)))
+
+
+def assert_screen_matches_unscreened(region, mats):
+    """The screened mask is the unscreened one; a point keeps its
+    unscreened eigenpairs unless the screen rejected it (zero ones).
+    Returns how many points the screen rejected."""
     mask, lam, Q = region.test(mats)
-    got = region.first(mats)
-    if not mask.any():
-        assert got is None
-        return
-    i = int(np.argmax(mask))
-    assert got[0] == i
-    assert np.array_equal(got[1][0], lam[i])
-    assert np.array_equal(got[1][1], Q[i])
+    want, wlam, wQ = unscreened(region, mats)
+    assert np.array_equal(mask, want)
+    rejected = 0
+    for i in range(len(mats)):
+        if np.array_equal(lam[i], wlam[i]):
+            assert np.array_equal(Q[i], wQ[i])
+        else:
+            assert not mask[i] and not lam[i].any() and not Q[i].any()
+            rejected += 1
+    return rejected
 
 
 @pytest.mark.parametrize("kind", ["dom-plus", "kebab-plus"])
-def test_region_first_matches_test(kind):
-    """Region.first returns the index and eigenpairs of test's first
-    accepted point bit for bit, on random blocks and on constructed
-    points: points on the region's boundary (lambda_min(R_T) within
-    1e-7 scale of -tol scale; at some of them the LU screen without its
-    rounding margin rejects what test accepts), pencils of condition
-    number near 1e9 and exactly singular pencils inside a block.  The
-    rejection sampler leaves the generator where a per-draw loop does."""
+def test_region_screen_matches_unscreened_test(kind):
+    """Region.test with its LU screen gives the mask of the unscreened
+    test bit for bit, and the unscreened eigenpairs at every point the
+    screen leaves, on random blocks and on constructed points: points on
+    the region's boundary (lambda_min(R_T) within 1e-7 scale of -tol
+    scale; at some of them the LU screen without its rounding margin
+    rejects what test accepts), pencils of condition number near 1e9 and
+    exactly singular pencils inside a block.  The rejection sampler
+    leaves the generator where a per-draw loop does."""
     one = np.eye(1)
     resolvent_1 = Realization.make(one, [2 * one], [2 * one], [1.0])
     polys = [FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}),
              ncalg.parse_poly(THIN),
              FreePoly.from_terms(CTX_X, {(0, 0, 0, 0): 1.0})]
     rng = np.random.default_rng(5)
-    traps = 0
+    traps = rejected = 0
     for R in [linearize_poly(p) for p in polys] + [resolvent_1]:
         region = realize.Region(R, kind)
         for n in (1, 2, 3):
@@ -515,7 +526,8 @@ def test_region_first_matches_test(kind):
             mask = region.test(draws)[0]
             for B in (1, 2, 5, 16, 32):
                 for at in range(0, 96 - B, 7):
-                    assert_first_matches_test(region, draws[at:at + B])
+                    rejected += assert_screen_matches_unscreened(
+                        region, draws[at:at + B])
             if mask.all() or not mask.any():
                 continue
             ins, outs = draws[mask], draws[~mask]
@@ -533,9 +545,9 @@ def test_region_first_matches_test(kind):
                 traps += bool(unguarded_screen(
                     region, realize._stack(pencils)).any())
                 block = np.concatenate([outs[:3], b[None], ins[:2]])
-                assert_first_matches_test(region, block)
-                assert region.first(block)[0] == len(outs[:3])
-    assert traps > 0
+                assert_screen_matches_unscreened(region, block)
+                assert np.argmax(region.test(block)[0]) == len(outs[:3])
+    assert traps > 0 and rejected > 0
 
     # P = I - 2A - 2X of resolvent_1 with eigenvalues (d, 0.7) in a
     # random frame: d = +-1e-9 gives condition number 7e8, d = 0 an
@@ -560,9 +572,9 @@ def test_region_first_matches_test(kind):
                   [point(-1e-9), singular, point(1e-9)],
                   [singular, far[0], point(1e-9), far[1]],
                   [far[2], far[3], singular]):
-        assert_first_matches_test(region, np.stack(block))
+        assert_screen_matches_unscreened(region, np.stack(block))
 
-    # the rejection sampler against a per-draw loop of test calls
+    # the rejection sampler against a per-draw loop of unscreened tests
     for R in (linearize_poly(polys[1]), resolvent_1):
         region = realize.Region(R, kind)
         for n in (1, 2, 3):
@@ -572,7 +584,8 @@ def test_region_first_matches_test(kind):
                     want = None
                     for _ in range(60):
                         t = matkit.sample_tuple(n, (R.h, R.g), 0.6, ref)
-                        mask, lam, Q = region.test_points([t])
+                        mask, lam, Q = unscreened(
+                            region, realize._stack([t]))
                         if mask[0]:
                             want = (t, lam[0], Q[0])
                             break
