@@ -5,7 +5,7 @@ Submodules
 ncalg      free polynomials in two letter classes and their matrix evaluation
 matkit     hermitian linear algebra helpers, block tensor calculus, seeded
            samplers
-realize    descriptor realizations: linearize, minimize, symmetrize, domains
+realize    descriptor realizations: linearize, minimize, domains
 butterfly  convexity-adapted forms of a realization and their domains
 partialcvx Hessians in the designated letters, convexity verdicts, witnesses
 xycvx      convexity in x and y separately: middle matrix, Gram certificates

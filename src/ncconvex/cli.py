@@ -426,13 +426,13 @@ def _run_chunks(fn, payloads, workers):
 
 
 def _ensure_smr(R, notes):
-    if not R.minimal:
-        R = realize.minimize(R)
+    """realize.minimize(R), with a note when it replaced R."""
+    Rm = realize.minimize(R)
+    if Rm.e < R.e:
         notes.append("minimized input realization")
-    if not R.symmetric:
-        R = realize.symmetrize(R)
+    elif Rm is not R:
         notes.append("symmetrized input realization")
-    return R
+    return Rm
 
 
 def cmd_partial(args):
@@ -527,7 +527,8 @@ def cmd_partial(args):
 # xy convexity
 
 def _xy_scan_chunk(payload):
-    """One size of the middle-matrix scan; module level for pickling."""
+    """One size of the middle-matrix scan; module level for pickling.
+    Returns (report entry, the MxyWitness or None)."""
     pl, size, samples, seed, scale, tol = payload
     rng = np.random.default_rng(seed)
     ev = xycvx.middle_matrix_psd_scan(pl, sizes=(size,), samples=samples,
@@ -536,9 +537,10 @@ def _xy_scan_chunk(payload):
         return {"size": list(size), "witness": {
             "delta0": jmat(ev.delta0), "delta1": jmat(ev.delta1),
             "beta1": jmat(ev.beta1), "beta2": jmat(ev.beta2),
-            "lambda_min": float(ev.lambda_min), "vector": jvec(ev.vector)}}
+            "lambda_min": float(ev.lambda_min),
+            "vector": jvec(ev.vector)}}, ev
     return {"size": list(size), "inputs": ev.samples,
-            "min_lambda": float(ev.min_lambda)}
+            "min_lambda": float(ev.min_lambda)}, None
 
 
 def cmd_xy(args):
@@ -564,18 +566,13 @@ def cmd_xy(args):
                  cfg.scale, cfg.tol_psd)
                 for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
-    chunks = _run_chunks(_xy_scan_chunk, payloads, cfg.workers)
-    scan = {"per_size": chunks, "time_s": time.monotonic() - t0}
+    chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
+                                         cfg.workers))
+    scan = {"per_size": list(chunks), "time_s": time.monotonic() - t0}
     results["middle_matrix_scan"] = scan
 
-    witness_chunk = next((c for c in chunks if "witness" in c), None)
-    if witness_chunk is not None:
-        w = witness_chunk["witness"]
-        wit = xycvx.MxyWitness(junmat(w["delta0"]), junmat(w["delta1"]),
-                               junmat(w["beta1"]), junmat(w["beta2"]),
-                               w["lambda_min"],
-                               np.array([complex(a, b)
-                                         for a, b in w["vector"]]))
+    wit = next((w for w in witnesses if w is not None), None)
+    if wit is not None:
         # exit 1 only on a completed pair that passes the re-check
         try:
             pair = xycvx.mxy_witness_pair(pl, wit)

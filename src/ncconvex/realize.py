@@ -5,10 +5,10 @@ The central object is the symmetric realization
     r(a, x) = c* (J - sum_i T_i x_i - sum_j S_j a_j)^{-1} c
 
 with J a signature matrix (J* = J, J^2 = I) and Hermitian coefficient
-matrices.  This module builds such realizations for symmetric nc
-polynomials (linearize -> minimize -> symmetrize), decides the domain
-hierarchy dom / dom+ / dom-kebab / dom-kebab+, and solves the state-space
-similarity between minimal realizations.
+matrices.  This module builds minimal such realizations (linearize_poly
+for symmetric nc polynomials, minimize for any symmetric realization),
+decides the domain hierarchy dom / dom+ / dom-kebab / dom-kebab+, and
+solves the state-space similarity between minimal realizations.
 
 The series bridge: a realization with invertible Hermitian J expands as
 
@@ -41,7 +41,7 @@ in_dom_plus, in_dom_kebab and in_dom_kebab_plus are the one-point case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,13 +88,11 @@ class Realization:
     S: tuple
     T: tuple
     c: np.ndarray
-    minimal: bool = False
-    symmetric: bool = False
     _lifts: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
-    def make(cls, J, S, T, c, minimal=False, symmetric=False):
+    def make(cls, J, S, T, c):
         J = check_herm(np.asarray(J, dtype=complex), what="J")
         S = tuple(check_herm(np.asarray(M, dtype=complex), what="S") for M in S)
         T = tuple(check_herm(np.asarray(M, dtype=complex), what="T") for M in T)
@@ -105,7 +103,7 @@ class Realization:
                 raise matkit.ShapeError("coefficient size mismatch")
         if c.shape != (e,):
             raise matkit.ShapeError("c must be an e-vector")
-        return cls(J, S, T, c, minimal, symmetric)
+        return cls(J, S, T, c)
 
     @property
     def e(self):
@@ -280,7 +278,8 @@ class Region:
     smax are the extreme |eigenvalues| of the Hermitian pencil).
     dom-plus: also R_T(A, X) PSD at tol (psd_mask; vacuous when k = 0).
     kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
-    ball: dom, and every matrix of spectral norm <= radius.
+    ball: dom, and every matrix of spectral norm <= radius (1 + 1e-12):
+    a draw rescaled to norm radius computes a norm a few ulps above it.
 
     test is the one membership call.  It reads every kind from one
     batched pencil build, one batched eigh (over 2B pencils for the kebab
@@ -354,7 +353,7 @@ class Region:
         mask = _invertible(lam, self.tol_inv)
         if self.kind == "ball":
             norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-            mask &= np.all(norms <= self.radius, axis=1)
+            mask &= np.all(norms <= self.radius * (1 + 1e-12), axis=1)
         if self.kind.endswith("plus") and self.R.frame.k:
             idx = np.flatnonzero(mask)
             ev = np.linalg.eigvalsh(
@@ -420,12 +419,6 @@ class LinearRep:
     @property
     def dim(self):
         return len(self.v)
-
-    def coeff(self, w):
-        vec = self.v
-        for i in reversed(w):
-            vec = self.mats[i] @ vec
-        return complex(self.u.conj() @ vec)
 
 
 def poly_linear_rep(p):
@@ -638,7 +631,7 @@ def symmetrize_linear_rep(rep, ctx_counts):
     J, C = signature_decompose(H)
     Zs = [matkit.herm(C.conj().T @ W @ C) for W in Ws]
     a = C.conj().T @ ctilde
-    return Realization.make(J, Zs[:h], Zs[h:], a, minimal=True, symmetric=True)
+    return Realization.make(J, Zs[:h], Zs[h:], a)
 
 
 def linearize_poly(p):
@@ -650,19 +643,14 @@ def linearize_poly(p):
 
 
 def minimize(R):
-    """Compress a realization to minimal size; identity when already minimal."""
-    red = reduce_linear_rep(smr_linear_rep(R))
-    if red.dim == R.e:
-        return replace(R, minimal=True)
-    return symmetrize_linear_rep(red, (R.h, R.g))
-
-
-def symmetrize(R):
-    """Minimal symmetric-valued realization -> signature-J realization."""
+    """The minimal signature realization of R's function: R itself when
+    the Krylov reduction keeps e and J^2 = I; else the symmetrization of
+    the reduced representation, or of R's own when e is kept."""
     rep = smr_linear_rep(R)
-    if not is_minimal_rep(rep):
-        raise MinimalityError("symmetrize requires a minimal realization")
-    return symmetrize_linear_rep(rep, (R.h, R.g))
+    red = reduce_linear_rep(rep)
+    if red.dim == R.e and R.is_signature():
+        return R
+    return symmetrize_linear_rep(red if red.dim < R.e else rep, (R.h, R.g))
 
 
 def state_space_similarity(R1, R2):

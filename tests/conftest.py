@@ -52,14 +52,37 @@ def rand_smr(rng, e=4, h=1, g=2, scale=0.5):
     return realize.Realization.make(J, S, T, c)
 
 
+def padded_copy(R):
+    """R with an unreachable 2 x 2 block (J = I there, every other
+    coefficient zero): the same function at e + 2, not minimal."""
+    e2 = R.e + 2
+
+    def pad(M, fill=0.0):
+        out = fill * np.eye(e2, dtype=complex)
+        out[:R.e, :R.e] = M
+        return out
+
+    return realize.Realization.make(
+        pad(R.J, 1.0), [pad(M) for M in R.S], [pad(M) for M in R.T],
+        np.concatenate([R.c, np.zeros(2)]))
+
+
+def congruent_copy(R, C):
+    """C* J C, C* Z C, C* c: the same function, J^2 != I unless C is
+    unitary."""
+    Ch = C.conj().T
+    return realize.Realization.make(
+        Ch @ R.J @ C, [Ch @ Z @ C for Z in R.S], [Ch @ Z @ C for Z in R.T],
+        Ch @ R.c)
+
+
 def rand_minimal_smr(rng, e=4, h=1, g=2, scale=0.5, attempts=10):
-    """Random SMR passed through minimize + symmetrize."""
+    """Random SMR passed through minimize."""
     for _ in range(attempts):
         R = rand_smr(rng, e, h, g, scale)
         try:
-            Rm = realize.symmetrize(realize.minimize(R))
-        except (realize.MinimalityError, realize.SymmetrizationError,
-                matkit.SingularError):
+            Rm = realize.minimize(R)
+        except (realize.SymmetrizationError, matkit.SingularError):
             continue
         if Rm.e > 0:
             return Rm

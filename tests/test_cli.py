@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import congruent_copy, padded_copy
 from ncconvex import cli, matkit, ncalg, partialcvx, realize, xycvx
 from ncconvex.cli import (
     EXIT_INCONCLUSIVE,
@@ -203,6 +204,54 @@ def test_partial_realization_input(tmp_path):
     assert rep["results"]["input"]["kind"] == "realization"
     assert rep["results"]["input"]["e"] == 4
     assert "butterfly" in rep["results"]
+
+
+def linearization_file(tmp_path, name, edit=None):
+    """The realization file of linearize_poly of DATA/<name>_poly.txt,
+    after edit(R) when given."""
+    p = ncalg.parse_poly((DATA / ("%s_poly.txt" % name)).read_text())
+    R = realize.linearize_poly(p)
+    if edit is not None:
+        R = edit(R)
+    rfile = tmp_path / ("%s_realization.json" % name)
+    rfile.write_text(json.dumps(realize.realization_to_json(R)))
+    return rfile
+
+
+@pytest.mark.parametrize("region", ["default", "dom"])
+@pytest.mark.parametrize("name", ["x4", "xax"])
+def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
+                                                        region):
+    """A realization file that is already minimal with J^2 = I is scanned
+    as it stands: the same scans as the polynomial it was written from."""
+    rfile = linearization_file(tmp_path, name)
+    flags = ["--region", region]
+    _, poly = run_out(tmp_path, "poly.json",
+                      ["partial", str(DATA / ("%s_poly.txt" % name))] + flags)
+    _, real = run_out(tmp_path, "real.json", ["partial", str(rfile)] + flags)
+    poly, real = strip_timings(poly["results"]), strip_timings(real["results"])
+    assert "notes" not in real
+    sections = ["hessian_scan", "localizing_scan"]
+    if name == "xax":
+        sections.append("butterfly")
+    for key in sections:
+        assert real[key] == poly[key], key
+
+
+@pytest.mark.parametrize("edit, note", [
+    (padded_copy, "minimized input realization"),
+    (lambda R: congruent_copy(R, np.diag(np.linspace(0.7, 1.4, R.e))),
+     "symmetrized input realization"),
+], ids=["padded", "congruent"])
+def test_partial_notes_what_minimize_replaced(tmp_path, edit, note):
+    flags = ["--sizes", "1,2", "--samples", "6"]
+    want, _ = run_out(tmp_path, "poly.json",
+                      ["partial", str(DATA / "xax_poly.txt")] + flags)
+    rfile = linearization_file(tmp_path, "xax", edit)
+    code, rep = run_out(tmp_path, "real.json", ["partial", str(rfile)] + flags)
+    assert code == want
+    assert rep["results"]["notes"] == [note]
+    assert rep["results"]["input"]["e"] == 4
 
 
 @pytest.mark.parametrize("T", [[[[[0, 0]]]], []],
@@ -565,7 +614,8 @@ def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch):
     # a scan that finds nothing sends this input to the Gram stage, whose
     # dual certificate then proves that no completion is PSD
     def no_witness(payload):
-        return {"size": list(payload[1]), "inputs": 0, "min_lambda": 0.0}
+        return {"size": list(payload[1]), "inputs": 0,
+                "min_lambda": 0.0}, None
 
     monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
     pfile = tmp_path / "nc_poly.txt"

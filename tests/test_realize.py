@@ -1,4 +1,4 @@
-"""Descriptor realizations: linearize, minimize, symmetrize, domains.
+"""Descriptor realizations: linearize, minimize, domains.
 
 Oracle: eval_realization must reproduce eval_poly on the common domain; the
 small frozen examples (x^2, a constant, x a x) pin the expected sizes and
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (rand_herm_tuple, rand_minimal_smr, rand_poly, rand_smr,
+from conftest import (congruent_copy, padded_copy, rand_herm_tuple,
+                      rand_minimal_smr, rand_poly, rand_smr,
                       rand_symmetric_poly)
 from ncconvex import matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
@@ -32,7 +33,6 @@ from ncconvex.realize import (
     realization_to_json,
     resolvent,
     state_space_similarity,
-    symmetrize,
 )
 
 DATA = Path(realize.__file__).parent / "data"
@@ -143,21 +143,7 @@ def test_minimize_is_idempotent_and_preserves_eval(seed):
     Rm = minimize(R)
     assert Rm.e == R.e, "linearize output is already minimal"
     # inflate with an unreachable block, then minimize back down
-    e2 = R.e + 2
-    J2 = np.zeros((e2, e2), dtype=complex)
-    J2[:R.e, :R.e] = R.J
-    J2[R.e:, R.e:] = np.eye(2)
-
-    def pad(M):
-        out = np.zeros((e2, e2), dtype=complex)
-        out[:M.shape[0], :M.shape[1]] = M
-        return out
-
-    c2 = np.zeros(e2, dtype=complex)
-    c2[:R.e] = R.c
-    R2 = Realization.make(J2, [pad(M) for M in R.S],
-                          [pad(M) for M in R.T], c2)
-    R2m = minimize(R2)
+    R2m = minimize(padded_copy(R))
     assert R2m.e == R.e
     assert R2m.is_signature()
     eval_agreement(p, R2m, rng)
@@ -169,7 +155,11 @@ def test_symmetrize_restores_signature(seed):
     rng = np.random.default_rng(seed)
     R = rand_minimal_smr(rng, e=4, h=1, g=2)
     assert R.is_signature()
-    sym = symmetrize(R)
+    assert minimize(R) is R
+    Rc = congruent_copy(R, np.diag(rng.uniform(0.5, 2.0, size=R.e)))
+    assert not Rc.is_signature()
+    sym = minimize(Rc)
+    assert sym.e == R.e
     assert sym.is_signature()
     # same function: check on random domain points
     for _ in range(10):
@@ -207,7 +197,7 @@ def test_similarity_between_pipeline_outputs(seed):
                           [U @ Z @ U.conj().T for Z in R1.S],
                           [U @ Z @ U.conj().T for Z in R1.T],
                           U @ R1.c)
-    R2 = symmetrize(minimize(R2))
+    R2 = minimize(R2)
     S = state_space_similarity(R1, R2)
     assert not isinstance(S, NotEquivalent)
     assert np.allclose(S.conj().T @ R2.J @ S, R1.J, atol=1e-6)
@@ -598,6 +588,18 @@ def test_region_screen_matches_unscreened_test(kind):
                             assert np.array_equal(M, N)
                         assert np.array_equal(got[1][0], want[1])
                         assert np.array_equal(got[1][1], want[2])
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ball_accepts_its_own_draws(n, radius):
+    """Draws at scale radius are rescaled to norm radius, whose computed
+    norm may exceed it by a few ulps; the ball still holds them."""
+    R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
+    mats = matkit.sample_stack(n, (R.h, R.g), radius,
+                               np.random.default_rng(n), 200)
+    mask, _, _ = realize.Region(R, "ball", radius=radius).test(mats)
+    assert mask.all()
 
 
 def test_region_rejects_bad_kind_and_radius():
