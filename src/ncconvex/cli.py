@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__, butterfly, examples, matkit, ncalg, partialcvx, \
     realize, xycvx
+from .matkit import jmat, junmat, jvec
 from .ncalg import ContextError, HermTuple, ShapeError, SymmetryError
 
 EXIT_OK = 0
@@ -110,26 +111,6 @@ def config_from_args(args):
 # ---------------------------------------------------------------------------
 # matrix JSON and file loading
 
-def jmat(M):
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
-def junmat(rows):
-    try:
-        M = np.array([[complex(re, im) for re, im in row]
-                      for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError("bad matrix entry: %s" % exc)
-    if not np.all(np.isfinite(M)):
-        raise InputError("non-finite matrix entry")
-    return M
-
-
-def jvec(v):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-
-
 def _read(path):
     try:
         return Path(path).read_text()
@@ -171,7 +152,10 @@ def load_tuple(path, ctx):
     A, X = data.get("A", []), data.get("X", [])
     if not (isinstance(A, list) and isinstance(X, list)):
         raise InputError("%s: A and X must be lists of matrices" % path)
-    A, X = [junmat(M) for M in A], [junmat(M) for M in X]
+    try:
+        A, X = [junmat(M) for M in A], [junmat(M) for M in X]
+    except ValueError as exc:
+        raise InputError("%s: %s" % (path, exc))
     if len(A) != ctx.h or len(X) != ctx.g:
         raise InputError(
             "tuple has %d a-class and %d x-class matrices; polynomial "
@@ -374,42 +358,30 @@ def _localizing_scan(R, cfg, rng):
     """Search dom for points where the localizing matrix R_T goes
     indefinite.  A doubled-point witness at the first such point shows that
     convexity stops at the PSD region (sharpness); it does not contradict
-    the region verdict.  The dom points, 50 attempts each, come from
-    partialcvx.scan_region, which stops at an indefinite point while there
-    is no witness yet, so that negativity_witness draws from where the
-    per-sample loop would, from the same dom region."""
+    the region verdict.  The dom points, 50 attempts each, are the
+    partialcvx.region_probes of the dom region, and negativity_witness
+    draws its companions right after the point, from the same region."""
     entry = {"checked": 0, "indefinite_points": 0}
     dom_region = make_region("dom", R, cfg)
     frame = R.frame
-    stop = []
-
-    def visit(mats, extra, lam, Q):
-        # with k = 0, R_T is the empty matrix: PSD, never indefinite
-        lows = np.linalg.eigvalsh(realize._compress(
-            lam, Q, frame.lift(mats.shape[-1])))[:, 0] if frame.k \
-            else np.zeros(len(lam))
-        for i, low in enumerate(lows.tolist()):
-            entry["checked"] += 1
-            if low < -1e-3:
-                entry["indefinite_points"] += 1
-                if "sharpness_witness" not in entry:
-                    stop.append(HermTuple.make(mats[i, :R.h], mats[i, R.h:]))
-                    return i
-        return None
-
     for n in cfg.sizes:
-        left = cfg.samples
-        while left:
-            left -= partialcvx.scan_region(dom_region, int(n), left, rng,
-                                           cfg.scale, visit, max_attempts=50)
-            if stop:
-                try:
-                    wit = partialcvx.negativity_witness(
-                        R, stop.pop(), rng=rng, region=dom_region)
-                    entry["sharpness_witness"] = \
-                        _serialize_doubling_witness(wit)
-                except partialcvx.SpanFailure as exc:
-                    entry["span_failure"] = str(exc)
+        for t, _, lam, Q in partialcvx.region_probes(
+                dom_region, int(n), cfg.samples, rng, cfg.scale,
+                max_attempts=50):
+            entry["checked"] += 1
+            # with k = 0, R_T is the empty matrix: PSD, never indefinite
+            if not (frame.k and np.linalg.eigvalsh(realize._compress(
+                    lam, Q, frame.lift(t.n)))[0] < -1e-3):
+                continue
+            entry["indefinite_points"] += 1
+            if "sharpness_witness" in entry:
+                continue
+            try:
+                wit = partialcvx.negativity_witness(R, t, rng=rng,
+                                                    region=dom_region)
+                entry["sharpness_witness"] = _serialize_doubling_witness(wit)
+            except partialcvx.SpanFailure as exc:
+                entry["span_failure"] = str(exc)
     return entry
 
 
@@ -478,6 +450,13 @@ def cmd_partial(args):
         R = _ensure_smr(obj, notes)
         results["input"] = {"kind": "realization", "e": R.e,
                             "classes": {"a": R.h, "x": R.g}}
+        if R.e == 0:
+            results["trivial"] = ("the function is zero, so its x-Hessian "
+                                  "vanishes identically and it is convex "
+                                  "in x")
+            results["notes"] = notes
+            emit_report(report, cfg.out)
+            return EXIT_OK
 
     # Hessian scan over the configured region, one chunk per size
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ncalg import HermitianError, HermTuple, ShapeError
+from .ncalg import HermTuple, ShapeError, check_herm
 
 TOL_INV = 1e-10
 TOL_PSD = 1e-8
-TOL_HERM = 1e-10
 
 
 class DomainError(ValueError):
@@ -31,18 +30,6 @@ class SingularError(ValueError):
 def herm(M):
     """Hermitian part (M + M*)/2, of each matrix of a stack (..., n, n)."""
     return (M + M.conj().swapaxes(-1, -2)) / 2
-
-
-def check_herm(M, what="matrix"):
-    """Hermitian part of M; raises when ||M - M*|| > TOL_HERM max(1, ||M||).
-
-    An exactly Hermitian M skips the two spectral norms.
-    """
-    D = M - M.conj().T
-    if D.any() and np.linalg.norm(D, 2) > TOL_HERM * max(
-            1.0, np.linalg.norm(M, 2)):
-        raise HermitianError("%s is not Hermitian" % what)
-    return herm(M)
 
 
 @dataclass(frozen=True)
@@ -75,7 +62,7 @@ def is_psd(M, tol=TOL_PSD):
     PSD iff lambda_min >= -tol * max(1, |lambda|_max) (psd_mask); PD with
     the strict +tol margin.  ND symmetric for the negative side.
     """
-    M = check_herm(np.asarray(M, dtype=complex))
+    M = herm(check_herm(np.asarray(M, dtype=complex)))
     if M.size == 0:
         return PsdReport(0.0, 0.0, "PD", tol)
     ev = np.linalg.eigvalsh(M)
@@ -109,7 +96,7 @@ def signature_decompose(H):
     Eigenvalues are sorted descending, so H = diag(4, -9) gives
     J = diag(1, -1) and C = diag(1/2, 1/3).
     """
-    H = check_herm(np.asarray(H, dtype=complex))
+    H = herm(check_herm(np.asarray(H, dtype=complex)))
     lam, U = np.linalg.eigh(H)
     order = np.argsort(-lam)
     lam, U = lam[order], U[:, order]
@@ -278,32 +265,9 @@ def build_embedding_E(parts_A, parts_B):
 # ---------------------------------------------------------------------------
 # seeded samplers
 
-def sample_herm(n, scale, rng):
-    """Gaussian Hermitian matrix rescaled to spectral norm <= scale."""
-    return sample_stack(n, (1, 0), scale, rng, 1)[0, 0]
-
-
-def sample_stack(n, counts, scale, rng, size):
-    """size tuples of counts = (h, g) Hermitian n x n matrices of spectral
-    norm <= scale, as an array (size, h + g, n, n).
-
-    Each matrix is the Hermitian part of a complex Gaussian, rescaled
-    to norm scale when its norm is larger.  One rng.normal call fills
-    the stack in the order of size sample_tuple calls (per tuple the
-    a-class matrices, then the x-class ones; per matrix the real part,
-    then the imaginary part), and the rescale reads the norms from one
-    batched svd(., compute_uv=False), the LAPACK call behind norm(., 2).
-    """
-    h, g = counts
-    if scale == 0:
-        return np.zeros((size, h + g, n, n), dtype=complex)
-    return _rescaled_herm(rng.normal(size=(size, h + g, 2, n, n)), scale)
-
-
 def _rescaled_herm(Z, scale):
     """Hermitian parts of Z[..., 0, :, :] + i Z[..., 1, :, :], each rescaled
-    to spectral norm scale when its norm is larger; scale may be an array
-    that broadcasts against the stack axes."""
+    to spectral norm scale when its norm is larger."""
     H = herm(Z[..., 0, :, :] + 1j * Z[..., 1, :, :])
     nH = np.linalg.svd(H, compute_uv=False).max(axis=-1)
     big = nH > scale
@@ -314,7 +278,7 @@ def _rescaled_herm(Z, scale):
 def _widths(parts, scale):
     """(scale per part, normals per draw of each part): 2 r c, or none
     for a Hermitian part at scale 0, which is drawn as zero."""
-    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(parts),))
+    scales = [scale] * len(parts) if np.isscalar(scale) else list(scale)
     return scales, [0 if herm_ and s == 0 else 2 * r * c
                     for (r, c, herm_), s in zip(parts, scales)]
 
@@ -329,37 +293,75 @@ def sample_blocks(parts, scale, rng, size):
     """size draws of a list of matrices, as one stack (size, r, c) per part.
 
     parts lists (r, c, hermitian); scale is one scale for every part or a
-    sequence of one scale per part.  A Hermitian part (r = c) is drawn as
-    sample_herm draws it at its scale; a rectangular one is the complex
-    Gaussian (real + i imag) * scale / sqrt 2, real part first.  One
-    rng.normal call fills the stacks in the order of size loops that draw
-    the parts one after another (_widths), and the Hermitian parts of one
-    size share one batched rescale, each to its own scale.
+    sequence of one scale per part.  A Hermitian part (r = c) is the
+    Hermitian part of a complex Gaussian (real part, then imaginary
+    part), rescaled to spectral norm scale when its norm is larger; a
+    rectangular one is the complex Gaussian (real + i imag) * scale /
+    sqrt 2.  One rng.normal call fills the stacks in the order of size
+    loops that draw the parts one after another (_widths), and the
+    Hermitian parts of one size and scale share one batched rescale, with
+    the norms from one svd(., compute_uv=False), the LAPACK call behind
+    norm(., 2).
     """
     scales, widths = _widths(parts, scale)
     Z = rng.normal(size=(size, sum(widths)))
-    at = np.concatenate([[0], np.cumsum(widths)])
-    out = [None] * len(parts)
-    by_size = {}
-    for k, (r, c, herm_) in enumerate(parts):
-        if widths[k] == 0:
-            out[k] = np.zeros((size, r, c), dtype=complex)
+    out, groups, at = [], {}, 0
+    for (r, c, herm_), s, w in zip(parts, scales, widths):
+        if w == 0:
+            out.append(np.zeros((size, r, c), dtype=complex))
             continue
-        raw = Z[:, at[k]:at[k + 1]].reshape(size, 2, r, c)
+        raw = Z[:, at:at + w].reshape(size, 2, r, c)
+        at += w
         if herm_:
-            by_size.setdefault(r, []).append((k, raw))
+            groups.setdefault((r, s), []).append((len(out), raw))
+            out.append(None)
         else:
-            out[k] = (raw[:, 0] + 1j * raw[:, 1]) * scales[k] / np.sqrt(2)
-    for group in by_size.values():
-        ks = [k for k, _ in group]
-        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1),
-                           scales[ks])
-        for j, k in enumerate(ks):
+            out.append((raw[:, 0] + 1j * raw[:, 1]) * s / np.sqrt(2))
+    for (_, s), group in groups.items():
+        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1), s)
+        for j, (k, _) in enumerate(group):
             out[k] = H[:, j]
     return out
 
 
+def sample_herm(n, scale, rng):
+    """Gaussian Hermitian matrix of spectral norm <= scale: sample_blocks
+    of one part."""
+    return sample_blocks([(n, n, True)], scale, rng, 1)[0][0]
+
+
 def sample_tuple(n, counts, scale, rng):
-    """HermTuple with counts = (h, g) matrices of spectral norm <= scale."""
-    M = sample_stack(n, counts, scale, rng, 1)[0]
+    """HermTuple with counts = (h, g) matrices of spectral norm <= scale,
+    one sample_blocks draw of h + g parts."""
+    M = [B[0] for B in sample_blocks([(n, n, True)] * sum(counts), scale,
+                                     rng, 1)]
     return HermTuple.make(M[:counts[0]], M[counts[0]:])
+
+
+# ---------------------------------------------------------------------------
+# report JSON: matrices and vectors as row-major [re, im] entries
+
+def jvec(v):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
+
+
+def jmat(M):
+    return [jvec(row) for row in np.asarray(M, dtype=complex)]
+
+
+def junmat(rows):
+    """Inverse of jmat; raises ValueError on a malformed or non-finite
+    entry."""
+    try:
+        M = np.array([[complex(re, im) for re, im in row] for row in rows],
+                     dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("bad matrix entry: %s" % exc)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("non-finite matrix entry")
+    return M
+
+
+def junvec(entries):
+    """Inverse of jvec, with junmat's checks."""
+    return junmat([entries])[0]

@@ -240,6 +240,16 @@ def adjoint(p):
                     (p.shape[1], p.shape[0]))
 
 
+def check_herm(M, what="matrix"):
+    """M itself; raises HermitianError when ||M - M*|| > TOL_HERM max(1,
+    ||M||).  An exactly Hermitian M skips the two spectral norms."""
+    D = M - M.conj().T
+    if D.any() and np.linalg.norm(D, 2) > TOL_HERM * max(
+            1.0, np.linalg.norm(M, 2)):
+        raise HermitianError("%s is not Hermitian" % what)
+    return M
+
+
 @dataclass(frozen=True)
 class HermTuple:
     """Evaluation point: lists of n x n matrices for the two classes.
@@ -268,10 +278,7 @@ class HermTuple:
         t = cls(n, A, X, validate)
         if validate:
             for M in mats:
-                D = M - M.conj().T
-                if D.any() and np.linalg.norm(D, 2) > TOL_HERM * max(
-                        1.0, np.linalg.norm(M, 2)):
-                    raise HermitianError("tuple entry is not Hermitian")
+                check_herm(M, "tuple entry")
         return t
 
     @property

@@ -12,21 +12,18 @@ direction and a vector h with h* r_xx h < 0, built from a span-saturation
 probe over direct sums.
 
 Region points come from a block rejection sampler (_sample_in_region):
-candidates are drawn in blocks of 1, 2, 4, ... with matkit.sample_stack
-and tested with one realize.Region.test call per block, which on dom+
-screens out most rejected draws with one batched LU inverse.  On the
-plus kinds partial checks one point per size (first_probe): the first
-point of a plain per-sample loop of such calls, and its directions.
-The Hessian and midpoint scans draw whole probes (a point and the
-matrices drawn after it) speculatively (scan_region): a block of
-probes is drawn with one matkit.sample_blocks call and its points are
-tested with one Region.test, and only a point outside the region falls
-back to the rejection sampler.  The generator always ends where a loop
-of per-draw sample_tuple and sample_herm calls would leave it, so every
-draw, and with it every verdict, is that of the per-sample loop.  An
-accepted point comes with the eigenpairs of its pencil, and the Hessian
-probe, the midpoint triple and the span probe evaluate from them
-instead of factoring the point again.
+candidates are drawn in blocks of 1, 2, 4, ... with one
+matkit.sample_blocks call and tested with one realize.Region.test call
+per block, which on dom+ screens out most rejected draws with one
+batched LU inverse.  The scans draw one probe at a time (region_probes):
+a point from the sampler, then its directions or midpoint partner.  On
+the plus kinds partial checks one point per size (first_probe), the
+first probe of the Hessian scan.  The sampler leaves the generator where
+a loop of per-draw sample_tuple calls would, so every draw, and with it
+every verdict, is that of the per-sample loop.  An accepted point comes
+with the eigenpairs of its pencil, and the Hessian probe, the midpoint
+triple and the span probe evaluate from them instead of factoring the
+point again.
 """
 
 from __future__ import annotations
@@ -119,12 +116,20 @@ class Witness:
         return True
 
 
+def _herm_stack(n, parts, scale, rng, size):
+    """matkit.sample_blocks of n x n Hermitian parts as one array
+    (size, len(parts), n, n)."""
+    if not parts:
+        return np.zeros((size, 0, n, n), dtype=complex)
+    return np.stack(matkit.sample_blocks(parts, scale, rng, size), axis=1)
+
+
 def _sample_in_region(region, n, scale, rng, max_attempts=500):
     """The first of max_attempts sample_tuple draws that lies in the
     region, with its pencil eigenpairs (lam, Q); None when none does.
 
     Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
-    left and by BLOCK_ENTRIES), one sample_stack and one region.test per
+    left and by BLOCK_ENTRIES), one sample_blocks and one region.test per
     block, and the first True of its mask is taken (on dom-plus and
     kebab-plus, region.test screens the block with one batched LU inverse
     and factors only the draws left).  When the accepted candidate is
@@ -135,14 +140,13 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     a realization with no letters gives the empty tuple of size n.
     """
     R = region.R
-    counts = (R.h, R.g)
     parts = [(n, n, True)] * (R.h + R.g)
     cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
     done, size = 0, 1
     while done < max_attempts:
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
-        mats = matkit.sample_stack(n, counts, scale, rng, B)
+        mats = _herm_stack(n, parts, scale, rng, B)
         mask, lam, Q = region.test(mats)
         if mask.any():
             i = int(np.argmax(mask))
@@ -156,75 +160,25 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
     return None
 
 
-def scan_region(region, n, samples, rng, scale, visit, extra=(),
-                max_attempts=500):
-    """Draw samples region probes in the order of the per-sample loop and
-    hand them to visit run by run; returns the number of probes drawn.
+def region_probes(region, n, samples, rng, scale, extra=(),
+                  max_attempts=500):
+    """samples region probes at size n, drawn one at a time.
 
-    A probe is a point drawn as _sample_in_region draws it (the first of
-    max_attempts sample_tuple draws at scale that lies in the region),
-    followed by one Hermitian n x n draw per entry of extra, at that
-    scale.  A probe whose draws all miss the region draws nothing more and
-    is dropped.
-
-    Probes are drawn speculatively, in blocks of 1, 2, 4, ... (capped by
-    the probes left and by BLOCK_ENTRIES): one sample_blocks call draws a
-    block's points and extras in draw order, and one region.test tests its
-    points.  visit(mats, extra, lam, Q) gets the probes before the first
-    point outside the region: their points (B, h + g, n, n), extras
-    (B, m, n, n) and pencil eigenpairs (B, en) and (B, en, en).  It
-    returns None to go on, or the index of the probe after which the scan
-    stops; the generator is then rewound to the end of that probe's draws
-    (matkit.skip_blocks).  At a point outside the region the generator is
-    rewound past that draw, _sample_in_region finishes the probe from its
-    second attempt on, and the next block has size 1 again.  Every draw
-    is that of the per-sample loop, and the generator ends where that
-    loop would leave it.
+    A probe is the point of a _sample_in_region call (the first of
+    max_attempts draws at scale that lies in the region) followed by one
+    Hermitian n x n draw per entry of extra, at that scale.  Yields
+    (t, extras, lam, Q): the point as a HermTuple, its draws
+    (len(extra), n, n) and the eigenpairs of its pencil.  A probe whose
+    draws all miss the region draws nothing more and yields nothing.
+    Between two probes the caller may draw from rng itself: the next
+    probe draws after it.
     """
-    R = region.R
-    hg = R.h + R.g
-    parts = [(n, n, True)] * (hg + len(extra))
-    scales = [scale] * hg + list(extra)
-
-    def draw(first, B):
-        """B draws of the parts from first on, as (B, parts, n, n)."""
-        if first == len(parts):
-            return np.zeros((B, 0, n, n), dtype=complex)
-        return np.stack(matkit.sample_blocks(parts[first:], scales[first:],
-                                             rng, B), axis=1)
-
-    cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
-    done, size = 0, 1
-    while done < samples:
-        B = min(size, cap, samples - done)
-        state = rng.bit_generator.state
-        probes = draw(0, B)
-        mats, ext = probes[:, :hg], probes[:, hg:]
-        mask, lam, Q = region.test(mats)
-        r = B if mask.all() else int(np.argmin(mask))
-        if r:
-            stop = visit(mats[:r], ext[:r], lam[:r], Q[:r])
-            if stop is not None:
-                rng.bit_generator.state = state
-                matkit.skip_blocks(parts, scales, rng, stop + 1)
-                return done + stop + 1
-        done += r
-        if r == B:
-            size *= 2
-            continue
-        # probe r's point missed: finish that probe one point at a time
-        rng.bit_generator.state = state
-        matkit.skip_blocks(parts, scales, rng, r)
-        matkit.skip_blocks(parts[:hg], scales[:hg], rng, 1)
-        done, size = done + 1, 1
-        hit = _sample_in_region(region, n, scale, rng, max_attempts - 1)
-        if hit is None:
-            continue
-        t, (lam, Q) = hit
-        if visit(realize._stack([t]), draw(hg, 1), lam[None],
-                 Q[None]) is not None:
-            return done
-    return done
+    parts = [(n, n, True)] * len(extra)
+    for _ in range(samples):
+        hit = _sample_in_region(region, n, scale, rng, max_attempts)
+        if hit is not None:
+            t, (lam, Q) = hit
+            yield t, _herm_stack(n, parts, extra, rng, 1)[0], lam, Q
 
 
 def _hessians(R, lam, Q, H):
@@ -238,20 +192,17 @@ def _hessians(R, lam, Q, H):
 
 def first_probe(region, n, samples, rng, scale):
     """The x-Hessian's eigenvalues and R_T's lambda_min (0 when k = 0) at
-    the first Hessian probe convexity_verdict draws at size n: the point
-    of the first of samples _sample_in_region calls that finds one, and
-    its g directions H at scale 1.  None when every call misses the
-    region; the generator ends after the probe's draws."""
+    the first Hessian probe convexity_verdict draws at size n: the first
+    of samples region probes, with its g directions H at scale 1.  None
+    when every probe misses the region; the generator ends after the
+    probe's draws."""
     R = region.R
-    for _ in range(samples):
-        hit = _sample_in_region(region, n, scale, rng)
-        if hit is not None:
-            break
-    else:
+    probe = next(region_probes(region, n, samples, rng, scale,
+                               (1.0,) * R.g), None)
+    if probe is None:
         return None
-    lam, Q = hit[1]
-    H = matkit.sample_stack(n, (R.g, 0), 1.0, rng, 1)
-    ev = np.linalg.eigvalsh(_hessians(R, lam[None], Q[None], H))[0]
+    _, H, lam, Q = probe
+    ev = np.linalg.eigvalsh(_hessians(R, lam[None], Q[None], H[None]))[0]
     rt_low = np.linalg.eigvalsh(realize._compress(
         lam, Q, R.frame.lift(n)))[0] if R.frame.k else 0.0
     return ev, float(rt_low)
@@ -266,69 +217,46 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     inequality r(A, (X+Y)/2) <= (r(A,X) + r(A,Y))/2 is cross-checked on
     paired samples from the same region.
 
-    Both scans run through scan_region, which draws probes in speculative
-    blocks: a Hessian probe is a region point and its g directions H (at
-    scale 1), a midpoint probe a point (A, X) and its Y (at scale).  The
-    region decides which points lie in dom.  The Hessians of a run of
-    accepted points are evaluated as one stack from the eigenpairs the
-    region test handed on, with one batched eigvalsh, and judged by
-    matkit.psd_mask at tol.
-    The points (A, Y) and (A, (X + Y)/2) of a midpoint run are tested with
-    one more region.test, and the run's gaps come from one _compress stack
-    each.  Every draw, and so every verdict, is that of a loop that draws
-    and evaluates one sample at a time.
+    Both scans draw region_probes: a Hessian probe is a region point and
+    its g directions H (at scale 1), a midpoint probe a point (A, X) and
+    its Y (at scale).  The region decides which points lie in dom.  Each
+    Hessian is evaluated from the eigenpairs the region test handed on and
+    judged by matkit.psd_mask at tol.  The points (A, Y) and
+    (A, (X + Y)/2) of a midpoint probe are tested with one more
+    region.test, and its gap comes from the three points' eigenpairs.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
-    count, min_lambda, found = 0, np.inf, []
-
-    def hessian_run(mats, H, lam, Q):
-        nonlocal count, min_lambda
-        vals = _hessians(R, lam, Q, H)
-        ev = np.linalg.eigvalsh(vals)
-        bad = np.flatnonzero(~matkit.psd_mask(ev, tol))
-        upto = bad[0] + 1 if bad.size else len(vals)
-        count += upto
-        min_lambda = min([min_lambda] + ev[:upto, 0].tolist())
-        if not bad.size:
-            return None
-        i = int(bad[0])
-        t = HermTuple.make(mats[i, :R.h], mats[i, R.h:])
-        probe = HessianProbe(t, tuple(H[i]), vals[i], float(ev[i, 0]))
-        found.append(Witness(probe, -float(ev[i, 0])))
-        return i
-
+    count, min_lambda = 0, np.inf
     for n in sizes:
-        scan_region(region, n, samples, rng, scale, hessian_run,
-                    extra=(1.0,) * R.g)
-        if found:
-            return found[0]
+        for t, H, lam, Q in region_probes(region, n, samples, rng, scale,
+                                          (1.0,) * R.g):
+            val = _hessians(R, lam[None], Q[None], H[None])[0]
+            ev = np.linalg.eigvalsh(val)
+            low = float(ev[0])
+            count += 1
+            min_lambda = min(min_lambda, low)
+            if not matkit.psd_mask(ev, tol):
+                return Witness(HessianProbe(t, tuple(H), val, low), -low)
     if count == 0:
         raise RegionEmpty("no region point found at sizes %r" % (sizes,))
 
     pairs = viol = 0
-
-    def midpoint_run(mats, Y, lam, Q):
-        nonlocal pairs, viol
-        r, (A, X) = len(mats), (mats[:, :R.h], mats[:, R.h:])
-        inside, clam, cQ = region.test(np.concatenate(
-            [np.concatenate([A, Y], axis=1),
-             np.concatenate([A, (X + Y) / 2], axis=1)]))
-        ok = np.flatnonzero(inside[:r] & inside[r:])
-        if not ok.size:
-            return None
-        lift = R.c_lift(mats.shape[-1])
-        gap = (realize._compress(lam[ok], Q[ok], lift)
-               + realize._compress(clam[ok], cQ[ok], lift)) / 2 \
-            - realize._compress(clam[r + ok], cQ[r + ok], lift)
-        pairs += len(ok)
-        viol += int(np.count_nonzero(
-            ~matkit.psd_mask(np.linalg.eigvalsh(gap), tol)))
-        return None
-
     for n in sizes:
-        scan_region(region, n, midpoint_pairs, rng, scale, midpoint_run,
-                    extra=(scale,) * R.g)
+        for t, Y, lam, Q in region_probes(region, n, midpoint_pairs, rng,
+                                          scale, (scale,) * R.g):
+            far = HermTuple(n, t.A, tuple(Y), validate=False)
+            mid = HermTuple(n, t.A, tuple((X + Yi) / 2
+                                          for X, Yi in zip(t.X, Y)),
+                            validate=False)
+            inside, clam, cQ = region.test_points([far, mid])
+            if not inside.all():
+                continue
+            gap = (eval_realization(R, t, (lam, Q))
+                   + eval_realization(R, far, (clam[0], cQ[0]))) / 2 \
+                - eval_realization(R, mid, (clam[1], cQ[1]))
+            pairs += 1
+            viol += int(not matkit.psd_mask(np.linalg.eigvalsh(gap), tol))
     return ConvexEvidence(count, float(min_lambda), pairs, viol)
 
 

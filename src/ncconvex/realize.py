@@ -47,8 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from . import matkit
-from .ncalg import HermTuple, SymmetryError
-from .matkit import TOL_INV, TOL_PSD, check_herm, signature_decompose
+from .ncalg import HermTuple, SymmetryError, check_herm
+from .matkit import (TOL_INV, TOL_PSD, jmat, junmat, junvec, jvec,
+                     signature_decompose)
 
 RTOL_RANK = 1e-10
 TOL_SYM = 1e-6  # accepted residual and Hermitian defect of the symmetrizer
@@ -93,9 +94,11 @@ class Realization:
 
     @classmethod
     def make(cls, J, S, T, c):
-        J = check_herm(np.asarray(J, dtype=complex), what="J")
-        S = tuple(check_herm(np.asarray(M, dtype=complex), what="S") for M in S)
-        T = tuple(check_herm(np.asarray(M, dtype=complex), what="T") for M in T)
+        def hermitian(M, what):
+            return matkit.herm(check_herm(np.asarray(M, dtype=complex), what))
+        J = hermitian(J, "J")
+        S = tuple(hermitian(M, "S") for M in S)
+        T = tuple(hermitian(M, "T") for M in T)
         c = np.asarray(c, dtype=complex).reshape(-1)
         e = J.shape[0]
         for M in S + T:
@@ -644,12 +647,16 @@ def linearize_poly(p):
 
 def minimize(R):
     """The minimal signature realization of R's function: R itself when
-    the Krylov reduction keeps e and J^2 = I; else the symmetrization of
-    the reduced representation, or of R's own when e is kept."""
+    the Krylov reduction keeps e and J^2 = I; the e = 0 realization when
+    it leaves no state (r is zero); else the symmetrization of the
+    reduced representation, or of R's own when e is kept."""
     rep = smr_linear_rep(R)
     red = reduce_linear_rep(rep)
     if red.dim == R.e and R.is_signature():
         return R
+    if red.dim == 0:
+        Z = np.zeros((0, 0))
+        return Realization.make(Z, [Z] * R.h, [Z] * R.g, np.zeros(0))
     return symmetrize_linear_rep(red if red.dim < R.e else rep, (R.h, R.g))
 
 
@@ -690,26 +697,24 @@ def state_space_similarity(R1, R2):
 
 def realization_to_json(R):
     """JSON-ready dict {e, J, S, T, c, classes}; matrices row-major [re, im]."""
-    def mat(M):
-        M = np.asarray(M, dtype=complex)
-        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
     return {
         "e": R.e,
-        "J": mat(R.J),
-        "S": [mat(M) for M in R.S],
-        "T": [mat(M) for M in R.T],
-        "c": [[float(z.real), float(z.imag)] for z in R.c],
+        "J": jmat(R.J),
+        "S": [jmat(M) for M in R.S],
+        "T": [jmat(M) for M in R.T],
+        "c": jvec(R.c),
         "classes": {"a": R.h, "x": R.g},
     }
 
 
 def realization_from_json(obj):
-    def mat(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    J = mat(obj["J"])
-    S = [mat(M) for M in obj["S"]]
-    T = [mat(M) for M in obj["T"]]
-    c = np.array([complex(re, im) for re, im in obj["c"]])
-    if not all(np.all(np.isfinite(M)) for M in [J, c] + S + T):
-        raise ValueError("non-finite entry")
-    return Realization.make(J, S, T, c)
+    """Inverse of realization_to_json; ValueError on a malformed or
+    non-finite entry and on a J that signature_decompose finds singular."""
+    R = Realization.make(junmat(obj["J"]), [junmat(M) for M in obj["S"]],
+                         [junmat(M) for M in obj["T"]], junvec(obj["c"]))
+    if R.e:
+        try:
+            signature_decompose(R.J)
+        except matkit.SingularError:
+            raise ValueError("J is numerically singular")
+    return R

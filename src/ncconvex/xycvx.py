@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .matkit import (BlockMatrix2, TOL_PSD, herm, is_psd, psd_mask,
-                     sample_blocks)
+from .matkit import (BlockMatrix2, TOL_PSD, herm, is_psd, jvec, junvec,
+                     psd_mask, sample_blocks)
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
 
@@ -795,13 +795,10 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
 
 
 def certificate_to_json(cert):
-    def vec(v):
-        return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-
     return {
         "N": int(cert.N),
-        "Lambda": {"x": vec(cert.Lx), "y": vec(cert.Ly),
-                   "xy": vec(cert.Lxy), "yx": vec(cert.Lyx)},
+        "Lambda": {"x": jvec(cert.Lx), "y": jvec(cert.Ly),
+                   "xy": jvec(cert.Lxy), "yx": jvec(cert.Lyx)},
         "pencil": {(k if k else "1"): [float(v.real), float(v.imag)]
                    for k, v in cert.pencil.items()},
         "r1": [float(cert.r1.real), float(cert.r1.imag)],
@@ -810,15 +807,12 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(obj):
-    def vec(rows):
-        return np.array([complex(a, b) for a, b in rows])
-
     pencil = {}
     for k, (a, b) in obj["pencil"].items():
         pencil["" if k == "1" else k] = complex(a, b)
-    return XYCert(int(obj["N"]), vec(obj["Lambda"]["x"]),
-                  vec(obj["Lambda"]["y"]), vec(obj["Lambda"]["xy"]),
-                  vec(obj["Lambda"]["yx"]), pencil,
+    return XYCert(int(obj["N"]), junvec(obj["Lambda"]["x"]),
+                  junvec(obj["Lambda"]["y"]), junvec(obj["Lambda"]["xy"]),
+                  junvec(obj["Lambda"]["yx"]), pencil,
                   complex(obj["r1"][0], obj["r1"][1]),
                   {k: float(v) for k, v in obj.get("residuals", {}).items()})
 

@@ -69,11 +69,14 @@ def test_eval_wrong_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "[1, 2]", '"x"', '{"n": "abc"}', '{"n": -3}', '{"n": 0}', '{"n": 2.5}',
-    '{"n": true}', '{"n": NaN}', '{"A": 5}', '{"n": 10000000}'])
+    '{"n": true}', '{"n": NaN}', '{"A": 5}', '{"n": 10000000}',
+    pytest.param('{"A": [[[[1%s, 0]]]]}' % ("0" * 400),
+                 id="entry-too-large-for-float")])
 def test_eval_bad_tuple_file_exits_input(tmp_path, capsys, text):
-    """A tuple file that is not an object, or whose size n is not a
-    positive integer at most cli.MAX_TUPLE_N, is bad input (exit 2) with a
-    message, before anything of size n is allocated."""
+    """A tuple file that is not an object, whose size n is not a positive
+    integer at most cli.MAX_TUPLE_N, or with an entry no float holds, is
+    bad input (exit 2) with a message, before anything of size n is
+    allocated."""
     poly = tmp_path / "const.txt"
     poly.write_text("vars a: | x:\n2 * 1\n")
     bad = tmp_path / "bad_tuple.json"
@@ -267,6 +270,37 @@ def test_partial_realization_with_zero_x_range(tmp_path, T):
     assert code == EXIT_OK
     assert rep["results"]["localizing_scan"]["checked"] == 4
     assert rep["results"]["localizing_scan"]["indefinite_points"] == 0
+
+
+def test_partial_zero_function_realization_is_trivial(tmp_path, capsys):
+    # c = 0: the Krylov reduction leaves no state, so r is zero and
+    # convex in x, like a polynomial with no x-letter
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({
+        "J": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "S": [],
+        "T": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
+        "c": [[0, 0], [0, 0]]}))
+    code, rep = run_out(tmp_path, "p.json", ["partial", str(rfile)])
+    assert code == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    results = rep["results"]
+    assert "zero" in results["trivial"]
+    assert results["input"]["e"] == 0
+    assert results["notes"] == ["minimized input realization"]
+    assert "hessian_scan" not in results
+
+
+@pytest.mark.parametrize("J", [[[[0, 0]]], [[[1, 0], [0, 0]],
+                                              [[0, 0], [1e-12, 0]]]],
+                         ids=["zero", "relative-1e-12"])
+def test_partial_singular_J_is_input_error(tmp_path, capsys, J):
+    e = len(J)
+    eye = [[[float(i == j), 0] for j in range(e)] for i in range(e)]
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"J": J, "S": [], "T": [eye],
+                                 "c": [[1, 0]] * e}))
+    assert cli.main(["partial", str(rfile)]) == EXIT_INPUT
+    assert "J is numerically singular" in capsys.readouterr().err
 
 
 def test_partial_ball_region(tmp_path):

@@ -229,7 +229,7 @@ def test_sample_herm_is_hermitian(rng):
 
 
 def test_sample_herm_keeps_its_draws():
-    """sample_herm is sample_stack's one-matrix case; it draws the real
+    """sample_herm is sample_blocks's one-part case; it draws the real
     part, then the imaginary part, and rescales by the norm(., 2) factor,
     bit for bit, leaving the generator where that loop leaves it."""
     for n in (1, 2, 5):

@@ -445,6 +445,13 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
 THIN = "vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n"
 
 
+def herm_stack(n, count, scale, rng, size):
+    """size draws of count Hermitian n x n matrices from one
+    matkit.sample_blocks call, as (size, count, n, n)."""
+    return np.stack(matkit.sample_blocks([(n, n, True)] * count, scale, rng,
+                                         size), axis=1)
+
+
 def boundary_point(region, out, inside):
     """A point of the segment from out (outside the region) to inside
     where region.test changes its answer: bisected until the parameter's
@@ -512,7 +519,7 @@ def test_region_screen_matches_unscreened_test(kind):
     for R in [linearize_poly(p) for p in polys] + [resolvent_1]:
         region = realize.Region(R, kind)
         for n in (1, 2, 3):
-            draws = matkit.sample_stack(n, (R.h, R.g), 0.6, rng, 96)
+            draws = herm_stack(n, R.h + R.g, 0.6, rng, 96)
             mask = region.test(draws)[0]
             for B in (1, 2, 5, 16, 32):
                 for at in range(0, 96 - B, 7):
@@ -557,7 +564,7 @@ def test_region_screen_matches_unscreened_test(kind):
     singular = point(0.0, np.eye(2))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(resolvent_1.pencils(singular[None]))
-    far = matkit.sample_stack(2, (1, 1), 0.6, rng, 4)
+    far = herm_stack(2, 2, 0.6, rng, 4)
     for block in ([point(-1e-9), point(1e-9)],
                   [point(-1e-9), singular, point(1e-9)],
                   [singular, far[0], point(1e-9), far[1]],
@@ -596,8 +603,7 @@ def test_ball_accepts_its_own_draws(n, radius):
     """Draws at scale radius are rescaled to norm radius, whose computed
     norm may exceed it by a few ulps; the ball still holds them."""
     R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
-    mats = matkit.sample_stack(n, (R.h, R.g), radius,
-                               np.random.default_rng(n), 200)
+    mats = herm_stack(n, R.h + R.g, radius, np.random.default_rng(n), 200)
     mask, _, _ = realize.Region(R, "ball", radius=radius).test(mats)
     assert mask.all()
 
