@@ -289,17 +289,15 @@ class PolyButterfly:
         return self.w.shape[0]
 
 
-def _word_series_terms(J, coeffs, B, max_len):
-    """Terms of (J - sum_j coeffs[j] letter_j)^{-1} B = sum_w M_w B with
-    M_w = (J C_w1)...(J C_wm) J.
+def _word_series_terms(J, JC, B, max_len):
+    """Terms of (J - sum_j C_j letter_j)^{-1} B = sum_w M_w B with
+    M_w = (J C_w1)...(J C_wm) J, from the stack JC of the J C_j.
 
-    Returns (words, terms): the words over range(len(coeffs)) up to
-    max_len in degree-lexicographic order and the blocks M_w B stacked
-    in that order, one batched product per word length
-    (M_{jw} B = (J C_j) M_w B).
+    Returns (words, terms): the words over range(len(JC)) up to max_len
+    in degree-lexicographic order and the blocks M_w B stacked in that
+    order, one batched product per word length (M_{jw} B = (J C_j) M_w B);
+    the last len(JC)**max_len blocks are the words of length max_len.
     """
-    e = J.shape[0]
-    JC = np.array([J @ C for C in coeffs]).reshape(-1, e, e)
     level_w, level = [()], (J @ B)[None]
     words, terms = [()], [level]
     for _ in range(max_len):
@@ -308,6 +306,27 @@ def _word_series_terms(J, coeffs, B, max_len):
         words += level_w
         terms.append(level)
     return words, np.concatenate(terms)
+
+
+def _check_termination(JC, V, MvV, dega, max_len, tol):
+    """Raise RealizationError unless every entry of V* M_w V is at most
+    tol for the words w of length dega + 1 to max_len.
+
+    Such a word is u v with |v| = dega and |u| >= 1, and M_{uv} = N_u M_v
+    with N_u = (J C_u1)...(J C_um), so V* M_w V = (V* N_u)(M_v V).  MvV
+    stacks the M_v V (e x k) of the words of length dega; the left
+    factors V* N_u grow one letter at a time (V* N_{uz} = (V* N_u)(J C_z)),
+    and each length of u is one matrix product, all left factors stacked
+    by rows against all M_v V side by side, and one reduction.
+    """
+    e, k = V.shape
+    right = MvV.transpose(1, 0, 2).reshape(e, -1)
+    left = V.conj().T[None]
+    for m in range(dega + 1, max_len + 1):
+        left = (left[:, None] @ JC[None]).reshape(len(left) * len(JC), k, e)
+        if np.abs(left.reshape(-1, e) @ right).max(initial=0.0) > tol:
+            raise RealizationError(
+                "a-series fails to terminate at degree %d" % m)
 
 
 @dataclass(frozen=True)
@@ -352,8 +371,14 @@ def poly_butterfly(p):
     Rejects degree > 2 in x with NotConvexible carrying a midpoint witness
     when the seeded search finds one.  The resolvent series for
     w(a) terminates because a minimal realization of a polynomial has
-    jointly nilpotent series generators; termination is verified and a
-    RealizationError raised if residual terms survive.  Dead directions
+    jointly nilpotent series generators.  The series is built up to the
+    a-degree dega only; _check_termination verifies that V* M_w V
+    vanishes (entries at most 1e-9) on the longer words up to length
+    max(dega, deg p) + 1, through the left factors V* N_u of
+    V* M_{uv} V = (V* N_u)(M_v V) with |v| = dega, and raises
+    RealizationError if residual terms survive.  The coefficientwise
+    identity p = ell* w ell + fbar is checked last (residual at most
+    1e-8, else RealizationError).  Dead directions
     (common kernel of all w and ell coefficients) are trimmed so small
     examples come out in their textbook size.
     """
@@ -372,40 +397,39 @@ def poly_butterfly(p):
     dega = p.degree_in_class("a")
     max_len = max(dega, p.degree()) + 1
 
-    # a-side resolvent series W(a) = (J - sum S_j a_j)^{-1}; a-letter j in
-    # the series is global letter j
-    words, terms = _word_series_terms(R.J, R.S, np.hstack([V, R.c[:, None]]),
-                                      max_len)
+    # a-side resolvent series W(a) = (J - sum S_j a_j)^{-1} up to degree
+    # dega; a-letter j in the series is global letter j
+    JS = np.array([R.J @ S for S in R.S]).reshape(-1, R.e, R.e)
+    words, terms = _word_series_terms(R.J, JS, np.hstack([V, R.c[:, None]]),
+                                      dega)
+    _check_termination(JS, V, terms[len(terms) - len(JS) ** dega:, :, :k],
+                       dega, max_len, tol * 10)
     VMV = V.conj().T @ terms[:, :, :k]
-    low = np.array([len(w) <= dega for w in words])
-    alive = np.max(np.abs(VMV), axis=(1, 2), initial=0.0) > tol * 10
-    if np.any(alive & ~low):
-        raise RealizationError("a-series fails to terminate at degree %d"
-                               % len(words[np.argmax(alive & ~low)]))
-    words = [w for w, keep in zip(words, low) if keep]
-    VMV = VMV[low]
-    WC = terms[low, :, k].T  # e x N, column W_w c
+    # e x N, column W_w c: an F-ordered copy, so that the products below
+    # run in BLAS (a strided view of terms does not, and rounds otherwise)
+    WC = np.ascontiguousarray(terms[:, :, k]).T
 
     # w(a) = V* W(a) V restricted to words within degree
-    w_terms = {w: C for w, C in zip(words, VMV) if np.max(np.abs(C)) > tol}
+    keep = np.abs(VMV).max(axis=(1, 2), initial=0.0) > tol
+    w_terms = {w: C for w, C, kept in zip(words, VMV, keep) if kept}
     w_poly = FreePoly.from_terms(ctx, w_terms, (k, k)) if w_terms \
         else FreePoly.zero(ctx, (k, k))
 
     # ell_j(a) = V* T_j W(a) c ; ell = sum_j x_j ell_j
     ell_terms = {}
     for jx, T in enumerate(R.T):
-        for w, vec in zip(words, ((V.conj().T @ T) @ WC).T):
-            if np.max(np.abs(vec)) > tol:
+        E = (V.conj().T @ T) @ WC
+        keep = np.abs(E).max(axis=0, initial=0.0) > tol
+        for w, vec, kept in zip(words, E.T, keep):
+            if kept:
                 ell_terms[(ctx.h + jx,) + w] = vec.reshape(k, 1)
     ell_poly = FreePoly.from_terms(ctx, ell_terms, (k, 1)) if ell_terms \
         else FreePoly.zero(ctx, (k, 1))
 
     # fbar = c* W c + c* W (sum T_j x_j) W c; the x-linear part is the
     # Gram product G = WC* T_j WC, G[r, l] = (W_wr c)* T_j W_wl c
-    f_terms = {}
-    for w, val in zip(words, R.c.conj() @ WC):
-        if abs(val) > tol:
-            f_terms[w] = val
+    vals = R.c.conj() @ WC
+    f_terms = {words[i]: vals[i] for i in np.flatnonzero(np.abs(vals) > tol)}
     for jx, T in enumerate(R.T):
         G = WC.conj().T @ (T @ WC)
         for l, r in zip(*np.nonzero(np.abs(G.T) > tol)):
@@ -461,7 +485,7 @@ def poly_butterfly(p):
     if k:
         recon = recon + (ell_poly.adjoint() @ w_poly @ ell_poly)
     diff = p - recon
-    resid = max((np.max(np.abs(C)) for C in diff.coeffs.values()), default=0.0)
+    resid = np.abs(list(diff.coeffs.values())).max(initial=0.0)
     if resid > 1e-8:
         raise RealizationError("butterfly identity residual %g" % resid)
     return PolyButterfly(ell_poly, w_poly, fbar, R, psd_at_zero)

@@ -173,6 +173,9 @@ def load_tuple(path, ctx):
                              % (path, n, MAX_TUPLE_N))
     else:
         n = mats[0].shape[0]
+        if n < 1:
+            raise InputError("%s: tuple matrices must have a positive size"
+                             % path)
         for M in mats:
             if M.shape != (n, n):
                 raise InputError("tuple matrices must share one square size")

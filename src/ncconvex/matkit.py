@@ -350,8 +350,10 @@ def jmat(M):
 
 
 def junmat(rows):
-    """Inverse of jmat; raises ValueError on a malformed or non-finite
-    entry."""
+    """Inverse of jmat (no rows give the 0 x 0 matrix); raises ValueError
+    on a malformed or non-finite entry."""
+    if isinstance(rows, list) and not rows:
+        return np.zeros((0, 0), dtype=complex)
     try:
         M = np.array([[complex(re, im) for re, im in row] for row in rows],
                      dtype=complex)

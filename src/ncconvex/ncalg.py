@@ -102,17 +102,23 @@ class FreePoly:
     shape: tuple = (1, 1)
 
     def __post_init__(self):
-        clean = {}
+        # one pass over the words checks shapes and letter ranges; the
+        # drop rule (max |entry| < COEFF_DROP) is one reduction over the
+        # stacked coefficients
+        nl = self.ctx.nletters
+        words, arrs = [], []
         for w, c in self.coeffs.items():
             arr = _as_coeff(c)
             if arr.shape != self.shape:
                 raise ShapeError(
                     "coefficient shape %r != declared %r" % (arr.shape, self.shape))
-            if any(i < 0 or i >= self.ctx.nletters for i in w):
+            if w and (min(w) < 0 or max(w) >= nl):
                 raise ContextError("word %r uses letters outside the context" % (w,))
-            if np.max(np.abs(arr)) >= COEFF_DROP:
-                clean[tuple(w)] = arr
-        object.__setattr__(self, "coeffs", clean)
+            words.append(tuple(w))
+            arrs.append(arr)
+        keep = np.abs(arrs).max(axis=(1, 2)) >= COEFF_DROP if arrs else ()
+        object.__setattr__(self, "coeffs", {
+            w: arr for w, arr, kept in zip(words, arrs, keep) if kept})
 
     @classmethod
     def from_terms(cls, ctx, terms, shape=(1, 1)):

@@ -429,31 +429,31 @@ def poly_linear_rep(p):
 
     States are the suffixes of supp(p); the letter action prepends when the
     result is again a state and kills the vector otherwise, so the word
-    coefficients come out exactly for every word.
+    coefficients come out exactly for every word.  Every state is reached
+    from v = e_() by prepending its letters, and the states are listed in
+    the order the reach closure _krylov_closure(mats, v) takes them:
+    breadth first from the empty word, each level the states z s for z in
+    letter order and s in the previous level's order.  That closure is
+    therefore exactly the identity, and linearize_poly skips it.
     """
     if not p.is_scalar:
         raise matkit.ShapeError("linearization handles scalar coefficients")
-    words = list(p.coeffs)
-    states = set()
-    for w in words:
-        for t in range(len(w) + 1):
-            states.add(w[t:])
-    states = sorted(states, key=lambda w: (len(w), w))
+    suffixes = {w[t:] for w in p.coeffs for t in range(len(w) + 1)}
+    nl = p.ctx.nletters
+    states, level = [()], [()]
+    while level:
+        level = [(z,) + s for z in range(nl) for s in level
+                 if (z,) + s in suffixes]
+        states += level
     idx = {w: i for i, w in enumerate(states)}
     d = len(states)
-    nl = p.ctx.nletters
     v = np.zeros(d, dtype=complex)
-    v[idx[()]] = 1.0
-    mats = []
-    for z in range(nl):
-        M = np.zeros((d, d), dtype=complex)
-        for w in states:
-            nw = (z,) + w
-            if nw in idx:
-                M[idx[nw], idx[w]] = 1.0
-        mats.append(M)
+    v[0] = 1.0
+    mats = np.zeros((nl, d, d), dtype=complex)
+    for w in states[1:]:
+        mats[w[0], idx[w], idx[w[1:]]] = 1.0
     u = np.zeros(d, dtype=complex)
-    for w in words:
+    for w in p.coeffs:
         u[idx[w]] = np.conj(p.scalar_coeff(w))
     return LinearRep(u, tuple(mats), v)
 
@@ -529,19 +529,33 @@ def _krylov_closure(mats, seed):
     return Q
 
 
+def _restrict(rep, Q):
+    """rep compressed to the orthonormal columns Q of an invariant
+    subspace."""
+    Qh = Q.conj().T
+    return LinearRep(Qh @ rep.u, tuple(Qh @ M @ Q for M in rep.mats),
+                     Qh @ rep.v)
+
+
+def _reach(rep):
+    """rep on its reachable subspace, the closure of v under the M_i."""
+    return _restrict(rep, _krylov_closure(rep.mats, rep.v))
+
+
+def _observe(rep):
+    """rep on its observable subspace, the closure of u under the M_i*."""
+    adj = tuple(M.conj().T for M in rep.mats)
+    return _restrict(rep, _krylov_closure(adj, rep.u))
+
+
 def reduce_linear_rep(rep):
-    """Two-sided Krylov compression to a minimal linear representation."""
-    u, mats, v = rep.u, rep.mats, rep.v
+    """Two-sided Krylov compression to a minimal linear representation:
+    _reach then _observe, repeated until a pass keeps the dimension."""
     while True:
-        d0 = len(v)
-        Q = _krylov_closure(mats, v)
-        mats = tuple(Q.conj().T @ M @ Q for M in mats)
-        u, v = Q.conj().T @ u, Q.conj().T @ v
-        Qo = _krylov_closure(tuple(M.conj().T for M in mats), u)
-        mats = tuple(Qo.conj().T @ M @ Qo for M in mats)
-        u, v = Qo.conj().T @ u, Qo.conj().T @ v
-        if len(v) == d0:
-            return LinearRep(u, mats, v)
+        d0 = rep.dim
+        rep = _observe(_reach(rep))
+        if rep.dim == d0:
+            return rep
 
 
 def is_minimal_rep(rep):
@@ -638,11 +652,20 @@ def symmetrize_linear_rep(rep, ctx_counts):
 
 
 def linearize_poly(p):
-    """Symmetric scalar polynomial -> minimal signature realization."""
+    """Symmetric scalar polynomial -> minimal signature realization.
+
+    The suffix states of poly_linear_rep are reachable and in reach
+    order, so the first pass of reduce_linear_rep needs only its
+    observability closure; the later passes, if that one cuts states,
+    are reduce_linear_rep's own.
+    """
     if not p.is_symmetric():
         raise SymmetryError("polynomial is not symmetric")
-    rep = reduce_linear_rep(poly_linear_rep(p))
-    return symmetrize_linear_rep(rep, (p.ctx.h, p.ctx.g))
+    rep = poly_linear_rep(p)
+    red = _observe(rep)
+    if red.dim < rep.dim:
+        red = reduce_linear_rep(red)
+    return symmetrize_linear_rep(red, (p.ctx.h, p.ctx.g))
 
 
 def minimize(R):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_herm_tuple, rand_minimal_smr
-from ncconvex import matkit, realize
+from ncconvex import butterfly, matkit, realize
 from ncconvex.butterfly import (
     KebabError,
     NotConvexible,
@@ -350,3 +350,62 @@ def test_midpoint_search_clean_on_square():
     ctx = VarContext((), ("x",))
     p = FreePoly.from_terms(ctx, {(0, 0): 1.0})
     assert midpoint_violation_search(p, samples=40) is None
+
+
+# ---------------------------------------------------------------------------
+# poly_butterfly's self-checks, on realizations that are not p's
+
+CTX_ABX = VarContext(("a", "b"), ("x",))
+
+
+def chain_realization(letters, s):
+    """e = m + 1 states with J the exchange matrix and J S_j = s N_j, N_j
+    the links of the upper shift labelled j (letters, a palindrome, so S_j
+    is Hermitian); T = e_1 e_1*, so V_T = e_1 and V_T* M_w V_T = s^m
+    exactly for w = letters and 0 for every other word."""
+    e = len(letters) + 1
+    J = np.fliplr(np.eye(e))
+    S = []
+    for j in range(2):
+        N = np.zeros((e, e))
+        for link, letter in enumerate(letters):
+            if letter == j:
+                N[link, link + 1] = s
+        S.append(J @ N)
+    T = np.zeros((e, e))
+    T[0, 0] = 1.0
+    return realize.Realization.make(J, S, [T], np.eye(e)[0])
+
+
+@pytest.mark.parametrize("letters", [(1, 1), (0, 1, 0), (0, 1, 1, 0)])
+def test_poly_butterfly_flags_a_series_past_dega(letters, monkeypatch):
+    """x a x + x b x has a-degree 1 and degree 3, so the series must vanish
+    on every a-word of length 2 to 4 above 1e-9: one word alive at 2e-9
+    is flagged at its length, and at 5e-10 it is let through (and the
+    identity check fails instead)."""
+    p = FreePoly.from_terms(CTX_ABX, {(2, 0, 2): 1.0, (2, 1, 2): 1.0})
+    m = len(letters)
+    monkeypatch.setattr(butterfly, "linearize_poly",
+                        lambda q: chain_realization(letters, 2e-9 ** (1 / m)))
+    with pytest.raises(butterfly.RealizationError,
+                       match="a-series fails to terminate at degree %d$" % m):
+        poly_butterfly(p)
+    monkeypatch.setattr(butterfly, "linearize_poly",
+                        lambda q: chain_realization(letters, 5e-10 ** (1 / m)))
+    with pytest.raises(butterfly.RealizationError, match="identity residual"):
+        poly_butterfly(p)
+
+
+@pytest.mark.parametrize("c, flagged", [(2e-8, True), (5e-9, False)])
+def test_poly_butterfly_flags_identity_residual(c, flagged, monkeypatch):
+    """The realization of x a x handed in for x a x + c a: the butterfly
+    misses the term c a, which is flagged above 1e-8 only."""
+    xax = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
+    p = xax + FreePoly.from_terms(CTX_AX, {(0,): c})
+    monkeypatch.setattr(butterfly, "linearize_poly", lambda q: linearize_poly(xax))
+    if flagged:
+        with pytest.raises(butterfly.RealizationError,
+                           match="butterfly identity residual"):
+            poly_butterfly(p)
+    else:
+        assert poly_butterfly(p).k == 1

@@ -86,6 +86,21 @@ def test_eval_bad_tuple_file_exits_input(tmp_path, capsys, text):
     assert "error: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"A": [5]}', '{"A": [null]}', '{"A": [{}]}', '{"A": [[]]}',
+    '{"A": [[[]]]}'])
+def test_eval_bad_a_matrix_exits_input(tmp_path, capsys, text):
+    """On a polynomial with one a-letter, a matrix entry that is not a
+    list of rows, or a matrix of size 0, is bad input (exit 2)."""
+    poly = tmp_path / "a.txt"
+    poly.write_text("vars a: a | x:\n1 * a\n")
+    bad = tmp_path / "bad_tuple.json"
+    bad.write_text(text)
+    assert cli.main(["eval", str(poly), str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_eval_tuple_size_without_matrices(tmp_path, capsys):
     poly = tmp_path / "const.txt"
     poly.write_text("vars a: | x:\n2 * 1\n")
@@ -288,6 +303,31 @@ def test_partial_zero_function_realization_is_trivial(tmp_path, capsys):
     assert results["input"]["e"] == 0
     assert results["notes"] == ["minimized input realization"]
     assert "hessian_scan" not in results
+
+
+@pytest.mark.parametrize("source", ["minimized", "literal"])
+def test_partial_e0_realization_json_is_trivial(tmp_path, capsys, source):
+    # realization_to_json writes J = [] for e = 0; junmat reads it back as
+    # the 0 x 0 matrix
+    if source == "minimized":
+        zero = realize.Realization.make(
+            np.diag([1.0, -1.0]), [np.eye(2)], [np.diag([1.0, 0.0])],
+            np.zeros(2))
+        R0 = realize.minimize(zero)
+        assert (R0.e, R0.h, R0.g) == (0, 1, 1)
+        obj = realize.realization_to_json(R0)
+        back = realize.realization_from_json(json.loads(json.dumps(obj)))
+        assert (back.e, back.h, back.g) == (0, 1, 1)
+        assert back.J.shape == (0, 0) and back.c.shape == (0,)
+    else:
+        obj = {"J": [], "S": [], "T": [], "c": []}
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps(obj))
+    code, rep = run_out(tmp_path, "p.json", ["partial", str(rfile)])
+    assert code == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert "zero" in rep["results"]["trivial"]
+    assert rep["results"]["input"]["e"] == 0
 
 
 @pytest.mark.parametrize("J", [[[[0, 0]]], [[[1, 0], [0, 0]],

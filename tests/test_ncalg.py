@@ -59,6 +59,30 @@ def test_degrees():
     assert p.degree_in_class("x") == 2
 
 
+@pytest.mark.parametrize("coeffs, shape, error", [
+    ({(0,): np.eye(2)}, (1, 1), ShapeError),
+    ({(0,): np.zeros((1, 1, 1))}, (1, 1), ShapeError),
+    ({(0, 2): 1.0}, (1, 1), ContextError),
+    ({(): 1.0, (1, -1): 1.0}, (1, 1), ContextError),
+])
+def test_free_poly_rejects_bad_coefficients(coeffs, shape, error):
+    with pytest.raises(error):
+        FreePoly(CTX_AX, coeffs, shape)
+
+
+def test_free_poly_drops_coefficients_below_coeff_drop():
+    drop = ncalg.COEFF_DROP
+    big = np.zeros((2, 2), dtype=complex)
+    big[1, 0] = 1j * drop
+    p = FreePoly(CTX_AX, {(): np.full((2, 2), drop / 2), (0,): big,
+                          (1, 0): np.eye(2, dtype=complex) * 0.99 * drop,
+                          (1,): np.eye(2)}, (2, 2))
+    assert list(p.coeffs) == [(0,), (1,)]
+    assert p.coeffs[(0,)] is big
+    assert p.coeffs[(1,)].dtype == complex
+    assert FreePoly(CTX_AX, {(0,): 3}).coeffs[(0,)].shape == (1, 1)
+
+
 def test_letter_classes():
     assert CTX_BIG.letter_class(0) == "a"
     assert CTX_BIG.letter_class(2) == "x"

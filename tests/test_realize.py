@@ -632,3 +632,67 @@ def test_realization_json_roundtrip(seed):
     for M, N in zip(R.S + R.T, R2.S + R2.T):
         assert np.array_equal(M, N)
     assert np.array_equal(R.c, R2.c)
+
+
+def sos_degree8(seed):
+    """q* q + r* r with q, r = c0 w0 + two terms c u x v, |u v| = 3, over
+    a-letters a, b and complex coefficients: degree 8 in all."""
+    rng = np.random.default_rng(seed)
+    ctx = VarContext(("a", "b"), ("x",))
+
+    def coeff():
+        return complex(rng.normal(), rng.normal())
+
+    def aword(m):
+        return tuple(int(i) for i in rng.integers(0, 2, size=m))
+
+    p = FreePoly.zero(ctx)
+    for _ in range(2):
+        q = FreePoly.from_terms(ctx, {aword(1): coeff()})
+        for _ in range(2):
+            m = int(rng.integers(0, 4))
+            q = q + FreePoly.from_terms(ctx, {aword(m) + (2,) + aword(3 - m):
+                                              coeff()})
+        p = p + q.adjoint() @ q
+    assert p.degree() == 8
+    return p
+
+
+REACH_ORDER_POLYS = {
+    "xax": lambda: ncalg.parse_poly((DATA / "xax_poly.txt").read_text()),
+    "x4": lambda: ncalg.parse_poly((DATA / "x4_poly.txt").read_text()),
+    "intro": lambda: ncalg.parse_poly((DATA / "intro_poly.txt").read_text()),
+    "ill_conditioned_sos_2": lambda: ncalg.parse_poly(
+        (Path(__file__).parent / "data" / "ill_conditioned_sos_2.txt")
+        .read_text()),
+    "sos_degree8": lambda: sos_degree8(4),
+    # complex coefficients, and the first observability pass keeps all 4
+    # states: a second reach-and-observe pass would change the basis
+    "complex_observable": lambda: rand_symmetric_poly(
+        CTX_AX, np.random.default_rng(7), max_len=3, terms=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH_ORDER_POLYS))
+def test_poly_linear_rep_states_are_in_reach_order(name):
+    """The reach closure of the suffix-state representation takes the
+    standard basis vectors in their own order, so it is exactly I."""
+    rep = realize.poly_linear_rep(REACH_ORDER_POLYS[name]())
+    Q = realize._krylov_closure(rep.mats, rep.v)
+    assert np.array_equal(Q, np.eye(rep.dim))
+
+
+@pytest.mark.parametrize("name", sorted(set(REACH_ORDER_POLYS) - {"intro"}))
+def test_linearize_poly_skips_only_an_identity_closure(name):
+    """linearize_poly, which leaves out the reach closure of its first
+    pass, gives the full reduction's realization bit for bit."""
+    p = REACH_ORDER_POLYS[name]()
+    got = linearize_poly(p)
+    want = realize.symmetrize_linear_rep(
+        realize.reduce_linear_rep(realize.poly_linear_rep(p)),
+        (p.ctx.h, p.ctx.g))
+    assert got.e == want.e
+    for a, b in zip((got.J, got.c) + got.S + got.T,
+                    (want.J, want.c) + want.S + want.T):
+        assert np.array_equal(a, b)
+    assert (len(got.S), len(got.T)) == (len(want.S), len(want.T))
