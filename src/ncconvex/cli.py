@@ -14,9 +14,10 @@ seed and config a rerun reproduces the report byte for byte apart from the
 time_s fields.  Exit codes: 0 success, 1 mathematical negative (verified
 witness or screen rejection), 2 input error (including input so large that
 partial or xy overflows float64), 3 numerically inconclusive (including a
-numerical breakdown such as a singular intertwiner or a failed
-factorization; the reason goes to stderr), 4 internal error (any other
-uncaught exception; its type and message go to stderr).
+numerical breakdown such as a failed factorization or a polynomial
+butterfly whose identity check fails; the reason goes to stderr), 4
+internal error (any other uncaught exception; its type and message go to
+stderr).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ EXIT_INTERNAL = 4
 
 # the float64 computation broke down: no verdict either way
 NUMERICAL_BREAKDOWNS = (np.linalg.LinAlgError, matkit.SingularError,
-                        realize.SymmetrizationError,
                         butterfly.RealizationError)
 
 # bound on the size n a tuple file without matrices may ask eval for
@@ -400,6 +400,17 @@ def _run_chunks(fn, payloads, workers):
         return list(pool.map(fn, payloads))
 
 
+def _check_float_range(p):
+    """InputError when the squared norm of p's coefficients overflows
+    float64: the realization and the butterfly of partial carry products
+    at that scale."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(np.abs([c[0, 0] for c in p.coeffs.values()]) ** 2)
+    if not np.isfinite(sq):
+        raise InputError("the input is too large for float64 (the squared "
+                         "norm of its coefficients overflows)")
+
+
 def _ensure_smr(R, notes):
     """realize.minimize(R), with a note when it replaced R."""
     Rm = realize.minimize(R)
@@ -424,6 +435,7 @@ def cmd_partial(args):
                             "coefficients": _poly_json(p)}
         if not p.is_symmetric():
             raise SymmetryError("polynomial is not symmetric")
+        _check_float_range(p)
         if p.degree_in_class("x") == 0:
             results["trivial"] = ("no term has an x-letter, so the x-Hessian "
                                   "vanishes identically and the polynomial "
@@ -439,6 +451,8 @@ def cmd_partial(args):
                 "w": _poly_json(pb.w),
                 "fbar": _poly_json(pb.fbar),
                 "w_psd_at_zero": bool(pb.psd_at_zero),
+                "hankel_cut": dict(zip(("smallest_kept", "largest_dropped"),
+                                       pb.realization.rank_cut)),
                 "time_s": time.monotonic() - t0,
             }
             R = pb.realization

@@ -15,19 +15,14 @@ The series bridge: a realization with invertible Hermitian J expands as
     r = sum_w  c* J^{-1} (Z_{i1} J^{-1}) ... (Z_{im} J^{-1}) c,
 
 so (u, M, v) with u = J^{-1} c, M_i = Z_i J^{-1}, v = c is a linear
-representation of the coefficient series, and all word-series machinery
-(Krylov reduction, Hankel-style minimality, symmetrization by the unique
-Hermitian intertwiner) happens on that side.
-
-The intertwiner Sigma (Sigma M_i = M_i* Sigma, Sigma v = u) is read off
-the Krylov columns.  Pushing Sigma through a word letter by letter gives
-
-    Sigma M_w v = M_{i1}* ... M_{im}* Sigma v = (M_{w~})* u,
-
-with w~ the reversed word, so Sigma C = D for C = [M_w v] and
-D = [(M_{w~})* u] over any set of words.  A minimal representation is
-reachable, so some d of the columns M_w v are independent; with those as
-C, Sigma = D C^{-1}, an O(d^3) solve.
+representation of the coefficient series.  Minimal signature
+realizations come from the Hankel matrix H[x, y] = coeff(x y) of that
+series: its rank is the minimal dimension (Fliess), and with rows indexed
+by reversed words it is Hermitian, its inertia the signature of J.  One
+Hermitian eigendecomposition of H, taken in coordinates of the reachable
+states (the suffix states of a polynomial, the Krylov closure of c for a
+realization), gives the dimension, J and the basis at once
+(_signature_realization).
 
 At a point (A, X) the pencil J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
 is Hermitian, so one Hermitian eigendecomposition P = Q diag(lam) Q*
@@ -52,7 +47,6 @@ from .matkit import (TOL_INV, TOL_PSD, jmat, junmat, junvec, jvec,
                      signature_decompose)
 
 RTOL_RANK = 1e-10
-TOL_SYM = 1e-6  # accepted residual and Hermitian defect of the symmetrizer
 
 
 class NotInDomain(ValueError):
@@ -61,10 +55,6 @@ class NotInDomain(ValueError):
 
 class MinimalityError(ValueError):
     """A minimal realization was required."""
-
-
-class SymmetrizationError(ValueError):
-    """The Hermitian intertwiner could not be recovered."""
 
 
 class NotEquivalent:
@@ -82,18 +72,22 @@ class Realization:
     """Descriptor realization c*(J - sum T_i x_i - sum S_j a_j)^{-1} c.
 
     S carries the a-class coefficients, T the x-class ones.  All
-    coefficient matrices are Hermitian e x e; c is an e-vector.
+    coefficient matrices are Hermitian e x e; c is an e-vector.  rank_cut
+    is (smallest kept, largest dropped) relative |lam| of the Hankel
+    eigendecomposition that built the realization (linearize_poly,
+    minimize), None for one given as it stands.
     """
 
     J: np.ndarray
     S: tuple
     T: tuple
     c: np.ndarray
+    rank_cut: tuple = field(default=None, repr=False, compare=False)
     _lifts: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
-    def make(cls, J, S, T, c):
+    def make(cls, J, S, T, c, rank_cut=None):
         def hermitian(M, what):
             return matkit.herm(check_herm(np.asarray(M, dtype=complex), what))
         J = hermitian(J, "J")
@@ -106,7 +100,7 @@ class Realization:
                 raise matkit.ShapeError("coefficient size mismatch")
         if c.shape != (e,):
             raise matkit.ShapeError("c must be an e-vector")
-        return cls(J, S, T, c)
+        return cls(J, S, T, c, rank_cut)
 
     @property
     def e(self):
@@ -424,40 +418,6 @@ class LinearRep:
         return len(self.v)
 
 
-def poly_linear_rep(p):
-    """Suffix-state linear representation of a scalar polynomial.
-
-    States are the suffixes of supp(p); the letter action prepends when the
-    result is again a state and kills the vector otherwise, so the word
-    coefficients come out exactly for every word.  Every state is reached
-    from v = e_() by prepending its letters, and the states are listed in
-    the order the reach closure _krylov_closure(mats, v) takes them:
-    breadth first from the empty word, each level the states z s for z in
-    letter order and s in the previous level's order.  That closure is
-    therefore exactly the identity, and linearize_poly skips it.
-    """
-    if not p.is_scalar:
-        raise matkit.ShapeError("linearization handles scalar coefficients")
-    suffixes = {w[t:] for w in p.coeffs for t in range(len(w) + 1)}
-    nl = p.ctx.nletters
-    states, level = [()], [()]
-    while level:
-        level = [(z,) + s for z in range(nl) for s in level
-                 if (z,) + s in suffixes]
-        states += level
-    idx = {w: i for i, w in enumerate(states)}
-    d = len(states)
-    v = np.zeros(d, dtype=complex)
-    v[0] = 1.0
-    mats = np.zeros((nl, d, d), dtype=complex)
-    for w in states[1:]:
-        mats[w[0], idx[w], idx[w[1:]]] = 1.0
-    u = np.zeros(d, dtype=complex)
-    for w in p.coeffs:
-        u[idx[w]] = np.conj(p.scalar_coeff(w))
-    return LinearRep(u, tuple(mats), v)
-
-
 def smr_linear_rep(R):
     """Series-side view of a realization with invertible Hermitian J."""
     Jinv = np.linalg.inv(R.J)
@@ -529,35 +489,6 @@ def _krylov_closure(mats, seed):
     return Q
 
 
-def _restrict(rep, Q):
-    """rep compressed to the orthonormal columns Q of an invariant
-    subspace."""
-    Qh = Q.conj().T
-    return LinearRep(Qh @ rep.u, tuple(Qh @ M @ Q for M in rep.mats),
-                     Qh @ rep.v)
-
-
-def _reach(rep):
-    """rep on its reachable subspace, the closure of v under the M_i."""
-    return _restrict(rep, _krylov_closure(rep.mats, rep.v))
-
-
-def _observe(rep):
-    """rep on its observable subspace, the closure of u under the M_i*."""
-    adj = tuple(M.conj().T for M in rep.mats)
-    return _restrict(rep, _krylov_closure(adj, rep.u))
-
-
-def reduce_linear_rep(rep):
-    """Two-sided Krylov compression to a minimal linear representation:
-    _reach then _observe, repeated until a pass keeps the dimension."""
-    while True:
-        d0 = rep.dim
-        rep = _observe(_reach(rep))
-        if rep.dim == d0:
-            return rep
-
-
 def is_minimal_rep(rep):
     d = rep.dim
     if _krylov_closure(rep.mats, rep.v).shape[1] != d:
@@ -574,7 +505,7 @@ def _krylov_pairs(mats, v, pmats, u):
     The pair (v, u) is first scaled to a unit v, and each level keeps the
     candidates that _pivoted_gs takes with the cut of _krylov_cut; each
     kept pair is scaled to a unit C column.  Neither scaling changes
-    D C^{-1}.  Raises SymmetrizationError when the span stops short of d
+    D C^{-1}.  Raises MinimalityError when the span stops short of d
     (the representation is not reachable, so not minimal).
     """
     d = len(v)
@@ -593,94 +524,118 @@ def _krylov_pairs(mats, v, pmats, u):
         part = np.hstack([newD[:, :0]] + [P @ newD for P in pmats])
     C, D = np.hstack(C), np.hstack(D)
     if C.shape[1] < d:
-        raise SymmetrizationError(
+        raise MinimalityError(
             "Krylov columns span %d of %d states; the representation is "
             "not minimal" % (C.shape[1], d))
     return C, D
 
 
-def _solve_intertwiner(rep):
-    """Unique Sigma with Sigma M_i = M_i* Sigma and Sigma v = u.
+def _signature_realization(G, Gz, a, h, scale):
+    """The minimal signature realization read from one eigendecomposition.
 
-    Sigma M_w v = (M_{w~})* u for every word w (w~ reversed), so Sigma
-    C = D on the Krylov pairs of _krylov_pairs.  Minimality makes the
-    representation reachable, so C is d x d of full rank and Sigma =
-    D C^{-1}.  The solve is accepted when the residual of the full system,
-    sqrt(sum_i ||Sigma M_i - M_i* Sigma||_F^2 + ||Sigma v - u||^2) /
-    max(1, ||u||), and the relative Hermitian defect are both <= TOL_SYM.
+    G is the Hankel matrix of a symmetric series in coordinates of its
+    reachable states, G[s, t] = coeff(w_s~ w_t) when the state s is
+    reached by the word w_s; the stack Gz holds the letter forms
+    Gz[z][s, t] = coeff(w_s~ z w_t), and a holds the coordinates of the
+    empty word's state.  G = U Lam U* is cut at |lam| > RTOL_RANK base,
+    base = max(max|lam|, scale), where scale is the size of the data G
+    was computed from (0 when G is exact); the rank kept is the minimal
+    dimension, and the realization is
+
+        J = sign(Lam),  Z_z = |Lam|^-1/2 U* Gz[z] U |Lam|^-1/2,
+        c = J |Lam|^1/2 U* a,
+
+    kept eigenvalues in descending order; Z_z and c follow from the
+    factorization G = (U |Lam|^1/2) J (|Lam|^1/2 U*), and the kernel of G,
+    the unobservable states, drops out.  The letters are a-letters first
+    (the first h go to S).  rank_cut records the decision: the smallest
+    kept and the largest dropped |lam| / base.
     """
-    C, D = _krylov_pairs(rep.mats, rep.v,
-                         tuple(M.conj().T for M in rep.mats), rep.u)
-    Sig = np.linalg.solve(C.T, D.T).T
-    sq = sum(np.linalg.norm(Sig @ M - M.conj().T @ Sig) ** 2
-             for M in rep.mats)
-    sq += np.linalg.norm(Sig @ rep.v - rep.u) ** 2
-    res = np.sqrt(sq) / max(1.0, np.linalg.norm(rep.u))
-    nS = max(np.linalg.norm(Sig, 2), 1e-300)
-    herm_res = np.linalg.norm(Sig - Sig.conj().T, 2) / nS
-    if not (res <= TOL_SYM and herm_res <= TOL_SYM):
-        raise SymmetrizationError(
-            "intertwiner solve failed (residual %g, Hermitian defect %g)"
-            % (res, herm_res))
-    return matkit.herm(Sig)
+    lam, U = np.linalg.eigh(G)
+    mag = np.abs(lam)
+    base = max(mag.max(initial=0.0), scale)
+    keep = mag > RTOL_RANK * base
+    ratio = mag / base if base else mag
+    cut = (float(ratio[keep].min(initial=1.0)),
+           float(ratio[~keep].max(initial=0.0)))
+    idx = np.flatnonzero(keep)
+    idx = idx[np.argsort(-lam[idx], kind="stable")]
+    lam, U = lam[idx], U[:, idx]
+    root = np.sqrt(np.abs(lam))
+    J = np.sign(lam)
+    P = U / root
+    Zs = matkit.herm(P.conj().T @ Gz @ P)
+    c = J * root * (U.conj().T @ a)
+    return Realization.make(np.diag(J), Zs[:h], Zs[h:], c, rank_cut=cut)
 
 
-def symmetrize_linear_rep(rep, ctx_counts):
-    """Minimal linear rep of a symmetric series -> signature realization.
-
-    The Hermitian intertwiner Sigma (unique by minimality) gives the
-    congruence data: rescale by s = 1/||Sigma||, take H = s Sigma,
-    W_i = H M_i (Hermitian up to roundoff), ctilde = sqrt(s) Sigma v, then
-    C* H C = J via signature_decompose and Z_i = C* W_i C, c = C* ctilde.
-    """
-    h, g = ctx_counts
-    Sig = _solve_intertwiner(rep)
-    s = 1.0 / np.linalg.norm(Sig, 2)
-    H = s * Sig
-    Ws = []
-    for M in rep.mats:
-        W = H @ M
-        dev = np.linalg.norm(W - W.conj().T, 2) / max(1.0, np.linalg.norm(W, 2))
-        if dev > TOL_SYM:
-            raise SymmetrizationError("coefficient Hermitization defect %g" % dev)
-        Ws.append(matkit.herm(W))
-    ctilde = np.sqrt(s) * (Sig @ rep.v)
-    J, C = signature_decompose(H)
-    Zs = [matkit.herm(C.conj().T @ W @ C) for W in Ws]
-    a = C.conj().T @ ctilde
-    return Realization.make(J, Zs[:h], Zs[h:], a)
+def _suffix_states(p):
+    """The suffixes of p's support and of its reversed words, shortest
+    first and in letter order within a length.  That is the order in which
+    the reach closure of e_() under prepending a letter takes them
+    (breadth first, each level the states z s for z in letter order and s
+    in the previous level's order), so in these coordinates that closure
+    is exactly the identity and linearize_poly leaves it out."""
+    states = {()}
+    for w in p.coeffs:
+        states.update(s[t:] for s in (w, w[::-1]) for t in range(len(w)))
+    return sorted(states, key=lambda s: (len(s), s))
 
 
 def linearize_poly(p):
     """Symmetric scalar polynomial -> minimal signature realization.
 
-    The suffix states of poly_linear_rep are reachable and in reach
-    order, so the first pass of reduce_linear_rep needs only its
-    observability closure; the later passes, if that one cuts states,
-    are reduce_linear_rep's own.
+    The Hankel matrix H[u, v] = coeff(u~ v) over the suffixes u, v of the
+    support (of p and of its reversed words) holds every nonzero entry of
+    p's Hankel matrix, so its rank is the minimal dimension (Fliess).  It
+    is Hermitian because p is symmetric, and with the letter forms
+    H_z[u, v] = coeff(u~ z v) it is _signature_realization's input in the
+    coordinates of the suffix states, in _suffix_states' order (the empty
+    word's state is e_()).
+    Each word w gives |w| + 1 entries of H and |w| entries of the H_z.
     """
+    if not p.is_scalar:
+        raise matkit.ShapeError("linearization handles scalar coefficients")
     if not p.is_symmetric():
         raise SymmetryError("polynomial is not symmetric")
-    rep = poly_linear_rep(p)
-    red = _observe(rep)
-    if red.dim < rep.dim:
-        red = reduce_linear_rep(red)
-    return symmetrize_linear_rep(red, (p.ctx.h, p.ctx.g))
+    idx = {s: i for i, s in enumerate(_suffix_states(p))}
+    d = len(idx)
+    H = np.zeros((d, d), dtype=complex)
+    Hz = np.zeros((p.ctx.nletters, d, d), dtype=complex)
+    for w, coef in p.coeffs.items():
+        cw = coef[0, 0]
+        rows = [idx[w[:t][::-1]] for t in range(len(w) + 1)]
+        cols = [idx[w[t:]] for t in range(len(w) + 1)]
+        H[rows, cols] = cw
+        Hz[list(w), rows[:-1], cols[1:]] = cw
+    a = np.zeros(d, dtype=complex)
+    a[idx[()]] = 1.0
+    return _signature_realization(H, Hz, a, p.ctx.h, 0.0)
 
 
 def minimize(R):
-    """The minimal signature realization of R's function: R itself when
-    the Krylov reduction keeps e and J^2 = I; the e = 0 realization when
-    it leaves no state (r is zero); else the symmetrization of the
-    reduced representation, or of R's own when e is kept."""
-    rep = smr_linear_rep(R)
-    red = reduce_linear_rep(rep)
-    if red.dim == R.e and R.is_signature():
+    """The minimal signature realization of R's function.
+
+    The reach closure Q of the series representation (M_z = Z_z J^-1,
+    v = c) holds every state M_w c.  In its coordinates the Hankel
+    matrix is G = Q* J^-1 Q, since coeff(x y) = (M_x~ c)* J^-1 (M_y c),
+    and the letter forms are Q* J^-1 Z_z J^-1 Q; _signature_realization
+    reads the realization from them.  G is computed, so its rank is cut
+    against ||J^-1||, its size for orthonormal Q, as well: states whose
+    contributions cancel to rounding, as in the direct sum of R and -R,
+    drop out.  R itself comes back when Q keeps all e states and
+    J^2 = I: then G is unitarily congruent to J, of full rank, and R is
+    already minimal in signature form.
+    """
+    Jinv = np.linalg.inv(R.J)
+    Q = _krylov_closure(tuple(Z @ Jinv for Z in R.S + R.T), R.c)
+    if Q.shape[1] == R.e and R.is_signature():
         return R
-    if red.dim == 0:
-        Z = np.zeros((0, 0))
-        return Realization.make(Z, [Z] * R.h, [Z] * R.g, np.zeros(0))
-    return symmetrize_linear_rep(red if red.dim < R.e else rep, (R.h, R.g))
+    JQ = Jinv @ Q
+    Zs = np.asarray(R.S + R.T, dtype=complex).reshape(-1, R.e, R.e)
+    return _signature_realization(Q.conj().T @ JQ, JQ.conj().T @ Zs @ JQ,
+                                  Q.conj().T @ R.c, R.h,
+                                  np.linalg.norm(Jinv, 2))
 
 
 def state_space_similarity(R1, R2):

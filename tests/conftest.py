@@ -79,11 +79,7 @@ def congruent_copy(R, C):
 def rand_minimal_smr(rng, e=4, h=1, g=2, scale=0.5, attempts=10):
     """Random SMR passed through minimize."""
     for _ in range(attempts):
-        R = rand_smr(rng, e, h, g, scale)
-        try:
-            Rm = realize.minimize(R)
-        except (realize.SymmetrizationError, matkit.SingularError):
-            continue
+        Rm = realize.minimize(rand_smr(rng, e, h, g, scale))
         if Rm.e > 0:
             return Rm
     raise RuntimeError("could not draw a minimal SMR")

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import congruent_copy, padded_copy
-from ncconvex import cli, matkit, ncalg, partialcvx, realize, xycvx
+from ncconvex import butterfly, cli, matkit, ncalg, partialcvx, realize, \
+    xycvx
 from ncconvex.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -793,35 +794,46 @@ def run_python(argv):
                           text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("name", ["ill_conditioned_sos_1.txt"])
-def test_numerical_breakdown_exits_inconclusive(name):
-    """A sum of squares whose Hankel matrix is close to lower rank (16):
-    the reduced realization keeps 17 states and its intertwiner is
-    singular."""
-    proc = run_python(["-m", "ncconvex.cli", "partial", str(TEST_DATA / name),
-                       "--sizes", "1,2", "--samples", "2"])
-    assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("inconclusive: numerical breakdown:")
+@pytest.mark.parametrize("exc", cli.NUMERICAL_BREAKDOWNS,
+                         ids=lambda exc: exc.__name__)
+def test_numerical_breakdown_exits_inconclusive(exc, monkeypatch, capsys):
+    def breaks_down(p):
+        raise exc("broke down")
+
+    monkeypatch.setattr(butterfly, "poly_butterfly", breaks_down)
+    code = cli.main(["partial", str(DATA / "xax_poly.txt"),
+                     "--sizes", "1", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE, err
+    assert "Traceback" not in err
+    assert err.startswith("inconclusive: numerical breakdown: %s: broke down"
+                          % exc.__name__)
 
 
 def test_ill_conditioned_sos_reduces_to_its_hankel_rank():
-    """A sum of squares whose Hankel matrix is close to lower rank: the
-    Krylov closure keeps its numerical rank at 1e-10, 17 states, the
-    realization reproduces p, and partial certifies it."""
-    path = TEST_DATA / "ill_conditioned_sos_2.txt"
-    proc = run_python(["-m", "ncconvex.cli", "partial", str(path),
-                       "--sizes", "1,2", "--samples", "2"])
-    assert proc.returncode == EXIT_OK, proc.stderr
-    p = ncalg.parse_poly(path.read_text())
-    R = realize.linearize_poly(p)
-    assert R.e == 17
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
-        for _ in range(5):
-            t = matkit.sample_tuple(n, (R.h, R.g), 1.0, rng)
-            err = realize.eval_realization(R, t) - ncalg.eval_poly(p, t)
-            assert float(np.max(np.abs(err))) <= 1e-8
+    """Sums of squares whose Hankel matrix is close to lower rank (its
+    spectrum falls from 3.3e-9 and 1.3e-7 of the largest to 2e-16 and
+    4e-16): the eigenvalue cut at 1e-10 keeps 16 and 17 states, the
+    realization reproduces p, and partial certifies it, reporting the cut."""
+    for name, e in (("ill_conditioned_sos_1.txt", 16),
+                    ("ill_conditioned_sos_2.txt", 17)):
+        path = TEST_DATA / name
+        proc = run_python(["-m", "ncconvex.cli", "partial", str(path),
+                           "--sizes", "1,2", "--samples", "2"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        cut = json.loads(proc.stdout)["results"]["butterfly_poly"][
+            "hankel_cut"]
+        assert cut["largest_dropped"] < 1e-15
+        assert 1e-10 < cut["smallest_kept"] < 1e-6
+        p = ncalg.parse_poly(path.read_text())
+        R = realize.linearize_poly(p)
+        assert R.e == e
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            for _ in range(5):
+                t = matkit.sample_tuple(n, (R.h, R.g), 1.0, rng)
+                err = realize.eval_realization(R, t) - ncalg.eval_poly(p, t)
+                assert float(np.max(np.abs(err))) <= 1e-8
 
 
 def test_unexpected_exception_exits_internal():

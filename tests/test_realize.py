@@ -60,6 +60,21 @@ def eval_agreement(p, R, rng, n_points=20, sizes=(1, 2, 3), tol=1e-8):
     assert checked >= n_points // 2
 
 
+def assert_word_coefficients(p, R, tol=1e-10):
+    """Every word coefficient of R's series up to length deg p + 1,
+    c* J^-1 (Z_w1 J^-1) ... (Z_wm J^-1) c, equals p's to tol relative to
+    p's largest coefficient."""
+    rep = realize.smr_linear_rep(R)
+    scale = max(abs(p.scalar_coeff(w)) for w in p.coeffs)
+    words, vecs = [()], rep.v[None, :]
+    for _ in range(p.degree() + 2):
+        want = np.array([p.scalar_coeff(w) for w in words])
+        assert np.max(np.abs(vecs @ rep.u.conj() - want)) <= tol * scale
+        # row k of vecs is M_w v for words[k]; prepend each letter
+        words = [(z,) + w for z in range(p.ctx.nletters) for w in words]
+        vecs = np.concatenate([vecs @ M.T for M in rep.mats])
+
+
 # ---------------------------------------------------------------------------
 # frozen pipeline outputs
 
@@ -97,6 +112,7 @@ def test_linearize_is_scale_invariant(scale):
     p = FreePoly.from_terms(CTX_AX, {w: scale * c for w, c in terms.items()})
     R = linearize_poly(p)
     assert R.e == linearize_poly(FreePoly.from_terms(CTX_AX, terms)).e
+    assert_word_coefficients(p, R)
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(10):
@@ -131,6 +147,7 @@ def test_linearize_reproduces_eval(seed):
     p = rand_symmetric_poly(CTX_AX, rng, max_len=3, terms=4, scale=0.6)
     R = linearize_poly(p)
     assert R.is_signature()
+    assert_word_coefficients(p, R)
     eval_agreement(p, R, rng)
 
 
@@ -140,13 +157,60 @@ def test_minimize_is_idempotent_and_preserves_eval(seed):
     rng = np.random.default_rng(seed)
     p = rand_symmetric_poly(CTX_AX, rng, max_len=3, terms=4, scale=0.6)
     R = linearize_poly(p)
-    Rm = minimize(R)
-    assert Rm.e == R.e, "linearize output is already minimal"
-    # inflate with an unreachable block, then minimize back down
-    R2m = minimize(padded_copy(R))
-    assert R2m.e == R.e
-    assert R2m.is_signature()
-    eval_agreement(p, R2m, rng)
+    assert minimize(R) is R, "linearize output is minimal with J^2 = I"
+    # an unreachable block, and a congruence with J^2 != I
+    C = np.diag(rng.uniform(0.5, 2.0, size=R.e))
+    for other in (padded_copy(R), congruent_copy(R, C)):
+        Rm = minimize(other)
+        assert Rm.e == R.e
+        assert Rm.is_signature()
+        assert realize.is_minimal_rep(realize.smr_linear_rep(Rm))
+        eval_agreement(p, Rm, rng)
+
+
+def direct_sum(R1, R2, sign=1.0):
+    """The realization of r1 + sign r2: block diagonal J, S, T (R2's
+    blocks times sign) and c stacked."""
+    e1, e = R1.e, R1.e + R2.e
+
+    def block(A, B):
+        out = np.zeros((e, e), dtype=complex)
+        out[:e1, :e1], out[e1:, e1:] = A, sign * B
+        return out
+
+    return Realization.make(
+        block(R1.J, R2.J), [block(A, B) for A, B in zip(R1.S, R2.S)],
+        [block(A, B) for A, B in zip(R1.T, R2.T)],
+        np.concatenate([R1.c, R2.c]))
+
+
+# the e that the earlier Krylov reduction and intertwiner solve gave on
+# each input as it stands, padded and made congruent; on r1 - r1 that
+# solve raised, and the function is zero
+MINIMIZE_E = {"r1+r2": 6, "r1+r1": 3, "r1-r1": 0}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(MINIMIZE_E))
+def test_minimize_dimension_of_direct_sums(name, seed):
+    rng = np.random.default_rng(100 + seed)
+    R1, R2 = rand_smr(rng, e=3), rand_smr(rng, e=3)
+    C = np.diag(rng.uniform(0.5, 2.0, size=6))
+    R = {"r1+r2": lambda: direct_sum(R1, R2),
+         "r1+r1": lambda: direct_sum(R1, R1),
+         "r1-r1": lambda: direct_sum(R1, R1, -1.0)}[name]()
+    for other in (R, padded_copy(R), congruent_copy(R, C)):
+        Rm = minimize(other)
+        assert Rm.e == MINIMIZE_E[name]
+        assert Rm.is_signature()
+        assert realize.is_minimal_rep(realize.smr_linear_rep(Rm))
+        for _ in range(5):
+            t = matkit.sample_tuple(2, (R.h, R.g), 0.3, rng)
+            if not in_dom(other, t):
+                continue
+            # the e = 0 realization is the zero function
+            want = eval_realization(Rm, t) if Rm.e else np.zeros((2, 2))
+            assert np.allclose(eval_realization(other, t), want, atol=1e-8)
 
 
 @settings(max_examples=15, deadline=None)
@@ -260,41 +324,8 @@ def test_kebab_requires_zero_slice():
 
 
 # ---------------------------------------------------------------------------
-# kernels: intertwiner, eigen-threshold domain test, Kronecker sums
-
-def kron_lstsq_intertwiner(rep):
-    """Reference: the stacked-Kronecker least-squares solve of
-    Sigma M_i = M_i* Sigma, Sigma v = u (row-major vec)."""
-    d = rep.dim
-    I = np.eye(d)
-    rows = [np.kron(I, M.T) - np.kron(M.conj().T, I) for M in rep.mats]
-    rows.append(np.kron(I, rep.v.reshape(1, -1)))
-    b = np.concatenate([np.zeros(d * d, dtype=complex)] * len(rep.mats)
-                       + [rep.u])
-    x, *_ = np.linalg.lstsq(np.vstack(rows), b, rcond=None)
-    return x.reshape(d, d)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_solve_intertwiner_matches_kron_lstsq(seed):
-    rng = np.random.default_rng(seed)
-    ctx = VarContext(("a",), ("x", "y")) if seed % 2 else CTX_AX
-    rep = None
-    while rep is None or not 2 <= rep.dim <= 12:
-        p = rand_symmetric_poly(ctx, rng, max_len=3, terms=6)
-        rep = realize.reduce_linear_rep(realize.poly_linear_rep(p))
-    got = realize._solve_intertwiner(rep)
-    want = kron_lstsq_intertwiner(rep)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-
-
-def test_solve_intertwiner_rejects_nonsymmetric_series():
-    rng = np.random.default_rng(5)
-    rep = realize.reduce_linear_rep(realize.poly_linear_rep(
-        rand_poly(CTX_AX, rng, max_len=3, terms=6)))
-    with pytest.raises(realize.SymmetrizationError):
-        realize._solve_intertwiner(rep)
-
+# kernels: Krylov closure, Hankel rank, eigen-threshold domain test,
+# Kronecker sums
 
 def svd_krylov_closure(mats, seed, rtol=realize.RTOL_RANK):
     """The Krylov closure by one SVD rank truncation of [Q, M_i Q] per
@@ -307,14 +338,33 @@ def svd_krylov_closure(mats, seed, rtol=realize.RTOL_RANK):
         Q = Q2
 
 
-def minimal_dims(polys, monkeypatch):
-    """(Gram-Schmidt, SVD) minimal dimensions of each polynomial."""
-    reps = [realize.poly_linear_rep(p) for p in polys]
-    got = [realize.reduce_linear_rep(rep).dim for rep in reps]
-    closure = realize._krylov_closure
-    monkeypatch.setattr(realize, "_krylov_closure", svd_krylov_closure)
-    want = [realize.reduce_linear_rep(rep).dim for rep in reps]
-    monkeypatch.setattr(realize, "_krylov_closure", closure)
+def svd_hankel_rank(p, rtol=realize.RTOL_RANK):
+    """Numerical rank of the Hankel matrix coeff(u v) of p, u over the
+    prefixes and v over the suffixes of its support, by SVD: the
+    reference for the minimal dimension."""
+    pre = {u: i for i, u in enumerate(sorted(
+        {w[:t] for w in p.coeffs for t in range(len(w) + 1)}))}
+    suf = {v: i for i, v in enumerate(sorted(
+        {w[t:] for w in p.coeffs for t in range(len(w) + 1)}))}
+    H = np.zeros((len(pre), len(suf)), dtype=complex)
+    for w in p.coeffs:
+        for t in range(len(w) + 1):
+            H[pre[w[:t]], suf[w[t:]]] = p.scalar_coeff(w)
+    s = np.linalg.svd(H, compute_uv=False)
+    return int(np.sum(s > rtol * s[0])) if s.size and s[0] else 0
+
+
+def minimal_dims(polys):
+    """Per polynomial, (linearize_poly's e, the Gram-Schmidt reach closure
+    dimension of its padded realization) and the references (the SVD
+    rank of the Hankel matrix, the SVD closure dimension)."""
+    got, want = [], []
+    for p in polys:
+        R = linearize_poly(p)
+        rep = realize.smr_linear_rep(padded_copy(R))
+        got.append((R.e, realize._krylov_closure(rep.mats, rep.v).shape[1]))
+        want.append((svd_hankel_rank(p),
+                     svd_krylov_closure(rep.mats, rep.v).shape[1]))
     return got, want
 
 
@@ -325,7 +375,7 @@ def test_krylov_closure_dims_match_svd_closure_on_corpora(
     import corpus
     polys = [item.poly for seed in range(1, 6)
              for item in corpus.build(workload, seed, tmp_path, DATA)]
-    got, want = minimal_dims(polys, monkeypatch)
+    got, want = minimal_dims(polys)
     assert got == want
 
 
@@ -334,18 +384,19 @@ def test_krylov_closure_dims_match_svd_closure_on_corpora(
                                             VarContext(("a",), ("x", "y"))]))
 def test_krylov_closure_dims_match_svd_closure(seed, letters):
     rng = np.random.default_rng(seed)
-    polys = [rand_poly(letters, rng, max_len=4, terms=6),
+    q = rand_poly(letters, rng, max_len=3, terms=4)
+    polys = [q.adjoint() @ q,
              rand_symmetric_poly(letters, rng, max_len=4, terms=6)]
-    with pytest.MonkeyPatch.context() as mp:
-        got, want = minimal_dims(polys, mp)
+    got, want = minimal_dims(polys)
     assert got == want
 
 
 def test_krylov_closure_is_invariant_and_orthonormal():
     rng = np.random.default_rng(3)
-    rep = realize.poly_linear_rep(
-        rand_symmetric_poly(CTX_AX, rng, max_len=4, terms=6))
+    R = linearize_poly(rand_symmetric_poly(CTX_AX, rng, max_len=4, terms=6))
+    rep = realize.smr_linear_rep(padded_copy(R))
     Q = realize._krylov_closure(rep.mats, rep.v)
+    assert Q.shape[1] == R.e
     assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
     for M in rep.mats:
         MQ = M @ Q
@@ -666,31 +717,61 @@ REACH_ORDER_POLYS = {
         (Path(__file__).parent / "data" / "ill_conditioned_sos_2.txt")
         .read_text()),
     "sos_degree8": lambda: sos_degree8(4),
-    # complex coefficients, and the first observability pass keeps all 4
-    # states: a second reach-and-observe pass would change the basis
+    # complex coefficients, and all 4 suffix states are kept
     "complex_observable": lambda: rand_symmetric_poly(
         CTX_AX, np.random.default_rng(7), max_len=3, terms=4),
 }
+
+
+def poly_linear_rep(p):
+    """Reference: the suffix-state linear representation of p over
+    linearize_poly's states.  The letter action prepends when the result
+    is again a state and kills the vector otherwise, v = e_() and
+    u* e_w = coeff(w), so M_w v = e_w for every state w and the word
+    coefficients come out exactly."""
+    states = realize._suffix_states(p)
+    idx = {w: i for i, w in enumerate(states)}
+    d = len(states)
+    v = np.zeros(d, dtype=complex)
+    v[idx[()]] = 1.0
+    mats = np.zeros((p.ctx.nletters, d, d), dtype=complex)
+    for w in states[1:]:
+        mats[w[0], idx[w], idx[w[1:]]] = 1.0
+    u = np.zeros(d, dtype=complex)
+    for w in p.coeffs:
+        u[idx[w]] = np.conj(p.scalar_coeff(w))
+    return realize.LinearRep(u, tuple(mats), v)
 
 
 @pytest.mark.parametrize("name", sorted(REACH_ORDER_POLYS))
 def test_poly_linear_rep_states_are_in_reach_order(name):
     """The reach closure of the suffix-state representation takes the
     standard basis vectors in their own order, so it is exactly I."""
-    rep = realize.poly_linear_rep(REACH_ORDER_POLYS[name]())
+    rep = poly_linear_rep(REACH_ORDER_POLYS[name]())
     Q = realize._krylov_closure(rep.mats, rep.v)
     assert np.array_equal(Q, np.eye(rep.dim))
 
 
 @pytest.mark.parametrize("name", sorted(set(REACH_ORDER_POLYS) - {"intro"}))
 def test_linearize_poly_skips_only_an_identity_closure(name):
-    """linearize_poly, which leaves out the reach closure of its first
-    pass, gives the full reduction's realization bit for bit."""
+    """linearize_poly, which leaves out the reach closure Q of the suffix
+    states, gives bit for bit the realization read from the Hankel matrix
+    and letter forms taken in Q's coordinates, as minimize takes them:
+    G[i, j] = coeff(s_i~ s_j) and Gz[z][i, j] = coeff(s_i~ z s_j) for the
+    words s_i that reach Q's columns."""
     p = REACH_ORDER_POLYS[name]()
+    rep = poly_linear_rep(p)
+    Q = realize._krylov_closure(rep.mats, rep.v)
+    states = realize._suffix_states(p)
+    H = np.array([[p.scalar_coeff(s[::-1] + t) for t in states]
+                  for s in states], dtype=complex)
+    Hz = np.array([[[p.scalar_coeff(s[::-1] + (z,) + t) for t in states]
+                    for s in states] for z in range(p.ctx.nletters)],
+                  dtype=complex)
+    Qh = Q.conj().T
+    want = realize._signature_realization(Qh @ H @ Q, Qh @ Hz @ Q,
+                                          Qh @ rep.v, p.ctx.h, 0.0)
     got = linearize_poly(p)
-    want = realize.symmetrize_linear_rep(
-        realize.reduce_linear_rep(realize.poly_linear_rep(p)),
-        (p.ctx.h, p.ctx.g))
     assert got.e == want.e
     for a, b in zip((got.J, got.c) + got.S + got.T,
                     (want.J, want.c) + want.S + want.T):
