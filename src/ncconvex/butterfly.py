@@ -378,11 +378,12 @@ def poly_butterfly(p):
     V* M_{uv} V = (V* N_u)(M_v V) with |v| = dega, and raises
     RealizationError if residual terms survive.  The coefficientwise
     identity p = ell* w ell + fbar is checked last (residual at most
-    1e-8, else RealizationError).  Dead directions
-    (common kernel of all w and ell coefficients) are trimmed so small
-    examples come out in their textbook size.
+    1e-8 max(1, max_w |coeff_w(p)|), the rounding of coefficients that
+    size, else RealizationError).  Dead directions (common kernel of all
+    w and ell coefficients) are trimmed so small examples come out in
+    their textbook size.
     """
-    if not p.is_symmetric():
+    if not p.is_symmetric:
         raise realize.SymmetryError("polynomial is not symmetric")
     degx = p.degree_in_class("x")
     if degx > 2:
@@ -486,7 +487,8 @@ def poly_butterfly(p):
         recon = recon + (ell_poly.adjoint() @ w_poly @ ell_poly)
     diff = p - recon
     resid = np.abs(list(diff.coeffs.values())).max(initial=0.0)
-    if resid > 1e-8:
+    scale = np.abs(list(p.coeffs.values())).max(initial=1.0)
+    if resid > 1e-8 * scale:
         raise RealizationError("butterfly identity residual %g" % resid)
     return PolyButterfly(ell_poly, w_poly, fbar, R, psd_at_zero)
 

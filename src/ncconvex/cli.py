@@ -9,7 +9,8 @@ xy         convexity in x and y separately for a bivariate polynomial:
            support screen, middle-matrix scan, Gram certificate
 reproduce  rerun a pinned example study and compare with the stored summary
 
-Reports are JSON with matrices as row-major [re, im] entries.  With a fixed
+Reports are one compact, key-sorted JSON line with matrices as row-major
+[re, im] entries (`python -m json.tool` pretty-prints one).  With a fixed
 seed and config a rerun reproduces the report byte for byte apart from the
 time_s fields.  Exit codes: 0 success, 1 mathematical negative (verified
 witness or screen rejection), 2 input error (including input so large that
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__, butterfly, examples, matkit, ncalg, partialcvx, \
     realize, xycvx
-from .matkit import jmat, junmat, jvec
+from .matkit import jmat, junmat
 from .ncalg import ContextError, HermTuple, ShapeError, SymmetryError
 
 EXIT_OK = 0
@@ -203,7 +204,9 @@ def strip_timings(obj):
 
 
 def emit_report(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as one compact, key-sorted JSON line, on stdout or in
+    the file out."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         Path(out).write_text(text)
         print("report written to %s" % out)
@@ -217,12 +220,12 @@ def _tuple_json(t):
 
 
 def _poly_json(p):
-    out = {}
-    for w in p.words():
-        key = " ".join(p.ctx.name(i) for i in w) if w else "1"
-        out[key] = jmat(p.coeffs[w]) if not p.is_scalar \
-            else [float(p.scalar_coeff(w).real), float(p.scalar_coeff(w).imag)]
-    return out
+    """{word: coefficient}, all coefficients from one stacked jmat: [re, im]
+    pairs for a scalar polynomial, rows of them otherwise."""
+    words = p.words()
+    C = np.reshape([p.coeffs[w] for w in words], (len(words),) + p.shape)
+    return dict(zip([" ".join(map(p.ctx.name, w)) or "1" for w in words],
+                    jmat(C[:, 0, 0] if p.is_scalar else C)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ def _serialize_hessian_witness(wit):
         "kind": "hessian-negativity",
         "point": _tuple_json(probe.point),
         "direction": [jmat(H) for H in probe.direction],
-        "h": jvec(h),
+        "h": jmat(h),
         "quadratic_value": float(np.real(h.conj() @ hess @ h)),
         "lambda_min": float(probe.lambda_min),
         "margin": float(wit.margin),
@@ -286,21 +289,22 @@ def _serialize_doubling_witness(wit):
         "kind": "doubled-point",
         "point": _tuple_json(wit.point),
         "direction": [jmat(H) for H in wit.direction],
-        "h": jvec(wit.h),
+        "h": jmat(wit.h),
         "quadratic_value": float(wit.value),
         "bad_lambda": float(wit.bad_lambda),
         "margin": float(wit.margin),
     }
 
 
-def _serialize_midpoint_witness(wit, p):
+def _serialize_midpoint_witness(wit):
+    # gap_lambda_min is the search's lambda_min: the same gap's eigvalsh
     return {
         "kind": "midpoint",
         "A": [jmat(M) for M in wit.A],
         "X1": [jmat(M) for M in wit.X1],
         "X2": [jmat(M) for M in wit.X2],
         "lambda_min": float(wit.lambda_min),
-        "gap_lambda_min": float(np.linalg.eigvalsh(wit.gap(p))[0]),
+        "gap_lambda_min": float(wit.lambda_min),
     }
 
 
@@ -433,7 +437,7 @@ def cmd_partial(args):
         p = obj
         results["input"] = {"kind": "polynomial",
                             "coefficients": _poly_json(p)}
-        if not p.is_symmetric():
+        if not p.is_symmetric:
             raise SymmetryError("polynomial is not symmetric")
         _check_float_range(p)
         if p.degree_in_class("x") == 0:
@@ -459,7 +463,7 @@ def cmd_partial(args):
         except butterfly.NotConvexible as exc:
             entry = {"message": str(exc), "time_s": time.monotonic() - t0}
             if exc.witness is not None:
-                entry["witness"] = _serialize_midpoint_witness(exc.witness, p)
+                entry["witness"] = _serialize_midpoint_witness(exc.witness)
                 negative = True
             results["not_convexible"] = entry
             R = realize.linearize_poly(p)
@@ -534,7 +538,7 @@ def _xy_scan_chunk(payload):
             "delta0": jmat(ev.delta0), "delta1": jmat(ev.delta1),
             "beta1": jmat(ev.beta1), "beta2": jmat(ev.beta2),
             "lambda_min": float(ev.lambda_min),
-            "vector": jvec(ev.vector)}}, ev
+            "vector": jmat(ev.vector)}}, ev
     return {"size": list(size), "inputs": ev.samples,
             "min_lambda": float(ev.min_lambda)}, None
 
@@ -583,7 +587,7 @@ def cmd_xy(args):
             return EXIT_INCONCLUSIVE
         results["pair_witness"] = {
             "X": jmat(pair.pair.X), "Y": jmat(pair.pair.Y),
-            "V": jmat(pair.pair.V), "h": jvec(pair.h),
+            "V": jmat(pair.pair.V), "h": jmat(pair.h),
             "defect_value": float(pair.value),
         }
         emit_report(report, cfg.out)

@@ -30,9 +30,8 @@ def _round(x, digits=9):
 
 
 def _jmat(M):
-    M = np.asarray(M, dtype=complex)
-    return [[[_round(z.real, 12), _round(z.imag, 12)] for z in row]
-            for row in M]
+    return [[[_round(re, 12), _round(im, 12)] for re, im in row]
+            for row in matkit.jmat(M)]
 
 
 # ---------------------------------------------------------------------------

@@ -341,12 +341,11 @@ def sample_tuple(n, counts, scale, rng):
 # ---------------------------------------------------------------------------
 # report JSON: matrices and vectors as row-major [re, im] entries
 
-def jvec(v):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-
-
 def jmat(M):
-    return [jvec(row) for row in np.asarray(M, dtype=complex)]
+    """The [re, im] entries of a complex array, nested row-major by one
+    tolist: a matrix gives rows of pairs, a vector a list of pairs."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def junmat(rows):
@@ -365,5 +364,5 @@ def junmat(rows):
 
 
 def junvec(entries):
-    """Inverse of jvec, with junmat's checks."""
+    """Inverse of jmat on a vector, with junmat's checks."""
     return junmat([entries])[0]

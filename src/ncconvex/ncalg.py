@@ -11,6 +11,7 @@ by substitution:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,8 +204,10 @@ class FreePoly:
     def adjoint(self):
         return adjoint(self)
 
+    @functools.cached_property
     def is_symmetric(self):
-        """coeff(w*) = coeff(w)^* for every word, up to 10 COEFF_DROP."""
+        """coeff(w*) = coeff(w)^* for every word, up to 10 COEFF_DROP;
+        decided once per polynomial, which is immutable."""
         tol = COEFF_DROP * 10
         if self.shape[0] != self.shape[1]:
             return False

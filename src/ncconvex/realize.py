@@ -43,7 +43,7 @@ import numpy as np
 
 from . import matkit
 from .ncalg import HermTuple, SymmetryError, check_herm
-from .matkit import (TOL_INV, TOL_PSD, jmat, junmat, junvec, jvec,
+from .matkit import (TOL_INV, TOL_PSD, jmat, junmat, junvec,
                      signature_decompose)
 
 RTOL_RANK = 1e-10
@@ -188,9 +188,10 @@ def kron_sum(coeffs, mats):
 
 def _invertible(lam, tol_inv):
     """Relative smin threshold on the eigenvalues of each Hermitian matrix
-    of a stack (..., en)."""
+    of a stack (..., en); an empty (e = 0) pencil is invertible."""
     a = np.abs(lam)
-    return a.min(axis=-1) > tol_inv * np.maximum(1.0, a.max(axis=-1))
+    return a.min(axis=-1, initial=np.inf) \
+        > tol_inv * np.maximum(1.0, a.max(axis=-1, initial=0.0))
 
 
 def _pencil_eigh(R, t, tol_inv, factors=None):
@@ -596,7 +597,7 @@ def linearize_poly(p):
     """
     if not p.is_scalar:
         raise matkit.ShapeError("linearization handles scalar coefficients")
-    if not p.is_symmetric():
+    if not p.is_symmetric:
         raise SymmetryError("polynomial is not symmetric")
     idx = {s: i for i, s in enumerate(_suffix_states(p))}
     d = len(idx)
@@ -680,7 +681,7 @@ def realization_to_json(R):
         "J": jmat(R.J),
         "S": [jmat(M) for M in R.S],
         "T": [jmat(M) for M in R.T],
-        "c": jvec(R.c),
+        "c": jmat(R.c),
         "classes": {"a": R.h, "x": R.g},
     }
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .matkit import (BlockMatrix2, TOL_PSD, herm, is_psd, jvec, junvec,
+from .matkit import (BlockMatrix2, TOL_PSD, herm, is_psd, jmat, junvec,
                      psd_mask, sample_blocks)
 from .ncalg import (ContextError, FreePoly, HermTuple, ShapeError,
                     SymmetryError, VarContext, eval_poly)
@@ -104,7 +104,7 @@ def support_screen(p):
         raise ContextError("expected two x-class letters and no a-class")
     if not p.is_scalar:
         raise ShapeError("support screen handles scalar polynomials")
-    if not p.is_symmetric():
+    if not p.is_symmetric:
         raise SymmetryError("polynomial is not symmetric")
     for w in p.words():
         if w not in L_SET:
@@ -797,11 +797,10 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
 def certificate_to_json(cert):
     return {
         "N": int(cert.N),
-        "Lambda": {"x": jvec(cert.Lx), "y": jvec(cert.Ly),
-                   "xy": jvec(cert.Lxy), "yx": jvec(cert.Lyx)},
-        "pencil": {(k if k else "1"): [float(v.real), float(v.imag)]
-                   for k, v in cert.pencil.items()},
-        "r1": [float(cert.r1.real), float(cert.r1.imag)],
+        "Lambda": {"x": jmat(cert.Lx), "y": jmat(cert.Ly),
+                   "xy": jmat(cert.Lxy), "yx": jmat(cert.Lyx)},
+        "pencil": {(k if k else "1"): jmat(v) for k, v in cert.pencil.items()},
+        "r1": jmat(cert.r1),
         "residuals": {k: float(v) for k, v in cert.residuals.items()},
     }
 

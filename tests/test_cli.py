@@ -3,6 +3,7 @@ re-verification of serialized witnesses by independent recomputation.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -908,6 +909,37 @@ def test_non_symmetric_polynomial_exits_input(tmp_path, text):
     assert "not symmetric" in proc.stderr
 
 
+@pytest.mark.parametrize("scale", ["1e9", "1e12"])
+def test_butterfly_identity_bound_is_relative(tmp_path, scale):
+    # the identity residual is rounding at the size of the coefficients
+    # (4.8e-07 at 1e9, 2.3e-03 at 1e12), within 1e-8 of the largest
+    path = tmp_path / "poly.txt"
+    path.write_text("vars a: a | x: x\n%s * x x\n%s * x a x\n"
+                    % (scale, scale))
+    proc = run_python(["-m", "ncconvex.cli", "partial", str(path),
+                       "--sizes", "1,2", "--samples", "2"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["results"]["butterfly_poly"]["k"] >= 1
+
+
+@pytest.mark.parametrize("name", ["xax", "x4"])
+def test_partial_decides_symmetry_once(name, monkeypatch, capsys):
+    # cli, poly_butterfly and linearize_poly each ask; p answers once
+    calls = []
+    decide = ncalg.FreePoly.is_symmetric.func
+
+    def counted(p):
+        calls.append(p)
+        return decide(p)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ncalg.FreePoly, "is_symmetric")
+    monkeypatch.setattr(ncalg.FreePoly, "is_symmetric", prop)
+    cli.main(["partial", str(DATA / ("%s_poly.txt" % name)),
+              "--sizes", "1", "--samples", "2"])
+    assert len(calls) == 1
+
+
 def test_non_finite_json_entries_exit_input(tmp_path, capsys):
     tup = json.loads((DATA / "intro_tuple.json").read_text())
     tup["X"][0][0][0] = [float("nan"), 0.0]
@@ -928,6 +960,38 @@ def test_strip_timings_removes_nested_keys():
     rep = {"a": {"time_s": 1.0, "b": [{"time_s": 2.0, "x": 1}]}, "time_s": 3}
     out = strip_timings(rep)
     assert out == {"a": {"b": [{"x": 1}]}}
+
+
+COMPACT = '{"a":{"y":[[0.5,-0.0]],"z":1},"b":[1e-300,null]}\n'
+
+
+def test_emit_report_writes_one_compact_sorted_line(tmp_path, capsys):
+    report = {"b": [1e-300, None], "a": {"z": 1, "y": [[0.5, -0.0]]}}
+    cli.emit_report(report, None)
+    assert capsys.readouterr().out == COMPACT
+    out = tmp_path / "r.json"
+    cli.emit_report(report, str(out))
+    assert out.read_text() == COMPACT
+    assert capsys.readouterr().out == "report written to %s\n" % out
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    (["partial", str(DATA / "xax_poly.txt"), "--sizes", "1",
+      "--samples", "2"], False),
+    (["xy", str(DATA / "square_xy_poly.txt"), "--sizes", "1",
+      "--samples", "2"], False),
+    (["eval", str(DATA / "intro_poly.txt"), str(DATA / "intro_tuple.json")],
+     True),
+    (["reproduce", "intro-eval"], True),
+], ids=["partial", "xy", "eval", "reproduce"])
+def test_reports_are_one_json_line(tmp_path, capsys, argv, to_file):
+    out = tmp_path / "report.json"
+    cli.main(argv + (["--out", str(out)] if to_file else []))
+    text = out.read_text() if to_file else capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True,
+                              separators=(",", ":")) + "\n"
 
 
 def test_reports_deterministic_across_runs(tmp_path):

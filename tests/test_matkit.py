@@ -302,3 +302,32 @@ def test_psd_mask_agrees_with_is_psd(seed, n, scale):
     M = herm((U * ev[:, None, :]) @ U.conj().swapaxes(-1, -2))
     mask = matkit.psd_mask(np.linalg.eigvalsh(M))
     assert mask.tolist() == [is_psd(Mi).is_psd for Mi in M]
+
+
+# ---------------------------------------------------------------------------
+# report codec
+
+def _pairs(v):
+    """The per-entry [re, im] comprehension the codec replaces."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
+
+
+@pytest.mark.parametrize("M", [
+    np.random.default_rng(3).normal(size=(3, 4))
+    + 1j * np.random.default_rng(4).normal(size=(3, 4)),
+    np.arange(6.0).reshape(2, 3),
+    np.array([[-0.0, 1.0], [complex(2.0, -0.0), complex(-0.0, -0.0)]]),
+    np.zeros((0, 0), dtype=complex),
+    np.zeros((3, 0), dtype=complex),
+], ids=["complex", "real", "negative-zero", "0x0", "3x0"])
+def test_jmat_matches_the_per_entry_lists(M):
+    want = [_pairs(row) for row in np.asarray(M, dtype=complex)]
+    got = matkit.jmat(M)
+    assert got == want
+    # == does not see the sign of a zero; the encoded text does
+    assert repr(got) == repr(want)
+    for row in np.asarray(M):
+        assert matkit.jmat(row) == _pairs(row)
+        assert repr(matkit.jmat(row)) == repr(_pairs(row))
+    if M.size:
+        assert np.array_equal(matkit.junmat(got), M)

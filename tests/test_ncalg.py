@@ -132,7 +132,7 @@ def test_adjoint_transposes_eval_on_hermitian_tuples(seed, n):
 def test_symmetric_poly_evaluates_hermitian(seed, n):
     rng = np.random.default_rng(seed)
     p = rand_symmetric_poly(CTX_BIG, rng)
-    assert p.is_symmetric()
+    assert p.is_symmetric
     val = eval_poly(p, rand_herm_tuple(CTX_BIG, n, rng))
     assert np.allclose(val, val.conj().T, atol=1e-10)
 

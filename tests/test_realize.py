@@ -440,6 +440,28 @@ def test_ball_region_implies_dom():
     assert HermTuple(1, (0.1 * one,), (0.2 * one,), validate=False) in ball
 
 
+@pytest.mark.parametrize("kind", realize.REGION_KINDS)
+def test_zero_function_realization_has_every_point_in_its_region(kind):
+    # minimize(R + (-R)) has e = 0: its pencil is empty, so invertible,
+    # and R_T is vacuous; only the ball's radius can reject a point
+    p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
+    R = linearize_poly(p)
+    Z = minimize(direct_sum(R, R, -1.0))
+    assert Z.e == 0
+    rng = np.random.default_rng(7)
+    pts = [matkit.sample_tuple(2, (Z.h, Z.g), 0.5, rng) for _ in range(3)]
+    region = realize.Region(Z, kind, radius=0.5 if kind == "ball" else None)
+    mask, lam, Q = region.test_points(pts)
+    assert mask.tolist() == [True] * 3
+    assert lam.shape == (3, 0) and Q.shape == (3, 0, 0)
+    if kind == "ball":
+        far = HermTuple(2, (np.eye(2),), (np.eye(2),), validate=False)
+        assert far not in region
+    else:
+        assert all(pt in region for pt in pts)
+    assert in_dom(Z, pts[0]) and in_dom_plus(Z, pts[0])
+
+
 def test_kron_sum_equals_sum_of_krons():
     rng = np.random.default_rng(3)
     coeffs = [rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
