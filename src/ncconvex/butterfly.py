@@ -379,9 +379,10 @@ def poly_butterfly(p):
     RealizationError if residual terms survive.  The coefficientwise
     identity p = ell* w ell + fbar is checked last (residual at most
     1e-8 max(1, max_w |coeff_w(p)|), the rounding of coefficients that
-    size, else RealizationError).  Dead directions (common kernel of all
-    w and ell coefficients) are trimmed so small examples come out in
-    their textbook size.
+    size, else RealizationError); terms of fbar below 1e-10 times that
+    scale drop out as rounding, and those of w and ell below 1e-10.  Dead
+    directions (common kernel of all w and ell coefficients) are trimmed
+    so small examples come out in their textbook size.
     """
     if not p.is_symmetric:
         raise realize.SymmetryError("polynomial is not symmetric")
@@ -390,7 +391,8 @@ def poly_butterfly(p):
         wit = midpoint_violation_search(p)
         raise NotConvexible("degree %d in x exceeds two" % degx, wit)
     ctx = p.ctx
-    tol = 1e-10  # coefficients below it are dropped
+    tol = 1e-10  # coefficients of w and ell below it are dropped
+    scale = np.abs(list(p.coeffs.values())).max(initial=1.0)
     R = linearize_poly(p)
     frame = R.frame
     V = frame.V_T
@@ -430,10 +432,11 @@ def poly_butterfly(p):
     # fbar = c* W c + c* W (sum T_j x_j) W c; the x-linear part is the
     # Gram product G = WC* T_j WC, G[r, l] = (W_wr c)* T_j W_wl c
     vals = R.c.conj() @ WC
-    f_terms = {words[i]: vals[i] for i in np.flatnonzero(np.abs(vals) > tol)}
+    f_terms = {words[i]: vals[i]
+               for i in np.flatnonzero(np.abs(vals) > tol * scale)}
     for jx, T in enumerate(R.T):
         G = WC.conj().T @ (T @ WC)
-        for l, r in zip(*np.nonzero(np.abs(G.T) > tol)):
+        for l, r in zip(*np.nonzero(np.abs(G.T) > tol * scale)):
             f_terms[words[r][::-1] + (ctx.h + jx,) + words[l]] = G[r, l]
     fbar = FreePoly.from_terms(ctx, {w: np.array([[c]])
                                      for w, c in f_terms.items()})
@@ -487,7 +490,6 @@ def poly_butterfly(p):
         recon = recon + (ell_poly.adjoint() @ w_poly @ ell_poly)
     diff = p - recon
     resid = np.abs(list(diff.coeffs.values())).max(initial=0.0)
-    scale = np.abs(list(p.coeffs.values())).max(initial=1.0)
     if resid > 1e-8 * scale:
         raise RealizationError("butterfly identity residual %g" % resid)
     return PolyButterfly(ell_poly, w_poly, fbar, R, psd_at_zero)

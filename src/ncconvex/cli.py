@@ -6,7 +6,8 @@ eval       evaluate a polynomial file at a matrix tuple file
 partial    convexity in the designated letters for a polynomial or
            realization: domain scans, butterfly data, witnesses
 xy         convexity in x and y separately for a bivariate polynomial:
-           support screen, middle-matrix scan, Gram certificate
+           support screen, then the Gram certificate, then, only where no
+           certificate verifies, the middle-matrix scan and its xy-pair
 reproduce  rerun a pinned example study and compare with the stored summary
 
 Reports are one compact, key-sorted JSON line with matrices as row-major
@@ -87,13 +88,16 @@ class AnalysisConfig:
         if int(self.seed) < 0:
             raise InputError("seed must be nonnegative")
 
-    def echo(self):
-        return {
+    def echo(self, command):
+        """The fields command reads, as its report states them."""
+        out = {
             "seed": int(self.seed), "sizes": [int(s) for s in self.sizes],
             "samples": int(self.samples), "tol_psd": float(self.tol_psd),
-            "tol_inv": float(self.tol_inv), "region": self.region,
             "scale": float(self.scale), "workers": int(self.workers),
         }
+        if command == "partial":
+            out.update(tol_inv=float(self.tol_inv), region=self.region)
+        return out
 
 
 def config_from_args(args):
@@ -103,10 +107,13 @@ def config_from_args(args):
             sizes = tuple(int(s) for s in sizes.split(","))
         except ValueError:
             raise InputError("bad --sizes %r; expected e.g. 1,2,3" % sizes)
+    # --tol-inv and --region are flags of partial alone
+    partial_only = {name: getattr(args, name)
+                    for name in ("tol_inv", "region") if hasattr(args, name)}
     return AnalysisConfig(
         seed=args.seed, sizes=sizes, samples=args.samples,
-        tol_psd=args.tol_psd, tol_inv=args.tol_inv, region=args.region,
-        scale=args.scale, workers=args.workers, out=args.out)
+        tol_psd=args.tol_psd, scale=args.scale, workers=args.workers,
+        out=args.out, **partial_only)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +193,9 @@ def load_tuple(path, ctx):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def new_report(command, cfg=None):
-    rep = {"tool": {"name": "ncconvex", "version": __version__},
-           "command": command, "results": {}}
-    if cfg is not None:
-        rep["config"] = cfg.echo()
-    return rep
+def new_report(command, cfg):
+    return {"tool": {"name": "ncconvex", "version": __version__},
+            "command": command, "config": cfg.echo(command), "results": {}}
 
 
 def strip_timings(obj):
@@ -543,56 +547,10 @@ def _xy_scan_chunk(payload):
             "min_lambda": float(ev.min_lambda)}, None
 
 
-def cmd_xy(args):
-    cfg = config_from_args(args)
-    p = load_poly(args.poly)
-    report = new_report("xy", cfg)
-    results = report["results"]
-    try:
-        scr = xycvx.support_screen(p)
-    except (ContextError, ShapeError, SymmetryError) as exc:
-        raise InputError(str(exc))
-    if not scr.accepted:
-        results["screen"] = {"accepted": False,
-                             "rejected_monomial": scr.monomial,
-                             "reason": scr.reason}
-        emit_report(report, cfg.out)
-        return EXIT_NEGATIVE
-    results["screen"] = {"accepted": True}
-    pl = scr
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
-                 cfg.scale, cfg.tol_psd)
-                for i, s in enumerate(cfg.sizes)]
-    t0 = time.monotonic()
-    chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
-                                         cfg.workers))
-    scan = {"per_size": list(chunks), "time_s": time.monotonic() - t0}
-    results["middle_matrix_scan"] = scan
-
-    wit = next((w for w in witnesses if w is not None), None)
-    if wit is not None:
-        # exit 1 only on a completed pair that passes the re-check
-        try:
-            pair = xycvx.mxy_witness_pair(pl, wit)
-            reason = pair.recheck(cfg.tol_psd)
-        except xycvx.PairError as exc:
-            reason = "the witness completion failed: %s" % exc
-        if reason is not None:
-            results["pair_witness_error"] = reason
-            results["verdict"] = "inconclusive"
-            emit_report(report, cfg.out)
-            print("inconclusive: %s" % reason, file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        results["pair_witness"] = {
-            "X": jmat(pair.pair.X), "Y": jmat(pair.pair.Y),
-            "V": jmat(pair.pair.V), "h": jmat(pair.h),
-            "defect_value": float(pair.value),
-        }
-        emit_report(report, cfg.out)
-        return EXIT_NEGATIVE
-
+def _xy_certify(pl, cfg, seed, results):
+    """Stage 1 of xy: the Gram certificate p = pencil + Lambda* Lambda,
+    assembled and verified on pairs drawn from seed, each step's artifacts
+    in results.  None when it verifies, else the reason it does not."""
     t0 = time.monotonic()
     gram = xycvx.gram_complete_certificate(pl, tol=cfg.tol_psd)
     gram_entry = {"status": gram.status,
@@ -607,22 +565,16 @@ def cmd_xy(args):
         gram_entry["dual_value"] = float(gram.dual_value)
         gram_entry["Z"] = jmat(gram.Z)
     if not gram.is_feasible:
-        # no scan witness and no certificate: report both artifacts
-        results["verdict"] = "inconclusive"
-        emit_report(report, cfg.out)
-        return EXIT_INCONCLUSIVE
+        return "no Gram certificate (%s)" % gram.status
     gram_entry["pin_residual"] = float(gram.pin_residual)
     try:
         cert = xycvx.assemble_certificate(pl, gram.q0, gram.q1, gram.q2,
                                           gram.r1, tol=cfg.tol_psd)
     except xycvx.AssemblyError as exc:
         results["assembly_error"] = str(exc)
-        results["verdict"] = "inconclusive"
-        emit_report(report, cfg.out)
-        return EXIT_INCONCLUSIVE
-    rng = np.random.default_rng(seeds[-1])
+        return "the certificate assembly failed: %s" % exc
     verify = xycvx.verify_certificate(pl, cert, samples=min(cfg.samples, 25),
-                                      rng=rng)
+                                      rng=np.random.default_rng(seed))
     results["certificate"] = xycvx.certificate_to_json(cert)
     results["verification"] = {
         "coeff_ok": bool(verify.coeff_ok),
@@ -631,9 +583,72 @@ def cmd_xy(args):
         "sampled_ok": bool(verify.sampled_ok),
         "min_defect_eig": float(verify.min_defect_eig),
     }
-    results["verdict"] = "certified" if verify.ok else "inconclusive"
+    return None if verify.ok else "the certificate failed its verification"
+
+
+def cmd_xy(args):
+    cfg = config_from_args(args)
+    p = load_poly(args.poly)
+    report = new_report("xy", cfg)
+    results = report["results"]
+    try:
+        pl = xycvx.support_screen(p)
+    except (ContextError, ShapeError, SymmetryError) as exc:
+        raise InputError(str(exc))
+    if not pl.accepted:
+        results["screen"] = {"accepted": False,
+                             "rejected_monomial": pl.monomial,
+                             "reason": pl.reason}
+        emit_report(report, cfg.out)
+        return EXIT_NEGATIVE
+    results["screen"] = {"accepted": True}
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
+
+    # stage 1, certify: a verified certificate settles p, and no scan runs
+    try:
+        reason = _xy_certify(pl, cfg, seeds[-1], results)
+    except (matkit.SingularError, np.linalg.LinAlgError) as exc:
+        # a breakdown here must not cost the scan below its witness
+        reason = "numerical breakdown: %s: %s" % (type(exc).__name__, exc)
+        results["gram_breakdown"] = reason
+    if reason is None:
+        results["verdict"] = "certified"
+        emit_report(report, cfg.out)
+        return EXIT_OK
+
+    # stage 2, refute: the middle-matrix scan, one size per seed
+    payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
+                 cfg.scale, cfg.tol_psd)
+                for i, s in enumerate(cfg.sizes)]
+    t0 = time.monotonic()
+    chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
+                                         cfg.workers))
+    results["middle_matrix_scan"] = {"per_size": list(chunks),
+                                     "time_s": time.monotonic() - t0}
+    wit = next((w for w in witnesses if w is not None), None)
+    if wit is None:
+        reason += ", and the middle-matrix scan found no witness"
+    else:
+        # exit 1 only on a completed pair that passes the re-check
+        try:
+            pair = xycvx.mxy_witness_pair(pl, wit)
+            reason = pair.recheck(cfg.tol_psd)
+        except xycvx.PairError as exc:
+            reason = "the witness completion failed: %s" % exc
+        if reason is None:
+            results["pair_witness"] = {
+                "X": jmat(pair.pair.X), "Y": jmat(pair.pair.Y),
+                "V": jmat(pair.pair.V), "h": jmat(pair.h),
+                "defect_value": float(pair.value),
+            }
+            emit_report(report, cfg.out)
+            return EXIT_NEGATIVE
+        results["pair_witness_error"] = reason
+
+    results["verdict"] = "inconclusive"
     emit_report(report, cfg.out)
-    return EXIT_OK if verify.ok else EXIT_INCONCLUSIVE
+    print("inconclusive: %s" % reason, file=sys.stderr)
+    return EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +705,6 @@ def _add_config_flags(sub):
     sub.add_argument("--samples", type=int, default=30,
                      help="samples per size")
     sub.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-8)
-    sub.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-10)
-    sub.add_argument("--region", default="default",
-                     help="dom, dom-plus, kebab, kebab-plus, or ball:RADIUS")
     sub.add_argument("--scale", type=float, default=0.6,
                      help="sampling scale for matrix entries")
     sub.add_argument("--workers", type=int, default=1)
@@ -719,6 +731,9 @@ def build_parser():
                         help="convexity in the designated letters")
     s.add_argument("input", help="polynomial text or realization JSON")
     _add_config_flags(s)
+    s.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-10)
+    s.add_argument("--region", default="default",
+                   help="dom, dom-plus, kebab, kebab-plus, or ball:RADIUS")
     s.set_defaults(fn=cmd_partial)
 
     s = subs.add_parser("xy", help="convexity in x and y separately")

@@ -261,9 +261,10 @@ def test_poly_butterfly_reconstructs_squares(seed):
         assert np.allclose(got, want, atol=1e-7 * max(1.0, np.linalg.norm(want, 2)))
 
 
-def pair_loop_fbar_ell(pb, tol=1e-10):
+def pair_loop_fbar_ell(pb, tol=1e-10, fbar_tol=1e-10):
     """Reference fbar and ell of a PolyButterfly from its realization: the
-    resolvent series word by word and fbar's x-linear part pair by pair."""
+    resolvent series word by word and fbar's x-linear part pair by pair;
+    ell keeps its entries above tol and fbar its terms above fbar_tol."""
     R = pb.realization
     p_ctx = pb.fbar.ctx
     V = R.frame.V_T
@@ -278,7 +279,7 @@ def pair_loop_fbar_ell(pb, tol=1e-10):
     fbar, ell = {}, {}
     for w, v in wc:
         val = complex(R.c.conj() @ v)
-        if abs(val) > tol:
+        if abs(val) > fbar_tol:
             fbar[w] = val
     for jx, T in enumerate(R.T):
         letter = (p_ctx.h + jx,)
@@ -290,7 +291,7 @@ def pair_loop_fbar_ell(pb, tol=1e-10):
             tv = T @ vl
             for wr, vr in wc:
                 val = complex(vr.conj() @ tv)
-                if abs(val) > tol:
+                if abs(val) > fbar_tol:
                     fbar[wr[::-1] + letter + wl] = val
     return fbar, ell
 
@@ -319,7 +320,9 @@ def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
         p = p + q.adjoint() @ q
     assert p.degree_in_class("a") == 2 * span
     pb = poly_butterfly(p)
-    fbar, ell = pair_loop_fbar_ell(pb)
+    # fbar drops its terms at the scale of p's coefficients
+    fbar, ell = pair_loop_fbar_ell(pb, fbar_tol=1e-10 * max(
+        1.0, max(abs(p.scalar_coeff(w)) for w in p.words())))
     assert set(pb.fbar.coeffs) == set(fbar)
     scale = max(abs(c) for c in fbar.values())
     for w, c in fbar.items():
@@ -332,6 +335,15 @@ def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
     E_ref = np.column_stack([ell[w] for w in words])
     assert np.allclose(E.conj().T @ E, E_ref.conj().T @ E_ref,
                        atol=1e-12 * scale, rtol=0)
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_poly_butterfly_fbar_drops_rounding_at_scale(scale):
+    """The fbar of scale (x x + x a x) is 0.  The rounding of c* W c at
+    that scale (-5.7e-08 at 1e9, 3.7e-05 at 1e12) lies below 1e-10 max(1,
+    max_w |coeff_w(p)|), so no term of it is kept."""
+    p = FreePoly.from_terms(CTX_AX, {(1, 1): scale, (1, 0, 1): scale})
+    assert poly_butterfly(p).fbar.coeffs == {}
 
 
 def test_poly_butterfly_rejects_quartic_with_witness():

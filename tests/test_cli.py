@@ -579,6 +579,67 @@ def test_partial_fuzz_exit_codes(tmp_path_factory, terms):
     assert "Traceback" not in err.getvalue()
 
 
+XY_FUZZ_TERMS = st.lists(
+    st.tuples(st.sampled_from(xycvx.L_WORDS),
+              st.one_of(FUZZ_REAL, st.builds(complex, FUZZ_REAL, FUZZ_REAL))),
+    min_size=1, max_size=6)
+
+
+def lambda_square_expansion(cert):
+    """{word: coefficient} of pencil + Lambda* Lambda, Lambda = sum_u L_u u
+    over u in x, y, xy, yx: the term of <L_u, L_v> goes to u reversed,
+    then v (the letters are Hermitian)."""
+    coeffs = {"" if w == "1" else w: complex(*c)
+              for w, c in cert["pencil"].items()}
+    L = {u: unvec(v) for u, v in cert["Lambda"].items()}
+    for u in L:
+        for v in L:
+            w = u[::-1] + v
+            coeffs[w] = coeffs.get(w, 0j) + complex(np.vdot(L[u], L[v]))
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=XY_FUZZ_TERMS)
+def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
+    """xy on small symmetric polynomials on the admissible support exits
+    0, 1 or 3 and prints no traceback.  An exit 0 certificate re-expands
+    to p coefficient by coefficient, and an exit 1 pair has h* D h < 0,
+    with the defect D evaluated here; x x + x y x, whose pinned Gram has
+    no witness in the scan, is one exit 3."""
+    lines = ["vars a: | x: x y"]
+    for w, c in terms:
+        c = complex(c)
+        lines += ["%s * %s" % (ncalg.format_complex(z), " ".join(v) or "1")
+                  for v, z in ((w, c), (w[::-1], c.conjugate()))]
+    path = tmp_path_factory.mktemp("fuzz") / "p.txt"
+    path.write_text("\n".join(lines) + "\n")
+    p = ncalg.parse_poly(path.read_text())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["xy", str(path), "--sizes", "1,2", "--samples", "4"])
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    res = json.loads(out.getvalue())["results"]
+    if code == EXIT_OK:
+        got = lambda_square_expansion(res["certificate"])
+        scale = max([1.0] + [abs(p.scalar_coeff(w)) for w in p.words()])
+        for w in set(got) | {"".join(map(p.ctx.name, w)) for w in p.words()}:
+            want = p.scalar_coeff(tuple("xy".index(ch) for ch in w))
+            assert abs(got.get(w, 0j) - want) <= 1e-8 * scale, w
+    elif code == EXIT_NEGATIVE:
+        pw = res["pair_witness"]
+        X, Y, V, h = (unmat(pw["X"]), unmat(pw["Y"]), unmat(pw["V"]),
+                      unvec(pw["h"]))
+        Vh = V.conj().T
+        X0, Y0 = Vh @ X @ V, Vh @ Y @ V
+        assert np.allclose(Vh @ V, np.eye(V.shape[1]))
+        assert np.allclose(Vh @ Y @ X @ V, Y0 @ X0)
+        D = Vh @ ncalg.eval_poly(p, ncalg.HermTuple(len(X), (), (X, Y))) @ V \
+            - ncalg.eval_poly(p, ncalg.HermTuple(len(X0), (), (X0, Y0)))
+        assert float(np.real(h.conj() @ D @ h)) < 0
+
+
 # ---------------------------------------------------------------------------
 # xy
 
@@ -637,14 +698,18 @@ def test_xy_pair_completion_error_is_inconclusive(tmp_path, monkeypatch,
     assert code == EXIT_INCONCLUSIVE
     assert "Traceback" not in err
     assert err.startswith("inconclusive: the witness completion failed")
+    assert err.count("\n") == 1
     assert rep["results"]["verdict"] == "inconclusive"
 
 
-def test_xy_square_poly_small_scale_inconclusive(tmp_path):
+def test_xy_square_poly_small_scale_inconclusive(tmp_path, capsys):
     code, rep = run_out(tmp_path, "xy.json", [
         "xy", str(DATA / "square_xy_poly.txt"),
         "--sizes", "1", "--samples", "5", "--scale", "0.05"])
     assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "inconclusive: no Gram certificate (not-certifiable-pinned), and "
+        "the middle-matrix scan found no witness\n")
     res = rep["results"]
     assert res["verdict"] == "inconclusive"
     assert res["gram"]["status"] == "not-certifiable-pinned"
@@ -686,13 +751,15 @@ def test_xy_certified_report_counts_the_solve(tmp_path):
     assert "dual_value" not in gram and "Z" not in gram
 
 
-def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch):
-    # a scan that finds nothing sends this input to the Gram stage, whose
-    # dual certificate then proves that no completion is PSD
-    def no_witness(payload):
-        return {"size": list(payload[1]), "inputs": 0,
-                "min_lambda": 0.0}, None
+def no_witness(payload):
+    """An _xy_scan_chunk whose size finds no witness."""
+    return {"size": list(payload[1]), "inputs": 0, "min_lambda": 0.0}, None
 
+
+def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch,
+                                             capsys):
+    # the Gram stage runs first, and its dual certificate proves that no
+    # completion is PSD; a scan that finds nothing leaves it inconclusive
     monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
     pfile = tmp_path / "nc_poly.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x\n1 * y y\n1 * x y y x\n"
@@ -700,6 +767,9 @@ def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch):
                      "1 * y x x\n-2 * x y x\n")
     code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
     assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "inconclusive: no Gram certificate (not-certifiable), and the "
+        "middle-matrix scan found no witness\n")
     gram = rep["results"]["gram"]
     assert gram["status"] == "not-certifiable"
     assert gram["dual_value"] == pytest.approx(-1.0, abs=1e-9)
@@ -707,6 +777,126 @@ def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch):
     Z = cli.junmat(gram["Z"])
     assert np.linalg.eigvalsh(Z)[0] >= -1e-12
     assert np.trace(Z).real == pytest.approx(1.0, abs=1e-10)
+
+
+def certified_xy_file(tmp_path):
+    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
+    pfile = tmp_path / "cert_poly.txt"
+    pfile.write_text(ncalg.format_poly(p))
+    return pfile
+
+
+def square_xy_scan_witness():
+    """The first size of SQUARE_XY_NEGATIVE's scan: an entry and a witness."""
+    seed = np.random.SeedSequence(0).spawn(3)[0]
+    pl = xycvx.support_screen(
+        ncalg.parse_poly((DATA / "square_xy_poly.txt").read_text()))
+    return cli._xy_scan_chunk((pl, (1, 1), 30, seed, 0.9, 1e-8))
+
+
+@pytest.mark.parametrize("scan", ["raises", "finds-a-witness"])
+def test_xy_certified_input_runs_no_scan(tmp_path, monkeypatch, scan):
+    """A verified certificate exits 0 before the middle-matrix scan, so
+    neither a broken scan nor a witness from one can touch the verdict."""
+    def broken(payload):
+        raise AssertionError("the scan ran on a certified input")
+
+    chunk = square_xy_scan_witness()
+    assert chunk[1] is not None
+    monkeypatch.setattr(cli, "_xy_scan_chunk", broken if scan == "raises"
+                        else lambda payload: chunk)
+    code, rep = run_out(tmp_path, "xy.json", [
+        "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2",
+        "--samples", "8"])
+    res = rep["results"]
+    assert code == EXIT_OK
+    assert res["verdict"] == "certified"
+    assert res["gram"]["status"] == "feasible"
+    assert "middle_matrix_scan" not in res
+
+
+def test_xy_square_poly_reports_gram_and_pair(tmp_path, capsys):
+    """The pinned Gram leaves no certificate, and the scan then finds the
+    witness that the pair completes; stderr stays empty."""
+    code, rep = run_out(tmp_path, "xy.json", SQUARE_XY_NEGATIVE)
+    res = rep["results"]
+    assert code == EXIT_NEGATIVE
+    assert res["gram"]["status"] == "not-certifiable-pinned"
+    assert "pair_witness" in res and "verdict" not in res
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error", [matkit.SingularError,
+                                   np.linalg.LinAlgError])
+def test_xy_gram_breakdown_still_scans(tmp_path, monkeypatch, error):
+    """A numerical breakdown in the Gram stage is its reason for not
+    certifying; the scan still runs and its re-checked pair exits 1."""
+    def broken(p, tol):
+        raise error("factorization failed")
+
+    monkeypatch.setattr(xycvx, "gram_complete_certificate", broken)
+    code, rep = run_out(tmp_path, "xy.json", SQUARE_XY_NEGATIVE)
+    res = rep["results"]
+    assert code == EXIT_NEGATIVE
+    assert res["gram_breakdown"] == (
+        "numerical breakdown: %s: factorization failed" % error.__name__)
+    assert res["pair_witness"]["defect_value"] < 0
+
+
+def _assembly_fails(p, *args, **kwargs):
+    raise xycvx.AssemblyError("structural identity residual 1.00e-03")
+
+
+def _verification_fails(p, cert, samples, rng):
+    return xycvx.VerifyReport(True, 0.0, False, samples, -1.0)
+
+
+def _gram_breaks_down(p, tol):
+    raise matkit.SingularError("factorization failed")
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (("assemble_certificate", _assembly_fails),
+     "the certificate assembly failed: structural identity residual "
+     "1.00e-03"),
+    (("verify_certificate", _verification_fails),
+     "the certificate failed its verification"),
+    (("gram_complete_certificate", _gram_breaks_down),
+     "numerical breakdown: SingularError: factorization failed"),
+], ids=["assembly", "verification", "breakdown"])
+def test_xy_uncertified_without_witness_is_inconclusive(
+        tmp_path, monkeypatch, capsys, patch, reason):
+    """A certificate that fails to assemble or to verify, or a Gram stage
+    that breaks down, sends p on to the scan; with no witness there, xy
+    exits 3 with one stderr line, the Gram stage's reason."""
+    monkeypatch.setattr(xycvx, *patch)
+    monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
+    code, rep = run_out(tmp_path, "xy.json", [
+        "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INCONCLUSIVE
+    assert rep["results"]["verdict"] == "inconclusive"
+    assert "middle_matrix_scan" in rep["results"]
+    assert err == "inconclusive: %s, and the middle-matrix scan found no " \
+        "witness\n" % reason
+
+
+@pytest.mark.parametrize("flag", [["--region", "dom"], ["--tol-inv", "1e-9"]])
+def test_xy_takes_only_the_flags_it_reads(tmp_path, capsys, flag):
+    """--region and --tol-inv are partial's: xy refuses them (exit 2), and
+    each report's config lists the flags of its own command."""
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["xy", str(DATA / "square_xy_poly.txt")] + flag)
+    assert ei.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+    shared = ["samples", "scale", "seed", "sizes", "tol_psd", "workers"]
+    for argv, keys in (
+            (["xy", str(DATA / "square_xy_poly.txt")], shared),
+            (["partial", str(DATA / "xax_poly.txt")] + flag,
+             sorted(shared + ["region", "tol_inv"]))):
+        _, rep = run_out(tmp_path, "r.json", argv + ["--sizes", "1",
+                                                     "--samples", "2"])
+        assert sorted(rep["config"]) == keys
 
 
 def test_xy_loads_no_scipy(tmp_path):
@@ -1097,7 +1287,7 @@ def test_parser_built_once(capsys):
 
 
 def test_xy_certificate_report_independent_of_workers(tmp_path):
-    # the screened polynomial goes to the scan chunks as it is
+    # the certificate settles this input before any scan chunk runs
     p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
     pfile = tmp_path / "cert_poly.txt"
     pfile.write_text(ncalg.format_poly(p))
