@@ -289,23 +289,32 @@ class PolyButterfly:
         return self.w.shape[0]
 
 
-def _word_series_terms(J, JC, B, max_len):
+def _word_series_terms(JB, JC, dega, grow, max_len, tau):
     """Terms of (J - sum_j C_j letter_j)^{-1} B = sum_w M_w B with
-    M_w = (J C_w1)...(J C_wm) J, from the stack JC of the J C_j.
+    M_w = (J C_w1)...(J C_wm) J, from JB = J B and the stack JC of the
+    J C_j, over the words that survive the growth bound.
 
-    Returns (words, terms): the words over range(len(JC)) up to max_len
-    in degree-lexicographic order and the blocks M_w B stacked in that
-    order, one batched product per word length (M_{jw} B = (J C_j) M_w B);
-    the last len(JC)**max_len blocks are the words of length max_len.
+    The series grows one length at a time, M_{jw} B = (J C_j) M_w B, one
+    batched product per length over the surviving words only.  A word w
+    survives while its block X_w = M_w B keeps
+    ||X_w||_F grow^(max_len - |w|) > tau; otherwise it is dropped and
+    never extended.  Returns (words, terms, last): the surviving words up
+    to length dega in degree-lexicographic order, their blocks stacked in
+    that order, and how many of them have length dega (the last ones).
     """
-    level_w, level = [()], (J @ B)[None]
-    words, terms = [()], [level]
-    for _ in range(max_len):
-        level_w = [(j,) + w for j in range(len(JC)) for w in level_w]
-        level = (JC[:, None] @ level[None]).reshape(-1, *B.shape)
+    level_w, level = [()], JB[None]
+    words, terms = [], []
+    for m in range(dega + 1):
+        if m:
+            level_w = [(j,) + w for j in range(len(JC)) for w in level_w]
+            level = (JC[:, None] @ level[None]).reshape(-1, *JB.shape)
+        alive = np.linalg.norm(level, axis=(1, 2)) \
+            * grow ** (max_len - m) > tau
+        level_w = [w for w, kept in zip(level_w, alive) if kept]
+        level = level[alive]
         words += level_w
         terms.append(level)
-    return words, np.concatenate(terms)
+    return words, np.concatenate(terms), len(level_w)
 
 
 def _check_termination(JC, V, MvV, dega, max_len, tol):
@@ -314,7 +323,9 @@ def _check_termination(JC, V, MvV, dega, max_len, tol):
 
     Such a word is u v with |v| = dega and |u| >= 1, and M_{uv} = N_u M_v
     with N_u = (J C_u1)...(J C_um), so V* M_w V = (V* N_u)(M_v V).  MvV
-    stacks the M_v V (e x k) of the words of length dega; the left
+    stacks the M_v V (e x k) of the surviving words of length dega (see
+    _word_series_terms); a word grown from a dropped one needs no check,
+    its block lies below the growth bound's tau, at most tol.  The left
     factors V* N_u grow one letter at a time (V* N_{uz} = (V* N_u)(J C_z)),
     and each length of u is one matrix product, all left factors stacked
     by rows against all M_v V side by side, and one reduction.
@@ -374,15 +385,42 @@ def poly_butterfly(p):
     jointly nilpotent series generators.  The series is built up to the
     a-degree dega only; _check_termination verifies that V* M_w V
     vanishes (entries at most 1e-9) on the longer words up to length
-    max(dega, deg p) + 1, through the left factors V* N_u of
+    max_len = max(dega, deg p) + 1, through the left factors V* N_u of
     V* M_{uv} V = (V* N_u)(M_v V) with |v| = dega, and raises
     RealizationError if residual terms survive.  The coefficientwise
     identity p = ell* w ell + fbar is checked last (residual at most
     1e-8 max(1, max_w |coeff_w(p)|), the rounding of coefficients that
-    size, else RealizationError); terms of fbar below 1e-10 times that
-    scale drop out as rounding, and those of w and ell below 1e-10.  Dead
-    directions (common kernel of all w and ell coefficients) are trimmed
-    so small examples come out in their textbook size.
+    size, else RealizationError); terms of fbar below tol = 1e-10 times
+    that scale drop out as rounding, and those of w and ell below tol.
+    Dead directions (common kernel of all w and ell coefficients) are
+    trimmed so small examples come out in their textbook size.
+
+    The series runs over the words that can matter only, so its cost
+    follows the support of p rather than h^dega.  Every quantity read
+    from a word w comes from its block X_w = M_w [V, c]; a word u w grown
+    from w has X_{uw} = N_u X_w, and ||N_u||_2 <= rho^|u| with
+    rho = max_j ||J S_j||_2.  Up to length max_len, then, every block
+    grown from w has ||X||_F <= ||X_w||_F max(1, rho)^(max_len - |w|),
+    and every block of the series (length up to dega) has ||X||_F <= Xmax
+    = ||J [V, c]||_F max(1, rho)^dega.  V has orthonormal columns, so the
+    kept quantities are bounded by the blocks they are read from:
+      - an entry of V* X V (w, and the termination check at 10 tol) by
+        ||X||_F, kept above tol;
+      - an entry of ell, V* T_j X c, by max_j ||T_j||_2 ||X||_F, kept
+        above tol;
+      - c* W_w c by ||c|| ||X_w||_F, kept above tol scale;
+      - a Gram entry (W_r c)* T_j W_l c of fbar by
+        max_j ||T_j||_2 Xmax ||X_r||_F (and the same with l), kept above
+        tol scale.
+    With tau = tol / max(1, max ||T_j||, ||c|| / scale,
+    max ||T_j|| Xmax / scale), a word whose bound is at most tau adds
+    nothing that any of these thresholds keeps, and neither does any word
+    grown from it; _word_series_terms drops it and does not extend it.
+    What survives is taken in the same degree-lexicographic order as the
+    full series, so every kept coefficient is the same product of the
+    same blocks.  BLAS blocks a product by its number of columns, N here
+    rather than every word, so a coefficient can round differently in
+    its last bits.
     """
     if not p.is_symmetric:
         raise realize.SymmetryError("polynomial is not symmetric")
@@ -401,11 +439,20 @@ def poly_butterfly(p):
     max_len = max(dega, p.degree()) + 1
 
     # a-side resolvent series W(a) = (J - sum S_j a_j)^{-1} up to degree
-    # dega; a-letter j in the series is global letter j
+    # dega over the surviving words (see the docstring for tau); a-letter
+    # j in the series is global letter j
     JS = np.array([R.J @ S for S in R.S]).reshape(-1, R.e, R.e)
-    words, terms = _word_series_terms(R.J, JS, np.hstack([V, R.c[:, None]]),
-                                      dega)
-    _check_termination(JS, V, terms[len(terms) - len(JS) ** dega:, :, :k],
+    JB = R.J @ np.hstack([V, R.c[:, None]])
+    # the spectral norms of the J S_j and of the T_j, from one batched SVD
+    mats = np.concatenate([JS, np.reshape(R.T, (-1, R.e, R.e))])
+    norms = np.linalg.svd(mats, compute_uv=False).max(axis=1, initial=0.0)
+    grow = max(1.0, norms[:len(JS)].max(initial=0.0))
+    max_T = norms[len(JS):].max(initial=0.0)
+    max_X = np.linalg.norm(JB) * grow ** dega
+    tau = tol / max(1.0, max_T, np.linalg.norm(R.c) / scale,
+                    max_T * max_X / scale)
+    words, terms, last = _word_series_terms(JB, JS, dega, grow, max_len, tau)
+    _check_termination(JS, V, terms[len(terms) - last:, :, :k],
                        dega, max_len, tol * 10)
     VMV = V.conj().T @ terms[:, :, :k]
     # e x N, column W_w c: an F-ordered copy, so that the products below

@@ -83,6 +83,9 @@ def word_adjoint(w):
 
 
 def _as_coeff(c):
+    """c as a 2-D complex array; one that already is comes back unchanged."""
+    if type(c) is np.ndarray and c.dtype == complex and c.ndim == 2:
+        return c
     arr = np.atleast_2d(np.asarray(c, dtype=complex))
     if arr.ndim != 2:
         raise ShapeError("coefficients must be scalars or 2d matrices")
@@ -165,10 +168,18 @@ class FreePoly:
         """Max count of letters of the given class over stored words."""
         if klass not in ("a", "x"):
             raise ValueError("class must be 'a' or 'x'")
-        best = 0
+        return self._class_degrees[klass]
+
+    @functools.cached_property
+    def _class_degrees(self):
+        """{"a": a-degree, "x": x-degree}, from one pass over the words;
+        decided once per polynomial, which is immutable."""
+        h = self.ctx.h
+        dega = degx = 0
         for w in self.coeffs:
-            best = max(best, sum(1 for i in w if self.ctx.letter_class(i) == klass))
-        return best
+            na = sum(1 for i in w if i < h)
+            dega, degx = max(dega, na), max(degx, len(w) - na)
+        return {"a": dega, "x": degx}
 
     def _check_ctx(self, other):
         if self.ctx != other.ctx:

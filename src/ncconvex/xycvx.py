@@ -409,7 +409,8 @@ def mxy_witness_pair(p, wit):
     V = np.zeros((X.shape[0], 2), dtype=complex)
     V[:2, :2] = np.eye(2)
     pair = XYPair(X, Y, V)
-    defect = xy_convexity_test(p, pair, pair_tol=1e-6).defect
+    defect = _defects(p.poly if isinstance(p, PLPoly) else p, X, Y, V,
+                      pair_tol=1e-6)
     val = float(np.real(h.conj() @ defect @ h))
     return PairWitness(pair, h, val, defect)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_herm_tuple, rand_minimal_smr
-from ncconvex import butterfly, matkit, realize
+from ncconvex import butterfly, cli, matkit, realize
 from ncconvex.butterfly import (
     KebabError,
     NotConvexible,
@@ -36,6 +36,8 @@ from ncconvex.realize import (
 
 DATA = Path(realize.__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TEST_DATA = Path(__file__).resolve().parent / "data"
+EPS = np.finfo(float).eps
 
 CTX_AX = VarContext(("a",), ("x",))
 CTX_A2X = VarContext(("a",), ("x1", "x2"))
@@ -296,16 +298,15 @@ def pair_loop_fbar_ell(pb, tol=1e-10, fbar_tol=1e-10):
     return fbar, ell
 
 
-@pytest.mark.parametrize("span", [2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
-    """Sums of squares q* q with q = c0 w0 + sum c_i u_i x v_i, complex
-    c_i and |u_i v_i| = span, so p has a-degree 2 span (4 to 8)."""
+def seeded_sos(ctx, seed, span):
+    """Sum of two squares q* q with q = c0 w0 + sum c_i u_i x v_i over
+    ctx's a-letters and its one x-letter, complex c_i and |u_i v_i| =
+    span, so p has a-degree 2 span."""
     rng = np.random.default_rng(seed)
-    ctx = VarContext(("a", "b"), ("x",))
+    h = ctx.h
 
     def aword(m):
-        return tuple(int(i) for i in rng.integers(0, 2, size=m))
+        return tuple(int(i) for i in rng.integers(0, h, size=m))
 
     def coeff():
         return complex(rng.normal(), rng.normal())
@@ -316,9 +317,18 @@ def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
         for _ in range(2):
             m = int(rng.integers(0, span + 1))
             q = q + FreePoly.from_terms(
-                ctx, {aword(m) + (2,) + aword(span - m): coeff()})
+                ctx, {aword(m) + (h,) + aword(span - m): coeff()})
         p = p + q.adjoint() @ q
     assert p.degree_in_class("a") == 2 * span
+    return p
+
+
+@pytest.mark.parametrize("span", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
+    """Sums of squares (seeded_sos) in two a-letters at a-degree 2 span
+    (4 to 8)."""
+    p = seeded_sos(VarContext(("a", "b"), ("x",)), seed, span)
     pb = poly_butterfly(p)
     # fbar drops its terms at the scale of p's coefficients
     fbar, ell = pair_loop_fbar_ell(pb, fbar_tol=1e-10 * max(
@@ -346,6 +356,79 @@ def test_poly_butterfly_fbar_drops_rounding_at_scale(scale):
     assert poly_butterfly(p).fbar.coeffs == {}
 
 
+def full_word_series_terms(J, JC, B, max_len):
+    """Terms of (J - sum_j C_j letter_j)^{-1} B = sum_w M_w B with
+    M_w = (J C_w1)...(J C_wm) J, from the stack JC of the J C_j.
+
+    Returns (words, terms): the words over range(len(JC)) up to max_len
+    in degree-lexicographic order and the blocks M_w B stacked in that
+    order, one batched product per word length (M_{jw} B = (J C_j) M_w B);
+    the last len(JC)**max_len blocks are the words of length max_len.
+    """
+    level_w, level = [()], (J @ B)[None]
+    words, terms = [()], [level]
+    for _ in range(max_len):
+        level_w = [(j,) + w for j in range(len(JC)) for w in level_w]
+        level = (JC[:, None] @ level[None]).reshape(-1, *B.shape)
+        words += level_w
+        terms.append(level)
+    return words, np.concatenate(terms)
+
+
+def every_word_series(JB, JC, dega, grow, max_len, tau):
+    """_word_series_terms without the growth bound: every word up to
+    length dega (J B comes formed, so J = I, which forms it exactly)."""
+    words, terms = full_word_series_terms(np.eye(len(JB)), JC, JB, dega)
+    return words, terms, len(JC) ** dega
+
+
+def record_series(monkeypatch):
+    """Record (args, (words, terms, last)) of each _word_series_terms call."""
+    series, calls = butterfly._word_series_terms, []
+
+    def spy(*args):
+        out = series(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(butterfly, "_word_series_terms", spy)
+    return calls
+
+
+@pytest.mark.parametrize("letters, span", [
+    (("a", "b"), 2), (("a", "b"), 3), (("a", "b"), 4),
+    (("a", "b", "c"), 2), (("a", "b", "c"), 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_series_matches_every_word(seed, letters, span, monkeypatch):
+    """On sums of squares (seeded_sos) at a-degree 2 span, the series over
+    the surviving words keeps the blocks of the series over every word
+    bit for bit and in the same order, and w, ell and fbar keep the same
+    words with the same coefficients.  These agree to rounding, not bit
+    for bit: BLAS computes the columns past a product's last full block
+    of columns with other kernels, which round differently, so a word's
+    column can round differently among the survivors than among every
+    word.  Three letters stop at a-degree 6: over every word, a-degree 8
+    would take a Gram of 9841^2 entries (1.5 GB)."""
+    p = seeded_sos(VarContext(letters, ("x",)), seed, span)
+    calls = record_series(monkeypatch)
+    pruned = poly_butterfly(p)
+    monkeypatch.setattr(butterfly, "_word_series_terms", every_word_series)
+    full = poly_butterfly(p)
+
+    (args, (words, terms, last)), = calls
+    all_words, all_terms, _ = every_word_series(*args)
+    at = [all_words.index(w) for w in words]
+    assert len(words) < len(all_words) and at == sorted(at)
+    assert np.array_equal(terms, all_terms[at])
+    assert last == sum(len(w) == 2 * span for w in words)
+    scale = max(1.0, max(abs(p.scalar_coeff(w)) for w in p.words()))
+    for got, want in ((pruned.w, full.w), (pruned.ell, full.ell),
+                      (pruned.fbar, full.fbar)):
+        assert set(got.coeffs) == set(want.coeffs)
+        for w, c in got.coeffs.items():
+            assert np.abs(c - want.coeffs[w]).max() <= 64 * EPS * scale
+
+
 def test_poly_butterfly_rejects_quartic_with_witness():
     ctx = VarContext((), ("x",))
     p = FreePoly.from_terms(ctx, {(0, 0, 0, 0): 1.0})
@@ -371,18 +454,21 @@ CTX_ABX = VarContext(("a", "b"), ("x",))
 
 
 def chain_realization(letters, s):
-    """e = m + 1 states with J the exchange matrix and J S_j = s N_j, N_j
-    the links of the upper shift labelled j (letters, a palindrome, so S_j
-    is Hermitian); T = e_1 e_1*, so V_T = e_1 and V_T* M_w V_T = s^m
-    exactly for w = letters and 0 for every other word."""
+    """e = m + 1 states with J the exchange matrix and J S_j = N_j, N_j
+    the links of the upper shift labelled j, link i weighted s_i (s one
+    weight for all links, or m of them; letters and weights palindromes,
+    so S_j is Hermitian); T = e_1 e_1*, so V_T = e_1 and V_T* M_w V_T is
+    the product of the weights, s^m for one weight, exactly for
+    w = letters and 0 for every other word."""
     e = len(letters) + 1
     J = np.fliplr(np.eye(e))
     S = []
     for j in range(2):
         N = np.zeros((e, e))
-        for link, letter in enumerate(letters):
+        for link, (letter, weight) in enumerate(
+                zip(letters, np.broadcast_to(s, len(letters)))):
             if letter == j:
-                N[link, link + 1] = s
+                N[link, link + 1] = weight
         S.append(J @ N)
     T = np.zeros((e, e))
     T[0, 0] = 1.0
@@ -406,6 +492,39 @@ def test_poly_butterfly_flags_a_series_past_dega(letters, monkeypatch):
                         lambda q: chain_realization(letters, 5e-10 ** (1 / m)))
     with pytest.raises(butterfly.RealizationError, match="identity residual"):
         poly_butterfly(p)
+
+
+def test_poly_butterfly_growth_bound_keeps_a_small_prefix(monkeypatch):
+    """rho = 1e6 > 1.  In the chain with link weights (eps, L, L, eps),
+    eps = 5e-11 and L = 1e6, the one-letter word's block (sqrt(2) eps =
+    7.1e-11) lies below tau = 1e-10 (p at scale 1e12 leaves tau = tol),
+    yet the word of length 4 grown from it has V* M_w V = (eps L)^2 =
+    2.5e-9.  The growth bound, not the block size, decides: the prefix is
+    kept, and the termination check flags the word."""
+    p = FreePoly.from_terms(CTX_ABX, {(2, 0, 2): 1e12, (2, 1, 2): 1e12})
+    eps, L = 5e-11, 1e6
+    monkeypatch.setattr(
+        butterfly, "linearize_poly",
+        lambda q: chain_realization((0, 1, 1, 0), (eps, L, L, eps)))
+    calls = record_series(monkeypatch)
+    with pytest.raises(butterfly.RealizationError,
+                       match="a-series fails to terminate at degree 4$"):
+        poly_butterfly(p)
+    (args, (words, terms, _)), = calls
+    grow, tau = args[3], args[5]
+    assert grow == pytest.approx(L) and tau == 1e-10
+    assert np.linalg.norm(terms[words.index((0,))]) < tau
+
+
+def test_partial_three_letters_at_adegree_10_keeps_16_words(monkeypatch):
+    """A sum of four squares in three a-letters at a-degree 10: the series
+    over every word would have 88,573 words and a Gram of 117 GiB; over
+    the surviving words, partial exits 0 and keeps at most 16."""
+    calls = record_series(monkeypatch)
+    assert cli.main(["partial",
+                     str(TEST_DATA / "three_letter_sos_adeg10.txt")]) == 0
+    (_, (words, _, _)), = calls
+    assert len(words) <= 16
 
 
 @pytest.mark.parametrize("c, flagged", [(2e-8, True), (5e-9, False)])

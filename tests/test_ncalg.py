@@ -57,6 +57,19 @@ def test_degrees():
     assert p.degree() == 4
     assert p.degree_in_class("a") == 2
     assert p.degree_in_class("x") == 2
+    q = FreePoly.from_terms(CTX_AX, {(0, 0, 0): 1.0, (1, 0, 1): 1.0})
+    assert (q.degree_in_class("a"), q.degree_in_class("x")) == (3, 2)
+    with pytest.raises(ValueError, match="class must be"):
+        q.degree_in_class("b")
+
+
+def test_as_coeff_passes_complex_matrices_through():
+    M = np.eye(2, dtype=complex)
+    assert ncalg._as_coeff(M) is M
+    for c in (2, [[1.0, 2.0]], np.eye(2), np.eye(2, dtype=np.complex64)):
+        arr = ncalg._as_coeff(c)
+        assert arr.dtype == complex and arr.ndim == 2
+        assert np.array_equal(arr, np.atleast_2d(c))
 
 
 @pytest.mark.parametrize("coeffs, shape, error", [
