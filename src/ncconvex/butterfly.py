@@ -10,9 +10,9 @@ resolvent at (A, 0) and V_T for the inclusion of ran T:
 
 with w(A) = R_T(A, 0), ell(A, X) = (V_T (x) I)* L W(A) (c (x) I) and fbar
 the affine-in-x part (the first two caterpillar terms).  The evaluators
-read W, R and w from the eigenpairs of one Region(R, "dom").test of the
-pair (A, 0), (A, X).  For polynomials the resolvent series terminates and
-w, ell, fbar become polynomials.
+read W, R and w from the pencil inverses that one Region(R, "dom").test
+of the pair (A, 0), (A, X) hands on.  For polynomials the resolvent
+series terminates and w, ell, fbar become polynomials.
 """
 
 from __future__ import annotations
@@ -54,31 +54,31 @@ def _pencil_block(C0, coeffs, A_mats, n):
 
 
 def _kebab_pair(R, t, tol_inv):
-    """(inside, lam, Q) of the points (A, 0) and (A, X), in that order:
-    which lie in dom at tol_inv, and the eigenpairs of their pencils, from
-    one Region(R, "dom").test."""
+    """(inside, W) of the points (A, 0) and (A, X), in that order: which
+    lie in dom at tol_inv, and their pencils' inverses, from one
+    Region(R, "dom").test."""
     return Region(R, "dom", tol_inv=tol_inv).test(
         realize._stack([R.zero_x(t), t]))
 
 
-def _affine_terms(R, t, lam, Q):
-    """(C, W C, L W C) with C = c (x) I, W the resolvent at (A, 0) from its
-    pencil's eigenpairs and L = sum T_i (x) X_i."""
+def _affine_terms(R, t, W):
+    """(C, W C, L W C) with C = c (x) I, W the resolvent at (A, 0) and
+    L = sum T_i (x) X_i."""
     C = R.c_lift(t.n)
-    Wc = (Q / lam) @ (Q.conj().T @ C)
+    Wc = W @ C
     return C, Wc, R.x_sum(t.X, t.n) @ Wc
 
 
 def caterpillar_eval(R, t, tol_inv=TOL_INV):
     """Three caterpillar terms at (A, X) in dom-kebab; returns (t0, t1, t2)."""
-    inside, lam, Q = _kebab_pair(R, t, tol_inv)
+    inside, W = _kebab_pair(R, t, tol_inv)
     if not inside[0]:
         raise KebabError("(A, 0) is outside dom r")
     if not inside[1]:
         raise NotInDomain("(A, X) is outside dom r")
-    C, Wc, LWc = _affine_terms(R, t, lam[0], Q[0])
+    C, Wc, LWc = _affine_terms(R, t, W[0])
     return (C.conj().T @ Wc, Wc.conj().T @ LWc,
-            realize._compress(lam[1], Q[1], LWc))
+            realize._compress(W[1], LWc))
 
 
 def fbar_eval(R, t, tol_inv=TOL_INV):
@@ -98,14 +98,14 @@ class ButterflyCert:
         return realize.r_T(self.R, self.R.zero_x(t), tol_inv)
 
     def _zero_slice(self, t):
-        """(lam, Q, w): the eigenpairs of the pencil at (A, 0) and w(A)
-        (None when k = 0); None when (A, 0) or (A, X) is outside dom."""
-        inside, lam, Q = _kebab_pair(self.R, t, TOL_INV)
+        """(W, w): the pencil's inverse at (A, 0) and w(A) (None when
+        k = 0); None when (A, 0) or (A, X) is outside dom."""
+        inside, W = _kebab_pair(self.R, t, TOL_INV)
         if not inside.all():
             return None
-        w = realize.r_T(self.R, self.R.zero_x(t), factors=(lam[0], Q[0])) \
+        w = realize.r_T(self.R, self.R.zero_x(t), factors=W[0]) \
             if self.R.frame.k else None
-        return lam[0], Q[0], w
+        return W[0], w
 
     def _sandwich(self, rw, t):
         """I - sqrt(w) Lhat sqrt(w), Lhat = sum That_i (x) X_i."""
@@ -119,8 +119,8 @@ class ButterflyCert:
         at = self._zero_slice(t)
         if at is None:
             raise NotInDomain("point is outside dom-kebab")
-        lam, Q, w = at
-        C, Wc, LWc = _affine_terms(self.R, t, lam, Q)
+        W, w = at
+        C, Wc, LWc = _affine_terms(self.R, t, W)
         f = C.conj().T @ Wc + Wc.conj().T @ LWc
         if w is None:
             return f
@@ -133,7 +133,7 @@ class ButterflyCert:
         at = self._zero_slice(t)
         if at is None:
             return False
-        w = at[2]
+        w = at[1]
         return w is None or (is_psd(w).is_psd and is_psd(
             matkit.herm(self._sandwich(sqrt_psd(w), t))).is_pd)
 

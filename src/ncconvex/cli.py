@@ -30,7 +30,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -374,15 +373,14 @@ def _localizing_scan(R, cfg, rng):
     draws its companions right after the point, from the same region."""
     entry = {"checked": 0, "indefinite_points": 0}
     dom_region = make_region("dom", R, cfg)
-    frame = R.frame
     for n in cfg.sizes:
-        for t, _, lam, Q in partialcvx.region_probes(
+        for t, _, W in partialcvx.region_probes(
                 dom_region, int(n), cfg.samples, rng, cfg.scale,
                 max_attempts=50):
             entry["checked"] += 1
             # with k = 0, R_T is the empty matrix: PSD, never indefinite
-            if not (frame.k and np.linalg.eigvalsh(realize._compress(
-                    lam, Q, frame.lift(t.n)))[0] < -1e-3):
+            if not (R.frame.k and np.linalg.eigvalsh(
+                    realize.r_T(R, t, factors=W))[0] < -1e-3):
                 continue
             entry["indefinite_points"] += 1
             if "sharpness_witness" in entry:
@@ -403,6 +401,7 @@ def _raise_on_overflow():
 def _run_chunks(fn, payloads, workers):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_raise_on_overflow) as pool:
         return list(pool.map(fn, payloads))
@@ -513,18 +512,22 @@ def cmd_partial(args):
 
     if notes:
         results["notes"] = notes
+    reasons = [] if negative else [
+        "size %d: %s" % (c["size"], c["inconclusive"])
+        for c in chunks if "inconclusive" in c]
+    if not negative and all(c["empty"] for c in chunks):
+        results["inconclusive"] = (
+            "no region point at any size (%s at sizes %s: %d probes of %d "
+            "draws each per size)" % (
+                scan["region"], ",".join(str(int(s)) for s in cfg.sizes),
+                cfg.samples, partialcvx.MAX_ATTEMPTS))
+        reasons.append(results["inconclusive"])
     emit_report(report, cfg.out)
+    for reason in reasons:
+        print("inconclusive: %s" % reason, file=sys.stderr)
     if negative:
         return EXIT_NEGATIVE
-    rounding = [c for c in chunks if "inconclusive" in c]
-    for chunk in rounding:
-        print("inconclusive: size %d: %s" % (chunk["size"],
-                                             chunk["inconclusive"]),
-              file=sys.stderr)
-    if rounding:
-        return EXIT_INCONCLUSIVE
-    empty = all(c.get("empty") for c in chunks)
-    return EXIT_INCONCLUSIVE if empty else EXIT_OK
+    return EXIT_INCONCLUSIVE if reasons else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Dense Hermitian numerical kernel.
 
-Eigendecomposition-backed PSD predicates, PSD square roots, signature
-decomposition C* H C = J, Khatri-Rao (blockwise Kronecker) products with
-their isometric embeddings, a log-barrier solver for the largest
-smallest eigenvalue of an affine Hermitian family (with its dual
-certificate), and seeded Hermitian samplers.
+Eigendecomposition-backed PSD predicates, PSD square roots, Khatri-Rao
+(blockwise Kronecker) products with their isometric embeddings, a
+log-barrier solver for the largest smallest eigenvalue of an affine
+Hermitian family (with its dual certificate), and seeded Hermitian
+samplers.
 """
 
 from __future__ import annotations
@@ -88,23 +88,6 @@ def sqrt_psd(M, tol=TOL_PSD):
     lam, U = np.linalg.eigh(herm(M))
     lam = np.clip(lam, 0.0, None)
     return herm(U @ np.diag(np.sqrt(lam)) @ U.conj().T)
-
-
-def signature_decompose(H):
-    """Invertible Hermitian H -> (J, C) with C* H C = J, J a signature matrix.
-
-    Eigenvalues are sorted descending, so H = diag(4, -9) gives
-    J = diag(1, -1) and C = diag(1/2, 1/3).
-    """
-    H = herm(check_herm(np.asarray(H, dtype=complex)))
-    lam, U = np.linalg.eigh(H)
-    order = np.argsort(-lam)
-    lam, U = lam[order], U[:, order]
-    if np.min(np.abs(lam)) <= TOL_INV * max(1.0, np.max(np.abs(lam))):
-        raise SingularError("Hermitian matrix is numerically singular")
-    J = np.diag(np.sign(lam))
-    C = U @ np.diag(1.0 / np.sqrt(np.abs(lam)))
-    return J, C
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,15 @@ probe over direct sums.
 Region points come from a block rejection sampler (_sample_in_region):
 candidates are drawn in blocks of 1, 2, 4, ... with one
 matkit.sample_blocks call and tested with one realize.Region.test call
-per block, which on dom+ screens out most rejected draws with one
-batched LU inverse.  The scans draw one probe at a time (region_probes):
-a point from the sampler, then its directions or midpoint partner.  On
-the plus kinds partial checks one point per size (first_probe), the
-first probe of the Hessian scan.  The sampler leaves the generator where
-a loop of per-draw sample_tuple calls would, so every draw, and with it
-every verdict, is that of the per-sample loop.  An accepted point comes
-with the eigenpairs of its pencil, and the Hessian probe, the midpoint
-triple and the span probe evaluate from them instead of factoring the
-point again.
+per block, which inverts the block's pencils with one batched LU.  The
+scans draw one probe at a time (region_probes): a point from the
+sampler, then its directions or midpoint partner.  On the plus kinds
+partial checks one point per size (first_probe), the first probe of the
+Hessian scan.  The sampler leaves the generator where a loop of per-draw
+sample_tuple calls would, so every draw, and with it every verdict, is
+that of the per-sample loop.  An accepted point comes with its pencil's
+inverse W, and the Hessian probe, the midpoint triple and the span probe
+evaluate from it instead of factoring the point again.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from .realize import Region, eval_realization, r_T, resolvent
 
 # pencil entries per sampled block, B (en)^2: 16 MB of complex numbers
 BLOCK_ENTRIES = 1 << 20
+# draws per region probe before it gives up
+MAX_ATTEMPTS = 500
 
 
 class RegionEmpty(ValueError):
@@ -57,9 +58,9 @@ class SpanFailure(ValueError):
 def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
     raises NotInDomain when the pencil at t is singular at tol_inv."""
-    lam, Q = realize._pencil_eigh(R, t, tol_inv)
+    W = resolvent(R, t, tol_inv)
     H = np.asarray(H, dtype=complex).reshape(1, R.g, t.n, t.n)
-    return _hessians(R, lam[None], Q[None], H)[0]
+    return _hessians(R, W[None], H)[0]
 
 
 def partial_hessian_forms(R, t, H):
@@ -124,18 +125,16 @@ def _herm_stack(n, parts, scale, rng, size):
     return np.stack(matkit.sample_blocks(parts, scale, rng, size), axis=1)
 
 
-def _sample_in_region(region, n, scale, rng, max_attempts=500):
+def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     """The first of max_attempts sample_tuple draws that lies in the
-    region, with its pencil eigenpairs (lam, Q); None when none does.
+    region, with its pencil's inverse W; None when none does.
 
     Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
     left and by BLOCK_ENTRIES), one sample_blocks and one region.test per
-    block, and the first True of its mask is taken (on dom-plus and
-    kebab-plus, region.test screens the block with one batched LU inverse
-    and factors only the draws left).  When the accepted candidate is
-    not the last of its block, the generator is rewound to the block's
-    start and only the draws up to it are made again, so it ends where
-    the per-draw loop would: every draw, point and eigenpair is the
+    block, and the first True of its mask is taken.  When the accepted
+    candidate is not the last of its block, the generator is rewound to
+    the block's start and only the draws up to it are made again, so it
+    ends where the per-draw loop would: every draw and point is the
     loop's.  The point is built unvalidated (the draws are Hermitian), so
     a realization with no letters gives the empty tuple of size n.
     """
@@ -147,28 +146,28 @@ def _sample_in_region(region, n, scale, rng, max_attempts=500):
         B = min(size, cap, max_attempts - done)
         state = rng.bit_generator.state
         mats = _herm_stack(n, parts, scale, rng, B)
-        mask, lam, Q = region.test(mats)
+        mask, W = region.test(mats)
         if mask.any():
             i = int(np.argmax(mask))
             if i < B - 1:
                 rng.bit_generator.state = state
                 matkit.skip_blocks(parts, scale, rng, i + 1)
             return HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
-                             validate=False), (lam[i], Q[i])
+                             validate=False), W[i]
         done += B
         size *= 2
     return None
 
 
 def region_probes(region, n, samples, rng, scale, extra=(),
-                  max_attempts=500):
+                  max_attempts=MAX_ATTEMPTS):
     """samples region probes at size n, drawn one at a time.
 
     A probe is the point of a _sample_in_region call (the first of
     max_attempts draws at scale that lies in the region) followed by one
     Hermitian n x n draw per entry of extra, at that scale.  Yields
-    (t, extras, lam, Q): the point as a HermTuple, its draws
-    (len(extra), n, n) and the eigenpairs of its pencil.  A probe whose
+    (t, extras, W): the point as a HermTuple, its draws
+    (len(extra), n, n) and its pencil's inverse.  A probe whose
     draws all miss the region draws nothing more and yields nothing.
     Between two probes the caller may draw from rng itself: the next
     probe draws after it.
@@ -177,17 +176,16 @@ def region_probes(region, n, samples, rng, scale, extra=(),
     for _ in range(samples):
         hit = _sample_in_region(region, n, scale, rng, max_attempts)
         if hit is not None:
-            t, (lam, Q) = hit
-            yield t, _herm_stack(n, parts, extra, rng, 1)[0], lam, Q
+            t, W = hit
+            yield t, _herm_stack(n, parts, extra, rng, 1)[0], W
 
 
-def _hessians(R, lam, Q, H):
-    """partial_hessian at a stack of points from their pencil eigenpairs
-    (B, en) and (B, en, en), in the directions H (B, g, n, n)."""
+def _hessians(R, W, H):
+    """partial_hessian at a stack of points from their pencils' inverses
+    W (B, en, en), in the directions H (B, g, n, n)."""
     n = H.shape[-1]
-    res = (Q / lam[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-    LRc = R.x_sum(H, n) @ (res @ R.c_lift(n))
-    return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ res @ LRc))
+    LRc = R.x_sum(H, n) @ (W @ R.c_lift(n))
+    return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ W @ LRc))
 
 
 def first_probe(region, n, samples, rng, scale):
@@ -201,10 +199,10 @@ def first_probe(region, n, samples, rng, scale):
                                (1.0,) * R.g), None)
     if probe is None:
         return None
-    _, H, lam, Q = probe
-    ev = np.linalg.eigvalsh(_hessians(R, lam[None], Q[None], H[None]))[0]
-    rt_low = np.linalg.eigvalsh(realize._compress(
-        lam, Q, R.frame.lift(n)))[0] if R.frame.k else 0.0
+    t, H, W = probe
+    ev = np.linalg.eigvalsh(_hessians(R, W[None], H[None]))[0]
+    rt_low = np.linalg.eigvalsh(r_T(R, t, factors=W))[0] \
+        if R.frame.k else 0.0
     return ev, float(rt_low)
 
 
@@ -220,18 +218,18 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     Both scans draw region_probes: a Hessian probe is a region point and
     its g directions H (at scale 1), a midpoint probe a point (A, X) and
     its Y (at scale).  The region decides which points lie in dom.  Each
-    Hessian is evaluated from the eigenpairs the region test handed on and
-    judged by matkit.psd_mask at tol.  The points (A, Y) and
+    Hessian is evaluated from the pencil inverse the region test handed
+    on and judged by matkit.psd_mask at tol.  The points (A, Y) and
     (A, (X + Y)/2) of a midpoint probe are tested with one more
-    region.test, and its gap comes from the three points' eigenpairs.
+    region.test, and its gap comes from the three points' inverses.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
     count, min_lambda = 0, np.inf
     for n in sizes:
-        for t, H, lam, Q in region_probes(region, n, samples, rng, scale,
-                                          (1.0,) * R.g):
-            val = _hessians(R, lam[None], Q[None], H[None])[0]
+        for t, H, W in region_probes(region, n, samples, rng, scale,
+                                     (1.0,) * R.g):
+            val = _hessians(R, W[None], H[None])[0]
             ev = np.linalg.eigvalsh(val)
             low = float(ev[0])
             count += 1
@@ -243,18 +241,18 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 
     pairs = viol = 0
     for n in sizes:
-        for t, Y, lam, Q in region_probes(region, n, midpoint_pairs, rng,
-                                          scale, (scale,) * R.g):
+        for t, Y, W in region_probes(region, n, midpoint_pairs, rng,
+                                     scale, (scale,) * R.g):
             far = HermTuple(n, t.A, tuple(Y), validate=False)
             mid = HermTuple(n, t.A, tuple((X + Yi) / 2
                                           for X, Yi in zip(t.X, Y)),
                             validate=False)
-            inside, clam, cQ = region.test_points([far, mid])
+            inside, Wc = region.test_points([far, mid])
             if not inside.all():
                 continue
-            gap = (eval_realization(R, t, (lam, Q))
-                   + eval_realization(R, far, (clam[0], cQ[0]))) / 2 \
-                - eval_realization(R, mid, (clam[1], cQ[1]))
+            gap = (eval_realization(R, t, W)
+                   + eval_realization(R, far, Wc[0])) / 2 \
+                - eval_realization(R, mid, Wc[1])
             pairs += 1
             viol += int(not matkit.psd_mask(np.linalg.eigvalsh(gap), tol))
     return ConvexEvidence(count, float(min_lambda), pairs, viol)
@@ -325,13 +323,11 @@ def span_probe(R, m, rng=None, region=None):
         hit = _sample_in_region(region, n, 0.5, rng, max_attempts=200)
         if hit is None:
             continue
-        t, factors = hit
+        t, W = hit
         H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        res = resolvent(R, t, factors=factors)
-        C = R.c_lift(n)
-        L = R.x_sum(H, n)
-        cols = np.kron(np.eye(R.e), z) @ (L @ (res @ C))
+        cols = np.kron(np.eye(R.e), z) @ (R.x_sum(H, n)
+                                          @ (W @ R.c_lift(n)))
         cols = Vm.conj().T @ cols
         trial = np.hstack([acc, cols])
         Q = realize._orth(trial, realize.RTOL_RANK)
@@ -377,7 +373,11 @@ def negativity_witness(R, bad, rng=None, region=None):
     if lam[0] >= -1e-6:
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
+    # canonical phase, largest-modulus entry real positive (as
+    # poly_butterfly fixes ell's): h does not carry eigh's arbitrary phase
     xi = vecs[:, 0]
+    z = xi[np.argmax(np.abs(xi))]
+    xi = xi * (np.conj(z) / abs(z))
     span = span_probe(R, m, rng, region)
     if not span.saturated:
         raise SpanFailure(span.achieved_dim, span.target_dim)

@@ -24,14 +24,15 @@ states (the suffix states of a polynomial, the Krylov closure of c for a
 realization), gives the dimension, J and the basis at once
 (_signature_realization).
 
-At a point (A, X) the pencil J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
-is Hermitian, so one Hermitian eigendecomposition P = Q diag(lam) Q*
-serves every domain predicate: the singular values are the |lam|, and
-P^{-1} = Q diag(1/lam) Q*.  A Region, the one membership test, tests a
-stack of points with one batched eigendecomposition and hands the
-eigenpairs of each point on: resolvent, r_T and eval_realization take
-them as factors=, trusted, and do not factor the pencil again.  in_dom,
-in_dom_plus, in_dom_kebab and in_dom_kebab_plus are the one-point case.
+At a point (A, X) the pencil P = J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
+is Hermitian.  A Region, the one membership test, inverts a stack of
+pencils with one batched LU and hands each point's inverse W = P^{-1} on:
+the plus kinds read R_T = (V_T (x) I)* W (V_T (x) I) from it, and
+resolvent, r_T and eval_realization take it as factors=, trusted, and do
+not factor the pencil again.  Invertibility itself is decided on the
+pencil's eigenvalues (eigvalsh), at the relative threshold of
+_invertible.  in_dom, in_dom_plus, in_dom_kebab and in_dom_kebab_plus are
+the one-point case.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ import numpy as np
 
 from . import matkit
 from .ncalg import HermTuple, SymmetryError, check_herm
-from .matkit import (TOL_INV, TOL_PSD, jmat, junmat, junvec,
-                     signature_decompose)
+from .matkit import TOL_INV, TOL_PSD, jmat, junmat, junvec
 
 RTOL_RANK = 1e-10
 
@@ -194,37 +194,35 @@ def _invertible(lam, tol_inv):
         > tol_inv * np.maximum(1.0, a.max(axis=-1, initial=0.0))
 
 
-def _pencil_eigh(R, t, tol_inv, factors=None):
-    """(lam, Q) of the Hermitian pencil at t: the factors a Region handed
-    on (its test has put t in dom), or one eigh when there are none, which
-    raises NotInDomain when the pencil is singular at tol_inv."""
+def _inverse(R, t, tol_inv, factors=None):
+    """The pencil's inverse at t: the one a Region handed on (its test has
+    put t in dom), or that of a one-point dom test, which raises
+    NotInDomain when the pencil is singular at tol_inv."""
     if factors is not None:
         return factors
-    lam, Q = np.linalg.eigh(R.pencil(t))
-    if not _invertible(lam, tol_inv):
-        raise NotInDomain("pencil is numerically singular (smin=%g)"
-                          % np.abs(lam).min())
-    return lam, Q
+    inside, W = Region(R, "dom", tol_inv=tol_inv).test(_stack([t]))
+    if not inside[0]:
+        raise NotInDomain("pencil is numerically singular at tol_inv=%g"
+                          % tol_inv)
+    return W[0]
 
 
 def resolvent(R, t, tol_inv=TOL_INV, factors=None):
-    """P(A, X)^{-1} = Q diag(1/lam) Q* from the pencil's eigenpairs (see
-    _pencil_eigh); raises NotInDomain at singular pencils."""
-    lam, Q = _pencil_eigh(R, t, tol_inv, factors)
-    return (Q / lam) @ Q.conj().T
+    """P(A, X)^{-1} (see _inverse); raises NotInDomain at singular
+    pencils."""
+    return _inverse(R, t, tol_inv, factors)
 
 
-def _compress(lam, Q, lift):
-    """lift* Q diag(1/lam) Q* lift for a lift V (x) I, Hermitian; lam and Q
-    may be stacks (B, en) and (B, en, en)."""
-    Y = Q.conj().swapaxes(-1, -2) @ lift
-    return matkit.herm(Y.conj().swapaxes(-1, -2) @ (Y / lam[..., None]))
+def _compress(W, lift):
+    """lift* W lift, made Hermitian, for a lift V (x) I; W may be a stack
+    (B, en, en)."""
+    return matkit.herm(lift.conj().T @ W @ lift)
 
 
 def eval_realization(R, t, factors=None):
     """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian, from the pencil's
-    eigenpairs (see _pencil_eigh); raises NotInDomain at singular pencils."""
-    return _compress(*_pencil_eigh(R, t, TOL_INV, factors), R.c_lift(t.n))
+    inverse (see _inverse); raises NotInDomain at singular pencils."""
+    return _compress(_inverse(R, t, TOL_INV, factors), R.c_lift(t.n))
 
 
 @dataclass(frozen=True)
@@ -262,11 +260,27 @@ def _range_t_frame(R):
 
 def r_T(R, t, tol_inv=TOL_INV, factors=None):
     """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
-    from the pencil's eigenpairs (see _pencil_eigh)."""
-    return _compress(*_pencil_eigh(R, t, tol_inv, factors), R.frame.lift(t.n))
+    from the pencil's inverse (see _inverse)."""
+    return _compress(_inverse(R, t, tol_inv, factors), R.frame.lift(t.n))
 
 
 REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
+
+
+def _inverses(P):
+    """(W, ok) for a stack of pencils: their inverses from one batched LU,
+    and which exist.  A stack with an exactly singular pencil is inverted
+    one pencil at a time; that pencil's W is zero."""
+    try:
+        return np.linalg.inv(P), np.ones(len(P), dtype=bool)
+    except np.linalg.LinAlgError:
+        W, ok = np.zeros_like(P), np.zeros(len(P), dtype=bool)
+        for i, Pi in enumerate(P):
+            try:
+                W[i], ok[i] = np.linalg.inv(Pi), True
+            except np.linalg.LinAlgError:
+                pass
+        return W, ok
 
 
 class Region:
@@ -279,28 +293,14 @@ class Region:
     ball: dom, and every matrix of spectral norm <= radius (1 + 1e-12):
     a draw rescaled to norm radius computes a norm a few ulps above it.
 
-    test is the one membership call.  It reads every kind from one
-    batched pencil build, one batched eigh (over 2B pencils for the kebab
-    kinds), one batched R_T compression of the invertible points and one
-    batched eigvalsh, and hands on the eigenpairs of each point's own
-    pencil, so that a consumer evaluating there (resolvent, r_T,
-    eval_realization with factors=) does not factor it again.  For
-    dom-plus and kebab-plus with k > 0 it first screens the stack: one
-    batched LU inverse of the pencils P (and of the pencils at (A, 0) for
-    kebab-plus) gives R_T = V* P^-1 V at every point, V = V_T (x) I, and
-    one batched eigvalsh its extreme eigenvalues lo <= hi.  A point is
-    rejected outright, with zero eigenpairs, when at one of its pencils
-
-        lo + tol max(1, |lo|, |hi|) + 2 (1 + tol) delta < 0,
-        delta = en eps ||P||_F ||P^-1||_F^2
-
-    (eps the float64 machine epsilon, P^-1 as computed).  delta is a
-    first-order bound on the rounding error of R_T, both of the inverse
-    and of the eigh-based R_T, so the unscreened test (_test) rejects
-    every such point too.  Only the points left get the eigh, from the
-    same pencils: the mask, and the eigenpairs of every point left, are
-    _test's bit for bit.  A stack in which the LU meets an exactly
-    singular pencil is tested whole.
+    test is the one membership call, with one path for every kind: the
+    ball's norms; one batched LU inverse W of every pencil (and of the
+    pencils at (A, 0) for the kebab kinds), an exactly singular pencil
+    lying outside; on the plus kinds with k > 0, R_T = V* W V,
+    V = V_T (x) I, judged by psd_mask; then the dom rule, _invertible on
+    the eigvalsh of the pencils still in.  It hands on each point's W, so
+    that a consumer evaluating there (resolvent, r_T, eval_realization
+    with factors=) does not factor the pencil again.
     """
 
     def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV,
@@ -322,60 +322,31 @@ class Region:
         return np.concatenate([mats, at_zero])
 
     def test(self, mats):
-        """(mask, lam, Q) for a stack of points (B, h + g, n, n): which lie
-        in the region, and the eigenpairs (B, en), (B, en, en) of their
-        pencils (zero at the points the screen rejects)."""
-        B = len(mats)
-        P = self.R.pencils(self._with_zero_x(mats))
-        if not (self.kind.endswith("plus") and self.R.frame.k):
-            return self._test(mats, P)
-        try:
-            left = np.flatnonzero(~self._surely_outside(P, B))
-        except np.linalg.LinAlgError:
-            return self._test(mats, P)
-        en = P.shape[-1]
-        mask = np.zeros(B, dtype=bool)
-        lam = np.zeros((B, en))
-        Q = np.zeros((B, en, en), dtype=complex)
-        if left.size:
-            per_point = P.reshape((-1, B) + P.shape[1:])[:, left]
-            mask[left], lam[left], Q[left] = self._test(
-                mats[left], per_point.reshape((-1,) + P.shape[1:]))
-        return mask, lam, Q
-
-    def _test(self, mats, P):
-        """test without the screen, from the pencils P of the stack (and
-        of its points (A, 0) for the kebab kinds)."""
+        """(mask, W) for a stack of points (B, h + g, n, n): which lie in
+        the region, and the inverses (B, en, en) of their pencils."""
         B, n = mats.shape[0], mats.shape[-1]
-        lam, Q = np.linalg.eigh(P)
-        mask = _invertible(lam, self.tol_inv)
+        mask = np.ones(B, dtype=bool)
         if self.kind == "ball":
             norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
             mask &= np.all(norms <= self.radius * (1 + 1e-12), axis=1)
+        P = self.R.pencils(self._with_zero_x(mats))
+        W, ok = _inverses(P)
+        per_point = 2 if self.kind.startswith("kebab") else 1
+        mask &= ok.reshape(per_point, B).all(axis=0)
+        judges = []
         if self.kind.endswith("plus") and self.R.frame.k:
-            idx = np.flatnonzero(mask)
-            ev = np.linalg.eigvalsh(
-                _compress(lam[idx], Q[idx], self.R.frame.lift(n)))
-            mask[idx] = matkit.psd_mask(ev, self.tol)
-        return mask.reshape(-1, B).all(axis=0), lam[:B], Q[:B]
-
-    def _surely_outside(self, P, B):
-        """The screen of test on the pencils P of a stack of B points:
-        which points have an R_T that is not PSD by more than the rounding
-        bound; raises LinAlgError at an exactly singular pencil."""
-        en = P.shape[-1]
-        Pinv = np.linalg.inv(P)
-        V = self.R.frame.lift(en // self.R.e)
-        # eigvalsh reads one triangle, so R_T is not symmetrized: the
-        # asymmetry is rounding, inside delta
-        ev = np.linalg.eigvalsh(V.conj().T @ Pinv @ V)
-        lo, hi = ev[:, 0], ev[:, -1]
-        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        delta = en * np.finfo(float).eps \
-            * np.linalg.norm(P, axis=(-2, -1)) \
-            * np.linalg.norm(Pinv, axis=(-2, -1)) ** 2
-        out = lo + self.tol * scale + 2 * (1 + self.tol) * delta < 0
-        return out.reshape(-1, B).any(axis=0)
+            lift = self.R.frame.lift(n)
+            judges.append(lambda idx: matkit.psd_mask(
+                np.linalg.eigvalsh(_compress(W[idx], lift)), self.tol))
+        judges.append(lambda idx: _invertible(np.linalg.eigvalsh(P[idx]),
+                                              self.tol_inv))
+        # each judge sees only the pencils of the points still in
+        for judge in judges:
+            idx = np.flatnonzero(np.tile(mask, per_point))
+            passed = np.ones(len(P), dtype=bool)
+            passed[idx] = judge(idx)
+            mask &= passed.reshape(per_point, B).all(axis=0)
+        return mask, W[:B]
 
     def test_points(self, points):
         """test on a sequence of HermTuples of one size."""
@@ -688,12 +659,10 @@ def realization_to_json(R):
 
 def realization_from_json(obj):
     """Inverse of realization_to_json; ValueError on a malformed or
-    non-finite entry and on a J that signature_decompose finds singular."""
+    non-finite entry and on a J that is singular at TOL_INV (the pencil's
+    dom rule, _invertible, on the eigenvalues of J)."""
     R = Realization.make(junmat(obj["J"]), [junmat(M) for M in obj["S"]],
                          [junmat(M) for M in obj["T"]], junvec(obj["c"]))
-    if R.e:
-        try:
-            signature_decompose(R.J)
-        except matkit.SingularError:
-            raise ValueError("J is numerically singular")
+    if not _invertible(np.linalg.eigvalsh(R.J), TOL_INV):
+        raise ValueError("J is numerically singular")
     return R

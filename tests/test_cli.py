@@ -345,6 +345,22 @@ def test_partial_singular_J_is_input_error(tmp_path, capsys, J):
     assert "J is numerically singular" in capsys.readouterr().err
 
 
+def test_partial_with_no_region_point_says_why(tmp_path, capsys):
+    """When every size is empty, partial exits 3 with one stderr reason
+    that states the probe budget, and the report carries the same reason:
+    w = a - 1 of x a x - x x is never PSD at --scale 0.6."""
+    poly = tmp_path / "xax_minus_xx.txt"
+    poly.write_text("vars a: a | x: x\n1 * x a x\n-1 * x x\n")
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(poly), "--sizes", "1,2", "--samples", "2"])
+    reason = ("no region point at any size (dom-plus at sizes 1,2: 2 probes "
+              "of 500 draws each per size)")
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == "inconclusive: %s\n" % reason
+    assert rep["results"]["inconclusive"] == reason
+    assert all(c["empty"] for c in rep["results"]["hessian_scan"]["per_size"])
+
+
 def test_partial_ball_region(tmp_path):
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(DATA / "xax_poly.txt"),
@@ -406,6 +422,34 @@ PLUS_KEYS = {"size", "empty", "samples", "min_lambda", "rt_lambda_min",
              "reason"}
 
 
+CORPUS_EXIT_CODES = {
+    "partial-accept": {"sos%d.txt" % i: EXIT_OK for i in range(25)},
+    "partial-reject": {"x4_poly.txt": EXIT_NEGATIVE, "xax_poly.txt": EXIT_OK,
+                       **{"thin%d.txt" % i: EXIT_OK for i in range(18)},
+                       **{"deep%d.txt" % i: EXIT_NEGATIVE for i in range(5)}},
+    "xy-corpus": {"square_xy_poly.txt": EXIT_NEGATIVE,
+                  **{"%s_N%d_%d.txt" % (kind, N, i): code
+                     for kind, code in (("cert", EXIT_OK),
+                                        ("twin_xx", EXIT_NEGATIVE),
+                                        ("twin_yy", EXIT_NEGATIVE))
+                     for N in (1, 2, 3, 4) for i in (0, 1)}},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CORPUS_EXIT_CODES))
+def test_corpus_exit_codes_at_seed_1(tmp_path, monkeypatch, workload):
+    """The exit code of every benchmark corpus input at seed 1: the sums
+    of squares exit 0; x4 and deep0-4 exit 1 through their midpoint
+    witness and the other partial-reject inputs 0; the certified xy
+    inputs exit 0, their negated twins and square_xy 1."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    codes = {item.name: cli.main(item.argv
+                                 + ["--out", str(tmp_path / "r.json")])
+             for item in corpus.build(workload, 1, tmp_path, DATA)}
+    assert codes == CORPUS_EXIT_CODES[workload]
+
+
 def recorded_chunks(monkeypatch):
     """Spy on the scan chunks: a list that fills with (payload, chunk)."""
     seen = []
@@ -462,8 +506,8 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         lows = []
         hessians = partialcvx._hessians
 
-        def spy(R_, lam, Q, H):
-            vals = hessians(R_, lam, Q, H)
+        def spy(R_, W, H):
+            vals = hessians(R_, W, H)
             lows.extend(np.linalg.eigvalsh(vals)[:, 0].tolist())
             return vals
 

@@ -14,14 +14,12 @@ from ncconvex import matkit
 from ncconvex.matkit import (
     BlockMatrix2,
     DomainError,
-    SingularError,
     build_embedding_E,
     herm,
     is_psd,
     khatri_rao,
     max_min_eig,
     sample_herm,
-    signature_decompose,
     sqrt_psd,
 )
 
@@ -61,33 +59,6 @@ def test_sqrt_psd_squares_back(seed, n):
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(DomainError):
         sqrt_psd(np.diag([1.0, -1.0]).astype(complex))
-
-
-def test_signature_decompose_frozen():
-    J, C = signature_decompose(np.diag([4.0, -9.0]).astype(complex))
-    assert np.allclose(J, np.diag([1.0, -1.0]))
-    assert np.allclose(np.abs(C), np.diag([0.5, 1.0 / 3.0]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, n=st.integers(1, 6))
-def test_signature_decompose_congruence(seed, n):
-    rng = np.random.default_rng(seed)
-    lam = rng.normal(size=n)
-    lam[np.abs(lam) < 0.2] += 0.5
-    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    U, _ = np.linalg.qr(M)
-    H = herm(U @ np.diag(lam) @ U.conj().T)
-    J, C = signature_decompose(H)
-    assert np.allclose(C.conj().T @ H @ C, J, atol=1e-9)
-    d = np.diag(J).real
-    assert set(np.unique(d)) <= {-1.0, 1.0}
-    assert np.all(np.diff(d) <= 0), "signature must be sorted descending"
-
-
-def test_signature_decompose_singular():
-    with pytest.raises(SingularError):
-        signature_decompose(np.diag([1.0, 0.0]).astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,29 @@ def test_negativity_witness_on_xax():
     assert quad < 0
 
 
+def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
+    """h does not carry the arbitrary phase of eigh's eigenvectors: with
+    each eigenvector of R_T turned by its own unit phase, the witness's h
+    and value are the same."""
+    R = xax_realization()
+    rng = np.random.default_rng(3)
+    bad = next(t for t in (matkit.sample_tuple(2, (1, 1), 0.6, rng)
+                           for _ in range(200))
+               if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
+    want = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    eigh = np.linalg.eigh
+
+    def turned(M):
+        lam, U = eigh(M)
+        return lam, U * np.exp(1j * np.linspace(0.7, 2.9, U.shape[-1]))
+
+    monkeypatch.setattr(np.linalg, "eigh", turned)
+    got = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    monkeypatch.undo()
+    assert np.abs(got.h - want.h).max() <= 1e-12
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
 def test_negativity_witness_rejects_definite_points():
     R = xax_realization()
     t = HermTuple(1, (np.array([[1.0 + 0j]]),), (np.array([[0.1 + 0j]]),),
@@ -291,16 +314,15 @@ def test_block_sampler_empty_region_exhausts_budget(max_attempts):
 @pytest.mark.parametrize("kind", realize.REGION_KINDS)
 def test_block_sampler_with_no_letters(kind):
     """With no letters the one point of size n is the empty tuple: the
-    sampler hands it on at the first draw, with the pencil J (x) I_n's
-    eigenpairs, and draws no normals."""
+    sampler hands it on at the first draw, with the inverse of the pencil
+    J (x) I_n, and draws no normals."""
     R = realize.Realization.make(np.eye(1), [], [], [1.0])
     region = Region(R, kind, radius=0.5 if kind == "ball" else None)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    t, (lam, Q) = partialcvx._sample_in_region(region, 2, 0.6, rng)
+    t, W = partialcvx._sample_in_region(region, 2, 0.6, rng)
     assert (t.n, t.A, t.X) == (2, (), ())
-    assert np.array_equal(lam, [1.0, 1.0])
-    assert np.allclose(Q @ Q.conj().T, np.eye(2))
+    assert np.array_equal(W, np.eye(2))
     assert rng.bit_generator.state == state
 
 
@@ -352,13 +374,13 @@ def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
             mid = HermTuple(n, t1.A,
                             tuple((a + b) / 2 for a, b in zip(t1.X, Y)),
                             validate=False)
-            inside, lams, Qs = region.test_points([t2, mid])
+            inside, Ws = region.test_points([t2, mid])
             if not inside.all():
                 continue
             try:
                 gap = (realize.eval_realization(R, t1, f1)
-                       + realize.eval_realization(R, t2, (lams[0], Qs[0]))) \
-                    / 2 - realize.eval_realization(R, mid, (lams[1], Qs[1]))
+                       + realize.eval_realization(R, t2, Ws[0])) \
+                    / 2 - realize.eval_realization(R, mid, Ws[1])
             except realize.NotInDomain:
                 continue
             pairs += 1
@@ -374,8 +396,8 @@ def block_verdict(R, region, sizes, samples, rng, monkeypatch, **kw):
     probes = []
     hessians = partialcvx._hessians
 
-    def spy(R_, lam, Q, H):
-        vals = hessians(R_, lam, Q, H)
+    def spy(R_, W, H):
+        vals = hessians(R_, W, H)
         lows = np.linalg.eigvalsh(vals)[:, 0]
         probes.extend((tuple(Hi), float(low)) for Hi, low in zip(H, lows))
         return vals

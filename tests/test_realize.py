@@ -451,9 +451,9 @@ def test_zero_function_realization_has_every_point_in_its_region(kind):
     rng = np.random.default_rng(7)
     pts = [matkit.sample_tuple(2, (Z.h, Z.g), 0.5, rng) for _ in range(3)]
     region = realize.Region(Z, kind, radius=0.5 if kind == "ball" else None)
-    mask, lam, Q = region.test_points(pts)
+    mask, W = region.test_points(pts)
     assert mask.tolist() == [True] * 3
-    assert lam.shape == (3, 0) and Q.shape == (3, 0, 0)
+    assert W.shape == (3, 0, 0)
     if kind == "ball":
         far = HermTuple(2, (np.eye(2),), (np.eye(2),), validate=False)
         assert far not in region
@@ -490,8 +490,9 @@ def test_kron_sum_equals_sum_of_krons():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["dom", "dom-plus", "kebab-plus", "ball"])
 def test_handed_on_factors_match_from_scratch(seed, kind):
-    """resolvent, r_T and eval_realization from the eigenpairs a region
-    test hands on equal the functions that factor the pencil themselves."""
+    """resolvent, r_T and eval_realization from the pencil inverse a
+    region test hands on equal the functions that invert the pencil
+    themselves, and that inverse is np.linalg.inv of the point's pencil."""
     rng = np.random.default_rng(seed)
     R = rand_smr(rng, e=4, h=1, g=2)
     if kind.endswith("plus"):  # R_T of a random R is rarely PSD
@@ -501,11 +502,12 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
     for n in (1, 2, 3):
         points = [matkit.sample_tuple(n, (R.h, R.g), 0.5, rng)
                   for _ in range(6)]
-        mask, lam, Q = region.test_points(points)
-        for t, inside, f in zip(points, mask, zip(lam, Q)):
+        mask, W = region.test_points(points)
+        for t, inside, f in zip(points, mask, W):
             if not (inside and in_dom(R, t)):
                 continue
             checked += 1
+            assert np.array_equal(f, np.linalg.inv(R.pencil(t)))
             for got, want in ((resolvent(R, t, factors=f), resolvent(R, t)),
                               (r_T(R, t, factors=f), r_T(R, t)),
                               (eval_realization(R, t, f),
@@ -539,90 +541,108 @@ def boundary_point(region, out, inside):
     return (1 - hi) * out + hi * inside
 
 
-def unguarded_screen(region, mats):
-    """Region.test's LU screen with no rounding margin: which points
-    have lo + tol max(1, |lo|, |hi|) < 0 at the LU-based R_T."""
-    V = region.R.frame.lift(mats.shape[-1])
-    ev = np.linalg.eigvalsh(
-        V.conj().T @ np.linalg.inv(region.R.pencils(mats)) @ V)
-    lo, hi = ev[:, 0], ev[:, -1]
-    return lo + region.tol * np.maximum(
-        1.0, np.maximum(np.abs(lo), np.abs(hi))) < 0
+def eigh_reference(region, mats):
+    """Region membership of a stack by eigendecomposition, as an
+    independent reference: eigh of every pencil (and of the pencils at
+    (A, 0) for the kebab kinds), _invertible on its eigenvalues, the
+    ball's norms, and on the plus kinds R_T = V* Q diag(1/lam) Q* V,
+    V = V_T (x) I, judged by eigvalsh and psd_mask."""
+    R, B, n = region.R, len(mats), mats.shape[-1]
+    P = R.pencils(region._with_zero_x(mats))
+    lam, Q = np.linalg.eigh(P)
+    mask = realize._invertible(lam, region.tol_inv)
+    if region.kind == "ball":
+        norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+        inside = np.all(norms <= region.radius * (1 + 1e-12), axis=1)
+        mask &= np.tile(inside, len(P) // B)
+    if region.kind.endswith("plus") and R.frame.k:
+        V = R.frame.lift(n)
+        for i in np.flatnonzero(mask):
+            RT = matkit.herm(V.conj().T @ (Q[i] / lam[i]) @ Q[i].conj().T @ V)
+            mask[i] = matkit.psd_mask(np.linalg.eigvalsh(RT), region.tol)
+    return mask.reshape(-1, B).all(axis=0)
 
 
-def unscreened(region, mats):
-    """Region.test with the LU screen left out."""
-    return region._test(mats, region.R.pencils(region._with_zero_x(mats)))
+def assert_matches_reference(region, mats):
+    """Region.test's mask is eigh_reference's, and the W it hands on is
+    np.linalg.inv of each point's own pencil wherever that exists."""
+    mask, W = region.test(mats)
+    assert np.array_equal(mask, eigh_reference(region, mats))
+    R, n = region.R, mats.shape[-1]
+    for i, b in enumerate(mats):
+        t = HermTuple(n, tuple(b[:R.h]), tuple(b[R.h:]), validate=False)
+        try:
+            want = np.linalg.inv(R.pencil(t))
+        except np.linalg.LinAlgError:
+            assert not mask[i]
+            continue
+        assert np.array_equal(W[i], want)
 
 
-def assert_screen_matches_unscreened(region, mats):
-    """The screened mask is the unscreened one; a point keeps its
-    unscreened eigenpairs unless the screen rejected it (zero ones).
-    Returns how many points the screen rejected."""
-    mask, lam, Q = region.test(mats)
-    want, wlam, wQ = unscreened(region, mats)
-    assert np.array_equal(mask, want)
-    rejected = 0
-    for i in range(len(mats)):
-        if np.array_equal(lam[i], wlam[i]):
-            assert np.array_equal(Q[i], wQ[i])
-        else:
-            assert not mask[i] and not lam[i].any() and not Q[i].any()
-            rejected += 1
-    return rejected
+def boundary_gaps(region, b):
+    """How far the point b lies from the region's boundary, relative to
+    scale: for each pencil of b, the gap of R_T's lambda_min to
+    -tol scale (scale = max(1, ||R_T||)) on the plus kinds, and the gap of
+    the pencil's smallest |eigenvalue| to tol_inv max(1, its largest)."""
+    R = region.R
+    t = HermTuple.make(b[:R.h], b[R.h:])
+    gaps = []
+    for u in ([t, R.zero_x(t)] if region.kind.startswith("kebab") else [t]):
+        a = np.abs(np.linalg.eigvalsh(R.pencil(u)))
+        gaps.append(abs(a.min() - region.tol_inv * max(1.0, a.max()))
+                    / max(1.0, a.max()))
+        if region.kind.endswith("plus") and R.frame.k:
+            ev = np.linalg.eigvalsh(r_T(R, u, factors=np.linalg.inv(
+                R.pencil(u))))
+            scale = max(1.0, np.abs(ev).max())
+            gaps.append(abs(ev[0] + region.tol * scale) / scale)
+    return min(gaps)
 
 
-@pytest.mark.parametrize("kind", ["dom-plus", "kebab-plus"])
-def test_region_screen_matches_unscreened_test(kind):
-    """Region.test with its LU screen gives the mask of the unscreened
-    test bit for bit, and the unscreened eigenpairs at every point the
-    screen leaves, on random blocks and on constructed points: points on
-    the region's boundary (lambda_min(R_T) within 1e-7 scale of -tol
-    scale; at some of them the LU screen without its rounding margin
-    rejects what test accepts), pencils of condition number near 1e9 and
-    exactly singular pencils inside a block.  The rejection sampler
-    leaves the generator where a per-draw loop does."""
+@pytest.mark.parametrize("kind", realize.REGION_KINDS)
+def test_region_mask_matches_eigh_reference(kind):
+    """Region.test, one batched LU inverse per stack, gives the mask of
+    the eigendecomposition reference and hands on np.linalg.inv of each
+    point's pencil: on random blocks; at bisected boundary points, where
+    the two may differ only within 1e-12 scale of the boundary; at
+    pencils of condition number near 1e9; and at an exactly singular
+    pencil inside a block.  The rejection sampler leaves the generator
+    where a per-draw loop does, with the same point and W."""
     one = np.eye(1)
     resolvent_1 = Realization.make(one, [2 * one], [2 * one], [1.0])
     polys = [FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}),
              ncalg.parse_poly(THIN),
              FreePoly.from_terms(CTX_X, {(0, 0, 0, 0): 1.0})]
     rng = np.random.default_rng(5)
-    traps = rejected = 0
-    for R in [linearize_poly(p) for p in polys] + [resolvent_1]:
-        region = realize.Region(R, kind)
+    crossings = 0
+    # with tol_inv 0.3, dom of resolvent_1 is a region of its own, where a
+    # polynomial's pencil is always invertible
+    for R, tol_inv in [(linearize_poly(p), 1e-10) for p in polys] \
+            + [(resolvent_1, 0.3)]:
+        region = realize.Region(R, kind, tol_inv=tol_inv, radius=0.5)
         for n in (1, 2, 3):
             draws = herm_stack(n, R.h + R.g, 0.6, rng, 96)
             mask = region.test(draws)[0]
             for B in (1, 2, 5, 16, 32):
                 for at in range(0, 96 - B, 7):
-                    rejected += assert_screen_matches_unscreened(
-                        region, draws[at:at + B])
+                    assert_matches_reference(region, draws[at:at + B])
             if mask.all() or not mask.any():
                 continue
             ins, outs = draws[mask], draws[~mask]
             for j in range(min(len(ins), len(outs), 8)):
                 b = boundary_point(region, outs[j], ins[j])
-                t = HermTuple.make(b[:R.h], b[R.h:])
-                pencils = [t, R.zero_x(t)] if kind == "kebab-plus" else [t]
-                gaps = []
-                for u in pencils:
-                    ev = np.linalg.eigvalsh(matkit.herm(r_T(R, u)))
-                    scale = max(1.0, np.abs(ev).max())
-                    gaps.append(abs(ev[0] + region.tol * scale) / scale)
-                if R is not resolvent_1:  # there the crossing is a pole
-                    assert min(gaps) <= 1e-7
-                traps += bool(unguarded_screen(
-                    region, realize._stack(pencils)).any())
+                crossings += 1
+                if not np.array_equal(region.test(b[None])[0],
+                                      eigh_reference(region, b[None])):
+                    assert boundary_gaps(region, b) <= 1e-12
                 block = np.concatenate([outs[:3], b[None], ins[:2]])
-                assert_screen_matches_unscreened(region, block)
                 assert np.argmax(region.test(block)[0]) == len(outs[:3])
-    assert traps > 0 and rejected > 0
+    assert crossings > 0
 
     # P = I - 2A - 2X of resolvent_1 with eigenvalues (d, 0.7) in a
     # random frame: d = +-1e-9 gives condition number 7e8, d = 0 an
     # exactly singular pencil (diagonal, so the LU meets a zero pivot)
-    region = realize.Region(resolvent_1, kind)
+    region = realize.Region(resolvent_1, kind, radius=1.0)
     U = np.linalg.qr(rng.normal(size=(2, 2))
                      + 1j * rng.normal(size=(2, 2)))[0]
     A = np.diag([0.05, 0.1]).astype(complex)
@@ -642,11 +662,12 @@ def test_region_screen_matches_unscreened_test(kind):
                   [point(-1e-9), singular, point(1e-9)],
                   [singular, far[0], point(1e-9), far[1]],
                   [far[2], far[3], singular]):
-        assert_screen_matches_unscreened(region, np.stack(block))
+        assert_matches_reference(region, np.stack(block))
+    assert region.test(singular[None])[0].tolist() == [False]
 
-    # the rejection sampler against a per-draw loop of unscreened tests
+    # the rejection sampler against a per-draw loop of one-point tests
     for R in (linearize_poly(polys[1]), resolvent_1):
-        region = realize.Region(R, kind)
+        region = realize.Region(R, kind, radius=0.5)
         for n in (1, 2, 3):
             for seed in range(3):
                 ref, rng = (np.random.default_rng(seed) for _ in range(2))
@@ -654,10 +675,9 @@ def test_region_screen_matches_unscreened_test(kind):
                     want = None
                     for _ in range(60):
                         t = matkit.sample_tuple(n, (R.h, R.g), 0.6, ref)
-                        mask, lam, Q = unscreened(
-                            region, realize._stack([t]))
+                        mask, W = region.test_points([t])
                         if mask[0]:
-                            want = (t, lam[0], Q[0])
+                            want = (t, W[0])
                             break
                     got = partialcvx._sample_in_region(region, n, 0.6, rng,
                                                        max_attempts=60)
@@ -666,8 +686,7 @@ def test_region_screen_matches_unscreened_test(kind):
                     if got is not None:
                         for M, N in zip(got[0].mats, want[0].mats):
                             assert np.array_equal(M, N)
-                        assert np.array_equal(got[1][0], want[1])
-                        assert np.array_equal(got[1][1], want[2])
+                        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("radius", [0.5, 0.3])
@@ -677,7 +696,7 @@ def test_ball_accepts_its_own_draws(n, radius):
     norm may exceed it by a few ulps; the ball still holds them."""
     R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
     mats = herm_stack(n, R.h + R.g, radius, np.random.default_rng(n), 200)
-    mask, _, _ = realize.Region(R, "ball", radius=radius).test(mats)
+    mask, _ = realize.Region(R, "ball", radius=radius).test(mats)
     assert mask.all()
 
 
