@@ -504,16 +504,13 @@ def poly_butterfly(p):
                                   for w, C in ell_poly.coeffs.items()}, (k2, 1))
         k = k2
 
-    # canonical phase: first entry of the lowest ell coefficient real positive
+    # canonical phase: the lowest ell coefficient's largest-modulus entry
+    # real positive
     if ell_poly.coeffs:
-        first = ell_poly.coeffs[ell_poly.words()[0]]
-        idx = np.argmax(np.abs(first))
-        z = complex(first.flat[idx])
-        if abs(z) > 0:
-            phase = np.conj(z) / abs(z)
-            ell_poly = FreePoly(ctx, {w: phase * C
-                                      for w, C in ell_poly.coeffs.items()},
-                                ell_poly.shape)
+        phase = matkit.unit_phase(ell_poly.coeffs[ell_poly.words()[0]])
+        ell_poly = FreePoly(ctx, {w: phase * C
+                                  for w, C in ell_poly.coeffs.items()},
+                            ell_poly.shape)
 
     # nilpotency certificate at a = 0
     J11 = matkit.herm(V.conj().T @ R.J @ V)

@@ -276,6 +276,7 @@ def _serialize_hessian_witness(wit):
     probe = wit.probe
     hess = np.asarray(probe.value)
     h = np.linalg.eigh(hess)[1][:, 0]
+    h = h * matkit.unit_phase(h)
     return {
         "kind": "hessian-negativity",
         "point": _tuple_json(probe.point),
@@ -370,7 +371,8 @@ def _localizing_scan(R, cfg, rng):
     convexity stops at the PSD region (sharpness); it does not contradict
     the region verdict.  The dom points, 50 attempts each, are the
     partialcvx.region_probes of the dom region, and negativity_witness
-    draws its companions right after the point, from the same region."""
+    reads R_T from the point's W and draws its companions right after the
+    point, from the same region."""
     entry = {"checked": 0, "indefinite_points": 0}
     dom_region = make_region("dom", R, cfg)
     for n in cfg.sizes:
@@ -386,8 +388,8 @@ def _localizing_scan(R, cfg, rng):
             if "sharpness_witness" in entry:
                 continue
             try:
-                wit = partialcvx.negativity_witness(R, t, rng=rng,
-                                                    region=dom_region)
+                wit = partialcvx.negativity_witness(
+                    R, t, rng=rng, region=dom_region, factors=W)
                 entry["sharpness_witness"] = _serialize_doubling_witness(wit)
             except partialcvx.SpanFailure as exc:
                 entry["span_failure"] = str(exc)

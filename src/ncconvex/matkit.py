@@ -32,6 +32,14 @@ def herm(M):
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
+def unit_phase(v):
+    """The unit number u that makes the largest-modulus entry of u v real
+    positive (1 for a zero v): the one phase rule of reported
+    eigenvectors, which do not carry LAPACK's arbitrary phase."""
+    z = complex(v.flat[np.argmax(np.abs(v))])
+    return np.conj(z) / abs(z) if z else 1.0
+
+
 @dataclass(frozen=True)
 class PsdReport:
     lambda_min: float

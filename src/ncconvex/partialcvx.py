@@ -21,8 +21,9 @@ partial checks one point per size (first_probe), the first probe of the
 Hessian scan.  The sampler leaves the generator where a loop of per-draw
 sample_tuple calls would, so every draw, and with it every verdict, is
 that of the per-sample loop.  An accepted point comes with its pencil's
-inverse W, and the Hessian probe, the midpoint triple and the span probe
-evaluate from it instead of factoring the point again.
+inverse W, and the Hessian probe, the midpoint triple, the span probe and
+the witness (at its scan point) evaluate from it instead of factoring the
+point again.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     """
     R = region.R
     parts = [(n, n, True)] * (R.h + R.g)
-    cap = max(1, BLOCK_ENTRIES // (R.e * n) ** 2)
+    cap = max(1, BLOCK_ENTRIES // max(1, R.e * n) ** 2)
     done, size = 0, 1
     while done < max_attempts:
         B = min(size, cap, max_attempts - done)
@@ -265,21 +266,24 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
 class SpanData:
     """Accumulated direct-sum probe: point (A1, X1), direction H, mixer w.
 
-    Columns (I (x) w)(sum T_i (x) H_i) R(A1, X1) (c (x) I) span achieved_dim
-    directions of ran T (x) C^m (coordinates via V_T).
+    cols (em x M) are the columns (I (x) w)(sum T_i (x) H_i) R(A1, X1)
+    (c (x) I) in e m coordinates, each probe's block from its own pencil
+    inverse; they span achieved_dim directions of ran T (x) C^m
+    (coordinates via V_T).
     """
 
     A1: tuple
     X1: tuple
     H: tuple
     w: np.ndarray
+    cols: np.ndarray
     achieved_dim: int
     target_dim: int
     rounds: int
 
     @property
     def M(self):
-        return self.A1[0].shape[0] if self.A1 else self.w.shape[1]
+        return self.cols.shape[1]
 
     @property
     def saturated(self):
@@ -287,12 +291,10 @@ class SpanData:
 
 
 def _dirsum(blocks):
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    sizes = [b.shape[0] for b in blocks]
-    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=complex)
     at = 0
-    for b, s in zip(blocks, sizes):
+    for b in blocks:
+        s = b.shape[0]
         out[at:at + s, at:at + s] = b
         at += s
     return out
@@ -304,16 +306,16 @@ def span_probe(R, m, rng=None, region=None):
     Each probe is a point of region (default dom r) drawn at scale 0.5,
     200 attempts at most.  Probe sizes start at 1 (the scalar-point
     hypothesis) and cycle through 1, 1, 2, 3; the round cap is 20 k m.
-    Partial spans are returned, not raised.
+    Partial spans are returned, not raised.  A probe's columns are
+    (I (x) z)(sum T_i (x) H_i) W (c (x) I) from its pencil inverse W, with
+    I (x) z applied blockwise through a reshape.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
     k = R.frame.k
     target = k * m
-    if target == 0:
-        return SpanData((), (), (), np.zeros((m, 0), dtype=complex), 0, 0, 0)
     cap = 20 * k * m
-    kept = []  # (point, H, z) of each probe that grew the span
+    kept = []  # (point, H, z, columns) of each probe that grew the span
     acc = np.zeros((target, 0), dtype=complex)
     rank = rounds = 0
     Vm = R.frame.lift(m)
@@ -326,20 +328,21 @@ def span_probe(R, m, rng=None, region=None):
         t, W = hit
         H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        cols = np.kron(np.eye(R.e), z) @ (R.x_sum(H, n)
-                                          @ (W @ R.c_lift(n)))
-        cols = Vm.conj().T @ cols
-        trial = np.hstack([acc, cols])
-        Q = realize._orth(trial, realize.RTOL_RANK)
+        LWc = R.x_sum(H, n) @ (W @ R.c_lift(n))
+        cols = (z @ LWc.reshape(R.e, n, n)).reshape(R.e * m, n)
+        Q = realize._orth(np.hstack([acc, Vm.conj().T @ cols]),
+                          realize.RTOL_RANK)
         if Q.shape[1] > rank:
             acc, rank = Q, Q.shape[1]
-            kept.append((t, H, z))
-    A1 = tuple(_dirsum([t.A[j] for t, _, _ in kept]) for j in range(R.h))
-    X1 = tuple(_dirsum([t.X[j] for t, _, _ in kept]) for j in range(R.g))
-    Hd = tuple(_dirsum([H[j] for _, H, _ in kept]) for j in range(R.g))
-    w = np.hstack([z for _, _, z in kept]) if kept \
-        else np.zeros((m, 0), dtype=complex)
-    return SpanData(A1, X1, Hd, w, rank, target, rounds)
+            kept.append((t, H, z, cols))
+    A1 = tuple(_dirsum([t.A[j] for t, *_ in kept]) for j in range(R.h))
+    X1 = tuple(_dirsum([t.X[j] for t, *_ in kept]) for j in range(R.g))
+    Hd = tuple(_dirsum([H[j] for _, H, *_ in kept]) for j in range(R.g))
+    w = np.hstack([np.zeros((m, 0), dtype=complex)]
+                  + [z for _, _, z, _ in kept])
+    cols = np.hstack([np.zeros((R.e * m, 0), dtype=complex)]
+                     + [c for *_, c in kept])
+    return SpanData(A1, X1, Hd, w, cols, rank, target, rounds)
 
 
 @dataclass(frozen=True)
@@ -354,45 +357,35 @@ class ConvexityWitness:
     bad_lambda: float
 
 
-def negativity_witness(R, bad, rng=None, region=None):
+def negativity_witness(R, bad, rng=None, region=None, factors=None):
     """Witness h* r_xx h < 0 from a point where R_T is indefinite.
 
-    bad must satisfy lambda_min(R_T(bad)) < -1e-6.  The witness doubles
-    bad with a span-saturating companion (A1, X1), takes the direction
+    bad must satisfy lambda_min(R_T(bad)) < -1e-6; factors is its pencil
+    inverse, if at hand (see realize._inverse).  The witness doubles bad
+    with a span-saturating companion (A1, X1), takes the direction
     H_i = [[0, K_i*], [K_i, 0]] with K_i = w H_i^{probe}, and h supported
-    on the companion block solving (sum T_i (x) K_i) R(A1,X1) (c (x) I) v
-    = V_T-coordinates of the negative eigenvector.  region is the dom
-    Region the companions are drawn from (default dom r); its tol_inv
-    decides the pencils at bad, at the companion and at the doubled point.
+    on the companion block solving span.cols v = V_T-coordinates of the
+    negative eigenvector, so the companion's pencil is never factored.
+    region is the dom Region the companions are drawn from (default dom
+    r); its tol_inv decides the pencils at bad (without factors) and at
+    the doubled point, whose Hessian is the witness's own check.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
-    frame = R.frame
     m = bad.n
-    lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv))
-    if lam[0] >= -1e-6:
+    lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv, factors))
+    if not len(lam) or lam[0] >= -1e-6:
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
-    # canonical phase, largest-modulus entry real positive (as
-    # poly_butterfly fixes ell's): h does not carry eigh's arbitrary phase
-    xi = vecs[:, 0]
-    z = xi[np.argmax(np.abs(xi))]
-    xi = xi * (np.conj(z) / abs(z))
+    xi = vecs[:, 0] * matkit.unit_phase(vecs[:, 0])
     span = span_probe(R, m, rng, region)
     if not span.saturated:
         raise SpanFailure(span.achieved_dim, span.target_dim)
     M = span.M
     K = tuple(span.w @ Hi for Hi in span.H)  # m x M each
-    res1 = resolvent(R, HermTuple(M, span.A1, span.X1, validate=False),
-                     region.tol_inv)
-    C1 = R.c_lift(M)
-    G = np.zeros((R.e * m, M), dtype=complex)
-    for T, Ki in zip(R.T, K):
-        G += np.kron(T, Ki) @ (res1 @ C1)
-    targetv = frame.lift(m) @ xi
-    v, *_ = np.linalg.lstsq(G, targetv, rcond=None)
-    rel = np.linalg.norm(G @ v - targetv) / max(1e-300, np.linalg.norm(targetv))
-    if rel > 1e-6:
+    targetv = R.frame.lift(m) @ xi  # a unit vector: V_T is an isometry
+    v, *_ = np.linalg.lstsq(span.cols, targetv, rcond=None)
+    if np.linalg.norm(span.cols @ v - targetv) > 1e-6:
         raise SpanFailure(span.achieved_dim, span.target_dim)
 
     A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(span.A1, bad.A))

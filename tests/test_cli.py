@@ -567,6 +567,31 @@ def test_plus_rounding_is_inconclusive(tmp_path, monkeypatch, capsys,
             chunk["size"], chunk["inconclusive"]) in err
 
 
+def test_hessian_witness_h_has_a_canonical_phase(tmp_path, monkeypatch):
+    """The hessian-negativity witness's h does not carry eigh's arbitrary
+    phase: with every eigenvector multiplied by 1j, h is the same."""
+    argv = ["partial", str(DATA / "xax_poly.txt"), "--region", "dom",
+            "--sizes", "1,2", "--samples", "4"]
+
+    def witness_h(name):
+        code, rep = run_out(tmp_path, name, argv)
+        assert code == EXIT_NEGATIVE
+        return [c["witness"]["h"]
+                for c in rep["results"]["hessian_scan"]["per_size"]
+                if "witness" in c]
+
+    want = witness_h("want.json")
+    eigh = np.linalg.eigh
+
+    def turned(M):
+        lam, U = eigh(M)
+        return lam, 1j * U
+
+    monkeypatch.setattr(np.linalg, "eigh", turned)
+    got = witness_h("got.json")
+    assert want and got == want
+
+
 # x^2 + x a^2 x: w(a) = 1 + a^2 is positive definite, so r is convex in x
 # everywhere and every scan keeps sampling to its budget
 CONVEX_X = "vars a: a | x: x\n1 * x x\n1 * x a a x\n"

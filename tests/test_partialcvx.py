@@ -161,12 +161,40 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
     assert got.value == pytest.approx(want.value, rel=1e-12)
 
 
-def test_negativity_witness_rejects_definite_points():
+def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
+    """With the bad point's W handed on, the one pencil the witness
+    factors is the doubled point's, in its own Hessian check: R_T at bad
+    comes from W and the companion's columns from the span probe."""
     R = xax_realization()
+    rng = np.random.default_rng(3)
+    bad = next(t for t in (matkit.sample_tuple(2, (1, 1), 0.6, rng)
+                           for _ in range(200))
+               if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
+    W = realize.resolvent(R, bad)
+    want = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    inverse, factored = realize._inverse, []
+
+    def spy(R_, t, tol_inv, factors=None):
+        if factors is None:
+            factored.append(t.n)
+        return inverse(R_, t, tol_inv, factors)
+
+    monkeypatch.setattr(realize, "_inverse", spy)
+    got = negativity_witness(R, bad, rng=np.random.default_rng(4),
+                             factors=W)
+    assert factored == [got.point.n]
+    assert np.array_equal(got.h, want.h) and got.value == want.value
+
+
+def test_negativity_witness_rejects_definite_points():
     t = HermTuple(1, (np.array([[1.0 + 0j]]),), (np.array([[0.1 + 0j]]),),
                   validate=False)
-    with pytest.raises(ValueError):
-        negativity_witness(R, t)
+    # with k = 0, R_T is the empty matrix, which is not indefinite either
+    for R in (xax_realization(),
+              realize.Realization.make(np.eye(1), [0.5 * np.eye(1)],
+                                       [np.zeros((1, 1))], [1.0])):
+        with pytest.raises(ValueError, match="not indefinite"):
+            negativity_witness(R, t)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +208,28 @@ def test_span_probe_saturates_on_minimal_smrs(seed, m):
     span = span_probe(R, m, rng=rng)
     assert span.target_dim == R.frame.k * m
     assert span.saturated
+
+
+def reference_span_cols(R, span, m):
+    """The companion arithmetic: the resolvent at the direct-sum point
+    (A1, X1), then sum_i kron(T_i, K_i) R(A1, X1) (c (x) I), K_i = w H_i."""
+    res = realize.resolvent(R, HermTuple(span.M, span.A1, span.X1,
+                                         validate=False))
+    G = np.zeros((R.e * m, span.M), dtype=complex)
+    for T, Hi in zip(R.T, span.H):
+        G += np.kron(T, span.w @ Hi) @ (res @ R.c_lift(span.M))
+    return G
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_span_cols_match_the_companion_resolvent(seed, m):
+    rng = np.random.default_rng(seed)
+    R = rand_minimal_smr(rng, e=4, h=1, g=2)
+    span = span_probe(R, m, rng=rng)
+    assert span.saturated and span.cols.shape == (R.e * m, span.M)
+    G = reference_span_cols(R, span, m)
+    assert np.linalg.norm(span.cols - G) <= 1e-12 * np.linalg.norm(G)
 
 
 def test_span_probe_direct_sum_shapes(rng):
@@ -484,6 +534,20 @@ def test_convexity_verdict_positive_on_xax_psd_region():
     assert out.min_lambda >= -1e-8
     assert out.midpoint_violations == 0
     assert out.samples > 0
+
+
+@pytest.mark.parametrize("kind", realize.REGION_KINDS)
+def test_convexity_verdict_on_an_empty_realization(kind):
+    """e = 0: every point lies in every region, and every Hessian and
+    midpoint gap is the zero matrix."""
+    Z = np.zeros((0, 0))
+    R = realize.Realization.make(Z, [Z], [Z], np.zeros(0))
+    region = Region(R, kind, radius=0.5 if kind == "ball" else None)
+    out = convexity_verdict(R, region=region, sizes=(1, 2), samples=3,
+                            rng=np.random.default_rng(1), midpoint_pairs=2)
+    assert isinstance(out, ConvexEvidence)
+    assert (out.samples, out.min_lambda) == (6, 0.0)
+    assert (out.midpoint_pairs, out.midpoint_violations) == (4, 0)
 
 
 def test_convexity_verdict_witness_on_quartic():
