@@ -350,7 +350,8 @@ class MidpointWitness:
     lambda_min: float
 
     def gap(self, p):
-        n = self.X1[0].shape[0] if self.X1 else self.A[0].shape[0]
+        """The Hermitian midpoint gap, also of stacks of candidates."""
+        n = (self.X1 or self.A)[0].shape[-1]
         mid = tuple((u + v) / 2 for u, v in zip(self.X1, self.X2))
         t1 = HermTuple(n, self.A, self.X1, validate=False)
         t2 = HermTuple(n, self.A, self.X2, validate=False)
@@ -361,18 +362,27 @@ class MidpointWitness:
 
 def midpoint_violation_search(p, samples=120):
     """Seeded random search for a midpoint-convexity-in-x violation (gap
-    eigenvalue below -1e-8) at sizes 2 and 3, scale 1; None if clean."""
+    eigenvalue below -1e-8) at sizes 2 and 3, scale 1; None if clean: a
+    matkit.block_search over sample_herm candidates (A, X1, X2) per size."""
     rng = np.random.default_rng(0)
     h, g = p.ctx.h, p.ctx.g
+
+    def candidate(mats, lam=0.0):
+        return MidpointWitness(tuple(mats[:h]), tuple(mats[h:h + g]),
+                               tuple(mats[h + g:]), lam)
+
+    def judge(mats):
+        lam = np.linalg.eigvalsh(candidate(mats).gap(p))[:, 0]
+        return lam < -1e-8, lam
+
     for n in (2, 3):
-        for _ in range(samples):
-            A = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(h))
-            X1 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
-            X2 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
-            cand = MidpointWitness(A, X1, X2, 0.0)
-            lam = float(np.linalg.eigvalsh(cand.gap(p))[0])
-            if lam < -1e-8:
-                return MidpointWitness(A, X1, X2, lam)
+        parts = [(n, n, True)] * (h + 2 * g)
+        hit = matkit.block_search(
+            lambda B: matkit.sample_blocks(parts, 1.0, rng, B), judge, rng,
+            samples, skip=lambda B: matkit.skip_blocks(parts, 1.0, rng, B))
+        if hit is not None:
+            mats, lam, i = hit
+            return candidate([M[i] for M in mats], float(lam[i]))
     return None
 
 

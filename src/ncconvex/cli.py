@@ -366,33 +366,31 @@ def _partial_scan_chunk(payload):
 
 
 def _localizing_scan(R, cfg, rng):
-    """Search dom for points where the localizing matrix R_T goes
-    indefinite.  A doubled-point witness at the first such point shows that
-    convexity stops at the PSD region (sharpness); it does not contradict
-    the region verdict.  The dom points, 50 attempts each, are the
-    partialcvx.region_probes of the dom region, and negativity_witness
-    reads R_T from the point's W and draws its companions right after the
-    point, from the same region."""
-    entry = {"checked": 0, "indefinite_points": 0}
+    """Search dom for a point where the localizing matrix R_T goes
+    indefinite, and return at the first doubled-point witness there, which
+    shows that convexity stops at the PSD region (sharpness) without
+    contradicting the region verdict; after a span failure the next
+    indefinite point tries.  The points are the region_probes of dom, and
+    negativity_witness takes the R_T tested there and draws its
+    companions right after the point, from the same region."""
+    entry = {"checked": 0}
     dom_region = make_region("dom", R, cfg)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
-                dom_region, int(n), cfg.samples, rng, cfg.scale,
-                max_attempts=50):
+                dom_region, int(n), cfg.samples, rng, cfg.scale):
             entry["checked"] += 1
+            rt = realize.r_T(R, t, factors=W)
             # with k = 0, R_T is the empty matrix: PSD, never indefinite
-            if not (R.frame.k and np.linalg.eigvalsh(
-                    realize.r_T(R, t, factors=W))[0] < -1e-3):
-                continue
-            entry["indefinite_points"] += 1
-            if "sharpness_witness" in entry:
+            if not (R.frame.k and np.linalg.eigvalsh(rt)[0] < -1e-3):
                 continue
             try:
                 wit = partialcvx.negativity_witness(
-                    R, t, rng=rng, region=dom_region, factors=W)
-                entry["sharpness_witness"] = _serialize_doubling_witness(wit)
+                    R, t, rng=rng, region=dom_region, rt=rt)
             except partialcvx.SpanFailure as exc:
                 entry["span_failure"] = str(exc)
+                continue
+            entry["sharpness_witness"] = _serialize_doubling_witness(wit)
+            return entry
     return entry
 
 

@@ -67,23 +67,19 @@ def psd_mask(ev, tol=TOL_PSD):
 def is_psd(M, tol=TOL_PSD):
     """Eigenvalue verdict for a Hermitian matrix.
 
-    PSD iff lambda_min >= -tol * max(1, |lambda|_max) (psd_mask); PD with
-    the strict +tol margin.  ND symmetric for the negative side.
+    PSD iff psd_mask, the one PSD rule; PD with the strict +tol margin
+    of the same scale.  ND symmetric for the negative side.
     """
     M = herm(check_herm(np.asarray(M, dtype=complex)))
     if M.size == 0:
         return PsdReport(0.0, 0.0, "PD", tol)
     ev = np.linalg.eigvalsh(M)
     lo, hi = float(ev[0]), float(ev[-1])
-    scale = max(1.0, max(abs(lo), abs(hi)))
-    if lo > tol * scale:
-        verdict = "PD"
-    elif lo >= -tol * scale:
-        verdict = "PSD"
-    elif hi < -tol * scale:
-        verdict = "ND"
+    scale = max(1.0, abs(lo), abs(hi))
+    if psd_mask(ev, tol):
+        verdict = "PD" if lo > tol * scale else "PSD"
     else:
-        verdict = "Indefinite"
+        verdict = "ND" if hi < -tol * scale else "Indefinite"
     return PsdReport(lo, hi, verdict, tol)
 
 
@@ -327,6 +323,32 @@ def sample_tuple(n, counts, scale, rng):
     M = [B[0] for B in sample_blocks([(n, n, True)] * sum(counts), scale,
                                      rng, 1)]
     return HermTuple.make(M[:counts[0]], M[counts[0]:])
+
+
+def block_search(draw, judge, rng, limit, cap=None, skip=None):
+    """The first flagged of limit candidates: (block, judged, i), or None.
+
+    draw(B) draws B candidates from rng, in blocks of 1, 2, 4, ... (at
+    most cap); judge(block) returns (flags, judged), one flag per
+    candidate, and i is the block's first flagged index.  rng is then
+    rewound to the block's start and moved past the candidates up to i by
+    skip(i + 1), or draw(i + 1), so it ends where a loop of one-candidate
+    draws would.
+    """
+    done, size = 0, 1
+    while done < limit:
+        B = min(size, limit - done, cap or size)
+        state = rng.bit_generator.state
+        block = draw(B)
+        flags, judged = judge(block)
+        if flags.any():
+            i = int(np.argmax(flags))
+            if i < B - 1:
+                rng.bit_generator.state = state
+                (skip or draw)(i + 1)
+            return block, judged, i
+        done, size = done + B, 2 * size
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,16 @@ direction and a vector h with h* r_xx h < 0, built from a span-saturation
 probe over direct sums.
 
 Region points come from a block rejection sampler (_sample_in_region):
-candidates are drawn in blocks of 1, 2, 4, ... with one
-matkit.sample_blocks call and tested with one realize.Region.test call
-per block, which inverts the block's pencils with one batched LU.  The
-scans draw one probe at a time (region_probes): a point from the
-sampler, then its directions or midpoint partner.  On the plus kinds
-partial checks one point per size (first_probe), the first probe of the
-Hessian scan.  The sampler leaves the generator where a loop of per-draw
-sample_tuple calls would, so every draw, and with it every verdict, is
-that of the per-sample loop.  An accepted point comes with its pencil's
-inverse W, and the Hessian probe, the midpoint triple, the span probe and
-the witness (at its scan point) evaluate from it instead of factoring the
-point again.
+a matkit.block_search of up to MAX_ATTEMPTS draws, with one
+matkit.sample_blocks call and one realize.Region.test call (one batched
+LU) per block, that leaves the generator where a loop of per-draw
+sample_tuple calls would, so every draw and verdict is the per-sample
+loop's.  The scans draw one probe at a time (region_probes): a point,
+then its directions or midpoint partner; on the plus kinds partial checks
+one point per size (first_probe).  An accepted point comes with its
+pencil's inverse W, from which the Hessian probe, the midpoint triple,
+the span probe and the localizing scan's R_T evaluate; the scan hands
+that R_T to the witness.
 """
 
 from __future__ import annotations
@@ -130,42 +128,29 @@ def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     """The first of max_attempts sample_tuple draws that lies in the
     region, with its pencil's inverse W; None when none does.
 
-    Candidates are drawn in blocks of 1, 2, 4, ... (capped by the attempts
-    left and by BLOCK_ENTRIES), one sample_blocks and one region.test per
-    block, and the first True of its mask is taken.  When the accepted
-    candidate is not the last of its block, the generator is rewound to
-    the block's start and only the draws up to it are made again, so it
-    ends where the per-draw loop would: every draw and point is the
-    loop's.  The point is built unvalidated (the draws are Hermitian), so
-    a realization with no letters gives the empty tuple of size n.
+    A matkit.block_search, blocks capped by BLOCK_ENTRIES and skipped
+    with skip_blocks, so every draw and point is the per-draw loop's.
+    The point is built unvalidated (the draws are Hermitian), so a
+    realization with no letters gives the empty tuple of size n.
     """
     R = region.R
     parts = [(n, n, True)] * (R.h + R.g)
-    cap = max(1, BLOCK_ENTRIES // max(1, R.e * n) ** 2)
-    done, size = 0, 1
-    while done < max_attempts:
-        B = min(size, cap, max_attempts - done)
-        state = rng.bit_generator.state
-        mats = _herm_stack(n, parts, scale, rng, B)
-        mask, W = region.test(mats)
-        if mask.any():
-            i = int(np.argmax(mask))
-            if i < B - 1:
-                rng.bit_generator.state = state
-                matkit.skip_blocks(parts, scale, rng, i + 1)
-            return HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
-                             validate=False), W[i]
-        done += B
-        size *= 2
-    return None
+    hit = matkit.block_search(
+        lambda B: _herm_stack(n, parts, scale, rng, B), region.test, rng,
+        max_attempts, cap=max(1, BLOCK_ENTRIES // max(1, R.e * n) ** 2),
+        skip=lambda B: matkit.skip_blocks(parts, scale, rng, B))
+    if hit is None:
+        return None
+    mats, W, i = hit
+    return HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
+                     validate=False), W[i]
 
 
-def region_probes(region, n, samples, rng, scale, extra=(),
-                  max_attempts=MAX_ATTEMPTS):
+def region_probes(region, n, samples, rng, scale, extra=()):
     """samples region probes at size n, drawn one at a time.
 
     A probe is the point of a _sample_in_region call (the first of
-    max_attempts draws at scale that lies in the region) followed by one
+    MAX_ATTEMPTS draws at scale that lies in the region) followed by one
     Hermitian n x n draw per entry of extra, at that scale.  Yields
     (t, extras, W): the point as a HermTuple, its draws
     (len(extra), n, n) and its pencil's inverse.  A probe whose
@@ -175,7 +160,7 @@ def region_probes(region, n, samples, rng, scale, extra=(),
     """
     parts = [(n, n, True)] * len(extra)
     for _ in range(samples):
-        hit = _sample_in_region(region, n, scale, rng, max_attempts)
+        hit = _sample_in_region(region, n, scale, rng)
         if hit is not None:
             t, W = hit
             yield t, _herm_stack(n, parts, extra, rng, 1)[0], W
@@ -304,8 +289,9 @@ def span_probe(R, m, rng=None, region=None):
     """Direct-sum probes until the span fills ran T (x) C^m.
 
     Each probe is a point of region (default dom r) drawn at scale 0.5,
-    200 attempts at most.  Probe sizes start at 1 (the scalar-point
-    hypothesis) and cycle through 1, 1, 2, 3; the round cap is 20 k m.
+    MAX_ATTEMPTS attempts at most.  Probe sizes start at 1 (the
+    scalar-point hypothesis) and cycle through 1, 1, 2, 3; the round cap
+    is 20 k m.
     Partial spans are returned, not raised.  A probe's columns are
     (I (x) z)(sum T_i (x) H_i) W (c (x) I) from its pencil inverse W, with
     I (x) z applied blockwise through a reshape.
@@ -322,7 +308,7 @@ def span_probe(R, m, rng=None, region=None):
     while rank < target and rounds < cap:
         rounds += 1
         n = (1, 1, 2, 3)[(rounds - 1) % 4]
-        hit = _sample_in_region(region, n, 0.5, rng, max_attempts=200)
+        hit = _sample_in_region(region, n, 0.5, rng)
         if hit is None:
             continue
         t, W = hit
@@ -357,23 +343,24 @@ class ConvexityWitness:
     bad_lambda: float
 
 
-def negativity_witness(R, bad, rng=None, region=None, factors=None):
+def negativity_witness(R, bad, rng=None, region=None, rt=None):
     """Witness h* r_xx h < 0 from a point where R_T is indefinite.
 
-    bad must satisfy lambda_min(R_T(bad)) < -1e-6; factors is its pencil
-    inverse, if at hand (see realize._inverse).  The witness doubles bad
+    bad must satisfy lambda_min(R_T(bad)) < -1e-6; rt is R_T at bad, if
+    at hand (r_T from its pencil inverse).  The witness doubles bad
     with a span-saturating companion (A1, X1), takes the direction
     H_i = [[0, K_i*], [K_i, 0]] with K_i = w H_i^{probe}, and h supported
     on the companion block solving span.cols v = V_T-coordinates of the
     negative eigenvector, so the companion's pencil is never factored.
     region is the dom Region the companions are drawn from (default dom
-    r); its tol_inv decides the pencils at bad (without factors) and at
-    the doubled point, whose Hessian is the witness's own check.
+    r); its tol_inv decides the pencils at bad (without rt) and at the
+    doubled point, whose Hessian is the witness's own check.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
     m = bad.n
-    lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv, factors))
+    lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv)
+                               if rt is None else rt)
     if not len(lam) or lam[0] >= -1e-6:
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))

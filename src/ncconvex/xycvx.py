@@ -316,13 +316,10 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
     sampler(rng, (n1, n2)) may replace the default Gaussian draw, e.g. to
     restrict to a biconvexity region.
 
-    Each size is scanned in blocks of 1, 2, 4, ... samples: one draw (one
-    matkit.sample_blocks call, or one sampler call per sample), one
-    stacked middle_matrix and one batched eigh per block, judged by
-    matkit.psd_mask at tol.  The scan stops at the first sample that
-    fails.  When that sample is not the last of its block, the generator
-    is rewound to the block's start and only the samples up to it are
-    drawn again, so it ends where a per-sample loop would.
+    Each size is a matkit.block_search: per block one draw (one
+    sample_blocks call, or one sampler call per sample), one stacked
+    middle_matrix and one batched eigh, judged by psd_mask at tol.  It
+    stops at the first failing sample, where a per-sample loop would.
     """
     rng = np.random.default_rng(0) if rng is None else rng
 
@@ -334,28 +331,23 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
         return tuple(np.stack(m) for m in
                      zip(*(sampler(rng, nm) for _ in range(size))))
 
-    count = 0
-    min_lambda = np.inf
+    count, min_lambda = 0, np.inf
+
+    def judge(block):
+        nonlocal count, min_lambda
+        d0, d1, b1, b2 = block
+        lam, vecs = np.linalg.eigh(herm(middle_matrix(p, b1, b2, d0,
+                                                      d1).matrix))
+        count += len(lam)
+        min_lambda = min(min_lambda, float(lam[:, 0].min()))
+        return ~psd_mask(lam, tol), (lam, vecs)
+
     for nm in sizes:
-        done, size = 0, 1
-        while done < samples:
-            B = min(size, samples - done)
-            state = rng.bit_generator.state
-            d0, d1, b1, b2 = draw(nm, B)
-            M = middle_matrix(p, b1, b2, d0, d1).matrix
-            lam, vecs = np.linalg.eigh(herm(M))
-            bad = ~psd_mask(lam, tol)
-            if bad.any():
-                i = int(np.argmax(bad))
-                if i < B - 1:
-                    rng.bit_generator.state = state
-                    draw(nm, i + 1)
-                return MxyWitness(d0[i], d1[i], b1[i], b2[i],
-                                  float(lam[i, 0]), vecs[i, :, 0])
-            count += B
-            min_lambda = min([min_lambda] + lam[:, 0].tolist())
-            done += B
-            size *= 2
+        hit = matkit.block_search(lambda B: draw(nm, B), judge, rng, samples)
+        if hit is not None:
+            (d0, d1, b1, b2), (lam, vecs), i = hit
+            return MxyWitness(d0[i], d1[i], b1[i], b2[i], float(lam[i, 0]),
+                              vecs[i, :, 0])
     return AllPsdEvidence(count, float(min_lambda))
 
 

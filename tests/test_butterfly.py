@@ -5,6 +5,7 @@ Every alternative evaluator is compared against eval_realization, which is
 plain pencil inversion and serves as the oracle throughout.
 """
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from ncconvex.butterfly import (
     poly_butterfly,
     slice_reduce,
 )
-from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
+from ncconvex.ncalg import (FreePoly, HermTuple, VarContext, eval_poly,
+                            parse_poly)
 from ncconvex.realize import (
     eval_realization,
     in_dom,
@@ -445,6 +447,44 @@ def test_midpoint_search_clean_on_square():
     ctx = VarContext((), ("x",))
     p = FreePoly.from_terms(ctx, {(0, 0): 1.0})
     assert midpoint_violation_search(p, samples=40) is None
+    assert reference_midpoint_search(p) is None
+    assert midpoint_violation_search(p) is None
+
+
+def reference_midpoint_search(p, samples=120):
+    """The per-sample midpoint search: one candidate (A, X1, X2) of
+    sample_herm draws at a time, judged by its own gap."""
+    rng = np.random.default_rng(0)
+    h, g = p.ctx.h, p.ctx.g
+    for n in (2, 3):
+        for _ in range(samples):
+            A = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(h))
+            X1 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
+            X2 = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
+            cand = butterfly.MidpointWitness(A, X1, X2, 0.0)
+            lam = float(np.linalg.eigvalsh(cand.gap(p))[0])
+            if lam < -1e-8:
+                return butterfly.MidpointWitness(A, X1, X2, lam)
+    return None
+
+
+def test_midpoint_search_matches_per_sample_loop(monkeypatch):
+    """The block search finds the per-sample loop's witness, bit for bit,
+    on x4 and on seeded polynomials of the benchmark's x-degree > 2
+    shapes, each of which has one."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    polys = [parse_poly((DATA / "x4_poly.txt").read_text())]
+    polys += [parse_poly(corpus._word_text(words, random.Random(seed)))
+              for words in corpus._DEEP for seed in range(3)]
+    for p in polys:
+        want = reference_midpoint_search(p)
+        got = midpoint_violation_search(p)
+        assert want is not None and got.lambda_min == want.lambda_min
+        for g_mats, w_mats in ((got.A, want.A), (got.X1, want.X1),
+                               (got.X2, want.X2)):
+            assert len(g_mats) == len(w_mats)
+            assert all(np.array_equal(M, N) for M, N in zip(g_mats, w_mats))
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ def test_partial_xax_sharpness_witness_reverifies(tmp_path):
         "--sizes", "2", "--samples", "25", "--seed", "3"])
     assert code == EXIT_OK
     loc = rep["results"]["localizing_scan"]
-    assert loc["indefinite_points"] > 0
+    # the scan ends at its witness, at most one point per probe
+    assert 1 <= loc["checked"] <= 25
     wit = loc["sharpness_witness"]
     assert wit["kind"] == "doubled-point"
     assert wit["quadratic_value"] < 0
@@ -285,8 +286,8 @@ def test_partial_realization_with_zero_x_range(tmp_path, T):
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(rfile), "--sizes", "1,2", "--samples", "2"])
     assert code == EXIT_OK
-    assert rep["results"]["localizing_scan"]["checked"] == 4
-    assert rep["results"]["localizing_scan"]["indefinite_points"] == 0
+    # no indefinite point, so neither a witness nor a span failure
+    assert strip_timings(rep["results"]["localizing_scan"]) == {"checked": 4}
 
 
 def test_partial_zero_function_realization_is_trivial(tmp_path, capsys):
@@ -984,6 +985,23 @@ def test_xy_loads_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_partial_with_one_worker_loads_no_process_pool(tmp_path):
+    """The process pool is imported only when partial runs more than one
+    worker: with one, neither concurrent nor multiprocessing (nor scipy)
+    is loaded."""
+    code = ("import sys\n"
+            "import ncconvex.cli\n"
+            "rc = ncconvex.cli.main(['partial', %r, '--sizes', '1,2',"
+            " '--samples', '4', '--workers', '1', '--out', %r])\n"
+            "assert rc == 0, rc\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+            " ('concurrent', 'multiprocessing', 'scipy')))\n"
+            % (str(DATA / "xax_poly.txt"), str(tmp_path / "p.json")))
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_xy_off_support_rejected(tmp_path):
     pfile = tmp_path / "x2y2.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x y y\n1 * y y x x\n")
@@ -1287,14 +1305,20 @@ def test_partial_report_independent_of_workers(tmp_path, region):
 
 
 def reference_localizing_scan(R, cfg, rng):
-    """The localizing scan one dom point at a time; the witness draws its
-    companions from the scan's dom region."""
-    entry = {"checked": 0, "indefinite_points": 0}
+    """The localizing scan one dom draw at a time, up to MAX_ATTEMPTS per
+    probe, until the first sharpness witness; the witness draws its
+    companions from the scan's dom region.  Returns the report entry and
+    the number of draws dom rejected."""
+    entry, rejected = {"checked": 0}, 0
     dom_region = cli.make_region("dom", R, cfg)
     for n in cfg.sizes:
         for _ in range(cfg.samples):
-            hit = partialcvx._sample_in_region(dom_region, n, cfg.scale, rng,
-                                               max_attempts=50)
+            for _ in range(partialcvx.MAX_ATTEMPTS):
+                hit = partialcvx._sample_in_region(dom_region, n, cfg.scale,
+                                                   rng, max_attempts=1)
+                if hit is not None:
+                    break
+                rejected += 1
             if hit is None:
                 continue
             t, factors = hit
@@ -1302,16 +1326,16 @@ def reference_localizing_scan(R, cfg, rng):
             lam = float(np.linalg.eigvalsh(
                 realize.r_T(R, t, factors=factors))[0])
             if lam < -1e-3:
-                entry["indefinite_points"] += 1
-                if "sharpness_witness" not in entry:
-                    try:
-                        wit = partialcvx.negativity_witness(
-                            R, t, rng=rng, region=dom_region)
-                        entry["sharpness_witness"] = \
-                            cli._serialize_doubling_witness(wit)
-                    except partialcvx.SpanFailure as exc:
-                        entry["span_failure"] = str(exc)
-    return entry
+                try:
+                    wit = partialcvx.negativity_witness(
+                        R, t, rng=rng, region=dom_region)
+                except partialcvx.SpanFailure as exc:
+                    entry["span_failure"] = str(exc)
+                    continue
+                entry["sharpness_witness"] = \
+                    cli._serialize_doubling_witness(wit)
+                return entry, rejected
+    return entry, rejected
 
 
 RESOLVENT_1 = '{"J": [[[1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]], ' \
@@ -1324,9 +1348,10 @@ RESOLVENT_1 = '{"J": [[[1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]], ' \
     ("vars a: a | x: x\n1 * x x x x\n1 * a x x\n1 * x x a\n", 1, 1e-10),
     ("vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n", 2,
      1e-10),
-    # 1 / (1 - 2a - 2x): tol_inv 0.3 rejects part of each block
-    (RESOLVENT_1, 0, 0.3),
-    (RESOLVENT_1, 5, 0.3),
+    # 1 / (1 - 2a - 2x): tol_inv 0.3 rejects some 2 x 2 draws; at these
+    # seeds the scan reaches size 2 and dom rejects a draw before the witness
+    (RESOLVENT_1, 20, 0.3),
+    (RESOLVENT_1, 37, 0.3),
 ])
 def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
     if text.startswith("{"):
@@ -1336,9 +1361,39 @@ def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
     cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
                              tol_inv=tol_inv)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = reference_localizing_scan(R, cfg, ref_rng)
+    want, rejected = reference_localizing_scan(R, cfg, ref_rng)
     got = cli._localizing_scan(R, cfg, rng)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (rejected > 0) == (tol_inv == 0.3)
+
+
+def test_localizing_scan_tries_the_next_point_after_a_span_failure(
+        monkeypatch):
+    """A span probe that falls short at the first indefinite point is
+    reported as span_failure, and the scan goes on to the next indefinite
+    point, whose witness ends it, as in the per-sample loop."""
+    R = realize.linearize_poly(ncalg.parse_poly(
+        (DATA / "xax_poly.txt").read_text()))
+    cfg = cli.AnalysisConfig(sizes=(2,), samples=25)
+    probe, spans = partialcvx.span_probe, []
+
+    def short_first(*args):
+        span = probe(*args)
+        spans.append(span)
+        return replace(span, achieved_dim=0) if len(spans) == 1 else span
+
+    monkeypatch.setattr(partialcvx, "span_probe", short_first)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    entry = cli._localizing_scan(R, cfg, rng)
+    spans.clear()
+    want, _ = reference_localizing_scan(R, cfg, ref_rng)
+    assert len(spans) == 2
+    assert entry["span_failure"] == "span dimension 0 of %d" \
+        % spans[0].target_dim
+    assert entry["sharpness_witness"]["quadratic_value"] < 0
+    assert json.dumps(entry, sort_keys=True) == json.dumps(want,
+                                                           sort_keys=True)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -257,6 +257,58 @@ def test_skip_blocks_leaves_the_generator_where_sample_blocks_does(scale):
         assert drawn.bit_generator.state == skipped.bit_generator.state
 
 
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("rewind", ["skip", "redraw"])
+def test_block_search_matches_per_draw_loop(rewind, cap):
+    """block_search finds the candidate a loop of one-candidate draws
+    finds, and leaves the generator where that loop leaves it, for a hit
+    at every position of every block (blocks 1, 2, 4, 8, 5, or at most
+    cap) and for no hit; the rewind goes through skip when given and
+    draws again otherwise."""
+    limit = 20
+    positions = set()
+    for target in list(range(limit)) + [None]:
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        want = None
+        for k in range(limit):
+            x = ref.random()
+            if k == target:
+                want = x
+                break
+        drawn, skipped, judged = [], [], [0]
+
+        def draw(B):
+            drawn.append(B)
+            return rng.random(B)
+
+        def judge(block):
+            at = judged[0]
+            judged[0] += len(block)
+            return np.arange(at, at + len(block)) == target, -block
+
+        skip = (lambda B: skipped.append(B) or rng.random(B)) \
+            if rewind == "skip" else None
+        hit = matkit.block_search(draw, judge, rng, limit, cap=cap, skip=skip)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if target is None:
+            assert hit is None
+            assert sum(drawn) == limit
+            assert max(drawn) == (cap or 8)
+            continue
+        block, neg, i = hit
+        assert block[i] == want and neg[i] == -want
+        assert judged[0] == target - i + len(block)
+        last = i == len(block) - 1
+        positions.add("first" if i == 0 and not last else
+                      "last" if last else "middle")
+        rewound = [] if last else [i + 1]
+        if rewind == "skip":
+            assert skipped == rewound and drawn[-1] == len(block)
+        else:
+            assert drawn[-1 - len(rewound):] == [len(block)] + rewound
+    assert positions == {"first", "middle", "last"}
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=st.integers(1, 4),
        scale=st.sampled_from((1e-3, 1.0, 1e4)))

@@ -162,26 +162,24 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
 
 
 def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
-    """With the bad point's W handed on, the one pencil the witness
-    factors is the doubled point's, in its own Hessian check: R_T at bad
-    comes from W and the companion's columns from the span probe."""
+    """With R_T at bad handed on, the one pencil inverse the witness
+    takes is the doubled point's, in its own Hessian check: the
+    companion's columns come from the span probe."""
     R = xax_realization()
     rng = np.random.default_rng(3)
     bad = next(t for t in (matkit.sample_tuple(2, (1, 1), 0.6, rng)
                            for _ in range(200))
                if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
-    W = realize.resolvent(R, bad)
+    rt = r_T(R, bad, factors=realize.resolvent(R, bad))
     want = negativity_witness(R, bad, rng=np.random.default_rng(4))
     inverse, factored = realize._inverse, []
 
     def spy(R_, t, tol_inv, factors=None):
-        if factors is None:
-            factored.append(t.n)
+        factored.append(t.n)
         return inverse(R_, t, tol_inv, factors)
 
     monkeypatch.setattr(realize, "_inverse", spy)
-    got = negativity_witness(R, bad, rng=np.random.default_rng(4),
-                             factors=W)
+    got = negativity_witness(R, bad, rng=np.random.default_rng(4), rt=rt)
     assert factored == [got.point.n]
     assert np.array_equal(got.h, want.h) and got.value == want.value
 
