@@ -12,7 +12,8 @@ with w(A) = R_T(A, 0), ell(A, X) = (V_T (x) I)* L W(A) (c (x) I) and fbar
 the affine-in-x part (the first two caterpillar terms).  The evaluators
 read W, R and w from the pencil inverses that one Region(R, "dom").test
 of the pair (A, 0), (A, X) hands on.  For polynomials the resolvent
-series terminates and w, ell, fbar become polynomials.
+series terminates and w, ell, fbar become polynomials, and PolyRegion
+samples the regions of such a polynomial through w(A) alone.
 """
 
 from __future__ import annotations
@@ -289,6 +290,53 @@ class PolyButterfly:
         return self.w.shape[0]
 
 
+class PolyRegion:
+    """A sampling region of a polynomial butterfly pb, judged through w(A).
+
+    Its realization R has R_T(A, X) = w(A) plus (R.frame.k - k) n zeros
+    and a pencil that is invertible everywhere (the J S_j and J T_i are
+    jointly nilpotent), so with k > 0:
+
+    dom, kebab: every point;
+    dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set.
+
+    Same interface as realize.Region (R, kind, test); test evaluates w at
+    the whole stack with one eval_poly and hands on each point's
+    (w(A), its ascending eigenvalues).  The ball is realize.Region's
+    alone.
+    """
+
+    def __init__(self, pb, kind="dom", tol=TOL_PSD):
+        if kind not in realize.REGION_KINDS or kind == "ball":
+            raise ValueError("no butterfly region of kind %r" % kind)
+        self.pb, self.R, self.kind, self.tol = pb, pb.realization, kind, tol
+
+    def test(self, mats):
+        """(mask, [(w(A), eigenvalues)]) for a stack of points
+        (B, h + g, n, n)."""
+        h, n = self.R.h, mats.shape[-1]
+        t = HermTuple(n, tuple(mats[:, :h].swapaxes(0, 1)),
+                      tuple(mats[:, h:].swapaxes(0, 1)), validate=False)
+        w = eval_poly(self.pb.w, t)
+        ev = np.linalg.eigvalsh(w)
+        mask = np.ones(len(mats), dtype=bool)
+        if self.kind.endswith("plus") and self.pb.k:
+            mask = matkit.psd_mask(ev, self.tol)
+        return mask, list(zip(w, ev))
+
+    def hessian(self, t, H, w):
+        """The x-Hessian 2 L* w(A) L at t in the directions H, with
+        L = ell(A, H) and w = w(A)."""
+        L = eval_poly(self.pb.ell, HermTuple(t.n, t.A, tuple(H),
+                                             validate=False))
+        return matkit.herm(2.0 * (L.conj().T @ w @ L))
+
+    def rt_lambda_min(self, ev):
+        """lambda_min of R_T(A, X) from the eigenvalues ev of w(A)."""
+        low = ev[0] if self.pb.k else 0.0
+        return min(low, 0.0) if self.R.frame.k > self.pb.k else low
+
+
 def _word_series_terms(JB, JC, dega, grow, max_len, tau):
     """Terms of (J - sum_j C_j letter_j)^{-1} B = sum_w M_w B with
     M_w = (J C_w1)...(J C_wm) J, from JB = J B and the stack JC of the
@@ -508,19 +556,21 @@ def poly_butterfly(p):
         Q = np.zeros((k, 0), dtype=complex)
     if Q.shape[1] < k:
         k2 = Q.shape[1]
-        w_poly = FreePoly(ctx, {w: Q.conj().T @ C @ Q
-                                for w, C in w_poly.coeffs.items()}, (k2, k2))
-        ell_poly = FreePoly(ctx, {w: Q.conj().T @ C
-                                  for w, C in ell_poly.coeffs.items()}, (k2, 1))
+        w_poly = FreePoly._trusted(ctx, {w: Q.conj().T @ C @ Q
+                                         for w, C in w_poly.coeffs.items()},
+                                   (k2, k2))
+        ell_poly = FreePoly._trusted(ctx, {w: Q.conj().T @ C
+                                           for w, C in ell_poly.coeffs.items()},
+                                     (k2, 1))
         k = k2
 
     # canonical phase: the lowest ell coefficient's largest-modulus entry
     # real positive
     if ell_poly.coeffs:
         phase = matkit.unit_phase(ell_poly.coeffs[ell_poly.words()[0]])
-        ell_poly = FreePoly(ctx, {w: phase * C
-                                  for w, C in ell_poly.coeffs.items()},
-                            ell_poly.shape)
+        ell_poly = FreePoly._trusted(ctx, {w: phase * C
+                                           for w, C in ell_poly.coeffs.items()},
+                                     ell_poly.shape)
 
     # nilpotency certificate at a = 0
     J11 = matkit.herm(V.conj().T @ R.J @ V)

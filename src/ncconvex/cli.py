@@ -234,10 +234,14 @@ def _poly_json(p):
 # ---------------------------------------------------------------------------
 # regions
 
-def make_region(name, R, cfg):
-    """The realize.Region named by --region ("default" is dom-plus); its
-    tol_inv, --tol-inv, decides every pencil of the scans it drives."""
+def make_region(name, R, cfg, pb=None):
+    """The region named by --region ("default" is dom-plus): a
+    realize.Region of R, whose tol_inv, --tol-inv, decides every pencil
+    of the scans it drives; or, for the plus kinds of a polynomial with
+    butterfly pb, pb's butterfly.PolyRegion, which judges w(A) alone."""
     kind, radius = ("dom-plus" if name == "default" else name), None
+    if pb is not None and kind.endswith("plus"):
+        return butterfly.PolyRegion(pb, kind, cfg.tol_psd)
     try:
         if name.startswith("ball:"):
             kind, radius = "ball", float(name.split(":", 1)[1])
@@ -323,11 +327,12 @@ def _partial_scan_chunk(payload):
     x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
     wherever R_T is, and the x-slices of the region are LMI domains.  The
     size is certified from one region point, the first Hessian probe of
-    convexity_verdict; a Hessian that fails psd_mask there can only come
+    convexity_verdict (through w(A) and ell on a polynomial with
+    butterfly pb); a Hessian that fails psd_mask there can only come
     from rounding, and the size is then inconclusive.  The other kinds
     run the sampled Hessian and midpoint scan."""
-    R, cfg, size, seed = payload
-    region = make_region(cfg.region, R, cfg)
+    R, cfg, size, seed, pb = payload
+    region = make_region(cfg.region, R, cfg, pb)
     rng = np.random.default_rng(seed)
     if region.kind.endswith("plus"):
         probe = partialcvx.first_probe(region, size, cfg.samples, rng,
@@ -365,29 +370,46 @@ def _partial_scan_chunk(payload):
     return out
 
 
-def _localizing_scan(R, cfg, rng):
+def _localizing_scan(R, cfg, rng, pb=None):
     """Search dom for a point where the localizing matrix R_T goes
     indefinite, and return at the first doubled-point witness there, which
     shows that convexity stops at the PSD region (sharpness) without
-    contradicting the region verdict; after a span failure the next
-    indefinite point tries.  The points are the region_probes of dom, and
-    negativity_witness takes the R_T tested there and draws its
-    companions right after the point, from the same region."""
+    contradicting the region verdict; after a span failure, or a witness
+    pencil outside dom at --tol-inv, the next indefinite point tries.
+
+    The points are the region_probes of dom: of pb's PolyRegion, judged on
+    the eigenvalues of w(A), for a polynomial with butterfly pb, and
+    otherwise of realize's dom, judged on the R_T of the pencil inverse
+    it hands on.  negativity_witness takes the point's R_T (pb's path
+    factors that one pencil there) and draws its companions right after
+    the point, from realize's dom.  With k = 0 no point can be
+    indefinite, and the scan draws nothing."""
+    k = R.frame.k if pb is None else pb.k
+    if not k:
+        return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
+                "eigenvalue at any point, so none is indefinite"}
     entry = {"checked": 0}
     dom_region = make_region("dom", R, cfg)
+    scan_region = dom_region if pb is None else butterfly.PolyRegion(pb)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
-                dom_region, int(n), cfg.samples, rng, cfg.scale):
+                scan_region, int(n), cfg.samples, rng, cfg.scale):
             entry["checked"] += 1
-            rt = realize.r_T(R, t, factors=W)
-            # with k = 0, R_T is the empty matrix: PSD, never indefinite
-            if not (R.frame.k and np.linalg.eigvalsh(rt)[0] < -1e-3):
+            if pb is None:
+                rt = realize.r_T(R, t, factors=W)
+                low = np.linalg.eigvalsh(rt)[0]
+            else:
+                rt, low = None, W[1][0]
+            if not low < -1e-3:
                 continue
             try:
                 wit = partialcvx.negativity_witness(
                     R, t, rng=rng, region=dom_region, rt=rt)
             except partialcvx.SpanFailure as exc:
                 entry["span_failure"] = str(exc)
+                continue
+            except realize.NotInDomain as exc:
+                entry["outside_dom"] = str(exc)
                 continue
             entry["sharpness_witness"] = _serialize_doubling_witness(wit)
             return entry
@@ -450,6 +472,7 @@ def cmd_partial(args):
             emit_report(report, cfg.out)
             return EXIT_OK
         t0 = time.monotonic()
+        pb = None
         try:
             pb = butterfly.poly_butterfly(p)
             results["butterfly_poly"] = {
@@ -471,6 +494,7 @@ def cmd_partial(args):
             results["not_convexible"] = entry
             R = realize.linearize_poly(p)
     else:
+        pb = None
         R = _ensure_smr(obj, notes)
         results["input"] = {"kind": "realization", "e": R.e,
                             "classes": {"a": R.h, "x": R.g}}
@@ -484,7 +508,8 @@ def cmd_partial(args):
 
     # Hessian scan over the configured region, one chunk per size
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(R, cfg, int(s), seeds[i]) for i, s in enumerate(cfg.sizes)]
+    payloads = [(R, cfg, int(s), seeds[i], pb)
+                for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
     chunks = _run_chunks(_partial_scan_chunk, payloads, cfg.workers)
     scan = {"region": cfg.region if cfg.region != "default" else "dom-plus",
@@ -495,18 +520,22 @@ def cmd_partial(args):
             negative = True
 
     t0 = time.monotonic()
-    neg_entry = _localizing_scan(R, cfg, np.random.default_rng(seeds[-1]))
+    neg_entry = _localizing_scan(R, cfg, np.random.default_rng(seeds[-1]),
+                                 pb)
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 
-    if kind == "realization" or "butterfly_poly" in results:
+    if kind == "realization" or pb is not None:
+        # at (0, 0) the sandwich is I and w = R_T = J11 (J = J^-1), so the
+        # item-4 test there is whether J11 is PSD, pb.psd_at_zero
         t0 = time.monotonic()
-        cert = butterfly.butterfly_build(R)
+        at_zero = pb.psd_at_zero if pb is not None else \
+            butterfly.butterfly_build(R).in_domain_item4(HermTuple(
+                1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
+                tuple(np.zeros((1, 1)) for _ in range(R.g))))
         results["butterfly"] = {
             "k": R.frame.k,
-            "sqrt_domain_at_zero": bool(cert.in_domain_item4(
-                HermTuple(1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
-                          tuple(np.zeros((1, 1)) for _ in range(R.g))))),
+            "sqrt_domain_at_zero": bool(at_zero),
             "time_s": time.monotonic() - t0,
         }
 

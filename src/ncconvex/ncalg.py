@@ -92,6 +92,15 @@ def _as_coeff(c):
     return arr
 
 
+def _drop_small(coeffs):
+    """coeffs without the words whose coefficient has max |entry| <
+    COEFF_DROP, decided by one reduction over the stacked coefficients."""
+    if not coeffs:
+        return {}
+    keep = np.abs(list(coeffs.values())).max(axis=(1, 2)) >= COEFF_DROP
+    return {w: c for (w, c), kept in zip(coeffs.items(), keep) if kept}
+
+
 @dataclass(frozen=True)
 class FreePoly:
     """nc polynomial: map word -> matrix coefficient over a VarContext.
@@ -106,11 +115,9 @@ class FreePoly:
     shape: tuple = (1, 1)
 
     def __post_init__(self):
-        # one pass over the words checks shapes and letter ranges; the
-        # drop rule (max |entry| < COEFF_DROP) is one reduction over the
-        # stacked coefficients
+        # one pass over the words checks shapes and letter ranges
         nl = self.ctx.nletters
-        words, arrs = [], []
+        checked = {}
         for w, c in self.coeffs.items():
             arr = _as_coeff(c)
             if arr.shape != self.shape:
@@ -118,11 +125,18 @@ class FreePoly:
                     "coefficient shape %r != declared %r" % (arr.shape, self.shape))
             if w and (min(w) < 0 or max(w) >= nl):
                 raise ContextError("word %r uses letters outside the context" % (w,))
-            words.append(tuple(w))
-            arrs.append(arr)
-        keep = np.abs(arrs).max(axis=(1, 2)) >= COEFF_DROP if arrs else ()
-        object.__setattr__(self, "coeffs", {
-            w: arr for w, arr, kept in zip(words, arrs, keep) if kept})
+            checked[tuple(w)] = arr
+        object.__setattr__(self, "coeffs", _drop_small(checked))
+
+    @classmethod
+    def _trusted(cls, ctx, coeffs, shape):
+        """A polynomial built from valid ones: coeffs maps word tuples over
+        ctx to 2-D complex arrays of shape, so only the drop rule runs."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ctx", ctx)
+        object.__setattr__(p, "shape", shape)
+        object.__setattr__(p, "coeffs", _drop_small(coeffs))
+        return p
 
     @classmethod
     def from_terms(cls, ctx, terms, shape=(1, 1)):
@@ -195,16 +209,16 @@ class FreePoly:
         acc = dict(self.coeffs)
         for w, c in other.coeffs.items():
             acc[w] = acc.get(w, np.zeros(self.shape, complex)) + c
-        return FreePoly(self.ctx, acc, self.shape)
+        return FreePoly._trusted(self.ctx, acc, self.shape)
 
     def __sub__(self, other):
         return self + (other * (-1.0) if isinstance(other, FreePoly) else -other)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return FreePoly(self.ctx,
-                            {w: c * other for w, c in self.coeffs.items()},
-                            self.shape)
+            return FreePoly._trusted(
+                self.ctx, {w: c * other for w, c in self.coeffs.items()},
+                self.shape)
         return poly_mul(self, other)
 
     __rmul__ = __mul__
@@ -250,14 +264,14 @@ def poly_mul(p, q):
         for wv, cv in q.coeffs.items():
             w = wu + wv
             acc[w] = acc.get(w, np.zeros(shape, complex)) + cu @ cv
-    return FreePoly(p.ctx, acc, shape)
+    return FreePoly._trusted(p.ctx, acc, shape)
 
 
 def adjoint(p):
     """Involution: reverse words, conjugate-transpose coefficients."""
-    return FreePoly(p.ctx,
-                    {word_adjoint(w): c.conj().T for w, c in p.coeffs.items()},
-                    (p.shape[1], p.shape[0]))
+    return FreePoly._trusted(
+        p.ctx, {word_adjoint(w): c.conj().T for w, c in p.coeffs.items()},
+        (p.shape[1], p.shape[0]))
 
 
 def check_herm(M, what="matrix"):

@@ -21,7 +21,8 @@ then its directions or midpoint partner; on the plus kinds partial checks
 one point per size (first_probe).  An accepted point comes with its
 pencil's inverse W, from which the Hessian probe, the midpoint triple,
 the span probe and the localizing scan's R_T evaluate; the scan hands
-that R_T to the witness.
+that R_T to the witness.  The samplers take a butterfly.PolyRegion as
+well, whose points come with w(A) and its eigenvalues instead.
 """
 
 from __future__ import annotations
@@ -179,17 +180,28 @@ def first_probe(region, n, samples, rng, scale):
     the first Hessian probe convexity_verdict draws at size n: the first
     of samples region probes, with its g directions H at scale 1.  None
     when every probe misses the region; the generator ends after the
-    probe's draws."""
+    probe's draws.
+
+    region is a realize.Region, whose probes carry their pencil's
+    inverse, or a butterfly.PolyRegion, whose probes carry w(A) and its
+    eigenvalues: there the Hessian is 2 ell(A, H)* w(A) ell(A, H) and
+    R_T's lambda_min that of w(A), with the zeros of R_T's dead
+    directions."""
     R = region.R
     probe = next(region_probes(region, n, samples, rng, scale,
                                (1.0,) * R.g), None)
     if probe is None:
         return None
     t, H, W = probe
-    ev = np.linalg.eigvalsh(_hessians(R, W[None], H[None]))[0]
-    rt_low = np.linalg.eigvalsh(r_T(R, t, factors=W))[0] \
-        if R.frame.k else 0.0
-    return ev, float(rt_low)
+    if isinstance(region, Region):
+        hess = _hessians(R, W[None], H[None])
+        rt_low = np.linalg.eigvalsh(r_T(R, t, factors=W))[0] \
+            if R.frame.k else 0.0
+    else:
+        w, ev_w = W
+        hess = region.hessian(t, H, w)[None]
+        rt_low = region.rt_lambda_min(ev_w)
+    return np.linalg.eigvalsh(hess)[0], float(rt_low)
 
 
 def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_herm_tuple, rand_minimal_smr
-from ncconvex import butterfly, cli, matkit, realize
+from ncconvex import butterfly, cli, matkit, partialcvx, realize
 from ncconvex.butterfly import (
     KebabError,
     NotConvexible,
@@ -205,6 +205,52 @@ def test_slice_membership_plus_matches_dom_plus_on_corpora(
                 assert form.membership_plus(X) == want, item.name
                 inside += want
                 total += 1
+    assert inside > 0
+    if workload == "partial-reject":
+        assert inside < total
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_poly_region_matches_the_pencil_region_on_corpora(
+        workload, seed, tmp_path, monkeypatch):
+    """On every butterfly input of the partial corpora, the PolyRegion of
+    each kind admits the draws that Region(R, kind) admits, and its ell/w
+    Hessian and R_T lambda_min match the pencil's, at sizes 1-3."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    rng = np.random.default_rng(seed)
+    kinds = [k for k in realize.REGION_KINDS if k != "ball"]
+    inside = total = 0
+    for item in corpus.build(workload, seed, tmp_path, DATA):
+        try:
+            pb = poly_butterfly(item.poly)
+        except NotConvexible:
+            continue
+        R = pb.realization
+        for n in (1, 2, 3):
+            mats = partialcvx._herm_stack(n, [(n, n, True)] * (R.h + R.g),
+                                          0.6, rng, 4)
+            for kind in kinds:
+                region = butterfly.PolyRegion(pb, kind)
+                got, payload = region.test(mats)
+                want, W = Region(R, kind).test(mats)
+                assert np.array_equal(got, want), (item.name, kind, n)
+            # kebab-plus, the last kind, gives the counts and the points
+            inside += int(got.sum())
+            total += len(mats)
+            for i, (w, ev) in enumerate(payload):
+                t = HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
+                              validate=False)
+                H = partialcvx._herm_stack(n, [(n, n, True)] * R.g, 1.0,
+                                           rng, 1)[0]
+                hess = region.hessian(t, H, w)
+                ref = partialcvx._hessians(R, W[i][None], H[None])[0]
+                bound = 1e-9 * max(1.0, np.linalg.norm(ref, 2))
+                assert np.linalg.norm(hess - ref, 2) <= bound, item.name
+                rt_low = np.linalg.eigvalsh(realize.r_T(R, t, factors=W[i]))[0]
+                assert abs(region.rt_lambda_min(ev) - rt_low) \
+                    <= 1e-9 * max(1.0, abs(rt_low)), item.name
     assert inside > 0
     if workload == "partial-reject":
         assert inside < total

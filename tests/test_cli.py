@@ -252,6 +252,15 @@ def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
     _, real = run_out(tmp_path, "real.json", ["partial", str(rfile)] + flags)
     poly, real = strip_timings(poly["results"]), strip_timings(real["results"])
     assert "notes" not in real
+    # the polynomial's plus kinds read the lambda_mins from w(A), the
+    # file's from its pencils: the same numbers up to rounding, 1e-12
+    # relative to max(1, |value|)
+    for pc, rc in zip(poly["hessian_scan"]["per_size"],
+                      real["hessian_scan"]["per_size"]):
+        for f in ("min_lambda", "rt_lambda_min"):
+            if f in pc:
+                assert abs(rc[f] - pc[f]) <= 1e-12 * max(1.0, abs(pc[f])), f
+                rc[f] = pc[f]
     sections = ["hessian_scan", "localizing_scan"]
     if name == "xax":
         sections.append("butterfly")
@@ -286,8 +295,10 @@ def test_partial_realization_with_zero_x_range(tmp_path, T):
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(rfile), "--sizes", "1,2", "--samples", "2"])
     assert code == EXIT_OK
-    # no indefinite point, so neither a witness nor a span failure
-    assert strip_timings(rep["results"]["localizing_scan"]) == {"checked": 4}
+    # no point can be indefinite, so the scan draws none
+    assert strip_timings(rep["results"]["localizing_scan"]) == {
+        "checked": 0, "reason": "k = 0: R_T has no nonzero eigenvalue at "
+        "any point, so none is indefinite"}
 
 
 def test_partial_zero_function_realization_is_trivial(tmp_path, capsys):
@@ -401,6 +412,48 @@ def test_partial_tol_inv_decides_every_pencil(tmp_path, capsys, sign):
     assert "internal error" not in out + err
 
 
+@pytest.mark.parametrize("seed", [4, 6, 10])
+def test_sharpness_witness_outside_dom_is_a_reason(tmp_path, capsys, seed):
+    """1 / (1 - 2a - 2x) at --tol-inv 0.3: the doubled point of a
+    sharpness witness can fall outside dom although its blocks lie in
+    it.  The localizing scan records that and goes on; it used to exit 4
+    with NotInDomain."""
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"J": [[[1, 0]]], "S": [[[[2, 0]]]],
+                                 "T": [[[[2, 0]]]], "c": [[1, 0]]}))
+    code = cli.main(["partial", str(rfile), "--region", "dom",
+                     "--tol-inv", "0.3", "--scale", "0.8", "--sizes", "1,2,3",
+                     "--samples", "7", "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+    assert "internal error" not in out + err
+    scan = json.loads(out)["results"]["localizing_scan"]
+    assert "numerically singular at tol_inv=0.3" in scan["outside_dom"]
+
+
+def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
+    """On a sum of squares, partial judges every draw through w(A) and
+    takes sqrt_domain_at_zero from the butterfly: no pencil is tested and
+    no ButterflyCert is built."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    calls = []
+    for owner, name in ((realize.Region, "test"),
+                        (butterfly, "butterfly_build")):
+        def spy(*args, name=name, call=getattr(owner, name)):
+            calls.append(name)
+            return call(*args)
+        monkeypatch.setattr(owner, name, spy)
+    for item in corpus.build("partial-accept", 1, tmp_path, DATA)[:3]:
+        code, rep = run_out(tmp_path, "p.json", item.argv)
+        assert code == EXIT_OK
+        results = rep["results"]
+        assert results["localizing_scan"]["checked"] > 0
+        assert results["butterfly"]["sqrt_domain_at_zero"] \
+            == results["butterfly_poly"]["w_psd_at_zero"]
+    assert calls == []
+
+
 def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     """The realization owns the frame of ran T (Realization.frame): one
     partial call builds it once, through the butterfly, both scans, the
@@ -490,9 +543,9 @@ def independent_first_probe(R, region, size, samples, scale, rng):
 @pytest.mark.parametrize("workload", ["partial-reject", "partial-accept"])
 def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
     """On dom+ each size is one region point: empty exactly when
-    convexity_verdict finds no point in the same budget, and otherwise
-    the Hessian lambda_min of that verdict's first probe, which an
-    independent resolvent formula reproduces."""
+    convexity_verdict on the pencils finds no point in the same budget,
+    and otherwise the Hessian lambda_min of that verdict's first probe,
+    which an independent resolvent formula reproduces."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     seen = recorded_chunks(monkeypatch)
@@ -501,18 +554,9 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
             in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
     assert len(seen) >= 25
     empties = 0
-    for (R, cfg, size, seed), chunk in seen:
+    for (R, cfg, size, seed, _), chunk in seen:
         region = cli.make_region(cfg.region, R, cfg)
         assert region.kind == "dom-plus"
-        lows = []
-        hessians = partialcvx._hessians
-
-        def spy(R_, W, H):
-            vals = hessians(R_, W, H)
-            lows.extend(np.linalg.eigvalsh(vals)[:, 0].tolist())
-            return vals
-
-        monkeypatch.setattr(partialcvx, "_hessians", spy)
         try:
             partialcvx.convexity_verdict(
                 R, region, sizes=(size,), samples=cfg.samples,
@@ -521,7 +565,6 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
             ref_empty = False
         except partialcvx.RegionEmpty:
             ref_empty = True
-        monkeypatch.setattr(partialcvx, "_hessians", hessians)
         assert chunk["empty"] == ref_empty
         ind = independent_first_probe(R, region, size, cfg.samples,
                                       cfg.scale, np.random.default_rng(seed))
@@ -533,7 +576,6 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert set(chunk) == PLUS_KEYS
         assert chunk["samples"] == 1
         assert chunk["reason"] == cli.PLUS_REASON
-        assert chunk["min_lambda"] == lows[0]
         low, norm, rt_low = ind
         assert abs(chunk["min_lambda"] - low) <= 1e-9 * max(1.0, norm)
         assert chunk["min_lambda"] >= -cfg.tol_psd * max(1.0, norm)
@@ -548,9 +590,9 @@ def test_plus_rounding_is_inconclusive(tmp_path, monkeypatch, capsys,
                                        region):
     """A Hessian that is not PSD at the region point contradicts the
     theorem, so it is rounding: exit 3 with the reason, never exit 1."""
-    hessians = partialcvx._hessians
-    monkeypatch.setattr(partialcvx, "_hessians",
-                        lambda *args: -hessians(*args))
+    hessian = butterfly.PolyRegion.hessian
+    monkeypatch.setattr(butterfly.PolyRegion, "hessian",
+                        lambda *args: -hessian(*args))
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
         "--samples", "4", "--seed", "1", "--region", region])
@@ -1332,6 +1374,9 @@ def reference_localizing_scan(R, cfg, rng):
                 except partialcvx.SpanFailure as exc:
                     entry["span_failure"] = str(exc)
                     continue
+                except realize.NotInDomain as exc:
+                    entry["outside_dom"] = str(exc)
+                    continue
                 entry["sharpness_witness"] = \
                     cli._serialize_doubling_witness(wit)
                 return entry, rejected
@@ -1354,17 +1399,26 @@ RESOLVENT_1 = '{"J": [[[1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]], ' \
     (RESOLVENT_1, 37, 0.3),
 ])
 def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
+    """The scan on the pencils, and on a polynomial of x-degree two also
+    through its butterfly's w(A), is the per-sample loop's."""
+    pb = None
     if text.startswith("{"):
         R = realize.realization_from_json(json.loads(text))
     else:
-        R = realize.linearize_poly(ncalg.parse_poly(text))
+        p = ncalg.parse_poly(text)
+        R = realize.linearize_poly(p)
+        if p.degree_in_class("x") <= 2:
+            pb = butterfly.poly_butterfly(p)
     cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
                              tol_inv=tol_inv)
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
     want, rejected = reference_localizing_scan(R, cfg, ref_rng)
-    got = cli._localizing_scan(R, cfg, rng)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for butterfly_pb in (None, pb) if pb else (None,):
+        rng = np.random.default_rng(seed)
+        got = cli._localizing_scan(R, cfg, rng, butterfly_pb)
+        assert json.dumps(got, sort_keys=True) \
+            == json.dumps(want, sort_keys=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (rejected > 0) == (tol_inv == 0.3)
 
 
