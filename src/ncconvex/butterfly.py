@@ -217,7 +217,7 @@ def slice_reduce(R, A_mats, n=None, tol_inv=TOL_INV, rtol=realize.RTOL_RANK):
     V = frame.V_T
     e, k = R.e, frame.k
     Vp = _complement(V, e)
-    J11 = matkit.herm(V.conj().T @ R.J @ V)
+    J11 = frame.J11
     S11 = tuple(matkit.herm(V.conj().T @ M @ V) for M in R.S)
     if k == 0:
         W = np.zeros((0, 0), dtype=complex)
@@ -573,7 +573,7 @@ def poly_butterfly(p):
                                      ell_poly.shape)
 
     # nilpotency certificate at a = 0
-    J11 = matkit.herm(V.conj().T @ R.J @ V)
+    J11 = frame.J11
     psd_at_zero = bool(is_psd(J11).is_psd) if k else True
     if k and psd_at_zero:
         # sqrt with numerically-zero eigenvalues clamped to exact zero, so

@@ -319,6 +319,20 @@ def _serialize_midpoint_witness(wit):
 PLUS_REASON = ("the x-Hessian is 2 u* R_T u \u2ab0 0 on the region, and its "
                "x-slices are LMI domains")
 
+EMPTY_PROOF = (
+    "R_T(A, X) maps u (x) y to (J11 u) (x) y at every point, with "
+    "u* J11 u = a and ||J11 u - a u|| = c, and the letters J Z are jointly "
+    "nilpotent, so ||R_T|| <= norm_bound at every draw of norm <= --scale "
+    "and lambda_min(R_T) <= lambda_bound < -tol_psd max(1, norm_bound): "
+    "psd_mask rejects every draw at every size")
+
+
+def _serialize_empty_proof(proof):
+    d = proof.direction
+    return {"statement": EMPTY_PROOF, "u": jmat(d.u), "a": d.a, "c": d.c,
+            "norm_bound": proof.norm_bound,
+            "lambda_bound": proof.lambda_bound}
+
 
 def _partial_scan_chunk(payload):
     """One size of the region Hessian scan; module level for pickling.
@@ -329,12 +343,18 @@ def _partial_scan_chunk(payload):
     size is certified from one region point, the first Hessian probe of
     convexity_verdict (through w(A) and ell on a polynomial with
     butterfly pb); a Hessian that fails psd_mask there can only come
-    from rounding, and the size is then inconclusive.  The other kinds
+    from rounding, and the size is then inconclusive.  Where
+    realize.dom_plus_empty proves that no draw lies in the region, the
+    size is empty with that proof and draws nothing.  The other kinds
     run the sampled Hessian and midpoint scan."""
     R, cfg, size, seed, pb = payload
     region = make_region(cfg.region, R, cfg, pb)
     rng = np.random.default_rng(seed)
     if region.kind.endswith("plus"):
+        proof = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+        if proof is not None:
+            return {"size": size, "empty": True,
+                    "proof": _serialize_empty_proof(proof)}
         probe = partialcvx.first_probe(region, size, cfg.samples, rng,
                                        cfg.scale)
         if probe is None:
@@ -527,12 +547,11 @@ def cmd_partial(args):
 
     if kind == "realization" or pb is not None:
         # at (0, 0) the sandwich is I and w = R_T = J11 (J = J^-1), so the
-        # item-4 test there is whether J11 is PSD, pb.psd_at_zero
+        # item-4 test there is whether J11 is PSD: pb.psd_at_zero, or for
+        # a realization is_psd of the frame's J11 (true when k = 0)
         t0 = time.monotonic()
         at_zero = pb.psd_at_zero if pb is not None else \
-            butterfly.butterfly_build(R).in_domain_item4(HermTuple(
-                1, tuple(np.zeros((1, 1)) for _ in range(R.h)),
-                tuple(np.zeros((1, 1)) for _ in range(R.g))))
+            matkit.is_psd(R.frame.J11).is_psd
         results["butterfly"] = {
             "k": R.frame.k,
             "sqrt_domain_at_zero": bool(at_zero),
@@ -545,11 +564,23 @@ def cmd_partial(args):
         "size %d: %s" % (c["size"], c["inconclusive"])
         for c in chunks if "inconclusive" in c]
     if not negative and all(c["empty"] for c in chunks):
+        # the proof depends on R, --scale and --tol-psd alone, so it
+        # holds at every size or at none
+        proof = chunks[0].get("proof")
+        if proof is None:
+            why = "%d probes of %d draws each per size" % (
+                cfg.samples, partialcvx.MAX_ATTEMPTS)
+        else:
+            why = ("proved empty: lambda_min(R_T) <= %.6g < -tol_psd "
+                   "max(1, %.6g) at every draw of norm <= %g, from a "
+                   "direction u of R_T with R_T (u (x) y) = (J11 u) (x) y, "
+                   "u* J11 u = %.3g and ||J11 u - (u* J11 u) u|| = %.6g" % (
+                       proof["lambda_bound"], proof["norm_bound"],
+                       cfg.scale, proof["a"], proof["c"]))
         results["inconclusive"] = (
-            "no region point at any size (%s at sizes %s: %d probes of %d "
-            "draws each per size)" % (
+            "no region point at any size (%s at sizes %s: %s)" % (
                 scan["region"], ",".join(str(int(s)) for s in cfg.sizes),
-                cfg.samples, partialcvx.MAX_ATTEMPTS))
+                why))
         reasons.append(results["inconclusive"])
     emit_report(report, cfg.out)
     for reason in reasons:

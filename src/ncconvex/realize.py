@@ -37,6 +37,7 @@ the one-point case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,6 +123,12 @@ class Realization:
         """The RangeTFrame of ran T, built on first use (see
         _range_t_frame); replace() gives a fresh one."""
         return _range_t_frame(self)
+
+    @cached_property
+    def constant_direction(self):
+        """The ConstantDirection of R_T, or None; found on first use (see
+        _constant_direction)."""
+        return _constant_direction(self)
 
     def pencil(self, t):
         """P(A, X) = J (x) I - sum T_i (x) X_i - sum S_j (x) A_j."""
@@ -231,6 +238,7 @@ class RangeTFrame:
 
     V_T: np.ndarray  # e x k
     That: tuple      # k x k Hermitian compressions V_T* T_i V_T
+    J11: np.ndarray  # k x k, V_T* J V_T: R_T(0, 0) when J = J^-1
     _lifts: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -249,19 +257,144 @@ def _range_t_frame(R):
     e = R.e
     if R.g == 0:
         V = np.zeros((e, 0), dtype=complex)
-        return RangeTFrame(V, ())
+        return RangeTFrame(V, (), np.zeros((0, 0), dtype=complex))
     stack = np.hstack([np.asarray(T, dtype=complex) for T in R.T])
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
     k = int(np.sum(s > RTOL_RANK * max(1.0, s[0] if len(s) else 1.0)))
     V = U[:, :k]
     That = tuple(matkit.herm(V.conj().T @ T @ V) for T in R.T)
-    return RangeTFrame(V, That)
+    return RangeTFrame(V, That, matkit.herm(V.conj().T @ R.J @ V))
 
 
 def r_T(R, t, tol_inv=TOL_INV, factors=None):
     """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
     from the pencil's inverse (see _inverse)."""
     return _compress(_inverse(R, t, tol_inv, factors), R.frame.lift(t.n))
+
+
+@dataclass(frozen=True)
+class ConstantDirection:
+    """A unit u in C^k on which R_T is constant:
+
+        R_T(A, X) (u (x) y) = (J11 u) (x) y
+
+    at every point of dom, of every size, for every y.  a = u* J11 u and
+    c = ||J11 u - a u||; letter_norm is sum_l ||N_l||_2 over the letters
+    N_l = J Z_l (S, then T), which are jointly nilpotent.
+    """
+
+    u: np.ndarray
+    a: float
+    c: float
+    letter_norm: float
+
+
+@dataclass(frozen=True)
+class PlusEmptyProof:
+    """dom-plus and kebab-plus hold no point whose matrices have spectral
+    norm <= the scale it was proved at: there ||R_T|| <= norm_bound, so
+    lambda_min(R_T) <= lambda_bound, which is below
+    -tol max(1, norm_bound), and psd_mask at tol rejects R_T."""
+
+    direction: ConstantDirection
+    norm_bound: float
+    lambda_bound: float
+
+
+def _jointly_nilpotent(N, cut):
+    """Whether every product of e letters N (a stack (L, e, e)) vanishes:
+    the subspaces K_0 = C^e, K_(m+1) = sum_l N_l K_m (orthonormal, by
+    _pivoted_gs with the absolute cut) shrink at every step until 0; a
+    step that keeps the dimension keeps it for ever."""
+    K = np.eye(N.shape[-1], dtype=complex)
+    while K.shape[1]:
+        K_next, _ = _pivoted_gs(K[:, :0], np.hstack(N @ K), cut)
+        if K_next.shape[1] == K.shape[1]:
+            return False
+        K = K_next
+    return True
+
+
+def _constant_direction(R):
+    """R_T's ConstantDirection, or None when a premise fails.
+
+    With J^2 = I the pencil is J (I - N(A, X)), N(A, X) = sum_l N_l (x)
+    A_l, so P^-1 = (I - N)^-1 J.  Let O be the smallest subspace that
+    contains every ran N_l* V_T and is invariant under every N_l*
+    (_closure).  O (x) C^n is invariant under N*, so wherever P is
+    invertible, (I - N*)^-1 (V_T (x) I) = V_T (x) I + Z with ran Z in
+    O (x) C^n, and R_T(A, X) (u (x) y) = (J11 u) (x) y for every u with
+    J V_T u orthogonal to O.  Among those u (the kernel Q of O* J V_T):
+    the eigenvector of the lowest eigenvalue of Q* J11 Q when it is
+    negative; otherwise, in that matrix's kernel (u* J11 u = 0), the u
+    that J11 moves most.  The letters must be jointly nilpotent, for the
+    bound on ||R_T|| that dom_plus_empty uses.  None when J^2 != I, k = 0,
+    the letters are not nilpotent, or no u has J V_T u orthogonal to O.
+    """
+    frame = R.frame
+    if not frame.k or not R.is_signature():
+        return None
+    N = np.reshape([R.J @ Z for Z in R.S + R.T], (-1, R.e, R.e))
+    cut = _krylov_cut(N)
+    if not _jointly_nilpotent(N, cut):
+        return None
+    Nh = N.conj().swapaxes(-1, -2)
+    O = _closure(Nh, np.hstack(Nh @ frame.V_T), cut)
+    _, s, Vh = np.linalg.svd(O.conj().T @ R.J @ frame.V_T)
+    Q = Vh[int(np.sum(s > RTOL_RANK)):].conj().T
+    if not Q.shape[1]:
+        return None
+    J11 = frame.J11
+    mu, E = np.linalg.eigh(matkit.herm(Q.conj().T @ J11 @ Q))
+    if mu[0] < -RTOL_RANK:
+        v = E[:, 0]
+    else:
+        ker = E[:, mu <= RTOL_RANK]
+        if not ker.shape[1]:
+            return None
+        v = ker @ np.linalg.svd(J11 @ Q @ ker)[2][0].conj()
+    u = Q @ v
+    u = u * (matkit.unit_phase(u) / np.linalg.norm(u))
+    a = float(np.real(u.conj() @ J11 @ u))
+    norms = np.linalg.svd(N, compute_uv=False).max(axis=-1, initial=0.0)
+    return ConstantDirection(u, a, float(np.linalg.norm(J11 @ u - a * u)),
+                             float(norms.sum()))
+
+
+def dom_plus_empty(R, scale, tol=TOL_PSD):
+    """A PlusEmptyProof that psd_mask at tol rejects R_T at every point
+    whose matrices have spectral norm <= scale, or None.
+
+    The draws of the samplers have norm <= scale (1 + 1e-12), so
+    ||N(A, X)|| <= rho = scale letter_norm (1 + 1e-12), and the letters
+    being jointly nilpotent, P^-1 = sum_(m < e) N^m J gives
+    ||R_T|| <= B = sum_(m < e) rho^m.  R_T compresses onto u (x) y and
+    (J11 u - a u) (x) y / c (unit y) to [[a, c], [c, beta]] with
+    |beta| <= B, whose lambda_min grows with beta, so by interlacing
+    lambda_min(R_T) <= lambda_bound = ((a + B) - sqrt((B - a)^2 + 4 c^2))
+    / 2 (a at c = 0).  The proof holds when that is below
+    -tol max(1, B).  None when
+    R_T(0, 0) = J11 passes psd_mask (the draws come arbitrarily close to
+    the origin, so no bound can hold), when R has no ConstantDirection,
+    or when the bound is too weak, as at a large scale.
+    """
+    if matkit.is_psd(R.frame.J11, tol).is_psd:
+        return None
+    d = R.constant_direction
+    if d is None:
+        return None
+    rho = scale * d.letter_norm * (1 + 1e-12)
+    B = 1.0
+    for _ in range(R.e - 1):
+        B = 1.0 + rho * B
+        # lambda_bound >= a - c >= -sqrt 2 (a^2 + c^2 = ||J11 u||^2 <= 1):
+        # past tol B = 2 no bound proves anything, and B cannot overflow
+        if not tol * B <= 2:
+            return None
+    lam = ((d.a + B) - math.hypot(B - d.a, 2 * d.c)) / 2
+    if not lam < -tol * max(1.0, B):
+        return None
+    return PlusEmptyProof(d, B, lam)
 
 
 REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
@@ -448,12 +581,17 @@ def _krylov_closure(mats, seed):
     coefficients of 1e-11 x x x x) spans the same subspace as its unit
     direction; only a zero seed gives the empty closure.
     """
-    Q = np.zeros((len(seed), 0), dtype=complex)
     nrm = np.linalg.norm(seed)
     if nrm == 0:
-        return Q
-    cut = _krylov_cut(mats)
-    frontier = (seed / nrm).reshape(-1, 1)
+        return np.zeros((len(seed), 0), dtype=complex)
+    return _closure(mats, (seed / nrm).reshape(-1, 1), _krylov_cut(mats))
+
+
+def _closure(mats, frontier, cut):
+    """Smallest subspace invariant under all mats that contains the
+    columns of frontier, as orthonormal columns (see _krylov_closure);
+    cut is absolute."""
+    Q = np.zeros((frontier.shape[0], 0), dtype=complex)
     while frontier.shape[1]:
         k = Q.shape[1]
         Q, _ = _pivoted_gs(Q, frontier, cut)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import congruent_copy, padded_copy
+from conftest import congruent_copy, padded_copy, rand_minimal_smr
 from ncconvex import butterfly, cli, matkit, ncalg, partialcvx, realize, \
     xycvx
 from ncconvex.cli import (
@@ -373,6 +373,80 @@ def test_partial_with_no_region_point_says_why(tmp_path, capsys):
     assert all(c["empty"] for c in rep["results"]["hessian_scan"]["per_size"])
 
 
+def test_partial_with_every_size_proved_empty_says_so(tmp_path, capsys,
+                                                     monkeypatch):
+    """x4 without its midpoint witness: every size of dom+ is empty by
+    realize.dom_plus_empty, so partial exits 3, and the reason states
+    that proof instead of a probe budget."""
+    monkeypatch.setattr(butterfly, "midpoint_violation_search",
+                        lambda p: None)
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "x4_poly.txt"), "--sizes", "1,2",
+        "--samples", "2"])
+    results = rep["results"]
+    assert code == EXIT_INCONCLUSIVE
+    assert "witness" not in results["not_convexible"]
+    chunks = results["hessian_scan"]["per_size"]
+    assert [set(c) for c in chunks] == [{"size", "empty", "proof"}] * 2
+    proof = chunks[0]["proof"]
+    assert chunks[1]["proof"] == proof
+    reason = results["inconclusive"]
+    assert reason.startswith("no region point at any size (dom-plus at "
+                             "sizes 1,2: proved empty: lambda_min(R_T) <= "
+                             "%.6g < -tol_psd max(1, %.6g) at every draw of "
+                             "norm <= 0.6" % (proof["lambda_bound"],
+                                              proof["norm_bound"]))
+    assert "draws each" not in reason
+    assert capsys.readouterr().err == "inconclusive: %s\n" % reason
+
+
+def realization_files():
+    """(name, Realization) of the realization files the partial tests
+    read, and of 40 seeded minimal realizations (e = 4, h = 1, g = 2)."""
+    polys = {name: realize.linearize_poly(
+        ncalg.parse_poly((DATA / ("%s_poly.txt" % name)).read_text()))
+        for name in ("x4", "xax")}
+    files = [("x4", polys["x4"]), ("xax", polys["xax"]),
+             ("xax-padded", padded_copy(polys["xax"])),
+             ("xax-congruent", congruent_copy(
+                 polys["xax"], np.diag(np.linspace(0.7, 1.4, 4))))]
+    make = realize.Realization.make
+    files += [("zero-T", make(np.eye(1), [], [np.zeros((1, 1))], [1.0])),
+              ("no-letters", make(np.eye(1), [], [], [1.0])),
+              ("one-minus-2a-2x", make(np.eye(1), [2 * np.eye(1)],
+                                       [2 * np.eye(1)], [1.0])),
+              ("one-minus-tx", make(np.eye(1), [], [np.eye(1) / 0.6],
+                                    [1.0]))]
+    files += [("smr%d" % seed, rand_minimal_smr(np.random.default_rng(seed),
+                                                 e=4, h=1, g=2))
+              for seed in range(40)]
+    return files
+
+
+def test_sqrt_domain_at_zero_of_a_realization_file(tmp_path):
+    """For a realization file, sqrt_domain_at_zero is whether J11 is PSD,
+    decided without a ButterflyCert; it agrees with the item-4 test of
+    butterfly_build at the zero point of the realization partial scans."""
+    seen = set()
+    for name, R in realization_files():
+        rfile = tmp_path / ("%s.json" % name)
+        rfile.write_text(json.dumps(realize.realization_to_json(R)))
+        code, rep = run_out(tmp_path, "p.json", [
+            "partial", str(rfile), "--sizes", "1", "--samples", "1"])
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), name
+        Rm = realize.minimize(realize.realization_from_json(
+            json.loads(rfile.read_text())))
+        zero = ncalg.HermTuple(
+            1, tuple(np.zeros((1, 1)) for _ in range(Rm.h)),
+            tuple(np.zeros((1, 1)) for _ in range(Rm.g)))
+        want = butterfly.butterfly_build(Rm).in_domain_item4(zero)
+        got = rep["results"]["butterfly"]["sqrt_domain_at_zero"]
+        assert got == want, name
+        seen.add((name.startswith("smr"), got))
+    assert seen == {(False, True), (False, False), (True, True),
+                    (True, False)}
+
+
 def test_partial_ball_region(tmp_path):
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(DATA / "xax_poly.txt"),
@@ -571,7 +645,10 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert (ind is None) == ref_empty
         if ref_empty:
             empties += 1
-            assert set(chunk) == {"size", "empty"}
+            # a proved size carries its proof; a sampled one nothing more
+            proved = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+            assert set(chunk) == {"size", "empty"} | (
+                set() if proved is None else {"proof"})
             continue
         assert set(chunk) == PLUS_KEYS
         assert chunk["samples"] == 1
@@ -583,6 +660,26 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert chunk["rt_lambda_min"] >= -1e-8 * max(1.0, abs(rt_low))
     # x4 and the deep inputs find no dom+ point
     assert empties == (6 if workload == "partial-reject" else 0)
+
+
+def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
+    """At --scale 50 the norm bound is too weak for a proof, and each size
+    is the sampler's: empty after every probe missed the region, with no
+    proof and no other field."""
+    seen = recorded_chunks(monkeypatch)
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "x4_poly.txt"), "--scale", "50",
+        "--sizes", "1,2", "--samples", "2"])
+    assert code == EXIT_NEGATIVE
+    assert len(seen) == 2
+    for (R, cfg, size, seed, _), chunk in seen:
+        assert realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd) is None
+        with pytest.raises(partialcvx.RegionEmpty):
+            partialcvx.convexity_verdict(
+                R, cli.make_region(cfg.region, R, cfg), sizes=(size,),
+                samples=cfg.samples, rng=np.random.default_rng(seed),
+                tol=cfg.tol_psd, scale=cfg.scale, midpoint_pairs=0)
+        assert chunk == {"size": size, "empty": True}
 
 
 @pytest.mark.parametrize("region", ["default", "kebab-plus"])

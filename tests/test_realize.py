@@ -818,3 +818,87 @@ def test_linearize_poly_skips_only_an_identity_closure(name):
                     (want.J, want.c) + want.S + want.T):
         assert np.array_equal(a, b)
     assert (len(got.S), len(got.T)) == (len(want.S), len(want.T))
+
+
+# ---------------------------------------------------------------------------
+# dom+ proved empty from R_T's constant direction
+
+def corpus_polys(monkeypatch, tmp_path, workload, seeds):
+    """{(seed, name): the input polynomial} of a benchmark corpus."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    return {(seed, item.name): item.poly for seed in seeds
+            for item in corpus.build(workload, seed, tmp_path, DATA)}
+
+
+def test_x_degree_above_two_has_a_dom_plus_empty_proof(monkeypatch,
+                                                        tmp_path):
+    """On x4 and the deep inputs of partial-reject at seeds 1-5 the proof
+    exists and R_T is constant on u (x) y at points of sizes 1-3; at seed
+    1 both plus regions reject 2000 draws per size at the proof's scale,
+    and lambda_min of each drawn R_T is at most the proved bound."""
+    polys = corpus_polys(monkeypatch, tmp_path, "partial-reject",
+                         range(1, 6))
+    polys = {key: p for key, p in polys.items()
+             if key[1] == "x4_poly.txt" or key[1].startswith("deep")}
+    assert len(polys) == 30
+    rng = np.random.default_rng(7)
+    for (seed, _), p in polys.items():
+        R = linearize_poly(p)
+        proof = realize.dom_plus_empty(R, 0.6)
+        assert proof is not None
+        assert proof.lambda_bound < -1e-8 * max(1.0, proof.norm_bound)
+        u, J11 = proof.direction.u, R.frame.J11
+        assert abs(np.linalg.norm(u) - 1) <= 1e-12
+        for n in (1, 2, 3):
+            parts = [(n, n, True)] * (R.h + R.g)
+            m = partialcvx._herm_stack(n, parts, 0.6, rng, 1)[0]
+            t = HermTuple(n, tuple(m[:R.h]), tuple(m[R.h:]), validate=False)
+            rt = r_T(R, t)
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            err = np.linalg.norm(rt @ np.kron(u, y) - np.kron(J11 @ u, y))
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(rt, 2)) \
+                * np.linalg.norm(y)
+            if seed != 1:
+                continue
+            mats = partialcvx._herm_stack(n, parts, 0.6, rng, 2000)
+            inside, W = realize.Region(R, "dom-plus").test(mats)
+            assert not inside.any()
+            assert not realize.Region(R, "kebab-plus").test(mats)[0].any()
+            # every drawn R_T lies below the proved bound
+            rt = realize._compress(W, R.frame.lift(n))
+            assert np.linalg.eigvalsh(rt)[:, 0].max() <= proof.lambda_bound
+
+
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_no_dom_plus_empty_proof_on_butterfly_inputs(workload, monkeypatch,
+                                                     tmp_path):
+    """The inputs of x-degree <= 2, which have a butterfly and dom+
+    points, have no proof."""
+    polys = corpus_polys(monkeypatch, tmp_path, workload, range(1, 4))
+    checked = 0
+    for p in polys.values():
+        if p.degree_in_class("x") > 2:
+            continue
+        assert realize.dom_plus_empty(linearize_poly(p), 0.6) is None
+        checked += 1
+    assert checked == (75 if workload == "partial-accept" else 57)
+
+
+def test_rational_realizations_have_no_constant_direction():
+    """Random minimal realizations are rational: their letters are not
+    nilpotent, so there is no ConstantDirection and no proof."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        R = rand_minimal_smr(rng, e=4, h=1, g=2)
+        assert R.constant_direction is None
+        assert realize.dom_plus_empty(R, 0.6) is None
+
+
+def test_dom_plus_empty_proof_needs_a_strong_bound():
+    """At a large scale ||R_T|| <= B is too weak, and x4 has no proof."""
+    R = linearize_poly(ncalg.parse_poly((DATA / "x4_poly.txt").read_text()))
+    assert R.constant_direction is not None
+    assert realize.dom_plus_empty(R, 0.6) is not None
+    for scale in (50.0, 1e300):
+        assert realize.dom_plus_empty(R, scale) is None
