@@ -30,7 +30,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +238,13 @@ def make_region(name, R, cfg, pb=None):
     """The region named by --region ("default" is dom-plus): a
     realize.Region of R, whose tol_inv, --tol-inv, decides every pencil
     of the scans it drives; or, for the plus kinds of a polynomial with
-    butterfly pb, pb's butterfly.PolyRegion, which judges w(A) alone."""
+    butterfly pb, pb's butterfly.PolyRegion, which judges w(A) alone.
+    With pb, R may be None: the other kinds take pb.realization."""
     kind, radius = ("dom-plus" if name == "default" else name), None
     if pb is not None and kind.endswith("plus"):
         return butterfly.PolyRegion(pb, kind, cfg.tol_psd)
+    if R is None:
+        R = pb.realization
     try:
         if name.startswith("ball:"):
             kind, radius = "ball", float(name.split(":", 1)[1])
@@ -342,16 +345,21 @@ def _partial_scan_chunk(payload):
     wherever R_T is, and the x-slices of the region are LMI domains.  The
     size is certified from one region point, the first Hessian probe of
     convexity_verdict (through w(A) and ell on a polynomial with
-    butterfly pb); a Hessian that fails psd_mask there can only come
-    from rounding, and the size is then inconclusive.  Where
-    realize.dom_plus_empty proves that no draw lies in the region, the
-    size is empty with that proof and draws nothing.  The other kinds
-    run the sampled Hessian and midpoint scan."""
+    butterfly pb, where R is None); a Hessian that fails psd_mask there
+    can only come from rounding, and the size is then inconclusive.
+    Where realize.dom_plus_empty proves that no draw lies in the region,
+    the size is empty with that proof and draws nothing; it needs
+    R_T(0, 0) to fail psd_mask, which on a butterfly is w(0), so only
+    then is pb's realization built.  The other kinds run the sampled
+    Hessian and midpoint scan."""
     R, cfg, size, seed, pb = payload
     region = make_region(cfg.region, R, cfg, pb)
     rng = np.random.default_rng(seed)
     if region.kind.endswith("plus"):
-        proof = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+        proof = None
+        if pb is None or not matkit.is_psd(pb.w_at_zero, cfg.tol_psd).is_psd:
+            proof = realize.dom_plus_empty(
+                pb.realization if R is None else R, cfg.scale, cfg.tol_psd)
         if proof is not None:
             return {"size": size, "empty": True,
                     "proof": _serialize_empty_proof(proof)}
@@ -375,8 +383,8 @@ def _partial_scan_chunk(payload):
         else cfg.scale
     try:
         verdict = partialcvx.convexity_verdict(
-            R, region=region, sizes=(size,), samples=cfg.samples, rng=rng,
-            tol=cfg.tol_psd, scale=scale)
+            region.R, region=region, sizes=(size,), samples=cfg.samples,
+            rng=rng, tol=cfg.tol_psd, scale=scale)
     except partialcvx.RegionEmpty:
         return {"size": size, "empty": True}
     out = {"size": size, "empty": False}
@@ -398,19 +406,20 @@ def _localizing_scan(R, cfg, rng, pb=None):
     pencil outside dom at --tol-inv, the next indefinite point tries.
 
     The points are the region_probes of dom: of pb's PolyRegion, judged on
-    the eigenvalues of w(A), for a polynomial with butterfly pb, and
-    otherwise of realize's dom, judged on the R_T of the pencil inverse
-    it hands on.  negativity_witness takes the point's R_T (pb's path
-    factors that one pencil there) and draws its companions right after
-    the point, from realize's dom.  With k = 0 no point can be
+    the eigenvalues of w(A), for a polynomial with butterfly pb (R may
+    then be None), and otherwise of realize's dom, judged on the R_T of
+    the pencil inverse it hands on.  negativity_witness takes the point's
+    R_T (pb's path factors that one pencil there, in pb's realization,
+    built at the first indefinite point) and draws its companions right
+    after the point, from realize's dom.  With k = 0 no point can be
     indefinite, and the scan draws nothing."""
     k = R.frame.k if pb is None else pb.k
     if not k:
         return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
                 "eigenvalue at any point, so none is indefinite"}
     entry = {"checked": 0}
-    dom_region = make_region("dom", R, cfg)
-    scan_region = dom_region if pb is None else butterfly.PolyRegion(pb)
+    dom_region = make_region("dom", R, cfg) if pb is None else None
+    scan_region = dom_region or butterfly.PolyRegion(pb)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
                 scan_region, int(n), cfg.samples, rng, cfg.scale):
@@ -422,9 +431,10 @@ def _localizing_scan(R, cfg, rng, pb=None):
                 rt, low = None, W[1][0]
             if not low < -1e-3:
                 continue
+            dom_region = dom_region or make_region("dom", R, cfg, pb)
             try:
                 wit = partialcvx.negativity_witness(
-                    R, t, rng=rng, region=dom_region, rt=rt)
+                    dom_region.R, t, rng=rng, region=dom_region, rt=rt)
             except partialcvx.SpanFailure as exc:
                 entry["span_failure"] = str(exc)
                 continue
@@ -470,6 +480,18 @@ def _ensure_smr(R, notes):
     return Rm
 
 
+READ_BACK_NOTE = ("read back as a polynomial (its letters J Z are jointly "
+                  "nilpotent) and analysed as one")
+
+
+def _trivial(results, reason, notes, cfg, report):
+    results["trivial"] = reason
+    if notes:
+        results["notes"] = notes
+    emit_report(report, cfg.out)
+    return EXIT_OK
+
+
 def cmd_partial(args):
     cfg = config_from_args(args)
     kind, obj = load_input(args.input)
@@ -478,53 +500,56 @@ def cmd_partial(args):
     notes = []
     negative = False
 
+    R = None
     if kind == "poly":
         p = obj
         results["input"] = {"kind": "polynomial",
                             "coefficients": _poly_json(p)}
         if not p.is_symmetric:
             raise SymmetryError("polynomial is not symmetric")
+    else:
+        R = _ensure_smr(obj, notes)
+        results["input"] = {"kind": "realization", "e": R.e,
+                            "classes": {"a": R.h, "x": R.g}}
+        if R.e == 0:
+            return _trivial(results, "the function is zero, so its x-Hessian "
+                            "vanishes identically and it is convex in x",
+                            notes, cfg, report)
+        # a polynomial in realization form takes the polynomial path, on
+        # this realization; with k = 0 it does not depend on x at all
+        p = realize.polynomial_of(R) if R.frame.k else None
+        if p is not None:
+            notes.append(READ_BACK_NOTE)
+    pb = None
+    if p is not None:
         _check_float_range(p)
         if p.degree_in_class("x") == 0:
-            results["trivial"] = ("no term has an x-letter, so the x-Hessian "
-                                  "vanishes identically and the polynomial "
-                                  "is convex in x")
-            emit_report(report, cfg.out)
-            return EXIT_OK
+            return _trivial(results, "no term has an x-letter, so the "
+                            "x-Hessian vanishes identically and the "
+                            "polynomial is convex in x", notes, cfg, report)
         t0 = time.monotonic()
-        pb = None
         try:
             pb = butterfly.poly_butterfly(p)
+            if R is not None:
+                pb = replace(pb, given=R)
             results["butterfly_poly"] = {
                 "k": pb.k,
                 "ell": _poly_json(pb.ell),
                 "w": _poly_json(pb.w),
                 "fbar": _poly_json(pb.fbar),
                 "w_psd_at_zero": bool(pb.psd_at_zero),
-                "hankel_cut": dict(zip(("smallest_kept", "largest_dropped"),
-                                       pb.realization.rank_cut)),
                 "time_s": time.monotonic() - t0,
             }
-            R = pb.realization
+            # the scans reach the realization through pb, on first use
+            R = None
         except butterfly.NotConvexible as exc:
             entry = {"message": str(exc), "time_s": time.monotonic() - t0}
             if exc.witness is not None:
                 entry["witness"] = _serialize_midpoint_witness(exc.witness)
                 negative = True
             results["not_convexible"] = entry
-            R = realize.linearize_poly(p)
-    else:
-        pb = None
-        R = _ensure_smr(obj, notes)
-        results["input"] = {"kind": "realization", "e": R.e,
-                            "classes": {"a": R.h, "x": R.g}}
-        if R.e == 0:
-            results["trivial"] = ("the function is zero, so its x-Hessian "
-                                  "vanishes identically and it is convex "
-                                  "in x")
-            results["notes"] = notes
-            emit_report(report, cfg.out)
-            return EXIT_OK
+            if R is None:
+                R = realize.linearize_poly(p)
 
     # Hessian scan over the configured region, one chunk per size
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
@@ -547,13 +572,16 @@ def cmd_partial(args):
 
     if kind == "realization" or pb is not None:
         # at (0, 0) the sandwich is I and w = R_T = J11 (J = J^-1), so the
-        # item-4 test there is whether J11 is PSD: pb.psd_at_zero, or for
-        # a realization is_psd of the frame's J11 (true when k = 0)
+        # item-4 test there is whether J11 is PSD: pb.psd_at_zero (w(0)
+        # and J11 are PSD together), or otherwise is_psd of the frame's
+        # J11 (true when k = 0)
         t0 = time.monotonic()
-        at_zero = pb.psd_at_zero if pb is not None else \
-            matkit.is_psd(R.frame.J11).is_psd
+        if pb is not None:
+            k, at_zero = pb.k, pb.psd_at_zero
+        else:
+            k, at_zero = R.frame.k, matkit.is_psd(R.frame.J11).is_psd
         results["butterfly"] = {
-            "k": R.frame.k,
+            "k": k,
             "sqrt_domain_at_zero": bool(at_zero),
             "time_s": time.monotonic() - t0,
         }

@@ -36,7 +36,8 @@ from .ncalg import HermTuple
 from .matkit import TOL_PSD, sample_herm
 from .realize import Region, eval_realization, r_T, resolvent
 
-# pencil entries per sampled block, B (en)^2: 16 MB of complex numbers
+# entries per sampled block of the matrices a region judges, B (dim n)^2
+# (pencils, dim = e, or w(A), dim = k): 16 MB of complex numbers
 BLOCK_ENTRIES = 1 << 20
 # draws per region probe before it gives up
 MAX_ATTEMPTS = 500
@@ -132,18 +133,22 @@ def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     A matkit.block_search, blocks capped by BLOCK_ENTRIES and skipped
     with skip_blocks, so every draw and point is the per-draw loop's.
     The point is built unvalidated (the draws are Hermitian), so a
-    realization with no letters gives the empty tuple of size n.
+    realization with no letters gives the empty tuple of size n.  The
+    region gives the letter counts h and g and dim, the size of its
+    matrices per unit of n; the cap changes only how the draws are
+    blocked, not which they are.
     """
-    R = region.R
-    parts = [(n, n, True)] * (R.h + R.g)
+    h = region.h
+    parts = [(n, n, True)] * (h + region.g)
+    cap = max(1, BLOCK_ENTRIES // max(1, region.dim * n) ** 2)
     hit = matkit.block_search(
         lambda B: _herm_stack(n, parts, scale, rng, B), region.test, rng,
-        max_attempts, cap=max(1, BLOCK_ENTRIES // max(1, R.e * n) ** 2),
+        max_attempts, cap=cap,
         skip=lambda B: matkit.skip_blocks(parts, scale, rng, B))
     if hit is None:
         return None
     mats, W, i = hit
-    return HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
+    return HermTuple(n, tuple(mats[i, :h]), tuple(mats[i, h:]),
                      validate=False), W[i]
 
 
@@ -184,16 +189,15 @@ def first_probe(region, n, samples, rng, scale):
 
     region is a realize.Region, whose probes carry their pencil's
     inverse, or a butterfly.PolyRegion, whose probes carry w(A) and its
-    eigenvalues: there the Hessian is 2 ell(A, H)* w(A) ell(A, H) and
-    R_T's lambda_min that of w(A), with the zeros of R_T's dead
-    directions."""
-    R = region.R
+    eigenvalues: there the Hessian is 2 ell(A, H)* w(A) ell(A, H), and
+    R_T's lambda_min is given by its sign, min(lambda_min(w(A)), 0)."""
     probe = next(region_probes(region, n, samples, rng, scale,
-                               (1.0,) * R.g), None)
+                               (1.0,) * region.g), None)
     if probe is None:
         return None
     t, H, W = probe
     if isinstance(region, Region):
+        R = region.R
         hess = _hessians(R, W[None], H[None])
         rt_low = np.linalg.eigvalsh(r_T(R, t, factors=W))[0] \
             if R.frame.k else 0.0

@@ -7,8 +7,10 @@ The central object is the symmetric realization
 with J a signature matrix (J* = J, J^2 = I) and Hermitian coefficient
 matrices.  This module builds minimal such realizations (linearize_poly
 for symmetric nc polynomials, minimize for any symmetric realization),
-decides the domain hierarchy dom / dom+ / dom-kebab / dom-kebab+, and
-solves the state-space similarity between minimal realizations.
+decides the domain hierarchy dom / dom+ / dom-kebab / dom-kebab+,
+solves the state-space similarity between minimal realizations, and
+reads a realization with jointly nilpotent letters back as its
+polynomial (polynomial_of).
 
 The series bridge: a realization with invertible Hermitian J expands as
 
@@ -44,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matkit
-from .ncalg import HermTuple, SymmetryError, check_herm
+from .ncalg import (COEFF_DROP, FreePoly, HermTuple, SymmetryError,
+                    VarContext, check_herm)
 from .matkit import TOL_INV, TOL_PSD, jmat, junmat, junvec
 
 RTOL_RANK = 1e-10
@@ -397,6 +400,46 @@ def dom_plus_empty(R, scale, tol=TOL_PSD):
     return PlusEmptyProof(d, B, lam)
 
 
+def polynomial_of(R):
+    """R's function as a FreePoly over the letters a1..ah, x1..xg when R
+    has J^2 = I and jointly nilpotent letters N_l = J Z_l, else None.
+
+    Then P^-1 = (I - sum N_l z_l)^-1 J, so r = sum_w (c* N_w J c) z_w,
+    with no word longer than e - 1.  The rows y_w = c* N_w grow one
+    letter at a time, y_(w l) = y_w N_l, over the surviving prefixes
+    only: w is dropped, and never extended, once ||y_w|| is at most
+    RTOL_RANK ||c|| rho^|w|, rho = max(1, max_l ||N_l||_2), the size of
+    its rounding.  r is symmetric, so each coefficient is averaged with
+    the conjugate of its reversed word's, and those below COEFF_DROP
+    times the largest are dropped.
+    """
+    if not R.is_signature():
+        return None
+    e, L = R.e, R.h + R.g
+    N = np.reshape([R.J @ Z for Z in R.S + R.T], (L, e, e))
+    if L and not _jointly_nilpotent(N, _krylov_cut(N)):
+        return None
+    rho = max([1.0] + list(np.linalg.svd(N, compute_uv=False).max(
+        axis=-1, initial=0.0)))
+    cut = RTOL_RANK * np.linalg.norm(R.c)
+    Jc = R.J @ R.c
+    words, Y, coeffs = [()], R.c.conj()[None], {}
+    for m in range(1, e + 1):
+        coeffs.update(zip(words, Y @ Jc))
+        grown = (Y[None] @ N).reshape(-1, e)
+        alive = np.linalg.norm(grown, axis=1) > cut * rho ** m
+        words = [w + (l,) for l in range(L) for w in words]
+        words = [w for w, kept in zip(words, alive) if kept]
+        Y = grown[alive]
+    sym = {w: (c + np.conj(coeffs.get(w[::-1], np.conj(c)))) / 2
+           for w, c in coeffs.items()}
+    largest = max(map(abs, sym.values()), default=0.0)
+    ctx = VarContext(tuple("a%d" % (i + 1) for i in range(R.h)),
+                     tuple("x%d" % (i + 1) for i in range(R.g)))
+    return FreePoly(ctx, {w: np.array([[c]]) for w, c in sym.items()
+                          if abs(c) >= COEFF_DROP * largest})
+
+
 REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
 
 
@@ -445,6 +488,8 @@ class Region:
             raise ValueError("a ball needs a positive finite radius")
         self.R, self.kind = R, kind
         self.tol, self.tol_inv, self.radius = tol, tol_inv, radius
+        # the samplers' view: letter counts and the pencil's size per n
+        self.h, self.g, self.dim = R.h, R.g, R.e
 
     def _with_zero_x(self, mats):
         """The stack, followed for the kebab kinds by its points (A, 0)."""

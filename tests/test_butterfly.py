@@ -1,11 +1,12 @@
-"""Butterfly forms: caterpillar identity, sqrt form, slice normal form,
-polynomial decomposition.
+"""Butterfly forms: caterpillar identity, sqrt form, polynomial
+decomposition.
 
 Every alternative evaluator is compared against eval_realization, which is
 plain pencil inversion and serves as the oracle throughout.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +21,13 @@ from ncconvex.butterfly import (
     NotConvexible,
     butterfly_build,
     caterpillar_eval,
-    fbar_eval,
     midpoint_violation_search,
     poly_butterfly,
-    slice_reduce,
 )
 from ncconvex.ncalg import (FreePoly, HermTuple, VarContext, eval_poly,
                             parse_poly)
 from ncconvex.realize import (
     eval_realization,
-    in_dom,
     in_dom_kebab,
     in_dom_kebab_plus,
     linearize_poly,
@@ -101,25 +99,6 @@ def test_caterpillar_and_sqrt_form_without_x_letters():
                        rtol=1e-14)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=seeds)
-def test_fbar_is_affine_in_x(seed):
-    rng = np.random.default_rng(seed)
-    R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    pts = kebab_points(R, rng, 3)
-    for t in pts:
-        n = t.n
-        X2 = tuple(matkit.sample_herm(n, 0.2, rng) for _ in range(R.g))
-        t_sum = HermTuple(n, t.A, tuple(a + b for a, b in zip(t.X, X2)),
-                          validate=False)
-        t_other = HermTuple(n, t.A, X2, validate=False)
-        t_zero = R.zero_x(t)
-        lhs = fbar_eval(R, t_sum)
-        rhs = (fbar_eval(R, t) + fbar_eval(R, t_other)
-               - fbar_eval(R, t_zero))
-        assert np.allclose(lhs, rhs, atol=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # butterfly evaluators
 
@@ -158,65 +137,15 @@ def test_item4_membership_matches_definitional_domain(seed):
         assert lhs == rhs
 
 
-# ---------------------------------------------------------------------------
-# slice normal form at frozen a-points
-
-@settings(max_examples=12, deadline=None)
-@given(seed=seeds, n=st.integers(1, 2))
-def test_slice_membership_matches_in_dom(seed, n):
-    rng = np.random.default_rng(seed)
-    R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    A = tuple(matkit.sample_herm(n, 0.35, rng) for _ in range(R.h))
-    form = slice_reduce(R, A, n=n)
-    for _ in range(12):
-        X = tuple(matkit.sample_herm(n, 0.35, rng) for _ in range(R.g))
-        t = HermTuple(n, A, X, validate=False)
-        assert form.membership(X) == in_dom(R, t)
-
-
-def test_slice_membership_plus_on_xax():
-    p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
-    R = linearize_poly(p)
-    X = (np.array([[0.4]], dtype=complex),)
-    pos = slice_reduce(R, (np.array([[1.0 + 0j]]),))
-    neg = slice_reduce(R, (np.array([[-1.0 + 0j]]),))
-    assert pos.membership_plus(X)
-    assert not neg.membership_plus(X)
-
-
-@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
-def test_slice_membership_plus_matches_dom_plus_on_corpora(
-        workload, tmp_path, monkeypatch):
-    """At a frozen A, the slice normal form decides dom+ membership as the
-    dom-plus Region does, on the realizations of the partial corpora."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import corpus
-    rng = np.random.default_rng(0)
-    inside = total = 0
-    for item in corpus.build(workload, 1, tmp_path, DATA):
-        R = linearize_poly(item.poly)
-        region = Region(R, "dom-plus")
-        for n in (1, 2):
-            A = tuple(matkit.sample_herm(n, 0.6, rng) for _ in range(R.h))
-            form = slice_reduce(R, A, n=n)
-            for _ in range(4):
-                X = tuple(matkit.sample_herm(n, 0.6, rng) for _ in range(R.g))
-                want = HermTuple(n, A, X, validate=False) in region
-                assert form.membership_plus(X) == want, item.name
-                inside += want
-                total += 1
-    assert inside > 0
-    if workload == "partial-reject":
-        assert inside < total
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
 def test_poly_region_matches_the_pencil_region_on_corpora(
         workload, seed, tmp_path, monkeypatch):
     """On every butterfly input of the partial corpora, the PolyRegion of
-    each kind admits the draws that Region(R, kind) admits, and its ell/w
-    Hessian and R_T lambda_min match the pencil's, at sizes 1-3."""
+    each kind admits the draws that Region(R, kind) admits, its ell/w
+    Hessian matches the pencil's, and its R_T lambda_min, min(lambda_min
+    (w(A)), 0), is that of w(A) at the point alone and has the sign of
+    the pencil's R_T at psd_mask's tolerance, at sizes 1-3."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     rng = np.random.default_rng(seed)
@@ -248,9 +177,11 @@ def test_poly_region_matches_the_pencil_region_on_corpora(
                 ref = partialcvx._hessians(R, W[i][None], H[None])[0]
                 bound = 1e-9 * max(1.0, np.linalg.norm(ref, 2))
                 assert np.linalg.norm(hess - ref, 2) <= bound, item.name
-                rt_low = np.linalg.eigvalsh(realize.r_T(R, t, factors=W[i]))[0]
-                assert abs(region.rt_lambda_min(ev) - rt_low) \
-                    <= 1e-9 * max(1.0, abs(rt_low)), item.name
+                alone = np.linalg.eigvalsh(eval_poly(pb.w, t))
+                assert region.rt_lambda_min(ev) == min(alone[0], 0.0)
+                rt = np.linalg.eigvalsh(realize.r_T(R, t, factors=W[i]))
+                assert matkit.psd_mask(rt) == matkit.psd_mask(alone), \
+                    item.name
     assert inside > 0
     if workload == "partial-reject":
         assert inside < total
@@ -264,13 +195,85 @@ def test_poly_butterfly_xax_textbook_form():
     pb = poly_butterfly(p)
     assert pb.k == 1
     assert pb.psd_at_zero
-    # ell = x (phase-normalized), w = a, fbar = 0
-    assert set(pb.ell.words()) == {(1,)}
-    assert complex(pb.ell.coeffs[(1,)][0, 0]) == pytest.approx(1.0, abs=1e-10)
-    assert set(pb.w.words()) == {(0,)}
-    assert complex(pb.w.coeffs[(0,)][0, 0]) == pytest.approx(1.0, abs=1e-10)
-    assert not pb.fbar.words() or all(
-        np.max(np.abs(C)) < 1e-10 for C in pb.fbar.coeffs.values())
+    # ell = x, w = a, fbar = 0, copied from p's one coefficient
+    assert pb.ell.coeffs == {(1,): 1.0}
+    assert pb.w.coeffs == {(0,): 1.0}
+    assert pb.fbar.coeffs == {}
+
+
+def test_poly_butterfly_builds_no_realization(monkeypatch):
+    """The butterfly is p's coefficients, copied: pb.realization is built
+    on first use, once, unless one was given."""
+    calls = []
+    monkeypatch.setattr(butterfly, "linearize_poly",
+                        lambda q: calls.append(q) or linearize_poly(q))
+    p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0, (1, 1): 2.0})
+    pb = poly_butterfly(p)
+    assert calls == []
+    assert pb.realization is pb.realization and calls == [p]
+    R = linearize_poly(p)
+    assert replace(pb, given=R).realization is R and calls == [p]
+
+
+def rand_sym_poly(rng, h, g):
+    """q + q* for a q of 1-5 random words of x-degree 0-2 over h a-letters
+    and g x-letters, a-words of length 0-2 around and between the
+    x-letters (so x_i ... x_j words with i != j when g = 2)."""
+    ctx = VarContext(("a", "b")[:h], ("x", "y")[:g])
+
+    def aword(m):
+        return tuple(int(i) for i in rng.integers(0, h, size=m if h else 0))
+
+    terms = {}
+    for _ in range(int(rng.integers(1, 6))):
+        w = aword(int(rng.integers(0, 3)))
+        for _ in range(int(rng.integers(0, 3))):
+            w += (h + int(rng.integers(0, g)),) + aword(
+                int(rng.integers(0, 2)))
+        terms[w] = terms.get(w, 0) + complex(rng.normal(), rng.normal())
+    q = FreePoly.from_terms(ctx, {w: np.array([[c]])
+                                  for w, c in terms.items()})
+    return q + q.adjoint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, h=st.integers(0, 2), g=st.integers(1, 2))
+def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
+    """On random symmetric polynomials of x-degree at most two: p = fbar
+    + ell* w ell coefficient by coefficient (poly_mul); 2 ell(A, H)* w(A)
+    ell(A, H) is the central second difference of eval_poly in the
+    direction H (exact for x-degree two); the PolyRegion of each kind has
+    Region(pb.realization, kind)'s mask; psd_at_zero is whether J11 is
+    PSD, dom_plus_empty's gate."""
+    rng = np.random.default_rng(seed)
+    p = rand_sym_poly(rng, h, g)
+    if p.degree_in_class("x") == 0:
+        return
+    pb = poly_butterfly(p)
+    recon = pb.fbar
+    if pb.k:
+        recon = recon + pb.ell.adjoint() @ pb.w @ pb.ell
+    assert (p - recon).coeffs == {}
+    R = pb.realization
+    assert pb.psd_at_zero == matkit.is_psd(R.frame.J11).is_psd
+    for n in (1, 2, 3):
+        mats = partialcvx._herm_stack(n, [(n, n, True)] * (h + g), 0.6,
+                                      rng, 6)
+        for kind in ("dom", "dom-plus", "kebab", "kebab-plus"):
+            got, payload = butterfly.PolyRegion(pb, kind).test(mats)
+            assert np.array_equal(got, Region(R, kind).test(mats)[0]), kind
+        t = HermTuple(n, tuple(mats[0, :h]), tuple(mats[0, h:]),
+                      validate=False)
+        H = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
+
+        def at(s):
+            return eval_poly(p, HermTuple(n, t.A, tuple(
+                X + s * D for X, D in zip(t.X, H)), validate=False))
+
+        diff = at(1.0) - 2 * at(0.0) + at(-1.0)
+        hess = butterfly.PolyRegion(pb).hessian(t, H, payload[0][0])
+        assert np.linalg.norm(hess - diff, 2) \
+            <= 1e-12 * max(1.0, np.linalg.norm(diff, 2))
 
 
 def reconstruct_eval(pb, t):
@@ -311,39 +314,12 @@ def test_poly_butterfly_reconstructs_squares(seed):
         assert np.allclose(got, want, atol=1e-7 * max(1.0, np.linalg.norm(want, 2)))
 
 
-def pair_loop_fbar_ell(pb, tol=1e-10, fbar_tol=1e-10):
-    """Reference fbar and ell of a PolyButterfly from its realization: the
-    resolvent series word by word and fbar's x-linear part pair by pair;
-    ell keeps its entries above tol and fbar its terms above fbar_tol."""
-    R = pb.realization
-    p_ctx = pb.fbar.ctx
-    V = R.frame.V_T
-    dega = max((sum(1 for i in w if p_ctx.letter_class(i) == "a")
-                for w in pb.w.coeffs), default=0)
-    prods = {(): np.eye(R.e, dtype=complex)}
-    level = [()]
-    for _ in range(dega):
-        level = [w + (j,) for w in level for j in range(R.h)]
-        prods.update({w: prods[w[:-1]] @ R.J @ R.S[w[-1]] for w in level})
-    wc = [(w, M @ R.J @ R.c) for w, M in prods.items()]
-    fbar, ell = {}, {}
-    for w, v in wc:
-        val = complex(R.c.conj() @ v)
-        if abs(val) > fbar_tol:
-            fbar[w] = val
-    for jx, T in enumerate(R.T):
-        letter = (p_ctx.h + jx,)
-        for w, v in wc:
-            vec = V.conj().T @ T @ v
-            if np.max(np.abs(vec)) > tol:
-                ell[letter + w] = vec
-        for wl, vl in wc:
-            tv = T @ vl
-            for wr, vr in wc:
-                val = complex(vr.conj() @ tv)
-                if abs(val) > fbar_tol:
-                    fbar[wr[::-1] + letter + wl] = val
-    return fbar, ell
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_poly_butterfly_fbar_drops_rounding_at_scale(scale):
+    """The fbar of scale (x x + x a x) is 0: fbar copies the words of
+    x-degree at most one, and there are none, at any scale."""
+    p = FreePoly.from_terms(CTX_AX, {(1, 1): scale, (1, 0, 1): scale})
+    assert poly_butterfly(p).fbar.coeffs == {}
 
 
 def seeded_sos(ctx, seed, span):
@@ -371,37 +347,52 @@ def seeded_sos(ctx, seed, span):
     return p
 
 
+def realization_fbar(R, ctx, dega, tol):
+    """The terms of x-degree at most one read off a realization R of p:
+    c* M_w J c at each a-word w up to length dega, M_w = (J S_w1)...(J
+    S_wm), and v_r* T_j v_l at each pair of them, v_w = M_w J c, at the
+    word r~ x_j l; the terms above tol are kept."""
+    prods, level = {(): np.eye(R.e, dtype=complex)}, [()]
+    for _ in range(dega):
+        level = [w + (j,) for w in level for j in range(R.h)]
+        prods.update({w: prods[w[:-1]] @ R.J @ R.S[w[-1]] for w in level})
+    words = list(prods)
+    V = np.array([prods[w] @ R.J @ R.c for w in words])
+    fbar = {w: val for w, val in zip(words, V @ R.c.conj()) if abs(val) > tol}
+    for jx, T in enumerate(R.T):
+        pairs = V.conj() @ T @ V.T
+        for r, l in zip(*np.nonzero(np.abs(pairs) > tol)):
+            fbar[words[r][::-1] + (ctx.h + jx,) + words[l]] = pairs[r, l]
+    return fbar
+
+
 @pytest.mark.parametrize("span", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
     """Sums of squares (seeded_sos) in two a-letters at a-degree 2 span
-    (4 to 8)."""
+    (4 to 8).  The Gram product ell* w ell (poly_mul) holds, word by word,
+    the pair loop over w's entries: w_m[r, s] at the word ell_r~ m ell_s
+    (ell_r the monomial of row r); with fbar it makes p exactly.  The
+    copied fbar agrees with its reading off p's realization."""
     p = seeded_sos(VarContext(("a", "b"), ("x",)), seed, span)
     pb = poly_butterfly(p)
-    # fbar drops its terms at the scale of p's coefficients
-    fbar, ell = pair_loop_fbar_ell(pb, fbar_tol=1e-10 * max(
-        1.0, max(abs(p.scalar_coeff(w)) for w in p.words())))
+    scale = max(1.0, max(abs(p.scalar_coeff(w)) for w in p.words()))
+    row = {int(np.flatnonzero(v)[0]): w for w, v in pb.ell.coeffs.items()}
+    assert sorted(row) == list(range(pb.k))
+    pairs = {}
+    for m, W in pb.w.coeffs.items():
+        for r, s in zip(*np.nonzero(W)):
+            word = row[r][::-1] + m + row[s]
+            pairs[word] = pairs.get(word, 0) + W[r, s]
+    gram = pb.ell.adjoint() @ pb.w @ pb.ell
+    assert set(gram.coeffs) == set(pairs)
+    for w, c in pairs.items():
+        assert abs(gram.scalar_coeff(w) - c) <= EPS * scale
+    assert (p - (pb.fbar + gram)).coeffs == {}
+    fbar = realization_fbar(pb.realization, p.ctx, 2 * span, 1e-10 * scale)
     assert set(pb.fbar.coeffs) == set(fbar)
-    scale = max(abs(c) for c in fbar.values())
     for w, c in fbar.items():
         assert abs(pb.fbar.scalar_coeff(w) - c) <= 1e-12 * scale
-    # ell is unique up to the isometry of the dead-direction trim and the
-    # phase rule, so compare the Gram matrices of its coefficients
-    assert set(pb.ell.coeffs) == set(ell)
-    words = sorted(ell)
-    E = np.hstack([pb.ell.coeffs[w] for w in words])
-    E_ref = np.column_stack([ell[w] for w in words])
-    assert np.allclose(E.conj().T @ E, E_ref.conj().T @ E_ref,
-                       atol=1e-12 * scale, rtol=0)
-
-
-@pytest.mark.parametrize("scale", [1e9, 1e12])
-def test_poly_butterfly_fbar_drops_rounding_at_scale(scale):
-    """The fbar of scale (x x + x a x) is 0.  The rounding of c* W c at
-    that scale (-5.7e-08 at 1e9, 3.7e-05 at 1e12) lies below 1e-10 max(1,
-    max_w |coeff_w(p)|), so no term of it is kept."""
-    p = FreePoly.from_terms(CTX_AX, {(1, 1): scale, (1, 0, 1): scale})
-    assert poly_butterfly(p).fbar.coeffs == {}
 
 
 def full_word_series_terms(J, JC, B, max_len):
@@ -410,8 +401,7 @@ def full_word_series_terms(J, JC, B, max_len):
 
     Returns (words, terms): the words over range(len(JC)) up to max_len
     in degree-lexicographic order and the blocks M_w B stacked in that
-    order, one batched product per word length (M_{jw} B = (J C_j) M_w B);
-    the last len(JC)**max_len blocks are the words of length max_len.
+    order, one batched product per word length (M_{jw} B = (J C_j) M_w B).
     """
     level_w, level = [()], (J @ B)[None]
     words, terms = [()], [level]
@@ -423,58 +413,47 @@ def full_word_series_terms(J, JC, B, max_len):
     return words, np.concatenate(terms)
 
 
-def every_word_series(JB, JC, dega, grow, max_len, tau):
-    """_word_series_terms without the growth bound: every word up to
-    length dega (J B comes formed, so J = I, which forms it exactly)."""
-    words, terms = full_word_series_terms(np.eye(len(JB)), JC, JB, dega)
-    return words, terms, len(JC) ** dega
-
-
-def record_series(monkeypatch):
-    """Record (args, (words, terms, last)) of each _word_series_terms call."""
-    series, calls = butterfly._word_series_terms, []
-
-    def spy(*args):
-        out = series(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(butterfly, "_word_series_terms", spy)
-    return calls
-
-
 @pytest.mark.parametrize("letters, span", [
     (("a", "b"), 2), (("a", "b"), 3), (("a", "b"), 4),
     (("a", "b", "c"), 2), (("a", "b", "c"), 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pruned_series_matches_every_word(seed, letters, span, monkeypatch):
-    """On sums of squares (seeded_sos) at a-degree 2 span, the series over
-    the surviving words keeps the blocks of the series over every word
-    bit for bit and in the same order, and w, ell and fbar keep the same
-    words with the same coefficients.  These agree to rounding, not bit
-    for bit: BLAS computes the columns past a product's last full block
-    of columns with other kernels, which round differently, so a word's
-    column can round differently among the survivors than among every
-    word.  Three letters stop at a-degree 6: over every word, a-degree 8
-    would take a Gram of 9841^2 entries (1.5 GB)."""
+def test_pruned_series_matches_every_word(seed, letters, span):
+    """realize.polynomial_of reads p back from its realization R by the
+    series sum_w (c* N_w J c) z_w, N_l = J Z_l, grown over the surviving
+    prefixes only.  On sums of squares (seeded_sos) at a-degree 2 span it
+    keeps fewer words than the series over every word up to p's degree,
+    and matches that series, and p, on every one of those words (a word
+    it drops reads 0) to rounding."""
     p = seeded_sos(VarContext(letters, ("x",)), seed, span)
-    calls = record_series(monkeypatch)
-    pruned = poly_butterfly(p)
-    monkeypatch.setattr(butterfly, "_word_series_terms", every_word_series)
-    full = poly_butterfly(p)
-
-    (args, (words, terms, last)), = calls
-    all_words, all_terms, _ = every_word_series(*args)
-    at = [all_words.index(w) for w in words]
-    assert len(words) < len(all_words) and at == sorted(at)
-    assert np.array_equal(terms, all_terms[at])
-    assert last == sum(len(w) == 2 * span for w in words)
+    R = linearize_poly(p)
+    pruned = realize.polynomial_of(R)
+    assert pruned is not None
+    N = np.array([R.J @ Z for Z in R.S + R.T])
+    words, terms = full_word_series_terms(R.J, N, R.c[:, None], p.degree())
+    series = terms[:, :, 0] @ R.c.conj()
+    assert set(pruned.coeffs) <= set(words)
+    assert len(pruned.coeffs) < len(words)
     scale = max(1.0, max(abs(p.scalar_coeff(w)) for w in p.words()))
-    for got, want in ((pruned.w, full.w), (pruned.ell, full.ell),
-                      (pruned.fbar, full.fbar)):
-        assert set(got.coeffs) == set(want.coeffs)
-        for w, c in got.coeffs.items():
-            assert np.abs(c - want.coeffs[w]).max() <= 64 * EPS * scale
+    for w, c in zip(words, series):
+        got = pruned.scalar_coeff(w) if w in pruned.coeffs else 0.0
+        want = p.scalar_coeff(w) if w in p.coeffs else 0.0
+        assert abs(got - c) <= 1e-12 * scale, w
+        assert abs(c - want) <= 1e-12 * scale, w
+
+
+def test_partial_three_letters_at_adegree_10_keeps_16_words(monkeypatch):
+    """A sum of four squares in three a-letters at a-degree 10: a series
+    over every a-word would have 88,573 words; partial exits 0, and the
+    border vector and the middle matrix it copies from p hold at most 16
+    words between them."""
+    made = []
+    build = butterfly.poly_butterfly
+    monkeypatch.setattr(butterfly, "poly_butterfly",
+                        lambda q: made.append(build(q)) or made[-1])
+    assert cli.main(["partial",
+                     str(TEST_DATA / "three_letter_sos_adeg10.txt")]) == 0
+    (pb,) = made
+    assert len(pb.ell.coeffs) + len(pb.w.coeffs) <= 16
 
 
 def test_poly_butterfly_rejects_quartic_with_witness():
@@ -531,98 +510,3 @@ def test_midpoint_search_matches_per_sample_loop(monkeypatch):
                                (got.X2, want.X2)):
             assert len(g_mats) == len(w_mats)
             assert all(np.array_equal(M, N) for M, N in zip(g_mats, w_mats))
-
-
-# ---------------------------------------------------------------------------
-# poly_butterfly's self-checks, on realizations that are not p's
-
-CTX_ABX = VarContext(("a", "b"), ("x",))
-
-
-def chain_realization(letters, s):
-    """e = m + 1 states with J the exchange matrix and J S_j = N_j, N_j
-    the links of the upper shift labelled j, link i weighted s_i (s one
-    weight for all links, or m of them; letters and weights palindromes,
-    so S_j is Hermitian); T = e_1 e_1*, so V_T = e_1 and V_T* M_w V_T is
-    the product of the weights, s^m for one weight, exactly for
-    w = letters and 0 for every other word."""
-    e = len(letters) + 1
-    J = np.fliplr(np.eye(e))
-    S = []
-    for j in range(2):
-        N = np.zeros((e, e))
-        for link, (letter, weight) in enumerate(
-                zip(letters, np.broadcast_to(s, len(letters)))):
-            if letter == j:
-                N[link, link + 1] = weight
-        S.append(J @ N)
-    T = np.zeros((e, e))
-    T[0, 0] = 1.0
-    return realize.Realization.make(J, S, [T], np.eye(e)[0])
-
-
-@pytest.mark.parametrize("letters", [(1, 1), (0, 1, 0), (0, 1, 1, 0)])
-def test_poly_butterfly_flags_a_series_past_dega(letters, monkeypatch):
-    """x a x + x b x has a-degree 1 and degree 3, so the series must vanish
-    on every a-word of length 2 to 4 above 1e-9: one word alive at 2e-9
-    is flagged at its length, and at 5e-10 it is let through (and the
-    identity check fails instead)."""
-    p = FreePoly.from_terms(CTX_ABX, {(2, 0, 2): 1.0, (2, 1, 2): 1.0})
-    m = len(letters)
-    monkeypatch.setattr(butterfly, "linearize_poly",
-                        lambda q: chain_realization(letters, 2e-9 ** (1 / m)))
-    with pytest.raises(butterfly.RealizationError,
-                       match="a-series fails to terminate at degree %d$" % m):
-        poly_butterfly(p)
-    monkeypatch.setattr(butterfly, "linearize_poly",
-                        lambda q: chain_realization(letters, 5e-10 ** (1 / m)))
-    with pytest.raises(butterfly.RealizationError, match="identity residual"):
-        poly_butterfly(p)
-
-
-def test_poly_butterfly_growth_bound_keeps_a_small_prefix(monkeypatch):
-    """rho = 1e6 > 1.  In the chain with link weights (eps, L, L, eps),
-    eps = 5e-11 and L = 1e6, the one-letter word's block (sqrt(2) eps =
-    7.1e-11) lies below tau = 1e-10 (p at scale 1e12 leaves tau = tol),
-    yet the word of length 4 grown from it has V* M_w V = (eps L)^2 =
-    2.5e-9.  The growth bound, not the block size, decides: the prefix is
-    kept, and the termination check flags the word."""
-    p = FreePoly.from_terms(CTX_ABX, {(2, 0, 2): 1e12, (2, 1, 2): 1e12})
-    eps, L = 5e-11, 1e6
-    monkeypatch.setattr(
-        butterfly, "linearize_poly",
-        lambda q: chain_realization((0, 1, 1, 0), (eps, L, L, eps)))
-    calls = record_series(monkeypatch)
-    with pytest.raises(butterfly.RealizationError,
-                       match="a-series fails to terminate at degree 4$"):
-        poly_butterfly(p)
-    (args, (words, terms, _)), = calls
-    grow, tau = args[3], args[5]
-    assert grow == pytest.approx(L) and tau == 1e-10
-    assert np.linalg.norm(terms[words.index((0,))]) < tau
-
-
-def test_partial_three_letters_at_adegree_10_keeps_16_words(monkeypatch):
-    """A sum of four squares in three a-letters at a-degree 10: the series
-    over every word would have 88,573 words and a Gram of 117 GiB; over
-    the surviving words, partial exits 0 and keeps at most 16."""
-    calls = record_series(monkeypatch)
-    assert cli.main(["partial",
-                     str(TEST_DATA / "three_letter_sos_adeg10.txt")]) == 0
-    (_, (words, _, _)), = calls
-    assert len(words) <= 16
-
-
-@pytest.mark.parametrize("c, flagged", [(2e-8, True), (5e-9, False)])
-def test_poly_butterfly_flags_identity_residual(c, flagged, monkeypatch):
-    """The realization of x a x handed in for x a x + c a: the butterfly
-    misses the term c a, which is flagged above 1e-8 only."""
-    xax = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
-    p = xax + FreePoly.from_terms(CTX_AX, {(0,): c})
-    monkeypatch.setattr(butterfly, "linearize_poly", lambda q: linearize_poly(xax))
-    if flagged:
-        with pytest.raises(butterfly.RealizationError,
-                           match="butterfly identity residual"):
-            poly_butterfly(p)
-    else:
-        assert poly_butterfly(p).k == 1

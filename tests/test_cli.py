@@ -243,29 +243,43 @@ def linearization_file(tmp_path, name, edit=None):
 @pytest.mark.parametrize("name", ["x4", "xax"])
 def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
                                                         region):
-    """A realization file that is already minimal with J^2 = I is scanned
-    as it stands: the same scans as the polynomial it was written from."""
+    """A realization file that is already minimal with J^2 = I is not
+    re-normalized, and a polynomial's is read back as one: the same exit
+    code and scans as the polynomial it was written from (x4 exits 1 on
+    its midpoint witness, xax takes the middle-matrix path), on the
+    file's own realization."""
     rfile = linearization_file(tmp_path, name)
     flags = ["--region", region]
-    _, poly = run_out(tmp_path, "poly.json",
-                      ["partial", str(DATA / ("%s_poly.txt" % name))] + flags)
-    _, real = run_out(tmp_path, "real.json", ["partial", str(rfile)] + flags)
+    code_p, poly = run_out(tmp_path, "poly.json", [
+        "partial", str(DATA / ("%s_poly.txt" % name))] + flags)
+    code_r, real = run_out(tmp_path, "real.json",
+                           ["partial", str(rfile)] + flags)
+    assert code_r == code_p
+    assert code_p == EXIT_NEGATIVE or name == "xax"
     poly, real = strip_timings(poly["results"]), strip_timings(real["results"])
-    assert "notes" not in real
-    # the polynomial's plus kinds read the lambda_mins from w(A), the
-    # file's from its pencils: the same numbers up to rounding, 1e-12
-    # relative to max(1, |value|)
-    for pc, rc in zip(poly["hessian_scan"]["per_size"],
-                      real["hessian_scan"]["per_size"]):
-        for f in ("min_lambda", "rt_lambda_min"):
+    assert real["notes"] == [cli.READ_BACK_NOTE]
+    # the read-back coefficients carry the realization's rounding, so the
+    # numbers read from them (w(A)'s, the midpoint gap's) agree up to
+    # 1e-12 relative to max(1, |value|)
+    pairs = list(zip(poly["hessian_scan"]["per_size"],
+                     real["hessian_scan"]["per_size"]))
+    if name == "x4":
+        pairs.append((poly["not_convexible"]["witness"],
+                      real["not_convexible"]["witness"]))
+    for pc, rc in pairs:
+        for f in ("min_lambda", "rt_lambda_min", "lambda_min",
+                  "gap_lambda_min"):
             if f in pc:
                 assert abs(rc[f] - pc[f]) <= 1e-12 * max(1.0, abs(pc[f])), f
                 rc[f] = pc[f]
     sections = ["hessian_scan", "localizing_scan"]
-    if name == "xax":
+    if name == "x4":
+        sections.append("not_convexible")
+    else:
         sections.append("butterfly")
+        assert real["butterfly_poly"]["k"] == poly["butterfly_poly"]["k"]
     for key in sections:
-        assert real[key] == poly[key], key
+        assert real.get(key) == poly.get(key), key
 
 
 @pytest.mark.parametrize("edit, note", [
@@ -280,7 +294,7 @@ def test_partial_notes_what_minimize_replaced(tmp_path, edit, note):
     rfile = linearization_file(tmp_path, "xax", edit)
     code, rep = run_out(tmp_path, "real.json", ["partial", str(rfile)] + flags)
     assert code == want
-    assert rep["results"]["notes"] == [note]
+    assert rep["results"]["notes"] == [note, cli.READ_BACK_NOTE]
     assert rep["results"]["input"]["e"] == 4
 
 
@@ -507,13 +521,15 @@ def test_sharpness_witness_outside_dom_is_a_reason(tmp_path, capsys, seed):
 
 def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
     """On a sum of squares, partial judges every draw through w(A) and
-    takes sqrt_domain_at_zero from the butterfly: no pencil is tested and
-    no ButterflyCert is built."""
+    takes sqrt_domain_at_zero from the butterfly: no pencil is tested, no
+    ButterflyCert is built, and no realization either."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     calls = []
     for owner, name in ((realize.Region, "test"),
-                        (butterfly, "butterfly_build")):
+                        (butterfly, "butterfly_build"),
+                        (butterfly, "linearize_poly"),
+                        (realize, "linearize_poly")):
         def spy(*args, name=name, call=getattr(owner, name)):
             calls.append(name)
             return call(*args)
@@ -530,8 +546,9 @@ def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
 
 def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     """The realization owns the frame of ran T (Realization.frame): one
-    partial call builds it once, through the butterfly, both scans, the
-    sharpness witness and the butterfly section."""
+    partial call builds it at most once, through the butterfly, both
+    scans, the sharpness witness and the butterfly section (on xax only
+    the sharpness witness's pencils need it)."""
     built = []
     build = realize._range_t_frame
     monkeypatch.setattr(realize, "_range_t_frame",
@@ -542,7 +559,7 @@ def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert "sharpness_witness" in rep["results"]["localizing_scan"]
     assert "sqrt_domain_at_zero" in rep["results"]["butterfly"]
-    assert len(built) == 1
+    assert len(built) <= 1
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -578,6 +595,24 @@ def test_corpus_exit_codes_at_seed_1(tmp_path, monkeypatch, workload):
     assert codes == CORPUS_EXIT_CODES[workload]
 
 
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_corpus_linearization_files_exit_as_their_polynomials(
+        tmp_path, monkeypatch, workload):
+    """Each partial corpus input written as the realization file of its
+    linearization is read back as the polynomial: the same exit code at
+    seed 1, with the read-back note."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    for item in corpus.build(workload, 1, tmp_path, DATA):
+        rfile = tmp_path / "r.json"
+        rfile.write_text(json.dumps(realize.realization_to_json(
+            realize.linearize_poly(item.poly))))
+        code, rep = run_out(tmp_path, "r_report.json",
+                            ["partial", str(rfile)] + item.argv[2:])
+        assert code == CORPUS_EXIT_CODES[workload][item.name], item.name
+        assert rep["results"]["notes"] == [cli.READ_BACK_NOTE]
+
+
 def recorded_chunks(monkeypatch):
     """Spy on the scan chunks: a list that fills with (payload, chunk)."""
     seen = []
@@ -595,7 +630,8 @@ def recorded_chunks(monkeypatch):
 def independent_first_probe(R, region, size, samples, scale, rng):
     """The Hessian's and R_T's lambda_min at the first Hessian probe of the
     per-sample loop, from an inverse of the pencil and sums of Kronecker
-    products; None when all samples points miss the region."""
+    products, and the point; None when all samples points miss the
+    region."""
     for _ in range(samples):
         hit = partialcvx._sample_in_region(region, size, scale, rng)
         if hit is not None:
@@ -611,7 +647,7 @@ def independent_first_probe(R, region, size, samples, scale, rng):
     V = np.kron(R.frame.V_T, np.eye(size))
     rt = matkit.herm(V.conj().T @ res @ V)
     return (float(np.linalg.eigvalsh(hess)[0]), float(np.linalg.norm(hess, 2)),
-            float(np.linalg.eigvalsh(rt)[0]) if rt.size else 0.0)
+            np.linalg.eigvalsh(rt) if rt.size else np.zeros(1), t)
 
 
 @pytest.mark.parametrize("workload", ["partial-reject", "partial-accept"])
@@ -619,7 +655,10 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
     """On dom+ each size is one region point: empty exactly when
     convexity_verdict on the pencils finds no point in the same budget,
     and otherwise the Hessian lambda_min of that verdict's first probe,
-    which an independent resolvent formula reproduces."""
+    which an independent resolvent formula reproduces.  On a butterfly
+    (R None in the payload) rt_lambda_min is min(lambda_min(w(A)), 0),
+    which has R_T's sign but not its value: it is checked exactly
+    against w(A) at the point, and in sign against the pencil's R_T."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     seen = recorded_chunks(monkeypatch)
@@ -628,7 +667,9 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
             in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
     assert len(seen) >= 25
     empties = 0
-    for (R, cfg, size, seed, _), chunk in seen:
+    for (R, cfg, size, seed, pb), chunk in seen:
+        assert (R is None) == (pb is not None)
+        R = pb.realization if R is None else R
         region = cli.make_region(cfg.region, R, cfg)
         assert region.kind == "dom-plus"
         try:
@@ -653,11 +694,17 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert set(chunk) == PLUS_KEYS
         assert chunk["samples"] == 1
         assert chunk["reason"] == cli.PLUS_REASON
-        low, norm, rt_low = ind
+        low, norm, rt_ev, t = ind
         assert abs(chunk["min_lambda"] - low) <= 1e-9 * max(1.0, norm)
         assert chunk["min_lambda"] >= -cfg.tol_psd * max(1.0, norm)
-        assert abs(chunk["rt_lambda_min"] - rt_low) <= 1e-9 * max(1.0, rt_low)
-        assert chunk["rt_lambda_min"] >= -1e-8 * max(1.0, abs(rt_low))
+        assert matkit.psd_mask(rt_ev, cfg.tol_psd)
+        if pb is None:
+            assert abs(chunk["rt_lambda_min"] - rt_ev[0]) \
+                <= 1e-9 * max(1.0, abs(rt_ev[0]))
+            continue
+        w_ev = np.linalg.eigvalsh(ncalg.eval_poly(pb.w, t))
+        assert chunk["rt_lambda_min"] == min(w_ev[0], 0.0)
+        assert matkit.psd_mask(w_ev, cfg.tol_psd)
     # x4 and the deep inputs find no dom+ point
     assert empties == (6 if workload == "partial-reject" else 0)
 
@@ -1230,20 +1277,20 @@ def test_numerical_breakdown_exits_inconclusive(exc, monkeypatch, capsys):
 def test_ill_conditioned_sos_reduces_to_its_hankel_rank():
     """Sums of squares whose Hankel matrix is close to lower rank (its
     spectrum falls from 3.3e-9 and 1.3e-7 of the largest to 2e-16 and
-    4e-16): the eigenvalue cut at 1e-10 keeps 16 and 17 states, the
-    realization reproduces p, and partial certifies it, reporting the cut."""
+    4e-16): the eigenvalue cut at 1e-10 keeps 16 and 17 states, with the
+    cut recorded as rank_cut, the realization reproduces p, and partial
+    certifies p."""
     for name, e in (("ill_conditioned_sos_1.txt", 16),
                     ("ill_conditioned_sos_2.txt", 17)):
         path = TEST_DATA / name
         proc = run_python(["-m", "ncconvex.cli", "partial", str(path),
                            "--sizes", "1,2", "--samples", "2"])
         assert proc.returncode == EXIT_OK, proc.stderr
-        cut = json.loads(proc.stdout)["results"]["butterfly_poly"][
-            "hankel_cut"]
-        assert cut["largest_dropped"] < 1e-15
-        assert 1e-10 < cut["smallest_kept"] < 1e-6
         p = ncalg.parse_poly(path.read_text())
         R = realize.linearize_poly(p)
+        smallest_kept, largest_dropped = R.rank_cut
+        assert largest_dropped < 1e-15
+        assert 1e-10 < smallest_kept < 1e-6
         assert R.e == e
         rng = np.random.default_rng(7)
         for n in (1, 2, 3):
