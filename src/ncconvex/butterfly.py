@@ -176,7 +176,10 @@ class PolyButterfly:
     @cached_property
     def realization(self):
         """The minimal realization of p: the given one, or linearize_poly
-        of p, built on first use."""
+        of p, built on first use.  Only the pencil scans of
+        --region dom|kebab|ball:R and the dom+ emptiness proof (when w(0)
+        is not PSD) use it; the sharpness witness is built from w and p
+        (partialcvx.middle_matrix_witness)."""
         return linearize_poly(self.p) if self.given is None else self.given
 
 

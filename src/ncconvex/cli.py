@@ -402,39 +402,46 @@ def _localizing_scan(R, cfg, rng, pb=None):
     """Search dom for a point where the localizing matrix R_T goes
     indefinite, and return at the first doubled-point witness there, which
     shows that convexity stops at the PSD region (sharpness) without
-    contradicting the region verdict; after a span failure, or a witness
-    pencil outside dom at --tol-inv, the next indefinite point tries.
+    contradicting the region verdict; after a witness that could not be
+    completed the next indefinite point tries.
 
-    The points are the region_probes of dom: of pb's PolyRegion, judged on
-    the eigenvalues of w(A), for a polynomial with butterfly pb (R may
-    then be None), and otherwise of realize's dom, judged on the R_T of
-    the pencil inverse it hands on.  negativity_witness takes the point's
-    R_T (pb's path factors that one pencil there, in pb's realization,
-    built at the first indefinite point) and draws its companions right
-    after the point, from realize's dom.  With k = 0 no point can be
-    indefinite, and the scan draws nothing."""
+    For a polynomial with butterfly pb (R may then be None) the points
+    are the region_probes of pb's PolyRegion, judged on the eigenvalues
+    of w(A), and the witness is partialcvx.middle_matrix_witness, built
+    from w(A)'s negative eigenvector and a fixed companion point and
+    checked on p: no pencil, no draw and no realization (a missed check
+    is recorded as check_failure).  Otherwise the points are those of
+    realize's dom, judged on the R_T of the pencil inverse it hands on,
+    and negativity_witness takes that R_T and draws its companions right
+    after the point, from the same dom (span_failure, outside_dom).  With
+    k = 0 no point can be indefinite, and the scan draws nothing."""
     k = R.frame.k if pb is None else pb.k
     if not k:
         return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
                 "eigenvalue at any point, so none is indefinite"}
     entry = {"checked": 0}
-    dom_region = make_region("dom", R, cfg) if pb is None else None
-    scan_region = dom_region or butterfly.PolyRegion(pb)
+    region = make_region("dom", R, cfg) if pb is None \
+        else butterfly.PolyRegion(pb)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
-                scan_region, int(n), cfg.samples, rng, cfg.scale):
+                region, int(n), cfg.samples, rng, cfg.scale):
             entry["checked"] += 1
             if pb is None:
                 rt = realize.r_T(R, t, factors=W)
                 low = np.linalg.eigvalsh(rt)[0]
             else:
-                rt, low = None, W[1][0]
+                low = W[1][0]
             if not low < -1e-3:
                 continue
-            dom_region = dom_region or make_region("dom", R, cfg, pb)
             try:
-                wit = partialcvx.negativity_witness(
-                    dom_region.R, t, rng=rng, region=dom_region, rt=rt)
+                if pb is None:
+                    wit = partialcvx.negativity_witness(
+                        R, t, rng=rng, region=region, rt=rt)
+                else:
+                    wit = partialcvx.middle_matrix_witness(pb, t, W[0])
+            except partialcvx.WitnessCheckFailure as exc:
+                entry["check_failure"] = str(exc)
+                continue
             except partialcvx.SpanFailure as exc:
                 entry["span_failure"] = str(exc)
                 continue
@@ -570,11 +577,13 @@ def cmd_partial(args):
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 
-    if kind == "realization" or pb is not None:
-        # at (0, 0) the sandwich is I and w = R_T = J11 (J = J^-1), so the
-        # item-4 test there is whether J11 is PSD: pb.psd_at_zero (w(0)
-        # and J11 are PSD together), or otherwise is_psd of the frame's
-        # J11 (true when k = 0)
+    if pb is not None or p is None:
+        # a polynomial with a butterfly, or a realization file not read
+        # back as a polynomial (p is None only there); at (0, 0) the
+        # sandwich is I and w = R_T = J11 (J = J^-1), so the item-4 test
+        # there is whether J11 is PSD: pb.psd_at_zero (w(0) and J11 are
+        # PSD together), or otherwise is_psd of the frame's J11 (true
+        # when k = 0)
         t0 = time.monotonic()
         if pb is not None:
             k, at_zero = pb.k, pb.psd_at_zero

@@ -8,8 +8,12 @@ with R the resolvent; positivity of the compressed resolvent R_T governs
 convexity in x.  This module computes the Hessian two ways, samples
 convexity verdicts over regions, and when R_T is indefinite at a point it
 assembles a dispersed-variable witness: a doubled point, an antidiagonal
-direction and a vector h with h* r_xx h < 0, built from a span-saturation
-probe over direct sums.
+direction and a vector h with h* r_xx h < 0.  On a realization it is
+built from a span-saturation probe over direct sums (negativity_witness,
+which draws companions and factors pencils); on a polynomial with a
+butterfly p = fbar + ell* w ell, from w(A)'s negative eigenvector and a
+companion point fixed by ell, and checked on p (middle_matrix_witness,
+which draws nothing and uses no realization).
 
 Region points come from a block rejection sampler (_sample_in_region):
 a matkit.block_search of up to MAX_ATTEMPTS draws, with one
@@ -22,7 +26,8 @@ one point per size (first_probe).  An accepted point comes with its
 pencil's inverse W, from which the Hessian probe, the midpoint triple,
 the span probe and the localizing scan's R_T evaluate; the scan hands
 that R_T to the witness.  The samplers take a butterfly.PolyRegion as
-well, whose points come with w(A) and its eigenvalues instead.
+well, whose points come with w(A) and its eigenvalues instead, and the
+localizing scan hands that w(A) to middle_matrix_witness.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit, realize
-from .ncalg import HermTuple
+from .ncalg import HermTuple, eval_poly
 from .matkit import TOL_PSD, sample_herm
 from .realize import Region, eval_realization, r_T, resolvent
 
@@ -403,3 +408,97 @@ def negativity_witness(R, bad, rng=None, region=None, rt=None):
     if quad >= 0:
         raise SpanFailure(span.achieved_dim, span.target_dim)
     return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))
+
+
+# ---------------------------------------------------------------------------
+# the sharpness witness of a polynomial butterfly, from w alone
+
+class WitnessCheckFailure(ValueError):
+    """A constructed witness missed its check on p."""
+
+
+def _companion(border, h):
+    """The companion point A' of ell's border words x_j v, and the columns
+    v(A') e_() (M x k, in border order).
+
+    Sigma is the suffix-closed set of their a-words v, the empty word
+    first (M = |Sigma|), and A'_l = S_l + S_l^T with S_l e_u = e_(l u)
+    where l u is in Sigma, so v(A') e_() is e_v plus terms on shorter
+    words: the columns of one x-letter's words are independent."""
+    sigma = sorted({b[i:] for b in border for i in range(1, len(b) + 1)},
+                   key=lambda u: (len(u), u))
+    at = {u: i for i, u in enumerate(sigma)}
+    S = np.zeros((h, len(sigma), len(sigma)))
+    for u, i in at.items():
+        for l in range(h):
+            if (l,) + u in at:
+                S[l, at[(l,) + u], i] = 1.0
+    A1 = S + S.swapaxes(1, 2)
+    cols = np.zeros((len(sigma), len(border)))
+    for c, b in enumerate(border):
+        y = np.eye(len(sigma))[0]
+        for l in reversed(b[1:]):
+            y = A1[l] @ y
+        cols[:, c] = y
+    return tuple(A1), cols
+
+
+def middle_matrix_witness(pb, bad, w):
+    """Witness h* p_xx h = 2 lambda_min(w(A)) < 0 for a polynomial with
+    butterfly pb (p = fbar + ell* w ell, x-degree at most two) at a point
+    bad = (A, X) of size m, from w = w(A) alone: no pencil, no draw.
+
+    The x-Hessian is 2 ell(A, H)* w(A) ell(A, H).  xi is the unit
+    negative eigenvector of w(A) (matkit.unit_phase); the companion A'
+    (_companion) makes the columns U_j = [v(A') e_()] over the border
+    words x_j v independent, so K_j = Xi_j U_j^+ solves K_j U_j = Xi_j
+    (Xi_j: xi's m-blocks of those words).  At the doubled point
+    (A' (+) A, 0 (+) X), in the direction H_j = [[0, K_j*], [K_j, 0]] and
+    with h = e_() (+) 0, ell(., H) h = 0 (+) xi, so h* p_xx h = 2 xi* w(A)
+    xi.  That value is checked on p itself, by the second difference
+    p(., H) + p(., -H) - 2 p(., 0), exact at x-degree two: it must equal
+    2 lambda_min within 1e-9 max(1, |lambda_min|), else
+    WitnessCheckFailure.  ValueError when w(A) is not indefinite.
+    """
+    lam, vecs = np.linalg.eigh(w)
+    if not len(lam) or lam[0] >= -1e-6:
+        raise ValueError("w(A) is not indefinite at this point "
+                         "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
+    xi = vecs[:, 0] * matkit.unit_phase(vecs[:, 0])
+    m, ctx = bad.n, pb.p.ctx
+    # ell's coefficient at a border word is the unit vector of its index
+    border = sorted(pb.ell.coeffs,
+                    key=lambda b: np.argmax(np.abs(pb.ell.coeffs[b])))
+    A1, U = _companion(border, ctx.h)
+    M = len(U)
+    Xi = xi.reshape(-1, m).T
+    K = []
+    for j in range(ctx.h, ctx.h + ctx.g):
+        mine = [i for i, b in enumerate(border) if b[0] == j]
+        # U_j^+ = (U_j^T U_j)^-1 U_j^T: full column rank, integer entries
+        Uj = U[:, mine]
+        K.append(Xi[:, mine] @ np.linalg.solve(Uj.T @ Uj, Uj.T))
+    A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(A1, bad.A))
+    X = tuple(_dirsum([np.zeros((M, M)), x2]) for x2 in bad.X)
+    H = tuple(np.block([[np.zeros((M, M)), Kj.conj().T],
+                        [Kj, np.zeros((m, m))]]) for Kj in K)
+    point = HermTuple(M + m, A, X, validate=False)
+    h = np.zeros(M + m, dtype=complex)
+    h[0] = 1.0
+    quad = _second_difference(pb.p, point, H, h)
+    if abs(quad - 2.0 * lam[0]) > 1e-9 * max(1.0, abs(lam[0])):
+        raise WitnessCheckFailure(
+            "h* p_xx h = %.17g on p, 2 lambda_min(w(A)) = %.17g"
+            % (quad, 2.0 * lam[0]))
+    return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))
+
+
+def _second_difference(p, t, H, v):
+    """v* (p(A, H) + p(A, -H) - 2 p(A, 0)) v at t's A: the x-Hessian's
+    quadratic value in the direction H at every X when p has x-degree at
+    most two, from one eval_poly of the three points."""
+    X = tuple(np.stack([Hj, -Hj, np.zeros_like(Hj)]) for Hj in H)
+    A = tuple(np.stack([Al] * 3) for Al in t.A)
+    vals = eval_poly(p, HermTuple(t.n, A, X, validate=False))
+    return float(np.real(v.conj() @ (vals[0] + vals[1] - 2.0 * vals[2])
+                         @ v))

@@ -239,6 +239,43 @@ def linearization_file(tmp_path, name, edit=None):
     return rfile
 
 
+def assert_close_entries(got, want, rtol=1e-12, path="$"):
+    """got == want, apart from floats, which agree to rtol relative to
+    max(1, |want|): dicts with the same keys, lists of the same length,
+    and every other value equal."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for key in want:
+            assert_close_entries(got[key], want[key], rtol,
+                                 "%s.%s" % (path, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_entries(g, w, rtol, "%s[%d]" % (path, i))
+    elif isinstance(want, float):
+        assert abs(got - want) <= rtol * max(1.0, abs(want)), \
+            (path, got, want)
+    else:
+        assert got == want, path
+
+
+def sharpness_quadratic_value(p, wit):
+    """h* D h with D the central second difference of eval_poly along the
+    witness's direction at its point, step 1e-3 (exact, up to rounding, at
+    x-degree two)."""
+    pt, eps = wit["point"], 1e-3
+    A = tuple(unmat(M) for M in pt["A"])
+    H = [unmat(M) for M in wit["direction"]]
+
+    def at(s):
+        X = tuple(unmat(M) + s * Hi for M, Hi in zip(pt["X"], H))
+        return ncalg.eval_poly(p, ncalg.HermTuple(pt["n"], A, X,
+                                                  validate=False))
+    D = (at(eps) - 2 * at(0.0) + at(-eps)) / eps ** 2
+    h = unvec(wit["h"])
+    return float(np.real(h.conj() @ D @ h))
+
+
 @pytest.mark.parametrize("region", ["default", "dom"])
 @pytest.mark.parametrize("name", ["x4", "xax"])
 def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
@@ -247,7 +284,8 @@ def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
     re-normalized, and a polynomial's is read back as one: the same exit
     code and scans as the polynomial it was written from (x4 exits 1 on
     its midpoint witness, xax takes the middle-matrix path), on the
-    file's own realization."""
+    file's own realization, and a butterfly section exactly when the
+    polynomial has one (xax, not x4)."""
     rfile = linearization_file(tmp_path, name)
     flags = ["--region", region]
     code_p, poly = run_out(tmp_path, "poly.json", [
@@ -272,12 +310,16 @@ def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
             if f in pc:
                 assert abs(rc[f] - pc[f]) <= 1e-12 * max(1.0, abs(pc[f])), f
                 rc[f] = pc[f]
-    sections = ["hessian_scan", "localizing_scan"]
+    sections = ["hessian_scan", "butterfly"]
     if name == "x4":
-        sections.append("not_convexible")
+        sections += ["not_convexible", "localizing_scan"]
+        assert "butterfly" not in poly
     else:
-        sections.append("butterfly")
         assert real["butterfly_poly"]["k"] == poly["butterfly_poly"]["k"]
+        # xax's sharpness witness comes from the read-back w, whose
+        # coefficient carries the realization's rounding
+        assert_close_entries(real["localizing_scan"],
+                             poly["localizing_scan"])
     for key in sections:
         assert real.get(key) == poly.get(key), key
 
@@ -430,7 +472,10 @@ def realization_files():
               ("one-minus-2a-2x", make(np.eye(1), [2 * np.eye(1)],
                                        [2 * np.eye(1)], [1.0])),
               ("one-minus-tx", make(np.eye(1), [], [np.eye(1) / 0.6],
-                                    [1.0]))]
+                                    [1.0])),
+              # -1 / (1 + x): J11 = -1 is not PSD
+              ("minus-one-over-one-plus-x", make(-np.eye(1), [],
+                                                 [np.eye(1)], [1.0]))]
     files += [("smr%d" % seed, rand_minimal_smr(np.random.default_rng(seed),
                                                  e=4, h=1, g=2))
               for seed in range(40)]
@@ -454,6 +499,11 @@ def test_sqrt_domain_at_zero_of_a_realization_file(tmp_path):
             1, tuple(np.zeros((1, 1)) for _ in range(Rm.h)),
             tuple(np.zeros((1, 1)) for _ in range(Rm.g)))
         want = butterfly.butterfly_build(Rm).in_domain_item4(zero)
+        if name == "x4":
+            # read back as a polynomial of x-degree four, which has no
+            # butterfly
+            assert "butterfly" not in rep["results"]
+            continue
         got = rep["results"]["butterfly"]["sqrt_domain_at_zero"]
         assert got == want, name
         seen.add((name.startswith("smr"), got))
@@ -519,6 +569,25 @@ def test_sharpness_witness_outside_dom_is_a_reason(tmp_path, capsys, seed):
     assert "numerically singular at tol_inv=0.3" in scan["outside_dom"]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_xax_sharpness_witness_at_a_large_tol_inv(tmp_path, seed):
+    """xax at --tol-inv 0.5: the sharpness witness decides no pencil, so
+    the first indefinite point gives it, with no outside_dom before it
+    (the pencil witness recorded one at each of these seeds), and it
+    re-verifies by a central difference of eval_poly."""
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(DATA / "xax_poly.txt"), "--tol-inv", "0.5",
+        "--sizes", "1,2,3", "--samples", "10", "--seed", str(seed)])
+    assert code == EXIT_OK
+    scan = rep["results"]["localizing_scan"]
+    assert set(scan) == {"checked", "sharpness_witness", "time_s"}
+    wit = scan["sharpness_witness"]
+    p = ncalg.parse_poly((DATA / "xax_poly.txt").read_text())
+    assert wit["quadratic_value"] < 0
+    assert sharpness_quadratic_value(p, wit) == pytest.approx(
+        wit["quadratic_value"], rel=1e-6)
+
+
 def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
     """On a sum of squares, partial judges every draw through w(A) and
     takes sqrt_domain_at_zero from the butterfly: no pencil is tested, no
@@ -544,11 +613,50 @@ def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_sharpness_witness_reads_no_pencil(tmp_path, monkeypatch):
+    """On xax and thin0-17 (partial-reject at seed 1), the localizing scan
+    judges w(A) and builds its sharpness witness from w(A) and p: no
+    region is tested on pencils, no R_T, resolvent or span probe is
+    computed, and no realization is built."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    calls = []
+    for owner, name in ((realize.Region, "test"), (realize, "r_T"),
+                        (partialcvx, "r_T"), (realize, "resolvent"),
+                        (partialcvx, "resolvent"),
+                        (realize, "linearize_poly"),
+                        (butterfly, "linearize_poly"),
+                        (partialcvx, "span_probe"),
+                        (partialcvx, "negativity_witness")):
+        def spy(*args, name=name, call=getattr(owner, name), **kw):
+            calls.append(name)
+            return call(*args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    items = [item for item in corpus.build("partial-reject", 1, tmp_path,
+                                           DATA)
+             if item.name == "xax_poly.txt" or item.name.startswith("thin")]
+    assert len(items) == 19
+    for item in items:
+        code, rep = run_out(tmp_path, "p.json", item.argv)
+        assert code == EXIT_OK, item.name
+        scan = rep["results"]["localizing_scan"]
+        assert scan["checked"] == 1
+        # xax's one point at seed 1 has w(A) PSD; every thin input's not
+        if item.name == "xax_poly.txt":
+            assert "sharpness_witness" not in scan
+            continue
+        wit = scan["sharpness_witness"]
+        assert sharpness_quadratic_value(item.poly, wit) == pytest.approx(
+            wit["quadratic_value"], rel=1e-6), item.name
+    assert calls == []
+
+
 def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     """The realization owns the frame of ran T (Realization.frame): one
     partial call builds it at most once, through the butterfly, both
-    scans, the sharpness witness and the butterfly section (on xax only
-    the sharpness witness's pencils need it)."""
+    scans, the sharpness witness and the butterfly section.  On xax none
+    of them needs it (the witness is the middle matrix's), so it is never
+    built."""
     built = []
     build = realize._range_t_frame
     monkeypatch.setattr(realize, "_range_t_frame",
@@ -559,7 +667,7 @@ def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert "sharpness_witness" in rep["results"]["localizing_scan"]
     assert "sqrt_domain_at_zero" in rep["results"]["butterfly"]
-    assert len(built) <= 1
+    assert built == []
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -599,18 +707,32 @@ def test_corpus_exit_codes_at_seed_1(tmp_path, monkeypatch, workload):
 def test_corpus_linearization_files_exit_as_their_polynomials(
         tmp_path, monkeypatch, workload):
     """Each partial corpus input written as the realization file of its
-    linearization is read back as the polynomial: the same exit code at
-    seed 1, with the read-back note."""
+    linearization is read back as the polynomial, at seeds 1 and 2: the
+    same exit code as the polynomial (at seed 1 the known one), the
+    read-back note, and the same hessian_scan and localizing_scan apart
+    from time_s, up to 1e-12 (the read-back coefficients carry the
+    realization's rounding; the sharpness witness reads w, not the
+    realization)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
-    for item in corpus.build(workload, 1, tmp_path, DATA):
-        rfile = tmp_path / "r.json"
-        rfile.write_text(json.dumps(realize.realization_to_json(
-            realize.linearize_poly(item.poly))))
-        code, rep = run_out(tmp_path, "r_report.json",
-                            ["partial", str(rfile)] + item.argv[2:])
-        assert code == CORPUS_EXIT_CODES[workload][item.name], item.name
-        assert rep["results"]["notes"] == [cli.READ_BACK_NOTE]
+    for seed in (1, 2):
+        for item in corpus.build(workload, seed, tmp_path, DATA):
+            rfile = tmp_path / "r.json"
+            rfile.write_text(json.dumps(realize.realization_to_json(
+                realize.linearize_poly(item.poly))))
+            code_p, poly = run_out(tmp_path, "p_report.json", item.argv)
+            code, rep = run_out(tmp_path, "r_report.json",
+                                ["partial", str(rfile)] + item.argv[2:])
+            assert code == code_p, (seed, item.name)
+            if seed == 1:
+                assert code == CORPUS_EXIT_CODES[workload][item.name], \
+                    item.name
+            real = strip_timings(rep["results"])
+            assert real["notes"] == [cli.READ_BACK_NOTE]
+            poly = strip_timings(poly["results"])
+            for key in ("hessian_scan", "localizing_scan"):
+                assert_close_entries(real[key], poly[key],
+                                     path="%d %s %s" % (seed, item.name, key))
 
 
 def recorded_chunks(monkeypatch):
@@ -1543,8 +1665,11 @@ RESOLVENT_1 = '{"J": [[[1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]], ' \
     (RESOLVENT_1, 37, 0.3),
 ])
 def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
-    """The scan on the pencils, and on a polynomial of x-degree two also
-    through its butterfly's w(A), is the per-sample loop's."""
+    """The scan on the pencils is the per-sample loop's.  On a polynomial
+    of x-degree two, the scan through its butterfly's w(A) checks the same
+    points and stops at the same one, but its witness is the middle-matrix
+    one, which draws nothing, has bad_lambda = lambda_min(w(A)) (R_T's
+    sign, not always its value) and re-verifies on p."""
     pb = None
     if text.startswith("{"):
         R = realize.realization_from_json(json.loads(text))
@@ -1557,13 +1682,34 @@ def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
                              tol_inv=tol_inv)
     ref_rng = np.random.default_rng(seed)
     want, rejected = reference_localizing_scan(R, cfg, ref_rng)
-    for butterfly_pb in (None, pb) if pb else (None,):
-        rng = np.random.default_rng(seed)
-        got = cli._localizing_scan(R, cfg, rng, butterfly_pb)
-        assert json.dumps(got, sort_keys=True) \
-            == json.dumps(want, sort_keys=True)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    got = cli._localizing_scan(R, cfg, rng)
+    assert json.dumps(got, sort_keys=True) \
+        == json.dumps(want, sort_keys=True)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (rejected > 0) == (tol_inv == 0.3)
+    if pb is None:
+        return
+    got = cli._localizing_scan(None, cfg, np.random.default_rng(seed), pb)
+    assert set(got) == set(want) == {"checked", "sharpness_witness"}
+    assert got["checked"] == want["checked"]
+    wit, ref = got["sharpness_witness"], want["sharpness_witness"]
+    # the bad point is the last m x m block of both doubled points; a
+    # polynomial's dom rejects no draw, so m follows from checked
+    m = cfg.sizes[(got["checked"] - 1) // cfg.samples]
+    bad = [[unmat(M)[-m:, -m:] for M in w["point"][key]]
+           for w in (wit, ref) for key in ("A", "X")]
+    assert all(np.array_equal(u, v) for u, v in zip(bad[0] + bad[1],
+                                                    bad[2] + bad[3]))
+    w_bad = ncalg.eval_poly(pb.w, ncalg.HermTuple(m, tuple(bad[0]), tuple(
+        bad[1]), validate=False))
+    assert wit["bad_lambda"] == pytest.approx(
+        np.linalg.eigvalsh(w_bad)[0], rel=1e-12)
+    assert max(wit["bad_lambda"], ref["bad_lambda"]) < -1e-3
+    assert wit["quadratic_value"] == pytest.approx(2 * wit["bad_lambda"],
+                                                   rel=1e-9)
+    assert sharpness_quadratic_value(p, wit) == pytest.approx(
+        wit["quadratic_value"], rel=1e-6)
 
 
 def test_localizing_scan_tries_the_next_point_after_a_span_failure(
@@ -1593,6 +1739,31 @@ def test_localizing_scan_tries_the_next_point_after_a_span_failure(
     assert json.dumps(entry, sort_keys=True) == json.dumps(want,
                                                            sort_keys=True)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_localizing_scan_tries_the_next_point_after_a_missed_check(
+        monkeypatch):
+    """A middle-matrix witness that misses its check on p is reported as
+    check_failure, and the next indefinite point gives the witness."""
+    pb = butterfly.poly_butterfly(ncalg.parse_poly(
+        (DATA / "xax_poly.txt").read_text()))
+    cfg = cli.AnalysisConfig(sizes=(2,), samples=25)
+    build, points = partialcvx.middle_matrix_witness, []
+
+    def miss_first(pb, t, w):
+        points.append(t)
+        if len(points) == 1:
+            raise partialcvx.WitnessCheckFailure("missed")
+        return build(pb, t, w)
+
+    monkeypatch.setattr(partialcvx, "middle_matrix_witness", miss_first)
+    entry = cli._localizing_scan(None, cfg, np.random.default_rng(3), pb)
+    assert len(points) == 2
+    assert entry["check_failure"] == "missed"
+    assert entry["sharpness_witness"]["quadratic_value"] < 0
+    monkeypatch.undo()
+    first = cli._localizing_scan(None, cfg, np.random.default_rng(3), pb)
+    assert first["checked"] < entry["checked"]
 
 
 def test_parser_built_once(capsys):

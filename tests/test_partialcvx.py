@@ -7,7 +7,7 @@ criterion must call convexity the same way the sampled Hessian does.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_minimal_smr, rand_smr
@@ -238,6 +238,100 @@ def test_span_probe_direct_sum_shapes(rng):
     for Hi in span.H:
         assert Hi.shape == (M, M)
     assert span.w.shape[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the middle-matrix sharpness witness of a polynomial butterfly
+
+def random_xdeg2_poly(rng, h, g):
+    """A random symmetric polynomial of x-degree two in h a-letters and g
+    x-letters with complex coefficients: words u x_i m x_j v (a-words of
+    length up to two, mixed x_i ... x_j included) and x-affine words,
+    each with its adjoint.  It holds x_0 x_0 with coefficient -1, so w has
+    a -1 on its diagonal, and a word that gives ell two border monomials
+    (a x_0 x_0 with h > 0, x_0 x_1 with h = 0, where g is at least 2)."""
+    g = g if h else max(g, 2)
+
+    def a_word(top):
+        return tuple(rng.integers(0, h, int(rng.integers(0, top + 1)))) \
+            if h else ()
+
+    def coeff():
+        return complex(rng.normal(), rng.normal())
+
+    x0 = h
+    terms = {(x0, x0): -1.0}
+    terms[(0, x0, x0) if h else (x0, x0 + 1)] = coeff()
+    for _ in range(int(rng.integers(1, 5))):
+        i, j = (h + int(l) for l in rng.integers(0, g, 2))
+        word = a_word(2) + (i,) + a_word(2) + (j,) + a_word(2)
+        terms[word] = terms.get(word, 0) + coeff()
+    for _ in range(int(rng.integers(0, 3))):
+        word = a_word(1) + (h + int(rng.integers(0, g)),) + a_word(1)
+        terms[word] = terms.get(word, 0) + coeff()
+    sym = {}
+    for word, c in terms.items():
+        sym[word] = sym.get(word, 0) + c
+        sym[word[::-1]] = sym.get(word[::-1], 0) + np.conj(c)
+    ctx = VarContext(tuple("ab"[:h]), tuple("xy"[:g]))
+    return FreePoly.from_terms(ctx, sym)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, h=st.integers(0, 2), g=st.integers(1, 2),
+       m=st.integers(1, 3))
+def test_middle_matrix_witness_matches_w_and_the_pencils(seed, h, g, m):
+    """At a random point where w(A) has lambda_min < -1e-3, the witness's
+    quadratic value is 2 lambda_min(w(A)) and the pencil Hessian of
+    linearize_poly(p) at the reported point gives it too; each H_j and
+    each matrix of the point is Hermitian and h is a unit vector."""
+    from ncconvex import butterfly
+    rng = np.random.default_rng(seed)
+    p = random_xdeg2_poly(rng, h, g)
+    pb = butterfly.poly_butterfly(p)
+    assert pb.k >= 2
+    for _ in range(20):
+        t = matkit.sample_tuple(m, (h, p.ctx.g), 0.6, rng)
+        w = ncalg.eval_poly(pb.w, t)
+        lam = np.linalg.eigvalsh(w)[0]
+        if lam < -1e-3:
+            break
+    assume(lam < -1e-3)
+    wit = partialcvx.middle_matrix_witness(pb, t, w)
+    tol = 1e-9 * max(1.0, abs(lam))
+    assert abs(wit.value - 2 * lam) <= tol
+    assert abs(wit.bad_lambda - lam) <= 1e-12 * max(1.0, abs(lam))
+    R = linearize_poly(p)
+    quad = np.real(wit.h.conj() @ partial_hessian(R, wit.point, wit.direction)
+                   @ wit.h)
+    assert abs(quad - wit.value) <= tol
+    for Hj in wit.direction + wit.point.mats:
+        assert np.array_equal(Hj, Hj.conj().T)
+    assert np.linalg.norm(wit.h) == 1.0
+    # the bad point is the doubled point's last block, and X is 0 there
+    M = wit.point.n - m
+    for big, small in zip(wit.point.mats, t.mats):
+        assert np.array_equal(big[M:, M:], small)
+    for X in wit.point.X:
+        assert not X[:M, :M].any()
+
+
+def test_middle_matrix_witness_rejects_psd_w_and_reports_a_missed_check(
+        monkeypatch):
+    """A PSD w(A) is a ValueError; a witness whose value on p misses
+    2 lambda_min(w(A)) is a WitnessCheckFailure, not a witness."""
+    from ncconvex import butterfly
+    pb = butterfly.poly_butterfly(ncalg.parse_poly(
+        "vars a: a | x: x\n1 * x a x\n"))
+    t = HermTuple(1, (np.array([[-0.5]]),), (np.array([[0.3]]),))
+    with pytest.raises(ValueError, match="not indefinite"):
+        partialcvx.middle_matrix_witness(pb, HermTuple(
+            1, (np.array([[0.5]]),), (np.zeros((1, 1)),)), np.eye(1) * 0.5)
+    wit = partialcvx.middle_matrix_witness(pb, t, np.array([[-0.5]]))
+    assert wit.value == pytest.approx(-1.0, rel=1e-15)
+    assert wit.point.n == 2
+    with pytest.raises(partialcvx.WitnessCheckFailure, match="on p"):
+        partialcvx.middle_matrix_witness(pb, t, np.array([[-0.6]]))
 
 
 # ---------------------------------------------------------------------------
