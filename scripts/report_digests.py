@@ -1,11 +1,15 @@
 """Exit code and report digest of every input of a benchmark corpus.
 
     python scripts/report_digests.py --workload partial-accept --seed 1
+    python scripts/report_digests.py --workload partial-reject --seed 1 \
+        --region dom
 
 Builds the workload's corpus with perfbench/corpus.py, runs each input
 through `ncconvex.cli.main` in this process, and prints one line per
 input: its name, exit code and the sha256 of its report with every
-`time_s` removed (`cli.strip_timings`, canonical JSON).  Two checkouts
+`time_s` removed (`cli.strip_timings`, canonical JSON).  `--region R`
+is passed on to the `partial` inputs only (`xy` takes no region), so
+their scans run on R instead of the default dom-plus.  Two checkouts
 that print the same lines give the same verdicts and byte-identical
 reports; two runs of one checkout must always do so.  The package is
 imported from this checkout's src/.
@@ -55,12 +59,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=corpus.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--region", help="the --region of every partial input")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         items = corpus.build(args.workload, args.seed, Path(work),
                              ROOT / "src" / "ncconvex" / "data")
         for item in items:
-            rc, sha = digest(item.argv)
+            extra = ["--region", args.region] \
+                if args.region and item.argv[0] == "partial" else []
+            rc, sha = digest(item.argv + extra)
             print("%s %s %s" % (item.name, rc, sha))
     return 0
 

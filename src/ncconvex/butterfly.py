@@ -16,7 +16,7 @@ of the pair (A, 0), (A, X) hands on.
 A symmetric polynomial of x-degree at most two has its butterfly
 p = fbar + ell* w ell straight from its coefficients (poly_butterfly:
 the border vector ell and the middle matrix w), and PolyRegion samples
-the regions of such a polynomial through w(A) alone.
+every region of such a polynomial through w(A) alone.
 """
 
 from __future__ import annotations
@@ -176,60 +176,68 @@ class PolyButterfly:
     @cached_property
     def realization(self):
         """The minimal realization of p: the given one, or linearize_poly
-        of p, built on first use.  Only the pencil scans of
-        --region dom|kebab|ball:R and the dom+ emptiness proof (when w(0)
-        is not PSD) use it; the sharpness witness is built from w and p
+        of p, built on first use.  Only the dom+ emptiness proof (when w(0)
+        is not PSD) uses it: every region scan goes through PolyRegion,
+        and the sharpness witness is built from w and p
         (partialcvx.middle_matrix_witness)."""
         return linearize_poly(self.p) if self.given is None else self.given
 
 
-class PolyRegion:
+class PolyRegion(realize.RegionKind):
     """A sampling region of a polynomial butterfly pb, judged through w(A).
 
     p's realization R has R_T(A, X) PSD exactly where w(A) is, and a
     pencil that is invertible everywhere (the J S_j and J T_i are jointly
-    nilpotent), so with k > 0:
+    nilpotent), so every kind of realize.Region is judged without R:
 
     dom, kebab: every point;
-    dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set.
+    dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set;
+    ball: RegionKind's ball rule.
 
-    realize.Region's interface for the samplers (kind, h, g, dim, test);
-    test evaluates w at the whole stack with one eval_poly and hands on
-    each point's (w(A), its ascending eigenvalues).  h, g and dim (k, the
-    size of w's coefficients, for the sampler's block cap) come from pb,
-    so no realization is built.  The ball is realize.Region's alone.
+    realize.Region's interface (kind, h, g, dim, test, hessian, values,
+    rt_lambda_min); test evaluates w at the whole stack with one eval_poly
+    and hands on each point's (w(A), its ascending eigenvalues), from which
+    hessian and rt_lambda_min answer.  h, g and dim (k, the size of w's
+    coefficients, for the sampler's block cap) come from pb, so no
+    realization is built.
     """
 
-    def __init__(self, pb, kind="dom", tol=TOL_PSD):
-        if kind not in realize.REGION_KINDS or kind == "ball":
-            raise ValueError("no butterfly region of kind %r" % kind)
-        self.pb, self.kind, self.tol = pb, kind, tol
+    def __init__(self, pb, kind="dom", tol=TOL_PSD, radius=None):
+        super().__init__(kind, tol, radius)
+        self.pb = pb
         self.h, self.g, self.dim = pb.p.ctx.h, pb.p.ctx.g, pb.k
+
+    def _tuple(self, mats):
+        """A stack of points (B, h + g, n, n) as one HermTuple of stacks."""
+        stacks = mats.swapaxes(0, 1)
+        return HermTuple(mats.shape[-1], tuple(stacks[:self.h]),
+                         tuple(stacks[self.h:]), validate=False)
 
     def test(self, mats):
         """(mask, [(w(A), eigenvalues)]) for a stack of points
         (B, h + g, n, n)."""
-        n = mats.shape[-1]
-        t = HermTuple(n, tuple(mats[:, :self.h].swapaxes(0, 1)),
-                      tuple(mats[:, self.h:].swapaxes(0, 1)), validate=False)
-        w = eval_poly(self.pb.w, t)
+        w = eval_poly(self.pb.w, self._tuple(mats))
         ev = np.linalg.eigvalsh(w)
-        mask = np.ones(len(mats), dtype=bool)
+        mask = self._ball(mats)
         if self.kind.endswith("plus") and self.pb.k:
-            mask = matkit.psd_mask(ev, self.tol)
+            mask &= matkit.psd_mask(ev, self.tol)
         return mask, list(zip(w, ev))
 
-    def hessian(self, t, H, w):
+    def hessian(self, t, H, payload):
         """The x-Hessian 2 L* w(A) L at t in the directions H, with
-        L = ell(A, H) and w = w(A)."""
+        L = ell(A, H) and w(A) from the payload."""
         L = eval_poly(self.pb.ell, HermTuple(t.n, t.A, tuple(H),
                                              validate=False))
-        return matkit.herm(2.0 * (L.conj().T @ w @ L))
+        return matkit.herm(2.0 * (L.conj().T @ payload[0] @ L))
 
-    def rt_lambda_min(self, ev):
-        """min(lambda_min(w(A)), 0) from the eigenvalues ev of w(A): the
+    def values(self, points, payloads):
+        """p at points of one size, from one eval_poly of their stack."""
+        return eval_poly(self.pb.p, self._tuple(realize._stack(points)))
+
+    def rt_lambda_min(self, t, payload):
+        """min(lambda_min(w(A)), 0) from the payload's eigenvalues: the
         sign of R_T(A, X)'s lambda_min, not its value (0 when k = 0)."""
-        return min(ev[0], 0.0) if self.pb.k else 0.0
+        return min(payload[1][0], 0.0) if self.pb.k else 0.0
 
 
 @dataclass(frozen=True)

@@ -235,19 +235,17 @@ def _poly_json(p):
 # regions
 
 def make_region(name, R, cfg, pb=None):
-    """The region named by --region ("default" is dom-plus): a
-    realize.Region of R, whose tol_inv, --tol-inv, decides every pencil
-    of the scans it drives; or, for the plus kinds of a polynomial with
-    butterfly pb, pb's butterfly.PolyRegion, which judges w(A) alone.
-    With pb, R may be None: the other kinds take pb.realization."""
+    """The region named by --region ("default" is dom-plus): for a
+    polynomial with butterfly pb, pb's butterfly.PolyRegion, which judges
+    w(A) alone and factors no pencil (R is then ignored, and may be
+    None); otherwise a realize.Region of R, whose tol_inv, --tol-inv,
+    decides every pencil of the scans it drives."""
     kind, radius = ("dom-plus" if name == "default" else name), None
-    if pb is not None and kind.endswith("plus"):
-        return butterfly.PolyRegion(pb, kind, cfg.tol_psd)
-    if R is None:
-        R = pb.realization
     try:
         if name.startswith("ball:"):
             kind, radius = "ball", float(name.split(":", 1)[1])
+        if pb is not None:
+            return butterfly.PolyRegion(pb, kind, cfg.tol_psd, radius)
         return realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
     except ValueError as exc:
         raise InputError("bad region %r (%s); expected dom, dom-plus, kebab, "
@@ -340,18 +338,21 @@ def _serialize_empty_proof(proof):
 def _partial_scan_chunk(payload):
     """One size of the region Hessian scan; module level for pickling.
 
+    The region is make_region's: on a polynomial with butterfly pb (R is
+    then None) pb's PolyRegion at every kind, which answers through w(A),
+    ell and p and factors no pencil.
+
     On dom-plus and kebab-plus there is no witness to search for: the
     x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
     wherever R_T is, and the x-slices of the region are LMI domains.  The
     size is certified from one region point, the first Hessian probe of
-    convexity_verdict (through w(A) and ell on a polynomial with
-    butterfly pb, where R is None); a Hessian that fails psd_mask there
-    can only come from rounding, and the size is then inconclusive.
-    Where realize.dom_plus_empty proves that no draw lies in the region,
-    the size is empty with that proof and draws nothing; it needs
-    R_T(0, 0) to fail psd_mask, which on a butterfly is w(0), so only
-    then is pb's realization built.  The other kinds run the sampled
-    Hessian and midpoint scan."""
+    convexity_verdict; a Hessian that fails psd_mask there can only come
+    from rounding, and the size is then inconclusive.  Where
+    realize.dom_plus_empty proves that no draw lies in the region, the
+    size is empty with that proof and draws nothing; it needs R_T(0, 0)
+    to fail psd_mask, which on a butterfly is w(0), so only then is pb's
+    realization built.  The other kinds run the sampled Hessian and
+    midpoint scan."""
     R, cfg, size, seed, pb = payload
     region = make_region(cfg.region, R, cfg, pb)
     rng = np.random.default_rng(seed)
@@ -383,8 +384,8 @@ def _partial_scan_chunk(payload):
         else cfg.scale
     try:
         verdict = partialcvx.convexity_verdict(
-            region.R, region=region, sizes=(size,), samples=cfg.samples,
-            rng=rng, tol=cfg.tol_psd, scale=scale)
+            region, sizes=(size,), samples=cfg.samples, rng=rng,
+            tol=cfg.tol_psd, scale=scale)
     except partialcvx.RegionEmpty:
         return {"size": size, "empty": True}
     out = {"size": size, "empty": False}
@@ -420,23 +421,18 @@ def _localizing_scan(R, cfg, rng, pb=None):
         return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
                 "eigenvalue at any point, so none is indefinite"}
     entry = {"checked": 0}
-    region = make_region("dom", R, cfg) if pb is None \
-        else butterfly.PolyRegion(pb)
+    region = make_region("dom", R, cfg, pb)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
                 region, int(n), cfg.samples, rng, cfg.scale):
             entry["checked"] += 1
-            if pb is None:
-                rt = realize.r_T(R, t, factors=W)
-                low = np.linalg.eigvalsh(rt)[0]
-            else:
-                low = W[1][0]
-            if not low < -1e-3:
+            if not region.rt_lambda_min(t, W) < -1e-3:
                 continue
             try:
                 if pb is None:
                     wit = partialcvx.negativity_witness(
-                        R, t, rng=rng, region=region, rt=rt)
+                        R, t, rng=rng, region=region,
+                        rt=realize.r_T(R, t, factors=W))
                 else:
                     wit = partialcvx.middle_matrix_witness(pb, t, W[0])
             except partialcvx.WitnessCheckFailure as exc:
@@ -487,6 +483,9 @@ def _ensure_smr(R, notes):
     return Rm
 
 
+PROVED_EMPTY_REASON = ("the region is proved empty at every size, so "
+                       "there is no PSD region for convexity to be sharp "
+                       "at")
 READ_BACK_NOTE = ("read back as a polynomial (its letters J Z are jointly "
                   "nilpotent) and analysed as one")
 
@@ -572,8 +571,12 @@ def cmd_partial(args):
             negative = True
 
     t0 = time.monotonic()
-    neg_entry = _localizing_scan(R, cfg, np.random.default_rng(seeds[-1]),
-                                 pb)
+    if all("proof" in c for c in chunks):
+        # a proof holds at every size or at none
+        neg_entry = {"checked": 0, "reason": PROVED_EMPTY_REASON}
+    else:
+        neg_entry = _localizing_scan(
+            R, cfg, np.random.default_rng(seeds[-1]), pb)
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 

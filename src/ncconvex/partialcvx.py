@@ -17,17 +17,19 @@ which draws nothing and uses no realization).
 
 Region points come from a block rejection sampler (_sample_in_region):
 a matkit.block_search of up to MAX_ATTEMPTS draws, with one
-matkit.sample_blocks call and one realize.Region.test call (one batched
-LU) per block, that leaves the generator where a loop of per-draw
-sample_tuple calls would, so every draw and verdict is the per-sample
-loop's.  The scans draw one probe at a time (region_probes): a point,
-then its directions or midpoint partner; on the plus kinds partial checks
-one point per size (first_probe).  An accepted point comes with its
-pencil's inverse W, from which the Hessian probe, the midpoint triple,
-the span probe and the localizing scan's R_T evaluate; the scan hands
-that R_T to the witness.  The samplers take a butterfly.PolyRegion as
-well, whose points come with w(A) and its eigenvalues instead, and the
-localizing scan hands that w(A) to middle_matrix_witness.
+matkit.sample_blocks call and one region.test call per block, that
+leaves the generator where a loop of per-draw sample_tuple calls would,
+so every draw and verdict is the per-sample loop's.  The scans draw one
+probe at a time (region_probes): a point, then its directions or
+midpoint partner; on the plus kinds partial checks one point per size
+(first_probe).  An accepted point comes with the payload its region's
+test handed on, and the scans ask the region for what they evaluate
+there (its hessian, values and rt_lambda_min).  A realize.Region hands
+on the pencil's inverse W (one batched LU per block), from which the
+span probe and the localizing scan's R_T evaluate as well; the scan
+hands that R_T to the witness.  A butterfly.PolyRegion, the region of
+every polynomial with a butterfly, hands on w(A) and its eigenvalues,
+and the localizing scan hands that w(A) to middle_matrix_witness.
 """
 
 from __future__ import annotations
@@ -64,9 +66,7 @@ class SpanFailure(ValueError):
 def partial_hessian(R, t, H, tol_inv=matkit.TOL_INV):
     """Hessian value 2 (c (x) I)* R L R L R (c (x) I) with L = sum T_i (x) H_i;
     raises NotInDomain when the pencil at t is singular at tol_inv."""
-    W = resolvent(R, t, tol_inv)
-    H = np.asarray(H, dtype=complex).reshape(1, R.g, t.n, t.n)
-    return _hessians(R, W[None], H)[0]
+    return Region(R).hessian(t, H, resolvent(R, t, tol_inv))
 
 
 def partial_hessian_forms(R, t, H):
@@ -133,7 +133,7 @@ def _herm_stack(n, parts, scale, rng, size):
 
 def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     """The first of max_attempts sample_tuple draws that lies in the
-    region, with its pencil's inverse W; None when none does.
+    region, with the payload its test handed on; None when none does.
 
     A matkit.block_search, blocks capped by BLOCK_ENTRIES and skipped
     with skip_blocks, so every draw and point is the per-draw loop's.
@@ -163,9 +163,10 @@ def region_probes(region, n, samples, rng, scale, extra=()):
     A probe is the point of a _sample_in_region call (the first of
     MAX_ATTEMPTS draws at scale that lies in the region) followed by one
     Hermitian n x n draw per entry of extra, at that scale.  Yields
-    (t, extras, W): the point as a HermTuple, its draws
-    (len(extra), n, n) and its pencil's inverse.  A probe whose
-    draws all miss the region draws nothing more and yields nothing.
+    (t, extras, payload): the point as a HermTuple, its draws
+    (len(extra), n, n) and the payload the region's test handed on.  A
+    probe whose draws all miss the region draws nothing more and yields
+    nothing.
     Between two probes the caller may draw from rng itself: the next
     probe draws after it.
     """
@@ -177,66 +178,44 @@ def region_probes(region, n, samples, rng, scale, extra=()):
             yield t, _herm_stack(n, parts, extra, rng, 1)[0], W
 
 
-def _hessians(R, W, H):
-    """partial_hessian at a stack of points from their pencils' inverses
-    W (B, en, en), in the directions H (B, g, n, n)."""
-    n = H.shape[-1]
-    LRc = R.x_sum(H, n) @ (W @ R.c_lift(n))
-    return matkit.herm(2.0 * (LRc.conj().swapaxes(-1, -2) @ W @ LRc))
-
-
 def first_probe(region, n, samples, rng, scale):
-    """The x-Hessian's eigenvalues and R_T's lambda_min (0 when k = 0) at
-    the first Hessian probe convexity_verdict draws at size n: the first
-    of samples region probes, with its g directions H at scale 1.  None
-    when every probe misses the region; the generator ends after the
-    probe's draws.
-
-    region is a realize.Region, whose probes carry their pencil's
-    inverse, or a butterfly.PolyRegion, whose probes carry w(A) and its
-    eigenvalues: there the Hessian is 2 ell(A, H)* w(A) ell(A, H), and
-    R_T's lambda_min is given by its sign, min(lambda_min(w(A)), 0)."""
+    """The x-Hessian's eigenvalues and the region's rt_lambda_min at the
+    first Hessian probe convexity_verdict draws at size n: the first of
+    samples region probes, with its g directions H at scale 1.  None when
+    every probe misses the region; the generator ends after the probe's
+    draws."""
     probe = next(region_probes(region, n, samples, rng, scale,
                                (1.0,) * region.g), None)
     if probe is None:
         return None
-    t, H, W = probe
-    if isinstance(region, Region):
-        R = region.R
-        hess = _hessians(R, W[None], H[None])
-        rt_low = np.linalg.eigvalsh(r_T(R, t, factors=W))[0] \
-            if R.frame.k else 0.0
-    else:
-        w, ev_w = W
-        hess = region.hessian(t, H, w)[None]
-        rt_low = region.rt_lambda_min(ev_w)
-    return np.linalg.eigvalsh(hess)[0], float(rt_low)
+    t, H, payload = probe
+    return (np.linalg.eigvalsh(region.hessian(t, H, payload)),
+            float(region.rt_lambda_min(t, payload)))
 
 
-def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
-                      rng=None, tol=TOL_PSD, scale=0.5,
-                      midpoint_pairs=10):
+def convexity_verdict(region, sizes=(1, 2, 3), samples=30, rng=None,
+                      tol=TOL_PSD, scale=0.5, midpoint_pairs=10):
     """Sample Hessian probes over the region; witness on first negativity.
 
-    region is a realize.Region of R; the default is dom r.  The midpoint
+    region is a realize.Region or a butterfly.PolyRegion.  The midpoint
     inequality r(A, (X+Y)/2) <= (r(A,X) + r(A,Y))/2 is cross-checked on
     paired samples from the same region.
 
     Both scans draw region_probes: a Hessian probe is a region point and
     its g directions H (at scale 1), a midpoint probe a point (A, X) and
-    its Y (at scale).  The region decides which points lie in dom.  Each
-    Hessian is evaluated from the pencil inverse the region test handed
-    on and judged by matkit.psd_mask at tol.  The points (A, Y) and
-    (A, (X + Y)/2) of a midpoint probe are tested with one more
-    region.test, and its gap comes from the three points' inverses.
+    its Y (at scale).  The region decides which points lie in it, and
+    answers from the payload its test handed on: each Hessian is
+    region.hessian, judged by matkit.psd_mask at tol.  The points (A, Y)
+    and (A, (X + Y)/2) of a midpoint probe are tested with one more
+    region.test, and its gap comes from region.values at the three
+    points.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    region = Region(R) if region is None else region
     count, min_lambda = 0, np.inf
     for n in sizes:
         for t, H, W in region_probes(region, n, samples, rng, scale,
-                                     (1.0,) * R.g):
-            val = _hessians(R, W[None], H[None])[0]
+                                     (1.0,) * region.g):
+            val = region.hessian(t, H, W)
             ev = np.linalg.eigvalsh(val)
             low = float(ev[0])
             count += 1
@@ -249,7 +228,7 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
     pairs = viol = 0
     for n in sizes:
         for t, Y, W in region_probes(region, n, midpoint_pairs, rng,
-                                     scale, (scale,) * R.g):
+                                     scale, (scale,) * region.g):
             far = HermTuple(n, t.A, tuple(Y), validate=False)
             mid = HermTuple(n, t.A, tuple((X + Yi) / 2
                                           for X, Yi in zip(t.X, Y)),
@@ -257,9 +236,8 @@ def convexity_verdict(R, region=None, sizes=(1, 2, 3), samples=30,
             inside, Wc = region.test_points([far, mid])
             if not inside.all():
                 continue
-            gap = (eval_realization(R, t, W)
-                   + eval_realization(R, far, Wc[0])) / 2 \
-                - eval_realization(R, mid, Wc[1])
+            val = region.values([t, far, mid], [W, Wc[0], Wc[1]])
+            gap = (val[0] + val[1]) / 2 - val[2]
             pairs += 1
             viol += int(not matkit.psd_mask(np.linalg.eigvalsh(gap), tol))
     return ConvexEvidence(count, float(min_lambda), pairs, viol)

@@ -34,7 +34,9 @@ resolvent, r_T and eval_realization take it as factors=, trusted, and do
 not factor the pencil again.  Invertibility itself is decided on the
 pencil's eigenvalues (eigvalsh), at the relative threshold of
 _invertible.  in_dom, in_dom_plus, in_dom_kebab and in_dom_kebab_plus are
-the one-point case.
+the one-point case.  Region shares its kind and radius check and its
+ball rule (RegionKind) with butterfly.PolyRegion, which judges the
+regions of a polynomial butterfly through its middle matrix instead.
 """
 
 from __future__ import annotations
@@ -459,35 +461,63 @@ def _inverses(P):
         return W, ok
 
 
-class Region:
+class RegionKind:
+    """What every sampling region shares: its kind, checked against
+    REGION_KINDS (a ball needs a positive finite radius), psd_mask's tol,
+    the ball rule and the one-size point helpers.  A region's test(mats)
+    returns (mask, payloads) for a stack of points (B, h + g, n, n), and
+    its hessian, values and rt_lambda_min answer from those payloads."""
+
+    def __init__(self, kind, tol, radius):
+        if kind not in REGION_KINDS:
+            raise ValueError("unknown region kind %r" % kind)
+        if kind == "ball" and not (radius is not None and np.isfinite(radius)
+                                   and radius > 0):
+            raise ValueError("a ball needs a positive finite radius")
+        self.kind, self.tol, self.radius = kind, tol, radius
+
+    def _ball(self, mats):
+        """Which points lie in the ball (every point, for the other
+        kinds): every matrix of spectral norm <= radius (1 + 1e-12), since
+        a draw rescaled to norm radius computes a norm a few ulps above
+        it."""
+        if self.kind != "ball":
+            return np.ones(len(mats), dtype=bool)
+        norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+        return np.all(norms <= self.radius * (1 + 1e-12), axis=1)
+
+    def test_points(self, points):
+        """test on a sequence of HermTuples of one size."""
+        return self.test(_stack(points))
+
+    def __contains__(self, t):
+        return bool(self.test_points([t])[0][0])
+
+
+class Region(RegionKind):
     """A sampling region of R, tested a stack of points at a time.
 
     dom: the pencil is invertible at relative threshold tol_inv (smin and
     smax are the extreme |eigenvalues| of the Hermitian pencil).
     dom-plus: also R_T(A, X) PSD at tol (psd_mask; vacuous when k = 0).
     kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
-    ball: dom, and every matrix of spectral norm <= radius (1 + 1e-12):
-    a draw rescaled to norm radius computes a norm a few ulps above it.
+    ball: dom, and RegionKind's ball rule.
 
     test is the one membership call, with one path for every kind: the
     ball's norms; one batched LU inverse W of every pencil (and of the
     pencils at (A, 0) for the kebab kinds), an exactly singular pencil
     lying outside; on the plus kinds with k > 0, R_T = V* W V,
     V = V_T (x) I, judged by psd_mask; then the dom rule, _invertible on
-    the eigvalsh of the pencils still in.  It hands on each point's W, so
-    that a consumer evaluating there (resolvent, r_T, eval_realization
-    with factors=) does not factor the pencil again.
+    the eigvalsh of the pencils still in.  It hands on each point's W, from
+    which hessian, values and rt_lambda_min evaluate, and so can a
+    consumer (resolvent, r_T and eval_realization with factors=), without
+    factoring the pencil again.
     """
 
     def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV,
                  radius=None):
-        if kind not in REGION_KINDS:
-            raise ValueError("unknown region kind %r" % kind)
-        if kind == "ball" and not (radius is not None and np.isfinite(radius)
-                                   and radius > 0):
-            raise ValueError("a ball needs a positive finite radius")
-        self.R, self.kind = R, kind
-        self.tol, self.tol_inv, self.radius = tol, tol_inv, radius
+        super().__init__(kind, tol, radius)
+        self.R, self.tol_inv = R, tol_inv
         # the samplers' view: letter counts and the pencil's size per n
         self.h, self.g, self.dim = R.h, R.g, R.e
 
@@ -503,10 +533,7 @@ class Region:
         """(mask, W) for a stack of points (B, h + g, n, n): which lie in
         the region, and the inverses (B, en, en) of their pencils."""
         B, n = mats.shape[0], mats.shape[-1]
-        mask = np.ones(B, dtype=bool)
-        if self.kind == "ball":
-            norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-            mask &= np.all(norms <= self.radius * (1 + 1e-12), axis=1)
+        mask = self._ball(mats)
         P = self.R.pencils(self._with_zero_x(mats))
         W, ok = _inverses(P)
         per_point = 2 if self.kind.startswith("kebab") else 1
@@ -526,12 +553,22 @@ class Region:
             mask &= passed.reshape(per_point, B).all(axis=0)
         return mask, W[:B]
 
-    def test_points(self, points):
-        """test on a sequence of HermTuples of one size."""
-        return self.test(_stack(points))
+    def hessian(self, t, H, W):
+        """The x-Hessian 2 (c (x) I)* W L W L W (c (x) I) at t, with
+        L = sum T_i (x) H_i and W its pencil's inverse."""
+        LWc = self.R.x_sum(H, t.n) @ (W @ self.R.c_lift(t.n))
+        return matkit.herm(2.0 * (LWc.conj().T @ W @ LWc))
 
-    def __contains__(self, t):
-        return bool(self.test_points([t])[0][0])
+    def values(self, points, W):
+        """r at points of one size, from their pencils' inverses W."""
+        return [eval_realization(self.R, t, Wi) for t, Wi in zip(points, W)]
+
+    def rt_lambda_min(self, t, W):
+        """lambda_min of R_T at t, from its pencil's inverse W (0 when
+        k = 0)."""
+        if not self.R.frame.k:
+            return 0.0
+        return float(np.linalg.eigvalsh(r_T(self.R, t, factors=W))[0])
 
 
 def in_dom(R, t, tol_inv=TOL_INV):

@@ -137,20 +137,63 @@ def test_item4_membership_matches_definitional_domain(seed):
         assert lhs == rhs
 
 
+def region_pair(pb, R, kind):
+    """PolyRegion and the pencil Region of one kind (the ball of radius
+    0.5)."""
+    radius = 0.5 if kind == "ball" else None
+    return (butterfly.PolyRegion(pb, kind, radius=radius),
+            Region(R, kind, radius=radius))
+
+
+def assert_region_answers_match(pb, R, kind, mats, rng, name):
+    """PolyRegion(pb, kind) against Region(R, kind) on a stack of points:
+    the same mask; at each point the ell/w Hessian is the pencil's to
+    1e-9, rt_lambda_min is min(lambda_min(w(A)), 0) of w(A) at the point
+    alone and has the sign of the pencil's R_T at psd_mask's tolerance,
+    and values, p at the first three points, is r there to 1e-9.
+    Returns the mask."""
+    region, ref = region_pair(pb, R, kind)
+    got, payload = region.test(mats)
+    want, W = ref.test(mats)
+    assert np.array_equal(got, want), (name, kind)
+    n = mats.shape[-1]
+    points = [HermTuple(n, tuple(M[:R.h]), tuple(M[R.h:]), validate=False)
+              for M in mats]
+    for t, pay, Wi in zip(points, payload, W):
+        H = partialcvx._herm_stack(n, [(n, n, True)] * R.g, 1.0, rng, 1)[0]
+        hess = region.hessian(t, H, pay)
+        want_h = ref.hessian(t, H, Wi)
+        bound = 1e-9 * max(1.0, np.linalg.norm(want_h, 2))
+        assert np.linalg.norm(hess - want_h, 2) <= bound, (name, kind)
+        low, ref_low = region.rt_lambda_min(t, pay), ref.rt_lambda_min(t, Wi)
+        if not pb.k:
+            assert low == 0.0
+            continue
+        alone = np.linalg.eigvalsh(eval_poly(pb.w, t))
+        assert low == min(alone[0], 0.0)
+        rt = np.linalg.eigvalsh(realize.r_T(R, t, factors=Wi))
+        assert ref_low == rt[0]
+        assert matkit.psd_mask(rt) == matkit.psd_mask(alone), (name, kind)
+    vals = region.values(points[:3], payload[:3])
+    for v, want_v in zip(vals, ref.values(points[:3], W[:3])):
+        assert np.linalg.norm(v - want_v, 2) \
+            <= 1e-9 * max(1.0, np.linalg.norm(want_v, 2)), (name, kind)
+    return got
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
 def test_poly_region_matches_the_pencil_region_on_corpora(
         workload, seed, tmp_path, monkeypatch):
     """On every butterfly input of the partial corpora, the PolyRegion of
-    each kind admits the draws that Region(R, kind) admits, its ell/w
-    Hessian matches the pencil's, and its R_T lambda_min, min(lambda_min
-    (w(A)), 0), is that of w(A) at the point alone and has the sign of
-    the pencil's R_T at psd_mask's tolerance, at sizes 1-3."""
+    each kind answers as Region(R, kind) on p's realization R (the pencil
+    path is the reference): the same mask (the ball of radius 0.5), and
+    the same Hessian, R_T sign and values at each point
+    (assert_region_answers_match), at sizes 1-3."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     rng = np.random.default_rng(seed)
-    kinds = [k for k in realize.REGION_KINDS if k != "ball"]
-    inside = total = 0
+    counts = {kind: [0, 0] for kind in realize.REGION_KINDS}
     for item in corpus.build(workload, seed, tmp_path, DATA):
         try:
             pb = poly_butterfly(item.poly)
@@ -160,31 +203,17 @@ def test_poly_region_matches_the_pencil_region_on_corpora(
         for n in (1, 2, 3):
             mats = partialcvx._herm_stack(n, [(n, n, True)] * (R.h + R.g),
                                           0.6, rng, 4)
-            for kind in kinds:
-                region = butterfly.PolyRegion(pb, kind)
-                got, payload = region.test(mats)
-                want, W = Region(R, kind).test(mats)
-                assert np.array_equal(got, want), (item.name, kind, n)
-            # kebab-plus, the last kind, gives the counts and the points
-            inside += int(got.sum())
-            total += len(mats)
-            for i, (w, ev) in enumerate(payload):
-                t = HermTuple(n, tuple(mats[i, :R.h]), tuple(mats[i, R.h:]),
-                              validate=False)
-                H = partialcvx._herm_stack(n, [(n, n, True)] * R.g, 1.0,
-                                           rng, 1)[0]
-                hess = region.hessian(t, H, w)
-                ref = partialcvx._hessians(R, W[i][None], H[None])[0]
-                bound = 1e-9 * max(1.0, np.linalg.norm(ref, 2))
-                assert np.linalg.norm(hess - ref, 2) <= bound, item.name
-                alone = np.linalg.eigvalsh(eval_poly(pb.w, t))
-                assert region.rt_lambda_min(ev) == min(alone[0], 0.0)
-                rt = np.linalg.eigvalsh(realize.r_T(R, t, factors=W[i]))
-                assert matkit.psd_mask(rt) == matkit.psd_mask(alone), \
-                    item.name
-    assert inside > 0
-    if workload == "partial-reject":
-        assert inside < total
+            for kind in realize.REGION_KINDS:
+                got = assert_region_answers_match(pb, R, kind, mats, rng,
+                                                  item.name)
+                counts[kind][0] += int(got.sum())
+                counts[kind][1] += len(mats)
+    for kind, (inside, total) in counts.items():
+        assert inside > 0, kind
+        if kind in ("dom", "kebab"):
+            assert inside == total
+        elif kind == "ball" or workload == "partial-reject":
+            assert inside < total, kind
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +271,10 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
     """On random symmetric polynomials of x-degree at most two: p = fbar
     + ell* w ell coefficient by coefficient (poly_mul); 2 ell(A, H)* w(A)
     ell(A, H) is the central second difference of eval_poly in the
-    direction H (exact for x-degree two); the PolyRegion of each kind has
-    Region(pb.realization, kind)'s mask; psd_at_zero is whether J11 is
-    PSD, dom_plus_empty's gate."""
+    direction H (exact for x-degree two); the PolyRegion of each kind
+    answers as Region(pb.realization, kind) (assert_region_answers_match,
+    the ball of radius 0.5); psd_at_zero is whether J11 is PSD,
+    dom_plus_empty's gate."""
     rng = np.random.default_rng(seed)
     p = rand_sym_poly(rng, h, g)
     if p.degree_in_class("x") == 0:
@@ -259,9 +289,9 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
     for n in (1, 2, 3):
         mats = partialcvx._herm_stack(n, [(n, n, True)] * (h + g), 0.6,
                                       rng, 6)
-        for kind in ("dom", "dom-plus", "kebab", "kebab-plus"):
-            got, payload = butterfly.PolyRegion(pb, kind).test(mats)
-            assert np.array_equal(got, Region(R, kind).test(mats)[0]), kind
+        for kind in realize.REGION_KINDS:
+            assert_region_answers_match(pb, R, kind, mats, rng, kind)
+        payload = butterfly.PolyRegion(pb).test(mats)[1]
         t = HermTuple(n, tuple(mats[0, :h]), tuple(mats[0, h:]),
                       validate=False)
         H = tuple(matkit.sample_herm(n, 1.0, rng) for _ in range(g))
@@ -271,7 +301,7 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
                 X + s * D for X, D in zip(t.X, H)), validate=False))
 
         diff = at(1.0) - 2 * at(0.0) + at(-1.0)
-        hess = butterfly.PolyRegion(pb).hessian(t, H, payload[0][0])
+        hess = butterfly.PolyRegion(pb).hessian(t, H, payload[0])
         assert np.linalg.norm(hess - diff, 2) \
             <= 1e-12 * max(1.0, np.linalg.norm(diff, 2))
 

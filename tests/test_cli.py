@@ -297,21 +297,18 @@ def test_partial_linearization_file_scans_as_polynomial(tmp_path, name,
     poly, real = strip_timings(poly["results"]), strip_timings(real["results"])
     assert real["notes"] == [cli.READ_BACK_NOTE]
     # the read-back coefficients carry the realization's rounding, so the
-    # numbers read from them (w(A)'s, the midpoint gap's) agree up to
-    # 1e-12 relative to max(1, |value|)
-    pairs = list(zip(poly["hessian_scan"]["per_size"],
-                     real["hessian_scan"]["per_size"]))
+    # numbers read from them (w(A)'s, ell's and p's in the Hessian scan at
+    # every region, the midpoint gap's) agree up to 1e-12 relative to
+    # max(1, |value|)
+    assert_close_entries(real["hessian_scan"], poly["hessian_scan"])
+    sections = ["butterfly"]
     if name == "x4":
-        pairs.append((poly["not_convexible"]["witness"],
-                      real["not_convexible"]["witness"]))
-    for pc, rc in pairs:
-        for f in ("min_lambda", "rt_lambda_min", "lambda_min",
-                  "gap_lambda_min"):
+        pc, rc = (poly["not_convexible"]["witness"],
+                  real["not_convexible"]["witness"])
+        for f in ("lambda_min", "gap_lambda_min"):
             if f in pc:
                 assert abs(rc[f] - pc[f]) <= 1e-12 * max(1.0, abs(pc[f])), f
                 rc[f] = pc[f]
-    sections = ["hessian_scan", "butterfly"]
-    if name == "x4":
         sections += ["not_convexible", "localizing_scan"]
         assert "butterfly" not in poly
     else:
@@ -651,6 +648,122 @@ def test_sharpness_witness_reads_no_pencil(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_no_localizing_scan_where_the_region_is_proved_empty(
+        tmp_path, monkeypatch):
+    """x4 and deep0-4 (partial-reject, seed 1): dom+ is proved empty at
+    every size, so the localizing scan has no PSD region to be sharp at
+    and draws nothing (no negativity_witness or span_probe call); at
+    --region dom, where nothing is proved, x4 still scans."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    calls = []
+    for name in ("negativity_witness", "span_probe"):
+        def spy(*args, name=name, call=getattr(partialcvx, name), **kw):
+            calls.append(name)
+            return call(*args, **kw)
+        monkeypatch.setattr(partialcvx, name, spy)
+    items = [item for item in corpus.build("partial-reject", 1, tmp_path,
+                                           DATA)
+             if item.name == "x4_poly.txt" or item.name.startswith("deep")]
+    assert len(items) == 6
+    for item in items:
+        code, rep = run_out(tmp_path, "p.json", item.argv)
+        assert code == EXIT_NEGATIVE, item.name
+        res = strip_timings(rep["results"])
+        assert all("proof" in c for c in res["hessian_scan"]["per_size"])
+        assert res["localizing_scan"] == {
+            "checked": 0, "reason": cli.PROVED_EMPTY_REASON}
+    assert calls == []
+    code, rep = run_out(tmp_path, "p.json", items[0].argv + [
+        "--region", "dom"])
+    assert code == EXIT_NEGATIVE
+    assert rep["results"]["localizing_scan"]["checked"] > 0
+    assert "negativity_witness" in calls
+
+
+REGIONS = ["default", "dom", "kebab", "kebab-plus", "ball:0.5"]
+TWO_LETTER = "vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n"
+
+
+def test_butterfly_polynomials_factor_no_pencil(tmp_path, monkeypatch):
+    """A polynomial with a butterfly whose w(0) is PSD is judged through
+    its PolyRegion at every region: on xax, x a x + x b x + b x + x b and
+    three partial-accept items (seed 1), no region is tested on pencils,
+    no R_T or resolvent is computed and no realization is built."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    calls = []
+    for owner, name in ((realize.Region, "test"), (realize, "r_T"),
+                        (partialcvx, "r_T"), (realize, "resolvent"),
+                        (partialcvx, "resolvent"),
+                        (realize, "linearize_poly"),
+                        (butterfly, "linearize_poly")):
+        def spy(*args, name=name, call=getattr(owner, name), **kw):
+            calls.append(name)
+            return call(*args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    two = tmp_path / "two_letter.txt"
+    two.write_text(TWO_LETTER)
+    flags = ["--sizes", "1,2", "--samples", "4", "--seed", "1"]
+    argvs = [["partial", str(DATA / "xax_poly.txt")] + flags,
+             ["partial", str(two)] + flags]
+    argvs += [item.argv for item in corpus.build("partial-accept", 1,
+                                                 tmp_path, DATA)[:3]]
+    for argv in argvs:
+        for region in REGIONS:
+            code, rep = run_out(tmp_path, "p.json",
+                                argv + ["--region", region])
+            assert code in (EXIT_OK, EXIT_NEGATIVE), (argv[1], region)
+            assert rep["results"]["butterfly_poly"]["w_psd_at_zero"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["partial-accept", "partial-reject"])
+def test_poly_region_scans_match_the_pencil_scans(tmp_path, monkeypatch,
+                                                  workload, seed):
+    """At --region dom, kebab and ball:0.5 each size of a butterfly
+    polynomial's Hessian scan (through its PolyRegion) is convexity_verdict
+    on Region(linearize_poly(p), kind): the same samples, midpoint pairs
+    and violations, and a witness exactly when the pencil scan has one;
+    the lambda_min to 1e-9 max(1, |lambda|)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    seen = recorded_chunks(monkeypatch)
+    items = corpus.build(workload, seed, tmp_path, DATA)
+    for region in ("dom", "kebab", "ball:0.5"):
+        for item in items:
+            cli.main(item.argv + ["--region", region,
+                                  "--out", str(tmp_path / "p.json")])
+    checked = 0
+    for (R, cfg, size, seed_seq, pb), chunk in seen:
+        if pb is None:
+            continue
+        kind, radius = cfg.region, None
+        if kind.startswith("ball:"):
+            kind, radius = "ball", float(kind.split(":")[1])
+        R = realize.linearize_poly(pb.p)
+        ref = realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
+        scale = cfg.scale if radius is None else min(cfg.scale, radius)
+        verdict = partialcvx.convexity_verdict(
+            ref, sizes=(size,), samples=cfg.samples,
+            rng=np.random.default_rng(seed_seq), tol=cfg.tol_psd,
+            scale=scale)
+        assert ("witness" in chunk) == verdict.is_witness
+        if verdict.is_witness:
+            got, want = chunk["witness"]["lambda_min"], \
+                verdict.probe.lambda_min
+        else:
+            assert (chunk["samples"], chunk["midpoint_pairs"],
+                    chunk["midpoint_violations"]) == (
+                verdict.samples, verdict.midpoint_pairs,
+                verdict.midpoint_violations)
+            got, want = chunk["min_lambda"], verdict.min_lambda
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        checked += 1
+    assert checked >= 3 * (25 if workload == "partial-accept" else 19)
+
+
 def test_partial_builds_the_frame_once(tmp_path, monkeypatch):
     """The realization owns the frame of ran T (Realization.frame): one
     partial call builds it at most once, through the butterfly, both
@@ -796,7 +909,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert region.kind == "dom-plus"
         try:
             partialcvx.convexity_verdict(
-                R, region, sizes=(size,), samples=cfg.samples,
+                region, sizes=(size,), samples=cfg.samples,
                 rng=np.random.default_rng(seed), tol=cfg.tol_psd,
                 scale=cfg.scale, midpoint_pairs=0)
             ref_empty = False
@@ -845,7 +958,7 @@ def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
         assert realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd) is None
         with pytest.raises(partialcvx.RegionEmpty):
             partialcvx.convexity_verdict(
-                R, cli.make_region(cfg.region, R, cfg), sizes=(size,),
+                cli.make_region(cfg.region, R, cfg), sizes=(size,),
                 samples=cfg.samples, rng=np.random.default_rng(seed),
                 tol=cfg.tol_psd, scale=cfg.scale, midpoint_pairs=0)
         assert chunk == {"size": size, "empty": True}

@@ -536,20 +536,19 @@ def block_verdict(R, region, sizes, samples, rng, monkeypatch, **kw):
     """convexity_verdict with its Hessian probes recorded as
     (direction, lambda_min) pairs; None for an empty region."""
     probes = []
-    hessians = partialcvx._hessians
+    hessian = Region.hessian
 
-    def spy(R_, W, H):
-        vals = hessians(R_, W, H)
-        lows = np.linalg.eigvalsh(vals)[:, 0]
-        probes.extend((tuple(Hi), float(low)) for Hi, low in zip(H, lows))
-        return vals
+    def spy(self, t, H, W):
+        val = hessian(self, t, H, W)
+        probes.append((tuple(H), float(np.linalg.eigvalsh(val)[0])))
+        return val
 
-    monkeypatch.setattr(partialcvx, "_hessians", spy)
+    monkeypatch.setattr(Region, "hessian", spy)
     try:
-        out = convexity_verdict(R, region, sizes, samples, rng, **kw)
+        out = convexity_verdict(region, sizes, samples, rng, **kw)
     except RegionEmpty:
         out = None
-    monkeypatch.setattr(partialcvx, "_hessians", hessians)
+    monkeypatch.setattr(Region, "hessian", hessian)
     return out, probes
 
 
@@ -620,7 +619,7 @@ def test_speculative_rejections_match_per_sample_loop(kind, monkeypatch):
 def test_convexity_verdict_positive_on_xax_psd_region():
     R = xax_realization()
     region = Region(R, "dom-plus")
-    out = convexity_verdict(R, region=region, sizes=(1, 2), samples=20,
+    out = convexity_verdict(region, sizes=(1, 2), samples=20,
                             rng=np.random.default_rng(5))
     assert isinstance(out, ConvexEvidence)
     assert out.min_lambda >= -1e-8
@@ -635,7 +634,7 @@ def test_convexity_verdict_on_an_empty_realization(kind):
     Z = np.zeros((0, 0))
     R = realize.Realization.make(Z, [Z], [Z], np.zeros(0))
     region = Region(R, kind, radius=0.5 if kind == "ball" else None)
-    out = convexity_verdict(R, region=region, sizes=(1, 2), samples=3,
+    out = convexity_verdict(region, sizes=(1, 2), samples=3,
                             rng=np.random.default_rng(1), midpoint_pairs=2)
     assert isinstance(out, ConvexEvidence)
     assert (out.samples, out.min_lambda) == (6, 0.0)
@@ -645,7 +644,7 @@ def test_convexity_verdict_on_an_empty_realization(kind):
 def test_convexity_verdict_witness_on_quartic():
     p = FreePoly.from_terms(VarContext((), ("x",)), {(0, 0, 0, 0): 1.0})
     R = linearize_poly(p)
-    out = convexity_verdict(R, sizes=(2,), samples=60,
+    out = convexity_verdict(Region(R), sizes=(2,), samples=60,
                             rng=np.random.default_rng(9))
     assert isinstance(out, Witness)
     assert out.probe.lambda_min < 0
@@ -661,5 +660,5 @@ def test_convexity_verdict_empty_region():
                                            {(0, 0, 0, 0): 1.0}))
     region = Region(R, "dom-plus")
     with pytest.raises(RegionEmpty):
-        convexity_verdict(R, region=region, sizes=(1,), samples=4,
+        convexity_verdict(region, sizes=(1,), samples=4,
                           rng=np.random.default_rng(0))
