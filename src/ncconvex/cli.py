@@ -7,7 +7,8 @@ partial    convexity in the designated letters for a polynomial or
            realization: domain scans, butterfly data, witnesses
 xy         convexity in x and y separately for a bivariate polynomial:
            support screen, then the Gram certificate, then, only where no
-           certificate verifies, the middle-matrix scan and its xy-pair
+           certificate verifies, a witness and its xy-pair: built on a
+           level ray for a pinned Gram, else from the middle-matrix scan
 reproduce  rerun a pinned example study and compare with the stored summary
 
 Reports are one compact, key-sorted JSON line with matrices as row-major
@@ -653,7 +654,9 @@ def _xy_scan_chunk(payload):
 def _xy_certify(pl, cfg, seed, results):
     """Stage 1 of xy: the Gram certificate p = pencil + Lambda* Lambda,
     assembled and verified on pairs drawn from seed, each step's artifacts
-    in results.  None when it verifies, else the reason it does not."""
+    in results.  None when it verifies, else the reason it does not; a
+    "not-certifiable-pinned" status in results["gram"] sends cmd_xy to
+    the pinned witness instead of the scan."""
     t0 = time.monotonic()
     gram = xycvx.gram_complete_certificate(pl, tol=cfg.tol_psd)
     gram_entry = {"status": gram.status,
@@ -690,6 +693,15 @@ def _xy_certify(pl, cfg, seed, results):
 
 
 def cmd_xy(args):
+    """xy: support screen, then the Gram certificate, then a refutation.
+
+    A verified certificate exits 0 with no refutation run.  A pinned Gram
+    reject takes xycvx.pinned_witness, its constructed witness on the
+    level ray; the dual-Z, breakdown, assembly and verification cases, and
+    a ray with no level, take the sampled middle-matrix scan.  The witness
+    exits 1 only as a completed xy-pair that passes its re-check; anything
+    short of that exits 3 with the reason on stderr.
+    """
     cfg = config_from_args(args)
     p = load_poly(args.poly)
     report = new_report("xy", cfg)
@@ -719,16 +731,24 @@ def cmd_xy(args):
         emit_report(report, cfg.out)
         return EXIT_OK
 
-    # stage 2, refute: the middle-matrix scan, one size per seed
-    payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
-                 cfg.scale, cfg.tol_psd)
-                for i, s in enumerate(cfg.sizes)]
-    t0 = time.monotonic()
-    chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
-                                         cfg.workers))
-    results["middle_matrix_scan"] = {"per_size": list(chunks),
-                                     "time_s": time.monotonic() - t0}
-    wit = next((w for w in witnesses if w is not None), None)
+    # stage 2, refute: a pinned Gram's witness on the level ray, else the
+    # middle-matrix scan, one size per seed
+    wit = None
+    if results.get("gram", {}).get("status") == "not-certifiable-pinned":
+        wit = xycvx.pinned_witness(pl, cfg.tol_psd)
+    if wit is not None:
+        results["pinned_witness"] = {"level": float(wit.delta0[0, 0].real),
+                                     "lambda_min": float(wit.lambda_min)}
+    else:
+        payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
+                     cfg.scale, cfg.tol_psd)
+                    for i, s in enumerate(cfg.sizes)]
+        t0 = time.monotonic()
+        chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
+                                             cfg.workers))
+        results["middle_matrix_scan"] = {"per_size": list(chunks),
+                                         "time_s": time.monotonic() - t0}
+        wit = next((w for w in witnesses if w is not None), None)
     if wit is None:
         reason += ", and the middle-matrix scan found no witness"
     else:

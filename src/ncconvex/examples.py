@@ -162,17 +162,13 @@ def small_norm_sampler(bound):
 def boundary_middle_witness(p=None, level=0.65):
     """Deterministic indefinite middle matrix just past the norm bound.
 
-    Scalar inner blocks delta0 = beta2 = level with level > 1/sqrt(3); the
-    witness is completed to a pair where the convexity defect fails.
+    Scalar inner blocks delta0 = beta2 = level with level > 1/sqrt(3), as
+    xycvx.pinned_witness builds them on its one-level ray; the witness is
+    completed to a pair where the convexity defect fails.
     """
     p = square_poly_xy() if p is None else p
     pl = p if isinstance(p, xycvx.PLPoly) else xycvx.support_screen(p)
-    d0 = np.array([[level]], dtype=complex)
-    b2 = np.array([[level]], dtype=complex)
-    z = np.zeros((1, 1), dtype=complex)
-    M = xycvx.middle_matrix(pl, z, b2, d0, z)
-    lam, vecs = np.linalg.eigh(matkit.herm(M.matrix))
-    wit = xycvx.MxyWitness(d0, z, z, b2, float(lam[0]), vecs[:, 0])
+    wit = xycvx.pinned_witness(pl, levels=(level,))
     pair = xycvx.mxy_witness_pair(pl, wit)
     return wit, pair
 

@@ -15,6 +15,12 @@ Gram matrix comes from the pinned 4 x 4 problem on the surviving columns:
 a log-barrier solve maximizes its smallest eigenvalue over the free
 entries, and its dual certificate proves the negative outcomes.  The factor
 columns reassemble the polynomial coefficientwise.
+
+A pinned reject (the pins alone admit no PSD completion) is refuted by
+construction: pinned_witness evaluates the middle matrix at scalar inner
+blocks on a fixed ray of levels, and mxy_witness_pair completes the
+negative level to an xy-pair.  middle_matrix_psd_scan samples inner blocks
+for the remaining cases.
 """
 
 from __future__ import annotations
@@ -349,6 +355,36 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
             return MxyWitness(d0[i], d1[i], b1[i], b2[i], float(lam[i, 0]),
                               vecs[i, :, 0])
     return AllPsdEvidence(count, float(min_lambda))
+
+
+# the level ray of pinned_witness: s = 0 and s = +-2^k for k = -10..10
+PINNED_LEVELS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-10, 11)),
+                                -np.ldexp(1.0, np.arange(-10, 11))])
+
+
+def pinned_witness(p, tol=TOL_PSD, levels=PINNED_LEVELS):
+    """An MxyWitness at scalar inner blocks delta0 = beta2 = s and
+    delta1 = beta1 = 0 for one level s, or None when the middle matrix
+    passes psd_mask at tol on every level.
+
+    All levels go through one stacked middle_matrix and one batched eigh;
+    the witness is the level whose lambda_min is most negative relative to
+    max(1, ||M(s)||).  Every pinned reject of the Gram stage has such a
+    level on the default ray: a negative diagonal pin, or an indefinite
+    xxy or yyx block, is a principal block of M(0); when
+    |c_xyxy|^2 > c_xyyx c_yxxy, the determinant of the (0, 1) principal
+    block is a quadratic in s with a negative leading coefficient; and a
+    pin on a dead column makes a diagonal entry linear in s.
+    """
+    s = np.asarray(levels, dtype=complex).reshape(-1, 1, 1)
+    z = np.zeros_like(s)
+    lam, vecs = np.linalg.eigh(herm(middle_matrix(p, z, s, s, z).matrix))
+    rel = lam[:, 0] / np.maximum(1.0, np.abs(lam).max(axis=1))
+    i = int(np.argmin(rel))
+    if psd_mask(lam[i], tol):
+        return None
+    return MxyWitness(s[i], z[i], z[i], s[i], float(lam[i, 0]),
+                      vecs[i, :, 0])
 
 
 @dataclass(frozen=True)

@@ -1096,8 +1096,9 @@ def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
     """xy on small symmetric polynomials on the admissible support exits
     0, 1 or 3 and prints no traceback.  An exit 0 certificate re-expands
     to p coefficient by coefficient, and an exit 1 pair has h* D h < 0,
-    with the defect D evaluated here; x x + x y x, whose pinned Gram has
-    no witness in the scan, is one exit 3."""
+    with the defect D evaluated here.  A pinned Gram never exits 3: its
+    witness on the level ray completes to a pair (x x + x y x among
+    them)."""
     lines = ["vars a: | x: x y"]
     for w, c in terms:
         c = complex(c)
@@ -1112,6 +1113,8 @@ def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err.getvalue()
     assert "Traceback" not in err.getvalue()
     res = json.loads(out.getvalue())["results"]
+    if res.get("gram", {}).get("status") == "not-certifiable-pinned":
+        assert code != EXIT_INCONCLUSIVE, err.getvalue()
     if code == EXIT_OK:
         got = lambda_square_expansion(res["certificate"])
         scale = max([1.0] + [abs(p.scalar_coeff(w)) for w in p.words()])
@@ -1193,20 +1196,60 @@ def test_xy_pair_completion_error_is_inconclusive(tmp_path, monkeypatch,
     assert rep["results"]["verdict"] == "inconclusive"
 
 
-def test_xy_square_poly_small_scale_inconclusive(tmp_path, capsys):
+def test_xy_square_poly_small_scale_pinned_witness(tmp_path, capsys):
+    """At --scale 0.05 the scan would draw only PSD middle matrices; the
+    pinned Gram's witness on the level ray needs no draw, and its pair
+    re-checks here."""
     code, rep = run_out(tmp_path, "xy.json", [
         "xy", str(DATA / "square_xy_poly.txt"),
         "--sizes", "1", "--samples", "5", "--scale", "0.05"])
-    assert code == EXIT_INCONCLUSIVE
-    assert capsys.readouterr().err == (
-        "inconclusive: no Gram certificate (not-certifiable-pinned), and "
-        "the middle-matrix scan found no witness\n")
+    assert code == EXIT_NEGATIVE
+    assert capsys.readouterr().err == ""
     res = rep["results"]
-    assert res["verdict"] == "inconclusive"
+    assert "verdict" not in res and "middle_matrix_scan" not in res
     assert res["gram"]["status"] == "not-certifiable-pinned"
     assert res["gram"]["pinned_lambda_min"] == pytest.approx(-1.0, abs=1e-9)
-    for chunk in res["middle_matrix_scan"]["per_size"]:
-        assert "witness" not in chunk
+    assert res["pinned_witness"]["level"] in xycvx.PINNED_LEVELS
+    assert res["pinned_witness"]["lambda_min"] < 0
+    pw = res["pair_witness"]
+    X, Y, V, h = unmat(pw["X"]), unmat(pw["Y"]), unmat(pw["V"]), unvec(pw["h"])
+    p = xycvx.support_screen(
+        ncalg.parse_poly((DATA / "square_xy_poly.txt").read_text()))
+    defect = xycvx.xy_convexity_test(p, xycvx.XYPair(X, Y, V)).defect
+    pair = xycvx.PairWitness(xycvx.XYPair(X, Y, V), h,
+                             pw["defect_value"], defect)
+    assert pair.recheck() is None
+    assert float(np.real(h.conj() @ defect @ h)) == pytest.approx(
+        pw["defect_value"], rel=1e-9)
+
+
+def negated_xx_twin(tmp_path):
+    """certified_xy_file's polynomial with its x x coefficient negated."""
+    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
+    twin = ncalg.FreePoly.from_terms(p.ctx, {
+        w: -abs(p.scalar_coeff(w)) if w == (0, 0) else p.scalar_coeff(w)
+        for w in p.words()})
+    pfile = tmp_path / "twin_xx.txt"
+    pfile.write_text(ncalg.format_poly(twin))
+    return pfile
+
+
+@pytest.mark.parametrize("which", ["twin", "square"])
+def test_xy_pinned_reject_runs_no_scan(tmp_path, monkeypatch, which):
+    """A pinned Gram is refuted by its constructed witness: the scan is
+    never called, and the report carries the pair and no scan entry."""
+    def broken(payload):
+        raise AssertionError("the scan ran on a pinned reject")
+
+    monkeypatch.setattr(cli, "_xy_scan_chunk", broken)
+    pfile = negated_xx_twin(tmp_path) if which == "twin" \
+        else DATA / "square_xy_poly.txt"
+    code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
+    res = rep["results"]
+    assert code == EXIT_NEGATIVE
+    assert res["gram"]["status"] == "not-certifiable-pinned"
+    assert res["pair_witness"]["defect_value"] < 0
+    assert "middle_matrix_scan" not in res
 
 
 def test_xy_certified_poly(tmp_path):

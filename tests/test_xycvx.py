@@ -271,6 +271,46 @@ def test_boundary_witness_value_matches_form():
     assert pw.value == pytest.approx(float(lam[0]), abs=1e-9)
 
 
+# one polynomial per reject branch of _reduced_feasibility, with the
+# pinned_lambda_min that branch reports
+PINNED_REJECTS = {
+    "negative-xx": ({"xx": -1.0}, -1.0),
+    "negative-yy": ({"yy": -1.0}, -1.0),
+    "negative-xyyx": ({"xyyx": -1.0}, -1.0),
+    "negative-yxxy": ({"yxxy": -1.0}, -1.0),
+    "indefinite-xxy": ({"xx": 1.0, "yxxy": 1.0, "xxy": 2.0, "yxx": 2.0},
+                       -1.0),
+    "indefinite-yyx": ({"yy": 1.0, "xyyx": 1.0, "yyx": 2.0, "xyy": 2.0},
+                       -1.0),
+    "square-xyxy": (A4_COEFFS, -1.0),
+    "full-pin-dead-column": ({"yxxy": 1.0, "xxy": 1.0, "yxx": 1.0}, -1.0),
+    "half-pin-xx-xyx": ({"xx": 1.0, "xyx": 1.0}, -0.5),
+    # its negative level lies below 1: -3 s + 4 s^2 < 0 for 0 < s < 3/4
+    "half-pin-yxy-yxxy": ({"yxy": -3.0, "yxxy": 4.0}, -1.5),
+}
+
+
+@pytest.mark.parametrize("coeffs, pin", PINNED_REJECTS.values(),
+                         ids=PINNED_REJECTS.keys())
+def test_pinned_witness_refutes_every_pinned_branch(coeffs, pin):
+    p = support_screen(from_coeffs(coeffs))
+    gram = gram_complete_certificate(p)
+    assert gram.status == "not-certifiable-pinned"
+    assert gram.pinned_lambda_min == pytest.approx(pin, abs=1e-12)
+    wit = xycvx.pinned_witness(p, matkit.TOL_PSD)
+    assert wit is not None and wit.lambda_min < 0
+    level = wit.delta0[0, 0]
+    assert level in xycvx.PINNED_LEVELS and wit.beta2[0, 0] == level
+    assert not wit.delta1.any() and not wit.beta1.any()
+    assert mxy_witness_pair(p, wit).recheck() is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pinned_witness_finds_nothing_on_a_certified_poly(seed):
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=2)
+    assert xycvx.pinned_witness(support_screen(p)) is None
+
+
 # ---------------------------------------------------------------------------
 # the block scan and the stacked verification against per-sample loops
 
