@@ -163,20 +163,16 @@ class PolyButterfly:
     def k(self):
         return self.w.shape[0]
 
-    @property
-    def w_at_zero(self):
-        """w(0), the constant coefficient of w."""
-        return self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
-
-    @cached_property
-    def psd_at_zero(self):
-        """Whether w(0) is PSD (the convexity-near-zero indicator)."""
-        return bool(is_psd(self.w_at_zero).is_psd)
+    def psd_at_zero(self, tol=TOL_PSD):
+        """Whether w(0), the constant coefficient of w, passes psd_mask at
+        tol (the convexity-near-zero indicator)."""
+        w0 = self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
+        return bool(is_psd(w0, tol).is_psd)
 
     @cached_property
     def realization(self):
         """The minimal realization of p: the given one, or linearize_poly
-        of p, built on first use.  Only the dom+ emptiness proof (when w(0)
+        of p, built on first use.  Only PolyRegion.empty_proof (when w(0)
         is not PSD) uses it: every region scan goes through PolyRegion,
         and the sharpness witness is built from w and p
         (partialcvx.middle_matrix_witness)."""
@@ -194,18 +190,19 @@ class PolyRegion(realize.RegionKind):
     dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set;
     ball: RegionKind's ball rule.
 
-    realize.Region's interface (kind, h, g, dim, test, hessian, values,
-    rt_lambda_min); test evaluates w at the whole stack with one eval_poly
-    and hands on each point's (w(A), its ascending eigenvalues), from which
-    hessian and rt_lambda_min answer.  h, g and dim (k, the size of w's
-    coefficients, for the sampler's block cap) come from pb, so no
-    realization is built.
+    realize.Region's interface (kind, h, g, dim, k, test, hessian,
+    values, rt_lambda_min, empty_proof); test evaluates w at the whole
+    stack with one eval_poly and hands on each point's (w(A), its
+    ascending eigenvalues), from which hessian and rt_lambda_min answer.
+    h, g, k and dim (k, the size of w's coefficients, for the sampler's
+    block cap) come from pb, so no realization is built, except by
+    empty_proof when w(0) fails psd_mask.
     """
 
     def __init__(self, pb, kind="dom", tol=TOL_PSD, radius=None):
         super().__init__(kind, tol, radius)
         self.pb = pb
-        self.h, self.g, self.dim = pb.p.ctx.h, pb.p.ctx.g, pb.k
+        self.h, self.g, self.k, self.dim = pb.p.ctx.h, pb.p.ctx.g, pb.k, pb.k
 
     def _tuple(self, mats):
         """A stack of points (B, h + g, n, n) as one HermTuple of stacks."""
@@ -219,7 +216,7 @@ class PolyRegion(realize.RegionKind):
         w = eval_poly(self.pb.w, self._tuple(mats))
         ev = np.linalg.eigvalsh(w)
         mask = self._ball(mats)
-        if self.kind.endswith("plus") and self.pb.k:
+        if self.kind.endswith("plus") and self.k:
             mask &= matkit.psd_mask(ev, self.tol)
         return mask, list(zip(w, ev))
 
@@ -237,7 +234,15 @@ class PolyRegion(realize.RegionKind):
     def rt_lambda_min(self, t, payload):
         """min(lambda_min(w(A)), 0) from the payload's eigenvalues: the
         sign of R_T(A, X)'s lambda_min, not its value (0 when k = 0)."""
-        return min(payload[1][0], 0.0) if self.pb.k else 0.0
+        return min(payload[1][0], 0.0) if self.k else 0.0
+
+    def empty_proof(self, scale):
+        """None when w(0) = R_T(0, 0) passes psd_mask at tol (the draws come
+        arbitrarily close to the origin), else dom_plus_empty of
+        pb.realization."""
+        if self.pb.psd_at_zero(self.tol):
+            return None
+        return realize.dom_plus_empty(self.pb.realization, scale, self.tol)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Subcommands
 -----------
 eval       evaluate a polynomial file at a matrix tuple file
 partial    convexity in the designated letters for a polynomial or
-           realization: domain scans, butterfly data, witnesses
+           realization: domain scans, butterfly data, witnesses.  The
+           input is resolved once into the analysed function, the
+           butterfly of a polynomial of x-degree at most two or else a
+           realization, and every scan asks the region it makes
 xy         convexity in x and y separately for a bivariate polynomial:
            support screen, then the Gram certificate, then, only where no
            certificate verifies, a witness and its xy-pair: built on a
@@ -14,13 +17,14 @@ reproduce  rerun a pinned example study and compare with the stored summary
 Reports are one compact, key-sorted JSON line with matrices as row-major
 [re, im] entries (`python -m json.tool` pretty-prints one).  With a fixed
 seed and config a rerun reproduces the report byte for byte apart from the
-time_s fields.  Exit codes: 0 success, 1 mathematical negative (verified
-witness or screen rejection), 2 input error (including input so large that
-partial or xy overflows float64), 3 numerically inconclusive (including a
-numerical breakdown such as a failed factorization or a polynomial
-butterfly whose identity check fails; the reason goes to stderr), 4
-internal error (any other uncaught exception; its type and message go to
-stderr).
+time_s fields.  partial and xy run in one process, one seed per size
+(--workers is accepted only as 1, and the report leaves it out).  Exit
+codes: 0 success, 1 mathematical negative (verified witness or screen
+rejection), 2 input error (including input so large that partial or xy
+overflows float64), 3 numerically inconclusive (including a numerical
+breakdown such as a failed factorization or a polynomial butterfly whose
+identity check fails; the reason goes to stderr), 4 internal error (any
+other uncaught exception; its type and message go to stderr).
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ class AnalysisConfig:
     tol_inv: float = 1e-10
     region: str = "default"
     scale: float = 0.6
-    workers: int = 1
     out: str = None
 
     def __post_init__(self):
@@ -83,8 +86,6 @@ class AnalysisConfig:
             value = float(getattr(self, name))
             if not (np.isfinite(value) and value > 0):
                 raise InputError("%s must be positive and finite" % name)
-        if int(self.workers) < 1:
-            raise InputError("workers must be at least 1")
         if int(self.seed) < 0:
             raise InputError("seed must be nonnegative")
 
@@ -93,7 +94,7 @@ class AnalysisConfig:
         out = {
             "seed": int(self.seed), "sizes": [int(s) for s in self.sizes],
             "samples": int(self.samples), "tol_psd": float(self.tol_psd),
-            "scale": float(self.scale), "workers": int(self.workers),
+            "scale": float(self.scale),
         }
         if command == "partial":
             out.update(tol_inv=float(self.tol_inv), region=self.region)
@@ -107,13 +108,16 @@ def config_from_args(args):
             sizes = tuple(int(s) for s in sizes.split(","))
         except ValueError:
             raise InputError("bad --sizes %r; expected e.g. 1,2,3" % sizes)
+    if args.workers != 1:
+        raise InputError("--workers %d: partial and xy run in one process, "
+                         "so only --workers 1 is accepted" % args.workers)
     # --tol-inv and --region are flags of partial alone
     partial_only = {name: getattr(args, name)
                     for name in ("tol_inv", "region") if hasattr(args, name)}
     return AnalysisConfig(
         seed=args.seed, sizes=sizes, samples=args.samples,
-        tol_psd=args.tol_psd, scale=args.scale, workers=args.workers,
-        out=args.out, **partial_only)
+        tol_psd=args.tol_psd, scale=args.scale, out=args.out,
+        **partial_only)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +239,19 @@ def _poly_json(p):
 # ---------------------------------------------------------------------------
 # regions
 
-def make_region(name, R, cfg, pb=None):
-    """The region named by --region ("default" is dom-plus): for a
-    polynomial with butterfly pb, pb's butterfly.PolyRegion, which judges
-    w(A) alone and factors no pencil (R is then ignored, and may be
-    None); otherwise a realize.Region of R, whose tol_inv, --tol-inv,
+def make_region(name, f, cfg):
+    """The region named by --region ("default" is dom-plus) of the
+    analysed function f: for a polynomial butterfly, its
+    butterfly.PolyRegion, which judges w(A) alone and factors no pencil;
+    for a realization, its realize.Region, whose tol_inv, --tol-inv,
     decides every pencil of the scans it drives."""
     kind, radius = ("dom-plus" if name == "default" else name), None
     try:
         if name.startswith("ball:"):
             kind, radius = "ball", float(name.split(":", 1)[1])
-        if pb is not None:
-            return butterfly.PolyRegion(pb, kind, cfg.tol_psd, radius)
-        return realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
+        if isinstance(f, butterfly.PolyButterfly):
+            return butterfly.PolyRegion(f, kind, cfg.tol_psd, radius)
+        return realize.Region(f, kind, cfg.tol_psd, cfg.tol_inv, radius)
     except ValueError as exc:
         raise InputError("bad region %r (%s); expected dom, dom-plus, kebab, "
                          "kebab-plus or ball:RADIUS" % (name, exc))
@@ -336,32 +340,20 @@ def _serialize_empty_proof(proof):
             "lambda_bound": proof.lambda_bound}
 
 
-def _partial_scan_chunk(payload):
-    """One size of the region Hessian scan; module level for pickling.
-
-    The region is make_region's: on a polynomial with butterfly pb (R is
-    then None) pb's PolyRegion at every kind, which answers through w(A),
-    ell and p and factors no pencil.
+def _hessian_scan_size(region, cfg, size, seed, proof):
+    """One size of the Hessian scan over region, drawn from seed.
 
     On dom-plus and kebab-plus there is no witness to search for: the
     x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
     wherever R_T is, and the x-slices of the region are LMI domains.  The
     size is certified from one region point, the first Hessian probe of
     convexity_verdict; a Hessian that fails psd_mask there can only come
-    from rounding, and the size is then inconclusive.  Where
-    realize.dom_plus_empty proves that no draw lies in the region, the
-    size is empty with that proof and draws nothing; it needs R_T(0, 0)
-    to fail psd_mask, which on a butterfly is w(0), so only then is pb's
-    realization built.  The other kinds run the sampled Hessian and
-    midpoint scan."""
-    R, cfg, size, seed, pb = payload
-    region = make_region(cfg.region, R, cfg, pb)
+    from rounding, and the size is then inconclusive.  With proof, the
+    region's empty_proof, the size is empty with that proof and draws
+    nothing.  The other kinds run the sampled Hessian and midpoint
+    scan."""
     rng = np.random.default_rng(seed)
     if region.kind.endswith("plus"):
-        proof = None
-        if pb is None or not matkit.is_psd(pb.w_at_zero, cfg.tol_psd).is_psd:
-            proof = realize.dom_plus_empty(
-                pb.realization if R is None else R, cfg.scale, cfg.tol_psd)
         if proof is not None:
             return {"size": size, "empty": True,
                     "proof": _serialize_empty_proof(proof)}
@@ -400,29 +392,26 @@ def _partial_scan_chunk(payload):
     return out
 
 
-def _localizing_scan(R, cfg, rng, pb=None):
+def _localizing_scan(f, cfg, rng):
     """Search dom for a point where the localizing matrix R_T goes
     indefinite, and return at the first doubled-point witness there, which
     shows that convexity stops at the PSD region (sharpness) without
     contradicting the region verdict; after a witness that could not be
     completed the next indefinite point tries.
 
-    For a polynomial with butterfly pb (R may then be None) the points
-    are the region_probes of pb's PolyRegion, judged on the eigenvalues
-    of w(A), and the witness is partialcvx.middle_matrix_witness, built
-    from w(A)'s negative eigenvector and a fixed companion point and
-    checked on p: no pencil, no draw and no realization (a missed check
-    is recorded as check_failure).  Otherwise the points are those of
-    realize's dom, judged on the R_T of the pencil inverse it hands on,
-    and negativity_witness takes that R_T and draws its companions right
-    after the point, from the same dom (span_failure, outside_dom).  With
-    k = 0 no point can be indefinite, and the scan draws nothing."""
-    k = R.frame.k if pb is None else pb.k
-    if not k:
+    The points are the region_probes of f's dom region, judged by its
+    rt_lambda_min, and partialcvx.sharpness_witness builds the witness
+    from the payload: for a butterfly from w(A), checked on p, with no
+    pencil, draw or realization (a missed check is recorded as
+    check_failure); for a realization from the R_T of the pencil inverse,
+    with companions drawn right after the point from the same dom
+    (span_failure, outside_dom).  With k = 0 no point can be indefinite,
+    and the scan draws nothing."""
+    region = make_region("dom", f, cfg)
+    if not region.k:
         return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
                 "eigenvalue at any point, so none is indefinite"}
     entry = {"checked": 0}
-    region = make_region("dom", R, cfg, pb)
     for n in cfg.sizes:
         for t, _, W in partialcvx.region_probes(
                 region, int(n), cfg.samples, rng, cfg.scale):
@@ -430,12 +419,7 @@ def _localizing_scan(R, cfg, rng, pb=None):
             if not region.rt_lambda_min(t, W) < -1e-3:
                 continue
             try:
-                if pb is None:
-                    wit = partialcvx.negativity_witness(
-                        R, t, rng=rng, region=region,
-                        rt=realize.r_T(R, t, factors=W))
-                else:
-                    wit = partialcvx.middle_matrix_witness(pb, t, W[0])
+                wit = partialcvx.sharpness_witness(region, t, W, rng)
             except partialcvx.WitnessCheckFailure as exc:
                 entry["check_failure"] = str(exc)
                 continue
@@ -448,19 +432,6 @@ def _localizing_scan(R, cfg, rng, pb=None):
             entry["sharpness_witness"] = _serialize_doubling_witness(wit)
             return entry
     return entry
-
-
-def _raise_on_overflow():
-    np.seterr(over="raise")
-
-
-def _run_chunks(fn, payloads, workers):
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_raise_on_overflow) as pool:
-        return list(pool.map(fn, payloads))
 
 
 def _check_float_range(p):
@@ -507,27 +478,27 @@ def cmd_partial(args):
     notes = []
     negative = False
 
-    R = None
+    # the analysed function f: the butterfly of a polynomial of x-degree
+    # at most two, else a realization
     if kind == "poly":
-        p = obj
+        p, f = obj, None
         results["input"] = {"kind": "polynomial",
                             "coefficients": _poly_json(p)}
         if not p.is_symmetric:
             raise SymmetryError("polynomial is not symmetric")
     else:
-        R = _ensure_smr(obj, notes)
-        results["input"] = {"kind": "realization", "e": R.e,
-                            "classes": {"a": R.h, "x": R.g}}
-        if R.e == 0:
+        f = _ensure_smr(obj, notes)
+        results["input"] = {"kind": "realization", "e": f.e,
+                            "classes": {"a": f.h, "x": f.g}}
+        if f.e == 0:
             return _trivial(results, "the function is zero, so its x-Hessian "
                             "vanishes identically and it is convex in x",
                             notes, cfg, report)
         # a polynomial in realization form takes the polynomial path, on
         # this realization; with k = 0 it does not depend on x at all
-        p = realize.polynomial_of(R) if R.frame.k else None
+        p = realize.polynomial_of(f) if f.k else None
         if p is not None:
             notes.append(READ_BACK_NOTE)
-    pb = None
     if p is not None:
         _check_float_range(p)
         if p.degree_in_class("x") == 0:
@@ -537,65 +508,55 @@ def cmd_partial(args):
         t0 = time.monotonic()
         try:
             pb = butterfly.poly_butterfly(p)
-            if R is not None:
-                pb = replace(pb, given=R)
+            f = pb if f is None else replace(pb, given=f)
             results["butterfly_poly"] = {
-                "k": pb.k,
-                "ell": _poly_json(pb.ell),
-                "w": _poly_json(pb.w),
-                "fbar": _poly_json(pb.fbar),
-                "w_psd_at_zero": bool(pb.psd_at_zero),
+                "k": f.k,
+                "ell": _poly_json(f.ell),
+                "w": _poly_json(f.w),
+                "fbar": _poly_json(f.fbar),
+                "w_psd_at_zero": f.psd_at_zero(cfg.tol_psd),
                 "time_s": time.monotonic() - t0,
             }
-            # the scans reach the realization through pb, on first use
-            R = None
         except butterfly.NotConvexible as exc:
             entry = {"message": str(exc), "time_s": time.monotonic() - t0}
             if exc.witness is not None:
                 entry["witness"] = _serialize_midpoint_witness(exc.witness)
                 negative = True
             results["not_convexible"] = entry
-            if R is None:
-                R = realize.linearize_poly(p)
+            if f is None:
+                f = realize.linearize_poly(p)
 
-    # Hessian scan over the configured region, one chunk per size
+    # Hessian scan over the configured region, one seed per size; on the
+    # plus kinds the emptiness proof depends on f, --scale and --tol-psd
+    # alone, so it holds at every size or at none
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
-    payloads = [(R, cfg, int(s), seeds[i], pb)
-                for i, s in enumerate(cfg.sizes)]
     t0 = time.monotonic()
-    chunks = _run_chunks(_partial_scan_chunk, payloads, cfg.workers)
+    region = make_region(cfg.region, f, cfg)
+    proof = region.empty_proof(cfg.scale) \
+        if region.kind.endswith("plus") else None
+    chunks = [_hessian_scan_size(region, cfg, int(s), seeds[i], proof)
+              for i, s in enumerate(cfg.sizes)]
     scan = {"region": cfg.region if cfg.region != "default" else "dom-plus",
             "per_size": chunks, "time_s": time.monotonic() - t0}
     results["hessian_scan"] = scan
-    for chunk in chunks:
-        if "witness" in chunk:
-            negative = True
+    negative = negative or any("witness" in c for c in chunks)
 
     t0 = time.monotonic()
-    if all("proof" in c for c in chunks):
-        # a proof holds at every size or at none
+    if proof is not None:
         neg_entry = {"checked": 0, "reason": PROVED_EMPTY_REASON}
     else:
-        neg_entry = _localizing_scan(
-            R, cfg, np.random.default_rng(seeds[-1]), pb)
+        neg_entry = _localizing_scan(f, cfg, np.random.default_rng(seeds[-1]))
     neg_entry["time_s"] = time.monotonic() - t0
     results["localizing_scan"] = neg_entry
 
-    if pb is not None or p is None:
-        # a polynomial with a butterfly, or a realization file not read
-        # back as a polynomial (p is None only there); at (0, 0) the
-        # sandwich is I and w = R_T = J11 (J = J^-1), so the item-4 test
-        # there is whether J11 is PSD: pb.psd_at_zero (w(0) and J11 are
-        # PSD together), or otherwise is_psd of the frame's J11 (true
-        # when k = 0)
+    if "not_convexible" not in results:
+        # x-degree above two has no butterfly; at (0, 0) the sandwich is I
+        # and w = R_T = J11 (J = J^-1), so the item-4 test there is whether
+        # w(0), or J11, passes psd_mask at --tol-psd
         t0 = time.monotonic()
-        if pb is not None:
-            k, at_zero = pb.k, pb.psd_at_zero
-        else:
-            k, at_zero = R.frame.k, matkit.is_psd(R.frame.J11).is_psd
         results["butterfly"] = {
-            "k": k,
-            "sqrt_domain_at_zero": bool(at_zero),
+            "k": f.k,
+            "sqrt_domain_at_zero": f.psd_at_zero(cfg.tol_psd),
             "time_s": time.monotonic() - t0,
         }
 
@@ -605,9 +566,6 @@ def cmd_partial(args):
         "size %d: %s" % (c["size"], c["inconclusive"])
         for c in chunks if "inconclusive" in c]
     if not negative and all(c["empty"] for c in chunks):
-        # the proof depends on R, --scale and --tol-psd alone, so it
-        # holds at every size or at none
-        proof = chunks[0].get("proof")
         if proof is None:
             why = "%d probes of %d draws each per size" % (
                 cfg.samples, partialcvx.MAX_ATTEMPTS)
@@ -616,8 +574,8 @@ def cmd_partial(args):
                    "max(1, %.6g) at every draw of norm <= %g, from a "
                    "direction u of R_T with R_T (u (x) y) = (J11 u) (x) y, "
                    "u* J11 u = %.3g and ||J11 u - (u* J11 u) u|| = %.6g" % (
-                       proof["lambda_bound"], proof["norm_bound"],
-                       cfg.scale, proof["a"], proof["c"]))
+                       proof.lambda_bound, proof.norm_bound, cfg.scale,
+                       proof.direction.a, proof.direction.c))
         results["inconclusive"] = (
             "no region point at any size (%s at sizes %s: %s)" % (
                 scan["region"], ",".join(str(int(s)) for s in cfg.sizes),
@@ -634,20 +592,19 @@ def cmd_partial(args):
 # ---------------------------------------------------------------------------
 # xy convexity
 
-def _xy_scan_chunk(payload):
-    """One size of the middle-matrix scan; module level for pickling.
-    Returns (report entry, the MxyWitness or None)."""
-    pl, size, samples, seed, scale, tol = payload
-    rng = np.random.default_rng(seed)
-    ev = xycvx.middle_matrix_psd_scan(pl, sizes=(size,), samples=samples,
-                                      rng=rng, scale=scale, tol=tol)
+def _xy_scan_size(pl, cfg, n, seed):
+    """Size n x n of the middle-matrix scan, drawn from seed.  Returns
+    (report entry, the MxyWitness or None)."""
+    ev = xycvx.middle_matrix_psd_scan(
+        pl, sizes=((n, n),), samples=cfg.samples,
+        rng=np.random.default_rng(seed), scale=cfg.scale, tol=cfg.tol_psd)
     if ev.is_witness:
-        return {"size": list(size), "witness": {
+        return {"size": [n, n], "witness": {
             "delta0": jmat(ev.delta0), "delta1": jmat(ev.delta1),
             "beta1": jmat(ev.beta1), "beta2": jmat(ev.beta2),
             "lambda_min": float(ev.lambda_min),
             "vector": jmat(ev.vector)}}, ev
-    return {"size": list(size), "inputs": ev.samples,
+    return {"size": [n, n], "inputs": ev.samples,
             "min_lambda": float(ev.min_lambda)}, None
 
 
@@ -740,12 +697,9 @@ def cmd_xy(args):
         results["pinned_witness"] = {"level": float(wit.delta0[0, 0].real),
                                      "lambda_min": float(wit.lambda_min)}
     else:
-        payloads = [(pl, (int(s), int(s)), cfg.samples, seeds[i],
-                     cfg.scale, cfg.tol_psd)
-                    for i, s in enumerate(cfg.sizes)]
         t0 = time.monotonic()
-        chunks, witnesses = zip(*_run_chunks(_xy_scan_chunk, payloads,
-                                             cfg.workers))
+        chunks, witnesses = zip(*[_xy_scan_size(pl, cfg, int(s), seeds[i])
+                                  for i, s in enumerate(cfg.sizes)])
         results["middle_matrix_scan"] = {"per_size": list(chunks),
                                          "time_s": time.monotonic() - t0}
         wit = next((w for w in witnesses if w is not None), None)
@@ -830,7 +784,10 @@ def _add_config_flags(sub):
     sub.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-8)
     sub.add_argument("--scale", type=float, default=0.6,
                      help="sampling scale for matrix entries")
-    sub.add_argument("--workers", type=int, default=1)
+    # accepted as 1 only (config_from_args), so that command lines that
+    # still pass it keep working
+    sub.add_argument("--workers", type=int, default=1,
+                     help=argparse.SUPPRESS)
     sub.add_argument("--out", default=None, help="write the JSON report here")
 
 

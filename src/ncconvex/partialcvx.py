@@ -26,10 +26,10 @@ midpoint partner; on the plus kinds partial checks one point per size
 test handed on, and the scans ask the region for what they evaluate
 there (its hessian, values and rt_lambda_min).  A realize.Region hands
 on the pencil's inverse W (one batched LU per block), from which the
-span probe and the localizing scan's R_T evaluate as well; the scan
-hands that R_T to the witness.  A butterfly.PolyRegion, the region of
-every polynomial with a butterfly, hands on w(A) and its eigenvalues,
-and the localizing scan hands that w(A) to middle_matrix_witness.
+span probe and negativity_witness's R_T evaluate as well.  A
+butterfly.PolyRegion, the region of every polynomial with a butterfly,
+hands on w(A) and its eigenvalues, for middle_matrix_witness; the
+localizing scan hands its payload to sharpness_witness, which picks.
 """
 
 from __future__ import annotations
@@ -469,6 +469,18 @@ def middle_matrix_witness(pb, bad, w):
             "h* p_xx h = %.17g on p, 2 lambda_min(w(A)) = %.17g"
             % (quad, 2.0 * lam[0]))
     return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))
+
+
+def sharpness_witness(region, bad, payload, rng):
+    """The sharpness witness at a point bad of the dom region where R_T is
+    indefinite, from the payload region's test handed on there: on a
+    realize.Region negativity_witness, with R_T from the pencil inverse
+    and companions drawn from rng in that region; on a
+    butterfly.PolyRegion middle_matrix_witness, from w(A)."""
+    if isinstance(region, Region):
+        return negativity_witness(region.R, bad, rng=rng, region=region,
+                                  rt=r_T(region.R, bad, factors=payload))
+    return middle_matrix_witness(region.pb, bad, payload[0])
 
 
 def _second_difference(p, t, H, v):

@@ -129,6 +129,29 @@ class Realization:
         _range_t_frame); replace() gives a fresh one."""
         return _range_t_frame(self)
 
+    @property
+    def k(self):
+        """The dimension of ran T."""
+        return self.frame.k
+
+    def psd_at_zero(self, tol=TOL_PSD):
+        """Whether R_T(0, 0) = J11 passes psd_mask at tol (true when
+        k = 0)."""
+        return bool(matkit.is_psd(self.frame.J11, tol).is_psd)
+
+    @cached_property
+    def letters(self):
+        """(N, nilpotent, norms): the letters N_l = J Z_l (S, then T) as a
+        stack (L, e, e), whether they are jointly nilpotent, and then
+        their spectral norms (else None); tested on first use, once for
+        polynomial_of and _constant_direction."""
+        N = np.reshape([self.J @ Z for Z in self.S + self.T],
+                       (self.h + self.g, self.e, self.e))
+        if len(N) and not _jointly_nilpotent(N, _krylov_cut(N)):
+            return N, False, None
+        return N, True, np.linalg.svd(N, compute_uv=False).max(
+            axis=-1, initial=0.0)
+
     @cached_property
     def constant_direction(self):
         """The ConstantDirection of R_T, or None; found on first use (see
@@ -337,14 +360,11 @@ def _constant_direction(R):
     the letters are not nilpotent, or no u has J V_T u orthogonal to O.
     """
     frame = R.frame
-    if not frame.k or not R.is_signature():
+    if not frame.k or not R.is_signature() or not R.letters[1]:
         return None
-    N = np.reshape([R.J @ Z for Z in R.S + R.T], (-1, R.e, R.e))
-    cut = _krylov_cut(N)
-    if not _jointly_nilpotent(N, cut):
-        return None
+    N, _, norms = R.letters
     Nh = N.conj().swapaxes(-1, -2)
-    O = _closure(Nh, np.hstack(Nh @ frame.V_T), cut)
+    O = _closure(Nh, np.hstack(Nh @ frame.V_T), _krylov_cut(N))
     _, s, Vh = np.linalg.svd(O.conj().T @ R.J @ frame.V_T)
     Q = Vh[int(np.sum(s > RTOL_RANK)):].conj().T
     if not Q.shape[1]:
@@ -361,7 +381,6 @@ def _constant_direction(R):
     u = Q @ v
     u = u * (matkit.unit_phase(u) / np.linalg.norm(u))
     a = float(np.real(u.conj() @ J11 @ u))
-    norms = np.linalg.svd(N, compute_uv=False).max(axis=-1, initial=0.0)
     return ConstantDirection(u, a, float(np.linalg.norm(J11 @ u - a * u)),
                              float(norms.sum()))
 
@@ -383,7 +402,7 @@ def dom_plus_empty(R, scale, tol=TOL_PSD):
     the origin, so no bound can hold), when R has no ConstantDirection,
     or when the bound is too weak, as at a large scale.
     """
-    if matkit.is_psd(R.frame.J11, tol).is_psd:
+    if R.psd_at_zero(tol):
         return None
     d = R.constant_direction
     if d is None:
@@ -415,14 +434,10 @@ def polynomial_of(R):
     the conjugate of its reversed word's, and those below COEFF_DROP
     times the largest are dropped.
     """
-    if not R.is_signature():
+    if not R.is_signature() or not R.letters[1]:
         return None
-    e, L = R.e, R.h + R.g
-    N = np.reshape([R.J @ Z for Z in R.S + R.T], (L, e, e))
-    if L and not _jointly_nilpotent(N, _krylov_cut(N)):
-        return None
-    rho = max([1.0] + list(np.linalg.svd(N, compute_uv=False).max(
-        axis=-1, initial=0.0)))
+    e, L, (N, _, norms) = R.e, R.h + R.g, R.letters
+    rho = max([1.0] + list(norms))
     cut = RTOL_RANK * np.linalg.norm(R.c)
     Jc = R.J @ R.c
     words, Y, coeffs = [()], R.c.conj()[None], {}
@@ -466,7 +481,9 @@ class RegionKind:
     REGION_KINDS (a ball needs a positive finite radius), psd_mask's tol,
     the ball rule and the one-size point helpers.  A region's test(mats)
     returns (mask, payloads) for a stack of points (B, h + g, n, n), and
-    its hessian, values and rt_lambda_min answer from those payloads."""
+    its hessian, values and rt_lambda_min answer from those payloads; its
+    k is the size of R_T per unit of n, and empty_proof(scale) proves the
+    plus kinds empty at scale (dom_plus_empty) or returns None."""
 
     def __init__(self, kind, tol, radius):
         if kind not in REGION_KINDS:
@@ -521,6 +538,14 @@ class Region(RegionKind):
         # the samplers' view: letter counts and the pencil's size per n
         self.h, self.g, self.dim = R.h, R.g, R.e
 
+    @property
+    def k(self):
+        return self.R.k
+
+    def empty_proof(self, scale):
+        """dom_plus_empty(R, scale, tol): a PlusEmptyProof or None."""
+        return dom_plus_empty(self.R, scale, self.tol)
+
     def _with_zero_x(self, mats):
         """The stack, followed for the kebab kinds by its points (A, 0)."""
         if not self.kind.startswith("kebab"):
@@ -539,7 +564,7 @@ class Region(RegionKind):
         per_point = 2 if self.kind.startswith("kebab") else 1
         mask &= ok.reshape(per_point, B).all(axis=0)
         judges = []
-        if self.kind.endswith("plus") and self.R.frame.k:
+        if self.kind.endswith("plus") and self.k:
             lift = self.R.frame.lift(n)
             judges.append(lambda idx: matkit.psd_mask(
                 np.linalg.eigvalsh(_compress(W[idx], lift)), self.tol))
@@ -566,7 +591,7 @@ class Region(RegionKind):
     def rt_lambda_min(self, t, W):
         """lambda_min of R_T at t, from its pencil's inverse W (0 when
         k = 0)."""
-        if not self.R.frame.k:
+        if not self.k:
             return 0.0
         return float(np.linalg.eigvalsh(r_T(self.R, t, factors=W))[0])
 

@@ -223,7 +223,7 @@ def test_poly_butterfly_xax_textbook_form():
     p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
     pb = poly_butterfly(p)
     assert pb.k == 1
-    assert pb.psd_at_zero
+    assert pb.psd_at_zero()
     # ell = x, w = a, fbar = 0, copied from p's one coefficient
     assert pb.ell.coeffs == {(1,): 1.0}
     assert pb.w.coeffs == {(0,): 1.0}
@@ -285,7 +285,7 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
         recon = recon + pb.ell.adjoint() @ pb.w @ pb.ell
     assert (p - recon).coeffs == {}
     R = pb.realization
-    assert pb.psd_at_zero == matkit.is_psd(R.frame.J11).is_psd
+    assert pb.psd_at_zero() == matkit.is_psd(R.frame.J11).is_psd
     for n in (1, 2, 3):
         mats = partialcvx._herm_stack(n, [(n, n, True)] * (h + g), 0.6,
                                       rng, 6)
@@ -336,7 +336,7 @@ def test_poly_butterfly_reconstructs_squares(seed):
     if p.degree_in_class("x") < 2:
         return
     pb = poly_butterfly(p)
-    assert pb.psd_at_zero
+    assert pb.psd_at_zero()
     for n in (1, 2):
         t = rand_herm_tuple(ctx, n, rng, scale=0.5)
         want = eval_poly(p, t)

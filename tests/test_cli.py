@@ -681,6 +681,73 @@ def test_no_localizing_scan_where_the_region_is_proved_empty(
     assert "negativity_witness" in calls
 
 
+@pytest.mark.parametrize("name, regions, proofs, want", [
+    ("x4_poly.txt", ["default"], 1, EXIT_NEGATIVE),
+    ("xax_poly.txt", ["default", "dom"], 0, EXIT_OK)])
+def test_partial_makes_one_scan_region_and_one_proof(
+        tmp_path, monkeypatch, name, regions, proofs, want):
+    """At three sizes partial makes its Hessian-scan region once, and the
+    localizing scan its dom region once; dom+ emptiness is decided once
+    per run: x4's one dom_plus_empty call proves every size, and xax's
+    w(0) passes psd_mask, so it needs none.  --workers 1 gives the report
+    of no flag."""
+    made, proved = [], []
+    make, prove = cli.make_region, realize.dom_plus_empty
+    monkeypatch.setattr(cli, "make_region",
+                        lambda kind, *args: made.append(kind)
+                        or make(kind, *args))
+    monkeypatch.setattr(realize, "dom_plus_empty",
+                        lambda *args: proved.append(args) or prove(*args))
+    argv = ["partial", str(DATA / name), "--sizes", "1,2,3"]
+    code, rep = run_out(tmp_path, "p.json", argv)
+    assert code == want
+    assert made == regions
+    assert len(proved) == proofs
+    per_size = rep["results"]["hessian_scan"]["per_size"]
+    assert [c["size"] for c in per_size] == [1, 2, 3]
+    assert all(("proof" in c) == bool(proofs) for c in per_size)
+    code1, rep1 = run_out(tmp_path, "w1.json", argv + ["--workers", "1"])
+    assert (code1, strip_timings(rep1)) == (code, strip_timings(rep))
+
+
+@pytest.mark.parametrize("tol, psd", [("1e-3", True), ("1e-8", False)])
+def test_psd_at_zero_is_decided_at_tol_psd(tmp_path, tol, psd):
+    """x a x - 1e-6 x x: w(0) = -1e-6 passes psd_mask at --tol-psd 1e-3
+    and fails it at 1e-8.  w_psd_at_zero and sqrt_domain_at_zero follow
+    --tol-psd, as the dom+ scan does: at 1e-3 every size has a region
+    point and no emptiness proof."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("vars a: a | x: x\n1 * x a x\n-1e-6 * x x\n")
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(pfile), "--tol-psd", tol])
+    res = rep["results"]
+    assert res["butterfly_poly"]["w_psd_at_zero"] is psd
+    assert res["butterfly"]["sqrt_domain_at_zero"] is psd
+    if psd:
+        assert code == EXIT_OK
+        assert not any(c["empty"] for c in res["hessian_scan"]["per_size"])
+
+
+def test_x4_realization_file_tests_its_letters_once(tmp_path, monkeypatch):
+    """x4's realization file is read back as its polynomial and its dom+ is
+    proved empty, both from the letters N_l = J Z_l: they are tested for
+    joint nilpotency once per run (Realization.letters)."""
+    rfile = tmp_path / "x4.json"
+    rfile.write_text(json.dumps(realize.realization_to_json(
+        realize.linearize_poly(ncalg.parse_poly(
+            (DATA / "x4_poly.txt").read_text())))))
+    calls = []
+    test = realize._jointly_nilpotent
+    monkeypatch.setattr(realize, "_jointly_nilpotent",
+                        lambda *args: calls.append(args) or test(*args))
+    code, rep = run_out(tmp_path, "r.json", ["partial", str(rfile)])
+    assert code == EXIT_NEGATIVE
+    assert rep["results"]["notes"] == [cli.READ_BACK_NOTE]
+    assert all("proof" in c
+               for c in rep["results"]["hessian_scan"]["per_size"])
+    assert len(calls) == 1
+
+
 REGIONS = ["default", "dom", "kebab", "kebab-plus", "ball:0.5"]
 TWO_LETTER = "vars a: a b | x: x\n1 * x a x\n1 * x b x\n1 * b x\n1 * x b\n"
 
@@ -736,13 +803,13 @@ def test_poly_region_scans_match_the_pencil_scans(tmp_path, monkeypatch,
             cli.main(item.argv + ["--region", region,
                                   "--out", str(tmp_path / "p.json")])
     checked = 0
-    for (R, cfg, size, seed_seq, pb), chunk in seen:
-        if pb is None:
+    for (region, cfg, size, seed_seq, _), chunk in seen:
+        if not isinstance(region, butterfly.PolyRegion):
             continue
         kind, radius = cfg.region, None
         if kind.startswith("ball:"):
             kind, radius = "ball", float(kind.split(":")[1])
-        R = realize.linearize_poly(pb.p)
+        R = realize.linearize_poly(region.pb.p)
         ref = realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
         scale = cfg.scale if radius is None else min(cfg.scale, radius)
         verdict = partialcvx.convexity_verdict(
@@ -849,16 +916,17 @@ def test_corpus_linearization_files_exit_as_their_polynomials(
 
 
 def recorded_chunks(monkeypatch):
-    """Spy on the scan chunks: a list that fills with (payload, chunk)."""
+    """Spy on the Hessian scan's sizes: a list that fills with ((region,
+    cfg, size, seed, proof), chunk)."""
     seen = []
-    chunk = cli._partial_scan_chunk
+    scan_size = cli._hessian_scan_size
 
-    def spy(payload):
-        out = chunk(payload)
-        seen.append((payload, out))
+    def spy(*args):
+        out = scan_size(*args)
+        seen.append((args, out))
         return out
 
-    monkeypatch.setattr(cli, "_partial_scan_chunk", spy)
+    monkeypatch.setattr(cli, "_hessian_scan_size", spy)
     return seen
 
 
@@ -891,9 +959,10 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
     convexity_verdict on the pencils finds no point in the same budget,
     and otherwise the Hessian lambda_min of that verdict's first probe,
     which an independent resolvent formula reproduces.  On a butterfly
-    (R None in the payload) rt_lambda_min is min(lambda_min(w(A)), 0),
+    (a PolyRegion) rt_lambda_min is min(lambda_min(w(A)), 0),
     which has R_T's sign but not its value: it is checked exactly
-    against w(A) at the point, and in sign against the pencil's R_T."""
+    against w(A) at the point, and in sign against the pencil's R_T.
+    The proof each size was given is dom_plus_empty's on the pencils."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     seen = recorded_chunks(monkeypatch)
@@ -902,9 +971,10 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
             in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
     assert len(seen) >= 25
     empties = 0
-    for (R, cfg, size, seed, pb), chunk in seen:
-        assert (R is None) == (pb is not None)
-        R = pb.realization if R is None else R
+    for (scanned, cfg, size, seed, proof), chunk in seen:
+        assert type(scanned) in (realize.Region, butterfly.PolyRegion)
+        pb = getattr(scanned, "pb", None)
+        R = scanned.R if pb is None else pb.realization
         region = cli.make_region(cfg.region, R, cfg)
         assert region.kind == "dom-plus"
         try:
@@ -923,6 +993,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
             empties += 1
             # a proved size carries its proof; a sampled one nothing more
             proved = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+            assert (proof is None) == (proved is None)
             assert set(chunk) == {"size", "empty"} | (
                 set() if proved is None else {"proof"})
             continue
@@ -954,11 +1025,13 @@ def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
         "--sizes", "1,2", "--samples", "2"])
     assert code == EXIT_NEGATIVE
     assert len(seen) == 2
-    for (R, cfg, size, seed, _), chunk in seen:
-        assert realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd) is None
+    for (region, cfg, size, seed, proof), chunk in seen:
+        assert proof is None
+        assert realize.dom_plus_empty(region.R, cfg.scale,
+                                      cfg.tol_psd) is None
         with pytest.raises(partialcvx.RegionEmpty):
             partialcvx.convexity_verdict(
-                cli.make_region(cfg.region, R, cfg), sizes=(size,),
+                cli.make_region(cfg.region, region.R, cfg), sizes=(size,),
                 samples=cfg.samples, rng=np.random.default_rng(seed),
                 tol=cfg.tol_psd, scale=cfg.scale, midpoint_pairs=0)
         assert chunk == {"size": size, "empty": True}
@@ -1238,10 +1311,10 @@ def negated_xx_twin(tmp_path):
 def test_xy_pinned_reject_runs_no_scan(tmp_path, monkeypatch, which):
     """A pinned Gram is refuted by its constructed witness: the scan is
     never called, and the report carries the pair and no scan entry."""
-    def broken(payload):
+    def broken(*args):
         raise AssertionError("the scan ran on a pinned reject")
 
-    monkeypatch.setattr(cli, "_xy_scan_chunk", broken)
+    monkeypatch.setattr(cli, "_xy_scan_size", broken)
     pfile = negated_xx_twin(tmp_path) if which == "twin" \
         else DATA / "square_xy_poly.txt"
     code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
@@ -1285,16 +1358,16 @@ def test_xy_certified_report_counts_the_solve(tmp_path):
     assert "dual_value" not in gram and "Z" not in gram
 
 
-def no_witness(payload):
-    """An _xy_scan_chunk whose size finds no witness."""
-    return {"size": list(payload[1]), "inputs": 0, "min_lambda": 0.0}, None
+def no_witness(pl, cfg, n, seed):
+    """An _xy_scan_size whose size finds no witness."""
+    return {"size": [n, n], "inputs": 0, "min_lambda": 0.0}, None
 
 
 def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch,
                                              capsys):
     # the Gram stage runs first, and its dual certificate proves that no
     # completion is PSD; a scan that finds nothing leaves it inconclusive
-    monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
+    monkeypatch.setattr(cli, "_xy_scan_size", no_witness)
     pfile = tmp_path / "nc_poly.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x\n1 * y y\n1 * x y y x\n"
                      "1 * y x x y\n1 * x y x y\n1 * y x y x\n1 * x x y\n"
@@ -1325,20 +1398,21 @@ def square_xy_scan_witness():
     seed = np.random.SeedSequence(0).spawn(3)[0]
     pl = xycvx.support_screen(
         ncalg.parse_poly((DATA / "square_xy_poly.txt").read_text()))
-    return cli._xy_scan_chunk((pl, (1, 1), 30, seed, 0.9, 1e-8))
+    return cli._xy_scan_size(pl, cli.AnalysisConfig(samples=30, scale=0.9),
+                             1, seed)
 
 
 @pytest.mark.parametrize("scan", ["raises", "finds-a-witness"])
 def test_xy_certified_input_runs_no_scan(tmp_path, monkeypatch, scan):
     """A verified certificate exits 0 before the middle-matrix scan, so
     neither a broken scan nor a witness from one can touch the verdict."""
-    def broken(payload):
+    def broken(*args):
         raise AssertionError("the scan ran on a certified input")
 
     chunk = square_xy_scan_witness()
     assert chunk[1] is not None
-    monkeypatch.setattr(cli, "_xy_scan_chunk", broken if scan == "raises"
-                        else lambda payload: chunk)
+    monkeypatch.setattr(cli, "_xy_scan_size", broken if scan == "raises"
+                        else lambda *args: chunk)
     code, rep = run_out(tmp_path, "xy.json", [
         "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2",
         "--samples", "8"])
@@ -1404,7 +1478,7 @@ def test_xy_uncertified_without_witness_is_inconclusive(
     that breaks down, sends p on to the scan; with no witness there, xy
     exits 3 with one stderr line, the Gram stage's reason."""
     monkeypatch.setattr(xycvx, *patch)
-    monkeypatch.setattr(cli, "_xy_scan_chunk", no_witness)
+    monkeypatch.setattr(cli, "_xy_scan_size", no_witness)
     code, rep = run_out(tmp_path, "xy.json", [
         "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2"])
     err = capsys.readouterr().err
@@ -1423,7 +1497,7 @@ def test_xy_takes_only_the_flags_it_reads(tmp_path, capsys, flag):
         cli.main(["xy", str(DATA / "square_xy_poly.txt")] + flag)
     assert ei.value.code == EXIT_INPUT
     assert "unrecognized arguments" in capsys.readouterr().err
-    shared = ["samples", "scale", "seed", "sizes", "tol_psd", "workers"]
+    shared = ["samples", "scale", "seed", "sizes", "tol_psd"]
     for argv, keys in (
             (["xy", str(DATA / "square_xy_poly.txt")], shared),
             (["partial", str(DATA / "xax_poly.txt")] + flag,
@@ -1444,23 +1518,6 @@ def test_xy_loads_no_scipy(tmp_path):
             "assert rc == 0, rc\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             % (str(pfile), str(tmp_path / "xy.json")))
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-
-
-def test_partial_with_one_worker_loads_no_process_pool(tmp_path):
-    """The process pool is imported only when partial runs more than one
-    worker: with one, neither concurrent nor multiprocessing (nor scipy)
-    is loaded."""
-    code = ("import sys\n"
-            "import ncconvex.cli\n"
-            "rc = ncconvex.cli.main(['partial', %r, '--sizes', '1,2',"
-            " '--samples', '4', '--workers', '1', '--out', %r])\n"
-            "assert rc == 0, rc\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in"
-            " ('concurrent', 'multiprocessing', 'scipy')))\n"
-            % (str(DATA / "xax_poly.txt"), str(tmp_path / "p.json")))
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
@@ -1521,6 +1578,7 @@ def test_reproduce_mismatch_prints_diff(monkeypatch, capsys):
     ["--workers", "0"],
     ["--scale", "-1"],
     ["--region", "bogus"],
+    ["--workers", "2"],
 ])
 def test_bad_config_exits_input(flags, capsys):
     code = cli.main(["partial", str(DATA / "xax_poly.txt")] + flags)
@@ -1744,30 +1802,6 @@ def test_reports_deterministic_across_runs(tmp_path):
         == json.dumps(strip_timings(rep2), sort_keys=True)
 
 
-def test_reports_independent_of_workers(tmp_path):
-    base = ["xy", str(DATA / "square_xy_poly.txt"),
-            "--sizes", "1,2", "--samples", "20", "--scale", "0.9",
-            "--seed", "4"]
-    _, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
-    _, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "3"])
-    assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
-        == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
-
-
-@pytest.mark.parametrize("region", ["default", "dom", "kebab-plus"])
-def test_partial_report_independent_of_workers(tmp_path, region):
-    # the realization, with its frame, goes to the scan chunks as an object;
-    # two runs at one seed agree, and so do one and two workers
-    base = ["partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
-            "--samples", "4", "--seed", "6", "--region", region]
-    runs = [run_out(tmp_path, "w%d.json" % i, base + ["--workers", w])
-            for i, w in enumerate(("1", "1", "2"))]
-    assert len({code for code, _ in runs}) == 1
-    texts = {json.dumps(strip_timings(rep["results"]), sort_keys=True)
-             for _, rep in runs}
-    assert len(texts) == 1
-
-
 def reference_localizing_scan(R, cfg, rng):
     """The localizing scan one dom draw at a time, up to MAX_ATTEMPTS per
     probe, until the first sharpness witness; the witness draws its
@@ -1846,7 +1880,7 @@ def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
     assert (rejected > 0) == (tol_inv == 0.3)
     if pb is None:
         return
-    got = cli._localizing_scan(None, cfg, np.random.default_rng(seed), pb)
+    got = cli._localizing_scan(pb, cfg, np.random.default_rng(seed))
     assert set(got) == set(want) == {"checked", "sharpness_witness"}
     assert got["checked"] == want["checked"]
     wit, ref = got["sharpness_witness"], want["sharpness_witness"]
@@ -1913,12 +1947,12 @@ def test_localizing_scan_tries_the_next_point_after_a_missed_check(
         return build(pb, t, w)
 
     monkeypatch.setattr(partialcvx, "middle_matrix_witness", miss_first)
-    entry = cli._localizing_scan(None, cfg, np.random.default_rng(3), pb)
+    entry = cli._localizing_scan(pb, cfg, np.random.default_rng(3))
     assert len(points) == 2
     assert entry["check_failure"] == "missed"
     assert entry["sharpness_witness"]["quadratic_value"] < 0
     monkeypatch.undo()
-    first = cli._localizing_scan(None, cfg, np.random.default_rng(3), pb)
+    first = cli._localizing_scan(pb, cfg, np.random.default_rng(3))
     assert first["checked"] < entry["checked"]
 
 
@@ -1933,20 +1967,6 @@ def test_parser_built_once(capsys):
     args = cli.build_parser().parse_args(["partial", "p.txt", "--seed", "4"])
     assert args.seed == 4
     assert cli.build_parser().parse_args(["partial", "p.txt"]).seed == 0
-
-
-def test_xy_certificate_report_independent_of_workers(tmp_path):
-    # the certificate settles this input before any scan chunk runs
-    p, _ = xycvx.synthesize_certified(np.random.default_rng(41), N=2)
-    pfile = tmp_path / "cert_poly.txt"
-    pfile.write_text(ncalg.format_poly(p))
-    base = ["xy", str(pfile), "--sizes", "1,2,3", "--samples", "8",
-            "--seed", "5"]
-    code1, rep1 = run_out(tmp_path, "w1.json", base + ["--workers", "1"])
-    code2, rep2 = run_out(tmp_path, "w2.json", base + ["--workers", "2"])
-    assert code1 == code2 == EXIT_OK
-    assert json.dumps(strip_timings(rep1["results"]), sort_keys=True) \
-        == json.dumps(strip_timings(rep2["results"]), sort_keys=True)
 
 
 def test_version_flag():
