@@ -1,9 +1,10 @@
 """Round-trip study: synthesize certified polynomials, re-certify, compare.
 
 For each seed, draw a random xy-convexity certificate, expand it into the
-polynomial it certifies, then run the Gram certificate pipeline on that
-polynomial from scratch and verify the reassembled certificate.  Reports the
-worst identity residual across all rounds.
+polynomial it certifies, then solve that polynomial's pinned 4 x 4 Gram from
+scratch, read Lambda off the columns of its factor G = F* F, and verify the
+reassembled certificate.  Reports the worst structural identity residual
+across all rounds.
 """
 
 import argparse
@@ -30,7 +31,7 @@ def main():
         pl = xycvx.support_screen(p)
         res = xycvx.gram_complete_certificate(pl)
         assert res.is_feasible, f"round {i}: gram stage returned {res.status}"
-        cert = xycvx.assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+        cert = xycvx.assemble_certificate(pl, res.F)
         rep = xycvx.verify_certificate(pl, cert, rng=rng, samples=5)
         assert rep.ok, (f"round {i}: verification failed (coefficient "
                         f"residual {rep.max_coeff_residual:.3e}, smallest "

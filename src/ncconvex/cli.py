@@ -629,10 +629,8 @@ def _xy_certify(pl, cfg, seed, results):
         gram_entry["Z"] = jmat(gram.Z)
     if not gram.is_feasible:
         return "no Gram certificate (%s)" % gram.status
-    gram_entry["pin_residual"] = float(gram.pin_residual)
     try:
-        cert = xycvx.assemble_certificate(pl, gram.q0, gram.q1, gram.q2,
-                                          gram.r1, tol=cfg.tol_psd)
+        cert = xycvx.assemble_certificate(pl, gram.F, tol=cfg.tol_psd)
     except xycvx.AssemblyError as exc:
         results["assembly_error"] = str(exc)
         return "the certificate assembly failed: %s" % exc

@@ -8,13 +8,13 @@ the pair has a three-block form, and on the admissible support class
 quadratic form: border vector [alpha, t0 alpha, gamma, s0 gamma] against a
 middle matrix Mxy built from twelve structural coefficients.
 
-Certificates p = pencil + Lambda* Lambda come from a 6 x 6 Gram matrix
-whose pins encode the compressed form (first and third block rows of Mxy)
-of the middle matrix.  Two of its columns are structurally zero, so the
-Gram matrix comes from the pinned 4 x 4 problem on the surviving columns:
-a log-barrier solve maximizes its smallest eigenvalue over the free
-entries, and its dual certificate proves the negative outcomes.  The factor
-columns reassemble the polynomial coefficientwise.
+Certificates p = pencil + Lambda* Lambda, with
+Lambda = L_x x + L_y y + L_yx yx + L_xy xy, come from the 4 x 4 Gram matrix
+of (L_x, L_y, L_yx, L_xy), whose entries are pinned by the twelve
+structural coefficients: a log-barrier solve maximizes its smallest
+eigenvalue over the free entries, and its dual certificate proves the
+negative outcomes.  The columns of one factor G = F* F are the L vectors,
+which reassemble the polynomial coefficientwise.
 
 A pinned reject (the pins alone admit no PSD completion) is refuted by
 construction: pinned_witness evaluates the middle matrix at scalar inner
@@ -518,32 +518,28 @@ def eval_Q_via_P(P, S, parts):
 
 @dataclass(frozen=True)
 class GramCertResult:
-    """Outcome of the 6 x 6 Gram solve for p = pencil + Lambda*Lambda.
+    """Outcome of the pinned 4 x 4 Gram solve for p = pencil + Lambda*Lambda.
 
     status: "feasible", "not-certifiable-pinned" (the fully pinned part of
     the pattern is already indefinite, a proof of infeasibility), or
-    "not-certifiable" (the largest smallest eigenvalue of the reduced Gram
-    over its free entries is negative, or its pins do not reproduce p).
-    In the first case Z is the barrier solve's dual certificate: Z is PSD
-    with tr Z = 1 and <E_i, Z> = 0 for every free direction E_i, so
-    <G, Z> = dual_value is the same for every completion G of the pins,
-    and lambda_min(G) <= dual_value < 0 proves that none is PSD, up to the
+    "not-certifiable" (the largest smallest eigenvalue of the Gram over its
+    free entries is negative).  In the first case G is the solved Gram of
+    (L_x, L_y, L_yx, L_xy) and F its factor, G = F* F up to the clipped
+    eigenvalues, whose columns are those four vectors.  In the last case Z
+    is the barrier solve's dual certificate: Z is PSD with tr Z = 1 and
+    <E_i, Z> = 0 for every free direction E_i, so <G, Z> = dual_value is
+    the same for every completion G of the pins, and
+    lambda_min(G) <= dual_value < 0 proves that none is PSD, up to the
     float64 residuals of those identities.
 
     solver_steps and gap are the Newton step count and the duality gap of
-    the reduced solve (0 when no solve ran: a pinned reject, or no free
-    entry).
+    the solve (0 when no solve ran: a pinned reject, or no free entry).
     """
 
     status: str
     G: np.ndarray = None
-    q0: np.ndarray = None
-    q1: np.ndarray = None
-    q2: np.ndarray = None
-    r1: complex = 0j
-    N: int = 0
+    F: np.ndarray = None
     pinned_lambda_min: float = 0.0
-    pin_residual: float = 0.0
     reduced_lambda: float = 0.0
     Z: np.ndarray = None
     dual_value: float = 0.0
@@ -556,11 +552,9 @@ class GramCertResult:
 
 
 def _reduced_pins(p):
-    """Entry pins on the Gram of (Lambda_x, Lambda_y, Lambda_yx, Lambda_xy).
-
-    Two Gram columns are structurally zero and drop out; the structural
-    coefficient identities become pins on the surviving 4 x 4 matrix.
-    full pins fix an entry, half pins fix twice its real part.
+    """Entry pins on the Gram of (L_x, L_y, L_yx, L_xy): the structural
+    coefficient identities.  full pins fix an entry, half pins fix twice
+    its real part.
     """
     diag = np.array([p.c("xx"), p.c("yy"), p.c("xyyx"), p.c("yxxy")])
     full = {(1, 2): p.c("yyx"), (0, 3): p.c("xxy"), (2, 3): p.c("xyxy")}
@@ -568,18 +562,23 @@ def _reduced_pins(p):
     return diag, full, half
 
 
+def _structural_scale(p):
+    """max(1, largest |structural coefficient| of p): the scale of the Gram
+    pins and of the identities its factor must meet.  The pencil words,
+    which do not bear on xy-convexity, do not widen it."""
+    return max([1.0] + [abs(p.c(w)) for w in STRUCTURAL])
+
+
 def _reduced_feasibility(p, tol):
     """Best achievable smallest eigenvalue of the pinned reduced Gram.
 
-    Returns (verdict, lambda_or_pin, G4, sol) where verdict
+    Returns (verdict, lambda_or_pin, G, sol) where verdict
     "pinned-reject" carries a provable obstruction, otherwise
-    lambda_or_pin is the optimized smallest eigenvalue, G4 the optimizing
+    lambda_or_pin is the optimized smallest eigenvalue, G the optimizing
     matrix and sol its matkit.max_min_eig solve (None with no free entry).
     """
     diag, full, half = _reduced_pins(p)
-    scale = max([1.0] + [abs(v) for v in diag]
-                + [abs(v) for v in full.values()]
-                + [abs(v) for v in half.values()])
+    scale = _structural_scale(p)
     if float(np.max(np.abs(diag.imag))) > tol * scale:
         return "pinned-reject", float(-np.max(np.abs(diag.imag))), None, None
     if float(np.min(diag.real)) < -tol * scale:
@@ -635,18 +634,14 @@ def _reduced_feasibility(p, tol):
     return "solved", float(np.linalg.eigvalsh(G)[0]), G, sol
 
 
-_SURVIVING_COLS = (0, 1, 2, 5)
-
-
 def gram_complete_certificate(p, tol=1e-8):
-    """Solve for the pinned Gram pattern and factor out q0, q1, q2.
+    """Solve the pinned 4 x 4 Gram and factor it, G = F* F.
 
-    G is the barrier solve of the reduced problem placed on the surviving
-    columns; the structurally zero columns stay zero.  The pins are then
-    re-checked on the full 6 x 6 pattern.
+    The factor keeps the eigenvalues above 1e-10 of the largest; each kept
+    eigenvector takes matkit.unit_phase, so F carries no LAPACK phase.
     """
     P = build_P(p)
-    verdict, lam_red, G4, sol = _reduced_feasibility(p, tol)
+    verdict, lam_red, G, sol = _reduced_feasibility(p, tol)
     if verdict == "pinned-reject":
         return GramCertResult("not-certifiable-pinned",
                               pinned_lambda_min=lam_red)
@@ -654,43 +649,17 @@ def gram_complete_certificate(p, tol=1e-8):
                                     "gap": sol.gap}
     pinned = np.block([[P[(1, 1)], P[(1, 2)]], [P[(2, 1)], P[(2, 2)]]])
     lam_pin = float(np.linalg.eigvalsh(herm(pinned))[0])
-    scale = max(1.0, float(np.max(np.abs(G4))))
-    if lam_red < -tol * scale:
+    if lam_red < -tol * max(1.0, float(np.max(np.abs(G)))):
         if sol is not None:
-            solve.update(Z=sol.Z, dual_value=float(np.vdot(G4, sol.Z).real))
+            solve.update(Z=sol.Z, dual_value=float(np.vdot(G, sol.Z).real))
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
                               reduced_lambda=lam_red, **solve)
-    G = np.zeros((6, 6), dtype=complex)
-    G[np.ix_(_SURVIVING_COLS, _SURVIVING_COLS)] = G4
-    resid = _pin_residual(G, P)
-    if resid > tol * scale:
-        return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
-                              pin_residual=resid, reduced_lambda=lam_red,
-                              **solve)
     lam, U = np.linalg.eigh(herm(G))
     lam = np.clip(lam, 0.0, None)
-    cutoff = 1e-10 * max(lam[-1], 1e-300)
-    keep = lam > cutoff
-    F = np.diag(np.sqrt(lam[keep])) @ U[:, keep].conj().T
-    q0, q1, q2 = F[:, 0:2], F[:, 2:4], F[:, 4:6]
-    r1 = complex(G[0, 1])
-    return GramCertResult("feasible", G, q0, q1, q2, r1, F.shape[0],
-                          lam_pin, resid, lam_red, **solve)
-
-
-def _pin_residual(G, P):
-    worst = 0.0
-    for (j, k) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        worst = max(worst, float(np.max(np.abs(
-            G[2 * j:2 * j + 2, 2 * k:2 * k + 2] - P[(j, k)]))))
-    for k in (1, 2):
-        for a in range(2):
-            for b in range(2):
-                got = G[a, 2 * k + b] + G[2 * k + a, b]
-                worst = max(worst, abs(got - 2 * P[(0, k)][a, b]))
-    worst = max(worst, abs(G[0, 0] - P[(0, 0)][0, 0]),
-                abs(G[1, 1] - P[(0, 0)][1, 1]))
-    return float(worst)
+    keep = lam > 1e-10 * max(lam[-1], 1e-300)
+    U = U[:, keep] * [matkit.unit_phase(u) for u in U[:, keep].T]
+    F = np.sqrt(lam[keep])[:, None] * U.conj().T
+    return GramCertResult("feasible", G, F, lam_pin, lam_red, **solve)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +675,6 @@ class XYCert:
     Lxy: np.ndarray
     Lyx: np.ndarray
     pencil: dict  # word string -> complex
-    r1: complex
     residuals: dict = field(default_factory=dict)
 
     def reconstruct(self):
@@ -735,43 +703,31 @@ def _lambda_square_coeffs(Lx, Ly, Lxy, Lyx):
     }
 
 
-def assemble_certificate(p, q0, q1, q2, r1, tol=1e-8):
-    """Columns of the Gram factor to a verified certificate.
+def assemble_certificate(p, F, tol=1e-8):
+    """The Gram factor F, columns (L_x, L_y, L_yx, L_xy), to a certificate.
 
-    Checks the twelve structural coefficient identities and the r1
-    relation; any failure is an AssemblyError pointing at upstream
-    numerics.  p is a PLPoly, which only support_screen builds, so its
-    words outside PENCIL_WORDS are STRUCTURAL ones, and the identities
-    leave p - Lambda* Lambda on the pencil words.
+    Checks the twelve structural coefficient identities and that the
+    pencil part is Hermitian, each at tol * max(1, largest |structural
+    coefficient| of p), the scale of the Gram pins; any failure is an
+    AssemblyError pointing at upstream numerics.  The residuals kept in
+    the certificate are absolute.  p is a PLPoly, which only support_screen
+    builds, so its words outside PENCIL_WORDS are STRUCTURAL ones, and the
+    identities leave p - Lambda* Lambda on the pencil words.
     """
-    L = {"x": q0[:, 0], "y": q0[:, 1], "yx": q1[:, 0], "xy": q2[:, 1]}
-    # pinned zero diagonal entries force these columns to vanish; their
-    # numerical size scales like sqrt of the eigenvalue clip in the factor
-    aux = max(float(np.linalg.norm(q1[:, 1])), float(np.linalg.norm(q2[:, 0])))
-    if aux > 10 * np.sqrt(tol):
-        raise AssemblyError("auxiliary Gram columns should vanish "
-                            "(norm %.2e)" % aux)
-    residuals = {"aux_columns": aux}
-    square = _lambda_square_coeffs(L["x"], L["y"], L["xy"], L["yx"])
-    worst = 0.0
-    for word in STRUCTURAL:
-        residuals[word] = abs(square[word] - p.c(word))
-        worst = max(worst, residuals[word])
-    if worst > tol:
+    Lx, Ly, Lyx, Lxy = F.T
+    bound = tol * _structural_scale(p)
+    square = _lambda_square_coeffs(Lx, Ly, Lxy, Lyx)
+    residuals = {w: abs(square[w] - p.c(w)) for w in STRUCTURAL}
+    worst = max(residuals.values())
+    if worst > bound:
         raise AssemblyError("structural identity residual %.2e" % worst)
-    r1_resid = abs(square["xy"] - complex(r1))
-    residuals["r1"] = r1_resid
-    if r1_resid > tol:
-        raise AssemblyError("r1 relation residual %.2e" % r1_resid)
     pencil = {w: p.c(w) - square.get(w, 0j) for w in PENCIL_WORDS}
     herm_gap = max(abs(pencil[""].imag), abs(pencil["x"].imag),
                    abs(pencil["y"].imag),
                    abs(pencil["xy"] - np.conj(pencil["yx"])))
-    if herm_gap > tol:
+    if herm_gap > bound:
         raise AssemblyError("pencil part is not hermitian (%.2e)" % herm_gap)
-    N = q0.shape[0]
-    return XYCert(N, L["x"], L["y"], L["xy"], L["yx"], pencil, complex(r1),
-                  dict(residuals))
+    return XYCert(F.shape[0], Lx, Ly, Lxy, Lyx, pencil, residuals)
 
 
 @dataclass(frozen=True)
@@ -788,8 +744,9 @@ class VerifyReport:
 
 
 def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
-    """Coefficientwise identity (to 1e-8) plus sampled defect positivity
-    (pairs at scale 0.8, matkit.psd_mask), separately."""
+    """Coefficientwise identity (to 1e-8 max(1, largest |coefficient| of
+    p), the rounding scale of the pencil words) plus sampled defect
+    positivity (pairs at scale 0.8, matkit.psd_mask), separately."""
     rng = np.random.default_rng(0) if rng is None else rng
     poly = p.poly if isinstance(p, PLPoly) else p
     recon = cert.reconstruct()
@@ -797,7 +754,8 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
     for w in set(poly.words()) | set(recon.words()):
         max_resid = max(max_resid,
                         abs(poly.scalar_coeff(w) - recon.scalar_coeff(w)))
-    coeff_ok = max_resid <= 1e-8
+    coeff_ok = max_resid <= 1e-8 * max(
+        [1.0] + [abs(poly.scalar_coeff(w)) for w in poly.words()])
     # the sampled pairs as one stack, with is_psd's verdict per defect
     X, Y, V = sample_xy_pairs(dims, 0.8, rng, samples)
     ev = np.linalg.eigvalsh(_defects(poly, X, Y, V, 1e-8))
@@ -811,7 +769,6 @@ def certificate_to_json(cert):
         "Lambda": {"x": jmat(cert.Lx), "y": jmat(cert.Ly),
                    "xy": jmat(cert.Lxy), "yx": jmat(cert.Lyx)},
         "pencil": {(k if k else "1"): jmat(v) for k, v in cert.pencil.items()},
-        "r1": jmat(cert.r1),
         "residuals": {k: float(v) for k, v in cert.residuals.items()},
     }
 
@@ -823,7 +780,6 @@ def certificate_from_json(obj):
     return XYCert(int(obj["N"]), junvec(obj["Lambda"]["x"]),
                   junvec(obj["Lambda"]["y"]), junvec(obj["Lambda"]["xy"]),
                   junvec(obj["Lambda"]["yx"]), pencil,
-                  complex(obj["r1"][0], obj["r1"][1]),
                   {k: float(v) for k, v in obj.get("residuals", {}).items()})
 
 

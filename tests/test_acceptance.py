@@ -255,8 +255,7 @@ def test_c08_certificate_roundtrip():
         pl = xycvx.support_screen(p)
         gram = xycvx.gram_complete_certificate(pl)
         assert gram.is_feasible
-        cert = xycvx.assemble_certificate(pl, gram.q0, gram.q1, gram.q2,
-                                          gram.r1)
+        cert = xycvx.assemble_certificate(pl, gram.F)
         report = xycvx.verify_certificate(pl, cert, samples=5, rng=rng)
         assert report.coeff_ok
         assert report.ok

@@ -7,14 +7,18 @@ are verified by coefficient expansion plus sampled defects, never by the
 solver's own word.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncconvex import matkit, xycvx
+from ncconvex import cli, matkit, xycvx
 from ncconvex.ncalg import (ContextError, FreePoly, HermTuple, SymmetryError,
-                            VarContext, eval_poly)
+                            VarContext, eval_poly, format_poly)
 from ncconvex.xycvx import (
     AssemblyError,
     PairError,
@@ -540,7 +544,7 @@ def test_verify_certificate_matches_per_pair_loop(dims):
         p, _ = synthesize_certified(np.random.default_rng(seed), N=2)
         pl = support_screen(p)
         res = gram_complete_certificate(pl)
-        cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+        cert = assemble_certificate(pl, res.F)
         # the xx-negated twin fails the sampled defects, not the identity
         twin = {"".join("xy"[i] for i in w): p.scalar_coeff(w)
                 for w in p.words()}
@@ -635,10 +639,10 @@ def test_gram_rank_one_closes_the_gap(seed, scale):
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
     assert res.is_feasible, res.status
-    assert res.N == 1
+    assert res.F.shape[0] == 1
     assert 0 < res.gap <= 1e-12 * max(1.0, float(np.max(np.abs(res.G))))
     assert res.solver_steps > 0
-    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    cert = assemble_certificate(pl, res.F)
     assert max(cert.residuals.values()) <= 1e-8
 
 
@@ -647,7 +651,7 @@ def test_gram_solve_is_deterministic():
                                              N=3)[0])
     a, b = gram_complete_certificate(pl), gram_complete_certificate(pl)
     assert np.array_equal(a.G, b.G)
-    assert np.array_equal(a.q0, b.q0)
+    assert np.array_equal(a.F, b.F)
     assert (a.gap, a.solver_steps, a.reduced_lambda) \
         == (b.gap, b.solver_steps, b.reduced_lambda)
 
@@ -657,9 +661,26 @@ def test_gram_solve_is_deterministic():
 def test_gram_pins_hold_by_construction(seed, N, scale):
     rng = np.random.default_rng(seed)
     p, _ = synthesize_certified(rng, N=N, scale=scale)
-    res = gram_complete_certificate(support_screen(p))
+    pl = support_screen(p)
+    res = gram_complete_certificate(pl)
     assert res.is_feasible, res.status
-    assert res.pin_residual <= 1e-12 * max(1.0, float(np.max(np.abs(res.G))))
+    cert = assemble_certificate(pl, res.F)
+    # the solve sets every pin exactly; the factor drops the eigenvalues
+    # below 1e-10 of the largest, which bounds what it loses of them
+    assert max(cert.residuals.values()) \
+        <= 1e-10 * max(1.0, float(np.max(np.abs(res.G))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_factor_rows_carry_the_unit_phase(seed):
+    # each row of F is a kept eigenvector under matkit.unit_phase: its
+    # largest-modulus entry is real and positive, whatever LAPACK chose
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=3)
+    F = gram_complete_certificate(support_screen(p)).F
+    assert F.shape[1] == 4
+    for row in F:
+        top = row[np.argmax(np.abs(row))]
+        assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
 
 @settings(max_examples=10, deadline=None)
@@ -670,12 +691,52 @@ def test_gram_round_trip_certifies_synthesized(seed, N):
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
     assert res.is_feasible, res.status
-    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    cert = assemble_certificate(pl, res.F)
     assert max(cert.residuals.values()) <= 1e-8
     rep = verify_certificate(pl, cert, samples=5, rng=rng)
     assert rep.ok
     assert rep.max_coeff_residual <= 1e-8
     assert rep.min_defect_eig >= -1e-8
+
+
+def _expand_certificate(cert):
+    """Word coefficients of pencil + Lambda* Lambda from a report's
+    certificate: the u* v coefficient of Lambda = sum_u L_u u is
+    <L_u, L_v>, and the word of u* v is u reversed, then v."""
+    L = {u: np.array([complex(*z) for z in vec])
+         for u, vec in cert["Lambda"].items()}
+    coeffs = {("" if w == "1" else w): complex(*z)
+              for w, z in cert["pencil"].items()}
+    for u, Lu in L.items():
+        for v, Lv in L.items():
+            w = u[::-1] + v
+            coeffs[w] = coeffs.get(w, 0j) + complex(np.vdot(Lu, Lv))
+    return coeffs
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, N=st.integers(1, 4),
+       scale=st.sampled_from([10.0 ** k for k in range(-3, 5)]))
+@example(seed=0, N=1, scale=1e-3)
+@example(seed=0, N=4, scale=1e4)
+def test_xy_certifies_at_every_coefficient_scale(seed, N, scale):
+    # the certificate checks are relative to max(1, max |coefficient|), so
+    # a certified polynomial stays certified at large coefficients too
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=N,
+                                scale=scale)
+    with tempfile.TemporaryDirectory() as work:
+        pfile, out = Path(work, "p.txt"), Path(work, "xy.json")
+        pfile.write_text(format_poly(p))
+        code = cli.main(["xy", str(pfile), "--out", str(out)])
+        res = json.loads(out.read_text())["results"]
+    assert code == cli.EXIT_OK
+    assert res["verdict"] == "certified"
+    want = {"".join("xy"[i] for i in w): p.scalar_coeff(w)
+            for w in p.words()}
+    got = _expand_certificate(res["certificate"])
+    worst = max(abs(got.get(w, 0j) - want.get(w, 0j))
+                for w in set(got) | set(want))
+    assert worst <= 1e-6 * max([1.0] + [abs(c) for c in want.values()])
 
 
 @pytest.mark.parametrize("seed", [3, 18])
@@ -687,7 +748,7 @@ def test_gram_certifies_large_rank_one(seed):
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
     assert res.is_feasible, res.status
-    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    cert = assemble_certificate(pl, res.F)
     assert verify_certificate(pl, cert, samples=5,
                               rng=np.random.default_rng(seed)).ok
 
@@ -696,7 +757,7 @@ def test_certificate_json_round_trip(rng):
     p, _ = synthesize_certified(rng, N=3)
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
-    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    cert = assemble_certificate(pl, res.F)
     back = certificate_from_json(certificate_to_json(cert))
     assert back.N == cert.N
     assert np.allclose(back.Lx, cert.Lx)
@@ -709,21 +770,42 @@ def test_certificate_json_round_trip(rng):
                                                    abs=1e-12)
 
 
-def test_assemble_rejects_dirty_aux_columns(rng):
-    p, _ = synthesize_certified(rng, N=2)
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_assemble_rejects_a_perturbed_factor_column(scale):
+    # one column of F moved by 1e-6 of Lambda's scale moves a structural
+    # identity by about 1e-6 of the coefficient scale, far beyond the
+    # bound tol * max(1, max |coefficient|)
+    p, _ = synthesize_certified(np.random.default_rng(7), N=2, scale=scale)
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
-    q1_bad = res.q1.copy()
-    q1_bad[:, 1] = 0.5
-    with pytest.raises(AssemblyError):
-        assemble_certificate(pl, res.q0, q1_bad, res.q2, res.r1)
+    assemble_certificate(pl, res.F)
+    for col in range(4):
+        bad = res.F.copy()
+        bad[:, col] += 1e-6 * scale
+        with pytest.raises(AssemblyError,
+                           match="^structural identity residual "):
+            assemble_certificate(pl, bad)
+
+
+@pytest.mark.parametrize("constant", [0.0, 1e12])
+def test_pencil_words_do_not_widen_the_assembly_bound(constant):
+    # xyx pins 2 Re <L_x, L_yx> while xyyx = |L_yx|^2 = 0, so there is no
+    # certificate, and 1.5e-8 lies above tol; a constant term, which does
+    # not bear on xy-convexity, must not loosen the bound
+    pl = support_screen(from_coeffs({"": constant, "xx": 1.0, "yy": 1.0,
+                                     "yxxy": 1.0, "xyx": 1.5e-8}))
+    res = gram_complete_certificate(pl)
+    assert res.is_feasible
+    with pytest.raises(AssemblyError,
+                       match="^structural identity residual 1.50e-08$"):
+        assemble_certificate(pl, res.F)
 
 
 def test_verify_catches_tampered_certificate(rng):
     p, _ = synthesize_certified(rng, N=2)
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
-    cert = assemble_certificate(pl, res.q0, res.q1, res.q2, res.r1)
+    cert = assemble_certificate(pl, res.F)
     from dataclasses import replace
     bad = replace(cert, Lx=cert.Lx + 0.1)
     rep = verify_certificate(pl, bad, samples=3, rng=rng)
