@@ -10,16 +10,16 @@ partial    convexity in the designated letters for a polynomial or
            realization, and every scan asks the region it makes
 xy         convexity in x and y separately for a bivariate polynomial:
            support screen, then the Gram certificate, then, only where no
-           certificate verifies, a witness and its xy-pair: built on a
-           level ray for a pinned Gram, else from the middle-matrix scan
+           certificate verifies, a constructed witness and its xy-pair:
+           read off the Gram's dual certificate, else built on a level ray
 reproduce  rerun a pinned example study and compare with the stored summary
 
 Reports are one compact, key-sorted JSON line with matrices as row-major
 [re, im] entries (`python -m json.tool` pretty-prints one).  With a fixed
 seed and config a rerun reproduces the report byte for byte apart from the
-time_s fields.  partial and xy run in one process, one seed per size
-(--workers is accepted only as 1, and the report leaves it out).  Exit
-codes: 0 success, 1 mathematical negative (verified witness or screen
+time_s fields.  partial and xy run in one process, partial with one seed
+per size (--workers is accepted only as 1, and the report leaves it out).
+Exit codes: 0 success, 1 mathematical negative (verified witness or screen
 rejection), 2 input error (including input so large that partial or xy
 overflows float64), 3 numerically inconclusive (including a numerical
 breakdown such as a failed factorization or a polynomial butterfly whose
@@ -91,33 +91,31 @@ class AnalysisConfig:
 
     def echo(self, command):
         """The fields command reads, as its report states them."""
-        out = {
-            "seed": int(self.seed), "sizes": [int(s) for s in self.sizes],
-            "samples": int(self.samples), "tol_psd": float(self.tol_psd),
-            "scale": float(self.scale),
-        }
+        out = {"seed": int(self.seed), "samples": int(self.samples),
+               "tol_psd": float(self.tol_psd)}
         if command == "partial":
-            out.update(tol_inv=float(self.tol_inv), region=self.region)
+            out.update(sizes=[int(s) for s in self.sizes],
+                       scale=float(self.scale), tol_inv=float(self.tol_inv),
+                       region=self.region)
         return out
 
 
 def config_from_args(args):
-    sizes = args.sizes
-    if isinstance(sizes, str):
-        try:
-            sizes = tuple(int(s) for s in sizes.split(","))
-        except ValueError:
-            raise InputError("bad --sizes %r; expected e.g. 1,2,3" % sizes)
     if args.workers != 1:
         raise InputError("--workers %d: partial and xy run in one process, "
                          "so only --workers 1 is accepted" % args.workers)
-    # --tol-inv and --region are flags of partial alone
+    # --sizes, --scale, --tol-inv and --region are flags of partial alone
     partial_only = {name: getattr(args, name)
-                    for name in ("tol_inv", "region") if hasattr(args, name)}
-    return AnalysisConfig(
-        seed=args.seed, sizes=sizes, samples=args.samples,
-        tol_psd=args.tol_psd, scale=args.scale, out=args.out,
-        **partial_only)
+                    for name in ("sizes", "scale", "tol_inv", "region")
+                    if hasattr(args, name)}
+    sizes = partial_only.get("sizes")
+    if isinstance(sizes, str):
+        try:
+            partial_only["sizes"] = tuple(int(s) for s in sizes.split(","))
+        except ValueError:
+            raise InputError("bad --sizes %r; expected e.g. 1,2,3" % sizes)
+    return AnalysisConfig(seed=args.seed, samples=args.samples,
+                          tol_psd=args.tol_psd, out=args.out, **partial_only)
 
 
 # ---------------------------------------------------------------------------
@@ -592,28 +590,12 @@ def cmd_partial(args):
 # ---------------------------------------------------------------------------
 # xy convexity
 
-def _xy_scan_size(pl, cfg, n, seed):
-    """Size n x n of the middle-matrix scan, drawn from seed.  Returns
-    (report entry, the MxyWitness or None)."""
-    ev = xycvx.middle_matrix_psd_scan(
-        pl, sizes=((n, n),), samples=cfg.samples,
-        rng=np.random.default_rng(seed), scale=cfg.scale, tol=cfg.tol_psd)
-    if ev.is_witness:
-        return {"size": [n, n], "witness": {
-            "delta0": jmat(ev.delta0), "delta1": jmat(ev.delta1),
-            "beta1": jmat(ev.beta1), "beta2": jmat(ev.beta2),
-            "lambda_min": float(ev.lambda_min),
-            "vector": jmat(ev.vector)}}, ev
-    return {"size": [n, n], "inputs": ev.samples,
-            "min_lambda": float(ev.min_lambda)}, None
-
-
-def _xy_certify(pl, cfg, seed, results):
+def _xy_certify(pl, cfg, results):
     """Stage 1 of xy: the Gram certificate p = pencil + Lambda* Lambda,
-    assembled and verified on pairs drawn from seed, each step's artifacts
-    in results.  None when it verifies, else the reason it does not; a
-    "not-certifiable-pinned" status in results["gram"] sends cmd_xy to
-    the pinned witness instead of the scan."""
+    assembled and verified on pairs drawn from --seed, each step's
+    artifacts in results.  Returns (reason, Z): reason is None when it
+    verifies, else why not, and Z is the Gram's dual certificate, when it
+    has one."""
     t0 = time.monotonic()
     gram = xycvx.gram_complete_certificate(pl, tol=cfg.tol_psd)
     gram_entry = {"status": gram.status,
@@ -628,14 +610,14 @@ def _xy_certify(pl, cfg, seed, results):
         gram_entry["dual_value"] = float(gram.dual_value)
         gram_entry["Z"] = jmat(gram.Z)
     if not gram.is_feasible:
-        return "no Gram certificate (%s)" % gram.status
+        return "no Gram certificate (%s)" % gram.status, gram.Z
     try:
         cert = xycvx.assemble_certificate(pl, gram.F, tol=cfg.tol_psd)
     except xycvx.AssemblyError as exc:
         results["assembly_error"] = str(exc)
-        return "the certificate assembly failed: %s" % exc
+        return "the certificate assembly failed: %s" % exc, None
     verify = xycvx.verify_certificate(pl, cert, samples=min(cfg.samples, 25),
-                                      rng=np.random.default_rng(seed))
+                                      rng=np.random.default_rng(cfg.seed))
     results["certificate"] = xycvx.certificate_to_json(cert)
     results["verification"] = {
         "coeff_ok": bool(verify.coeff_ok),
@@ -644,18 +626,20 @@ def _xy_certify(pl, cfg, seed, results):
         "sampled_ok": bool(verify.sampled_ok),
         "min_defect_eig": float(verify.min_defect_eig),
     }
-    return None if verify.ok else "the certificate failed its verification"
+    reason = None if verify.ok else "the certificate failed its verification"
+    return reason, None
 
 
 def cmd_xy(args):
     """xy: support screen, then the Gram certificate, then a refutation.
 
-    A verified certificate exits 0 with no refutation run.  A pinned Gram
-    reject takes xycvx.pinned_witness, its constructed witness on the
-    level ray; the dual-Z, breakdown, assembly and verification cases, and
-    a ray with no level, take the sampled middle-matrix scan.  The witness
-    exits 1 only as a completed xy-pair that passes its re-check; anything
-    short of that exits 3 with the reason on stderr.
+    A verified certificate exits 0 with no refutation run.  Otherwise the
+    witness is constructed: xycvx.dual_witness reads it off the Gram's
+    dual certificate Z, and every case without one (a pinned reject, a
+    breakdown, an assembly or verification failure) takes
+    xycvx.pinned_witness on its level ray.  The witness exits 1 only as a
+    completed xy-pair that passes its re-check; anything short of that
+    exits 3 with the reason on stderr.
     """
     cfg = config_from_args(args)
     p = load_poly(args.poly)
@@ -672,13 +656,13 @@ def cmd_xy(args):
         emit_report(report, cfg.out)
         return EXIT_NEGATIVE
     results["screen"] = {"accepted": True}
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
 
-    # stage 1, certify: a verified certificate settles p, and no scan runs
+    # stage 1, certify: a verified certificate settles p
+    Z = None
     try:
-        reason = _xy_certify(pl, cfg, seeds[-1], results)
+        reason, Z = _xy_certify(pl, cfg, results)
     except (matkit.SingularError, np.linalg.LinAlgError) as exc:
-        # a breakdown here must not cost the scan below its witness
+        # a breakdown here must not cost stage 2 its witness
         reason = "numerical breakdown: %s: %s" % (type(exc).__name__, exc)
         results["gram_breakdown"] = reason
     if reason is None:
@@ -686,23 +670,16 @@ def cmd_xy(args):
         emit_report(report, cfg.out)
         return EXIT_OK
 
-    # stage 2, refute: a pinned Gram's witness on the level ray, else the
-    # middle-matrix scan, one size per seed
-    wit = None
-    if results.get("gram", {}).get("status") == "not-certifiable-pinned":
-        wit = xycvx.pinned_witness(pl, cfg.tol_psd)
-    if wit is not None:
+    # stage 2, refute: the witness read off Z, else the level ray's
+    wit = xycvx.dual_witness(pl, Z) if Z is not None \
+        else xycvx.pinned_witness(pl, cfg.tol_psd)
+    if Z is not None:
+        results["dual_witness"] = {"value": float(wit.lambda_min)}
+    elif wit is not None:
         results["pinned_witness"] = {"level": float(wit.delta0[0, 0].real),
                                      "lambda_min": float(wit.lambda_min)}
-    else:
-        t0 = time.monotonic()
-        chunks, witnesses = zip(*[_xy_scan_size(pl, cfg, int(s), seeds[i])
-                                  for i, s in enumerate(cfg.sizes)])
-        results["middle_matrix_scan"] = {"per_size": list(chunks),
-                                         "time_s": time.monotonic() - t0}
-        wit = next((w for w in witnesses if w is not None), None)
     if wit is None:
-        reason += ", and the middle-matrix scan found no witness"
+        reason += ", and the level ray found no witness"
     else:
         # exit 1 only on a completed pair that passes the re-check
         try:
@@ -775,13 +752,9 @@ def cmd_reproduce(args):
 
 def _add_config_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--sizes", default="1,2,3",
-                     help="comma separated matrix sizes")
     sub.add_argument("--samples", type=int, default=30,
                      help="samples per size")
     sub.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-8)
-    sub.add_argument("--scale", type=float, default=0.6,
-                     help="sampling scale for matrix entries")
     # accepted as 1 only (config_from_args), so that command lines that
     # still pass it keep working
     sub.add_argument("--workers", type=int, default=1,
@@ -809,6 +782,10 @@ def build_parser():
                         help="convexity in the designated letters")
     s.add_argument("input", help="polynomial text or realization JSON")
     _add_config_flags(s)
+    s.add_argument("--sizes", default="1,2,3",
+                   help="comma separated matrix sizes")
+    s.add_argument("--scale", type=float, default=0.6,
+                   help="sampling scale for matrix entries")
     s.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-10)
     s.add_argument("--region", default="default",
                    help="dom, dom-plus, kebab, kebab-plus, or ball:RADIUS")

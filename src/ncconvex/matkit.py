@@ -128,8 +128,10 @@ def max_min_eig(F0, Fs):
     - t I (gradient c + mu tr(F^-1 A_k), Hessian mu tr(F^-1 A_k F^-1 A_l)
     for the directions A = (F_1, ..., F_m, -I)), damped by 1/(1 + lambda)
     while the Newton decrement lambda^2 > 1/4.  mu shrinks geometrically
-    until the gap n mu is at most GAP_REL max(1, max|F0|); the last centre
-    is tight, and there Z = mu F^-1 is the dual certificate.
+    until the gap n mu is at most GAP_REL; the last centre is tight, and
+    there Z = mu F^-1 is the dual certificate.  It solves for
+    F0 / max(1, max|F0|), so that the Hessian cannot underflow at large
+    F0, and scales t, theta and the gap back (Z does not change).
 
     Each stage works in the eigenbasis of F at its start and inverts F
     through its Jacobi scaling: F's entries there are as small as its
@@ -142,16 +144,17 @@ def max_min_eig(F0, Fs):
     fails to centre.
     """
     F0 = np.asarray(F0, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(F0))))
+    F0 = F0 / scale
     n = F0.shape[0]
     A = np.concatenate([np.asarray(Fs, dtype=complex).reshape(-1, n, n),
                         -np.eye(n)[None]])
     c = np.zeros(A.shape[0])
     c[-1] = 1.0
-    scale = max(1.0, float(np.max(np.abs(F0))))
-    x = c * (float(np.linalg.eigvalsh(F0)[0]) - n * scale)
-    mu, steps = scale, 0
+    x = c * (float(np.linalg.eigvalsh(F0)[0]) - n)
+    mu, steps = 1.0, 0
     while True:
-        last = n * mu <= GAP_REL * scale
+        last = n * mu <= GAP_REL
         d, U = np.linalg.eigh(F0 + (x @ A.reshape(len(x), -1)).reshape(n, n))
         Af = U.conj().T @ A @ U
         Af2 = Af.reshape(len(x), -1)
@@ -178,7 +181,8 @@ def max_min_eig(F0, Fs):
         x = x + y
         if last:
             Z = herm(mu * (U @ Fi @ U.conj().T))
-            return MaxMinEig(float(x[-1]), x[:-1], Z, n * mu, steps)
+            return MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
+                             scale * n * mu, steps)
         mu *= _SHRINK
 
 

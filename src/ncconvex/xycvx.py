@@ -16,11 +16,11 @@ eigenvalue over the free entries, and its dual certificate proves the
 negative outcomes.  The columns of one factor G = F* F are the L vectors,
 which reassemble the polynomial coefficientwise.
 
-A pinned reject (the pins alone admit no PSD completion) is refuted by
-construction: pinned_witness evaluates the middle matrix at scalar inner
-blocks on a fixed ray of levels, and mxy_witness_pair completes the
-negative level to an xy-pair.  middle_matrix_psd_scan samples inner blocks
-for the remaining cases.
+An uncertified Gram is refuted by construction: dual_witness reads inner
+blocks and a border vector off the dual certificate Z, and pinned_witness
+(no Z) evaluates the middle matrix at scalar inner blocks on a fixed ray
+of levels; mxy_witness_pair completes either to an xy-pair.
+middle_matrix_psd_scan samples inner blocks for the example studies.
 """
 
 from __future__ import annotations
@@ -296,7 +296,8 @@ class AllPsdEvidence:
 
 @dataclass(frozen=True)
 class MxyWitness:
-    """Inner blocks where the middle matrix has a negative eigenvalue."""
+    """Inner blocks and a border vector with lambda_min = vector* M vector
+    < 0: an eigenvalue of the middle matrix, or dual_witness's value."""
 
     delta0: np.ndarray
     delta1: np.ndarray
@@ -317,44 +318,25 @@ def _inner_parts(n1, n2):
 
 def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
                            rng=None, scale=1.0, sampler=None, tol=TOL_PSD):
-    """Eigencheck the middle matrix over sampled inner blocks.
-
-    sampler(rng, (n1, n2)) may replace the default Gaussian draw, e.g. to
-    restrict to a biconvexity region.
-
-    Each size is a matkit.block_search: per block one draw (one
-    sample_blocks call, or one sampler call per sample), one stacked
-    middle_matrix and one batched eigh, judged by psd_mask at tol.  It
-    stops at the first failing sample, where a per-sample loop would.
-    """
+    """Eigencheck the middle matrix at sampled inner blocks, one sample at
+    a time, by psd_mask at tol; the first failing sample is the witness.
+    sampler(rng, (n1, n2)) may replace the default Gaussian draw (one
+    sample_blocks call), e.g. to restrict to a biconvexity region."""
     rng = np.random.default_rng(0) if rng is None else rng
-
-    def draw(nm, size):
-        if sampler is None:
-            d0, b2, d1, b1 = sample_blocks(_inner_parts(*nm), scale, rng,
-                                           size)
-            return d0, d1, b1, b2
-        return tuple(np.stack(m) for m in
-                     zip(*(sampler(rng, nm) for _ in range(size))))
-
-    count, min_lambda = 0, np.inf
-
-    def judge(block):
-        nonlocal count, min_lambda
-        d0, d1, b1, b2 = block
-        lam, vecs = np.linalg.eigh(herm(middle_matrix(p, b1, b2, d0,
-                                                      d1).matrix))
-        count += len(lam)
-        min_lambda = min(min_lambda, float(lam[:, 0].min()))
-        return ~psd_mask(lam, tol), (lam, vecs)
-
+    min_lambda = np.inf
     for nm in sizes:
-        hit = matkit.block_search(lambda B: draw(nm, B), judge, rng, samples)
-        if hit is not None:
-            (d0, d1, b1, b2), (lam, vecs), i = hit
-            return MxyWitness(d0[i], d1[i], b1[i], b2[i], float(lam[i, 0]),
-                              vecs[i, :, 0])
-    return AllPsdEvidence(count, float(min_lambda))
+        for _ in range(samples):
+            if sampler is None:
+                d0, b2, d1, b1 = (m[0] for m in sample_blocks(
+                    _inner_parts(*nm), scale, rng, 1))
+            else:
+                d0, d1, b1, b2 = sampler(rng, nm)
+            lam, vecs = np.linalg.eigh(herm(middle_matrix(p, b1, b2, d0,
+                                                          d1).matrix))
+            min_lambda = min(min_lambda, float(lam[0]))
+            if not psd_mask(lam, tol):
+                return MxyWitness(d0, d1, b1, b2, float(lam[0]), vecs[:, 0])
+    return AllPsdEvidence(len(sizes) * samples, float(min_lambda))
 
 
 # the level ray of pinned_witness: s = 0 and s = +-2^k for k = -10..10
@@ -385,6 +367,42 @@ def pinned_witness(p, tol=TOL_PSD, levels=PINNED_LEVELS):
         return None
     return MxyWitness(s[i], z[i], z[i], s[i], float(lam[i, 0]),
                       vecs[i, :, 0])
+
+
+def _hermitian_map(u, v):
+    """(v u* + u v*) / |u|^2 - (u* v) u u* / |u|^4, the Hermitian map with
+    u -> v when u* v is real; zero at u = 0."""
+    uu = np.vdot(u, u).real or 1.0
+    return (np.outer(v, u.conj()) + np.outer(u, v.conj())
+            - np.vdot(u, v).real / uu * np.outer(u, u.conj())) / uu
+
+
+def dual_witness(p, Z):
+    """The MxyWitness read off the Gram's dual certificate Z.
+
+    At inner blocks (delta0, 0, 0, beta2), b = [alpha, alpha', gamma,
+    gamma'] has b* M b = sum G_uw <f_u, f_w> with f_x = [alpha; 0],
+    f_y = [0; gamma], f_yx = [delta0 alpha; gamma'], f_xy = [alpha';
+    beta2 gamma].  Their Gram is any PSD matrix that meets Z's constraints,
+    so the rows of Z = F F* serve (eigenvalues above 1e-12 of the largest;
+    a row with Z diagonal at most 1e-12 tr Z, barrier residue, is zeroed)
+    and b* M b = <G, Z>.  The bottom block spans f_y (and f_yx if f_x = 0)."""
+    lam, U = np.linalg.eigh(herm(Z))
+    keep = lam > 1e-12 * lam[-1]
+    F = U[:, keep] * np.sqrt(lam[keep])
+    F[np.diagonal(Z).real <= 1e-12 * np.trace(Z).real] = 0
+    fx, fy, fyx, fxy = F
+    span = np.column_stack([fy] + ([fyx] if not fx.any() else []))
+    Q, sv, _ = np.linalg.svd(span)
+    k = int(np.count_nonzero(sv))
+    top, bottom = Q[:, k:].conj().T, Q[:, :k].conj().T
+    alpha, gamma = top @ fx, bottom @ fy
+    delta0 = _hermitian_map(alpha, top @ fyx)
+    beta2 = _hermitian_map(gamma, bottom @ fxy)
+    b = np.concatenate([alpha, top @ fxy, gamma, bottom @ fyx])
+    z = np.zeros((len(alpha), len(gamma)), dtype=complex)
+    M = middle_matrix(p, z, beta2, delta0, z).matrix
+    return MxyWitness(delta0, z, z, beta2, float(np.vdot(b, M @ b).real), b)
 
 
 @dataclass(frozen=True)

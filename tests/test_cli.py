@@ -1163,15 +1163,28 @@ def lambda_square_expansion(cert):
     return coeffs
 
 
+def pair_defect(p, pw):
+    """h* D h and ||D|| of a report's pair witness, with the defect D of p
+    evaluated here, after checking that the pair is an xy-pair."""
+    X, Y, V, h = unmat(pw["X"]), unmat(pw["Y"]), unmat(pw["V"]), unvec(pw["h"])
+    Vh = V.conj().T
+    X0, Y0 = Vh @ X @ V, Vh @ Y @ V
+    assert np.allclose(Vh @ V, np.eye(V.shape[1]))
+    assert np.allclose(Vh @ Y @ X @ V, Y0 @ X0)
+    D = Vh @ ncalg.eval_poly(p, ncalg.HermTuple(len(X), (), (X, Y))) @ V \
+        - ncalg.eval_poly(p, ncalg.HermTuple(len(X0), (), (X0, Y0)))
+    return float(np.real(h.conj() @ D @ h)), float(np.linalg.norm(D, 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(terms=XY_FUZZ_TERMS)
 def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
     """xy on small symmetric polynomials on the admissible support exits
     0, 1 or 3 and prints no traceback.  An exit 0 certificate re-expands
     to p coefficient by coefficient, and an exit 1 pair has h* D h < 0,
-    with the defect D evaluated here.  A pinned Gram never exits 3: its
-    witness on the level ray completes to a pair (x x + x y x among
-    them)."""
+    with the defect D evaluated here.  An uncertified Gram never exits 3:
+    a pinned one's witness on the level ray (x x + x y x among them) and a
+    dual-certified one's witness read off Z both complete to a pair."""
     lines = ["vars a: | x: x y"]
     for w, c in terms:
         c = complex(c)
@@ -1182,11 +1195,13 @@ def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
     p = ncalg.parse_poly(path.read_text())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["xy", str(path), "--sizes", "1,2", "--samples", "4"])
+        code = cli.main(["xy", str(path), "--samples", "4"])
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err.getvalue()
     assert "Traceback" not in err.getvalue()
     res = json.loads(out.getvalue())["results"]
     if res.get("gram", {}).get("status") == "not-certifiable-pinned":
+        assert code != EXIT_INCONCLUSIVE, err.getvalue()
+    if res.get("gram", {}).get("status") == "not-certifiable":
         assert code != EXIT_INCONCLUSIVE, err.getvalue()
     if code == EXIT_OK:
         got = lambda_square_expansion(res["certificate"])
@@ -1195,16 +1210,51 @@ def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
             want = p.scalar_coeff(tuple("xy".index(ch) for ch in w))
             assert abs(got.get(w, 0j) - want) <= 1e-8 * scale, w
     elif code == EXIT_NEGATIVE:
-        pw = res["pair_witness"]
-        X, Y, V, h = (unmat(pw["X"]), unmat(pw["Y"]), unmat(pw["V"]),
-                      unvec(pw["h"]))
-        Vh = V.conj().T
-        X0, Y0 = Vh @ X @ V, Vh @ Y @ V
-        assert np.allclose(Vh @ V, np.eye(V.shape[1]))
-        assert np.allclose(Vh @ Y @ X @ V, Y0 @ X0)
-        D = Vh @ ncalg.eval_poly(p, ncalg.HermTuple(len(X), (), (X, Y))) @ V \
-            - ncalg.eval_poly(p, ncalg.HermTuple(len(X0), (), (X0, Y0)))
-        assert float(np.real(h.conj() @ D @ h)) < 0
+        assert pair_defect(p, res["pair_witness"])[0] < 0
+
+
+def dual_certified_text(rng, scale):
+    """A screened polynomial whose Gram is mostly dual-certified: positive
+    diagonal pins, full pins inside their 2 x 2 PSD bound, and half pins
+    up to twice theirs, times scale, with a random pencil."""
+    d = dict(zip(("xx", "yy", "xyyx", "yxxy"), rng.uniform(0.5, 2, 4)))
+    c = dict(d, **{w: rng.normal() for w in ("", "x", "y")})
+    pins = (("yyx", "xyy", "yy", "xyyx"), ("xxy", "yxx", "xx", "yxxy"),
+            ("xyxy", "yxyx", "xyyx", "yxxy"), ("xy", "yx", "", ""))
+    for u, v, i, j in pins:
+        z = rng.uniform() * np.exp(2j * np.pi * rng.uniform()) \
+            * np.sqrt(d.get(i, 1) * d.get(j, 1))
+        c[u], c[v] = z, np.conj(z)
+    c["xyx"] = rng.uniform(-2, 2) * np.sqrt(d["xx"] * d["xyyx"])
+    c["yxy"] = rng.uniform(-2, 2) * np.sqrt(d["yy"] * d["yxxy"])
+    return "vars a: | x: x y\n" + "".join(
+        "%s * %s\n" % (ncalg.format_complex(complex(z) * scale),
+                       " ".join(w) or "1") for w, z in c.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([10.0 ** k for k in range(-3, 4)]))
+def test_xy_dual_certified_rejects_exit_negative(tmp_path_factory, seed,
+                                                 scale):
+    """Every dual-certified Gram exits 1: the witness read off Z
+    completes to a pair whose defect, evaluated here, is the dual value."""
+    path = tmp_path_factory.mktemp("dual") / "p.txt"
+    path.write_text(dual_certified_text(np.random.default_rng(seed), scale))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["xy", str(path)])
+    res = json.loads(out.getvalue())["results"]
+    if res["gram"]["status"] != "not-certifiable":
+        return
+    assert code == EXIT_NEGATIVE, err.getvalue()
+    value, norm = pair_defect(ncalg.parse_poly(path.read_text()),
+                              res["pair_witness"])
+    dual = res["gram"]["dual_value"]
+    assert value < -1e-8 * max(1.0, norm)
+    assert value == pytest.approx(dual, rel=1e-8, abs=1e-9)
+    assert res["dual_witness"]["value"] == pytest.approx(
+        dual, abs=1e-9 * max(1.0, abs(dual)))
 
 
 # ---------------------------------------------------------------------------
@@ -1212,8 +1262,8 @@ def test_xy_fuzz_exit_codes(tmp_path_factory, terms):
 
 def test_xy_square_poly_pair_witness_reverifies(tmp_path):
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(DATA / "square_xy_poly.txt"),
-        "--sizes", "1,2", "--samples", "30", "--scale", "0.9", "--seed", "0"])
+        "xy", str(DATA / "square_xy_poly.txt"), "--samples", "30",
+        "--seed", "0"])
     assert code == EXIT_NEGATIVE
     pw = rep["results"]["pair_witness"]
     assert pw["defect_value"] < 0
@@ -1228,8 +1278,8 @@ def test_xy_square_poly_pair_witness_reverifies(tmp_path):
 
 
 # square_xy_poly.txt at these flags ends in a pair witness (exit 1)
-SQUARE_XY_NEGATIVE = ["xy", str(DATA / "square_xy_poly.txt"), "--sizes", "1,2",
-                      "--samples", "30", "--scale", "0.9", "--seed", "0"]
+SQUARE_XY_NEGATIVE = ["xy", str(DATA / "square_xy_poly.txt"),
+                      "--samples", "30", "--seed", "0"]
 
 
 def test_xy_pair_witness_that_fails_recheck_is_inconclusive(
@@ -1270,12 +1320,10 @@ def test_xy_pair_completion_error_is_inconclusive(tmp_path, monkeypatch,
 
 
 def test_xy_square_poly_small_scale_pinned_witness(tmp_path, capsys):
-    """At --scale 0.05 the scan would draw only PSD middle matrices; the
-    pinned Gram's witness on the level ray needs no draw, and its pair
-    re-checks here."""
+    """The pinned Gram's witness on the level ray needs no draw, so no
+    sampling scale can hide it; its pair re-checks here."""
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(DATA / "square_xy_poly.txt"),
-        "--sizes", "1", "--samples", "5", "--scale", "0.05"])
+        "xy", str(DATA / "square_xy_poly.txt"), "--samples", "5"])
     assert code == EXIT_NEGATIVE
     assert capsys.readouterr().err == ""
     res = rep["results"]
@@ -1311,10 +1359,10 @@ def negated_xx_twin(tmp_path):
 def test_xy_pinned_reject_runs_no_scan(tmp_path, monkeypatch, which):
     """A pinned Gram is refuted by its constructed witness: the scan is
     never called, and the report carries the pair and no scan entry."""
-    def broken(*args):
+    def broken(*args, **kwargs):
         raise AssertionError("the scan ran on a pinned reject")
 
-    monkeypatch.setattr(cli, "_xy_scan_size", broken)
+    monkeypatch.setattr(xycvx, "middle_matrix_psd_scan", broken)
     pfile = negated_xx_twin(tmp_path) if which == "twin" \
         else DATA / "square_xy_poly.txt"
     code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
@@ -1331,7 +1379,7 @@ def test_xy_certified_poly(tmp_path):
     pfile = tmp_path / "cert_poly.txt"
     pfile.write_text(ncalg.format_poly(p))
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(pfile), "--sizes", "1,2", "--samples", "8", "--seed", "5"])
+        "xy", str(pfile), "--samples", "8", "--seed", "5"])
     assert code == EXIT_OK
     res = rep["results"]
     assert res["verdict"] == "certified"
@@ -1350,7 +1398,7 @@ def test_xy_certified_report_counts_the_solve(tmp_path):
     pfile = tmp_path / "cert_poly.txt"
     pfile.write_text(ncalg.format_poly(p))
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(pfile), "--sizes", "1", "--samples", "4"])
+        "xy", str(pfile), "--samples", "4"])
     assert code == EXIT_OK
     gram = rep["results"]["gram"]
     assert gram["solver_steps"] > 0
@@ -1358,32 +1406,33 @@ def test_xy_certified_report_counts_the_solve(tmp_path):
     assert "dual_value" not in gram and "Z" not in gram
 
 
-def no_witness(pl, cfg, n, seed):
-    """An _xy_scan_size whose size finds no witness."""
-    return {"size": [n, n], "inputs": 0, "min_lambda": 0.0}, None
-
-
-def test_xy_not_certifiable_reports_the_dual(tmp_path, monkeypatch,
-                                             capsys):
+def test_xy_not_certifiable_reports_the_dual(tmp_path, capsys):
     # the Gram stage runs first, and its dual certificate proves that no
-    # completion is PSD; a scan that finds nothing leaves it inconclusive
-    monkeypatch.setattr(cli, "_xy_scan_size", no_witness)
+    # completion is PSD; the witness read off Z completes to a pair whose
+    # defect value is the dual value
     pfile = tmp_path / "nc_poly.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x\n1 * y y\n1 * x y y x\n"
                      "1 * y x x y\n1 * x y x y\n1 * y x y x\n1 * x x y\n"
                      "1 * y x x\n-2 * x y x\n")
     code, rep = run_out(tmp_path, "xy.json", ["xy", str(pfile)])
-    assert code == EXIT_INCONCLUSIVE
-    assert capsys.readouterr().err == (
-        "inconclusive: no Gram certificate (not-certifiable), and the "
-        "middle-matrix scan found no witness\n")
-    gram = rep["results"]["gram"]
+    assert code == EXIT_NEGATIVE
+    assert capsys.readouterr().err == ""
+    res = rep["results"]
+    gram = res["gram"]
     assert gram["status"] == "not-certifiable"
     assert gram["dual_value"] == pytest.approx(-1.0, abs=1e-9)
     assert gram["solver_steps"] > 0
     Z = cli.junmat(gram["Z"])
     assert np.linalg.eigvalsh(Z)[0] >= -1e-12
     assert np.trace(Z).real == pytest.approx(1.0, abs=1e-10)
+    assert res["dual_witness"]["value"] == pytest.approx(
+        gram["dual_value"], abs=1e-9)
+    assert "pinned_witness" not in res and "middle_matrix_scan" not in res
+    # the pair's defect, evaluated here from p
+    value, norm = pair_defect(ncalg.parse_poly(pfile.read_text()),
+                              res["pair_witness"])
+    assert value == pytest.approx(gram["dual_value"], abs=1e-9)
+    assert value < -1e-8 * max(1.0, norm)
 
 
 def certified_xy_file(tmp_path):
@@ -1393,39 +1442,34 @@ def certified_xy_file(tmp_path):
     return pfile
 
 
-def square_xy_scan_witness():
-    """The first size of SQUARE_XY_NEGATIVE's scan: an entry and a witness."""
-    seed = np.random.SeedSequence(0).spawn(3)[0]
-    pl = xycvx.support_screen(
-        ncalg.parse_poly((DATA / "square_xy_poly.txt").read_text()))
-    return cli._xy_scan_size(pl, cli.AnalysisConfig(samples=30, scale=0.9),
-                             1, seed)
-
-
 @pytest.mark.parametrize("scan", ["raises", "finds-a-witness"])
 def test_xy_certified_input_runs_no_scan(tmp_path, monkeypatch, scan):
-    """A verified certificate exits 0 before the middle-matrix scan, so
-    neither a broken scan nor a witness from one can touch the verdict."""
-    def broken(*args):
-        raise AssertionError("the scan ran on a certified input")
+    """A verified certificate exits 0 before any refutation, so neither a
+    broken witness construction nor a witness from one can touch the
+    verdict."""
+    def broken(*args, **kwargs):
+        raise AssertionError("a refutation ran on a certified input")
 
-    chunk = square_xy_scan_witness()
-    assert chunk[1] is not None
-    monkeypatch.setattr(cli, "_xy_scan_size", broken if scan == "raises"
-                        else lambda *args: chunk)
+    pl = xycvx.support_screen(
+        ncalg.parse_poly((DATA / "square_xy_poly.txt").read_text()))
+    wit = xycvx.pinned_witness(pl)
+    assert wit is not None
+    for name in ("middle_matrix_psd_scan", "dual_witness", "pinned_witness"):
+        monkeypatch.setattr(xycvx, name, broken if scan == "raises"
+                            else lambda *args, **kwargs: wit)
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2",
-        "--samples", "8"])
+        "xy", str(certified_xy_file(tmp_path)), "--samples", "8"])
     res = rep["results"]
     assert code == EXIT_OK
     assert res["verdict"] == "certified"
     assert res["gram"]["status"] == "feasible"
-    assert "middle_matrix_scan" not in res
+    assert not {"middle_matrix_scan", "dual_witness", "pinned_witness",
+                "pair_witness"} & set(res)
 
 
 def test_xy_square_poly_reports_gram_and_pair(tmp_path, capsys):
-    """The pinned Gram leaves no certificate, and the scan then finds the
-    witness that the pair completes; stderr stays empty."""
+    """The pinned Gram leaves no certificate, and its witness on the level
+    ray completes to the pair; stderr stays empty."""
     code, rep = run_out(tmp_path, "xy.json", SQUARE_XY_NEGATIVE)
     res = rep["results"]
     assert code == EXIT_NEGATIVE
@@ -1436,9 +1480,10 @@ def test_xy_square_poly_reports_gram_and_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [matkit.SingularError,
                                    np.linalg.LinAlgError])
-def test_xy_gram_breakdown_still_scans(tmp_path, monkeypatch, error):
+def test_xy_gram_breakdown_takes_the_level_ray(tmp_path, monkeypatch,
+                                               error):
     """A numerical breakdown in the Gram stage is its reason for not
-    certifying; the scan still runs and its re-checked pair exits 1."""
+    certifying; the level ray still runs and its re-checked pair exits 1."""
     def broken(p, tol):
         raise error("factorization failed")
 
@@ -1448,6 +1493,8 @@ def test_xy_gram_breakdown_still_scans(tmp_path, monkeypatch, error):
     assert code == EXIT_NEGATIVE
     assert res["gram_breakdown"] == (
         "numerical breakdown: %s: factorization failed" % error.__name__)
+    assert "gram" not in res
+    assert res["pinned_witness"]["lambda_min"] < 0
     assert res["pair_witness"]["defect_value"] < 0
 
 
@@ -1475,35 +1522,37 @@ def _gram_breaks_down(p, tol):
 def test_xy_uncertified_without_witness_is_inconclusive(
         tmp_path, monkeypatch, capsys, patch, reason):
     """A certificate that fails to assemble or to verify, or a Gram stage
-    that breaks down, sends p on to the scan; with no witness there, xy
-    exits 3 with one stderr line, the Gram stage's reason."""
+    that breaks down, sends p on to the level ray; on this certified
+    polynomial no level is negative, so xy exits 3 with one stderr line,
+    the Gram stage's reason."""
     monkeypatch.setattr(xycvx, *patch)
-    monkeypatch.setattr(cli, "_xy_scan_size", no_witness)
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(certified_xy_file(tmp_path)), "--sizes", "1,2"])
+        "xy", str(certified_xy_file(tmp_path))])
     err = capsys.readouterr().err
     assert code == EXIT_INCONCLUSIVE
     assert rep["results"]["verdict"] == "inconclusive"
-    assert "middle_matrix_scan" in rep["results"]
-    assert err == "inconclusive: %s, and the middle-matrix scan found no " \
-        "witness\n" % reason
+    assert not {"middle_matrix_scan", "pinned_witness",
+                "pair_witness"} & set(rep["results"])
+    assert err == "inconclusive: %s, and the level ray found no witness\n" \
+        % reason
 
 
-@pytest.mark.parametrize("flag", [["--region", "dom"], ["--tol-inv", "1e-9"]])
+@pytest.mark.parametrize("flag", [["--region", "dom"], ["--tol-inv", "1e-9"],
+                                  ["--sizes", "1"], ["--scale", "1"]])
 def test_xy_takes_only_the_flags_it_reads(tmp_path, capsys, flag):
-    """--region and --tol-inv are partial's: xy refuses them (exit 2), and
-    each report's config lists the flags of its own command."""
+    """--region, --tol-inv, --sizes and --scale are partial's: xy refuses
+    them (exit 2), and each report's config lists the flags of its own
+    command."""
     with pytest.raises(SystemExit) as ei:
         cli.main(["xy", str(DATA / "square_xy_poly.txt")] + flag)
     assert ei.value.code == EXIT_INPUT
     assert "unrecognized arguments" in capsys.readouterr().err
-    shared = ["samples", "scale", "seed", "sizes", "tol_psd"]
+    shared = ["samples", "seed", "tol_psd"]
     for argv, keys in (
             (["xy", str(DATA / "square_xy_poly.txt")], shared),
-            (["partial", str(DATA / "xax_poly.txt")] + flag,
-             sorted(shared + ["region", "tol_inv"]))):
-        _, rep = run_out(tmp_path, "r.json", argv + ["--sizes", "1",
-                                                     "--samples", "2"])
+            (["partial", str(DATA / "xax_poly.txt"), "--sizes", "1"] + flag,
+             sorted(shared + ["region", "scale", "sizes", "tol_inv"]))):
+        _, rep = run_out(tmp_path, "r.json", argv + ["--samples", "2"])
         assert sorted(rep["config"]) == keys
 
 
@@ -1513,8 +1562,8 @@ def test_xy_loads_no_scipy(tmp_path):
     pfile.write_text(ncalg.format_poly(p))
     code = ("import sys\n"
             "import ncconvex.cli\n"
-            "rc = ncconvex.cli.main(['xy', %r, '--sizes', '1', '--samples',"
-            " '4', '--out', %r])\n"
+            "rc = ncconvex.cli.main(['xy', %r, '--samples', '4', '--out',"
+            " %r])\n"
             "assert rc == 0, rc\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             % (str(pfile), str(tmp_path / "xy.json")))
@@ -1527,7 +1576,7 @@ def test_xy_off_support_rejected(tmp_path):
     pfile = tmp_path / "x2y2.txt"
     pfile.write_text("vars a: | x: x y\n1 * x x y y\n1 * y y x x\n")
     code, rep = run_out(tmp_path, "xy.json", [
-        "xy", str(pfile), "--sizes", "1", "--samples", "2"])
+        "xy", str(pfile), "--samples", "2"])
     assert code == EXIT_NEGATIVE
     scr = rep["results"]["screen"]
     assert not scr["accepted"]
@@ -1777,8 +1826,7 @@ def test_emit_report_writes_one_compact_sorted_line(tmp_path, capsys):
 @pytest.mark.parametrize("argv, to_file", [
     (["partial", str(DATA / "xax_poly.txt"), "--sizes", "1",
       "--samples", "2"], False),
-    (["xy", str(DATA / "square_xy_poly.txt"), "--sizes", "1",
-      "--samples", "2"], False),
+    (["xy", str(DATA / "square_xy_poly.txt"), "--samples", "2"], False),
     (["eval", str(DATA / "intro_poly.txt"), str(DATA / "intro_tuple.json")],
      True),
     (["reproduce", "intro-eval"], True),

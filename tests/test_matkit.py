@@ -139,6 +139,23 @@ def test_max_min_eig_is_deterministic():
     assert np.array_equal(a.Z, b.Z)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_max_min_eig_is_scale_equivariant_at_1e200(seed):
+    # the solve runs on F0 / max(1, max|F0|): at 1e200 F0 an unscaled
+    # Newton Hessian, about mu tr(F^-1 A F^-1 A), would be near 1e-200
+    rng = np.random.default_rng(seed)
+    F0 = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    F0 = F0 / np.abs(F0).max()
+    E = pair_directions(4, [(0, 1), (0, 2), (1, 3)])
+    s = 1e200
+    unit, big = max_min_eig(F0, E), max_min_eig(s * F0, E)
+    assert big.t == pytest.approx(s * unit.t, rel=1e-12)
+    np.testing.assert_allclose(big.theta, s * unit.theta, rtol=1e-10,
+                               atol=1e-12 * s)
+    assert big.gap == pytest.approx(s * unit.gap, rel=1e-10)
+    np.testing.assert_allclose(big.Z, unit.Z, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # blockwise Kronecker product and the embedding identity
 

@@ -315,8 +315,46 @@ def test_pinned_witness_finds_nothing_on_a_certified_poly(seed):
     assert xycvx.pinned_witness(support_screen(p)) is None
 
 
+# dual-certified rejects whose Z has a zero diagonal entry (index into
+# (L_x, L_y, L_yx, L_xy)); "dead-column" has c_xx = 0, so the solve never
+# frees L_x's entries
+DUAL_CORNERS = {
+    "zero-y-diagonal": ({"xx": 1.0, "yy": 1.0, "xyyx": 1.0, "yxxy": 1.0,
+                         "xyxy": 1.0, "yxyx": 1.0, "xxy": 1.0, "yxx": 1.0,
+                         "xyx": -2.0}, 1, -1.0),
+    "zero-x-diagonal": ({"xx": 1.0, "yy": 1.0, "xyyx": 1.0, "yxxy": 1.0,
+                         "xyxy": 1.0, "yxyx": 1.0, "yyx": 1.0, "xyy": 1.0,
+                         "yxy": -2.0}, 0, -1.0),
+    "dead-column": ({"yy": 1.0, "xyyx": 1.0, "yxxy": 1.0, "yyx": 0.9,
+                     "xyy": 0.9, "xyxy": 0.9, "yxyx": 0.9, "yxy": -1.8},
+                    0, -0.8),
+}
+
+
+@pytest.mark.parametrize("coeffs, zero, dual", DUAL_CORNERS.values(),
+                         ids=DUAL_CORNERS.keys())
+def test_dual_witness_reads_the_dual_value_off_z(coeffs, zero, dual):
+    p = support_screen(from_coeffs(coeffs))
+    gram = gram_complete_certificate(p)
+    assert gram.status == "not-certifiable"
+    assert gram.dual_value == pytest.approx(dual, abs=1e-9)
+    assert gram.Z[zero, zero].real <= 1e-12
+    wit = xycvx.dual_witness(p, gram.Z)
+    assert not wit.delta1.any() and not wit.beta1.any()
+    for blk in (wit.delta0, wit.beta2):
+        assert np.array_equal(blk, blk.conj().T)
+    # b* M b at the witness's blocks is the dual value
+    M = middle_matrix(p, wit.beta1, wit.beta2, wit.delta0, wit.delta1)
+    value = float(np.vdot(wit.vector, M.matrix @ wit.vector).real)
+    assert value == pytest.approx(wit.lambda_min, abs=1e-12)
+    assert value == pytest.approx(gram.dual_value, abs=1e-9)
+    pair = mxy_witness_pair(p, wit)
+    assert pair.recheck() is None
+    assert pair.value == pytest.approx(gram.dual_value, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
-# the block scan and the stacked verification against per-sample loops
+# the scan and the stacked verification against per-sample loops
 
 def reference_herm(n, scale, rng):
     """One Gaussian Hermitian draw: real part, then imaginary part, then
@@ -397,42 +435,14 @@ def level_sampler(rng, nm):
             reference_rect(n1, n2, level, rng), b2)
 
 
-def block_position(k):
-    """Where sample k of a size falls in the blocks 1, 2, 4, ..."""
-    start, size = 0, 1
-    while k >= start + size:
-        start, size = start + size, 2 * size
-    if size == 1:
-        return "single"
-    return {start: "first", start + size - 1: "last"}.get(k, "middle")
-
-
 # Mxy is PSD exactly when I + 1.3 delta0 and I + 1.3 beta2 are; the
 # witness comes at a random sample
 LINEAR_COEFFS = {"xx": 1.0, "yy": 1.0, "xyx": 1.3, "yxy": 1.3}
 
 
-def doubling_blocks(samples, k):
-    """Block sizes 1, 2, 4, ... of a scan of samples that stops at sample
-    k (None: no stop)."""
-    out, done = [], 0
-    while done < samples and (k is None or done <= k):
-        out.append(min(2 ** len(out), samples - done))
-        done += out[-1]
-    return out
-
-
 @pytest.mark.parametrize("use_sampler", [False, True])
-def test_block_scan_matches_per_sample_loop(use_sampler, monkeypatch):
+def test_block_scan_matches_per_sample_loop(use_sampler):
     sampler = level_sampler if use_sampler else None
-    stacks = []
-    build = xycvx.middle_matrix
-
-    def counted(p, beta1, beta2, delta0, delta1):
-        stacks.append(delta0.shape[0])
-        return build(p, beta1, beta2, delta0, delta1)
-
-    monkeypatch.setattr(xycvx, "middle_matrix", counted)
     polys = [support_screen(from_coeffs(LINEAR_COEFFS)), a4_poly(),
              support_screen(synthesize_certified(np.random.default_rng(5),
                                                  N=2)[0])]
@@ -445,16 +455,14 @@ def test_block_scan_matches_per_sample_loop(use_sampler, monkeypatch):
                     rng2 = np.random.default_rng(seed)
                     k, want = reference_scan(p, (nm,), 30, rng1, scale,
                                              sampler)
-                    stacks.clear()
                     got = middle_matrix_psd_scan(p, sizes=(nm,), samples=30,
                                                  rng=rng2, scale=scale,
                                                  sampler=sampler)
                     assert rng1.bit_generator.state \
                         == rng2.bit_generator.state
-                    assert stacks == doubling_blocks(30, k)
                     assert got.is_witness == want.is_witness
                     if want.is_witness:
-                        seen.add(block_position(k))
+                        seen.add("first" if k == 0 else "later")
                         for f in ("delta0", "delta1", "beta1", "beta2",
                                   "vector"):
                             assert np.array_equal(getattr(got, f),
@@ -463,7 +471,7 @@ def test_block_scan_matches_per_sample_loop(use_sampler, monkeypatch):
                     else:
                         seen.add("none")
                         assert got == want
-    assert {"first", "middle", "last", "none"} <= seen
+    assert {"first", "later", "none"} <= seen
 
 
 def test_block_scan_over_several_sizes_matches_per_sample_loop():
