@@ -237,9 +237,9 @@ class PolyRegion(realize.RegionKind):
         return min(payload[1][0], 0.0) if self.k else 0.0
 
     def empty_proof(self, scale):
-        """None when w(0) = R_T(0, 0) passes psd_mask at tol (the draws come
-        arbitrarily close to the origin), else dom_plus_empty of
-        pb.realization."""
+        """None when w(0) = R_T(0, 0) passes psd_mask at tol (the origin is
+        then a point of the plus kinds at every size), else dom_plus_empty
+        of pb.realization."""
         if self.pb.psd_at_zero(self.tol):
             return None
         return realize.dom_plus_empty(self.pb.realization, scale, self.tol)

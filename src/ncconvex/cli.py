@@ -344,8 +344,10 @@ def _hessian_scan_size(region, cfg, size, seed, proof):
     On dom-plus and kebab-plus there is no witness to search for: the
     x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
     wherever R_T is, and the x-slices of the region are LMI domains.  The
-    size is certified from one region point, the first Hessian probe of
-    convexity_verdict; a Hessian that fails psd_mask there can only come
+    size is certified from one region point (partialcvx.first_probe): the
+    origin when the region's test accepts it, and the entry then says
+    so ("point": "origin"), else the first Hessian probe of
+    convexity_verdict.  A Hessian that fails psd_mask there can only come
     from rounding, and the size is then inconclusive.  With proof, the
     region's empty_proof, the size is empty with that proof and draws
     nothing.  The other kinds run the sampled Hessian and midpoint
@@ -359,9 +361,11 @@ def _hessian_scan_size(region, cfg, size, seed, proof):
                                        cfg.scale)
         if probe is None:
             return {"size": size, "empty": True}
-        ev, rt_low = probe
+        ev, rt_low, origin = probe
         out = {"size": size, "empty": False, "samples": 1,
                "min_lambda": float(ev[0]), "rt_lambda_min": rt_low}
+        if origin:
+            out["point"] = "origin"
         if matkit.psd_mask(ev, cfg.tol_psd):
             out["reason"] = PLUS_REASON
         else:
@@ -590,6 +594,10 @@ def cmd_partial(args):
 # ---------------------------------------------------------------------------
 # xy convexity
 
+# the most pairs the certificate's sampled check draws (--samples)
+XY_CHECK_PAIRS = 25
+
+
 def _xy_certify(pl, cfg, results):
     """Stage 1 of xy: the Gram certificate p = pencil + Lambda* Lambda,
     assembled and verified on pairs drawn from --seed, each step's
@@ -616,7 +624,8 @@ def _xy_certify(pl, cfg, results):
     except xycvx.AssemblyError as exc:
         results["assembly_error"] = str(exc)
         return "the certificate assembly failed: %s" % exc, None
-    verify = xycvx.verify_certificate(pl, cert, samples=min(cfg.samples, 25),
+    verify = xycvx.verify_certificate(pl, cert,
+                                      samples=min(cfg.samples, XY_CHECK_PAIRS),
                                       rng=np.random.default_rng(cfg.seed))
     results["certificate"] = xycvx.certificate_to_json(cert)
     results["verification"] = {
@@ -750,10 +759,9 @@ def cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_config_flags(sub):
+def _add_config_flags(sub, samples_help):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=30,
-                     help="samples per size")
+    sub.add_argument("--samples", type=int, default=30, help=samples_help)
     sub.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-8)
     # accepted as 1 only (config_from_args), so that command lines that
     # still pass it keep working
@@ -781,7 +789,7 @@ def build_parser():
     s = subs.add_parser("partial",
                         help="convexity in the designated letters")
     s.add_argument("input", help="polynomial text or realization JSON")
-    _add_config_flags(s)
+    _add_config_flags(s, "samples per size")
     s.add_argument("--sizes", default="1,2,3",
                    help="comma separated matrix sizes")
     s.add_argument("--scale", type=float, default=0.6,
@@ -793,7 +801,8 @@ def build_parser():
 
     s = subs.add_parser("xy", help="convexity in x and y separately")
     s.add_argument("poly", help="bivariate polynomial text file")
-    _add_config_flags(s)
+    _add_config_flags(s, "pairs on which the certificate is checked "
+                      "(at most %d)" % XY_CHECK_PAIRS)
     s.set_defaults(fn=cmd_xy)
 
     s = subs.add_parser("reproduce", help="rerun a pinned example study")

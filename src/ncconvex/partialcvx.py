@@ -21,8 +21,10 @@ matkit.sample_blocks call and one region.test call per block, that
 leaves the generator where a loop of per-draw sample_tuple calls would,
 so every draw and verdict is the per-sample loop's.  The scans draw one
 probe at a time (region_probes): a point, then its directions or
-midpoint partner; on the plus kinds partial checks one point per size
-(first_probe).  An accepted point comes with the payload its region's
+midpoint partner.  On the plus kinds partial checks one point per size
+(first_probe): the origin when the region's test accepts it, so an
+input convex at zero draws no region point, else the first region
+probe.  An accepted point comes with the payload its region's
 test handed on, and the scans ask the region for what they evaluate
 there (its hessian, values and rt_lambda_min).  A realize.Region hands
 on the pencil's inverse W (one batched LU per block), from which the
@@ -179,18 +181,33 @@ def region_probes(region, n, samples, rng, scale, extra=()):
 
 
 def first_probe(region, n, samples, rng, scale):
-    """The x-Hessian's eigenvalues and the region's rt_lambda_min at the
-    first Hessian probe convexity_verdict draws at size n: the first of
-    samples region probes, with its g directions H at scale 1.  None when
-    every probe misses the region; the generator ends after the probe's
-    draws."""
-    probe = next(region_probes(region, n, samples, rng, scale,
-                               (1.0,) * region.g), None)
-    if probe is None:
-        return None
+    """(eigenvalues, rt_lambda_min, origin) of the plus kinds' one Hessian
+    check at size n: the x-Hessian's eigenvalues and the region's
+    rt_lambda_min at one region point, in g directions H at scale 1, and
+    whether that point is the origin.
+
+    The origin (0_n for every letter) comes first, judged by the region's
+    own test: on dom+ and kebab+ it is in exactly when R_T(0, 0) passes
+    psd_mask (w(0) for a polynomial butterfly, J11 for a realization),
+    and then it is the point and H are the generator's first draws.
+    Otherwise the point is the first of samples region probes
+    (region_probes), followed by its H, as convexity_verdict draws them.
+    None when every probe misses the region; the generator ends after the
+    draws of H."""
+    g, zero = region.g, np.zeros((n, n), dtype=complex)
+    origin = HermTuple(n, (zero,) * region.h, (zero,) * g, validate=False)
+    inside, payloads = region.test_points([origin])
+    if inside[0]:
+        probe = (origin, _herm_stack(n, [(n, n, True)] * g, 1.0, rng, 1)[0],
+                 payloads[0])
+    else:
+        probe = next(region_probes(region, n, samples, rng, scale,
+                                   (1.0,) * g), None)
+        if probe is None:
+            return None
     t, H, payload = probe
     return (np.linalg.eigvalsh(region.hessian(t, H, payload)),
-            float(region.rt_lambda_min(t, payload)))
+            float(region.rt_lambda_min(t, payload)), bool(inside[0]))
 
 
 def convexity_verdict(region, sizes=(1, 2, 3), samples=30, rng=None,

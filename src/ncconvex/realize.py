@@ -398,9 +398,10 @@ def dom_plus_empty(R, scale, tol=TOL_PSD):
     lambda_min(R_T) <= lambda_bound = ((a + B) - sqrt((B - a)^2 + 4 c^2))
     / 2 (a at c = 0).  The proof holds when that is below
     -tol max(1, B).  None when
-    R_T(0, 0) = J11 passes psd_mask (the draws come arbitrarily close to
-    the origin, so no bound can hold), when R has no ConstantDirection,
-    or when the bound is too weak, as at a large scale.
+    R_T(0, 0) = J11 passes psd_mask (the origin is then a point of the
+    region at every size, so no bound can hold), when R has no
+    ConstantDirection, or when the bound is too weak, as at a large
+    scale.
     """
     if R.psd_at_zero(tol):
         return None

@@ -930,11 +930,24 @@ def recorded_chunks(monkeypatch):
     return seen
 
 
+def independent_hessian(R, t, H):
+    """The Hessian's lambda_min and spectral norm and R_T's eigenvalues at t
+    in the directions H, from an inverse of the pencil and sums of
+    Kronecker products."""
+    n = t.n
+    res = np.linalg.inv(R.pencil(t))
+    L = sum(np.kron(T, Hi) for T, Hi in zip(R.T, H))
+    LRc = L @ res @ np.kron(R.c.reshape(-1, 1), np.eye(n))
+    hess = matkit.herm(2 * LRc.conj().T @ res @ LRc)
+    V = np.kron(R.frame.V_T, np.eye(n))
+    rt = matkit.herm(V.conj().T @ res @ V)
+    return (float(np.linalg.eigvalsh(hess)[0]), float(np.linalg.norm(hess, 2)),
+            np.linalg.eigvalsh(rt) if rt.size else np.zeros(1))
+
+
 def independent_first_probe(R, region, size, samples, scale, rng):
-    """The Hessian's and R_T's lambda_min at the first Hessian probe of the
-    per-sample loop, from an inverse of the pencil and sums of Kronecker
-    products, and the point; None when all samples points miss the
-    region."""
+    """independent_hessian at the first Hessian probe of the per-sample
+    loop, and the point; None when all samples points miss the region."""
     for _ in range(samples):
         hit = partialcvx._sample_in_region(region, size, scale, rng)
         if hit is not None:
@@ -943,61 +956,128 @@ def independent_first_probe(R, region, size, samples, scale, rng):
         return None
     t = hit[0]
     H = [matkit.sample_herm(size, 1.0, rng) for _ in range(R.g)]
-    res = np.linalg.inv(R.pencil(t))
-    L = sum(np.kron(T, Hi) for T, Hi in zip(R.T, H))
-    LRc = L @ res @ np.kron(R.c.reshape(-1, 1), np.eye(size))
-    hess = matkit.herm(2 * LRc.conj().T @ res @ LRc)
-    V = np.kron(R.frame.V_T, np.eye(size))
-    rt = matkit.herm(V.conj().T @ res @ V)
-    return (float(np.linalg.eigvalsh(hess)[0]), float(np.linalg.norm(hess, 2)),
-            np.linalg.eigvalsh(rt) if rt.size else np.zeros(1), t)
+    return independent_hessian(R, t, H) + (t,)
 
 
-@pytest.mark.parametrize("workload", ["partial-reject", "partial-accept"])
+def analysed(region):
+    """The function a region was built from: a PolyButterfly or a
+    Realization, both with psd_at_zero."""
+    return getattr(region, "pb", None) or region.R
+
+
+def no_draws_where_the_origin_is_in(monkeypatch):
+    """Make _sample_in_region raise on a plus-kind region whose R_T(0, 0)
+    passes psd_mask: such a size is certified at the origin."""
+    sample = partialcvx._sample_in_region
+
+    def guarded(region, *args, **kwargs):
+        if region.kind.endswith("plus") \
+                and analysed(region).psd_at_zero(region.tol):
+            raise AssertionError("a region point was drawn on %s, whose "
+                                 "origin is in" % region.kind)
+        return sample(region, *args, **kwargs)
+
+    monkeypatch.setattr(partialcvx, "_sample_in_region", guarded)
+
+
+# w(0) = -0.1 (a polynomial butterfly) and J11 = -1 (1/(-1 - 2a - 2x)):
+# the origin is outside dom+, which holds sampled points at both sizes
+ORIGIN_OUTSIDE = {
+    "x_a_x_minus_tenth_x_x.txt": "vars a: a | x: x\n1 * x a x\n-0.1 * x x\n",
+    "minus_one_minus_2a_2x.json": json.dumps(
+        {"J": [[[-1, 0]]], "S": [[[[2, 0]]]], "T": [[[[2, 0]]]],
+         "c": [[1, 0]]}),
+}
+
+
+def plus_scan_argvs(workload, tmp_path):
+    """The partial command lines of a perfbench workload, or of
+    ORIGIN_OUTSIDE's inputs."""
+    if workload != "origin-outside":
+        import corpus
+        return [item.argv for item in corpus.build(workload, 1, tmp_path,
+                                                   DATA)]
+    argvs = []
+    for name, text in ORIGIN_OUTSIDE.items():
+        (tmp_path / name).write_text(text)
+        argvs.append(["partial", str(tmp_path / name), "--sizes", "1,2",
+                      "--samples", "4", "--seed", "1"])
+    return argvs
+
+
+# sizes certified at the origin, sampled and empty, per workload: x4 and
+# the deep inputs are proved empty; xax, the thin inputs and the sums of
+# squares have w(0) PSD
+PLUS_SIZE_COUNTS = {
+    "partial-reject": {"origin": 19, "sampled": 0, "empty": 6},
+    "partial-accept": {"origin": 50, "sampled": 0, "empty": 0},
+    "origin-outside": {"origin": 0, "sampled": 4, "empty": 0},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLUS_SIZE_COUNTS))
 def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
-    """On dom+ each size is one region point: empty exactly when
-    convexity_verdict on the pencils finds no point in the same budget,
-    and otherwise the Hessian lambda_min of that verdict's first probe,
-    which an independent resolvent formula reproduces.  On a butterfly
-    (a PolyRegion) rt_lambda_min is min(lambda_min(w(A)), 0),
-    which has R_T's sign but not its value: it is checked exactly
-    against w(A) at the point, and in sign against the pencil's R_T.
-    The proof each size was given is dom_plus_empty's on the pencils."""
+    """On dom+ each size is one region point.  Where R_T(0, 0) passes
+    psd_mask the point is the origin: the size draws no region point, its
+    entry says "point": "origin", and its Hessian lambda_min is the
+    independent resolvent formula's at the origin, in the directions H
+    that are the size's seed's first draws.  Elsewhere the size is empty
+    exactly when convexity_verdict on the pencils finds no point in the
+    same budget, and otherwise carries the Hessian lambda_min of that
+    verdict's first probe, which the formula reproduces.  On a butterfly
+    (a PolyRegion) rt_lambda_min is min(lambda_min(w(A)), 0), which has
+    R_T's sign but not its value: it is checked exactly against w(A) at
+    the point, and in sign against the pencil's R_T.  The proof each size
+    was given is dom_plus_empty's on the pencils."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import corpus
     seen = recorded_chunks(monkeypatch)
-    for item in corpus.build(workload, 1, tmp_path, DATA):
-        assert cli.main(item.argv + ["--out", str(tmp_path / "p.json")]) \
-            in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
-    assert len(seen) >= 25
-    empties = 0
+    argvs = plus_scan_argvs(workload, tmp_path)
+    no_draws_where_the_origin_is_in(monkeypatch)
+    for argv in argvs:
+        assert cli.main(argv + ["--out", str(tmp_path / "p.json")]) \
+            in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), argv
+    found = {"origin": 0, "sampled": 0, "empty": 0}
     for (scanned, cfg, size, seed, proof), chunk in seen:
         assert type(scanned) in (realize.Region, butterfly.PolyRegion)
         pb = getattr(scanned, "pb", None)
         R = scanned.R if pb is None else pb.realization
         region = cli.make_region(cfg.region, R, cfg)
         assert region.kind == "dom-plus"
-        try:
-            partialcvx.convexity_verdict(
-                region, sizes=(size,), samples=cfg.samples,
-                rng=np.random.default_rng(seed), tol=cfg.tol_psd,
-                scale=cfg.scale, midpoint_pairs=0)
-            ref_empty = False
-        except partialcvx.RegionEmpty:
-            ref_empty = True
-        assert chunk["empty"] == ref_empty
-        ind = independent_first_probe(R, region, size, cfg.samples,
-                                      cfg.scale, np.random.default_rng(seed))
-        assert (ind is None) == ref_empty
-        if ref_empty:
-            empties += 1
-            # a proved size carries its proof; a sampled one nothing more
-            proved = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
-            assert (proof is None) == (proved is None)
-            assert set(chunk) == {"size", "empty"} | (
-                set() if proved is None else {"proof"})
-            continue
-        assert set(chunk) == PLUS_KEYS
+        rng = np.random.default_rng(seed)
+        if analysed(scanned).psd_at_zero(cfg.tol_psd):
+            found["origin"] += 1
+            assert proof is None
+            assert set(chunk) == PLUS_KEYS | {"point"}
+            assert chunk["point"] == "origin"
+            zero = np.zeros((size, size), dtype=complex)
+            t = ncalg.HermTuple(size, (zero,) * R.h, (zero,) * R.g,
+                                validate=False)
+            H = [matkit.sample_herm(size, 1.0, rng) for _ in range(R.g)]
+            ind = independent_hessian(R, t, H) + (t,)
+        else:
+            try:
+                partialcvx.convexity_verdict(
+                    region, sizes=(size,), samples=cfg.samples,
+                    rng=np.random.default_rng(seed), tol=cfg.tol_psd,
+                    scale=cfg.scale, midpoint_pairs=0)
+                ref_empty = False
+            except partialcvx.RegionEmpty:
+                ref_empty = True
+            assert chunk["empty"] == ref_empty
+            ind = independent_first_probe(R, region, size, cfg.samples,
+                                          cfg.scale, rng)
+            assert (ind is None) == ref_empty
+            if ref_empty:
+                found["empty"] += 1
+                # a proved size carries its proof; a sampled one nothing
+                # more
+                proved = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+                assert (proof is None) == (proved is None)
+                assert set(chunk) == {"size", "empty"} | (
+                    set() if proved is None else {"proof"})
+                continue
+            found["sampled"] += 1
+            assert set(chunk) == PLUS_KEYS
         assert chunk["samples"] == 1
         assert chunk["reason"] == cli.PLUS_REASON
         low, norm, rt_ev, t = ind
@@ -1011,8 +1091,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         w_ev = np.linalg.eigvalsh(ncalg.eval_poly(pb.w, t))
         assert chunk["rt_lambda_min"] == min(w_ev[0], 0.0)
         assert matkit.psd_mask(w_ev, cfg.tol_psd)
-    # x4 and the deep inputs find no dom+ point
-    assert empties == (6 if workload == "partial-reject" else 0)
+    assert found == PLUS_SIZE_COUNTS[workload]
 
 
 def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
@@ -1037,29 +1116,40 @@ def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
         assert chunk == {"size": size, "empty": True}
 
 
+# w = 1 + a: w(0) is PD, so each size's point is the origin; w = a - 0.1:
+# the origin is outside, so each size's point is drawn
+ROUNDING_INPUTS = (("vars a: a | x: x\n1 * x x\n1 * x a x\n", True),
+                   (ORIGIN_OUTSIDE["x_a_x_minus_tenth_x_x.txt"], False))
+
+
 @pytest.mark.parametrize("region", ["default", "kebab-plus"])
 def test_plus_rounding_is_inconclusive(tmp_path, monkeypatch, capsys,
                                        region):
     """A Hessian that is not PSD at the region point contradicts the
-    theorem, so it is rounding: exit 3 with the reason, never exit 1."""
+    theorem, so it is rounding: exit 3 with the reason, never exit 1, at
+    the origin as at a sampled point."""
     hessian = butterfly.PolyRegion.hessian
     monkeypatch.setattr(butterfly.PolyRegion, "hessian",
                         lambda *args: -hessian(*args))
-    code, rep = run_out(tmp_path, "p.json", [
-        "partial", str(DATA / "xax_poly.txt"), "--sizes", "1,2",
-        "--samples", "4", "--seed", "1", "--region", region])
-    err = capsys.readouterr().err
-    assert code == EXIT_INCONCLUSIVE
-    assert "Traceback" not in err
-    chunks = [c for c in rep["results"]["hessian_scan"]["per_size"]
-              if not c["empty"]]
-    assert chunks
-    for chunk in chunks:
-        assert "witness" not in chunk and "reason" not in chunk
-        assert chunk["min_lambda"] < 0
-        assert "this is rounding" in chunk["inconclusive"]
-        assert "inconclusive: size %d: %s" % (
-            chunk["size"], chunk["inconclusive"]) in err
+    path = tmp_path / "p.txt"
+    for text, origin in ROUNDING_INPUTS:
+        path.write_text(text)
+        code, rep = run_out(tmp_path, "p.json", [
+            "partial", str(path), "--sizes", "1,2", "--samples", "4",
+            "--seed", "1", "--region", region])
+        err = capsys.readouterr().err
+        assert code == EXIT_INCONCLUSIVE
+        assert "Traceback" not in err
+        chunks = rep["results"]["hessian_scan"]["per_size"]
+        assert len(chunks) == 2
+        for chunk in chunks:
+            assert not chunk["empty"]
+            assert chunk.get("point") == ("origin" if origin else None)
+            assert "witness" not in chunk and "reason" not in chunk
+            assert chunk["min_lambda"] < 0
+            assert "this is rounding" in chunk["inconclusive"]
+            assert "inconclusive: size %d: %s" % (
+                chunk["size"], chunk["inconclusive"]) in err
 
 
 def test_hessian_witness_h_has_a_canonical_phase(tmp_path, monkeypatch):
@@ -1096,7 +1186,8 @@ CONVEX_X = "vars a: a | x: x\n1 * x x\n1 * x a a x\n"
                                     "kebab-plus"])
 def test_partial_scan_keys_by_region(tmp_path, region):
     """dom, kebab and ball:R run the sampled Hessian and midpoint scan;
-    the plus kinds report one region point and the theorem."""
+    the plus kinds report one region point, here the origin, and the
+    theorem."""
     path = tmp_path / "convex.txt"
     path.write_text(CONVEX_X)
     code, rep = run_out(tmp_path, "p.json", [
@@ -1106,7 +1197,9 @@ def test_partial_scan_keys_by_region(tmp_path, region):
     for chunk in rep["results"]["hessian_scan"]["per_size"]:
         assert not chunk["empty"]
         if region.endswith("plus"):
-            assert set(chunk) == PLUS_KEYS
+            # w(0) = 1 is PD: the size's point is the origin
+            assert set(chunk) == PLUS_KEYS | {"point"}
+            assert chunk["point"] == "origin"
         else:
             assert chunk["samples"] == 5
             assert chunk["midpoint_pairs"] > 0
@@ -1259,6 +1352,34 @@ def test_xy_dual_certified_rejects_exit_negative(tmp_path_factory, seed,
 
 # ---------------------------------------------------------------------------
 # xy
+
+def help_text(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_xy_help_names_samples_the_certificate_check_pairs(tmp_path,
+                                                            capsys):
+    """xy has no sizes: --samples is the number of pairs the certificate
+    is checked on, at most XY_CHECK_PAIRS, as the report's sampled_pairs
+    shows; partial's --samples stays per size."""
+    assert cli.XY_CHECK_PAIRS == 25
+    text = help_text("xy", capsys)
+    assert "--samples SAMPLES pairs on which the certificate is checked " \
+        "(at most 25)" in text
+    assert "size" not in text
+    assert "--samples SAMPLES samples per size" in help_text("partial",
+                                                             capsys)
+    path = tmp_path / "xx_yy.txt"
+    path.write_text("vars a: | x: x y\n1 * x x\n1 * y y\n")
+    for samples, pairs in ((3, 3), (30, 25)):
+        code, rep = run_out(tmp_path, "xy.json", [
+            "xy", str(path), "--samples", str(samples)])
+        assert code == EXIT_OK
+        assert rep["results"]["verification"]["sampled_pairs"] == pairs
+
 
 def test_xy_square_poly_pair_witness_reverifies(tmp_path):
     code, rep = run_out(tmp_path, "xy.json", [

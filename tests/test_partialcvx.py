@@ -5,13 +5,15 @@ evaluation; both closed forms must match it, and the localizing-matrix
 criterion must call convexity the same way the sampled Hessian does.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_minimal_smr, rand_smr
-from ncconvex import matkit, ncalg, partialcvx, realize
+from ncconvex import butterfly, matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 from ncconvex.partialcvx import (
     ConvexEvidence,
@@ -466,6 +468,47 @@ def test_block_sampler_with_no_letters(kind):
     assert (t.n, t.A, t.X) == (2, (), ())
     assert np.array_equal(W, np.eye(2))
     assert rng.bit_generator.state == state
+
+
+# w(0) = 0, 1, -1, -0.1 and -1e-9: at tol 1e-8 the last passes
+ORIGIN_POLYS = ("vars a: a | x: x\n1 * x a x\n",
+                "vars a: a | x: x\n1 * x x\n1 * x a x\n",
+                "vars a: a | x: x\n1 * x a x\n-1 * x x\n",
+                "vars a: a | x: x\n1 * x a x\n-0.1 * x x\n",
+                "vars a: a | x: x\n1 * x a x\n-1e-9 * x x\n")
+
+
+def origin_regions(kind, tol):
+    """(region, analysed function) pairs: the PolyRegions of
+    ORIGIN_POLYS, and the Regions of their realizations, of x4's and of
+    seeded minimal realizations."""
+    out = []
+    for text in ORIGIN_POLYS:
+        pb = butterfly.poly_butterfly(ncalg.parse_poly(text))
+        out.append((butterfly.PolyRegion(pb, kind, tol), pb))
+        out.append((Region(pb.realization, kind, tol), pb.realization))
+    x4 = (Path(ncalg.__file__).parent / "data" / "x4_poly.txt").read_text()
+    reals = [linearize_poly(ncalg.parse_poly(x4))]
+    rng = np.random.default_rng(5)
+    reals += [rand_minimal_smr(rng, e=int(rng.integers(2, 6)), h=1, g=1)
+              for _ in range(12)]
+    return out + [(Region(R, kind, tol), R) for R in reals]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("kind", ["dom-plus", "kebab-plus"])
+def test_plus_regions_hold_the_origin_exactly_when_psd_at_zero(kind, tol):
+    """On the plus kinds, region.test accepts the zero stack at n = 1..3
+    exactly when R_T(0, 0) passes psd_mask: psd_at_zero(tol), of the
+    butterfly (w(0)) or of the realization (J11).  Both answers occur."""
+    answers = set()
+    for region, f in origin_regions(kind, tol):
+        want = f.psd_at_zero(tol)
+        answers.add(want)
+        for n in (1, 2, 3):
+            zero = np.zeros((1, region.h + region.g, n, n), dtype=complex)
+            assert bool(region.test(zero)[0][0]) == want
+    assert answers == {True, False}
 
 
 def reference_hessian(R, t, H, factors):
