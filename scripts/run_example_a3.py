@@ -11,27 +11,15 @@ import json
 
 import numpy as np
 
-from ncconvex import examples, matkit
+from ncconvex import examples
 
 
 def sweep(levels, trials, seed):
-    p = examples.square_poly_two_class()
-    rows = []
-    for lvl in levels:
-        rng = np.random.default_rng(seed)
-        found = None
-        for k in range(trials):
-            Y = matkit.sample_herm(2, 1.0, rng)
-            Y = Y * (lvl / float(np.linalg.norm(Y, 2)))
-            mid = examples.sample_in_ball(2, examples.NORM_BOUND, rng)
-            H = matkit.sample_herm(2, 1.0, rng)
-            gap = examples.midpoint_gap_in_x(p, Y, mid + H, mid - H)
-            lam = float(np.linalg.eigvalsh(gap)[0])
-            if lam < -1e-10:
-                found = (k + 1, lam)
-                break
-        rows.append((lvl, found))
-    return rows
+    """examples.widened_region_witness at each Y-norm level, each from a
+    fresh generator at seed."""
+    return [(lvl, examples.widened_region_witness(
+        np.random.default_rng(seed), y_norm=lvl, max_trials=trials, tol=1e-10))
+        for lvl in levels]
 
 
 def main():
@@ -47,10 +35,11 @@ def main():
     print("Y-norm sweep (size 2, midpoint gap in x):")
     levels = [0.50, 0.55, examples.NORM_BOUND, 0.60, 0.65, 0.75]
     for lvl, found in sweep(levels, args.trials, args.seed):
-        if found is None:
+        if not found["found"]:
             print(f"  ||Y|| = {lvl:.4f}: no violation in {args.trials} trials")
         else:
-            print(f"  ||Y|| = {lvl:.4f}: violation at trial {found[0]}, gap {found[1]:.6e}")
+            print(f"  ||Y|| = {lvl:.4f}: violation at trial {found['trials']}, "
+                  f"gap {found['lambda_min']:.6e}")
 
 
 if __name__ == "__main__":

@@ -403,10 +403,10 @@ def _localizing_scan(f, cfg, rng):
 
     The points are the region_probes of f's dom region, judged by its
     rt_lambda_min, and partialcvx.sharpness_witness builds the witness
-    from the payload: for a butterfly from w(A), checked on p, with no
-    pencil, draw or realization (a missed check is recorded as
-    check_failure); for a realization from the R_T of the pencil inverse,
-    with companions drawn right after the point from the same dom
+    from the payload, with no draw: for a butterfly from w(A), checked on
+    p, with no pencil or realization (a missed check is recorded as
+    check_failure); for a realization from the R_T of the pencil inverse
+    and the shift companion on its reach words, tested in the same dom
     (span_failure, outside_dom).  With k = 0 no point can be indefinite,
     and the scan draws nothing."""
     region = make_region("dom", f, cfg)
@@ -421,7 +421,7 @@ def _localizing_scan(f, cfg, rng):
             if not region.rt_lambda_min(t, W) < -1e-3:
                 continue
             try:
-                wit = partialcvx.sharpness_witness(region, t, W, rng)
+                wit = partialcvx.sharpness_witness(region, t, W)
             except partialcvx.WitnessCheckFailure as exc:
                 entry["check_failure"] = str(exc)
                 continue

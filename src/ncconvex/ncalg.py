@@ -288,9 +288,11 @@ def check_herm(M, what="matrix"):
 class HermTuple:
     """Evaluation point: lists of n x n matrices for the two classes.
 
-    Entries are validated to be Hermitian (relative tolerance TOL_HERM)
-    unless validate=False; the opt-out exists because plain polynomial
-    evaluation is well defined at arbitrary square matrices.
+    The constructor checks nothing.  HermTuple.make checks the shapes and,
+    unless validate=False, that every entry is Hermitian (relative
+    tolerance TOL_HERM); the opt-out exists because plain polynomial
+    evaluation is well defined at arbitrary square matrices.  The field
+    records the choice, and Realization.zero_x carries it on.
     """
 
     n: int

@@ -8,12 +8,13 @@ with R the resolvent; positivity of the compressed resolvent R_T governs
 convexity in x.  This module computes the Hessian two ways, samples
 convexity verdicts over regions, and when R_T is indefinite at a point it
 assembles a dispersed-variable witness: a doubled point, an antidiagonal
-direction and a vector h with h* r_xx h < 0.  On a realization it is
-built from a span-saturation probe over direct sums (negativity_witness,
-which draws companions and factors pencils); on a polynomial with a
-butterfly p = fbar + ell* w ell, from w(A)'s negative eigenvector and a
-companion point fixed by ell, and checked on p (middle_matrix_witness,
-which draws nothing and uses no realization).
+direction and a vector h with h* r_xx h < 0.  Neither witness draws.  On
+a realization the companion is the shift companion on the reach words of
+J c, at the largest scale 2^-j in dom (negativity_witness, which factors
+the doubled point's pencil to check itself); on a polynomial with a
+butterfly p = fbar + ell* w ell, w(A)'s negative eigenvector and the
+shift companion on the a-words of ell (middle_matrix_witness, which
+uses no realization and is checked on p).
 
 Region points come from a block rejection sampler (_sample_in_region):
 a matkit.block_search of up to MAX_ATTEMPTS draws, with one
@@ -27,8 +28,8 @@ input convex at zero draws no region point, else the first region
 probe.  An accepted point comes with the payload its region's
 test handed on, and the scans ask the region for what they evaluate
 there (its hessian, values and rt_lambda_min).  A realize.Region hands
-on the pencil's inverse W (one batched LU per block), from which the
-span probe and negativity_witness's R_T evaluate as well.  A
+on the pencil's inverse W (one batched LU per block), from which
+negativity_witness's R_T and companion columns evaluate as well.  A
 butterfly.PolyRegion, the region of every polynomial with a butterfly,
 hands on w(A) and its eigenvalues, for middle_matrix_witness; the
 localizing scan hands its payload to sharpness_witness, which picks.
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import matkit, realize
 from .ncalg import HermTuple, eval_poly
-from .matkit import TOL_PSD, sample_herm
+from .matkit import TOL_PSD
 from .realize import Region, eval_realization, r_T, resolvent
 
 # entries per sampled block of the matrices a region judges, B (dim n)^2
@@ -57,7 +58,9 @@ class RegionEmpty(ValueError):
 
 
 class SpanFailure(ValueError):
-    """Span saturation did not reach ran T (x) C^m within the round cap."""
+    """A realization's companion fell short: its reach words span fewer
+    than e states, its columns do not reach ran T (x) C^m, or the witness
+    missed its check."""
 
     def __init__(self, achieved, target):
         self.achieved = achieved
@@ -169,8 +172,6 @@ def region_probes(region, n, samples, rng, scale, extra=()):
     (len(extra), n, n) and the payload the region's test handed on.  A
     probe whose draws all miss the region draws nothing more and yields
     nothing.
-    Between two probes the caller may draw from rng itself: the next
-    probe draws after it.
     """
     parts = [(n, n, True)] * len(extra)
     for _ in range(samples):
@@ -261,35 +262,7 @@ def convexity_verdict(region, sizes=(1, 2, 3), samples=30, rng=None,
 
 
 # ---------------------------------------------------------------------------
-# span saturation over direct sums (the dispersed-variable machinery)
-
-@dataclass(frozen=True)
-class SpanData:
-    """Accumulated direct-sum probe: point (A1, X1), direction H, mixer w.
-
-    cols (em x M) are the columns (I (x) w)(sum T_i (x) H_i) R(A1, X1)
-    (c (x) I) in e m coordinates, each probe's block from its own pencil
-    inverse; they span achieved_dim directions of ran T (x) C^m
-    (coordinates via V_T).
-    """
-
-    A1: tuple
-    X1: tuple
-    H: tuple
-    w: np.ndarray
-    cols: np.ndarray
-    achieved_dim: int
-    target_dim: int
-    rounds: int
-
-    @property
-    def M(self):
-        return self.cols.shape[1]
-
-    @property
-    def saturated(self):
-        return self.achieved_dim >= self.target_dim
-
+# the sharpness witness of a realization, at a shift companion
 
 def _dirsum(blocks):
     out = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=complex)
@@ -301,50 +274,17 @@ def _dirsum(blocks):
     return out
 
 
-def span_probe(R, m, rng=None, region=None):
-    """Direct-sum probes until the span fills ran T (x) C^m.
-
-    Each probe is a point of region (default dom r) drawn at scale 0.5,
-    MAX_ATTEMPTS attempts at most.  Probe sizes start at 1 (the
-    scalar-point hypothesis) and cycle through 1, 1, 2, 3; the round cap
-    is 20 k m.
-    Partial spans are returned, not raised.  A probe's columns are
-    (I (x) z)(sum T_i (x) H_i) W (c (x) I) from its pencil inverse W, with
-    I (x) z applied blockwise through a reshape.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    region = Region(R) if region is None else region
-    k = R.frame.k
-    target = k * m
-    cap = 20 * k * m
-    kept = []  # (point, H, z, columns) of each probe that grew the span
-    acc = np.zeros((target, 0), dtype=complex)
-    rank = rounds = 0
-    Vm = R.frame.lift(m)
-    while rank < target and rounds < cap:
-        rounds += 1
-        n = (1, 1, 2, 3)[(rounds - 1) % 4]
-        hit = _sample_in_region(region, n, 0.5, rng)
-        if hit is None:
-            continue
-        t, W = hit
-        H = tuple(sample_herm(n, 1.0, rng) for _ in range(R.g))
-        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        LWc = R.x_sum(H, n) @ (W @ R.c_lift(n))
-        cols = (z @ LWc.reshape(R.e, n, n)).reshape(R.e * m, n)
-        Q = realize._orth(np.hstack([acc, Vm.conj().T @ cols]),
-                          realize.RTOL_RANK)
-        if Q.shape[1] > rank:
-            acc, rank = Q, Q.shape[1]
-            kept.append((t, H, z, cols))
-    A1 = tuple(_dirsum([t.A[j] for t, *_ in kept]) for j in range(R.h))
-    X1 = tuple(_dirsum([t.X[j] for t, *_ in kept]) for j in range(R.g))
-    Hd = tuple(_dirsum([H[j] for _, H, *_ in kept]) for j in range(R.g))
-    w = np.hstack([np.zeros((m, 0), dtype=complex)]
-                  + [z for _, _, z, _ in kept])
-    cols = np.hstack([np.zeros((R.e * m, 0), dtype=complex)]
-                     + [c for *_, c in kept])
-    return SpanData(A1, X1, Hd, w, cols, rank, target, rounds)
+def _shift_companion(words, letters):
+    """The stack (letters, M, M) of A'_l = S_l + S_l^T on a suffix-closed
+    set of M words, the empty word first: S_l e_u = e_(l u) where l u is
+    a word of the set, so A'_w e_() is e_w plus terms on shorter words."""
+    at = {u: i for i, u in enumerate(words)}
+    S = np.zeros((letters, len(words), len(words)))
+    for u, i in at.items():
+        for l in range(letters):
+            if (l,) + u in at:
+                S[l, at[(l,) + u], i] = 1.0
+    return S + S.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -359,49 +299,74 @@ class ConvexityWitness:
     bad_lambda: float
 
 
-def negativity_witness(R, bad, rng=None, region=None, rt=None):
-    """Witness h* r_xx h < 0 from a point where R_T is indefinite.
+def negativity_witness(R, bad, region=None, rt=None):
+    """Witness h* r_xx h = 2 lambda_min(R_T(bad)) < 0 at a point bad where
+    R_T is indefinite, at a companion built, not drawn.
 
     bad must satisfy lambda_min(R_T(bad)) < -1e-6; rt is R_T at bad, if
-    at hand (r_T from its pencil inverse).  The witness doubles bad
-    with a span-saturating companion (A1, X1), takes the direction
-    H_i = [[0, K_i*], [K_i, 0]] with K_i = w H_i^{probe}, and h supported
-    on the companion block solving span.cols v = V_T-coordinates of the
-    negative eigenvector, so the companion's pencil is never factored.
-    region is the dom Region the companions are drawn from (default dom
-    r); its tol_inv decides the pencils at bad (without rt) and at the
-    doubled point, whose Hessian is the witness's own check.
+    at hand (r_T from its pencil inverse), and xi its unit negative
+    eigenvector (matkit.unit_phase), read as a k x m matrix Xi.  R has
+    J^2 = I, so at a point Y (its matrices Y_l, a-letters first) the
+    pencil inverse is (I - N)^-1 (J (x) I) with N = sum N_l (x) Y_l,
+    N_l = J Z_l (Z_l: S, then T), and W (c (x) e_()) is
+    sum_w N_w J c (x) Y_w e_().  The reach words of J c
+    (realize._reach_words) are e words whose states N_w J c span C^e,
+    and on them the shift companion A' (_shift_companion) has
+    A'_w e_() = e_w plus terms on shorter words, so at a small scale the
+    e x e matrix U of W (c (x) e_()) has full rank.  Y = 2^-j A' at the
+    largest scale (j < 53) whose point passes region's test, U comes
+    from the inverse W that test handed on, and one lstsq solves
+    sum_i T_i U K_i^T = V_T Xi.  At the doubled point (Y (+) bad), in the
+    direction H_i = [[0, K_i*], [K_i, 0]] and with h = e_() (+) 0,
+    (sum T_i (x) H_i) W (c (x) I) h = 0 (+) (V_T (x) I) xi, so
+    h* r_xx h = 2 xi* R_T(bad) xi.  That value is the witness's own
+    check, a Hessian at the doubled point, the one pencil this factors.
+    SpanFailure when the reach words are fewer than e, the solve's
+    residual exceeds 1e-6 or the check is not negative; NotInDomain when
+    no scale passes or the doubled pencil is singular at region's
+    tol_inv.  region is the dom Region (default dom r), whose tol_inv also
+    decides the pencil at bad without rt.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     region = Region(R) if region is None else region
-    m = bad.n
+    m, e, k = bad.n, R.e, R.frame.k
     lam, vecs = np.linalg.eigh(r_T(R, bad, region.tol_inv)
                                if rt is None else rt)
     if not len(lam) or lam[0] >= -1e-6:
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
     xi = vecs[:, 0] * matkit.unit_phase(vecs[:, 0])
-    span = span_probe(R, m, rng, region)
-    if not span.saturated:
-        raise SpanFailure(span.achieved_dim, span.target_dim)
-    M = span.M
-    K = tuple(span.w @ Hi for Hi in span.H)  # m x M each
-    targetv = R.frame.lift(m) @ xi  # a unit vector: V_T is an isometry
-    v, *_ = np.linalg.lstsq(span.cols, targetv, rcond=None)
-    if np.linalg.norm(span.cols @ v - targetv) > 1e-6:
-        raise SpanFailure(span.achieved_dim, span.target_dim)
+    words = realize._reach_words(R.letters[0], R.J @ R.c)
+    if len(words) < e:
+        raise SpanFailure(len(words), e)
+    A1 = _shift_companion(words, R.h + R.g)
+    for j in range(53):
+        Y = 2.0 ** -j * A1
+        inside, W = region.test(Y[None])
+        if inside[0]:
+            break
+    else:
+        raise realize.NotInDomain(
+            "the companion's pencil is numerically singular at tol_inv=%g "
+            "at every scale 2^-j, j < 53" % region.tol_inv)
+    U = (W[0][:, ::e] @ R.c).reshape(e, e)
+    G = np.hstack([T @ U for T in R.T])
+    target = R.frame.V_T @ xi.reshape(k, m)
+    Kt, _, rank, _ = np.linalg.lstsq(G, target, rcond=None)
+    if np.linalg.norm(G @ Kt - target) > 1e-6:
+        raise SpanFailure(rank, k)
 
-    A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(span.A1, bad.A))
-    X = tuple(_dirsum([x1, x2]) for x1, x2 in zip(span.X1, bad.X))
-    H = tuple(np.block([[np.zeros((M, M)), Ki.conj().T],
-                        [Ki, np.zeros((m, m))]]) for Ki in K)
-    point = HermTuple(M + m, A, X, validate=False)
-    h = np.concatenate([v, np.zeros(m, dtype=complex)])
-    h = h / np.linalg.norm(h)
+    A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(Y[:R.h], bad.A))
+    X = tuple(_dirsum([x1, x2]) for x1, x2 in zip(Y[R.h:], bad.X))
+    H = tuple(np.block([[np.zeros((e, e)), Ki.conj()],
+                        [Ki.T, np.zeros((m, m))]])
+              for Ki in np.split(Kt, R.g))
+    point = HermTuple(e + m, A, X, validate=False)
+    h = np.zeros(e + m, dtype=complex)
+    h[0] = 1.0
     val = partial_hessian(R, point, H, region.tol_inv)
-    quad = float(np.real(h.conj() @ val @ h))
+    quad = float(np.real(val[0, 0]))
     if quad >= 0:
-        raise SpanFailure(span.achieved_dim, span.target_dim)
+        raise SpanFailure(rank, k)
     return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))
 
 
@@ -417,18 +382,12 @@ def _companion(border, h):
     v(A') e_() (M x k, in border order).
 
     Sigma is the suffix-closed set of their a-words v, the empty word
-    first (M = |Sigma|), and A'_l = S_l + S_l^T with S_l e_u = e_(l u)
-    where l u is in Sigma, so v(A') e_() is e_v plus terms on shorter
-    words: the columns of one x-letter's words are independent."""
+    first (M = |Sigma|), and A' its _shift_companion, so v(A') e_() is
+    e_v plus terms on shorter words: the columns of one x-letter's words
+    are independent."""
     sigma = sorted({b[i:] for b in border for i in range(1, len(b) + 1)},
                    key=lambda u: (len(u), u))
-    at = {u: i for i, u in enumerate(sigma)}
-    S = np.zeros((h, len(sigma), len(sigma)))
-    for u, i in at.items():
-        for l in range(h):
-            if (l,) + u in at:
-                S[l, at[(l,) + u], i] = 1.0
-    A1 = S + S.swapaxes(1, 2)
+    A1 = _shift_companion(sigma, h)
     cols = np.zeros((len(sigma), len(border)))
     for c, b in enumerate(border):
         y = np.eye(len(sigma))[0]
@@ -488,14 +447,14 @@ def middle_matrix_witness(pb, bad, w):
     return ConvexityWitness(point, H, h, quad, -quad, float(lam[0]))
 
 
-def sharpness_witness(region, bad, payload, rng):
+def sharpness_witness(region, bad, payload):
     """The sharpness witness at a point bad of the dom region where R_T is
     indefinite, from the payload region's test handed on there: on a
     realize.Region negativity_witness, with R_T from the pencil inverse
-    and companions drawn from rng in that region; on a
-    butterfly.PolyRegion middle_matrix_witness, from w(A)."""
+    and its companion tested in that region; on a butterfly.PolyRegion
+    middle_matrix_witness, from w(A).  Neither draws."""
     if isinstance(region, Region):
-        return negativity_witness(region.R, bad, rng=rng, region=region,
+        return negativity_witness(region.R, bad, region=region,
                                   rt=r_T(region.R, bad, factors=payload))
     return middle_matrix_witness(region.pb, bad, payload[0])
 

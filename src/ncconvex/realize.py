@@ -144,7 +144,8 @@ class Realization:
         """(N, nilpotent, norms): the letters N_l = J Z_l (S, then T) as a
         stack (L, e, e), whether they are jointly nilpotent, and then
         their spectral norms (else None); tested on first use, once for
-        polynomial_of and _constant_direction."""
+        polynomial_of, _constant_direction and the reach words of
+        partialcvx.negativity_witness."""
         N = np.reshape([self.J @ Z for Z in self.S + self.T],
                        (self.h + self.g, self.e, self.e))
         if len(N) and not _jointly_nilpotent(N, _krylov_cut(N)):
@@ -746,6 +747,31 @@ def _krylov_pairs(mats, v, pmats, u):
             "Krylov columns span %d of %d states; the representation is "
             "not minimal" % (C.shape[1], d))
     return C, D
+
+
+def _reach_words(mats, v):
+    """The words w of independent states M_w v, built breadth first as in
+    _krylov_pairs: each level's candidates are M_l q for every letter l
+    and every state q the previous level kept, with the word l w, and it
+    keeps those that _pivoted_gs takes with the cut of _krylov_cut; each
+    kept state is normalized before it is extended.  So the words are
+    suffix-closed, the empty word first (when v is not 0); fewer than
+    len(v) of them when the Krylov closure of v is a proper subspace."""
+    d = len(v)
+    nv = np.linalg.norm(v)
+    if not nv:
+        return []
+    cut = _krylov_cut(mats)
+    Q = np.zeros((d, 0), dtype=complex)
+    cand, cand_words, words = v[:, None] / nv, [()], []
+    while cand.shape[1] and Q.shape[1] < d:
+        Q, kept = _pivoted_gs(Q, cand, cut)
+        new = cand[:, kept] / np.linalg.norm(cand[:, kept], axis=0)
+        new_words = [cand_words[j] for j in kept]
+        words += new_words
+        cand = np.hstack([new[:, :0]] + [M @ new for M in mats])
+        cand_words = [(l,) + w for l in range(len(mats)) for w in new_words]
+    return words
 
 
 def _signature_realization(G, Gz, a, h, scale):

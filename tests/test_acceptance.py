@@ -114,7 +114,7 @@ def test_c03_domplus_psd_and_negativity_witness():
                 break
         if bad is None:
             continue
-        wit = partialcvx.negativity_witness(R, bad, rng=rng)
+        wit = partialcvx.negativity_witness(R, bad)
         assert wit.value < 0
         quad = float(np.real(wit.h.conj() @ partialcvx.partial_hessian(
             R, wit.point, wit.direction) @ wit.h))

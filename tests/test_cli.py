@@ -549,13 +549,38 @@ def test_partial_tol_inv_decides_every_pencil(tmp_path, capsys, sign):
 
 @pytest.mark.parametrize("seed", [4, 6, 10])
 def test_sharpness_witness_outside_dom_is_a_reason(tmp_path, capsys, seed):
-    """1 / (1 - 2a - 2x) at --tol-inv 0.3: the doubled point of a
-    sharpness witness can fall outside dom although its blocks lie in
-    it.  The localizing scan records that and goes on; it used to exit 4
-    with NotInDomain."""
+    """1 / (1 - 2a - 2x) at --tol-inv 0.3: e = 1, so the companion is the
+    one-word shift companion, 0, whose pencil is J = 1, and the doubled
+    point's pencil adds only the eigenvalue 1 to the bad point's.  At
+    these seeds the first indefinite point gives the witness, with no
+    outside_dom before it, and its value is 2 lambda_min(R_T)."""
     rfile = tmp_path / "r.json"
-    rfile.write_text(json.dumps({"J": [[[1, 0]]], "S": [[[[2, 0]]]],
-                                 "T": [[[[2, 0]]]], "c": [[1, 0]]}))
+    rfile.write_text(RESOLVENT_1)
+    code = cli.main(["partial", str(rfile), "--region", "dom",
+                     "--tol-inv", "0.3", "--scale", "0.8", "--sizes", "1,2,3",
+                     "--samples", "7", "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+    assert "internal error" not in out + err
+    scan = json.loads(out)["results"]["localizing_scan"]
+    assert set(scan) == {"checked", "sharpness_witness", "time_s"}
+    assert scan["sharpness_witness"]["quadratic_value"] == pytest.approx(
+        2 * scan["sharpness_witness"]["bad_lambda"], rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [4, 6, 10])
+def test_doubled_point_outside_dom_is_a_reason(tmp_path, capsys, seed):
+    """J = I, S = [[0, 1], [1, 0]], T = [[1, 1], [1, 0]], c = e_1 at
+    --tol-inv 0.3: the companion passes dom only at scale 1/4, where its
+    pencil has |eigenvalues| up to 1.40, and the doubled point's pencil
+    then falls outside dom although its blocks lie in it.  The localizing
+    scan records that as outside_dom and goes on: the NotInDomain does
+    not end the run."""
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({
+        "J": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "S": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
+        "T": [[[[1, 0], [1, 0]], [[1, 0], [0, 0]]]], "c": [[1, 0], [0, 0]]}))
     code = cli.main(["partial", str(rfile), "--region", "dom",
                      "--tol-inv", "0.3", "--scale", "0.8", "--sizes", "1,2,3",
                      "--samples", "7", "--seed", str(seed)])
@@ -613,8 +638,8 @@ def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
 def test_sharpness_witness_reads_no_pencil(tmp_path, monkeypatch):
     """On xax and thin0-17 (partial-reject at seed 1), the localizing scan
     judges w(A) and builds its sharpness witness from w(A) and p: no
-    region is tested on pencils, no R_T, resolvent or span probe is
-    computed, and no realization is built."""
+    region is tested on pencils, no R_T, resolvent or negativity witness
+    is computed, and no realization is built."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     calls = []
@@ -623,7 +648,6 @@ def test_sharpness_witness_reads_no_pencil(tmp_path, monkeypatch):
                         (partialcvx, "resolvent"),
                         (realize, "linearize_poly"),
                         (butterfly, "linearize_poly"),
-                        (partialcvx, "span_probe"),
                         (partialcvx, "negativity_witness")):
         def spy(*args, name=name, call=getattr(owner, name), **kw):
             calls.append(name)
@@ -652,16 +676,15 @@ def test_no_localizing_scan_where_the_region_is_proved_empty(
         tmp_path, monkeypatch):
     """x4 and deep0-4 (partial-reject, seed 1): dom+ is proved empty at
     every size, so the localizing scan has no PSD region to be sharp at
-    and draws nothing (no negativity_witness or span_probe call); at
+    and draws nothing (no negativity_witness call); at
     --region dom, where nothing is proved, x4 still scans."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     calls = []
-    for name in ("negativity_witness", "span_probe"):
-        def spy(*args, name=name, call=getattr(partialcvx, name), **kw):
-            calls.append(name)
-            return call(*args, **kw)
-        monkeypatch.setattr(partialcvx, name, spy)
+    def spy(*args, call=partialcvx.negativity_witness, **kw):
+        calls.append("negativity_witness")
+        return call(*args, **kw)
+    monkeypatch.setattr(partialcvx, "negativity_witness", spy)
     items = [item for item in corpus.build("partial-reject", 1, tmp_path,
                                            DATA)
              if item.name == "x4_poly.txt" or item.name.startswith("deep")]
@@ -1973,9 +1996,9 @@ def test_reports_deterministic_across_runs(tmp_path):
 
 def reference_localizing_scan(R, cfg, rng):
     """The localizing scan one dom draw at a time, up to MAX_ATTEMPTS per
-    probe, until the first sharpness witness; the witness draws its
-    companions from the scan's dom region.  Returns the report entry and
-    the number of draws dom rejected."""
+    probe, until the first sharpness witness; the witness tests its
+    companion in the scan's dom region and draws nothing.  Returns the
+    report entry and the number of draws dom rejected."""
     entry, rejected = {"checked": 0}, 0
     dom_region = cli.make_region("dom", R, cfg)
     for n in cfg.sizes:
@@ -1995,7 +2018,7 @@ def reference_localizing_scan(R, cfg, rng):
             if lam < -1e-3:
                 try:
                     wit = partialcvx.negativity_witness(
-                        R, t, rng=rng, region=dom_region)
+                        R, t, region=dom_region)
                 except partialcvx.SpanFailure as exc:
                     entry["span_failure"] = str(exc)
                     continue
@@ -2073,27 +2096,27 @@ def test_localizing_scan_matches_per_sample_loop(text, seed, tol_inv):
 
 def test_localizing_scan_tries_the_next_point_after_a_span_failure(
         monkeypatch):
-    """A span probe that falls short at the first indefinite point is
+    """Reach words that fall short at the first indefinite point are
     reported as span_failure, and the scan goes on to the next indefinite
     point, whose witness ends it, as in the per-sample loop."""
     R = realize.linearize_poly(ncalg.parse_poly(
         (DATA / "xax_poly.txt").read_text()))
     cfg = cli.AnalysisConfig(sizes=(2,), samples=25)
-    probe, spans = partialcvx.span_probe, []
+    reach, calls = realize._reach_words, []
 
     def short_first(*args):
-        span = probe(*args)
-        spans.append(span)
-        return replace(span, achieved_dim=0) if len(spans) == 1 else span
+        words = reach(*args)
+        calls.append(words)
+        return words[:-1] if len(calls) == 1 else words
 
-    monkeypatch.setattr(partialcvx, "span_probe", short_first)
+    monkeypatch.setattr(realize, "_reach_words", short_first)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     entry = cli._localizing_scan(R, cfg, rng)
-    spans.clear()
+    calls.clear()
     want, _ = reference_localizing_scan(R, cfg, ref_rng)
-    assert len(spans) == 2
-    assert entry["span_failure"] == "span dimension 0 of %d" \
-        % spans[0].target_dim
+    assert len(calls) == 2
+    assert entry["span_failure"] == "span dimension %d of %d" \
+        % (R.e - 1, R.e)
     assert entry["sharpness_witness"]["quadratic_value"] < 0
     assert json.dumps(entry, sort_keys=True) == json.dumps(want,
                                                            sort_keys=True)

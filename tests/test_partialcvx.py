@@ -24,7 +24,6 @@ from ncconvex.partialcvx import (
     negativity_witness,
     partial_hessian,
     partial_hessian_forms,
-    span_probe,
 )
 from ncconvex.realize import (
     Region,
@@ -130,7 +129,7 @@ def test_negativity_witness_on_xax():
             bad = t
             break
     assert bad is not None
-    wit = negativity_witness(R, bad, rng=rng)
+    wit = negativity_witness(R, bad)
     assert wit.value < 0
     assert wit.bad_lambda < -1e-3
     # re-verify the quadratic form from the stored data alone
@@ -149,7 +148,7 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
     bad = next(t for t in (matkit.sample_tuple(2, (1, 1), 0.6, rng)
                            for _ in range(200))
                if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
-    want = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    want = negativity_witness(R, bad)
     eigh = np.linalg.eigh
 
     def turned(M):
@@ -157,7 +156,7 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
         return lam, U * np.exp(1j * np.linspace(0.7, 2.9, U.shape[-1]))
 
     monkeypatch.setattr(np.linalg, "eigh", turned)
-    got = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    got = negativity_witness(R, bad)
     monkeypatch.undo()
     assert np.abs(got.h - want.h).max() <= 1e-12
     assert got.value == pytest.approx(want.value, rel=1e-12)
@@ -166,14 +165,15 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
 def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
     """With R_T at bad handed on, the one pencil inverse the witness
     takes is the doubled point's, in its own Hessian check: the
-    companion's columns come from the span probe."""
+    companion's W comes from region.test, so _inverse runs only at the
+    doubled point."""
     R = xax_realization()
     rng = np.random.default_rng(3)
     bad = next(t for t in (matkit.sample_tuple(2, (1, 1), 0.6, rng)
                            for _ in range(200))
                if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
     rt = r_T(R, bad, factors=realize.resolvent(R, bad))
-    want = negativity_witness(R, bad, rng=np.random.default_rng(4))
+    want = negativity_witness(R, bad)
     inverse, factored = realize._inverse, []
 
     def spy(R_, t, tol_inv, factors=None):
@@ -181,7 +181,7 @@ def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
         return inverse(R_, t, tol_inv, factors)
 
     monkeypatch.setattr(realize, "_inverse", spy)
-    got = negativity_witness(R, bad, rng=np.random.default_rng(4), rt=rt)
+    got = negativity_witness(R, bad, rt=rt)
     assert factored == [got.point.n]
     assert np.array_equal(got.h, want.h) and got.value == want.value
 
@@ -198,48 +198,71 @@ def test_negativity_witness_rejects_definite_points():
 
 
 # ---------------------------------------------------------------------------
-# span saturation
+# the companion of a realization's witness
 
-@settings(max_examples=10, deadline=None)
-@given(seed=seeds, m=st.integers(1, 2))
-def test_span_probe_saturates_on_minimal_smrs(seed, m):
-    rng = np.random.default_rng(seed)
-    R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    span = span_probe(R, m, rng=rng)
-    assert span.target_dim == R.frame.k * m
-    assert span.saturated
-
-
-def reference_span_cols(R, span, m):
-    """The companion arithmetic: the resolvent at the direct-sum point
-    (A1, X1), then sum_i kron(T_i, K_i) R(A1, X1) (c (x) I), K_i = w H_i."""
-    res = realize.resolvent(R, HermTuple(span.M, span.A1, span.X1,
-                                         validate=False))
-    G = np.zeros((R.e * m, span.M), dtype=complex)
-    for T, Hi in zip(R.T, span.H):
-        G += np.kron(T, span.w @ Hi) @ (res @ R.c_lift(span.M))
-    return G
+def indefinite_point(R, rng, sizes=(1, 2), scale=1.5, tries=200):
+    """A dom point of R where lambda_min(R_T) < -1e-3, at a size drawn
+    from sizes and c03's scale 1.5, or None."""
+    for _ in range(tries):
+        n = int(rng.choice(sizes))
+        t = matkit.sample_tuple(n, (R.h, R.g), scale, rng)
+        if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3:
+            return t
+    return None
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(5))
 def test_span_cols_match_the_companion_resolvent(seed, m):
+    """The witness's columns are the companion's resolvent arithmetic:
+    with the resolvent of the companion block (A1, X1) of the doubled
+    point, from a pencil factored here, and K_i the lower left block of
+    H_i, sum_i kron(T_i, K_i) R(A1, X1) (c (x) e_()) is (V_T (x) I) xi,
+    xi the unit negative eigenvector of R_T(bad) (unit_phase); the
+    companion has size e and h = e_() (+) 0."""
     rng = np.random.default_rng(seed)
     R = rand_minimal_smr(rng, e=4, h=1, g=2)
-    span = span_probe(R, m, rng=rng)
-    assert span.saturated and span.cols.shape == (R.e * m, span.M)
-    G = reference_span_cols(R, span, m)
-    assert np.linalg.norm(span.cols - G) <= 1e-12 * np.linalg.norm(G)
+    bad = indefinite_point(R, rng, sizes=(m,))
+    assert bad is not None
+    wit = negativity_witness(R, bad)
+    e = R.e
+    assert wit.point.n == e + m
+    assert np.array_equal(wit.h, np.eye(e + m)[0])
+    comp = HermTuple(e, tuple(A[:e, :e] for A in wit.point.A),
+                     tuple(X[:e, :e] for X in wit.point.X), validate=False)
+    res = realize.resolvent(R, comp)
+    G = sum(np.kron(T, Hi[e:, :e]) for T, Hi in zip(R.T, wit.direction))
+    got = G @ (res @ np.kron(R.c, np.eye(e)[0]))
+    lam, vecs = np.linalg.eigh(r_T(R, bad))
+    xi = vecs[:, 0] * matkit.unit_phase(vecs[:, 0])
+    want = R.frame.lift(m) @ xi
+    assert np.linalg.norm(got - want) <= 1e-9
+    assert wit.value == pytest.approx(2 * lam[0], rel=1e-9)
 
 
-def test_span_probe_direct_sum_shapes(rng):
-    R = xax_realization()
-    span = span_probe(R, 2, rng=rng)
-    assert span.saturated
-    M = span.M
-    for Hi in span.H:
-        assert Hi.shape == (M, M)
-    assert span.w.shape[0] == 2
+def test_negativity_witness_draws_nothing_on_minimal_smrs(monkeypatch):
+    """On 200 seeded minimal realizations with e <= 12 (h 0-2, g 1-2) and
+    a dom point of size 1 or 2 where R_T is indefinite, every witness is built without drawing a region point: its
+    value is 2 lambda_min(R_T) within 1e-8 max(1, |lambda_min|), at a
+    point of size e + m."""
+    def no_draw(*args, **kw):
+        raise AssertionError("the witness drew a region point")
+
+    cases, rng = 0, np.random.default_rng(3)
+    while cases < 200:
+        R = rand_minimal_smr(rng, e=int(rng.integers(2, 13)),
+                             h=int(rng.integers(0, 3)),
+                             g=int(rng.integers(1, 3)))
+        bad = indefinite_point(R, rng)
+        if bad is None:
+            continue
+        monkeypatch.setattr(partialcvx, "_sample_in_region", no_draw)
+        wit = negativity_witness(R, bad)
+        monkeypatch.undo()
+        cases += 1
+        lam = wit.bad_lambda
+        assert abs(wit.value - 2 * lam) <= 1e-8 * max(1.0, abs(lam))
+        assert wit.point.n == R.e + bad.n
 
 
 # ---------------------------------------------------------------------------
