@@ -163,11 +163,19 @@ class PolyButterfly:
     def k(self):
         return self.w.shape[0]
 
+    @cached_property
+    def _psd_at_zero(self):
+        """psd_at_zero's verdicts, by tol."""
+        return {}
+
     def psd_at_zero(self, tol=TOL_PSD):
         """Whether w(0), the constant coefficient of w, passes psd_mask at
-        tol (the convexity-near-zero indicator)."""
-        w0 = self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
-        return bool(is_psd(w0, tol).is_psd)
+        tol (the convexity-near-zero indicator), from one is_psd per tol."""
+        known = self._psd_at_zero
+        if tol not in known:
+            w0 = self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
+            known[tol] = bool(is_psd(w0, tol).is_psd)
+        return known[tol]
 
     @cached_property
     def realization(self):

@@ -11,6 +11,7 @@ by substitution:
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass, field
 
@@ -69,12 +70,16 @@ class VarContext:
             return self.a_names[i]
         return self.x_names[i - self.h]
 
+    @functools.cached_property
+    def _indices(self):
+        """{name: global index}, built once per context."""
+        return {nm: i for i, nm in enumerate(self.a_names + self.x_names)}
+
     def index_of(self, name):
-        if name in self.a_names:
-            return self.a_names.index(name)
-        if name in self.x_names:
-            return self.h + self.x_names.index(name)
-        raise ContextError("unknown letter %r" % name)
+        i = self._indices.get(name)
+        if i is None:
+            raise ContextError("unknown letter %r" % name)
+        return i
 
 
 def word_adjoint(w):
@@ -231,19 +236,20 @@ class FreePoly:
 
     @functools.cached_property
     def is_symmetric(self):
-        """coeff(w*) = coeff(w)^* for every word, up to 10 COEFF_DROP;
-        decided once per polynomial, which is immutable."""
-        tol = COEFF_DROP * 10
+        """coeff(w*) = coeff(w)^* for every word, up to 10 COEFF_DROP (a
+        missing word's coefficient is zero); decided once per polynomial,
+        which is immutable, by one comparison of the stacked coefficients
+        against those of the adjoint words."""
         if self.shape[0] != self.shape[1]:
             return False
-        for w, c in self.coeffs.items():
-            cstar = self.coeffs.get(word_adjoint(w))
-            if cstar is None:
-                if np.max(np.abs(c)) > tol:
-                    return False
-            elif np.max(np.abs(cstar - c.conj().T)) > tol:
-                return False
-        return True
+        if not self.coeffs:
+            return True
+        zero = np.zeros(self.shape, complex)
+        C = np.array(list(self.coeffs.values()))
+        Cstar = np.array([self.coeffs.get(word_adjoint(w), zero)
+                          for w in self.coeffs])
+        gap = np.abs(Cstar - C.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        return not (gap > COEFF_DROP * 10).any()
 
     def eval(self, t):
         return eval_poly(self, t)
@@ -371,7 +377,7 @@ def parse_complex(s):
         z = complex(s)
     except ValueError as exc:
         raise ValueError("bad complex literal %r" % s) from exc
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise ValueError("non-finite coefficient %r" % s)
     return z
 
@@ -388,7 +394,10 @@ def format_poly(p):
 
 
 def parse_poly(text):
-    """Inverse of format_poly; raises ValueError with the offending line."""
+    """Inverse of format_poly; raises ValueError with the offending line.
+
+    The terms of a word add up as complex numbers, from 0j, so a signed
+    zero comes out as +0; the coefficients are one stacked array."""
     ctx = None
     terms = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -430,9 +439,10 @@ def parse_poly(text):
             except ContextError as exc:
                 raise ValueError("line %d: %s" % (lineno, exc))
         terms[w] = terms.get(w, 0j) + coeff
-        if not np.isfinite(terms[w]):
+        if not cmath.isfinite(terms[w]):
             raise ValueError("line %d: coefficients of %r sum to a non-finite "
                              "value" % (lineno, word_s.strip()))
     if ctx is None:
         raise ValueError("no vars header found")
-    return FreePoly.from_terms(ctx, {w: np.array([[c]]) for w, c in terms.items()})
+    coeffs = np.array(list(terms.values()), dtype=complex).reshape(-1, 1, 1)
+    return FreePoly(ctx, dict(zip(terms, coeffs)))

@@ -20,12 +20,14 @@ Region points come from a block rejection sampler (_sample_in_region):
 a matkit.block_search of up to MAX_ATTEMPTS draws, with one
 matkit.sample_blocks call and one region.test call per block, that
 leaves the generator where a loop of per-draw sample_tuple calls would,
-so every draw and verdict is the per-sample loop's.  The scans draw one
-probe at a time (region_probes): a point, then its directions or
-midpoint partner.  On the plus kinds partial checks one point per size
-(first_probe): the origin when the region's test accepts it, so an
-input convex at zero draws no region point, else the first region
-probe.  An accepted point comes with the payload its region's
+so every draw and verdict is the per-sample loop's.  The scans draw
+region_probes: a point, then its directions or midpoint partner, one
+probe at a time, except that the localizing scan's points (no
+directions) come as one block per size, judged by one region.test, up
+to the first draw the region rejects.  On the plus kinds partial checks
+one point per size (first_probe): the origin when the region's test
+accepts it, so an input convex at zero draws no region point, else the
+first region probe.  An accepted point comes with the payload its region's
 test handed on, and the scans ask the region for what they evaluate
 there (its hessian, values and rt_lambda_min).  A realize.Region hands
 on the pencil's inverse W (one batched LU per block), from which
@@ -136,34 +138,77 @@ def _herm_stack(n, parts, scale, rng, size):
     return np.stack(matkit.sample_blocks(parts, scale, rng, size), axis=1)
 
 
+def _block_cap(region, n):
+    """The most draws of one sampled block at size n: BLOCK_ENTRIES over
+    the (dim n)^2 entries of each draw's matrix.  It changes only how the
+    draws are blocked, not which they are."""
+    return max(1, BLOCK_ENTRIES // max(1, region.dim * n) ** 2)
+
+
+def _point(mats, h):
+    """The HermTuple of one draw (h + g, n, n), built unvalidated (the
+    draws are Hermitian), so a draw of no letters gives the empty tuple
+    of size n."""
+    return HermTuple(mats.shape[-1], tuple(mats[:h]), tuple(mats[h:]),
+                     validate=False)
+
+
 def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
     """The first of max_attempts sample_tuple draws that lies in the
     region, with the payload its test handed on; None when none does.
 
-    A matkit.block_search, blocks capped by BLOCK_ENTRIES and skipped
-    with skip_blocks, so every draw and point is the per-draw loop's.
-    The point is built unvalidated (the draws are Hermitian), so a
-    realization with no letters gives the empty tuple of size n.  The
+    A matkit.block_search, blocks capped by _block_cap and skipped with
+    skip_blocks, so every draw and point is the per-draw loop's.  The
     region gives the letter counts h and g and dim, the size of its
-    matrices per unit of n; the cap changes only how the draws are
-    blocked, not which they are.
+    matrices per unit of n.
     """
-    h = region.h
-    parts = [(n, n, True)] * (h + region.g)
-    cap = max(1, BLOCK_ENTRIES // max(1, region.dim * n) ** 2)
+    parts = [(n, n, True)] * (region.h + region.g)
     hit = matkit.block_search(
         lambda B: _herm_stack(n, parts, scale, rng, B), region.test, rng,
-        max_attempts, cap=cap,
+        max_attempts, cap=_block_cap(region, n),
         skip=lambda B: matkit.skip_blocks(parts, scale, rng, B))
     if hit is None:
         return None
     mats, W, i = hit
-    return HermTuple(n, tuple(mats[i, :h]), tuple(mats[i, h:]),
-                     validate=False), W[i]
+    return _point(mats[i], region.h), W[i]
+
+
+def _leading_probes(region, n, samples, rng, scale):
+    """region_probes without extras, up to the first draw the region
+    rejects; returns how many of the samples probes are left.
+
+    The probes' first draws come as blocks of up to samples (capped by
+    _block_cap), each judged by one region.test.  rng is rewound to the
+    block's start and moved past the draws of the probes yielded, so it is
+    where the per-probe loop leaves it: at a rejected draw, which the
+    caller's _sample_in_region draws again, or at the probe after the last
+    one yielded when the consumer stops early (the generator's close).
+    """
+    parts = [(n, n, True)] * (region.h + region.g)
+    no_extra = np.zeros((0, n, n), dtype=complex)
+    while samples:
+        B = min(samples, _block_cap(region, n))
+        state = rng.bit_generator.state
+        mats = _herm_stack(n, parts, scale, rng, B)
+        inside, payloads = region.test(mats)
+        done = 0
+        try:
+            while done < B and inside[done]:
+                done += 1
+                yield _point(mats[done - 1], region.h), no_extra, \
+                    payloads[done - 1]
+        finally:
+            if done < B:
+                rng.bit_generator.state = state
+                matkit.skip_blocks(parts, scale, rng, done)
+        samples -= done
+        if done < B:
+            break
+    return samples
 
 
 def region_probes(region, n, samples, rng, scale, extra=()):
-    """samples region probes at size n, drawn one at a time.
+    """samples region probes at size n.
 
     A probe is the point of a _sample_in_region call (the first of
     MAX_ATTEMPTS draws at scale that lies in the region) followed by one
@@ -172,7 +217,16 @@ def region_probes(region, n, samples, rng, scale, extra=()):
     (len(extra), n, n) and the payload the region's test handed on.  A
     probe whose draws all miss the region draws nothing more and yields
     nothing.
+
+    Every draw, point, payload and rng state is the per-probe loop's.
+    Without extra (the localizing scan) the probes come from
+    _leading_probes, a block of first draws judged at once, until a draw
+    is rejected; the probes from there on, and every probe with extra (the
+    Hessian and midpoint scans, which stop at their first witness), are
+    drawn one at a time.
     """
+    if not extra:
+        samples = yield from _leading_probes(region, n, samples, rng, scale)
     parts = [(n, n, True)] * len(extra)
     for _ in range(samples):
         hit = _sample_in_region(region, n, scale, rng)

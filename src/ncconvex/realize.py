@@ -134,10 +134,18 @@ class Realization:
         """The dimension of ran T."""
         return self.frame.k
 
+    @cached_property
+    def _psd_at_zero(self):
+        """psd_at_zero's verdicts, by tol."""
+        return {}
+
     def psd_at_zero(self, tol=TOL_PSD):
         """Whether R_T(0, 0) = J11 passes psd_mask at tol (true when
-        k = 0)."""
-        return bool(matkit.is_psd(self.frame.J11, tol).is_psd)
+        k = 0), from one is_psd per tol."""
+        known = self._psd_at_zero
+        if tol not in known:
+            known[tol] = bool(matkit.is_psd(self.frame.J11, tol).is_psd)
+        return known[tol]
 
     @cached_property
     def letters(self):
@@ -637,17 +645,6 @@ def smr_linear_rep(R):
     Jinv = np.linalg.inv(R.J)
     mats = tuple(Z @ Jinv for Z in (R.S + R.T))
     return LinearRep(Jinv @ R.c, mats, R.c.copy())
-
-
-def _orth(B, rtol=RTOL_RANK):
-    """Orthonormal basis of the column space, SVD rank truncation."""
-    if B.size == 0:
-        return np.zeros((B.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    if len(s) == 0 or s[0] == 0:
-        return np.zeros((B.shape[0], 0), dtype=complex)
-    k = int(np.sum(s > rtol * s[0]))
-    return U[:, :k]
 
 
 def _krylov_cut(mats):

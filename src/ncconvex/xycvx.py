@@ -356,7 +356,8 @@ def pinned_witness(p, tol=TOL_PSD, levels=PINNED_LEVELS):
     xxy or yyx block, is a principal block of M(0); when
     |c_xyxy|^2 > c_xyyx c_yxxy, the determinant of the (0, 1) principal
     block is a quadratic in s with a negative leading coefficient; and a
-    pin on a dead column makes a diagonal entry linear in s.
+    pin beyond the PSD bound on a column of vanishing diagonal makes a
+    diagonal entry linear in s.
     """
     s = np.asarray(levels, dtype=complex).reshape(-1, 1, 1)
     z = np.zeros_like(s)
@@ -601,15 +602,19 @@ def _reduced_feasibility(p, tol):
         return "pinned-reject", float(-np.max(np.abs(diag.imag))), None, None
     if float(np.min(diag.real)) < -tol * scale:
         return "pinned-reject", float(np.min(diag.real)), None, None
-    alive = [i for i in range(4) if diag.real[i] > tol * scale]
-    dead = set(range(4)) - set(alive)
-    # pins hitting an eliminated (zero) column must themselves vanish
-    for (j, k), v in full.items():
-        if (j in dead or k in dead) and abs(v) > tol * scale:
-            return "pinned-reject", -abs(v), None, None
-    for (j, k), v in half.items():
-        if (j in dead or k in dead) and abs(v) / 2 > tol * scale:
-            return "pinned-reject", -abs(v) / 2, None, None
+    # a pin of modulus m (half the modulus of a half pin) on a column
+    # whose diagonal vanishes at tol scale must meet the PSD bound
+    # m^2 <= G_jj G_kk: its principal 2 x 2 block passes at tol scale
+    pins = [(j, k, abs(v)) for (j, k), v in full.items()] \
+        + [(j, k, abs(v) / 2) for (j, k), v in half.items()]
+    small = diag.real <= tol * scale
+    for j, k, m in pins:
+        if (small[j] or small[k]) and float(np.linalg.eigvalsh(
+                [[diag.real[j], m], [m, diag.real[k]]])[0]) < -tol * scale:
+            return "pinned-reject", -m, None, None
+    # a column is eliminated (zero) when its diagonal and its pins vanish
+    alive = [i for i in range(4) if not small[i] or any(
+        m > tol * scale for j, k, m in pins if i in (j, k))]
     # fully pinned principal 2 x 2 blocks are PSD-necessary
     pin_lam = 0.0
     for (j, k), v in full.items():

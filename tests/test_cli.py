@@ -2148,6 +2148,63 @@ def test_localizing_scan_tries_the_next_point_after_a_missed_check(
     assert first["checked"] < entry["checked"]
 
 
+def spy_region_tests(monkeypatch, cls):
+    """The number of points of each cls.test call, in order."""
+    calls, test = [], cls.test
+
+    def spy(self, mats):
+        calls.append(len(mats))
+        return test(self, mats)
+
+    monkeypatch.setattr(cls, "test", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "realization"])
+def test_localizing_scan_judges_each_size_as_one_block(monkeypatch, kind):
+    """Where dom takes every draw and no point is indefinite, the scan makes
+    one region.test call per size, of all its samples, and checks them all
+    (x x + x a a x has w = 1 (+) 1; 1/(1 - 2a - 2x) at scale 0.1 has
+    R_T > 0)."""
+    cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.1)
+    if kind == "polynomial":
+        f = butterfly.poly_butterfly(ncalg.parse_poly(
+            "vars a: a | x: x\n1 * x x\n1 * x a a x\n"))
+        cls = butterfly.PolyRegion
+    else:
+        f = realize.realization_from_json(json.loads(RESOLVENT_1))
+        cls = realize.Region
+        want, rejected = reference_localizing_scan(
+            f, cfg, ref_rng := np.random.default_rng(5))
+        assert rejected == 0
+    calls = spy_region_tests(monkeypatch, cls)
+    rng = np.random.default_rng(5)
+    assert cli._localizing_scan(f, cfg, rng) == {"checked": 21}
+    assert calls == [7, 7, 7]
+    if kind == "realization":
+        assert want == {"checked": 21}
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_localizing_scan_after_a_rejected_draw(monkeypatch, seed):
+    """At --tol-inv 0.3 dom rejects some of 1/(1 - 2a - 2x)'s draws: from
+    the first one on, the scan goes on one probe at a time, and it stays
+    the per-probe loop's, up to its witness and rng's state."""
+    R = realize.realization_from_json(json.loads(RESOLVENT_1))
+    cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
+                             tol_inv=0.3)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, rejected = reference_localizing_scan(R, cfg, ref_rng)
+    assert rejected > 0
+    calls = spy_region_tests(monkeypatch, realize.Region)
+    got = cli._localizing_scan(R, cfg, rng)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                         sort_keys=True)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert calls[0] == 7 and len(calls) > len(cfg.sizes)
+
+
 def test_parser_built_once(capsys):
     assert cli.build_parser() is cli.build_parser()
     for _ in range(2):

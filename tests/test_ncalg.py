@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_herm_tuple, rand_poly, rand_symmetric_poly
+from conftest import rand_herm_tuple, rand_poly, rand_symmetric_poly, rand_words
 from ncconvex import ncalg
 from ncconvex.ncalg import (
     ContextError,
@@ -287,3 +287,152 @@ def test_format_parse_round_trip(seed):
 def test_format_complex_round_trip_specials():
     for z in (0j, 1 + 0j, -17 + 0j, 0.5j, 1.25 - 3.5j, complex(1e-14, 1.0)):
         assert ncalg.parse_complex(ncalg.format_complex(z)) == pytest.approx(z)
+
+
+def reference_parse_poly(text):
+    """parse_poly term by term: each word's coefficient through numpy's
+    isfinite and FreePoly.from_terms, which adds it into np.zeros."""
+    ctx, terms = None, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vars"):
+            try:
+                a_names, x_names = (), ()
+                for seg in line[len("vars"):].split("|"):
+                    klass, _, names = seg.partition(":")
+                    if klass.strip() == "a":
+                        a_names = tuple(names.split())
+                    elif klass.strip() == "x":
+                        x_names = tuple(names.split())
+                    else:
+                        raise ValueError("unknown class %r" % klass.strip())
+                ctx = VarContext(a_names, x_names)
+            except Exception as exc:
+                raise ValueError("line %d: bad vars header: %s" % (lineno, exc))
+            continue
+        if ctx is None:
+            raise ValueError("line %d: term before vars header" % lineno)
+        coeff_s, sep, word_s = line.partition("*")
+        if not sep:
+            raise ValueError("line %d: expected `coeff * word`" % lineno)
+        s = coeff_s.strip().replace(" ", "")
+        try:
+            coeff = complex(s[:-1] + "j" if s.endswith("i") else s)
+        except ValueError:
+            raise ValueError("line %d: bad complex literal %r"
+                             % (lineno, s[:-1] + "j" if s.endswith("i") else s))
+        if not np.isfinite(coeff):
+            raise ValueError("line %d: non-finite coefficient %r"
+                             % (lineno, s[:-1] + "j" if s.endswith("i") else s))
+        names = word_s.split()
+        try:
+            w = () if names == ["1"] else tuple(
+                ctx.index_of(nm) for nm in names)
+        except ContextError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc))
+        terms[w] = terms.get(w, 0j) + coeff
+        if not np.isfinite(terms[w]):
+            raise ValueError("line %d: coefficients of %r sum to a non-finite "
+                             "value" % (lineno, word_s.strip()))
+    if ctx is None:
+        raise ValueError("no vars header found")
+    return FreePoly.from_terms(ctx, {w: np.array([[c]])
+                                     for w, c in terms.items()})
+
+
+def parse_outcome(parse, text):
+    """The error and its message, or the context and every coefficient's
+    bytes (so signed zeros count), word by word in order."""
+    try:
+        p = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return p.ctx, p.shape, [(w, c.shape, c.dtype, c.tobytes())
+                            for w, c in p.coeffs.items()]
+
+
+LITERALS = ["1", "0", "-0", "1-0i", "-0-0i", "-0+0i", "-2-0i", "2.5",
+            "-3+4i", "5e-15", "-9.99e-15", "1e-14", "1e-300i", "1e308"]
+TERM_WORDS = ["1", "x", "a x", "x a x", "x x", "a"]
+OTHER_LINES = ["", "  ", "# a comment", "2 * x a x # a comment"]
+BAD_LINES = ["nan * x", "inf * 1", "1+ * x", "x * x", "1 * z", "1 * x y",
+             "1 * ", "1 x a", "vars q: x", "vars a: a | x: a",
+             "vars a: | x: x"]
+text_lines = st.one_of(
+    st.tuples(st.sampled_from(LITERALS), st.sampled_from(TERM_WORDS)).map(
+        lambda t: "%s * %s" % t),
+    st.sampled_from(OTHER_LINES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["vars a: a | x: x", "vars a: a b | x: x y",
+                               ""]),
+       lines=st.lists(text_lines, max_size=12),
+       bad=st.none() | st.tuples(st.integers(0, 12),
+                                 st.sampled_from(BAD_LINES)))
+def test_parse_poly_matches_from_terms_bit_for_bit(header, lines, bad):
+    """One pass over the terms gives from_terms' coefficients bit for bit,
+    repeated words and signed zeros included, and every error message."""
+    if bad is not None:
+        lines.insert(bad[0], bad[1])
+    text = "\n".join([header] + lines) + "\n"
+    assert parse_outcome(parse_poly, text) \
+        == parse_outcome(reference_parse_poly, text)
+
+
+def test_parse_poly_sums_signed_zeros_to_plus_zero():
+    """A -0 part comes out +0, as from_terms' sum into np.zeros gives it."""
+    p = parse_poly("vars a: | x: x\n1-0i * 1\n-0-2i * x\n")
+    assert not np.signbit(p.coeffs[()].imag).any()
+    assert not np.signbit(p.coeffs[(0,)].real).any()
+
+
+def per_word_is_symmetric(p):
+    """is_symmetric word by word: each coefficient against its adjoint
+    word's (a missing one counts as zero), up to 10 COEFF_DROP."""
+    tol = ncalg.COEFF_DROP * 10
+    if p.shape[0] != p.shape[1]:
+        return False
+    for w, c in p.coeffs.items():
+        cstar = p.coeffs.get(word_adjoint(w))
+        if cstar is None:
+            if np.max(np.abs(c)) > tol:
+                return False
+        elif np.max(np.abs(cstar - c.conj().T)) > tol:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, rows=st.integers(1, 3), cols=st.integers(1, 3),
+       skew=st.sampled_from([0.0, 5e-14, 9.9e-14, 1e-13, 1.01e-13, 2e-13,
+                             1.0]))
+def test_is_symmetric_matches_per_word_reference(seed, rows, cols, skew):
+    """The stacked comparison decides as the per-word loop does, on square
+    and non-square coefficients, with adjoint pairs and lone words that
+    miss symmetry by about 10 COEFF_DROP."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+
+    def noise():
+        return skew * (rng.uniform(-1, 1, shape)
+                       + 1j * rng.uniform(-1, 1, shape))
+
+    coeffs = {}
+    for w in rand_words(CTX_BIG, rng, 3, 5):
+        if w in coeffs:
+            continue
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if rows == cols and rng.random() < 0.8:
+            if w == word_adjoint(w):
+                c = c + c.conj().T
+            coeffs[word_adjoint(w)] = c.conj().T + noise()
+        coeffs[w] = c
+    if rng.random() < 0.5:
+        coeffs[(0, 1, 2)] = noise()
+    p = FreePoly(CTX_BIG, coeffs, shape)
+    assert p.is_symmetric == per_word_is_symmetric(p)
+    q = p + p.adjoint() if rows == cols else p
+    assert q.is_symmetric == per_word_is_symmetric(q)

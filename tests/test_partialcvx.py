@@ -5,6 +5,7 @@ evaluation; both closed forms must match it, and the localizing-matrix
 criterion must call convexity the same way the sampled Hessian does.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,39 @@ def test_block_sampler_with_no_letters(kind):
     assert (t.n, t.A, t.X) == (2, (), ())
     assert np.array_equal(W, np.eye(2))
     assert rng.bit_generator.state == state
+
+
+def per_probe_loop(region, n, samples, rng, scale):
+    """region_probes without extras, one _sample_in_region per probe."""
+    for _ in range(samples):
+        hit = partialcvx._sample_in_region(region, n, scale, rng)
+        if hit is not None:
+            yield hit
+
+
+# 1/(1 - 2a - 2x) at tol_inv 0.3: at seed 6 dom takes the first two 2 x 2
+# draws at scale 0.8 and rejects the third; at scale 0.1 it takes them all
+@pytest.mark.parametrize("scale", [0.8, 0.1])
+@pytest.mark.parametrize("stop", [0, 1, 2, 3, 5, None])
+def test_region_probes_without_extras_match_the_per_probe_loop(scale, stop):
+    """The block of first draws yields the per-probe loop's points and
+    payloads, and rng ends where that loop leaves it, also when the
+    consumer stops after stop probes."""
+    one = np.eye(1)
+    R = realize.Realization.make(one, [2 * one], [2 * one], [1.0])
+    region = Region(R, "dom", tol_inv=0.3)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    probes = partialcvx.region_probes(region, 2, 12, rng, scale)
+    got = list(itertools.islice(probes, stop))
+    probes.close()
+    want = list(itertools.islice(
+        per_probe_loop(region, 2, 12, ref_rng, scale), stop))
+    assert len(got) == len(want)
+    for (t, extra, W), (t_ref, W_ref) in zip(got, want):
+        assert extra.shape == (0, 2, 2)
+        assert all(np.array_equal(M, N) for M, N in zip(t.mats, t_ref.mats))
+        assert np.array_equal(W, W_ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # w(0) = 0, 1, -1, -0.1 and -1e-9: at tol 1e-8 the last passes

@@ -327,12 +327,23 @@ def test_kebab_requires_zero_slice():
 # kernels: Krylov closure, Hankel rank, eigen-threshold domain test,
 # Kronecker sums
 
+def svd_orth(B, rtol):
+    """Orthonormal basis of the column space, SVD rank truncation."""
+    if B.size == 0:
+        return np.zeros((B.shape[0], 0), dtype=complex)
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    if len(s) == 0 or s[0] == 0:
+        return np.zeros((B.shape[0], 0), dtype=complex)
+    k = int(np.sum(s > rtol * s[0]))
+    return U[:, :k]
+
+
 def svd_krylov_closure(mats, seed, rtol=realize.RTOL_RANK):
     """The Krylov closure by one SVD rank truncation of [Q, M_i Q] per
-    round, as a reference for the Gram-Schmidt closure."""
-    Q = realize._orth(seed.reshape(-1, 1), rtol)
+    round (svd_orth), as a reference for the Gram-Schmidt closure."""
+    Q = svd_orth(seed.reshape(-1, 1), rtol)
     while True:
-        Q2 = realize._orth(np.hstack([Q] + [M @ Q for M in mats]), rtol)
+        Q2 = svd_orth(np.hstack([Q] + [M @ Q for M in mats]), rtol)
         if Q2.shape[1] == Q.shape[1]:
             return Q2
         Q = Q2

@@ -602,6 +602,22 @@ def test_a4_gram_pinned_rejection():
     assert res.pinned_lambda_min == pytest.approx(-1.0, abs=1e-10)
 
 
+# xx = 5e-9 lies below tol scale: the pin xxy = 1e-3 breaks the PSD bound
+# |G_03|^2 <= G_00 G_33 on that column, xxy = 5e-5 meets it
+@pytest.mark.parametrize("xxy, status", [(1e-3, "not-certifiable-pinned"),
+                                         (5e-5, "feasible")])
+def test_gram_pins_on_a_vanishing_diagonal(xxy, status):
+    pl = support_screen(from_coeffs({"xx": 5e-9, "yxxy": 1.0, "xxy": xxy,
+                                     "yxx": xxy}))
+    res = gram_complete_certificate(pl)
+    assert res.status == status
+    if res.is_feasible:
+        cert = assemble_certificate(pl, res.F)
+        assert max(cert.residuals.values()) <= 1e-12
+    else:
+        assert res.pinned_lambda_min == -xxy
+
+
 def test_gram_reduced_lambda_negative_is_not_certifiable():
     # every pin is consistent, but the pinned 4 x 4 Gram cannot be PSD
     pl = support_screen(from_coeffs({
@@ -727,6 +743,9 @@ def _expand_certificate(cert):
        scale=st.sampled_from([10.0 ** k for k in range(-3, 5)]))
 @example(seed=0, N=1, scale=1e-3)
 @example(seed=0, N=4, scale=1e4)
+# a rank-one Gram whose xx entry (7.6e-9) lies below tol scale, with pins
+# on that column (7.4e-8) that meet |G_jk|^2 <= G_jj G_kk with equality
+@example(seed=1308, N=1, scale=1e-3)
 def test_xy_certifies_at_every_coefficient_scale(seed, N, scale):
     # the certificate checks are relative to max(1, max |coefficient|), so
     # a certified polynomial stays certified at large coefficients too
