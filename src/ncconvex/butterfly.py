@@ -22,15 +22,13 @@ every region of such a polynomial through w(A) alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import matkit, realize
 from .ncalg import FreePoly, HermTuple, eval_poly
 from .matkit import TOL_INV, TOL_PSD, is_psd, sqrt_psd
-from .realize import (NotInDomain, Realization, Region, kron_sum,
-                      linearize_poly)
+from .realize import NotInDomain, Realization, Region, kron_sum
 
 
 class KebabError(ValueError):
@@ -148,43 +146,25 @@ class PolyButterfly:
     of the monomials x_j v (v an a-word);
     w: FreePoly in the a-letters with k x k coefficients, the middle matrix;
     fbar: the terms of p of x-degree at most one;
-    p: the polynomial, from which realization is built on first use
-    (linearize_poly);
-    given: p's realization when one came with p (replace(pb, given=R)).
+    p: the polynomial.
     """
 
     ell: FreePoly
     w: FreePoly
     fbar: FreePoly
     p: FreePoly
-    given: Realization = None
 
     @property
     def k(self):
         return self.w.shape[0]
 
-    @cached_property
-    def _psd_at_zero(self):
-        """psd_at_zero's verdicts, by tol."""
-        return {}
+    @property
+    def w0(self):
+        return self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
 
     def psd_at_zero(self, tol=TOL_PSD):
-        """Whether w(0), the constant coefficient of w, passes psd_mask at
-        tol (the convexity-near-zero indicator), from one is_psd per tol."""
-        known = self._psd_at_zero
-        if tol not in known:
-            w0 = self.w.coeffs.get((), np.zeros((self.k, self.k), complex))
-            known[tol] = bool(is_psd(w0, tol).is_psd)
-        return known[tol]
-
-    @cached_property
-    def realization(self):
-        """The minimal realization of p: the given one, or linearize_poly
-        of p, built on first use.  Only PolyRegion.empty_proof (when w(0)
-        is not PSD) uses it: every region scan goes through PolyRegion,
-        and the sharpness witness is built from w and p
-        (partialcvx.middle_matrix_witness)."""
-        return linearize_poly(self.p) if self.given is None else self.given
+        """Whether w(0) passes psd_mask at tol."""
+        return bool(is_psd(self.w0, tol).is_psd)
 
 
 class PolyRegion(realize.RegionKind):
@@ -199,12 +179,11 @@ class PolyRegion(realize.RegionKind):
     ball: RegionKind's ball rule.
 
     realize.Region's interface (kind, h, g, dim, k, test, hessian,
-    values, rt_lambda_min, empty_proof); test evaluates w at the whole
-    stack with one eval_poly and hands on each point's (w(A), its
+    values, rt_lambda_min, series, empty_proof); test evaluates w at the
+    whole stack with one eval_poly and hands on each point's (w(A), its
     ascending eigenvalues), from which hessian and rt_lambda_min answer.
     h, g, k and dim (k, the size of w's coefficients, for the sampler's
-    block cap) come from pb, so no realization is built, except by
-    empty_proof when w(0) fails psd_mask.
+    block cap) come from pb, and series from w's coefficients.
     """
 
     def __init__(self, pb, kind="dom", tol=TOL_PSD, radius=None):
@@ -244,13 +223,12 @@ class PolyRegion(realize.RegionKind):
         sign of R_T(A, X)'s lambda_min, not its value (0 when k = 0)."""
         return min(payload[1][0], 0.0) if self.k else 0.0
 
-    def empty_proof(self, scale):
-        """None when w(0) = R_T(0, 0) passes psd_mask at tol (the origin is
-        then a point of the plus kinds at every size), else dom_plus_empty
-        of pb.realization."""
-        if self.pb.psd_at_zero(self.tol):
-            return None
-        return realize.dom_plus_empty(self.pb.realization, scale, self.tol)
+    def series(self):
+        """w(A) = sum_m w_m (x) A^m as realize.prove_empty's series, w(0)
+        first; no term is left out."""
+        words = [()] + [m for m in self.pb.w.coeffs if m]
+        Ms = [self.pb.w0] + [self.pb.w.coeffs[m] for m in words[1:]]
+        return words, np.asarray(Ms), np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -316,8 +294,7 @@ def poly_butterfly(p):
     words of x-degree two (else RealizationError).
 
     Rejects x-degree > 2 with NotConvexible carrying a midpoint witness
-    when the seeded search finds one.  No realization is built here:
-    pb.realization is built from p on first use.
+    when the seeded search finds one.  No realization is built.
     """
     if not p.is_symmetric:
         raise realize.SymmetryError("polynomial is not symmetric")

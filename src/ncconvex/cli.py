@@ -35,7 +35,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +230,7 @@ def _poly_json(p):
     pairs for a scalar polynomial, rows of them otherwise."""
     words = p.words()
     C = np.reshape([p.coeffs[w] for w in words], (len(words),) + p.shape)
-    return dict(zip([" ".join(map(p.ctx.name, w)) or "1" for w in words],
+    return dict(zip(map(p.ctx.word_text, words),
                     jmat(C[:, 0, 0] if p.is_scalar else C)))
 
 
@@ -324,17 +324,18 @@ PLUS_REASON = ("the x-Hessian is 2 u* R_T u \u2ab0 0 on the region, and its "
                "x-slices are LMI domains")
 
 EMPTY_PROOF = (
-    "R_T(A, X) maps u (x) y to (J11 u) (x) y at every point, with "
-    "u* J11 u = a and ||J11 u - a u|| = c, and the letters J Z are jointly "
-    "nilpotent, so ||R_T|| <= norm_bound at every draw of norm <= --scale "
-    "and lambda_min(R_T) <= lambda_bound < -tol_psd max(1, norm_bound): "
+    "the matrix M that psd_mask judges (w(A), or R_T(A, X)) is sum_w M_w "
+    "(x) Z^w, so ||M|| <= norm_bound at every draw of norm <= --scale; "
+    "with a = u* M_0 u and c = ||M_0 u - a u||, the kernel form (M_w u = 0 "
+    "for w nonempty) by interlacing, or the rayleigh form (u the lowest "
+    "eigenvector of M_0) by a + sum_w |u* M_w u| scale^|w|, gives "
+    "lambda_min(M) <= lambda_bound < -tol_psd max(1, norm_bound): "
     "psd_mask rejects every draw at every size")
 
 
 def _serialize_empty_proof(proof):
-    d = proof.direction
-    return {"statement": EMPTY_PROOF, "u": jmat(d.u), "a": d.a, "c": d.c,
-            "norm_bound": proof.norm_bound,
+    return {"statement": EMPTY_PROOF, "form": proof.form, "u": jmat(proof.u),
+            "a": proof.a, "c": proof.c, "norm_bound": proof.norm_bound,
             "lambda_bound": proof.lambda_bound}
 
 
@@ -509,14 +510,12 @@ def cmd_partial(args):
                             "polynomial is convex in x", notes, cfg, report)
         t0 = time.monotonic()
         try:
-            pb = butterfly.poly_butterfly(p)
-            f = pb if f is None else replace(pb, given=f)
+            f = butterfly.poly_butterfly(p)
             results["butterfly_poly"] = {
                 "k": f.k,
                 "ell": _poly_json(f.ell),
                 "w": _poly_json(f.w),
                 "fbar": _poly_json(f.fbar),
-                "w_psd_at_zero": f.psd_at_zero(cfg.tol_psd),
                 "time_s": time.monotonic() - t0,
             }
         except butterfly.NotConvexible as exc:
@@ -554,13 +553,13 @@ def cmd_partial(args):
     if "not_convexible" not in results:
         # x-degree above two has no butterfly; at (0, 0) the sandwich is I
         # and w = R_T = J11 (J = J^-1), so the item-4 test there is whether
-        # w(0), or J11, passes psd_mask at --tol-psd
+        # w(0), or J11, passes psd_mask at --tol-psd (w_psd_at_zero)
         t0 = time.monotonic()
-        results["butterfly"] = {
-            "k": f.k,
-            "sqrt_domain_at_zero": f.psd_at_zero(cfg.tol_psd),
-            "time_s": time.monotonic() - t0,
-        }
+        at_zero = f.psd_at_zero(cfg.tol_psd)
+        results["butterfly"] = {"k": f.k, "sqrt_domain_at_zero": at_zero,
+                                "time_s": time.monotonic() - t0}
+        if "butterfly_poly" in results:
+            results["butterfly_poly"]["w_psd_at_zero"] = at_zero
 
     if notes:
         results["notes"] = notes
@@ -572,12 +571,11 @@ def cmd_partial(args):
             why = "%d probes of %d draws each per size" % (
                 cfg.samples, partialcvx.MAX_ATTEMPTS)
         else:
-            why = ("proved empty: lambda_min(R_T) <= %.6g < -tol_psd "
-                   "max(1, %.6g) at every draw of norm <= %g, from a "
-                   "direction u of R_T with R_T (u (x) y) = (J11 u) (x) y, "
-                   "u* J11 u = %.3g and ||J11 u - (u* J11 u) u|| = %.6g" % (
-                       proof.lambda_bound, proof.norm_bound, cfg.scale,
-                       proof.direction.a, proof.direction.c))
+            why = ("proved empty: lambda_min(M) <= %.6g < -tol_psd "
+                   "max(1, %.6g) at every draw of norm <= %g, by the %s "
+                   "form, u* M_0 u = %.3g and ||M_0 u - (u* M_0 u) u|| = "
+                   "%.6g" % (proof.lambda_bound, proof.norm_bound, cfg.scale,
+                             proof.form, proof.a, proof.c))
         results["inconclusive"] = (
             "no region point at any size (%s at sizes %s: %s)" % (
                 scan["region"], ",".join(str(int(s)) for s in cfg.sizes),

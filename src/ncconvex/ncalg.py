@@ -65,15 +65,22 @@ class VarContext:
     def letter_class(self, i):
         return "a" if i < self.h else "x"
 
+    @functools.cached_property
+    def names(self):
+        """Every letter's name by global index, built once per context."""
+        return self.a_names + self.x_names
+
     def name(self, i):
-        if i < self.h:
-            return self.a_names[i]
-        return self.x_names[i - self.h]
+        return self.names[i]
+
+    def word_text(self, w):
+        """The word's letter names joined by spaces; "1" when it is empty."""
+        return " ".join(map(self.names.__getitem__, w)) or "1"
 
     @functools.cached_property
     def _indices(self):
         """{name: global index}, built once per context."""
-        return {nm: i for i, nm in enumerate(self.a_names + self.x_names)}
+        return {nm: i for i, nm in enumerate(self.names)}
 
     def index_of(self, name):
         i = self._indices.get(name)
@@ -388,8 +395,8 @@ def format_poly(p):
     lines = ["vars a: %s | x: %s"
              % (" ".join(p.ctx.a_names), " ".join(p.ctx.x_names))]
     for w in p.words():
-        word_s = " ".join(p.ctx.name(i) for i in w) if w else "1"
-        lines.append("%s * %s" % (format_complex(p.scalar_coeff(w)), word_s))
+        lines.append("%s * %s" % (format_complex(p.scalar_coeff(w)),
+                                  p.ctx.word_text(w)))
     return "\n".join(lines) + "\n"
 
 

@@ -34,9 +34,10 @@ resolvent, r_T and eval_realization take it as factors=, trusted, and do
 not factor the pencil again.  Invertibility itself is decided on the
 pencil's eigenvalues (eigvalsh), at the relative threshold of
 _invertible.  in_dom, in_dom_plus, in_dom_kebab and in_dom_kebab_plus are
-the one-point case.  Region shares its kind and radius check and its
-ball rule (RegionKind) with butterfly.PolyRegion, which judges the
-regions of a polynomial butterfly through its middle matrix instead.
+the one-point case.  Region shares its kind and radius check, its ball
+rule and its emptiness proof (RegionKind, empty_proof) with
+butterfly.PolyRegion, which judges the regions of a polynomial butterfly
+through its middle matrix instead.
 """
 
 from __future__ import annotations
@@ -134,25 +135,17 @@ class Realization:
         """The dimension of ran T."""
         return self.frame.k
 
-    @cached_property
-    def _psd_at_zero(self):
-        """psd_at_zero's verdicts, by tol."""
-        return {}
-
     def psd_at_zero(self, tol=TOL_PSD):
         """Whether R_T(0, 0) = J11 passes psd_mask at tol (true when
-        k = 0), from one is_psd per tol."""
-        known = self._psd_at_zero
-        if tol not in known:
-            known[tol] = bool(matkit.is_psd(self.frame.J11, tol).is_psd)
-        return known[tol]
+        k = 0)."""
+        return bool(matkit.is_psd(self.frame.J11, tol).is_psd)
 
     @cached_property
     def letters(self):
         """(N, nilpotent, norms): the letters N_l = J Z_l (S, then T) as a
         stack (L, e, e), whether they are jointly nilpotent, and then
         their spectral norms (else None); tested on first use, once for
-        polynomial_of, _constant_direction and the reach words of
+        _word_series (polynomial_of, Region.series) and the reach words of
         partialcvx.negativity_witness."""
         N = np.reshape([self.J @ Z for Z in self.S + self.T],
                        (self.h + self.g, self.e, self.e))
@@ -160,12 +153,6 @@ class Realization:
             return N, False, None
         return N, True, np.linalg.svd(N, compute_uv=False).max(
             axis=-1, initial=0.0)
-
-    @cached_property
-    def constant_direction(self):
-        """The ConstantDirection of R_T, or None; found on first use (see
-        _constant_direction)."""
-        return _constant_direction(self)
 
     def pencil(self, t):
         """P(A, X) = J (x) I - sum T_i (x) X_i - sum S_j (x) A_j."""
@@ -238,9 +225,9 @@ def _invertible(lam, tol_inv):
         > tol_inv * np.maximum(1.0, a.max(axis=-1, initial=0.0))
 
 
-def _inverse(R, t, tol_inv, factors=None):
-    """The pencil's inverse at t: the one a Region handed on (its test has
-    put t in dom), or that of a one-point dom test, which raises
+def resolvent(R, t, tol_inv=TOL_INV, factors=None):
+    """P(A, X)^{-1}: the inverse a Region handed on as factors (its test
+    has put t in dom), or that of a one-point dom test, which raises
     NotInDomain when the pencil is singular at tol_inv."""
     if factors is not None:
         return factors
@@ -251,12 +238,6 @@ def _inverse(R, t, tol_inv, factors=None):
     return W[0]
 
 
-def resolvent(R, t, tol_inv=TOL_INV, factors=None):
-    """P(A, X)^{-1} (see _inverse); raises NotInDomain at singular
-    pencils."""
-    return _inverse(R, t, tol_inv, factors)
-
-
 def _compress(W, lift):
     """lift* W lift, made Hermitian, for a lift V (x) I; W may be a stack
     (B, en, en)."""
@@ -265,8 +246,8 @@ def _compress(W, lift):
 
 def eval_realization(R, t, factors=None):
     """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian, from the pencil's
-    inverse (see _inverse); raises NotInDomain at singular pencils."""
-    return _compress(_inverse(R, t, TOL_INV, factors), R.c_lift(t.n))
+    inverse (see resolvent); raises NotInDomain at singular pencils."""
+    return _compress(resolvent(R, t, TOL_INV, factors), R.c_lift(t.n))
 
 
 @dataclass(frozen=True)
@@ -305,35 +286,20 @@ def _range_t_frame(R):
 
 def r_T(R, t, tol_inv=TOL_INV, factors=None):
     """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
-    from the pencil's inverse (see _inverse)."""
-    return _compress(_inverse(R, t, tol_inv, factors), R.frame.lift(t.n))
+    from the pencil's inverse (see resolvent)."""
+    return _compress(resolvent(R, t, tol_inv, factors), R.frame.lift(t.n))
 
 
 @dataclass(frozen=True)
-class ConstantDirection:
-    """A unit u in C^k on which R_T is constant:
+class EmptyProof:
+    """prove_empty's proof, by its kernel or rayleigh form, from the unit
+    u with a = u* M_0 u and c = ||M_0 u - a u||: lambda_min(M) <=
+    lambda_bound < -tol max(1, norm_bound) at every draw."""
 
-        R_T(A, X) (u (x) y) = (J11 u) (x) y
-
-    at every point of dom, of every size, for every y.  a = u* J11 u and
-    c = ||J11 u - a u||; letter_norm is sum_l ||N_l||_2 over the letters
-    N_l = J Z_l (S, then T), which are jointly nilpotent.
-    """
-
+    form: str
     u: np.ndarray
     a: float
     c: float
-    letter_norm: float
-
-
-@dataclass(frozen=True)
-class PlusEmptyProof:
-    """dom-plus and kebab-plus hold no point whose matrices have spectral
-    norm <= the scale it was proved at: there ||R_T|| <= norm_bound, so
-    lambda_min(R_T) <= lambda_bound, which is below
-    -tol max(1, norm_bound), and psd_mask at tol rejects R_T."""
-
-    direction: ConstantDirection
     norm_bound: float
     lambda_bound: float
 
@@ -352,112 +318,113 @@ def _jointly_nilpotent(N, cut):
     return True
 
 
-def _constant_direction(R):
-    """R_T's ConstantDirection, or None when a premise fails.
-
-    With J^2 = I the pencil is J (I - N(A, X)), N(A, X) = sum_l N_l (x)
-    A_l, so P^-1 = (I - N)^-1 J.  Let O be the smallest subspace that
-    contains every ran N_l* V_T and is invariant under every N_l*
-    (_closure).  O (x) C^n is invariant under N*, so wherever P is
-    invertible, (I - N*)^-1 (V_T (x) I) = V_T (x) I + Z with ran Z in
-    O (x) C^n, and R_T(A, X) (u (x) y) = (J11 u) (x) y for every u with
-    J V_T u orthogonal to O.  Among those u (the kernel Q of O* J V_T):
-    the eigenvector of the lowest eigenvalue of Q* J11 Q when it is
-    negative; otherwise, in that matrix's kernel (u* J11 u = 0), the u
-    that J11 moves most.  The letters must be jointly nilpotent, for the
-    bound on ||R_T|| that dom_plus_empty uses.  None when J^2 != I, k = 0,
-    the letters are not nilpotent, or no u has J V_T u orthogonal to O.
-    """
-    frame = R.frame
-    if not frame.k or not R.is_signature() or not R.letters[1]:
-        return None
-    N, _, norms = R.letters
-    Nh = N.conj().swapaxes(-1, -2)
-    O = _closure(Nh, np.hstack(Nh @ frame.V_T), _krylov_cut(N))
-    _, s, Vh = np.linalg.svd(O.conj().T @ R.J @ frame.V_T)
-    Q = Vh[int(np.sum(s > RTOL_RANK)):].conj().T
+def _kernel_direction(M0, Ms):
+    """In the common kernel Q of the stack Ms (at RTOL_RANK of its largest
+    singular value), the lowest eigenvector of Q* M0 Q when it is
+    negative, else the vector of its kernel that M0 moves most; or None."""
+    Q = np.eye(len(M0), dtype=complex)
+    if len(Ms):
+        _, sv, Vh = np.linalg.svd(Ms.reshape(-1, len(M0)),
+                                  full_matrices=False)
+        Q = Vh[int(np.sum(sv > RTOL_RANK * max(1.0, sv[0]))):].conj().T
     if not Q.shape[1]:
         return None
-    J11 = frame.J11
-    mu, E = np.linalg.eigh(matkit.herm(Q.conj().T @ J11 @ Q))
+    mu, E = np.linalg.eigh(matkit.herm(Q.conj().T @ M0 @ Q))
     if mu[0] < -RTOL_RANK:
-        v = E[:, 0]
-    else:
-        ker = E[:, mu <= RTOL_RANK]
-        if not ker.shape[1]:
-            return None
-        v = ker @ np.linalg.svd(J11 @ Q @ ker)[2][0].conj()
-    u = Q @ v
-    u = u * (matkit.unit_phase(u) / np.linalg.norm(u))
-    a = float(np.real(u.conj() @ J11 @ u))
-    return ConstantDirection(u, a, float(np.linalg.norm(J11 @ u - a * u)),
-                             float(norms.sum()))
+        return Q @ E[:, 0]
+    ker = E[:, mu <= RTOL_RANK]
+    if not ker.shape[1]:
+        return None
+    return Q @ (ker @ np.linalg.svd(M0 @ Q @ ker)[2][0].conj())
 
 
-def dom_plus_empty(R, scale, tol=TOL_PSD):
-    """A PlusEmptyProof that psd_mask at tol rejects R_T at every point
-    whose matrices have spectral norm <= scale, or None.
+def prove_empty(series, scale, tol=TOL_PSD):
+    """An EmptyProof that psd_mask at tol rejects the matrix polynomial
+    M = sum_w M_w (x) Z^w at every point of norm <= scale, or None (M_0
+    passes psd_mask, so the origin is a region point, or no bound holds).
 
-    The draws of the samplers have norm <= scale (1 + 1e-12), so
-    ||N(A, X)|| <= rho = scale letter_norm (1 + 1e-12), and the letters
-    being jointly nilpotent, P^-1 = sum_(m < e) N^m J gives
-    ||R_T|| <= B = sum_(m < e) rho^m.  R_T compresses onto u (x) y and
-    (J11 u - a u) (x) y / c (unit y) to [[a, c], [c, beta]] with
-    |beta| <= B, whose lambda_min grows with beta, so by interlacing
-    lambda_min(R_T) <= lambda_bound = ((a + B) - sqrt((B - a)^2 + 4 c^2))
-    / 2 (a at c = 0).  The proof holds when that is below
-    -tol max(1, B).  None when
-    R_T(0, 0) = J11 passes psd_mask (the origin is then a point of the
-    region at every size, so no bound can hold), when R has no
-    ConstantDirection, or when the bound is too weak, as at a large
-    scale.
+    series = (words, Ms, rest): the words w and their k x k M_w (M_0
+    first), and rest[m], a bound on the summed norms of those of length m
+    left out as rounding.  Draws have norm <= s = scale (1 + 1e-12), so
+    ||M|| <= B = sum_w ||M_w|| s^|w| + sum_m rest[m] s^m.  The kernel form
+    takes u with M_w u = 0 for w nonempty (_kernel_direction): M maps
+    u (x) y to (M_0 u) (x) y, and interlacing on u (x) y and (M_0 u - a u)
+    (x) y / c gives lambda_min(M) <= ((a + B) - sqrt((B - a)^2 + 4 c^2))
+    / 2.  The rayleigh form takes the lowest eigenvector u of M_0:
+    lambda_min(M) <= a + sum_w |u* M_w u| s^|w|.  The smaller bound
+    proves when it is below -tol max(1, B).
     """
-    if R.psd_at_zero(tol):
+    words, Ms, rest = series
+    mu, E = np.linalg.eigh(matkit.herm(Ms[0]))
+    if matkit.psd_mask(mu, tol):
         return None
-    d = R.constant_direction
-    if d is None:
+    s = scale * (1 + 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = s ** np.array([len(w) for w in words], dtype=float)
+        B = np.linalg.svd(Ms, compute_uv=False)[:, 0] @ powers \
+            + rest @ s ** np.arange(len(rest))
+    if not np.isfinite(B):
         return None
-    rho = scale * d.letter_norm * (1 + 1e-12)
-    B = 1.0
-    for _ in range(R.e - 1):
-        B = 1.0 + rho * B
-        # lambda_bound >= a - c >= -sqrt 2 (a^2 + c^2 = ||J11 u||^2 <= 1):
-        # past tol B = 2 no bound proves anything, and B cannot overflow
-        if not tol * B <= 2:
-            return None
-    lam = ((d.a + B) - math.hypot(B - d.a, 2 * d.c)) / 2
-    if not lam < -tol * max(1.0, B):
+    proofs = []
+    for form, u in (("kernel", _kernel_direction(Ms[0], Ms[1:])),
+                    ("rayleigh", E[:, 0])):
+        if u is None:
+            continue
+        u = u * (matkit.unit_phase(u) / np.linalg.norm(u))
+        a = float(np.real(u.conj() @ Ms[0] @ u))
+        c = float(np.linalg.norm(Ms[0] @ u - a * u))
+        lam = ((a + B) - math.hypot(B - a, 2 * c)) / 2 if form == "kernel" \
+            else a + np.abs(Ms[1:] @ u @ u.conj()) @ powers[1:]
+        proofs.append(EmptyProof(form, u, a, c, float(B), float(lam)))
+    best = min(proofs, key=lambda proof: proof.lambda_bound)
+    return best if best.lambda_bound < -tol * max(1.0, B) else None
+
+
+def _word_series(R, X):
+    """(words, coefficients, rest) of X* P^-1 X = sum_w (X* N_w J X) z_w
+    for an e x r matrix X when R has J^2 = I and jointly nilpotent letters
+    N_l = J Z_l (P^-1 = (I - sum N_l z_l)^-1 J), else None.
+
+    The blocks Y_w = X* N_w grow one letter at a time, Y_(w l) = Y_w N_l;
+    w is dropped, and never extended, once ||Y_w||_F is at most
+    RTOL_RANK ||X||_F rho^|w|, rho = max(1, max_l ||N_l||_2), its
+    rounding.  Its extensions by j letters have norm <= ||Y_w||_F
+    ||J X||_F (sum_l ||N_l||_2)^j, summed into rest by length.
+    """
+    if not R.is_signature() or not R.letters[1]:
         return None
-    return PlusEmptyProof(d, B, lam)
+    e, L, r, (N, _, norms) = R.e, R.h + R.g, X.shape[1], R.letters
+    rho = max([1.0] + list(norms))
+    JX, cut = R.J @ X, RTOL_RANK * np.linalg.norm(X)
+    reach = np.linalg.norm(JX) * norms.sum() ** np.arange(e)
+    kept, words, Y, coeffs, rest = [], [()], X.conj().T[None], [], np.zeros(e)
+    for m in range(1, e + 1):
+        kept += words
+        coeffs.append((Y.reshape(-1, e) @ JX).reshape(-1, r, r))
+        grown = (Y.reshape(1, -1, e) @ N).reshape(-1, r, e)
+        size = np.linalg.norm(grown.reshape(-1, r * e), axis=1)
+        alive = size > cut * rho ** m
+        rest[m:] += size[~alive].sum() * reach[:e - m]
+        words = [w + (l,) for l in range(L) for w in words]
+        words = [w for w, keep in zip(words, alive) if keep]
+        Y = grown[alive]
+    return kept, np.concatenate(coeffs), rest
 
 
 def polynomial_of(R):
     """R's function as a FreePoly over the letters a1..ah, x1..xg when R
     has J^2 = I and jointly nilpotent letters N_l = J Z_l, else None.
 
-    Then P^-1 = (I - sum N_l z_l)^-1 J, so r = sum_w (c* N_w J c) z_w,
-    with no word longer than e - 1.  The rows y_w = c* N_w grow one
-    letter at a time, y_(w l) = y_w N_l, over the surviving prefixes
-    only: w is dropped, and never extended, once ||y_w|| is at most
-    RTOL_RANK ||c|| rho^|w|, rho = max(1, max_l ||N_l||_2), the size of
-    its rounding.  r is symmetric, so each coefficient is averaged with
-    the conjugate of its reversed word's, and those below COEFF_DROP
-    times the largest are dropped.
+    Its coefficients are the c* N_w J c of _word_series at X = c.  r is
+    symmetric, so each coefficient is averaged with the conjugate of its
+    reversed word's, and those below COEFF_DROP times the largest are
+    dropped.
     """
-    if not R.is_signature() or not R.letters[1]:
+    series = _word_series(R, R.c[:, None])
+    if series is None:
         return None
-    e, L, (N, _, norms) = R.e, R.h + R.g, R.letters
-    rho = max([1.0] + list(norms))
-    cut = RTOL_RANK * np.linalg.norm(R.c)
-    Jc = R.J @ R.c
-    words, Y, coeffs = [()], R.c.conj()[None], {}
-    for m in range(1, e + 1):
-        coeffs.update(zip(words, Y @ Jc))
-        grown = (Y[None] @ N).reshape(-1, e)
-        alive = np.linalg.norm(grown, axis=1) > cut * rho ** m
-        words = [w + (l,) for l in range(L) for w in words]
-        words = [w for w, kept in zip(words, alive) if kept]
-        Y = grown[alive]
+    words, coeffs, _ = series
+    coeffs = dict(zip(words, coeffs[:, 0, 0]))
     sym = {w: (c + np.conj(coeffs.get(w[::-1], np.conj(c)))) / 2
            for w, c in coeffs.items()}
     largest = max(map(abs, sym.values()), default=0.0)
@@ -492,8 +459,9 @@ class RegionKind:
     the ball rule and the one-size point helpers.  A region's test(mats)
     returns (mask, payloads) for a stack of points (B, h + g, n, n), and
     its hessian, values and rt_lambda_min answer from those payloads; its
-    k is the size of R_T per unit of n, and empty_proof(scale) proves the
-    plus kinds empty at scale (dom_plus_empty) or returns None."""
+    k is the size of R_T per unit of n, and series() gives the
+    coefficients of the matrix the plus kinds judge, from which
+    empty_proof(scale) proves them empty at scale."""
 
     def __init__(self, kind, tol, radius):
         if kind not in REGION_KINDS:
@@ -512,6 +480,11 @@ class RegionKind:
             return np.ones(len(mats), dtype=bool)
         norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
         return np.all(norms <= self.radius * (1 + 1e-12), axis=1)
+
+    def empty_proof(self, scale):
+        """prove_empty of series() at tol, or None (k = 0, no series)."""
+        series = self.series() if self.k else None
+        return series and prove_empty(series, scale, self.tol)
 
     def test_points(self, points):
         """test on a sequence of HermTuples of one size."""
@@ -552,9 +525,10 @@ class Region(RegionKind):
     def k(self):
         return self.R.k
 
-    def empty_proof(self, scale):
-        """dom_plus_empty(R, scale, tol): a PlusEmptyProof or None."""
-        return dom_plus_empty(self.R, scale, self.tol)
+    def series(self):
+        """R_T = sum_w (V_T* N_w J V_T) (x) Z^w as prove_empty's series
+        (_word_series at X = V_T; M_0 = J11), or None for a rational R."""
+        return _word_series(self.R, self.R.frame.V_T)
 
     def _with_zero_x(self, mats):
         """The stack, followed for the kebab kinds by its points (A, 0)."""
@@ -687,17 +661,11 @@ def _krylov_closure(mats, seed):
     coefficients of 1e-11 x x x x) spans the same subspace as its unit
     direction; only a zero seed gives the empty closure.
     """
+    Q = np.zeros((len(seed), 0), dtype=complex)
     nrm = np.linalg.norm(seed)
     if nrm == 0:
-        return np.zeros((len(seed), 0), dtype=complex)
-    return _closure(mats, (seed / nrm).reshape(-1, 1), _krylov_cut(mats))
-
-
-def _closure(mats, frontier, cut):
-    """Smallest subspace invariant under all mats that contains the
-    columns of frontier, as orthonormal columns (see _krylov_closure);
-    cut is absolute."""
-    Q = np.zeros((frontier.shape[0], 0), dtype=complex)
+        return Q
+    frontier, cut = (seed / nrm).reshape(-1, 1), _krylov_cut(mats)
     while frontier.shape[1]:
         k = Q.shape[1]
         Q, _ = _pivoted_gs(Q, frontier, cut)

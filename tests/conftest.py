@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ncconvex import matkit, realize
-from ncconvex.ncalg import FreePoly, HermTuple
+from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 
 
 def rand_words(ctx, rng, max_len, count):
@@ -31,6 +31,27 @@ def rand_symmetric_poly(ctx, rng, max_len=3, terms=5, scale=1.0):
     """p + p* for a random p; always symmetric."""
     p = rand_poly(ctx, rng, max_len, terms, scale)
     return p + p.adjoint()
+
+
+def rand_sym_poly(rng, h, g, max_x=2):
+    """q + q* for a q of 1-5 random words of x-degree 0 to max_x over h
+    a-letters and g x-letters, a-words of length 0-2 around and between
+    the x-letters (so x_i ... x_j words with i != j when g = 2)."""
+    ctx = VarContext(("a", "b")[:h], ("x", "y")[:g])
+
+    def aword(m):
+        return tuple(int(i) for i in rng.integers(0, h, size=m if h else 0))
+
+    terms = {}
+    for _ in range(int(rng.integers(1, 6))):
+        w = aword(int(rng.integers(0, 3)))
+        for _ in range(int(rng.integers(0, max_x + 1))):
+            w += (h + int(rng.integers(0, g)),) + aword(
+                int(rng.integers(0, 2)))
+        terms[w] = terms.get(w, 0) + complex(rng.normal(), rng.normal())
+    q = FreePoly.from_terms(ctx, {w: np.array([[c]])
+                                  for w, c in terms.items()})
+    return q + q.adjoint()
 
 
 def rand_herm_tuple(ctx, n, rng, scale=0.7):

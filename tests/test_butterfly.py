@@ -6,7 +6,6 @@ plain pencil inversion and serves as the oracle throughout.
 """
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_herm_tuple, rand_minimal_smr
+from conftest import rand_herm_tuple, rand_minimal_smr, rand_sym_poly
 from ncconvex import butterfly, cli, matkit, partialcvx, realize
 from ncconvex.butterfly import (
     KebabError,
@@ -25,7 +24,7 @@ from ncconvex.butterfly import (
     poly_butterfly,
 )
 from ncconvex.ncalg import (FreePoly, HermTuple, VarContext, eval_poly,
-                            parse_poly)
+                            format_poly, parse_poly)
 from ncconvex.realize import (
     eval_realization,
     in_dom_kebab,
@@ -199,7 +198,7 @@ def test_poly_region_matches_the_pencil_region_on_corpora(
             pb = poly_butterfly(item.poly)
         except NotConvexible:
             continue
-        R = pb.realization
+        R = linearize_poly(item.poly)
         for n in (1, 2, 3):
             mats = partialcvx._herm_stack(n, [(n, n, True)] * (R.h + R.g),
                                           0.6, rng, 4)
@@ -230,39 +229,37 @@ def test_poly_butterfly_xax_textbook_form():
     assert pb.fbar.coeffs == {}
 
 
-def test_poly_butterfly_builds_no_realization(monkeypatch):
-    """The butterfly is p's coefficients, copied: pb.realization is built
-    on first use, once, unless one was given."""
+def test_poly_butterfly_builds_no_realization(tmp_path, monkeypatch):
+    """The butterfly is p's coefficients, copied, and its regions judge
+    w(A) and prove emptiness from w's coefficients: partial on x a x - x x
+    (every plus-kind size proved empty) and on 40 random polynomials of
+    x-degree at most two, at every region, calls neither linearize_poly
+    nor Realization.pencils."""
     calls = []
-    monkeypatch.setattr(butterfly, "linearize_poly",
-                        lambda q: calls.append(q) or linearize_poly(q))
-    p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0, (1, 1): 2.0})
-    pb = poly_butterfly(p)
+    for owner, name in ((realize, "linearize_poly"),
+                        (realize.Realization, "pencils")):
+        def spy(*args, name=name, call=getattr(owner, name), **kw):
+            calls.append(name)
+            return call(*args, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    xaxxx = tmp_path / "xaxxx.txt"
+    xaxxx.write_text("vars a: a | x: x\n1 * x a x\n-1 * x x\n")
+    files = [xaxxx]
+    rng = np.random.default_rng(36)
+    while len(files) < 41:
+        p = rand_sym_poly(rng, int(rng.integers(0, 3)),
+                          int(rng.integers(1, 3)))
+        if p.degree_in_class("x") == 0:
+            continue
+        files.append(tmp_path / ("p%d.txt" % len(files)))
+        files[-1].write_text(format_poly(p))
+    for path in files:
+        for region in ("default", "dom", "kebab-plus", "ball:0.5"):
+            code = cli.main(["partial", str(path), "--region", region,
+                             "--sizes", "1,2", "--samples", "3",
+                             "--out", str(tmp_path / "r.json")])
+            assert code in (0, 1, 3), (path.read_text(), region)
     assert calls == []
-    assert pb.realization is pb.realization and calls == [p]
-    R = linearize_poly(p)
-    assert replace(pb, given=R).realization is R and calls == [p]
-
-
-def rand_sym_poly(rng, h, g):
-    """q + q* for a q of 1-5 random words of x-degree 0-2 over h a-letters
-    and g x-letters, a-words of length 0-2 around and between the
-    x-letters (so x_i ... x_j words with i != j when g = 2)."""
-    ctx = VarContext(("a", "b")[:h], ("x", "y")[:g])
-
-    def aword(m):
-        return tuple(int(i) for i in rng.integers(0, h, size=m if h else 0))
-
-    terms = {}
-    for _ in range(int(rng.integers(1, 6))):
-        w = aword(int(rng.integers(0, 3)))
-        for _ in range(int(rng.integers(0, 3))):
-            w += (h + int(rng.integers(0, g)),) + aword(
-                int(rng.integers(0, 2)))
-        terms[w] = terms.get(w, 0) + complex(rng.normal(), rng.normal())
-    q = FreePoly.from_terms(ctx, {w: np.array([[c]])
-                                  for w, c in terms.items()})
-    return q + q.adjoint()
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,9 +269,8 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
     + ell* w ell coefficient by coefficient (poly_mul); 2 ell(A, H)* w(A)
     ell(A, H) is the central second difference of eval_poly in the
     direction H (exact for x-degree two); the PolyRegion of each kind
-    answers as Region(pb.realization, kind) (assert_region_answers_match,
-    the ball of radius 0.5); psd_at_zero is whether J11 is PSD,
-    dom_plus_empty's gate."""
+    answers as Region(linearize_poly(p), kind) (assert_region_answers_match,
+    the ball of radius 0.5); psd_at_zero is whether J11 is PSD."""
     rng = np.random.default_rng(seed)
     p = rand_sym_poly(rng, h, g)
     if p.degree_in_class("x") == 0:
@@ -284,7 +280,7 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
     if pb.k:
         recon = recon + pb.ell.adjoint() @ pb.w @ pb.ell
     assert (p - recon).coeffs == {}
-    R = pb.realization
+    R = linearize_poly(p)
     assert pb.psd_at_zero() == matkit.is_psd(R.frame.J11).is_psd
     for n in (1, 2, 3):
         mats = partialcvx._herm_stack(n, [(n, n, True)] * (h + g), 0.6,
@@ -419,7 +415,8 @@ def test_poly_butterfly_gram_product_matches_pair_loop(seed, span):
     for w, c in pairs.items():
         assert abs(gram.scalar_coeff(w) - c) <= EPS * scale
     assert (p - (pb.fbar + gram)).coeffs == {}
-    fbar = realization_fbar(pb.realization, p.ctx, 2 * span, 1e-10 * scale)
+    fbar = realization_fbar(linearize_poly(p), p.ctx, 2 * span,
+                            1e-10 * scale)
     assert set(pb.fbar.coeffs) == set(fbar)
     for w, c in fbar.items():
         assert abs(pb.fbar.scalar_coeff(w) - c) <= 1e-12 * scale

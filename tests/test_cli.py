@@ -135,6 +135,33 @@ def test_missing_file_is_input_error(capsys):
 # ---------------------------------------------------------------------------
 # partial
 
+def test_words_are_written_from_the_name_table():
+    """_poly_json and format_poly write each word from the context's name
+    table: the same keys, values and text as naming it letter by letter
+    through VarContext.name, for multi-character names and the empty
+    word ("1"), of scalar and matrix coefficients."""
+    ctx = ncalg.VarContext(("a", "beta"), ("x1", "long_x"))
+    words = [(), (0,), (1,), (2, 1, 3), (3, 1, 2), (3, 3), (1, 2, 0, 3, 1)]
+    rng = np.random.default_rng(14)
+    p = ncalg.FreePoly.from_terms(ctx, {w: complex(*rng.normal(size=2))
+                                        for w in words})
+
+    def name(w):
+        return " ".join(ctx.name(i) for i in w) or "1"
+
+    assert cli._poly_json(p) == {name(w): matkit.jmat(p.scalar_coeff(w))
+                                 for w in p.words()}
+    lines = ["vars a: a beta | x: x1 long_x"] + [
+        "%s * %s" % (ncalg.format_complex(p.scalar_coeff(w)), name(w))
+        for w in p.words()]
+    assert ncalg.format_poly(p) == "\n".join(lines) + "\n"
+    assert ncalg.parse_poly(ncalg.format_poly(p)).words() == p.words()
+    blocks = ncalg.FreePoly.from_terms(
+        ctx, {w: rng.normal(size=(2, 1)) + 0j for w in words})
+    assert cli._poly_json(blocks) == {name(w): matkit.jmat(blocks.coeffs[w])
+                                      for w in blocks.words()}
+
+
 def test_partial_xax_positive(tmp_path):
     code, rep = run_out(tmp_path, "p.json", [
         "partial", str(DATA / "xax_poly.txt"),
@@ -411,25 +438,44 @@ def test_partial_singular_J_is_input_error(tmp_path, capsys, J):
 
 
 def test_partial_with_no_region_point_says_why(tmp_path, capsys):
-    """When every size is empty, partial exits 3 with one stderr reason
-    that states the probe budget, and the report carries the same reason:
-    w = a - 1 of x a x - x x is never PSD at --scale 0.6."""
-    poly = tmp_path / "xax_minus_xx.txt"
-    poly.write_text("vars a: a | x: x\n1 * x a x\n-1 * x x\n")
+    """When every size is empty, partial exits 3 with one stderr reason,
+    and the report carries the same reason.  1/(-1 - a/10 - x/10) is
+    rational, so it has no proof, and R_T = P^-1 is negative definite at
+    --scale 0.6: the reason states the probe budget.  w = a - 1 of
+    x a x - x x has lambda_min(w(A)) <= -0.4 there: every size is proved
+    empty by the rayleigh form, with no draw, and the reason says so."""
+    rfile = tmp_path / "minus_one.json"
+    rfile.write_text(json.dumps({"J": [[[-1, 0]]], "S": [[[[0.1, 0]]]],
+                                 "T": [[[[0.1, 0]]]], "c": [[1, 0]]}))
     code, rep = run_out(tmp_path, "p.json", [
-        "partial", str(poly), "--sizes", "1,2", "--samples", "2"])
+        "partial", str(rfile), "--sizes", "1,2", "--samples", "2"])
     reason = ("no region point at any size (dom-plus at sizes 1,2: 2 probes "
               "of 500 draws each per size)")
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().err == "inconclusive: %s\n" % reason
     assert rep["results"]["inconclusive"] == reason
-    assert all(c["empty"] for c in rep["results"]["hessian_scan"]["per_size"])
+    assert all(c == {"size": c["size"], "empty": True}
+               for c in rep["results"]["hessian_scan"]["per_size"])
+    poly = tmp_path / "xax_minus_xx.txt"
+    poly.write_text("vars a: a | x: x\n1 * x a x\n-1 * x x\n")
+    code, rep = run_out(tmp_path, "p.json", [
+        "partial", str(poly), "--sizes", "1,2", "--samples", "2"])
+    reason = ("no region point at any size (dom-plus at sizes 1,2: proved "
+              "empty: lambda_min(M) <= -0.4 < -tol_psd max(1, 1.6) at every "
+              "draw of norm <= 0.6, by the rayleigh form")
+    assert code == EXIT_INCONCLUSIVE
+    assert rep["results"]["inconclusive"].startswith(reason)
+    assert capsys.readouterr().err == "inconclusive: %s\n" % (
+        rep["results"]["inconclusive"])
+    assert all(c["empty"] and c["proof"]["form"] == "rayleigh"
+               for c in rep["results"]["hessian_scan"]["per_size"])
+    assert rep["results"]["localizing_scan"]["checked"] == 0
 
 
 def test_partial_with_every_size_proved_empty_says_so(tmp_path, capsys,
                                                      monkeypatch):
     """x4 without its midpoint witness: every size of dom+ is empty by
-    realize.dom_plus_empty, so partial exits 3, and the reason states
+    the region's empty_proof, so partial exits 3, and the reason states
     that proof instead of a probe budget."""
     monkeypatch.setattr(butterfly, "midpoint_violation_search",
                         lambda p: None)
@@ -445,7 +491,7 @@ def test_partial_with_every_size_proved_empty_says_so(tmp_path, capsys,
     assert chunks[1]["proof"] == proof
     reason = results["inconclusive"]
     assert reason.startswith("no region point at any size (dom-plus at "
-                             "sizes 1,2: proved empty: lambda_min(R_T) <= "
+                             "sizes 1,2: proved empty: lambda_min(M) <= "
                              "%.6g < -tol_psd max(1, %.6g) at every draw of "
                              "norm <= 0.6" % (proof["lambda_bound"],
                                               proof["norm_bound"]))
@@ -619,7 +665,6 @@ def test_sos_partial_reads_no_pencil(tmp_path, monkeypatch):
     calls = []
     for owner, name in ((realize.Region, "test"),
                         (butterfly, "butterfly_build"),
-                        (butterfly, "linearize_poly"),
                         (realize, "linearize_poly")):
         def spy(*args, name=name, call=getattr(owner, name)):
             calls.append(name)
@@ -647,7 +692,6 @@ def test_sharpness_witness_reads_no_pencil(tmp_path, monkeypatch):
                         (partialcvx, "r_T"), (realize, "resolvent"),
                         (partialcvx, "resolvent"),
                         (realize, "linearize_poly"),
-                        (butterfly, "linearize_poly"),
                         (partialcvx, "negativity_witness")):
         def spy(*args, name=name, call=getattr(owner, name), **kw):
             calls.append(name)
@@ -711,21 +755,23 @@ def test_partial_makes_one_scan_region_and_one_proof(
         tmp_path, monkeypatch, name, regions, proofs, want):
     """At three sizes partial makes its Hessian-scan region once, and the
     localizing scan its dom region once; dom+ emptiness is decided once
-    per run: x4's one dom_plus_empty call proves every size, and xax's
-    w(0) passes psd_mask, so it needs none.  --workers 1 gives the report
-    of no flag."""
+    per run: x4's one prove_empty call proves every size, and xax's
+    w(0) passes psd_mask, so its one call proves nothing.  --workers 1
+    gives the report of no flag."""
     made, proved = [], []
-    make, prove = cli.make_region, realize.dom_plus_empty
+    make, prove = cli.make_region, realize.prove_empty
     monkeypatch.setattr(cli, "make_region",
                         lambda kind, *args: made.append(kind)
                         or make(kind, *args))
-    monkeypatch.setattr(realize, "dom_plus_empty",
-                        lambda *args: proved.append(args) or prove(*args))
+    monkeypatch.setattr(realize, "prove_empty",
+                        lambda *args: proved.append(prove(*args))
+                        or proved[-1])
     argv = ["partial", str(DATA / name), "--sizes", "1,2,3"]
     code, rep = run_out(tmp_path, "p.json", argv)
     assert code == want
     assert made == regions
-    assert len(proved) == proofs
+    assert len(proved) == 1
+    assert sum(proof is not None for proof in proved) == proofs
     per_size = rep["results"]["hessian_scan"]["per_size"]
     assert [c["size"] for c in per_size] == [1, 2, 3]
     assert all(("proof" in c) == bool(proofs) for c in per_size)
@@ -786,8 +832,7 @@ def test_butterfly_polynomials_factor_no_pencil(tmp_path, monkeypatch):
     for owner, name in ((realize.Region, "test"), (realize, "r_T"),
                         (partialcvx, "r_T"), (realize, "resolvent"),
                         (partialcvx, "resolvent"),
-                        (realize, "linearize_poly"),
-                        (butterfly, "linearize_poly")):
+                        (realize, "linearize_poly")):
         def spy(*args, name=name, call=getattr(owner, name), **kw):
             calls.append(name)
             return call(*args, **kw)
@@ -1051,7 +1096,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
     (a PolyRegion) rt_lambda_min is min(lambda_min(w(A)), 0), which has
     R_T's sign but not its value: it is checked exactly against w(A) at
     the point, and in sign against the pencil's R_T.  The proof each size
-    was given is dom_plus_empty's on the pencils."""
+    was given is the scanned region's empty_proof."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     seen = recorded_chunks(monkeypatch)
     argvs = plus_scan_argvs(workload, tmp_path)
@@ -1063,7 +1108,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
     for (scanned, cfg, size, seed, proof), chunk in seen:
         assert type(scanned) in (realize.Region, butterfly.PolyRegion)
         pb = getattr(scanned, "pb", None)
-        R = scanned.R if pb is None else pb.realization
+        R = scanned.R if pb is None else realize.linearize_poly(pb.p)
         region = cli.make_region(cfg.region, R, cfg)
         assert region.kind == "dom-plus"
         rng = np.random.default_rng(seed)
@@ -1094,7 +1139,7 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
                 found["empty"] += 1
                 # a proved size carries its proof; a sampled one nothing
                 # more
-                proved = realize.dom_plus_empty(R, cfg.scale, cfg.tol_psd)
+                proved = scanned.empty_proof(cfg.scale)
                 assert (proof is None) == (proved is None)
                 assert set(chunk) == {"size", "empty"} | (
                     set() if proved is None else {"proof"})
@@ -1118,19 +1163,18 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
 
 
 def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
-    """At --scale 50 the norm bound is too weak for a proof, and each size
-    is the sampler's: empty after every probe missed the region, with no
-    proof and no other field."""
+    """At --scale 100 the norm bound is too weak for a proof (x4's is
+    proved up to about 99), and each size is the sampler's: empty after
+    every probe missed the region, with no proof and no other field."""
     seen = recorded_chunks(monkeypatch)
     code, rep = run_out(tmp_path, "p.json", [
-        "partial", str(DATA / "x4_poly.txt"), "--scale", "50",
+        "partial", str(DATA / "x4_poly.txt"), "--scale", "100",
         "--sizes", "1,2", "--samples", "2"])
     assert code == EXIT_NEGATIVE
     assert len(seen) == 2
     for (region, cfg, size, seed, proof), chunk in seen:
         assert proof is None
-        assert realize.dom_plus_empty(region.R, cfg.scale,
-                                      cfg.tol_psd) is None
+        assert region.empty_proof(cfg.scale) is None
         with pytest.raises(partialcvx.RegionEmpty):
             partialcvx.convexity_verdict(
                 cli.make_region(cfg.region, region.R, cfg), sizes=(size,),

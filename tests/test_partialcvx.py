@@ -166,7 +166,7 @@ def test_negativity_witness_h_has_a_canonical_phase(monkeypatch):
 def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
     """With R_T at bad handed on, the one pencil inverse the witness
     takes is the doubled point's, in its own Hessian check: the
-    companion's W comes from region.test, so _inverse runs only at the
+    companion's W comes from region.test, so resolvent runs only at the
     doubled point."""
     R = xax_realization()
     rng = np.random.default_rng(3)
@@ -175,13 +175,14 @@ def test_negativity_witness_factors_only_its_doubled_point(monkeypatch):
                if in_dom(R, t) and np.linalg.eigvalsh(r_T(R, t))[0] < -1e-3)
     rt = r_T(R, bad, factors=realize.resolvent(R, bad))
     want = negativity_witness(R, bad)
-    inverse, factored = realize._inverse, []
+    inverse, factored = realize.resolvent, []
 
-    def spy(R_, t, tol_inv, factors=None):
+    def spy(R_, t, tol_inv=matkit.TOL_INV, factors=None):
         factored.append(t.n)
         return inverse(R_, t, tol_inv, factors)
 
-    monkeypatch.setattr(realize, "_inverse", spy)
+    monkeypatch.setattr(realize, "resolvent", spy)
+    monkeypatch.setattr(partialcvx, "resolvent", spy)
     got = negativity_witness(R, bad, rt=rt)
     assert factored == [got.point.n]
     assert np.array_equal(got.h, want.h) and got.value == want.value
@@ -543,7 +544,8 @@ def origin_regions(kind, tol):
     for text in ORIGIN_POLYS:
         pb = butterfly.poly_butterfly(ncalg.parse_poly(text))
         out.append((butterfly.PolyRegion(pb, kind, tol), pb))
-        out.append((Region(pb.realization, kind, tol), pb.realization))
+        R = linearize_poly(pb.p)
+        out.append((Region(R, kind, tol), R))
     x4 = (Path(ncalg.__file__).parent / "data" / "x4_poly.txt").read_text()
     reals = [linearize_poly(ncalg.parse_poly(x4))]
     rng = np.random.default_rng(5)

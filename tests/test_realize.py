@@ -5,6 +5,7 @@ small frozen examples (x^2, a constant, x a x) pin the expected sizes and
 signatures of the pipeline output.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import (congruent_copy, padded_copy, rand_herm_tuple,
                       rand_minimal_smr, rand_poly, rand_smr,
-                      rand_symmetric_poly)
-from ncconvex import matkit, ncalg, partialcvx, realize
+                      rand_sym_poly, rand_symmetric_poly)
+from ncconvex import butterfly, matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
 from ncconvex.realize import (
     NotEquivalent,
@@ -832,7 +833,7 @@ def test_linearize_poly_skips_only_an_identity_closure(name):
 
 
 # ---------------------------------------------------------------------------
-# dom+ proved empty from R_T's constant direction
+# dom+ proved empty from the coefficients of the matrix each region judges
 
 def corpus_polys(monkeypatch, tmp_path, workload, seeds):
     """{(seed, name): the input polynomial} of a benchmark corpus."""
@@ -842,12 +843,202 @@ def corpus_polys(monkeypatch, tmp_path, workload, seeds):
             for item in corpus.build(workload, seed, tmp_path, DATA)}
 
 
+def reference_dom_plus_empty(R, scale, tol=matkit.TOL_PSD):
+    """The constant-direction proof that prove_empty replaced, as the
+    reference: (u, a, c, norm_bound, lambda_bound) or None.
+
+    With J^2 = I and jointly nilpotent letters N_l = J Z_l, R_T(A, X)
+    (u (x) y) = (J11 u) (x) y for every u with J V_T u orthogonal to the
+    smallest N_l*-invariant subspace O containing every ran N_l* V_T;
+    (built as realize._krylov_closure builds its closure, from a
+    frontier of several columns); among those (the kernel Q of
+    O* J V_T) u is the lowest eigenvector of
+    Q* J11 Q when it is negative, else the u of its kernel that J11 moves
+    most.  ||R_T|| <= B = sum_(m < e) rho^m, rho = scale sum_l ||N_l||
+    (1 + 1e-12), and lambda_min(R_T) <= ((a + B) - sqrt((B - a)^2 +
+    4 c^2)) / 2 by interlacing."""
+    frame = R.frame
+    if R.psd_at_zero(tol) or not frame.k or not R.is_signature() \
+            or not R.letters[1]:
+        return None
+    N, _, norms = R.letters
+    Nh = N.conj().swapaxes(-1, -2)
+    O = np.zeros((R.e, 0), dtype=complex)
+    frontier = np.hstack(Nh @ frame.V_T)
+    while frontier.shape[1]:
+        k = O.shape[1]
+        O, _ = realize._pivoted_gs(O, frontier, realize._krylov_cut(N))
+        frontier = np.hstack([O[:, :0]] + [M @ O[:, k:] for M in Nh])
+    _, s, Vh = np.linalg.svd(O.conj().T @ R.J @ frame.V_T)
+    Q = Vh[int(np.sum(s > realize.RTOL_RANK)):].conj().T
+    if not Q.shape[1]:
+        return None
+    J11 = frame.J11
+    mu, E = np.linalg.eigh(matkit.herm(Q.conj().T @ J11 @ Q))
+    if mu[0] < -realize.RTOL_RANK:
+        v = E[:, 0]
+    else:
+        ker = E[:, mu <= realize.RTOL_RANK]
+        if not ker.shape[1]:
+            return None
+        v = ker @ np.linalg.svd(J11 @ Q @ ker)[2][0].conj()
+    u = Q @ v
+    u = u * (matkit.unit_phase(u) / np.linalg.norm(u))
+    a = float(np.real(u.conj() @ J11 @ u))
+    c = float(np.linalg.norm(J11 @ u - a * u))
+    rho = scale * float(norms.sum()) * (1 + 1e-12)
+    B = 1.0
+    for _ in range(R.e - 1):
+        B = 1.0 + rho * B
+        if not tol * B <= 2:
+            return None
+    lam = ((a + B) - math.hypot(B - a, 2 * c)) / 2
+    if not lam < -tol * max(1.0, B):
+        return None
+    return u, a, c, B, lam
+
+
+def proof_corpus(monkeypatch, tmp_path):
+    """(label, polynomial, scale) cases: 300 seeded rand_sym_poly inputs of
+    x-degree <= 2 at --scale 0.3, 0.6 and 2 whose w(0) fails psd_mask;
+    x4 and deep0-4 of partial-reject at seeds 1-3 and 40 seeded random
+    polynomials of x-degree 3-5, at --scale 0.6."""
+    rng = np.random.default_rng(2036)
+    cases = []
+    for i in range(300):
+        p = rand_sym_poly(rng, int(rng.integers(0, 3)),
+                          int(rng.integers(1, 3)))
+        if p.degree_in_class("x") != 2:
+            continue
+        if butterfly.poly_butterfly(p).psd_at_zero():
+            continue
+        cases += [("sym%d" % i, p, scale) for scale in (0.3, 0.6, 2.0)]
+    polys = corpus_polys(monkeypatch, tmp_path, "partial-reject", (1, 2, 3))
+    cases += [("%s@%d" % (name, seed), p, 0.6)
+              for (seed, name), p in polys.items()
+              if name == "x4_poly.txt" or name.startswith("deep")]
+    found = 0
+    while found < 40:
+        p = rand_sym_poly(rng, int(rng.integers(0, 3)),
+                          int(rng.integers(1, 3)), max_x=5)
+        if p.degree_in_class("x") >= 3:
+            cases.append(("deg%d" % found, p, 0.6))
+            found += 1
+    return cases
+
+
+def test_empty_proof_holds_wherever_the_reference_does(monkeypatch,
+                                                       tmp_path):
+    """On proof_corpus, the region's empty_proof holds wherever the
+    constant-direction reference does: for x-degree <= 2 from w's
+    coefficients (PolyRegion), above that from R_T's series on the same
+    realization (Region), where its norm_bound and lambda_bound are no
+    larger than the reference's (lambda_bound to rounding).  It proves
+    more cases than the reference, among them x a x - x x, which the
+    reference cannot."""
+    counts = {"reference": 0, "new": 0}
+    for label, p, scale in proof_corpus(monkeypatch, tmp_path):
+        R = linearize_poly(p)
+        ref = reference_dom_plus_empty(R, scale)
+        if p.degree_in_class("x") <= 2:
+            region = butterfly.PolyRegion(butterfly.poly_butterfly(p),
+                                          "dom-plus")
+        else:
+            region = realize.Region(R, "dom-plus")
+        proof = region.empty_proof(scale)
+        counts["reference"] += ref is not None
+        counts["new"] += proof is not None
+        if ref is None:
+            continue
+        assert proof is not None, (label, scale)
+        if isinstance(region, realize.Region):
+            assert proof.norm_bound <= ref[3], label
+            # no larger up to rounding: where c is 0 both bounds are a,
+            # computed from different unit vectors
+            assert proof.lambda_bound <= ref[4] + 1e-12 * max(1.0,
+                                                             abs(ref[4])), \
+                label
+    assert counts["new"] > counts["reference"] > 0, counts
+    xaxxx = ncalg.parse_poly("vars a: a | x: x\n1 * x a x\n-1 * x x\n")
+    assert reference_dom_plus_empty(linearize_poly(xaxxx), 0.6) is None
+    proof = butterfly.PolyRegion(butterfly.poly_butterfly(xaxxx),
+                                 "dom-plus").empty_proof(0.6)
+    assert proof.form == "rayleigh"
+    assert proof.lambda_bound == pytest.approx(-0.4)
+
+
+def eval_series(words, coeffs, t):
+    """sum_w coeffs[w] (x) Z^w at the point t (letters a, then x)."""
+    mats, n = t.mats, t.n
+    total = np.zeros((coeffs.shape[1] * n,) * 2, dtype=complex)
+    for w, M in zip(words, coeffs):
+        Zw = np.eye(n, dtype=complex)
+        for l in w:
+            Zw = Zw @ mats[l]
+        total += np.kron(M, Zw)
+    return total
+
+
+def at_norm(mats, scale):
+    """Each matrix of a stack of points rescaled to spectral norm scale."""
+    norms = np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return mats * (scale / np.maximum(norms, 1e-300))[..., None, None]
+
+
+def test_empty_proof_is_sound(monkeypatch, tmp_path):
+    """R_T's series equals r_T at random points to 1e-12 relative; and
+    where a proof holds, no draw at sizes 1-3 passes the plus regions'
+    test, neither as drawn nor rescaled to norm exactly the scale, and
+    lambda_min of the judged matrix is at most lambda_bound (to
+    rounding)."""
+    rng = np.random.default_rng(3601)
+    proved = 0
+    for label, p, scale in proof_corpus(monkeypatch, tmp_path)[::4]:
+        R = linearize_poly(p)
+        words, coeffs, _ = realize._word_series(R, R.frame.V_T)
+        for n in (1, 2):
+            m = partialcvx._herm_stack(n, [(n, n, True)] * (R.h + R.g),
+                                       0.6, rng, 1)[0]
+            t = HermTuple(n, tuple(m[:R.h]), tuple(m[R.h:]), validate=False)
+            rt = r_T(R, t)
+            assert np.linalg.norm(eval_series(words, coeffs, t) - rt, 2) \
+                <= 1e-12 * max(1.0, np.linalg.norm(rt, 2)), label
+        if p.degree_in_class("x") <= 2:
+            pb = butterfly.poly_butterfly(p)
+            regions = [butterfly.PolyRegion(pb, kind)
+                       for kind in ("dom-plus", "kebab-plus")]
+        else:
+            regions = [realize.Region(R, kind)
+                       for kind in ("dom-plus", "kebab-plus")]
+        proof = regions[0].empty_proof(scale)
+        if proof is None:
+            continue
+        proved += 1
+        for n in (1, 2, 3):
+            parts = [(n, n, True)] * (regions[0].h + regions[0].g)
+            drawn = partialcvx._herm_stack(n, parts, scale, rng, 50)
+            for mats in (drawn, at_norm(drawn, scale)):
+                for region in regions:
+                    inside, payloads = region.test(mats)
+                    assert not inside.any(), (label, region.kind)
+                if isinstance(regions[0], realize.Region):
+                    low = np.linalg.eigvalsh(realize._compress(
+                        payloads, R.frame.lift(n)))[:, 0]
+                else:
+                    low = np.array([ev[0] for _, ev in payloads])
+                # up to eigvalsh's rounding: w constant gives the bound
+                assert low.max() <= proof.lambda_bound \
+                    + 1e-12 * proof.norm_bound, label
+    assert proved > 100
+
+
 def test_x_degree_above_two_has_a_dom_plus_empty_proof(monkeypatch,
                                                         tmp_path):
     """On x4 and the deep inputs of partial-reject at seeds 1-5 the proof
-    exists and R_T is constant on u (x) y at points of sizes 1-3; at seed
-    1 both plus regions reject 2000 draws per size at the proof's scale,
-    and lambda_min of each drawn R_T is at most the proved bound."""
+    exists, and on u (x) y R_T's Rayleigh quotient is at most the proved
+    bound at points of sizes 1-3; at seed 1 both plus regions reject 2000
+    draws per size at the proof's scale, and lambda_min of each drawn
+    R_T is at most the proved bound."""
     polys = corpus_polys(monkeypatch, tmp_path, "partial-reject",
                          range(1, 6))
     polys = {key: p for key, p in polys.items()
@@ -856,20 +1047,18 @@ def test_x_degree_above_two_has_a_dom_plus_empty_proof(monkeypatch,
     rng = np.random.default_rng(7)
     for (seed, _), p in polys.items():
         R = linearize_poly(p)
-        proof = realize.dom_plus_empty(R, 0.6)
+        proof = realize.Region(R, "dom-plus").empty_proof(0.6)
         assert proof is not None
         assert proof.lambda_bound < -1e-8 * max(1.0, proof.norm_bound)
-        u, J11 = proof.direction.u, R.frame.J11
+        u = proof.u
         assert abs(np.linalg.norm(u) - 1) <= 1e-12
         for n in (1, 2, 3):
             parts = [(n, n, True)] * (R.h + R.g)
             m = partialcvx._herm_stack(n, parts, 0.6, rng, 1)[0]
             t = HermTuple(n, tuple(m[:R.h]), tuple(m[R.h:]), validate=False)
-            rt = r_T(R, t)
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
-            err = np.linalg.norm(rt @ np.kron(u, y) - np.kron(J11 @ u, y))
-            assert err <= 1e-12 * max(1.0, np.linalg.norm(rt, 2)) \
-                * np.linalg.norm(y)
+            uy = np.kron(u, y / np.linalg.norm(y))
+            assert np.real(uy.conj() @ r_T(R, t) @ uy) <= proof.lambda_bound
             if seed != 1:
                 continue
             mats = partialcvx._herm_stack(n, parts, 0.6, rng, 2000)
@@ -885,31 +1074,46 @@ def test_x_degree_above_two_has_a_dom_plus_empty_proof(monkeypatch,
 def test_no_dom_plus_empty_proof_on_butterfly_inputs(workload, monkeypatch,
                                                      tmp_path):
     """The inputs of x-degree <= 2, which have a butterfly and dom+
-    points, have no proof."""
+    points, have no proof, from w or from their realization's R_T."""
     polys = corpus_polys(monkeypatch, tmp_path, workload, range(1, 4))
     checked = 0
     for p in polys.values():
         if p.degree_in_class("x") > 2:
             continue
-        assert realize.dom_plus_empty(linearize_poly(p), 0.6) is None
+        pb = butterfly.poly_butterfly(p)
+        assert butterfly.PolyRegion(pb, "dom-plus").empty_proof(0.6) is None
+        assert realize.Region(linearize_poly(p),
+                              "dom-plus").empty_proof(0.6) is None
         checked += 1
     assert checked == (75 if workload == "partial-accept" else 57)
 
 
 def test_rational_realizations_have_no_constant_direction():
     """Random minimal realizations are rational: their letters are not
-    nilpotent, so there is no ConstantDirection and no proof."""
+    nilpotent, so R_T has no finite series and there is no proof."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         R = rand_minimal_smr(rng, e=4, h=1, g=2)
-        assert R.constant_direction is None
-        assert realize.dom_plus_empty(R, 0.6) is None
+        region = realize.Region(R, "dom-plus")
+        assert region.series() is None
+        assert region.empty_proof(0.6) is None
 
 
 def test_dom_plus_empty_proof_needs_a_strong_bound():
-    """At a large scale ||R_T|| <= B is too weak, and x4 has no proof."""
+    """At a large scale the bounds are too weak: x4 has a proof at 0.6 and
+    50 (the kernel form's lambda_bound is about -1 / norm_bound), none at
+    100 or 1e300; and x a x - x x (w = a - 1, lambda_min(w(A)) <= -1 +
+    scale) none at scale 1."""
     R = linearize_poly(ncalg.parse_poly((DATA / "x4_poly.txt").read_text()))
-    assert R.constant_direction is not None
-    assert realize.dom_plus_empty(R, 0.6) is not None
-    for scale in (50.0, 1e300):
-        assert realize.dom_plus_empty(R, scale) is None
+    region = realize.Region(R, "dom-plus")
+    assert region.empty_proof(0.6) is not None
+    assert region.empty_proof(50.0).form == "kernel"
+    for scale in (100.0, 1e300):
+        assert region.empty_proof(scale) is None
+    pb = butterfly.poly_butterfly(ncalg.parse_poly(
+        "vars a: a | x: x\n1 * x a x\n-1 * x x\n"))
+    region = butterfly.PolyRegion(pb, "kebab-plus")
+    assert region.empty_proof(0.99).lambda_bound == pytest.approx(-0.01)
+    assert region.empty_proof(1.0) is None
+
+
