@@ -21,6 +21,7 @@ every region of such a polynomial through w(A) alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +254,9 @@ class MidpointWitness:
 
 def midpoint_violation_search(p, samples=120):
     """Seeded random search for a midpoint-convexity-in-x violation (gap
-    eigenvalue below -1e-8) at sizes 2 and 3, scale 1; None if clean: a
-    matkit.block_search over sample_herm candidates (A, X1, X2) per size."""
+    eigenvalue below -1e-8) at sizes 2 and 3, scale 1; None if clean: the
+    first flagged of samples candidates (A, X1, X2) per size, from a
+    matkit.judged_draws stream of sample_blocks draws."""
     rng = np.random.default_rng(0)
     h, g = p.ctx.h, p.ctx.g
 
@@ -262,18 +264,21 @@ def midpoint_violation_search(p, samples=120):
         return MidpointWitness(tuple(mats[:h]), tuple(mats[h:h + g]),
                                tuple(mats[h + g:]), lam)
 
-    def judge(mats):
-        lam = np.linalg.eigvalsh(candidate(mats).gap(p))[:, 0]
-        return lam < -1e-8, lam
+    def judge(block):
+        lam = np.linalg.eigvalsh(candidate(block.swapaxes(0, 1)).gap(p))
+        return lam[:, 0] < -1e-8, lam[:, 0]
 
     for n in (2, 3):
         parts = [(n, n, True)] * (h + 2 * g)
-        hit = matkit.block_search(
-            lambda B: matkit.sample_blocks(parts, 1.0, rng, B), judge, rng,
-            samples, skip=lambda B: matkit.skip_blocks(parts, 1.0, rng, B))
+        draws = matkit.judged_draws(
+            lambda B: np.stack(matkit.sample_blocks(parts, 1.0, rng, B), 1),
+            judge, lambda B: matkit.skip_blocks(parts, 1.0, rng, B), rng, 1,
+            samples)
+        hit = next((d for d in itertools.islice(draws, samples) if d[1]),
+                   None)
+        draws.close()
         if hit is not None:
-            mats, lam, i = hit
-            return candidate([M[i] for M in mats], float(lam[i]))
+            return candidate(hit[0], float(hit[2]))
     return None
 
 

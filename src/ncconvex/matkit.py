@@ -329,30 +329,33 @@ def sample_tuple(n, counts, scale, rng):
     return HermTuple.make(M[:counts[0]], M[counts[0]:])
 
 
-def block_search(draw, judge, rng, limit, cap=None, skip=None):
-    """The first flagged of limit candidates: (block, judged, i), or None.
+def judged_draws(draw, judge, skip, rng, first, cap):
+    """The candidates rng draws, one at a time, each as (candidate,
+    verdict, payload): a stream drawn and judged in blocks.
 
-    draw(B) draws B candidates from rng, in blocks of 1, 2, 4, ... (at
-    most cap); judge(block) returns (flags, judged), one flag per
-    candidate, and i is the block's first flagged index.  rng is then
-    rewound to the block's start and moved past the candidates up to i by
-    skip(i + 1), or draw(i + 1), so it ends where a loop of one-candidate
-    draws would.
+    draw(B) draws B candidates from rng, in blocks of first, 2 first,
+    4 first, ... (at most cap), and judge(block) returns (verdicts,
+    payloads), one of each per candidate.  When the consumer stops inside
+    a block (the generator's close), rng is rewound to the block's start
+    and moved past the candidates yielded by skip(count), so every
+    candidate and rng's state are those of a loop that draws one
+    candidate at a time.  The one reader and setter of rng's state.
     """
-    done, size = 0, 1
-    while done < limit:
-        B = min(size, limit - done, cap or size)
+    size = first
+    while True:
+        B = min(size, cap)
         state = rng.bit_generator.state
         block = draw(B)
-        flags, judged = judge(block)
-        if flags.any():
-            i = int(np.argmax(flags))
-            if i < B - 1:
+        verdicts, payloads = judge(block)
+        done = 0
+        try:
+            for done, item in enumerate(zip(block, verdicts, payloads), 1):
+                yield item
+        finally:
+            if done < B:
                 rng.bit_generator.state = state
-                (skip or draw)(i + 1)
-            return block, judged, i
-        done, size = done + B, 2 * size
-    return None
+                skip(done)
+        size *= 2
 
 
 # ---------------------------------------------------------------------------

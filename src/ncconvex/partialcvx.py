@@ -16,29 +16,31 @@ butterfly p = fbar + ell* w ell, w(A)'s negative eigenvector and the
 shift companion on the a-words of ell (middle_matrix_witness, which
 uses no realization and is checked on p).
 
-Region points come from a block rejection sampler (_sample_in_region):
-a matkit.block_search of up to MAX_ATTEMPTS draws, with one
-matkit.sample_blocks call and one region.test call per block, that
-leaves the generator where a loop of per-draw sample_tuple calls would,
-so every draw and verdict is the per-sample loop's.  The scans draw
-region_probes: a point, then its directions or midpoint partner, one
-probe at a time, except that the localizing scan's points (no
-directions) come as one block per size, judged by one region.test, up
-to the first draw the region rejects.  On the plus kinds partial checks
-one point per size (first_probe): the origin when the region's test
-accepts it, so an input convex at zero draws no region point, else the
-first region probe.  An accepted point comes with the payload its region's
-test handed on, and the scans ask the region for what they evaluate
-there (its hessian, values and rt_lambda_min).  A realize.Region hands
-on the pencil's inverse W (one batched LU per block), from which
-negativity_witness's R_T and companion columns evaluate as well.  A
-butterfly.PolyRegion, the region of every polynomial with a butterfly,
-hands on w(A) and its eigenvalues, for middle_matrix_witness; the
-localizing scan hands its payload to sharpness_witness, which picks.
+Region points come from region_probes, one loop over a
+matkit.judged_draws stream: the draws come in blocks, each one
+matkit.sample_blocks call judged by one region.test, and a probe is the
+next draw the region accepts (up to MAX_ATTEMPTS misses in a row).  The
+stream rewinds the generator when its consumer stops inside a block, so
+every draw and verdict is that of a per-draw loop.  The localizing
+scan's probes (no directions) share one stream per size, whose first
+block is all its samples; a Hessian or midpoint probe closes its stream
+at its point and then draws its directions or midpoint partner.  On the
+plus kinds partial checks one point per size (first_probe): the origin
+when the region's test accepts it, so an input convex at zero draws no
+region point, else the first region probe.  An accepted point comes with
+the payload its region's test handed on, and the scans ask the region
+for what they evaluate there (its hessian, values and rt_lambda_min).
+A realize.Region hands on the pencil's inverse W (one batched LU per
+block), from which negativity_witness's R_T and companion columns
+evaluate as well.  A butterfly.PolyRegion, the region of every
+polynomial with a butterfly, hands on w(A) and its eigenvalues, for
+middle_matrix_witness; the localizing scan hands its payload to
+sharpness_witness, which picks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,86 +155,47 @@ def _point(mats, h):
                      validate=False)
 
 
-def _sample_in_region(region, n, scale, rng, max_attempts=MAX_ATTEMPTS):
-    """The first of max_attempts sample_tuple draws that lies in the
-    region, with the payload its test handed on; None when none does.
-
-    A matkit.block_search, blocks capped by _block_cap and skipped with
-    skip_blocks, so every draw and point is the per-draw loop's.  The
-    region gives the letter counts h and g and dim, the size of its
-    matrices per unit of n.
-    """
-    parts = [(n, n, True)] * (region.h + region.g)
-    hit = matkit.block_search(
-        lambda B: _herm_stack(n, parts, scale, rng, B), region.test, rng,
-        max_attempts, cap=_block_cap(region, n),
-        skip=lambda B: matkit.skip_blocks(parts, scale, rng, B))
-    if hit is None:
-        return None
-    mats, W, i = hit
-    return _point(mats[i], region.h), W[i]
-
-
-def _leading_probes(region, n, samples, rng, scale):
-    """region_probes without extras, up to the first draw the region
-    rejects; returns how many of the samples probes are left.
-
-    The probes' first draws come as blocks of up to samples (capped by
-    _block_cap), each judged by one region.test.  rng is rewound to the
-    block's start and moved past the draws of the probes yielded, so it is
-    where the per-probe loop leaves it: at a rejected draw, which the
-    caller's _sample_in_region draws again, or at the probe after the last
-    one yielded when the consumer stops early (the generator's close).
-    """
-    parts = [(n, n, True)] * (region.h + region.g)
-    no_extra = np.zeros((0, n, n), dtype=complex)
-    while samples:
-        B = min(samples, _block_cap(region, n))
-        state = rng.bit_generator.state
-        mats = _herm_stack(n, parts, scale, rng, B)
-        inside, payloads = region.test(mats)
-        done = 0
-        try:
-            while done < B and inside[done]:
-                done += 1
-                yield _point(mats[done - 1], region.h), no_extra, \
-                    payloads[done - 1]
-        finally:
-            if done < B:
-                rng.bit_generator.state = state
-                matkit.skip_blocks(parts, scale, rng, done)
-        samples -= done
-        if done < B:
-            break
-    return samples
-
-
 def region_probes(region, n, samples, rng, scale, extra=()):
     """samples region probes at size n.
 
-    A probe is the point of a _sample_in_region call (the first of
-    MAX_ATTEMPTS draws at scale that lies in the region) followed by one
-    Hermitian n x n draw per entry of extra, at that scale.  Yields
-    (t, extras, payload): the point as a HermTuple, its draws
-    (len(extra), n, n) and the payload the region's test handed on.  A
-    probe whose draws all miss the region draws nothing more and yields
-    nothing.
+    A probe is the next draw at scale that lies in the region, followed by
+    one Hermitian n x n draw per entry of extra, at that scale; a probe
+    whose MAX_ATTEMPTS draws in a row all miss the region draws nothing
+    more and yields nothing.  Yields (t, extras, payload): the point as a
+    HermTuple, its draws (len(extra), n, n) and the payload the region's
+    test handed on.
 
-    Every draw, point, payload and rng state is the per-probe loop's.
-    Without extra (the localizing scan) the probes come from
-    _leading_probes, a block of first draws judged at once, until a draw
-    is rejected; the probes from there on, and every probe with extra (the
-    Hessian and midpoint scans, which stop at their first witness), are
-    drawn one at a time.
+    The draws are a matkit.judged_draws stream, each block one
+    matkit.sample_blocks call judged by one region.test, capped by
+    _block_cap.  Without extra (the localizing scan) all probes share one
+    stream, whose first block is samples; a probe with extra (the Hessian
+    and midpoint scans, first_probe) closes its own stream, first block 1,
+    at its point and then draws its extras.  So every draw, point, payload
+    and rng state is that of a loop of per-draw sample_tuple calls.
     """
-    if not extra:
-        samples = yield from _leading_probes(region, n, samples, rng, scale)
-    parts = [(n, n, True)] * len(extra)
-    for _ in range(samples):
-        hit = _sample_in_region(region, n, scale, rng)
-        if hit is not None:
-            t, W = hit
-            yield t, _herm_stack(n, parts, extra, rng, 1)[0], W
+    parts = [(n, n, True)] * (region.h + region.g)
+
+    def stream(first):
+        return matkit.judged_draws(
+            lambda B: _herm_stack(n, parts, scale, rng, B), region.test,
+            lambda B: matkit.skip_blocks(parts, scale, rng, B), rng, first,
+            _block_cap(region, n))
+
+    draws = stream(1 if extra else samples)
+    try:
+        for _ in range(samples):
+            hit = next((d for d in itertools.islice(draws, MAX_ATTEMPTS)
+                        if d[1]), None)
+            if extra:
+                draws.close()
+                draws = stream(1)
+            if hit is not None:
+                mats, _, payload = hit
+                yield (_point(mats, region.h),
+                       _herm_stack(n, [(n, n, True)] * len(extra), extra,
+                                   rng, 1)[0], payload)
+    finally:
+        draws.close()
 
 
 def first_probe(region, n, samples, rng, scale):
@@ -389,7 +352,7 @@ def negativity_witness(R, bad, region=None, rt=None):
         raise ValueError("R_T is not indefinite at this point "
                          "(lambda_min=%g)" % (lam[0] if len(lam) else 0.0))
     xi = vecs[:, 0] * matkit.unit_phase(vecs[:, 0])
-    words = realize._reach_words(R.letters[0], R.J @ R.c)
+    words = realize._reach_words(R.letters[0], R.J @ R.c)[0]
     if len(words) < e:
         raise SpanFailure(len(words), e)
     A1 = _shift_companion(words, R.h + R.g)

@@ -122,7 +122,13 @@ class Realization:
         return len(self.T)
 
     def is_signature(self):
-        return np.linalg.norm(self.J @ self.J - np.eye(self.e), 2) <= 1e-8
+        """Whether J^2 = I, to 1e-8 in spectral norm, decided once."""
+        return self._signature
+
+    @cached_property
+    def _signature(self):
+        return bool(np.linalg.norm(self.J @ self.J - np.eye(self.e), 2)
+                    <= 1e-8)
 
     @cached_property
     def frame(self):
@@ -681,62 +687,31 @@ def is_minimal_rep(rep):
     return _krylov_closure(adj, rep.u).shape[1] == d
 
 
-def _krylov_pairs(mats, v, pmats, u):
-    """d independent Krylov columns C = [M_w v] and their partners
-    D = [P_w u], built breadth first by C_{iw} = M_i C_w and
-    D_{iw} = P_i D_w from the columns kept so far.
-
-    The pair (v, u) is first scaled to a unit v, and each level keeps the
-    candidates that _pivoted_gs takes with the cut of _krylov_cut; each
-    kept pair is scaled to a unit C column.  Neither scaling changes
-    D C^{-1}.  Raises MinimalityError when the span stops short of d
-    (the representation is not reachable, so not minimal).
-    """
-    d = len(v)
-    cut = _krylov_cut(mats)
-    Q = np.zeros((d, 0), dtype=complex)
-    C, D = [Q], [Q]
-    nv = np.linalg.norm(v) or 1.0
-    cand, part = v[:, None] / nv, u[:, None] / nv
-    while cand.shape[1] and Q.shape[1] < d:
-        Q, kept = _pivoted_gs(Q, cand, cut)
-        scale = np.linalg.norm(cand[:, kept], axis=0)
-        newC, newD = cand[:, kept] / scale, part[:, kept] / scale
-        C.append(newC)
-        D.append(newD)
-        cand = np.hstack([newC[:, :0]] + [M @ newC for M in mats])
-        part = np.hstack([newD[:, :0]] + [P @ newD for P in pmats])
-    C, D = np.hstack(C), np.hstack(D)
-    if C.shape[1] < d:
-        raise MinimalityError(
-            "Krylov columns span %d of %d states; the representation is "
-            "not minimal" % (C.shape[1], d))
-    return C, D
-
-
 def _reach_words(mats, v):
-    """The words w of independent states M_w v, built breadth first as in
-    _krylov_pairs: each level's candidates are M_l q for every letter l
-    and every state q the previous level kept, with the word l w, and it
-    keeps those that _pivoted_gs takes with the cut of _krylov_cut; each
-    kept state is normalized before it is extended.  So the words are
-    suffix-closed, the empty word first (when v is not 0); fewer than
-    len(v) of them when the Krylov closure of v is a proper subspace."""
+    """The words w of independent states M_w v, and those states as the
+    unit columns of a matrix, built breadth first: each level's
+    candidates are M_l q for every letter l and every state q the
+    previous level kept, with the word l w, and it keeps those that
+    _pivoted_gs takes with the cut of _krylov_cut; each kept state is
+    normalized before it is extended.  So the words are suffix-closed,
+    the empty word first (when v is not 0); fewer than len(v) of them
+    when the Krylov closure of v is a proper subspace."""
     d = len(v)
     nv = np.linalg.norm(v)
-    if not nv:
-        return []
-    cut = _krylov_cut(mats)
     Q = np.zeros((d, 0), dtype=complex)
-    cand, cand_words, words = v[:, None] / nv, [()], []
+    if not nv:
+        return [], Q
+    cut = _krylov_cut(mats)
+    cand, cand_words, words, states = v[:, None] / nv, [()], [], [Q]
     while cand.shape[1] and Q.shape[1] < d:
         Q, kept = _pivoted_gs(Q, cand, cut)
         new = cand[:, kept] / np.linalg.norm(cand[:, kept], axis=0)
         new_words = [cand_words[j] for j in kept]
         words += new_words
+        states.append(new)
         cand = np.hstack([new[:, :0]] + [M @ new for M in mats])
         cand_words = [(l,) + w for l in range(len(mats)) for w in new_words]
-    return words
+    return words, np.hstack(states)
 
 
 def _signature_realization(G, Gz, a, h, scale):
@@ -853,11 +828,12 @@ def state_space_similarity(R1, R2):
     R1 carries (J, Z, c), R2 carries (K, W, b); both must be minimal
     signature realizations of a common function, in which case S also
     satisfies S* K S = J.  With A_j = J Z_j and B_j = K W_j, S maps
-    A_w J c to B_w K b for every word w, so S C1 = C2 on the Krylov pairs
-    of _krylov_pairs; R1 is reachable, so C1 is invertible and
-    S = C2 C1^{-1}, an O(e^3) solve.  Returns NotEquivalent when the
-    relative residual of the full system exceeds 1e-8 or the congruence
-    check fails at that tolerance.
+    A_w J c to B_w K b for every word w, so S C1 = C2 on the unit states
+    C1 of _reach_words (A, J c) and their partners C2: B_l applied to the
+    partner of the word's suffix, scaled as the state was.  R1 is
+    reachable, so C1 is invertible and S = C2 C1^{-1}, an O(e^3) solve.
+    Returns NotEquivalent when the relative residual of the full system
+    exceeds 1e-8 or the congruence check fails at that tolerance.
     """
     tol = 1e-8
     for R in (R1, R2):
@@ -869,7 +845,17 @@ def state_space_similarity(R1, R2):
     A = tuple(J @ Z for Z in R1.S + R1.T)
     B = tuple(K @ W for W in R2.S + R2.T)
     a, b = J @ R1.c, K @ R2.c
-    C1, C2 = _krylov_pairs(A, a, B, b)
+    words, C1 = _reach_words(A, a)
+    if len(words) < R1.e:
+        raise MinimalityError(
+            "Krylov columns span %d of %d states; the representation is "
+            "not minimal" % (len(words), R1.e))
+    at = {w: i for i, w in enumerate(words)}
+    C2 = np.zeros_like(C1)
+    C2[:, 0] = b / np.linalg.norm(a)
+    for i, w in enumerate(words[1:], 1):
+        j = at[w[1:]]
+        C2[:, i] = B[w[0]] @ C2[:, j] / np.linalg.norm(A[w[0]] @ C1[:, j])
     S = np.linalg.solve(C1.T, C2.T).T
     sq = sum(np.linalg.norm(S @ Ai - Bi @ S) ** 2 for Ai, Bi in zip(A, B))
     sq += np.linalg.norm(S @ a - b) ** 2

@@ -7,7 +7,7 @@ the seeds so failures shrink to a reproducible integer.
 import numpy as np
 import pytest
 
-from ncconvex import matkit, realize
+from ncconvex import matkit, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 
 
@@ -104,6 +104,30 @@ def rand_minimal_smr(rng, e=4, h=1, g=2, scale=0.5, attempts=10):
         if Rm.e > 0:
             return Rm
     raise RuntimeError("could not draw a minimal SMR")
+
+
+def sample_in_region(region, n, scale, rng, max_attempts=None):
+    """The per-draw rejection loop: the first of max_attempts (default
+    partialcvx.MAX_ATTEMPTS) matkit.sample_tuple draws that lies in the
+    region, each judged alone by region.test_points, with the payload its
+    test handed on; None when none does."""
+    for _ in range(max_attempts or partialcvx.MAX_ATTEMPTS):
+        t = matkit.sample_tuple(n, (region.h, region.g), scale, rng)
+        inside, payloads = region.test_points([t])
+        if inside[0]:
+            return t, payloads[0]
+    return None
+
+
+def probe_loop(region, n, samples, rng, scale, extra=()):
+    """partialcvx.region_probes one probe and one draw at a time: each
+    probe's point from sample_in_region, then one matkit.sample_herm per
+    entry of extra, at that scale."""
+    for _ in range(samples):
+        hit = sample_in_region(region, n, scale, rng)
+        if hit is not None:
+            t, payload = hit
+            yield t, [matkit.sample_herm(n, s, rng) for s in extra], payload
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import congruent_copy, padded_copy, rand_minimal_smr
+from conftest import (congruent_copy, padded_copy, rand_minimal_smr,
+                      sample_in_region)
 from ncconvex import butterfly, cli, matkit, ncalg, partialcvx, realize, \
     xycvx
 from ncconvex.cli import (
@@ -1017,7 +1018,7 @@ def independent_first_probe(R, region, size, samples, scale, rng):
     """independent_hessian at the first Hessian probe of the per-sample
     loop, and the point; None when all samples points miss the region."""
     for _ in range(samples):
-        hit = partialcvx._sample_in_region(region, size, scale, rng)
+        hit = sample_in_region(region, size, scale, rng)
         if hit is not None:
             break
     else:
@@ -1034,18 +1035,18 @@ def analysed(region):
 
 
 def no_draws_where_the_origin_is_in(monkeypatch):
-    """Make _sample_in_region raise on a plus-kind region whose R_T(0, 0)
+    """Make region_probes raise on a plus-kind region whose R_T(0, 0)
     passes psd_mask: such a size is certified at the origin."""
-    sample = partialcvx._sample_in_region
+    probes = partialcvx.region_probes
 
     def guarded(region, *args, **kwargs):
         if region.kind.endswith("plus") \
                 and analysed(region).psd_at_zero(region.tol):
             raise AssertionError("a region point was drawn on %s, whose "
                                  "origin is in" % region.kind)
-        return sample(region, *args, **kwargs)
+        return probes(region, *args, **kwargs)
 
-    monkeypatch.setattr(partialcvx, "_sample_in_region", guarded)
+    monkeypatch.setattr(partialcvx, "region_probes", guarded)
 
 
 # w(0) = -0.1 (a polynomial butterfly) and J11 = -1 (1/(-1 - 2a - 2x)):
@@ -2038,18 +2039,23 @@ def test_reports_deterministic_across_runs(tmp_path):
         == json.dumps(strip_timings(rep2), sort_keys=True)
 
 
-def reference_localizing_scan(R, cfg, rng):
+def reference_localizing_scan(R, cfg, rng, drawn=None):
     """The localizing scan one dom draw at a time, up to MAX_ATTEMPTS per
     probe, until the first sharpness witness; the witness tests its
     companion in the scan's dom region and draws nothing.  Returns the
-    report entry and the number of draws dom rejected."""
+    report entry and the number of draws dom rejected; drawn, when given,
+    gets the number of draws of each size scanned."""
     entry, rejected = {"checked": 0}, 0
     dom_region = cli.make_region("dom", R, cfg)
     for n in cfg.sizes:
+        if drawn is not None:
+            drawn.append(0)
         for _ in range(cfg.samples):
             for _ in range(partialcvx.MAX_ATTEMPTS):
-                hit = partialcvx._sample_in_region(dom_region, n, cfg.scale,
-                                                   rng, max_attempts=1)
+                hit = sample_in_region(dom_region, n, cfg.scale, rng,
+                                       max_attempts=1)
+                if drawn is not None:
+                    drawn[-1] += 1
                 if hit is not None:
                     break
                 rejected += 1
@@ -2149,9 +2155,10 @@ def test_localizing_scan_tries_the_next_point_after_a_span_failure(
     reach, calls = realize._reach_words, []
 
     def short_first(*args):
-        words = reach(*args)
+        words, states = reach(*args)
         calls.append(words)
-        return words[:-1] if len(calls) == 1 else words
+        return (words[:-1], states[:, :-1]) if len(calls) == 1 \
+            else (words, states)
 
     monkeypatch.setattr(realize, "_reach_words", short_first)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
@@ -2230,23 +2237,35 @@ def test_localizing_scan_judges_each_size_as_one_block(monkeypatch, kind):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("seed", [2, 7])
+# at seed 10 both sizes scanned take a second block
+@pytest.mark.parametrize("seed", [2, 7, 10])
 def test_localizing_scan_after_a_rejected_draw(monkeypatch, seed):
-    """At --tol-inv 0.3 dom rejects some of 1/(1 - 2a - 2x)'s draws: from
-    the first one on, the scan goes on one probe at a time, and it stays
-    the per-probe loop's, up to its witness and rng's state."""
+    """At --tol-inv 0.3 dom rejects some of 1/(1 - 2a - 2x)'s draws: the
+    scan stays the per-probe loop's, up to its witness and rng's state.
+    Each size's draws come from one stream, in region.test blocks of
+    samples, then twice as many, and so on (_block_cap is far above them
+    here), up to the block holding the size's last draw; the witness's
+    companion tests are of one point each."""
     R = realize.realization_from_json(json.loads(RESOLVENT_1))
     cfg = cli.AnalysisConfig(sizes=(1, 2, 3), samples=7, scale=0.8,
                              tol_inv=0.3)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want, rejected = reference_localizing_scan(R, cfg, ref_rng)
+    drawn = []
+    want, rejected = reference_localizing_scan(R, cfg, ref_rng, drawn)
     assert rejected > 0
     calls = spy_region_tests(monkeypatch, realize.Region)
     got = cli._localizing_scan(R, cfg, rng)
     assert json.dumps(got, sort_keys=True) == json.dumps(want,
                                                          sort_keys=True)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert calls[0] == 7 and len(calls) > len(cfg.sizes)
+    blocks = []
+    for n, count in zip(cfg.sizes, drawn):
+        assert partialcvx._block_cap(realize.Region(R), n) > 16 * 7
+        size = 7
+        while count > 0:
+            blocks.append(size)
+            count, size = count - size, 2 * size
+    assert [c for c in calls if c > 1] == blocks
 
 
 def test_parser_built_once(capsys):

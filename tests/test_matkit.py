@@ -5,6 +5,8 @@ The blockwise product is checked against a literal four-block loop written
 here, and the embedding identity against full Kronecker products.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,55 +276,43 @@ def test_skip_blocks_leaves_the_generator_where_sample_blocks_does(scale):
         assert drawn.bit_generator.state == skipped.bit_generator.state
 
 
-@pytest.mark.parametrize("cap", [None, 3])
-@pytest.mark.parametrize("rewind", ["skip", "redraw"])
-def test_block_search_matches_per_draw_loop(rewind, cap):
-    """block_search finds the candidate a loop of one-candidate draws
-    finds, and leaves the generator where that loop leaves it, for a hit
-    at every position of every block (blocks 1, 2, 4, 8, 5, or at most
-    cap) and for no hit; the rewind goes through skip when given and
-    draws again otherwise."""
-    limit = 20
+@pytest.mark.parametrize("first, cap", [(1, 4), (1, 100), (3, 5), (3, 100)])
+def test_judged_draws_match_per_draw_loop(first, cap):
+    """The stream yields the candidates, verdicts and payloads of a loop
+    of one-candidate draws, in blocks of first, 2 first, ... (at most
+    cap), and its close leaves the generator where that loop leaves it,
+    for a consumer that stops at every position of every block: at a
+    block's end nothing is rewound, inside one the rewind skips past the
+    candidates yielded."""
     positions = set()
-    for target in list(range(limit)) + [None]:
+    for stop in range(31):
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        want = None
-        for k in range(limit):
-            x = ref.random()
-            if k == target:
-                want = x
-                break
-        drawn, skipped, judged = [], [], [0]
+        want = [ref.random() for _ in range(stop)]
+        drawn, skipped = [], []
 
         def draw(B):
             drawn.append(B)
             return rng.random(B)
 
-        def judge(block):
-            at = judged[0]
-            judged[0] += len(block)
-            return np.arange(at, at + len(block)) == target, -block
-
-        skip = (lambda B: skipped.append(B) or rng.random(B)) \
-            if rewind == "skip" else None
-        hit = matkit.block_search(draw, judge, rng, limit, cap=cap, skip=skip)
+        stream = matkit.judged_draws(
+            draw, lambda block: (block > 0.5, -block),
+            lambda B: skipped.append(B) or rng.random(B), rng, first, cap)
+        got = list(itertools.islice(stream, stop))
+        stream.close()
         assert rng.bit_generator.state == ref.bit_generator.state
-        if target is None:
-            assert hit is None
-            assert sum(drawn) == limit
-            assert max(drawn) == (cap or 8)
-            continue
-        block, neg, i = hit
-        assert block[i] == want and neg[i] == -want
-        assert judged[0] == target - i + len(block)
-        last = i == len(block) - 1
-        positions.add("first" if i == 0 and not last else
-                      "last" if last else "middle")
-        rewound = [] if last else [i + 1]
-        if rewind == "skip":
-            assert skipped == rewound and drawn[-1] == len(block)
-        else:
-            assert drawn[-1 - len(rewound):] == [len(block)] + rewound
+        assert [c for c, _, _ in got] == want
+        assert all(v == (c > 0.5) and p == -c for c, v, p in got)
+        blocks, size = [], first
+        while sum(blocks) < stop:
+            blocks.append(min(size, cap))
+            size *= 2
+        assert drawn == blocks
+        inside = stop - sum(blocks[:-1])
+        assert skipped == ([inside] if blocks and inside < blocks[-1]
+                           else [])
+        if blocks and blocks[-1] > 1:
+            positions.add("first" if inside == 1 else "last"
+                          if inside == blocks[-1] else "middle")
     assert positions == {"first", "middle", "last"}
 
 

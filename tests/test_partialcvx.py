@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_minimal_smr, rand_smr
+from conftest import probe_loop, rand_minimal_smr, rand_smr, sample_in_region
 from ncconvex import butterfly, matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 from ncconvex.partialcvx import (
@@ -258,7 +258,7 @@ def test_negativity_witness_draws_nothing_on_minimal_smrs(monkeypatch):
         bad = indefinite_point(R, rng)
         if bad is None:
             continue
-        monkeypatch.setattr(partialcvx, "_sample_in_region", no_draw)
+        monkeypatch.setattr(matkit, "judged_draws", no_draw)
         wit = negativity_witness(R, bad)
         monkeypatch.undo()
         cases += 1
@@ -434,7 +434,12 @@ def block_position(k):
     return "first" if k == 0 else "last" if k == size - 1 else "middle"
 
 
-def test_block_sampler_matches_per_draw_loop():
+def test_block_sampler_matches_per_draw_loop(monkeypatch):
+    """region_probes, without extras (one stream per size) and with them
+    (one stream per probe, whose hits fall at every block_position), finds
+    the points of a per-draw loop of first-principles membership tests, up
+    to a budget of 40 draws per probe, and leaves the generator where that
+    loop leaves it."""
     # 1 / (1 - 2a - 2x) with tol_inv 0.3: dom, kebab, dom-plus and
     # kebab-plus all differ, where a polynomial's pencil is always invertible
     one = np.eye(1)
@@ -443,64 +448,69 @@ def test_block_sampler_matches_per_draw_loop():
              for R, tol_inv in ((linearize_poly(THIN_AB), 1e-10),
                                 (resolvent_1, 0.3))]
     cases += [(xax_realization(), kind, 1e-10) for kind in ("dom-plus", "ball")]
+    monkeypatch.setattr(partialcvx, "MAX_ATTEMPTS", 40)
     seen = set()
     for R, kind, tol_inv in cases:
         region = Region(R, kind, tol_inv=tol_inv,
                         radius=0.45 if kind == "ball" else None)
         member = reference_member(R, kind, tol_inv=tol_inv)
-        for n in (1, 2, 3):
-            for seed in range(4):
-                ref_rng = np.random.default_rng(seed)
-                rng = np.random.default_rng(seed)
-                for _ in range(3):
-                    k, want = reference_sample(R, member, n, 0.6, ref_rng, 40)
-                    hit = partialcvx._sample_in_region(region, n, 0.6, rng,
-                                                       max_attempts=40)
-                    assert rng.bit_generator.state == ref_rng.bit_generator.state
-                    if want is None:
-                        assert hit is None
-                        seen.add("exhausted")
-                        continue
-                    got = hit[0]
-                    for M, N in zip(got.mats, want.mats):
-                        assert np.array_equal(M, N)
+        for n, seed, extra in itertools.product((1, 2, 3), range(4),
+                                                ((), (0.6,))):
+            ref_rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            got = partialcvx.region_probes(region, n, 3, rng, 0.6, extra)
+            for _ in range(3):
+                k, want = reference_sample(R, member, n, 0.6, ref_rng, 40)
+                if want is None:
+                    seen.add("exhausted")
+                    continue
+                t, H, _ = next(got)
+                for M, N in zip(t.mats, want.mats):
+                    assert np.array_equal(M, N)
+                for M in H:
+                    assert np.array_equal(M, matkit.sample_herm(n, 0.6,
+                                                                ref_rng))
+                if extra:
                     seen.add(block_position(k))
+            assert next(got, None) is None
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert seen == {"first", "middle", "last", "exhausted"}
 
 
 @pytest.mark.parametrize("max_attempts", [1, 11, 500])
-def test_block_sampler_empty_region_exhausts_budget(max_attempts):
+def test_block_sampler_empty_region_exhausts_budget(max_attempts,
+                                                    monkeypatch):
+    """On an empty region every probe ends after MAX_ATTEMPTS misses and
+    yields nothing, with and without extras, and the generator ends after
+    the draws of a per-draw loop."""
+    monkeypatch.setattr(partialcvx, "MAX_ATTEMPTS", max_attempts)
     R = linearize_poly(X4)
     member = reference_member(R, "dom-plus")
-    ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
-    assert reference_sample(R, member, 2, 0.6, ref_rng,
-                            max_attempts) == (None, None)
-    assert partialcvx._sample_in_region(Region(R, "dom-plus"), 2, 0.6, rng,
-                                        max_attempts) is None
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for extra in ((), (1.0,)):
+        ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(2):
+            assert reference_sample(R, member, 2, 0.6, ref_rng,
+                                    max_attempts) == (None, None)
+        assert list(partialcvx.region_probes(Region(R, "dom-plus"), 2, 2,
+                                             rng, 0.6, extra)) == []
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", realize.REGION_KINDS)
 def test_block_sampler_with_no_letters(kind):
-    """With no letters the one point of size n is the empty tuple: the
-    sampler hands it on at the first draw, with the inverse of the pencil
+    """With no letters the one point of size n is the empty tuple: every
+    probe hands it on at the first draw, with the inverse of the pencil
     J (x) I_n, and draws no normals."""
     R = realize.Realization.make(np.eye(1), [], [], [1.0])
     region = Region(R, kind, radius=0.5 if kind == "ball" else None)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    t, W = partialcvx._sample_in_region(region, 2, 0.6, rng)
-    assert (t.n, t.A, t.X) == (2, (), ())
-    assert np.array_equal(W, np.eye(2))
+    probes = list(partialcvx.region_probes(region, 2, 3, rng, 0.6))
+    assert len(probes) == 3
+    for t, _, W in probes:
+        assert (t.n, t.A, t.X) == (2, (), ())
+        assert np.array_equal(W, np.eye(2))
     assert rng.bit_generator.state == state
-
-
-def per_probe_loop(region, n, samples, rng, scale):
-    """region_probes without extras, one _sample_in_region per probe."""
-    for _ in range(samples):
-        hit = partialcvx._sample_in_region(region, n, scale, rng)
-        if hit is not None:
-            yield hit
 
 
 # 1/(1 - 2a - 2x) at tol_inv 0.3: at seed 6 dom takes the first two 2 x 2
@@ -519,13 +529,57 @@ def test_region_probes_without_extras_match_the_per_probe_loop(scale, stop):
     got = list(itertools.islice(probes, stop))
     probes.close()
     want = list(itertools.islice(
-        per_probe_loop(region, 2, 12, ref_rng, scale), stop))
+        probe_loop(region, 2, 12, ref_rng, scale), stop))
     assert len(got) == len(want)
-    for (t, extra, W), (t_ref, W_ref) in zip(got, want):
+    for (t, extra, W), (t_ref, _, W_ref) in zip(got, want):
         assert extra.shape == (0, 2, 2)
         assert all(np.array_equal(M, N) for M, N in zip(t.mats, t_ref.mats))
         assert np.array_equal(W, W_ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def same_payload(got, want):
+    """A Region's pencil inverse or a PolyRegion's (w(A), eigenvalues),
+    entry for entry."""
+    pair = [p if isinstance(p, tuple) else (p,) for p in (got, want)]
+    return all(np.array_equal(a, b) for a, b in zip(*pair))
+
+
+@pytest.mark.parametrize("kind", realize.REGION_KINDS)
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_region_probes_match_the_per_probe_loop(kind, with_extra):
+    """On every kind of a realize.Region and a butterfly.PolyRegion,
+    region_probes yields the points, extras and payloads of the per-probe
+    loop of per-draw sample_in_region calls, and rng ends where that loop
+    leaves it, also when the consumer stops after stop probes: without
+    extras from one stream, with them from one stream per probe, closed
+    at its point before its extras are drawn."""
+    one = np.eye(1)
+    resolvent_1 = realize.Realization.make(one, [2 * one], [2 * one], [1.0])
+    # at scale 3, w(A) = A - 0.1 makes the plus kinds reject part of the
+    # draws, as do the ball at radius 2 and resolvent_1's pencil at
+    # tol_inv 0.3
+    pb = butterfly.poly_butterfly(ncalg.parse_poly(
+        "vars a: a | x: x\n1 * x a x\n-0.1 * x x\n"))
+    regions = [Region(resolvent_1, kind, tol_inv=0.3, radius=2.0),
+               butterfly.PolyRegion(pb, kind, radius=2.0)]
+    for region, seed, stop in itertools.product(regions, range(3),
+                                                (0, 1, 3, None)):
+        extra = (1.0, 0.0) if with_extra else ()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        probes = partialcvx.region_probes(region, 2, 8, rng, 3.0, extra)
+        got = list(itertools.islice(probes, stop))
+        probes.close()
+        want = list(itertools.islice(
+            probe_loop(region, 2, 8, ref_rng, 3.0, extra), stop))
+        assert len(got) == len(want)
+        for (t, H, W), (t_ref, H_ref, W_ref) in zip(got, want):
+            assert all(np.array_equal(M, N)
+                       for M, N in zip(t.mats, t_ref.mats))
+            assert H.shape == (len(extra), 2, 2)
+            assert all(np.array_equal(M, N) for M, N in zip(H, H_ref))
+            assert same_payload(W, W_ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # w(0) = 0, 1, -1, -0.1 and -1e-9: at tol 1e-8 the last passes
@@ -581,14 +635,14 @@ def reference_hessian(R, t, H, factors):
 def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
                       midpoint_pairs=10):
     """convexity_verdict one sample at a time: each point from
-    _sample_in_region, then that sample's own draws and evaluations.
+    sample_in_region, then that sample's own draws and evaluations.
     Returns the verdict (None for an empty region) and the Hessian probes
     as (direction, lambda_min) pairs."""
     probes = []
     count, min_lambda = 0, np.inf
     for n in sizes:
         for _ in range(samples):
-            hit = partialcvx._sample_in_region(region, n, scale, rng)
+            hit = sample_in_region(region, n, scale, rng)
             if hit is None:
                 continue
             t, factors = hit
@@ -609,7 +663,7 @@ def reference_verdict(R, region, sizes, samples, rng, tol=1e-8, scale=0.6,
     pairs = viol = 0
     for n in sizes:
         for _ in range(midpoint_pairs):
-            hit = partialcvx._sample_in_region(region, n, scale, rng)
+            hit = sample_in_region(region, n, scale, rng)
             if hit is None:
                 continue
             t1, f1 = hit

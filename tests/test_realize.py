@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (congruent_copy, padded_copy, rand_herm_tuple,
-                      rand_minimal_smr, rand_poly, rand_smr,
+from conftest import (congruent_copy, padded_copy, probe_loop,
+                      rand_herm_tuple, rand_minimal_smr, rand_poly, rand_smr,
                       rand_sym_poly, rand_symmetric_poly)
 from ncconvex import butterfly, matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
@@ -612,7 +612,7 @@ def boundary_gaps(region, b):
 
 
 @pytest.mark.parametrize("kind", realize.REGION_KINDS)
-def test_region_mask_matches_eigh_reference(kind):
+def test_region_mask_matches_eigh_reference(kind, monkeypatch):
     """Region.test, one batched LU inverse per stack, gives the mask of
     the eigendecomposition reference and hands on np.linalg.inv of each
     point's pencil: on random blocks; at bisected boundary points, where
@@ -677,28 +677,22 @@ def test_region_mask_matches_eigh_reference(kind):
         assert_matches_reference(region, np.stack(block))
     assert region.test(singular[None])[0].tolist() == [False]
 
-    # the rejection sampler against a per-draw loop of one-point tests
+    # the rejection sampler against a per-draw loop of one-point tests,
+    # at a budget of 60 draws per probe
+    monkeypatch.setattr(partialcvx, "MAX_ATTEMPTS", 60)
     for R in (linearize_poly(polys[1]), resolvent_1):
         region = realize.Region(R, kind, radius=0.5)
         for n in (1, 2, 3):
             for seed in range(3):
                 ref, rng = (np.random.default_rng(seed) for _ in range(2))
-                for _ in range(4):
-                    want = None
-                    for _ in range(60):
-                        t = matkit.sample_tuple(n, (R.h, R.g), 0.6, ref)
-                        mask, W = region.test_points([t])
-                        if mask[0]:
-                            want = (t, W[0])
-                            break
-                    got = partialcvx._sample_in_region(region, n, 0.6, rng,
-                                                       max_attempts=60)
-                    assert rng.bit_generator.state == ref.bit_generator.state
-                    assert (got is None) == (want is None)
-                    if got is not None:
-                        for M, N in zip(got[0].mats, want[0].mats):
-                            assert np.array_equal(M, N)
-                        assert np.array_equal(got[1], want[1])
+                want = list(probe_loop(region, n, 4, ref, 0.6))
+                got = list(partialcvx.region_probes(region, n, 4, rng, 0.6))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert len(got) == len(want)
+                for (t, _, W), (t_ref, _, W_ref) in zip(got, want):
+                    for M, N in zip(t.mats, t_ref.mats):
+                        assert np.array_equal(M, N)
+                    assert np.array_equal(W, W_ref)
 
 
 @pytest.mark.parametrize("radius", [0.5, 0.3])
