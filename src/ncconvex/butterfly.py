@@ -21,7 +21,6 @@ every region of such a polynomial through w(A) alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,9 +272,8 @@ def midpoint_violation_search(p, samples=120):
         draws = matkit.judged_draws(
             lambda B: np.stack(matkit.sample_blocks(parts, 1.0, rng, B), 1),
             judge, lambda B: matkit.skip_blocks(parts, 1.0, rng, B), rng, 1,
-            samples)
-        hit = next((d for d in itertools.islice(draws, samples) if d[1]),
-                   None)
+            samples, samples)
+        hit = next((d for d in draws if d[1]), None)
         draws.close()
         if hit is not None:
             return candidate(hit[0], float(hit[2]))

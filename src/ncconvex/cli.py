@@ -611,6 +611,10 @@ def _xy_certify(pl, cfg, results):
                   "gap": float(gram.gap),
                   "time_s": time.monotonic() - t0}
     results["gram"] = gram_entry
+    if gram.face is not None:
+        # G read off the face of the singular pinned blocks, with no solve
+        gram_entry["face"] = {"blocks": [list(b) for b in gram.face.blocks],
+                              "residual": gram.face.residual}
     if gram.Z is not None:
         # the dual certificate: no completion of the pins is PSD
         gram_entry["dual_value"] = float(gram.dual_value)

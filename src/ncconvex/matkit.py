@@ -98,7 +98,6 @@ def sqrt_psd(M, tol=TOL_PSD):
 # largest smallest eigenvalue of an affine Hermitian family
 
 GAP_REL = 1e-13
-_SHRINK = 1e-2
 _STAGE_STEPS = 100
 _LOOSE = 1e-2
 
@@ -127,9 +126,13 @@ def max_min_eig(F0, Fs):
     Newton steps maximize t + mu log det F with F = F0 + sum theta_i F_i
     - t I (gradient c + mu tr(F^-1 A_k), Hessian mu tr(F^-1 A_k F^-1 A_l)
     for the directions A = (F_1, ..., F_m, -I)), damped by 1/(1 + lambda)
-    while the Newton decrement lambda^2 > 1/4.  mu shrinks geometrically
-    until the gap n mu is at most GAP_REL; the last centre is tight, and
-    there Z = mu F^-1 is the dual certificate.  It solves for
+    while the Newton decrement lambda^2 > 1/4.  The path starts at
+    mu = 1e-2 from theta = 0 and t = lambda_min(F0) - n mu, where every
+    eigenvalue of F is at least n mu.  mu shrinks by 1e-4 after a stage
+    that centred in at most 2 steps down to mu = 1e-8, and by 1e-2
+    otherwise (always below 1e-8), so it visits powers of 1e-2 only and
+    stops at the first with gap n mu <= GAP_REL; that last centre is
+    tight, and there Z = mu F^-1 is the dual certificate.  It solves for
     F0 / max(1, max|F0|), so that the Hessian cannot underflow at large
     F0, and scales t, theta and the gap back (Z does not change).
 
@@ -137,7 +140,9 @@ def max_min_eig(F0, Fs):
     through its Jacobi scaling: F's entries there are as small as its
     small eigenvalues, so the last centres resolve eigenvalues near n mu
     instead of rounding at eps max|F|, and Z meets tr Z = 1 and
-    <F_i, Z> = 0 to about 1e-14.
+    <F_i, Z> = 0 to about 1e-14.  A Newton step reads the gradient off
+    one matrix-vector product and the Hessian off one matrix product of
+    the stacked products F^-1 A_k.
 
     The maximum must be finite, i.e. some Z > 0 has tr Z = 1 and
     <F_i, Z> = 0 (traceless F_i, for example); SingularError when a stage
@@ -149,15 +154,19 @@ def max_min_eig(F0, Fs):
     n = F0.shape[0]
     A = np.concatenate([np.asarray(Fs, dtype=complex).reshape(-1, n, n),
                         -np.eye(n)[None]])
-    c = np.zeros(A.shape[0])
+    m = A.shape[0]
+    c = np.zeros(m)
     c[-1] = 1.0
-    x = c * (float(np.linalg.eigvalsh(F0)[0]) - n)
-    mu, steps = 1.0, 0
+    eye = np.eye(n).ravel()
+    # mu = 10^-k, so every mu is a power of 1e-2
+    k, steps = 2, 0
+    mu = 10.0 ** -k
+    x = c * (float(np.linalg.eigvalsh(F0)[0]) - n * mu)
     while True:
         last = n * mu <= GAP_REL
-        d, U = np.linalg.eigh(F0 + (x @ A.reshape(len(x), -1)).reshape(n, n))
+        d, U = np.linalg.eigh(F0 + (x @ A.reshape(m, -1)).reshape(n, n))
         Af = U.conj().T @ A @ U
-        Af2 = Af.reshape(len(x), -1)
+        Af2 = Af.reshape(m, -1)
         D = np.diag(d)
         y = np.zeros_like(x)
         dec, stage = np.inf, 0
@@ -171,8 +180,10 @@ def max_min_eig(F0, Fs):
             if stage == _STAGE_STEPS:
                 raise SingularError("the barrier solve did not centre")
             B = Fi @ Af
-            g = c + mu * np.trace(B, axis1=1, axis2=2).real
-            H = mu * np.einsum("kij,lji->kl", B, B).real
+            # tr B_k, and tr(B_k B_l) as the rows of B against those of B^T
+            g = c + mu * (B.reshape(m, -1) @ eye).real
+            H = mu * (B.reshape(m, -1)
+                      @ B.swapaxes(1, 2).reshape(m, -1).T).real
             dy = np.linalg.solve(H, g)
             dec = float(g @ dy) / mu
             y = y + (dy / (1 + np.sqrt(dec)) if dec > 0.25 else dy)
@@ -183,7 +194,8 @@ def max_min_eig(F0, Fs):
             Z = herm(mu * (U @ Fi @ U.conj().T))
             return MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
                              scale * n * mu, steps)
-        mu *= _SHRINK
+        k += 4 if stage <= 2 and k <= 8 else 2
+        mu = 10.0 ** -k
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +341,23 @@ def sample_tuple(n, counts, scale, rng):
     return HermTuple.make(M[:counts[0]], M[counts[0]:])
 
 
-def judged_draws(draw, judge, skip, rng, first, cap):
+def judged_draws(draw, judge, skip, rng, first, cap, total):
     """The candidates rng draws, one at a time, each as (candidate,
     verdict, payload): a stream drawn and judged in blocks.
 
     draw(B) draws B candidates from rng, in blocks of first, 2 first,
     4 first, ... (at most cap), and judge(block) returns (verdicts,
-    payloads), one of each per candidate.  When the consumer stops inside
-    a block (the generator's close), rng is rewound to the block's start
-    and moved past the candidates yielded by skip(count), so every
-    candidate and rng's state are those of a loop that draws one
-    candidate at a time.  The one reader and setter of rng's state.
+    payloads), one of each per candidate.  The stream ends after total
+    candidates, its last block trimmed to the draws left, so no draw past
+    that budget is judged.  When the consumer stops inside a block (the
+    generator's close), rng is rewound to the block's start and moved
+    past the candidates yielded by skip(count), so every candidate and
+    rng's state are those of a loop that draws one candidate at a time.
+    The one reader and setter of rng's state.
     """
-    size = first
-    while True:
-        B = min(size, cap)
+    size, left = first, total
+    while left > 0:
+        B = min(size, cap, left)
         state = rng.bit_generator.state
         block = draw(B)
         verdicts, payloads = judge(block)
@@ -356,6 +370,7 @@ def judged_draws(draw, judge, skip, rng, first, cap):
                 rng.bit_generator.state = state
                 skip(done)
         size *= 2
+        left -= B
 
 
 # ---------------------------------------------------------------------------

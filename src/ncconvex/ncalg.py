@@ -359,9 +359,13 @@ def eval_poly(p, t):
             if w[:k + 1] not in prods:
                 prods[w[:k + 1]] = mats[w[0]] if k == 0 \
                     else prods[w[:k]] @ mats[w[k]]
-        # coeff (x) prod as one broadcast product, c[i, j] prod[k, l]
-        term = c[:, None, :, None] * prods[w][..., None, :, None, :]
-        out += term.reshape(batch + (r * n, s * n))
+        if r == s == 1:
+            # a scalar coefficient: the broadcast product's own products
+            out += c[0, 0] * prods[w]
+        else:
+            # coeff (x) prod as one broadcast product, c[i, j] prod[k, l]
+            term = c[:, None, :, None] * prods[w][..., None, :, None, :]
+            out += term.reshape(batch + (r * n, s * n))
     return out
 
 

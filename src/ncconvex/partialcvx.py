@@ -170,25 +170,29 @@ def region_probes(region, n, samples, rng, scale, extra=()):
     _block_cap.  Without extra (the localizing scan) all probes share one
     stream, whose first block is samples; a probe with extra (the Hessian
     and midpoint scans, first_probe) closes its own stream, first block 1,
-    at its point and then draws its extras.  So every draw, point, payload
-    and rng state is that of a loop of per-draw sample_tuple calls.
+    at its point and then draws its extras.  A stream ends at the most
+    draws its probes may take, samples MAX_ATTEMPTS or MAX_ATTEMPTS, so a
+    probe that misses judges exactly its MAX_ATTEMPTS draws.  So every
+    draw, point, payload and rng state is that of a loop of per-draw
+    sample_tuple calls.
     """
     parts = [(n, n, True)] * (region.h + region.g)
 
-    def stream(first):
+    def stream(first, total):
         return matkit.judged_draws(
             lambda B: _herm_stack(n, parts, scale, rng, B), region.test,
             lambda B: matkit.skip_blocks(parts, scale, rng, B), rng, first,
-            _block_cap(region, n))
+            _block_cap(region, n), total)
 
-    draws = stream(1 if extra else samples)
+    draws = stream(1, MAX_ATTEMPTS) if extra \
+        else stream(samples, samples * MAX_ATTEMPTS)
     try:
         for _ in range(samples):
             hit = next((d for d in itertools.islice(draws, MAX_ATTEMPTS)
                         if d[1]), None)
             if extra:
                 draws.close()
-                draws = stream(1)
+                draws = stream(1, MAX_ATTEMPTS)
             if hit is not None:
                 mats, _, payload = hit
                 yield (_point(mats, region.h),

@@ -11,10 +11,13 @@ middle matrix Mxy built from twelve structural coefficients.
 Certificates p = pencil + Lambda* Lambda, with
 Lambda = L_x x + L_y y + L_yx yx + L_xy xy, come from the 4 x 4 Gram matrix
 of (L_x, L_y, L_yx, L_xy), whose entries are pinned by the twelve
-structural coefficients: a log-barrier solve maximizes its smallest
-eigenvalue over the free entries, and its dual certificate proves the
-negative outcomes.  The columns of one factor G = F* F are the L vectors,
-which reassemble the polynomial coefficientwise.
+structural coefficients.  Singular fully pinned 2 x 2 blocks give the
+face that every PSD completion lies on, and when their kernel vectors
+fix every free entry the Gram is read off that face with no solve;
+otherwise a log-barrier solve maximizes its smallest eigenvalue over the
+free entries, and its dual certificate proves the negative outcomes.
+The columns of one factor G = F* F are the L vectors, which reassemble
+the polynomial coefficientwise.
 
 An uncertified Gram is refuted by construction: dual_witness reads inner
 blocks and a border vector off the dual certificate Z, and pinned_witness
@@ -26,6 +29,7 @@ middle_matrix_psd_scan samples inner blocks for the example studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +97,16 @@ class PLPoly:
     def accepted(self):
         return True
 
+    @cached_property
+    def _table(self):
+        """Word string to coefficient, of every word of the polynomial."""
+        return {"".join("xy"[i] for i in w): complex(c[0, 0])
+                for w, c in self.poly.coeffs.items()}
+
     def c(self, word):
-        """Coefficient by word string, e.g. c("xyx")."""
-        return self.poly.scalar_coeff(_w(word))
+        """Coefficient by word string (or tuple of letters), e.g. c("xyx");
+        0 off the support."""
+        return self._table.get("".join(word), 0j)
 
 
 def from_coeffs(coeffs):
@@ -135,6 +146,13 @@ def _norm2(M):
     return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
+def _herm_norm2(M):
+    """Spectral norm of each Hermitian matrix of a stack (..., n, n): the
+    largest eigenvalue modulus, from one batched eigvalsh."""
+    ev = np.linalg.eigvalsh(M)
+    return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
+
+
 def xy_pair_residual(X, Y, V):
     """Norm of V*YXV - (V*YV)(V*XV), the defining product identity; X and
     Y may be stacks (B, n, n) sharing V, giving one norm per pair."""
@@ -144,9 +162,12 @@ def xy_pair_residual(X, Y, V):
 
 def is_xy_pair(X, Y, V, tol=1e-10):
     """V is an isometry and the product identity holds at relative tol;
-    X and Y may be stacks sharing V, giving one verdict per pair."""
-    iso = _norm2(V.conj().T @ V - np.eye(V.shape[1])) <= tol
-    scale = np.maximum(1.0, _norm2(X) * _norm2(Y))
+    X and Y (Hermitian) may be stacks sharing V, giving one verdict per
+    pair.  The norms of the Hermitian X, Y and V*V - I come from eigvalsh,
+    that of the product identity's residual from its singular values."""
+    iso = _herm_norm2(V.conj().T @ V - np.eye(V.shape[1])) <= tol
+    nx, ny = _herm_norm2(np.stack([X, Y]))
+    scale = np.maximum(1.0, nx * ny)
     return iso & (xy_pair_residual(X, Y, V) <= tol * scale)
 
 
@@ -208,12 +229,15 @@ class DefectReport:
         return self.report.is_psd
 
 
-def _defects(poly, X, Y, V, pair_tol):
-    """Hermitian defects V* p(X, Y) V - p(V*XV, V*YV) of a stack of pairs
-    (or of one pair) sharing V; raises PairError unless every pair passes
-    is_xy_pair at pair_tol."""
-    if not np.all(is_xy_pair(X, Y, V, pair_tol)):
+def _check_pairs(X, Y, V, tol):
+    """PairError unless every pair of the stack passes is_xy_pair at tol."""
+    if not np.all(is_xy_pair(X, Y, V, tol)):
         raise PairError("V* YX V != (V*YV)(V*XV) beyond tolerance")
+
+
+def _defects(poly, X, Y, V):
+    """Hermitian defects V* p(X, Y) V - p(V*XV, V*YV) of a stack of pairs
+    (or of one pair) sharing V."""
     Vh = V.conj().T
     big = eval_poly(poly, HermTuple(X.shape[-1], (), (X, Y), validate=False))
     X0, Y0 = Vh @ X @ V, Vh @ Y @ V
@@ -225,7 +249,8 @@ def _defects(poly, X, Y, V, pair_tol):
 def xy_convexity_test(p, pair, pair_tol=1e-8):
     """Defect V* p(X,Y) V - p(X0, Y0) with a PSD verdict."""
     poly = p.poly if isinstance(p, PLPoly) else p
-    defect = _defects(poly, pair.X, pair.Y, pair.V, pair_tol)
+    _check_pairs(pair.X, pair.Y, pair.V, pair_tol)
+    defect = _defects(poly, pair.X, pair.Y, pair.V)
     return DefectReport(defect, is_psd(defect))
 
 
@@ -436,7 +461,8 @@ def mxy_witness_pair(p, wit):
     Follows the vector-completion argument: with X0 = Y0 the 2 x 2 flip
     and h = e1, {h, X0 h} and {h, Y0 h} are independent, so the
     off-diagonal blocks can be solved for so that the border vector lands
-    on the witness eigenvector.
+    on the witness eigenvector.  The pair is not checked here:
+    PairWitness.recheck is the one check of a completed witness.
     """
     X0 = Y0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     h = np.array([1.0, 0.0], dtype=complex)
@@ -456,8 +482,7 @@ def mxy_witness_pair(p, wit):
     V = np.zeros((X.shape[0], 2), dtype=complex)
     V[:2, :2] = np.eye(2)
     pair = XYPair(X, Y, V)
-    defect = _defects(p.poly if isinstance(p, PLPoly) else p, X, Y, V,
-                      pair_tol=1e-6)
+    defect = _defects(p.poly if isinstance(p, PLPoly) else p, X, Y, V)
     val = float(np.real(h.conj() @ defect @ h))
     return PairWitness(pair, h, val, defect)
 
@@ -536,14 +561,30 @@ def eval_Q_via_P(P, S, parts):
 # Gram certificates
 
 @dataclass(frozen=True)
+class GramFace:
+    """The face of the pinned Gram that every PSD completion lies on.
+
+    blocks lists the fully pinned 2 x 2 blocks (j, k) whose lambda_min is
+    within tol scale of 0; each one's kernel vector u, placed at (j, k),
+    has G u = 0 for every PSD completion G (Borwein-Wolkowicz facial
+    reduction).  When these equations fix every free entry, the completion
+    that solves them is the only candidate; residual is ||G U|| there,
+    with the unit kernel vectors as the columns of U.
+    """
+
+    blocks: tuple
+    residual: float
+
+
+@dataclass(frozen=True)
 class GramCertResult:
     """Outcome of the pinned 4 x 4 Gram solve for p = pencil + Lambda*Lambda.
 
     status: "feasible", "not-certifiable-pinned" (the fully pinned part of
     the pattern is already indefinite, a proof of infeasibility), or
     "not-certifiable" (the largest smallest eigenvalue of the Gram over its
-    free entries is negative).  In the first case G is the solved Gram of
-    (L_x, L_y, L_yx, L_xy) and F its factor, G = F* F up to the clipped
+    free entries is negative).  In the first case G is the completed Gram
+    of (L_x, L_y, L_yx, L_xy) and F its factor, G = F* F up to the clipped
     eigenvalues, whose columns are those four vectors.  In the last case Z
     is the barrier solve's dual certificate: Z is PSD with tr Z = 1 and
     <E_i, Z> = 0 for every free direction E_i, so <G, Z> = dual_value is
@@ -551,8 +592,11 @@ class GramCertResult:
     lambda_min(G) <= dual_value < 0 proves that none is PSD, up to the
     float64 residuals of those identities.
 
+    face is the GramFace when G was read off the face of the pins with no
+    solve (a rank-one Gram, say); only a feasible G is taken from it.
     solver_steps and gap are the Newton step count and the duality gap of
-    the solve (0 when no solve ran: a pinned reject, or no free entry).
+    the barrier solve, 0 when none ran: a pinned reject, no free entry, or
+    a G read off the face.
     """
 
     status: str
@@ -564,6 +608,7 @@ class GramCertResult:
     dual_value: float = 0.0
     solver_steps: int = 0
     gap: float = 0.0
+    face: GramFace = None
 
     @property
     def is_feasible(self):
@@ -588,13 +633,47 @@ def _structural_scale(p):
     return max([1.0] + [abs(p.c(w)) for w in STRUCTURAL])
 
 
+def _uncertified(lam, G, tol):
+    """The Gram stage's rule: G's smallest eigenvalue lam lies below
+    -tol max(1, max|G|)."""
+    return lam < -tol * max(1.0, float(np.max(np.abs(G))))
+
+
+def _face_completion(base, E, kernels, bound):
+    """(G, GramFace) when the kernel vectors (j, k, u) of singular pinned
+    blocks fix every free entry: the real least-squares solution theta of
+    (base + sum_i theta_i E_i) U = 0 has full column rank and
+    ||G U|| <= bound.  None otherwise."""
+    if not kernels:
+        return None
+    U = np.zeros((4, len(kernels)), dtype=complex)
+    for i, (j, k, u) in enumerate(kernels):
+        U[[j, k], i] = u
+    EU = (E @ U).reshape(len(E), -1)
+    rhs = -(base @ U).ravel()
+    theta, _, rank, _ = np.linalg.lstsq(
+        np.concatenate([EU.real, EU.imag], axis=1).T,
+        np.concatenate([rhs.real, rhs.imag]), rcond=None)
+    if rank < len(E):
+        return None
+    G = base + np.tensordot(theta, E, 1)
+    residual = float(np.linalg.norm(G @ U))
+    if residual > bound:
+        return None
+    return G, GramFace(tuple((j, k) for j, k, _ in kernels), residual)
+
+
 def _reduced_feasibility(p, tol):
     """Best achievable smallest eigenvalue of the pinned reduced Gram.
 
-    Returns (verdict, lambda_or_pin, G, sol) where verdict
+    Returns (verdict, lambda_or_pin, G, solve) where verdict
     "pinned-reject" carries a provable obstruction, otherwise
-    lambda_or_pin is the optimized smallest eigenvalue, G the optimizing
-    matrix and sol its matkit.max_min_eig solve (None with no free entry).
+    lambda_or_pin is the smallest eigenvalue of G, the completion of the
+    pins, and solve the GramCertResult fields of how it was found: none
+    with no free entry; face (a GramFace) when the singular fully pinned
+    blocks fix a completion that passes the Gram stage's rule; else
+    solver_steps, gap and Z of its matkit.max_min_eig solve, which
+    maximizes the smallest eigenvalue.
     """
     diag, full, half = _reduced_pins(p)
     scale = _structural_scale(p)
@@ -615,13 +694,18 @@ def _reduced_feasibility(p, tol):
     # a column is eliminated (zero) when its diagonal and its pins vanish
     alive = [i for i in range(4) if not small[i] or any(
         m > tol * scale for j, k, m in pins if i in (j, k))]
-    # fully pinned principal 2 x 2 blocks are PSD-necessary
-    pin_lam = 0.0
+    # fully pinned principal 2 x 2 blocks are PSD-necessary, and a
+    # singular one gives the face of every PSD completion: G u = 0 for its
+    # kernel vector u
+    pin_lam, kernels = 0.0, []
     for (j, k), v in full.items():
         if j in alive and k in alive:
             blk = np.array([[diag.real[j], v],
                             [np.conj(v), diag.real[k]]])
-            pin_lam = min(pin_lam, float(np.linalg.eigvalsh(blk)[0]))
+            lam = float(np.linalg.eigvalsh(blk)[0])
+            pin_lam = min(pin_lam, lam)
+            if lam <= tol * scale:
+                kernels.append((j, k, np.linalg.eigh(blk)[1][:, 0]))
     if pin_lam < -tol * scale:
         return "pinned-reject", pin_lam, None, None
 
@@ -645,36 +729,42 @@ def _reduced_feasibility(p, tol):
     if 1 in alive and 3 in alive:
         params.append((1j, 1, 3))
     if not params:
-        return "solved", float(np.linalg.eigvalsh(base)[0]), base, None
+        return "solved", float(np.linalg.eigvalsh(base)[0]), base, {}
     E = np.zeros((len(params), 4, 4), dtype=complex)
     for i, (v, j, k) in enumerate(params):
         E[i, j, k] = v
         E[i, k, j] = np.conj(v)
+    face = _face_completion(base, E, kernels, tol * scale)
+    if face is not None:
+        G, rec = face
+        lam = float(np.linalg.eigvalsh(G)[0])
+        if not _uncertified(lam, G, tol):
+            return "solved", lam, G, {"face": rec}
     # the barrier's gap n mu sits far below the assembly tolerance, and
     # the factor step clips it out of the pins
     sol = matkit.max_min_eig(base, E)
     G = base + np.tensordot(sol.theta, E, 1)
-    return "solved", float(np.linalg.eigvalsh(G)[0]), G, sol
+    return "solved", float(np.linalg.eigvalsh(G)[0]), G, {
+        "solver_steps": sol.steps, "gap": sol.gap, "Z": sol.Z}
 
 
 def gram_complete_certificate(p, tol=1e-8):
-    """Solve the pinned 4 x 4 Gram and factor it, G = F* F.
+    """Complete the pinned 4 x 4 Gram and factor it, G = F* F.
 
     The factor keeps the eigenvalues above 1e-10 of the largest; each kept
     eigenvector takes matkit.unit_phase, so F carries no LAPACK phase.
     """
-    P = build_P(p)
-    verdict, lam_red, G, sol = _reduced_feasibility(p, tol)
+    verdict, lam_red, G, solve = _reduced_feasibility(p, tol)
     if verdict == "pinned-reject":
         return GramCertResult("not-certifiable-pinned",
                               pinned_lambda_min=lam_red)
-    solve = {} if sol is None else {"solver_steps": sol.steps,
-                                    "gap": sol.gap}
+    P = build_P(p)
     pinned = np.block([[P[(1, 1)], P[(1, 2)]], [P[(2, 1)], P[(2, 2)]]])
     lam_pin = float(np.linalg.eigvalsh(herm(pinned))[0])
-    if lam_red < -tol * max(1.0, float(np.max(np.abs(G)))):
-        if sol is not None:
-            solve.update(Z=sol.Z, dual_value=float(np.vdot(G, sol.Z).real))
+    Z = solve.pop("Z", None)
+    if _uncertified(lam_red, G, tol):
+        if Z is not None:
+            solve.update(Z=Z, dual_value=float(np.vdot(G, Z).real))
         return GramCertResult("not-certifiable", pinned_lambda_min=lam_pin,
                               reduced_lambda=lam_red, **solve)
     lam, U = np.linalg.eigh(herm(G))
@@ -781,7 +871,8 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
         [1.0] + [abs(poly.scalar_coeff(w)) for w in poly.words()])
     # the sampled pairs as one stack, with is_psd's verdict per defect
     X, Y, V = sample_xy_pairs(dims, 0.8, rng, samples)
-    ev = np.linalg.eigvalsh(_defects(poly, X, Y, V, 1e-8))
+    _check_pairs(X, Y, V, 1e-8)
+    ev = np.linalg.eigvalsh(_defects(poly, X, Y, V))
     return VerifyReport(coeff_ok, max_resid, bool(psd_mask(ev).all()),
                         int(samples), float(min([np.inf] + ev[:, 0].tolist())))
 

@@ -130,6 +130,54 @@ def probe_loop(region, n, samples, rng, scale, extra=()):
             yield t, [matkit.sample_herm(n, s, rng) for s in extra], payload
 
 
+def reference_max_min_eig(F0, Fs):
+    """matkit.max_min_eig as it was before its warm start: the path from
+    mu = 1 at t = lambda_min(F0) - n, every shrink 1e-2, the gradient's
+    traces and the Hessian's einsum per step.  Its last centre is the new
+    solver's, so both give the same t, theta and Z."""
+    F0 = np.asarray(F0, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(F0))))
+    F0 = F0 / scale
+    n = F0.shape[0]
+    A = np.concatenate([np.asarray(Fs, dtype=complex).reshape(-1, n, n),
+                        -np.eye(n)[None]])
+    c = np.zeros(A.shape[0])
+    c[-1] = 1.0
+    x = c * (float(np.linalg.eigvalsh(F0)[0]) - n)
+    mu, steps = 1.0, 0
+    while True:
+        last = n * mu <= matkit.GAP_REL
+        d, U = np.linalg.eigh(F0 + (x @ A.reshape(len(x), -1)).reshape(n, n))
+        Af = U.conj().T @ A @ U
+        Af2 = Af.reshape(len(x), -1)
+        D = np.diag(d)
+        y = np.zeros_like(x)
+        dec, stage = np.inf, 0
+        while True:
+            F = (y @ Af2).reshape(n, n) + D
+            s = 1 / np.sqrt(np.diagonal(F).real)
+            ss = s[:, None] * s
+            Fi = np.linalg.inv(F * ss) * ss
+            if dec <= (1e-20 if last else 1e-2):
+                break
+            if stage == 100:
+                raise matkit.SingularError("the barrier solve did not centre")
+            B = Fi @ Af
+            g = c + mu * np.trace(B, axis1=1, axis2=2).real
+            H = mu * np.einsum("kij,lji->kl", B, B).real
+            dy = np.linalg.solve(H, g)
+            dec = float(g @ dy) / mu
+            y = y + (dy / (1 + np.sqrt(dec)) if dec > 0.25 else dy)
+            stage += 1
+        steps += stage
+        x = x + y
+        if last:
+            Z = matkit.herm(mu * (U @ Fi @ U.conj().T))
+            return matkit.MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
+                                    scale * n * mu, steps)
+        mu *= 1e-2
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230823)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_max_min_eig
 from ncconvex import matkit
 from ncconvex.matkit import (
     BlockMatrix2,
@@ -129,6 +130,25 @@ def test_max_min_eig_dual_certificate_on_random_families(seed, scale):
     E = pair_directions(4, [(0, 1), (0, 2), (1, 3)])
     sol = max_min_eig(F0, E)
     assert_dual_certificate(F0, E, sol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, n=st.integers(1, 4), m=st.integers(0, 3),
+       scale=st.sampled_from((0.1, 1, 30, 1e6)))
+def test_max_min_eig_matches_the_cold_start_reference(seed, n, m, scale):
+    """The warm-started path ends at the reference's last centre: the
+    same t, theta and Z to 1e-10 relative, and the same gap."""
+    rng = np.random.default_rng(seed)
+    F0 = herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    E = pair_directions(n, pairs[:m])
+    sol, ref = max_min_eig(F0, E), reference_max_min_eig(F0, E)
+    s = max(1.0, float(np.abs(F0).max()))
+    assert sol.t == pytest.approx(ref.t, rel=1e-10, abs=1e-10 * s)
+    np.testing.assert_allclose(sol.theta, ref.theta, rtol=1e-10,
+                               atol=1e-10 * s)
+    np.testing.assert_allclose(sol.Z, ref.Z, rtol=0, atol=1e-10)
+    assert sol.gap == pytest.approx(ref.gap, rel=1e-12)
 
 
 def test_max_min_eig_is_deterministic():
@@ -296,7 +316,8 @@ def test_judged_draws_match_per_draw_loop(first, cap):
 
         stream = matkit.judged_draws(
             draw, lambda block: (block > 0.5, -block),
-            lambda B: skipped.append(B) or rng.random(B), rng, first, cap)
+            lambda B: skipped.append(B) or rng.random(B), rng, first, cap,
+            1000)
         got = list(itertools.islice(stream, stop))
         stream.close()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -314,6 +335,33 @@ def test_judged_draws_match_per_draw_loop(first, cap):
             positions.add("first" if inside == 1 else "last"
                           if inside == blocks[-1] else "middle")
     assert positions == {"first", "middle", "last"}
+
+
+@pytest.mark.parametrize("first, cap, total", [(1, 100, 500), (1, 4, 10),
+                                               (3, 100, 7), (5, 5, 5)])
+def test_judged_draws_trim_the_last_block_to_the_budget(first, cap, total):
+    """The stream draws exactly total candidates, the last block trimmed
+    to the draws left, and ends there; its candidates and the generator's
+    state are those of total one-candidate draws."""
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = []
+
+    def draw(B):
+        drawn.append(B)
+        return rng.random(B)
+
+    stream = matkit.judged_draws(
+        draw, lambda block: (block > 2, block), lambda B: rng.random(B),
+        rng, first, cap, total)
+    got = [c for c, _, _ in stream]
+    assert got == [ref.random() for _ in range(total)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert sum(drawn) == total
+    blocks, size = [], first
+    while sum(blocks) < total:
+        blocks.append(min(size, cap, total - sum(blocks)))
+        size *= 2
+    assert drawn == blocks
 
 
 @settings(max_examples=40, deadline=None)

@@ -228,6 +228,45 @@ def test_eval_poly_matches_kron_loop(shape, real):
             assert np.array_equal(stacked[b], want)
 
 
+def broadcast_eval(p, t):
+    """eval_poly's general path for every coefficient shape: each word's
+    coefficient (x) its product as one 5-D broadcast term."""
+    n = t.n
+    mats = [np.asarray(M, dtype=complex) for M in t.mats]
+    batch = mats[0].shape[:-2] if mats else ()
+    r, s = p.shape
+    prods = {(): np.broadcast_to(np.eye(n, dtype=complex), batch + (n, n))}
+    out = np.zeros(batch + (r * n, s * n), dtype=complex)
+    for w, c in p.coeffs.items():
+        for k in range(len(w)):
+            if w[:k + 1] not in prods:
+                prods[w[:k + 1]] = mats[w[0]] if k == 0 \
+                    else prods[w[:k]] @ mats[w[k]]
+        term = c[:, None, :, None] * prods[w][..., None, :, None, :]
+        out += term.reshape(batch + (r * n, s * n))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 3), B=st.integers(1, 4),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_scalar_eval_is_the_broadcast_path_bit_for_bit(seed, n, B, scale):
+    # eval_poly multiplies a scalar coefficient straight into the product
+    rng = np.random.default_rng(seed)
+    p = rand_poly(CTX_BIG, rng, max_len=4, terms=9, scale=scale)
+    mats = rng.normal(size=(4, B, n, n)) + 1j * rng.normal(size=(4, B, n, n))
+    mats = mats + np.conj(np.swapaxes(mats, -1, -2))
+    stack = HermTuple(n, tuple(mats[:2]), tuple(mats[2:]), validate=False)
+    got = eval_poly(p, stack)
+    assert got.tobytes() == broadcast_eval(p, stack).tobytes()
+    for b in range(B):
+        t = HermTuple(n, tuple(mats[:2, b]), tuple(mats[2:, b]),
+                      validate=False)
+        alone = eval_poly(p, t)
+        assert alone.tobytes() == broadcast_eval(p, t).tobytes()
+        assert alone.tobytes() == got[b].tobytes()
+
+
 def test_eval_rejects_wrong_counts():
     p = rand_poly(CTX_BIG, np.random.default_rng(0))
     t = HermTuple(2, (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),),

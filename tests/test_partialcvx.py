@@ -496,6 +496,30 @@ def test_block_sampler_empty_region_exhausts_budget(max_attempts,
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_exhausted_probe_judges_exactly_its_budget(monkeypatch):
+    """A probe with extras that misses an empty region judges exactly
+    MAX_ATTEMPTS draws (its stream's last block is trimmed to the draws
+    left), and the draws and the generator's state are still those of
+    the per-probe loop."""
+    judged = []
+    test = Region.test
+
+    def spy(self, mats):
+        judged.append(len(mats))
+        return test(self, mats)
+
+    monkeypatch.setattr(Region, "test", spy)
+    region = Region(linearize_poly(X4), "dom-plus")
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    assert list(partialcvx.region_probes(region, 2, 3, rng, 0.6,
+                                         (1.0,))) == []
+    assert sum(judged) == 3 * partialcvx.MAX_ATTEMPTS == 1500
+    judged.clear()
+    assert list(probe_loop(region, 2, 3, ref_rng, 0.6, (1.0,))) == []
+    assert judged == [1] * 1500
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("kind", realize.REGION_KINDS)
 def test_block_sampler_with_no_letters(kind):
     """With no letters the one point of size n is the empty tuple: every

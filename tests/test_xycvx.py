@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncconvex import cli, matkit, xycvx
@@ -655,19 +655,93 @@ def test_gram_not_certifiable_carries_a_dual_certificate():
     assert 0 < res.gap <= 1e-12
 
 
+def pinned_family(pl):
+    """(base, E) of the Gram of (L_x, L_y, L_yx, L_xy) with every column
+    kept: the pins written out here, and the free directions Re and Im of
+    G[0, 1], Im of G[0, 2] and Im of G[1, 3]."""
+    c = pl.c
+    base = np.diag([c("xx").real, c("yy").real, c("xyyx").real,
+                    c("yxxy").real]).astype(complex)
+    for (j, k), v in {(1, 2): c("yyx"), (0, 3): c("xxy"),
+                      (2, 3): c("xyxy")}.items():
+        base[j, k], base[k, j] = v, np.conj(v)
+    for (j, k), v in {(0, 2): c("xyx"), (1, 3): c("yxy")}.items():
+        base[j, k] = base[k, j] = v.real / 2
+    E = np.zeros((4, 4, 4), dtype=complex)
+    for i, (v, j, k) in enumerate([(1, 0, 1), (1j, 0, 1), (1j, 0, 2),
+                                   (1j, 1, 3)]):
+        E[i, j, k], E[i, k, j] = v, np.conj(v)
+    return base, E
+
+
+def assert_read_off_the_face(pl, res):
+    """res was read off the face of all three pinned blocks with no solve;
+    returns (G from max_min_eig on the same family, its solve, the scale
+    max(1, max|G| of res))."""
+    assert res.solver_steps == 0 and res.gap == 0
+    assert res.Z is None
+    assert res.face.blocks == ((1, 2), (0, 3), (2, 3))
+    scale = max(1.0, float(np.max(np.abs(res.G))))
+    assert res.face.residual <= 1e-8 * scale
+    base, E = pinned_family(pl)
+    sol = matkit.max_min_eig(base, E)
+    return base + np.tensordot(sol.theta, E, 1), sol, scale
+
+
 @pytest.mark.parametrize("seed, scale", [(3, 10.0), (18, 10.0), (0, 1.0),
                                          (1, 0.3), (2, 3.0)])
 def test_gram_rank_one_closes_the_gap(seed, scale):
-    # a rank-one Gram is the degenerate optimum: a triple zero eigenvalue
+    # a rank-one Gram is the degenerate optimum, a triple zero eigenvalue
+    # that the barrier only approaches; its singular pinned blocks give
+    # the face it lies on, and the face fixes it with no gap
     p, _ = synthesize_certified(np.random.default_rng(seed), N=1, scale=scale)
     pl = support_screen(p)
     res = gram_complete_certificate(pl)
     assert res.is_feasible, res.status
     assert res.F.shape[0] == 1
-    assert 0 < res.gap <= 1e-12 * max(1.0, float(np.max(np.abs(res.G))))
-    assert res.solver_steps > 0
+    G, _, s = assert_read_off_the_face(pl, res)
+    assert np.abs(res.G - G).max() <= 1e-10 * s
     cert = assemble_certificate(pl, res.F)
     assert max(cert.residuals.values()) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, u=st.floats(-3, 3))
+def test_rank_one_grams_are_read_off_their_face(seed, u):
+    """The face gives the generator's own Gram, the one PSD completion, at
+    rounding level, and it attains the barrier's optimum value.  The
+    barrier's G is not compared entrywise: at this degenerate optimum it
+    can sit 2e-10 relative away (seed 744902 at 10^2.15, N = 1)."""
+    p, (Lx, Ly, Lxy, Lyx, _) = synthesize_certified(
+        np.random.default_rng(seed), N=1, scale=10.0 ** u)
+    pl = support_screen(p)
+    # every column is kept (a diagonal pin above tol scale)
+    assume(min(abs(pl.c(w)) for w in ("xx", "yy", "xyyx", "yxxy"))
+           > 1e-8 * xycvx._structural_scale(pl))
+    res = gram_complete_certificate(pl)
+    assert res.is_feasible, res.status
+    assert res.F.shape[0] == 1
+    _, sol, s = assert_read_off_the_face(pl, res)
+    L = np.stack([Lx, Ly, Lyx, Lxy], axis=1)
+    assert np.abs(res.G - L.conj().T @ L).max() <= 1e-12 * s
+    lam = float(np.linalg.eigvalsh(res.G)[0])
+    assert sol.t - 1e-12 * s <= lam <= sol.t + sol.gap + 1e-12 * s
+    cert = assemble_certificate(pl, res.F)
+    assert max(cert.residuals.values()) \
+        <= 1e-8 * xycvx._structural_scale(pl)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_gram_barrier_steps_on_synthesized_grams(N):
+    # the warm start at mu = 1e-2 and the 1e-4 shrinks after quick
+    # stages take 14-22 steps here, where the cold start took 21-28; a
+    # Gram of rank two or more has no face to read off
+    for seed in range(10):
+        pl = support_screen(synthesize_certified(np.random.default_rng(seed),
+                                                 N=N)[0])
+        res = gram_complete_certificate(pl)
+        assert res.is_feasible and res.face is None
+        assert 0 < res.solver_steps <= 22
 
 
 def test_gram_solve_is_deterministic():
