@@ -164,12 +164,16 @@ def boundary_middle_witness(p=None, level=0.65):
 
     Scalar inner blocks delta0 = beta2 = level with level > 1/sqrt(3), as
     xycvx.pinned_witness builds them on its one-level ray; the witness is
-    completed to a pair where the convexity defect fails.
+    completed to a pair where the convexity defect fails, and PairError
+    unless that pair passes PairWitness.recheck.
     """
     p = square_poly_xy() if p is None else p
     pl = p if isinstance(p, xycvx.PLPoly) else xycvx.support_screen(p)
     wit = xycvx.pinned_witness(pl, levels=(level,))
     pair = xycvx.mxy_witness_pair(pl, wit)
+    reason = pair.recheck()
+    if reason is not None:
+        raise xycvx.PairError(reason)
     return wit, pair
 
 

@@ -98,6 +98,7 @@ def sqrt_psd(M, tol=TOL_PSD):
 # largest smallest eigenvalue of an affine Hermitian family
 
 GAP_REL = 1e-13
+_SHRINK = 1e-2
 _STAGE_STEPS = 100
 _LOOSE = 1e-2
 
@@ -128,11 +129,9 @@ def max_min_eig(F0, Fs):
     for the directions A = (F_1, ..., F_m, -I)), damped by 1/(1 + lambda)
     while the Newton decrement lambda^2 > 1/4.  The path starts at
     mu = 1e-2 from theta = 0 and t = lambda_min(F0) - n mu, where every
-    eigenvalue of F is at least n mu.  mu shrinks by 1e-4 after a stage
-    that centred in at most 2 steps down to mu = 1e-8, and by 1e-2
-    otherwise (always below 1e-8), so it visits powers of 1e-2 only and
-    stops at the first with gap n mu <= GAP_REL; that last centre is
-    tight, and there Z = mu F^-1 is the dual certificate.  It solves for
+    eigenvalue of F is at least n mu.  mu shrinks by 1e-2 per stage until
+    the gap n mu is at most GAP_REL; the last centre is tight, and there
+    Z = mu F^-1 is the dual certificate.  It solves for
     F0 / max(1, max|F0|), so that the Hessian cannot underflow at large
     F0, and scales t, theta and the gap back (Z does not change).
 
@@ -158,9 +157,7 @@ def max_min_eig(F0, Fs):
     c = np.zeros(m)
     c[-1] = 1.0
     eye = np.eye(n).ravel()
-    # mu = 10^-k, so every mu is a power of 1e-2
-    k, steps = 2, 0
-    mu = 10.0 ** -k
+    mu, steps = _SHRINK, 0
     x = c * (float(np.linalg.eigvalsh(F0)[0]) - n * mu)
     while True:
         last = n * mu <= GAP_REL
@@ -194,8 +191,7 @@ def max_min_eig(F0, Fs):
             Z = herm(mu * (U @ Fi @ U.conj().T))
             return MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
                              scale * n * mu, steps)
-        k += 4 if stage <= 2 and k <= 8 else 2
-        mu = 10.0 ** -k
+        mu *= _SHRINK
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ middle_matrix_psd_scan samples inner blocks for the example studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -97,16 +96,9 @@ class PLPoly:
     def accepted(self):
         return True
 
-    @cached_property
-    def _table(self):
-        """Word string to coefficient, of every word of the polynomial."""
-        return {"".join("xy"[i] for i in w): complex(c[0, 0])
-                for w, c in self.poly.coeffs.items()}
-
     def c(self, word):
-        """Coefficient by word string (or tuple of letters), e.g. c("xyx");
-        0 off the support."""
-        return self._table.get("".join(word), 0j)
+        """Coefficient by word string, e.g. c("xyx")."""
+        return self.poly.scalar_coeff(_w(word))
 
 
 def from_coeffs(coeffs):
@@ -161,14 +153,18 @@ def xy_pair_residual(X, Y, V):
 
 
 def is_xy_pair(X, Y, V, tol=1e-10):
-    """V is an isometry and the product identity holds at relative tol;
-    X and Y (Hermitian) may be stacks sharing V, giving one verdict per
-    pair.  The norms of the Hermitian X, Y and V*V - I come from eigvalsh,
-    that of the product identity's residual from its singular values."""
+    """X and Y are Hermitian, V is an isometry and the product identity
+    holds, each at relative tol; X and Y may be stacks sharing V, giving
+    one verdict per pair.  The norms of X, Y and V*V - I come from
+    eigvalsh, that of the product identity's residual from its singular
+    values."""
     iso = _herm_norm2(V.conj().T @ V - np.eye(V.shape[1])) <= tol
-    nx, ny = _herm_norm2(np.stack([X, Y]))
-    scale = np.maximum(1.0, nx * ny)
-    return iso & (xy_pair_residual(X, Y, V) <= tol * scale)
+    XY = np.stack([X, Y])
+    norms = _herm_norm2(XY)
+    skew = np.abs(XY - XY.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    herm = np.all(skew <= tol * np.maximum(1.0, norms), axis=0)
+    scale = np.maximum(1.0, norms[0] * norms[1])
+    return iso & herm & (xy_pair_residual(X, Y, V) <= tol * scale)
 
 
 def _three_block(top, side, blocks, left):
@@ -461,8 +457,8 @@ def mxy_witness_pair(p, wit):
     Follows the vector-completion argument: with X0 = Y0 the 2 x 2 flip
     and h = e1, {h, X0 h} and {h, Y0 h} are independent, so the
     off-diagonal blocks can be solved for so that the border vector lands
-    on the witness eigenvector.  The pair is not checked here:
-    PairWitness.recheck is the one check of a completed witness.
+    on the witness eigenvector.  The pair is not checked here: every
+    caller runs PairWitness.recheck, the one check of a completed witness.
     """
     X0 = Y0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     h = np.array([1.0, 0.0], dtype=complex)

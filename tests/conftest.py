@@ -131,10 +131,10 @@ def probe_loop(region, n, samples, rng, scale, extra=()):
 
 
 def reference_max_min_eig(F0, Fs):
-    """matkit.max_min_eig as it was before its warm start: the path from
-    mu = 1 at t = lambda_min(F0) - n, every shrink 1e-2, the gradient's
-    traces and the Hessian's einsum per step.  Its last centre is the new
-    solver's, so both give the same t, theta and Z."""
+    """matkit.max_min_eig from a cold start: the path from mu = 1 at
+    t = lambda_min(F0) - n, every shrink 1e-2, the gradient's traces and
+    the Hessian's einsum per step.  Its last centre is matkit's, so both
+    give the same t, theta and Z."""
     F0 = np.asarray(F0, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(F0))))
     F0 = F0 / scale

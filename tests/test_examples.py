@@ -6,12 +6,13 @@ either a seed-handling change or a numerical change worth investigating.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncconvex import examples, matkit
+from ncconvex import examples, matkit, xycvx
 
 DATA = Path(examples.__file__).parent / "data"
 
@@ -62,6 +63,21 @@ def test_a4_summary_content():
     assert not s["interior_admissible_witness"]["found"]
     assert s["gram_stage"]["status"] == "not-certifiable-pinned"
     assert s["gram_stage"]["pinned_lambda_min"] == pytest.approx(-1.0)
+
+
+def test_boundary_witness_rechecks_its_pair(monkeypatch):
+    complete = xycvx.mxy_witness_pair
+
+    def flipped(p, wit):
+        # the completed pair with the sign of its defect turned around
+        pw = complete(p, wit)
+        return replace(pw, defect=-pw.defect, value=-pw.value)
+
+    wit, pair = examples.boundary_middle_witness()
+    assert pair.recheck() is None
+    monkeypatch.setattr(xycvx, "mxy_witness_pair", flipped)
+    with pytest.raises(xycvx.PairError, match="h\\* D h"):
+        examples.boundary_middle_witness()
 
 
 def test_norm_bound_value():

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from ncconvex import cli, matkit, xycvx
 from ncconvex.ncalg import (ContextError, FreePoly, HermTuple, SymmetryError,
-                            VarContext, eval_poly, format_poly)
+                            VarContext, eval_poly, format_poly,
+                            parse_poly)
 from ncconvex.xycvx import (
     AssemblyError,
     PairError,
@@ -126,6 +127,19 @@ def test_sampled_pairs_satisfy_intertwining(seed):
     pair = sample_xy_pair((2, 2, 2), rng=rng)
     assert xy_pair_residual(pair.X, pair.Y, pair.V) <= 1e-10
     assert is_xy_pair(pair.X, pair.Y, pair.V)
+
+
+def test_non_hermitian_pair_fails():
+    # with V = Y = I the product identity holds for any X, so only X's
+    # Hermitian check can reject a non-Hermitian X
+    eye = np.eye(2, dtype=complex)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    shift = np.array([[0, 1], [0, 0]], dtype=complex)
+    assert is_xy_pair(flip, eye, eye)
+    assert not is_xy_pair(shift, eye, eye)
+    assert not is_xy_pair(eye, shift, eye)
+    assert list(is_xy_pair(np.stack([flip, shift]), np.stack([eye, eye]),
+                           eye)) == [True, False]
 
 
 def test_perturbed_pair_fails_and_raises(rng):
@@ -733,15 +747,47 @@ def test_rank_one_grams_are_read_off_their_face(seed, u):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_gram_barrier_steps_on_synthesized_grams(N):
-    # the warm start at mu = 1e-2 and the 1e-4 shrinks after quick
-    # stages take 14-22 steps here, where the cold start took 21-28; a
-    # Gram of rank two or more has no face to read off
+    # the warm start at mu = 1e-2 takes 16-24 steps here, where the cold
+    # start at mu = 1 took 21-28; a Gram of rank two or more has no face
+    # to read off
     for seed in range(10):
         pl = support_screen(synthesize_certified(np.random.default_rng(seed),
                                                  N=N)[0])
         res = gram_complete_certificate(pl)
         assert res.is_feasible and res.face is None
-        assert 0 < res.solver_steps <= 22
+        assert 0 < res.solver_steps <= 24
+
+
+# a dual-certified reject whose first stage centres in 2 steps; a schedule
+# that then shrank mu by 1e-4 at once made the next stage take 65 steps
+QUICK_FIRST_STAGE = """vars a:  | x: x y
+0.32823255031069104 * 1
+0.6504689642541498 * x
+-2.1887562876763296 * y
+3.252383724165774 * x x
+4.0033591139024685-1.033425126873885i * x y
+4.0033591139024685+1.033425126873885i * y x
+6.0667412983162547 * y y
+0.0039717045687612165+0.097419606055807947i * x x y
+0.0039717045687612165-0.097419606055807947i * y x x
+-0.26368945681641232 * y x y
+0.067798263390665442-0.050579858073962161i * x y x y
+2.4478960595793557 * x y y x
+0.0029228882221419557 * y x x y
+0.067798263390665442+0.050579858073962161i * y x y x
+"""
+
+
+def test_gram_barrier_stages_stay_short(monkeypatch):
+    # every stage of this solve centres in at most 7 steps, so a cap of 10
+    # steps per stage does not stop it, and it takes fewer steps in all
+    # than the cold start's 28
+    monkeypatch.setattr(matkit, "_STAGE_STEPS", 10)
+    res = gram_complete_certificate(support_screen(
+        parse_poly(QUICK_FIRST_STAGE)))
+    assert res.status == "not-certifiable" and res.Z is not None
+    assert res.dual_value == pytest.approx(-2.8605377661621e-3, rel=1e-9)
+    assert res.solver_steps < 28
 
 
 def test_gram_solve_is_deterministic():
