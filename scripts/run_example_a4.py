@@ -9,8 +9,6 @@ reduced feasibility stage reports exactly that.
 import argparse
 import json
 
-import numpy as np
-
 from ncconvex import examples, xycvx
 
 
@@ -34,9 +32,10 @@ def main():
     wit, pair = examples.boundary_middle_witness(level=0.65)
     print("boundary middle-matrix eigenvalue:", wit.lambda_min)
     print("pair completion defect value:", pair.value,
-          "(equals the quadratic-form value by construction)")
-    assert np.isclose(pair.value, wit.lambda_min * np.vdot(wit.vector, wit.vector).real,
-                      atol=1e-9) or pair.value < 0
+          "(equals the boundary eigenvalue by construction)")
+    if abs(pair.value - wit.lambda_min) > 1e-9:
+        raise SystemExit("the pair's defect value %r is not the boundary "
+                         "eigenvalue %r" % (pair.value, wit.lambda_min))
 
 
 if __name__ == "__main__":

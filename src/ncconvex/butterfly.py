@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matkit, realize
 from .ncalg import FreePoly, HermTuple, eval_poly
-from .matkit import TOL_INV, TOL_PSD, is_psd, sqrt_psd
+from .matkit import TOL_PSD, is_psd, sqrt_psd
 from .realize import NotInDomain, Realization, Region, kron_sum
 
 
@@ -51,12 +51,10 @@ class RealizationError(ValueError):
     """The polynomial butterfly failed its identity check."""
 
 
-def _kebab_pair(R, t, tol_inv):
+def _kebab_pair(R, t):
     """(inside, W) of the points (A, 0) and (A, X), in that order: which
-    lie in dom at tol_inv, and their pencils' inverses, from one
-    Region(R, "dom").test."""
-    return Region(R, "dom", tol_inv=tol_inv).test(
-        realize._stack([R.zero_x(t), t]))
+    lie in dom, and their pencils' inverses, from one Region(R, "dom").test."""
+    return Region(R, "dom").test(realize._stack([R.zero_x(t), t]))
 
 
 def _affine_terms(R, t, W):
@@ -67,9 +65,9 @@ def _affine_terms(R, t, W):
     return C, Wc, R.x_sum(t.X, t.n) @ Wc
 
 
-def caterpillar_eval(R, t, tol_inv=TOL_INV):
+def caterpillar_eval(R, t):
     """Three caterpillar terms at (A, X) in dom-kebab; returns (t0, t1, t2)."""
-    inside, W = _kebab_pair(R, t, tol_inv)
+    inside, W = _kebab_pair(R, t)
     if not inside[0]:
         raise KebabError("(A, 0) is outside dom r")
     if not inside[1]:
@@ -85,18 +83,17 @@ class ButterflyCert:
 
     R: Realization
 
-    def w_eval(self, t, tol_inv=TOL_INV):
+    def w_eval(self, t):
         """w(A) = R_T(A, 0), a Hermitian kn x kn matrix."""
-        return realize.r_T(self.R, self.R.zero_x(t), tol_inv)
+        return realize.r_T(self.R, self.R.zero_x(t))
 
     def _zero_slice(self, t):
         """(W, w): the pencil's inverse at (A, 0) and w(A) (None when
         k = 0); None when (A, 0) or (A, X) is outside dom."""
-        inside, W = _kebab_pair(self.R, t, TOL_INV)
+        inside, W = _kebab_pair(self.R, t)
         if not inside.all():
             return None
-        w = realize.r_T(self.R, self.R.zero_x(t), factors=W[0]) \
-            if self.R.frame.k else None
+        w = Region(self.R).r_T(W[0], t.n) if self.R.frame.k else None
         return W[0], w
 
     def _sandwich(self, rw, t):
@@ -175,8 +172,7 @@ class PolyRegion(realize.RegionKind):
     nilpotent), so every kind of realize.Region is judged without R:
 
     dom, kebab: every point;
-    dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set;
-    ball: RegionKind's ball rule.
+    dom-plus, kebab-plus: w(A) PSD at tol (psd_mask), the same set.
 
     realize.Region's interface (kind, h, g, dim, k, test, hessian,
     values, rt_lambda_min, series, empty_proof); test evaluates w at the
@@ -186,8 +182,8 @@ class PolyRegion(realize.RegionKind):
     block cap) come from pb, and series from w's coefficients.
     """
 
-    def __init__(self, pb, kind="dom", tol=TOL_PSD, radius=None):
-        super().__init__(kind, tol, radius)
+    def __init__(self, pb, kind="dom", tol=TOL_PSD):
+        super().__init__(kind, tol)
         self.pb = pb
         self.h, self.g, self.k, self.dim = pb.p.ctx.h, pb.p.ctx.g, pb.k, pb.k
 
@@ -202,9 +198,9 @@ class PolyRegion(realize.RegionKind):
         (B, h + g, n, n)."""
         w = eval_poly(self.pb.w, self._tuple(mats))
         ev = np.linalg.eigvalsh(w)
-        mask = self._ball(mats)
-        if self.kind.endswith("plus") and self.k:
-            mask &= matkit.psd_mask(ev, self.tol)
+        mask = matkit.psd_mask(ev, self.tol) \
+            if self.kind.endswith("plus") and self.k \
+            else np.ones(len(mats), dtype=bool)
         return mask, list(zip(w, ev))
 
     def hessian(self, t, H, payload):

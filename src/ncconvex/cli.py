@@ -86,6 +86,10 @@ class AnalysisConfig:
             value = float(getattr(self, name))
             if not (np.isfinite(value) and value > 0):
                 raise InputError("%s must be positive and finite" % name)
+            # psd_mask accepts every Hermitian matrix from tol_psd 1 up,
+            # and _invertible no pencil from tol_inv 1 up
+            if name != "scale" and value >= 1:
+                raise InputError("%s must be below 1" % name)
         if int(self.seed) < 0:
             raise InputError("seed must be nonnegative")
 
@@ -238,18 +242,23 @@ def _poly_json(p):
 # regions
 
 def make_region(name, f, cfg):
-    """The region named by --region ("default" is dom-plus) of the
-    analysed function f: for a polynomial butterfly, its
-    butterfly.PolyRegion, which judges w(A) alone and factors no pencil;
-    for a realization, its realize.Region, whose tol_inv, --tol-inv,
-    decides every pencil of the scans it drives."""
-    kind, radius = ("dom-plus" if name == "default" else name), None
+    """(region, scale): the region named by --region ("default" is
+    dom-plus) of the analysed function f, and the scale its Hessian scan
+    draws at, --scale: for a polynomial butterfly its butterfly.PolyRegion,
+    which judges w(A) alone and factors no pencil; for a realization, its
+    realize.Region, whose tol_inv, --tol-inv, decides every pencil of the
+    scans it drives.  ball:R is dom at scale min(--scale, R), since no
+    draw has a norm above its scale."""
+    kind, scale = ("dom-plus" if name == "default" else name), cfg.scale
     try:
         if name.startswith("ball:"):
-            kind, radius = "ball", float(name.split(":", 1)[1])
+            radius = float(name.split(":", 1)[1])
+            if not (np.isfinite(radius) and radius > 0):
+                raise ValueError("a ball needs a positive finite radius")
+            kind, scale = "dom", min(scale, radius)
         if isinstance(f, butterfly.PolyButterfly):
-            return butterfly.PolyRegion(f, kind, cfg.tol_psd, radius)
-        return realize.Region(f, kind, cfg.tol_psd, cfg.tol_inv, radius)
+            return butterfly.PolyRegion(f, kind, cfg.tol_psd), scale
+        return realize.Region(f, kind, cfg.tol_psd, cfg.tol_inv), scale
     except ValueError as exc:
         raise InputError("bad region %r (%s); expected dom, dom-plus, kebab, "
                          "kebab-plus or ball:RADIUS" % (name, exc))
@@ -339,8 +348,8 @@ def _serialize_empty_proof(proof):
             "lambda_bound": proof.lambda_bound}
 
 
-def _hessian_scan_size(region, cfg, size, seed, proof):
-    """One size of the Hessian scan over region, drawn from seed.
+def _hessian_scan_size(region, cfg, size, seed, proof, scale):
+    """One size of the Hessian scan over region, drawn from seed at scale.
 
     On dom-plus and kebab-plus there is no witness to search for: the
     x-Hessian is 2 u* R_T u with u = (V_T (x) I)* L R (c (x) I), PSD
@@ -358,8 +367,7 @@ def _hessian_scan_size(region, cfg, size, seed, proof):
         if proof is not None:
             return {"size": size, "empty": True,
                     "proof": _serialize_empty_proof(proof)}
-        probe = partialcvx.first_probe(region, size, cfg.samples, rng,
-                                       cfg.scale)
+        probe = partialcvx.first_probe(region, size, cfg.samples, rng, scale)
         if probe is None:
             return {"size": size, "empty": True}
         ev, rt_low, origin = probe
@@ -375,9 +383,6 @@ def _hessian_scan_size(region, cfg, size, seed, proof):
                 "PSD at tol_psd; 2 u* R_T u is PSD there, so this is "
                 "rounding" % ev[0])
         return out
-    # draws wider than a ball would all miss it
-    scale = min(cfg.scale, region.radius) if region.kind == "ball" \
-        else cfg.scale
     try:
         verdict = partialcvx.convexity_verdict(
             region, sizes=(size,), samples=cfg.samples, rng=rng,
@@ -410,7 +415,7 @@ def _localizing_scan(f, cfg, rng):
     and the shift companion on its reach words, tested in the same dom
     (span_failure, outside_dom).  With k = 0 no point can be indefinite,
     and the scan draws nothing."""
-    region = make_region("dom", f, cfg)
+    region = make_region("dom", f, cfg)[0]
     if not region.k:
         return {"checked": 0, "reason": "k = 0: R_T has no nonzero "
                 "eigenvalue at any point, so none is indefinite"}
@@ -532,10 +537,10 @@ def cmd_partial(args):
     # alone, so it holds at every size or at none
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) + 1)
     t0 = time.monotonic()
-    region = make_region(cfg.region, f, cfg)
-    proof = region.empty_proof(cfg.scale) \
+    region, scale = make_region(cfg.region, f, cfg)
+    proof = region.empty_proof(scale) \
         if region.kind.endswith("plus") else None
-    chunks = [_hessian_scan_size(region, cfg, int(s), seeds[i], proof)
+    chunks = [_hessian_scan_size(region, cfg, int(s), seeds[i], proof, scale)
               for i, s in enumerate(cfg.sizes)]
     scan = {"region": cfg.region if cfg.region != "default" else "dom-plus",
             "per_size": chunks, "time_s": time.monotonic() - t0}
@@ -798,7 +803,9 @@ def build_parser():
                    help="sampling scale for matrix entries")
     s.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-10)
     s.add_argument("--region", default="default",
-                   help="dom, dom-plus, kebab, kebab-plus, or ball:RADIUS")
+                   help="dom, dom-plus (the default), kebab, kebab-plus, or "
+                   "ball:RADIUS, which is dom drawn at scale min(--scale, "
+                   "RADIUS)")
     s.set_defaults(fn=cmd_partial)
 
     s = subs.add_parser("xy", help="convexity in x and y separately")

@@ -83,10 +83,11 @@ def is_psd(M, tol=TOL_PSD):
     return PsdReport(lo, hi, verdict, tol)
 
 
-def sqrt_psd(M, tol=TOL_PSD):
-    """PSD square root; eigenvalues within tol of zero are clamped to 0."""
+def sqrt_psd(M):
+    """PSD square root (is_psd at TOL_PSD); eigenvalues within TOL_PSD of
+    zero are clamped to 0."""
     M = np.asarray(M, dtype=complex)
-    rep = is_psd(M, tol)
+    rep = is_psd(M)
     if not rep.is_psd:
         raise DomainError("matrix is indefinite (lambda_min=%g)" % rep.lambda_min)
     lam, U = np.linalg.eigh(herm(M))
@@ -274,50 +275,38 @@ def _rescaled_herm(Z, scale):
     return np.where(big[..., None, None], H * f[..., None, None], H)
 
 
-def _widths(parts, scale):
-    """(scale per part, normals per draw of each part): 2 r c, or none
-    for a Hermitian part at scale 0, which is drawn as zero."""
-    scales = [scale] * len(parts) if np.isscalar(scale) else list(scale)
-    return scales, [0 if herm_ and s == 0 else 2 * r * c
-                    for (r, c, herm_), s in zip(parts, scales)]
-
-
 def skip_blocks(parts, scale, rng, size):
     """Move rng past the normals sample_blocks(parts, scale, rng, size)
     draws, without building the matrices."""
-    rng.normal(size=(size, sum(_widths(parts, scale)[1])))
+    rng.normal(size=(size, sum(2 * r * c for r, c, _ in parts)))
 
 
 def sample_blocks(parts, scale, rng, size):
     """size draws of a list of matrices, as one stack (size, r, c) per part.
 
-    parts lists (r, c, hermitian); scale is one scale for every part or a
-    sequence of one scale per part.  A Hermitian part (r = c) is the
-    Hermitian part of a complex Gaussian (real part, then imaginary
-    part), rescaled to spectral norm scale when its norm is larger; a
-    rectangular one is the complex Gaussian (real + i imag) * scale /
-    sqrt 2.  One rng.normal call fills the stacks in the order of size
-    loops that draw the parts one after another (_widths), and the
-    Hermitian parts of one size and scale share one batched rescale, with
+    parts lists (r, c, hermitian), all drawn at one scale.  A Hermitian
+    part (r = c) is the Hermitian part of a complex Gaussian (real part,
+    then imaginary part), rescaled to spectral norm scale when its norm is
+    larger; a rectangular one is the complex Gaussian (real + i imag) *
+    scale / sqrt 2.  One rng.normal call fills the stacks in the order of
+    size loops that draw the parts one after another (2 r c normals each),
+    and the Hermitian parts of one size share one batched rescale, with
     the norms from one svd(., compute_uv=False), the LAPACK call behind
     norm(., 2).
     """
-    scales, widths = _widths(parts, scale)
+    widths = [2 * r * c for r, c, _ in parts]
     Z = rng.normal(size=(size, sum(widths)))
     out, groups, at = [], {}, 0
-    for (r, c, herm_), s, w in zip(parts, scales, widths):
-        if w == 0:
-            out.append(np.zeros((size, r, c), dtype=complex))
-            continue
+    for (r, c, herm_), w in zip(parts, widths):
         raw = Z[:, at:at + w].reshape(size, 2, r, c)
         at += w
         if herm_:
-            groups.setdefault((r, s), []).append((len(out), raw))
+            groups.setdefault(r, []).append((len(out), raw))
             out.append(None)
         else:
-            out.append((raw[:, 0] + 1j * raw[:, 1]) * s / np.sqrt(2))
-    for (_, s), group in groups.items():
-        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1), s)
+            out.append((raw[:, 0] + 1j * raw[:, 1]) * scale / np.sqrt(2))
+    for group in groups.values():
+        H = _rescaled_herm(np.stack([raw for _, raw in group], axis=1), scale)
         for j, (k, _) in enumerate(group):
             out[k] = H[:, j]
     return out

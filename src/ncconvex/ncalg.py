@@ -163,8 +163,8 @@ class FreePoly:
         return cls(ctx, acc, shape)
 
     @classmethod
-    def zero(cls, ctx, shape=(1, 1)):
-        return cls(ctx, {}, shape)
+    def zero(cls, ctx):
+        return cls(ctx, {})
 
     @classmethod
     def unit(cls, ctx):

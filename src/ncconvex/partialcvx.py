@@ -155,28 +155,29 @@ def _point(mats, h):
                      validate=False)
 
 
-def region_probes(region, n, samples, rng, scale, extra=()):
+def region_probes(region, n, samples, rng, scale, extra=None):
     """samples region probes at size n.
 
-    A probe is the next draw at scale that lies in the region, followed by
-    one Hermitian n x n draw per entry of extra, at that scale; a probe
-    whose MAX_ATTEMPTS draws in a row all miss the region draws nothing
-    more and yields nothing.  Yields (t, extras, payload): the point as a
-    HermTuple, its draws (len(extra), n, n) and the payload the region's
-    test handed on.
+    A probe is the next draw at scale that lies in the region, followed,
+    when extra is a scale, by g Hermitian n x n draws at that scale; a
+    probe whose MAX_ATTEMPTS draws in a row all miss the region draws
+    nothing more and yields nothing.  Yields (t, extras, payload): the
+    point as a HermTuple, its extra draws (g or 0, n, n) and the payload
+    the region's test handed on.
 
     The draws are a matkit.judged_draws stream, each block one
     matkit.sample_blocks call judged by one region.test, capped by
-    _block_cap.  Without extra (the localizing scan) all probes share one
-    stream, whose first block is samples; a probe with extra (the Hessian
-    and midpoint scans, first_probe) closes its own stream, first block 1,
-    at its point and then draws its extras.  A stream ends at the most
-    draws its probes may take, samples MAX_ATTEMPTS or MAX_ATTEMPTS, so a
-    probe that misses judges exactly its MAX_ATTEMPTS draws.  So every
-    draw, point, payload and rng state is that of a loop of per-draw
-    sample_tuple calls.
+    _block_cap.  Without extra draws (the localizing scan, or g = 0) all
+    probes share one stream, whose first block is samples; a probe with
+    extra draws (the Hessian and midpoint scans, first_probe) closes its
+    own stream, first block 1, at its point and then draws them.  A stream
+    ends at the most draws its probes may take, samples MAX_ATTEMPTS or
+    MAX_ATTEMPTS, so a probe that misses judges exactly its MAX_ATTEMPTS
+    draws.  So every draw, point, payload and rng state is that of a loop
+    of per-draw sample_tuple calls.
     """
     parts = [(n, n, True)] * (region.h + region.g)
+    extras = [(n, n, True)] * (region.g if extra is not None else 0)
 
     def stream(first, total):
         return matkit.judged_draws(
@@ -184,20 +185,19 @@ def region_probes(region, n, samples, rng, scale, extra=()):
             lambda B: matkit.skip_blocks(parts, scale, rng, B), rng, first,
             _block_cap(region, n), total)
 
-    draws = stream(1, MAX_ATTEMPTS) if extra \
+    draws = stream(1, MAX_ATTEMPTS) if extras \
         else stream(samples, samples * MAX_ATTEMPTS)
     try:
         for _ in range(samples):
             hit = next((d for d in itertools.islice(draws, MAX_ATTEMPTS)
                         if d[1]), None)
-            if extra:
+            if extras:
                 draws.close()
                 draws = stream(1, MAX_ATTEMPTS)
             if hit is not None:
                 mats, _, payload = hit
                 yield (_point(mats, region.h),
-                       _herm_stack(n, [(n, n, True)] * len(extra), extra,
-                                   rng, 1)[0], payload)
+                       _herm_stack(n, extras, extra, rng, 1)[0], payload)
     finally:
         draws.close()
 
@@ -223,8 +223,8 @@ def first_probe(region, n, samples, rng, scale):
         probe = (origin, _herm_stack(n, [(n, n, True)] * g, 1.0, rng, 1)[0],
                  payloads[0])
     else:
-        probe = next(region_probes(region, n, samples, rng, scale,
-                                   (1.0,) * g), None)
+        probe = next(region_probes(region, n, samples, rng, scale, 1.0),
+                     None)
         if probe is None:
             return None
     t, H, payload = probe
@@ -252,8 +252,7 @@ def convexity_verdict(region, sizes=(1, 2, 3), samples=30, rng=None,
     rng = np.random.default_rng(0) if rng is None else rng
     count, min_lambda = 0, np.inf
     for n in sizes:
-        for t, H, W in region_probes(region, n, samples, rng, scale,
-                                     (1.0,) * region.g):
+        for t, H, W in region_probes(region, n, samples, rng, scale, 1.0):
             val = region.hessian(t, H, W)
             ev = np.linalg.eigvalsh(val)
             low = float(ev[0])
@@ -267,7 +266,7 @@ def convexity_verdict(region, sizes=(1, 2, 3), samples=30, rng=None,
     pairs = viol = 0
     for n in sizes:
         for t, Y, W in region_probes(region, n, midpoint_pairs, rng,
-                                     scale, (scale,) * region.g):
+                                     scale, scale):
             far = HermTuple(n, t.A, tuple(Y), validate=False)
             mid = HermTuple(n, t.A, tuple((X + Yi) / 2
                                           for X, Yi in zip(t.X, Y)),
@@ -293,6 +292,21 @@ def _dirsum(blocks):
         out[at:at + s, at:at + s] = b
         at += s
     return out
+
+
+def _doubled(companion, bad, K):
+    """The doubled point (companion (+) bad), a-letters first, the
+    antidiagonal direction H_i = [[0, K_i*], [K_i, 0]] for each m x M
+    block K_i, and h = e_() (+) 0, for the companion's M x M letter
+    matrices and bad of size m."""
+    M, m = companion[0].shape[0], bad.n
+    mats = [_dirsum([c, b]) for c, b in zip(companion, bad.mats)]
+    H = tuple(np.block([[np.zeros((M, M)), Ki.conj().T],
+                        [Ki, np.zeros((m, m))]]) for Ki in K)
+    h = np.zeros(M + m, dtype=complex)
+    h[0] = 1.0
+    return (HermTuple(M + m, tuple(mats[:len(bad.A)]),
+                      tuple(mats[len(bad.A):]), validate=False), H, h)
 
 
 def _shift_companion(words, letters):
@@ -376,14 +390,7 @@ def negativity_witness(R, bad, region=None, rt=None):
     if np.linalg.norm(G @ Kt - target) > 1e-6:
         raise SpanFailure(rank, k)
 
-    A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(Y[:R.h], bad.A))
-    X = tuple(_dirsum([x1, x2]) for x1, x2 in zip(Y[R.h:], bad.X))
-    H = tuple(np.block([[np.zeros((e, e)), Ki.conj()],
-                        [Ki.T, np.zeros((m, m))]])
-              for Ki in np.split(Kt, R.g))
-    point = HermTuple(e + m, A, X, validate=False)
-    h = np.zeros(e + m, dtype=complex)
-    h[0] = 1.0
+    point, H, h = _doubled(Y, bad, [Ki.T for Ki in np.split(Kt, R.g)])
     val = partial_hessian(R, point, H, region.tol_inv)
     quad = float(np.real(val[0, 0]))
     if quad >= 0:
@@ -453,13 +460,7 @@ def middle_matrix_witness(pb, bad, w):
         # U_j^+ = (U_j^T U_j)^-1 U_j^T: full column rank, integer entries
         Uj = U[:, mine]
         K.append(Xi[:, mine] @ np.linalg.solve(Uj.T @ Uj, Uj.T))
-    A = tuple(_dirsum([a1, a2]) for a1, a2 in zip(A1, bad.A))
-    X = tuple(_dirsum([np.zeros((M, M)), x2]) for x2 in bad.X)
-    H = tuple(np.block([[np.zeros((M, M)), Kj.conj().T],
-                        [Kj, np.zeros((m, m))]]) for Kj in K)
-    point = HermTuple(M + m, A, X, validate=False)
-    h = np.zeros(M + m, dtype=complex)
-    h[0] = 1.0
+    point, H, h = _doubled(A1 + (np.zeros((M, M)),) * ctx.g, bad, K)
     quad = _second_difference(pb.p, point, H, h)
     if abs(quad - 2.0 * lam[0]) > 1e-9 * max(1.0, abs(lam[0])):
         raise WitnessCheckFailure(
@@ -476,7 +477,7 @@ def sharpness_witness(region, bad, payload):
     middle_matrix_witness, from w(A).  Neither draws."""
     if isinstance(region, Region):
         return negativity_witness(region.R, bad, region=region,
-                                  rt=r_T(region.R, bad, factors=payload))
+                                  rt=region.r_T(payload, bad.n))
     return middle_matrix_witness(region.pb, bad, payload[0])
 
 

@@ -28,14 +28,14 @@ realization), gives the dimension, J and the basis at once
 
 At a point (A, X) the pencil P = J (x) I - sum S_j (x) A_j - sum T_i (x) X_i
 is Hermitian.  A Region, the one membership test, inverts a stack of
-pencils with one batched LU and hands each point's inverse W = P^{-1} on:
-the plus kinds read R_T = (V_T (x) I)* W (V_T (x) I) from it, and
-resolvent, r_T and eval_realization take it as factors=, trusted, and do
-not factor the pencil again.  Invertibility itself is decided on the
-pencil's eigenvalues (eigvalsh), at the relative threshold of
-_invertible.  in_dom, in_dom_plus, in_dom_kebab and in_dom_kebab_plus are
-the one-point case.  Region shares its kind and radius check, its ball
-rule and its emptiness proof (RegionKind, empty_proof) with
+pencils with one batched LU and hands each point's inverse W = P^{-1} on,
+and it reads what its consumers evaluate from that W without factoring
+the pencil again: R_T = (V_T (x) I)* W (V_T (x) I) (Region.r_T), the
+Hessian and r itself.  Invertibility itself is decided on the pencil's
+eigenvalues (eigvalsh), at the relative threshold of _invertible.
+resolvent, r_T, eval_realization, in_dom, in_dom_plus, in_dom_kebab and
+in_dom_kebab_plus are the one-point case.  Region shares its kind check
+and its emptiness proof (RegionKind, empty_proof) with
 butterfly.PolyRegion, which judges the regions of a polynomial butterfly
 through its middle matrix instead.
 """
@@ -231,12 +231,9 @@ def _invertible(lam, tol_inv):
         > tol_inv * np.maximum(1.0, a.max(axis=-1, initial=0.0))
 
 
-def resolvent(R, t, tol_inv=TOL_INV, factors=None):
-    """P(A, X)^{-1}: the inverse a Region handed on as factors (its test
-    has put t in dom), or that of a one-point dom test, which raises
-    NotInDomain when the pencil is singular at tol_inv."""
-    if factors is not None:
-        return factors
+def resolvent(R, t, tol_inv=TOL_INV):
+    """P(A, X)^{-1} from a one-point dom test, which raises NotInDomain
+    when the pencil is singular at tol_inv."""
     inside, W = Region(R, "dom", tol_inv=tol_inv).test(_stack([t]))
     if not inside[0]:
         raise NotInDomain("pencil is numerically singular at tol_inv=%g"
@@ -250,10 +247,10 @@ def _compress(W, lift):
     return matkit.herm(lift.conj().T @ W @ lift)
 
 
-def eval_realization(R, t, factors=None):
-    """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian, from the pencil's
-    inverse (see resolvent); raises NotInDomain at singular pencils."""
-    return _compress(resolvent(R, t, TOL_INV, factors), R.c_lift(t.n))
+def eval_realization(R, t):
+    """(c (x) I)* P(A,X)^{-1} (c (x) I), Hermitian (see resolvent); raises
+    NotInDomain at singular pencils."""
+    return _compress(resolvent(R, t), R.c_lift(t.n))
 
 
 @dataclass(frozen=True)
@@ -290,10 +287,10 @@ def _range_t_frame(R):
     return RangeTFrame(V, That, matkit.herm(V.conj().T @ R.J @ V))
 
 
-def r_T(R, t, tol_inv=TOL_INV, factors=None):
-    """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I),
-    from the pencil's inverse (see resolvent)."""
-    return _compress(resolvent(R, t, tol_inv, factors), R.frame.lift(t.n))
+def r_T(R, t, tol_inv=TOL_INV):
+    """Hermitian compressed resolvent R_T = (V_T (x) I)* P^{-1} (V_T (x) I)
+    (see resolvent and Region.r_T)."""
+    return Region(R, tol_inv=tol_inv).r_T(resolvent(R, t, tol_inv), t.n)
 
 
 @dataclass(frozen=True)
@@ -440,7 +437,7 @@ def polynomial_of(R):
                           if abs(c) >= COEFF_DROP * largest})
 
 
-REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus", "ball")
+REGION_KINDS = ("dom", "dom-plus", "kebab", "kebab-plus")
 
 
 def _inverses(P):
@@ -461,31 +458,17 @@ def _inverses(P):
 
 class RegionKind:
     """What every sampling region shares: its kind, checked against
-    REGION_KINDS (a ball needs a positive finite radius), psd_mask's tol,
-    the ball rule and the one-size point helpers.  A region's test(mats)
-    returns (mask, payloads) for a stack of points (B, h + g, n, n), and
-    its hessian, values and rt_lambda_min answer from those payloads; its
-    k is the size of R_T per unit of n, and series() gives the
-    coefficients of the matrix the plus kinds judge, from which
-    empty_proof(scale) proves them empty at scale."""
+    REGION_KINDS, psd_mask's tol and the one-size point helpers.  A
+    region's test(mats) returns (mask, payloads) for a stack of points
+    (B, h + g, n, n), and its hessian, values and rt_lambda_min answer
+    from those payloads; its k is the size of R_T per unit of n, and
+    series() gives the coefficients of the matrix the plus kinds judge,
+    from which empty_proof(scale) proves them empty at scale."""
 
-    def __init__(self, kind, tol, radius):
+    def __init__(self, kind, tol):
         if kind not in REGION_KINDS:
             raise ValueError("unknown region kind %r" % kind)
-        if kind == "ball" and not (radius is not None and np.isfinite(radius)
-                                   and radius > 0):
-            raise ValueError("a ball needs a positive finite radius")
-        self.kind, self.tol, self.radius = kind, tol, radius
-
-    def _ball(self, mats):
-        """Which points lie in the ball (every point, for the other
-        kinds): every matrix of spectral norm <= radius (1 + 1e-12), since
-        a draw rescaled to norm radius computes a norm a few ulps above
-        it."""
-        if self.kind != "ball":
-            return np.ones(len(mats), dtype=bool)
-        norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-        return np.all(norms <= self.radius * (1 + 1e-12), axis=1)
+        self.kind, self.tol = kind, tol
 
     def empty_proof(self, scale):
         """prove_empty of series() at tol, or None (k = 0, no series)."""
@@ -507,22 +490,19 @@ class Region(RegionKind):
     smax are the extreme |eigenvalues| of the Hermitian pencil).
     dom-plus: also R_T(A, X) PSD at tol (psd_mask; vacuous when k = 0).
     kebab, kebab-plus: dom, dom-plus at both (A, X) and (A, 0).
-    ball: dom, and RegionKind's ball rule.
 
-    test is the one membership call, with one path for every kind: the
-    ball's norms; one batched LU inverse W of every pencil (and of the
-    pencils at (A, 0) for the kebab kinds), an exactly singular pencil
-    lying outside; on the plus kinds with k > 0, R_T = V* W V,
-    V = V_T (x) I, judged by psd_mask; then the dom rule, _invertible on
-    the eigvalsh of the pencils still in.  It hands on each point's W, from
-    which hessian, values and rt_lambda_min evaluate, and so can a
-    consumer (resolvent, r_T and eval_realization with factors=), without
-    factoring the pencil again.
+    test is the one membership call, with one path for every kind: one
+    batched LU inverse W of every pencil (and of the pencils at (A, 0) for
+    the kebab kinds), an exactly singular pencil lying outside; on the
+    plus kinds with k > 0, R_T = V* W V, V = V_T (x) I (r_T), judged by
+    psd_mask; then the dom rule, _invertible on the eigvalsh of the
+    pencils still in.  It hands on each point's W, from which r_T,
+    hessian, values and rt_lambda_min evaluate without factoring the
+    pencil again.
     """
 
-    def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV,
-                 radius=None):
-        super().__init__(kind, tol, radius)
+    def __init__(self, R, kind="dom", tol=TOL_PSD, tol_inv=TOL_INV):
+        super().__init__(kind, tol)
         self.R, self.tol_inv = R, tol_inv
         # the samplers' view: letter counts and the pencil's size per n
         self.h, self.g, self.dim = R.h, R.g, R.e
@@ -548,16 +528,14 @@ class Region(RegionKind):
         """(mask, W) for a stack of points (B, h + g, n, n): which lie in
         the region, and the inverses (B, en, en) of their pencils."""
         B, n = mats.shape[0], mats.shape[-1]
-        mask = self._ball(mats)
         P = self.R.pencils(self._with_zero_x(mats))
         W, ok = _inverses(P)
         per_point = 2 if self.kind.startswith("kebab") else 1
-        mask &= ok.reshape(per_point, B).all(axis=0)
+        mask = ok.reshape(per_point, B).all(axis=0)
         judges = []
         if self.kind.endswith("plus") and self.k:
-            lift = self.R.frame.lift(n)
             judges.append(lambda idx: matkit.psd_mask(
-                np.linalg.eigvalsh(_compress(W[idx], lift)), self.tol))
+                np.linalg.eigvalsh(self.r_T(W[idx], n)), self.tol))
         judges.append(lambda idx: _invertible(np.linalg.eigvalsh(P[idx]),
                                               self.tol_inv))
         # each judge sees only the pencils of the points still in
@@ -568,6 +546,11 @@ class Region(RegionKind):
             mask &= passed.reshape(per_point, B).all(axis=0)
         return mask, W[:B]
 
+    def r_T(self, W, n):
+        """R_T = (V_T (x) I_n)* W (V_T (x) I_n), Hermitian, from the
+        inverse W of a pencil at size n (or a stack of them)."""
+        return _compress(W, self.R.frame.lift(n))
+
     def hessian(self, t, H, W):
         """The x-Hessian 2 (c (x) I)* W L W L W (c (x) I) at t, with
         L = sum T_i (x) H_i and W its pencil's inverse."""
@@ -576,14 +559,14 @@ class Region(RegionKind):
 
     def values(self, points, W):
         """r at points of one size, from their pencils' inverses W."""
-        return [eval_realization(self.R, t, Wi) for t, Wi in zip(points, W)]
+        return [_compress(Wi, self.R.c_lift(t.n)) for t, Wi in zip(points, W)]
 
     def rt_lambda_min(self, t, W):
         """lambda_min of R_T at t, from its pencil's inverse W (0 when
         k = 0)."""
         if not self.k:
             return 0.0
-        return float(np.linalg.eigvalsh(r_T(self.R, t, factors=W))[0])
+        return float(np.linalg.eigvalsh(self.r_T(W, t.n))[0])
 
 
 def in_dom(R, t, tol_inv=TOL_INV):
@@ -596,8 +579,8 @@ def in_dom_plus(R, t):
     return t in Region(R, "dom-plus")
 
 
-def in_dom_kebab(R, t, tol_inv=TOL_INV):
-    return t in Region(R, "kebab", tol_inv=tol_inv)
+def in_dom_kebab(R, t):
+    return t in Region(R, "kebab")
 
 
 def in_dom_kebab_plus(R, t):

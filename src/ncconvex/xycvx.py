@@ -225,9 +225,9 @@ class DefectReport:
         return self.report.is_psd
 
 
-def _check_pairs(X, Y, V, tol):
-    """PairError unless every pair of the stack passes is_xy_pair at tol."""
-    if not np.all(is_xy_pair(X, Y, V, tol)):
+def _check_pairs(X, Y, V):
+    """PairError unless every pair of the stack passes is_xy_pair at 1e-8."""
+    if not np.all(is_xy_pair(X, Y, V, 1e-8)):
         raise PairError("V* YX V != (V*YV)(V*XV) beyond tolerance")
 
 
@@ -242,10 +242,10 @@ def _defects(poly, X, Y, V):
     return herm(Vh @ big @ V - small)
 
 
-def xy_convexity_test(p, pair, pair_tol=1e-8):
+def xy_convexity_test(p, pair):
     """Defect V* p(X,Y) V - p(X0, Y0) with a PSD verdict."""
     poly = p.poly if isinstance(p, PLPoly) else p
-    _check_pairs(pair.X, pair.Y, pair.V, pair_tol)
+    _check_pairs(pair.X, pair.Y, pair.V)
     defect = _defects(poly, pair.X, pair.Y, pair.V)
     return DefectReport(defect, is_psd(defect))
 
@@ -338,9 +338,9 @@ def _inner_parts(n1, n2):
 
 
 def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
-                           rng=None, scale=1.0, sampler=None, tol=TOL_PSD):
+                           rng=None, scale=1.0, sampler=None):
     """Eigencheck the middle matrix at sampled inner blocks, one sample at
-    a time, by psd_mask at tol; the first failing sample is the witness.
+    a time, by psd_mask; the first failing sample is the witness.
     sampler(rng, (n1, n2)) may replace the default Gaussian draw (one
     sample_blocks call), e.g. to restrict to a biconvexity region."""
     rng = np.random.default_rng(0) if rng is None else rng
@@ -355,7 +355,7 @@ def middle_matrix_psd_scan(p, sizes=((1, 1), (2, 1), (2, 2)), samples=40,
             lam, vecs = np.linalg.eigh(herm(middle_matrix(p, b1, b2, d0,
                                                           d1).matrix))
             min_lambda = min(min_lambda, float(lam[0]))
-            if not psd_mask(lam, tol):
+            if not psd_mask(lam):
                 return MxyWitness(d0, d1, b1, b2, float(lam[0]), vecs[:, 0])
     return AllPsdEvidence(len(sizes) * samples, float(min_lambda))
 
@@ -867,7 +867,7 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
         [1.0] + [abs(poly.scalar_coeff(w)) for w in poly.words()])
     # the sampled pairs as one stack, with is_psd's verdict per defect
     X, Y, V = sample_xy_pairs(dims, 0.8, rng, samples)
-    _check_pairs(X, Y, V, 1e-8)
+    _check_pairs(X, Y, V)
     ev = np.linalg.eigvalsh(_defects(poly, X, Y, V))
     return VerifyReport(coeff_ok, max_resid, bool(psd_mask(ev).all()),
                         int(samples), float(min([np.inf] + ev[:, 0].tolist())))

@@ -119,15 +119,17 @@ def sample_in_region(region, n, scale, rng, max_attempts=None):
     return None
 
 
-def probe_loop(region, n, samples, rng, scale, extra=()):
+def probe_loop(region, n, samples, rng, scale, extra=None):
     """partialcvx.region_probes one probe and one draw at a time: each
-    probe's point from sample_in_region, then one matkit.sample_herm per
-    entry of extra, at that scale."""
+    probe's point from sample_in_region, then, when extra is a scale, one
+    matkit.sample_herm at it per x-letter."""
+    count = region.g if extra is not None else 0
     for _ in range(samples):
         hit = sample_in_region(region, n, scale, rng)
         if hit is not None:
             t, payload = hit
-            yield t, [matkit.sample_herm(n, s, rng) for s in extra], payload
+            yield t, [matkit.sample_herm(n, extra, rng)
+                      for _ in range(count)], payload
 
 
 def reference_max_min_eig(F0, Fs):

@@ -137,11 +137,8 @@ def test_item4_membership_matches_definitional_domain(seed):
 
 
 def region_pair(pb, R, kind):
-    """PolyRegion and the pencil Region of one kind (the ball of radius
-    0.5)."""
-    radius = 0.5 if kind == "ball" else None
-    return (butterfly.PolyRegion(pb, kind, radius=radius),
-            Region(R, kind, radius=radius))
+    """PolyRegion and the pencil Region of one kind."""
+    return butterfly.PolyRegion(pb, kind), Region(R, kind)
 
 
 def assert_region_answers_match(pb, R, kind, mats, rng, name):
@@ -170,7 +167,7 @@ def assert_region_answers_match(pb, R, kind, mats, rng, name):
             continue
         alone = np.linalg.eigvalsh(eval_poly(pb.w, t))
         assert low == min(alone[0], 0.0)
-        rt = np.linalg.eigvalsh(realize.r_T(R, t, factors=Wi))
+        rt = np.linalg.eigvalsh(ref.r_T(Wi, n))
         assert ref_low == rt[0]
         assert matkit.psd_mask(rt) == matkit.psd_mask(alone), (name, kind)
     vals = region.values(points[:3], payload[:3])
@@ -186,9 +183,8 @@ def test_poly_region_matches_the_pencil_region_on_corpora(
         workload, seed, tmp_path, monkeypatch):
     """On every butterfly input of the partial corpora, the PolyRegion of
     each kind answers as Region(R, kind) on p's realization R (the pencil
-    path is the reference): the same mask (the ball of radius 0.5), and
-    the same Hessian, R_T sign and values at each point
-    (assert_region_answers_match), at sizes 1-3."""
+    path is the reference): the same mask, and the same Hessian, R_T sign
+    and values at each point (assert_region_answers_match), at sizes 1-3."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     rng = np.random.default_rng(seed)
@@ -211,7 +207,7 @@ def test_poly_region_matches_the_pencil_region_on_corpora(
         assert inside > 0, kind
         if kind in ("dom", "kebab"):
             assert inside == total
-        elif kind == "ball" or workload == "partial-reject":
+        elif workload == "partial-reject":
             assert inside < total, kind
 
 
@@ -269,8 +265,8 @@ def test_middle_matrix_butterfly_on_random_polynomials(seed, h, g):
     + ell* w ell coefficient by coefficient (poly_mul); 2 ell(A, H)* w(A)
     ell(A, H) is the central second difference of eval_poly in the
     direction H (exact for x-degree two); the PolyRegion of each kind
-    answers as Region(linearize_poly(p), kind) (assert_region_answers_match,
-    the ball of radius 0.5); psd_at_zero is whether J11 is PSD."""
+    answers as Region(linearize_poly(p), kind) (assert_region_answers_match);
+    psd_at_zero is whether J11 is PSD."""
     rng = np.random.default_rng(seed)
     p = rand_sym_poly(rng, h, g)
     if p.degree_in_class("x") == 0:

@@ -575,6 +575,33 @@ def test_partial_ball_below_scale_is_not_empty(tmp_path):
     assert not any(c["empty"] for c in chunks)
 
 
+@pytest.mark.parametrize("radius", [0.3, 2.0], ids=["below", "above"])
+@pytest.mark.parametrize("name", ["xax", "x4", "resolvent_1"])
+def test_partial_ball_is_dom_at_the_smaller_scale(tmp_path, name, radius):
+    """--region ball:R scans dom at scale min(--scale, R), since no draw at
+    that scale leaves the ball: its Hessian scan and exit code are those
+    of --region dom --scale min(--scale, R), R below and above --scale
+    0.6.  The localizing scan searches dom at --scale whatever the
+    region, so it is that of --region dom at --scale 0.6."""
+    path = tmp_path / "resolvent_1.json"
+    path.write_text(RESOLVENT_1)
+    if name != "resolvent_1":
+        path = DATA / ("%s_poly.txt" % name)
+    argv = ["partial", str(path), "--samples", "8"]
+    code, ball = run_out(tmp_path, "ball.json",
+                         argv + ["--region", "ball:%g" % radius])
+    want_code, dom = run_out(tmp_path, "dom.json", argv + [
+        "--region", "dom", "--scale", "%g" % min(0.6, radius)])
+    _, wide = run_out(tmp_path, "wide.json", argv + ["--region", "dom"])
+    assert code == want_code
+    assert ball["results"]["hessian_scan"]["region"] == "ball:%g" % radius
+    assert ball["config"]["region"] == "ball:%g" % radius
+    assert ball["results"]["hessian_scan"]["per_size"] \
+        == dom["results"]["hessian_scan"]["per_size"]
+    assert strip_timings(ball["results"]["localizing_scan"]) \
+        == strip_timings(wide["results"]["localizing_scan"])
+
+
 @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
 def test_partial_tol_inv_decides_every_pencil(tmp_path, capsys, sign):
     """1 / (1 - t x) with t = (1 -+ 1e-12) / 0.6: draws of norm 0.6 put
@@ -872,15 +899,11 @@ def test_poly_region_scans_match_the_pencil_scans(tmp_path, monkeypatch,
             cli.main(item.argv + ["--region", region,
                                   "--out", str(tmp_path / "p.json")])
     checked = 0
-    for (region, cfg, size, seed_seq, _), chunk in seen:
+    for (region, cfg, size, seed_seq, _, scale), chunk in seen:
         if not isinstance(region, butterfly.PolyRegion):
             continue
-        kind, radius = cfg.region, None
-        if kind.startswith("ball:"):
-            kind, radius = "ball", float(kind.split(":")[1])
         R = realize.linearize_poly(region.pb.p)
-        ref = realize.Region(R, kind, cfg.tol_psd, cfg.tol_inv, radius)
-        scale = cfg.scale if radius is None else min(cfg.scale, radius)
+        ref = realize.Region(R, region.kind, cfg.tol_psd, cfg.tol_inv)
         verdict = partialcvx.convexity_verdict(
             ref, sizes=(size,), samples=cfg.samples,
             rng=np.random.default_rng(seed_seq), tol=cfg.tol_psd,
@@ -986,7 +1009,7 @@ def test_corpus_linearization_files_exit_as_their_polynomials(
 
 def recorded_chunks(monkeypatch):
     """Spy on the Hessian scan's sizes: a list that fills with ((region,
-    cfg, size, seed, proof), chunk)."""
+    cfg, size, seed, proof, scale), chunk)."""
     seen = []
     scan_size = cli._hessian_scan_size
 
@@ -1106,11 +1129,11 @@ def test_plus_chunks_match_the_first_probe(tmp_path, monkeypatch, workload):
         assert cli.main(argv + ["--out", str(tmp_path / "p.json")]) \
             in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), argv
     found = {"origin": 0, "sampled": 0, "empty": 0}
-    for (scanned, cfg, size, seed, proof), chunk in seen:
+    for (scanned, cfg, size, seed, proof, _), chunk in seen:
         assert type(scanned) in (realize.Region, butterfly.PolyRegion)
         pb = getattr(scanned, "pb", None)
         R = scanned.R if pb is None else realize.linearize_poly(pb.p)
-        region = cli.make_region(cfg.region, R, cfg)
+        region = cli.make_region(cfg.region, R, cfg)[0]
         assert region.kind == "dom-plus"
         rng = np.random.default_rng(seed)
         if analysed(scanned).psd_at_zero(cfg.tol_psd):
@@ -1173,12 +1196,12 @@ def test_x4_at_a_large_scale_is_sampled(tmp_path, monkeypatch):
         "--sizes", "1,2", "--samples", "2"])
     assert code == EXIT_NEGATIVE
     assert len(seen) == 2
-    for (region, cfg, size, seed, proof), chunk in seen:
+    for (region, cfg, size, seed, proof, _), chunk in seen:
         assert proof is None
         assert region.empty_proof(cfg.scale) is None
         with pytest.raises(partialcvx.RegionEmpty):
             partialcvx.convexity_verdict(
-                cli.make_region(cfg.region, region.R, cfg), sizes=(size,),
+                cli.make_region(cfg.region, region.R, cfg)[0], sizes=(size,),
                 samples=cfg.samples, rng=np.random.default_rng(seed),
                 tol=cfg.tol_psd, scale=cfg.scale, midpoint_pairs=0)
         assert chunk == {"size": size, "empty": True}
@@ -1817,10 +1840,26 @@ def test_reproduce_mismatch_prints_diff(monkeypatch, capsys):
     ["--scale", "-1"],
     ["--region", "bogus"],
     ["--workers", "2"],
+    ["--tol-psd", "1"],
+    ["--tol-inv", "1"],
+    ["--tol-inv", "2"],
+    ["--region", "ball:0"],
+    ["--region", "ball:-1"],
+    ["--region", "ball:inf"],
 ])
 def test_bad_config_exits_input(flags, capsys):
     code = cli.main(["partial", str(DATA / "xax_poly.txt")] + flags)
     assert code == EXIT_INPUT
+
+
+def test_xy_tolerance_of_one_exits_input(capsys):
+    """From --tol-psd 1 up psd_mask accepts every Hermitian matrix, so no
+    verdict at it means anything: xy exits 2, where it exited 3 with no
+    witness on the level ray."""
+    code = cli.main(["xy", str(DATA / "square_xy_poly.txt"), "--tol-psd",
+                     "1"])
+    assert code == EXIT_INPUT
+    assert "tol_psd must be below 1" in capsys.readouterr().err
 
 
 def run_python(argv):
@@ -2046,7 +2085,7 @@ def reference_localizing_scan(R, cfg, rng, drawn=None):
     report entry and the number of draws dom rejected; drawn, when given,
     gets the number of draws of each size scanned."""
     entry, rejected = {"checked": 0}, 0
-    dom_region = cli.make_region("dom", R, cfg)
+    dom_region = cli.make_region("dom", R, cfg)[0]
     for n in cfg.sizes:
         if drawn is not None:
             drawn.append(0)
@@ -2064,7 +2103,7 @@ def reference_localizing_scan(R, cfg, rng, drawn=None):
             t, factors = hit
             entry["checked"] += 1
             lam = float(np.linalg.eigvalsh(
-                realize.r_T(R, t, factors=factors))[0])
+                dom_region.r_T(factors, n))[0])
             if lam < -1e-3:
                 try:
                     wit = partialcvx.negativity_witness(

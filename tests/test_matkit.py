@@ -252,7 +252,6 @@ def test_sample_herm_keeps_its_draws():
                 want = H * (scale / nH) if nH > scale else H
                 assert np.array_equal(sample_herm(n, scale, rng), want)
             assert rng.bit_generator.state == ref.bit_generator.state
-    assert not np.any(sample_herm(3, 0, rng))
 
 
 def test_sample_tuple_counts(rng):
@@ -261,33 +260,29 @@ def test_sample_tuple_counts(rng):
     assert t.n == 3
 
 
-def test_sample_blocks_per_part_scale_keeps_the_loop_draws():
-    """With one scale per part, sample_blocks draws what a loop of one
-    sample_herm (Hermitian parts) or scaled Gaussian (rectangular parts)
-    per part draws, part after part, and skips the scale-0 Hermitian
-    parts, leaving the generator where that loop leaves it."""
+def test_sample_blocks_keeps_the_loop_draws():
+    """sample_blocks draws what a loop of one sample_herm (Hermitian
+    parts) or scaled Gaussian (rectangular parts) per part draws, part
+    after part, leaving the generator where that loop leaves it."""
     parts = [(2, 2, True), (3, 1, False), (2, 2, True), (3, 3, True),
              (2, 2, True)]
-    scales = [0.4, 2.0, 1.0, 0.7, 0.0]
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = matkit.sample_blocks(parts, scales, rng, 3)
+    got = matkit.sample_blocks(parts, 0.7, rng, 3)
     for b in range(3):
-        for (r, c, herm_), s, stack in zip(parts, scales, got):
+        for (r, c, herm_), stack in zip(parts, got):
             if herm_:
-                want = sample_herm(r, s, ref)
+                want = sample_herm(r, 0.7, ref)
             else:
                 want = (ref.normal(size=(r, c))
-                        + 1j * ref.normal(size=(r, c))) * s / np.sqrt(2)
+                        + 1j * ref.normal(size=(r, c))) * 0.7 / np.sqrt(2)
             assert np.array_equal(stack[b], want)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("scale", [0.7, [0.0, 0.0, 1.3, 0.5]],
-                         ids=["one-scale", "per-part"])
+@pytest.mark.parametrize("scale", [0.7], ids=["one-scale"])
 def test_skip_blocks_leaves_the_generator_where_sample_blocks_does(scale):
-    """skip_blocks draws as many normals as sample_blocks, also with a
-    Hermitian part at scale 0 (no draws) and rectangular parts (drawn at
-    any scale)."""
+    """skip_blocks draws as many normals as sample_blocks, with Hermitian
+    and rectangular parts."""
     parts = [(2, 2, True), (2, 3, False), (3, 3, True), (1, 2, False)]
     for size in (1, 3):
         drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import (congruent_copy, padded_copy, probe_loop,
                       rand_herm_tuple, rand_minimal_smr, rand_poly, rand_smr,
                       rand_sym_poly, rand_symmetric_poly)
-from ncconvex import butterfly, matkit, ncalg, partialcvx, realize
+from ncconvex import butterfly, cli, matkit, ncalg, partialcvx, realize
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext, eval_poly
 from ncconvex.realize import (
     NotEquivalent,
@@ -442,10 +442,12 @@ def test_singular_pencil_is_outside_dom():
 
 
 def test_ball_region_implies_dom():
-    # 1 / (1 - 2a - 2x) is singular at a = x = 1/4, inside the ball
+    # 1 / (1 - 2a - 2x) is singular at a = x = 1/4, inside the ball;
+    # --region ball:0.5 is dom, drawn at scale min(--scale, 0.5)
     one = np.eye(1)
     R = Realization.make(one, [2 * one], [2 * one], [1.0])
-    ball = realize.Region(R, "ball", radius=0.5)
+    ball, scale = cli.make_region("ball:0.5", R, cli.AnalysisConfig())
+    assert (ball.kind, scale) == ("dom", 0.5)
     singular = HermTuple(1, (0.25 * one,), (0.25 * one,), validate=False)
     assert not in_dom(R, singular)
     assert singular not in ball
@@ -455,22 +457,18 @@ def test_ball_region_implies_dom():
 @pytest.mark.parametrize("kind", realize.REGION_KINDS)
 def test_zero_function_realization_has_every_point_in_its_region(kind):
     # minimize(R + (-R)) has e = 0: its pencil is empty, so invertible,
-    # and R_T is vacuous; only the ball's radius can reject a point
+    # and R_T is vacuous
     p = FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0})
     R = linearize_poly(p)
     Z = minimize(direct_sum(R, R, -1.0))
     assert Z.e == 0
     rng = np.random.default_rng(7)
     pts = [matkit.sample_tuple(2, (Z.h, Z.g), 0.5, rng) for _ in range(3)]
-    region = realize.Region(Z, kind, radius=0.5 if kind == "ball" else None)
+    region = realize.Region(Z, kind)
     mask, W = region.test_points(pts)
     assert mask.tolist() == [True] * 3
     assert W.shape == (3, 0, 0)
-    if kind == "ball":
-        far = HermTuple(2, (np.eye(2),), (np.eye(2),), validate=False)
-        assert far not in region
-    else:
-        assert all(pt in region for pt in pts)
+    assert all(pt in region for pt in pts)
     assert in_dom(Z, pts[0]) and in_dom_plus(Z, pts[0])
 
 
@@ -500,16 +498,17 @@ def test_kron_sum_equals_sum_of_krons():
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", ["dom", "dom-plus", "kebab-plus", "ball"])
+@pytest.mark.parametrize("kind", ["dom", "dom-plus", "kebab-plus"])
 def test_handed_on_factors_match_from_scratch(seed, kind):
-    """resolvent, r_T and eval_realization from the pencil inverse a
-    region test hands on equal the functions that invert the pencil
-    themselves, and that inverse is np.linalg.inv of the point's pencil."""
+    """The region's r_T and values, from the pencil inverse its test
+    hands on, equal r_T and eval_realization, which invert the pencil
+    themselves, and that inverse is np.linalg.inv of the point's pencil,
+    as resolvent's is."""
     rng = np.random.default_rng(seed)
     R = rand_smr(rng, e=4, h=1, g=2)
     if kind.endswith("plus"):  # R_T of a random R is rarely PSD
         R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
-    region = realize.Region(R, kind, radius=0.5)
+    region = realize.Region(R, kind)
     checked = 0
     for n in (1, 2, 3):
         points = [matkit.sample_tuple(n, (R.h, R.g), 0.5, rng)
@@ -520,9 +519,9 @@ def test_handed_on_factors_match_from_scratch(seed, kind):
                 continue
             checked += 1
             assert np.array_equal(f, np.linalg.inv(R.pencil(t)))
-            for got, want in ((resolvent(R, t, factors=f), resolvent(R, t)),
-                              (r_T(R, t, factors=f), r_T(R, t)),
-                              (eval_realization(R, t, f),
+            for got, want in ((f, resolvent(R, t)),
+                              (region.r_T(f, n), r_T(R, t)),
+                              (region.values([t], [f])[0],
                                eval_realization(R, t))):
                 assert np.abs(got - want).max() \
                     <= 1e-13 * max(1.0, np.abs(want).max())
@@ -556,17 +555,13 @@ def boundary_point(region, out, inside):
 def eigh_reference(region, mats):
     """Region membership of a stack by eigendecomposition, as an
     independent reference: eigh of every pencil (and of the pencils at
-    (A, 0) for the kebab kinds), _invertible on its eigenvalues, the
-    ball's norms, and on the plus kinds R_T = V* Q diag(1/lam) Q* V,
+    (A, 0) for the kebab kinds), _invertible on its eigenvalues, and on
+    the plus kinds R_T = V* Q diag(1/lam) Q* V,
     V = V_T (x) I, judged by eigvalsh and psd_mask."""
     R, B, n = region.R, len(mats), mats.shape[-1]
     P = R.pencils(region._with_zero_x(mats))
     lam, Q = np.linalg.eigh(P)
     mask = realize._invertible(lam, region.tol_inv)
-    if region.kind == "ball":
-        norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-        inside = np.all(norms <= region.radius * (1 + 1e-12), axis=1)
-        mask &= np.tile(inside, len(P) // B)
     if region.kind.endswith("plus") and R.frame.k:
         V = R.frame.lift(n)
         for i in np.flatnonzero(mask):
@@ -604,8 +599,8 @@ def boundary_gaps(region, b):
         gaps.append(abs(a.min() - region.tol_inv * max(1.0, a.max()))
                     / max(1.0, a.max()))
         if region.kind.endswith("plus") and R.frame.k:
-            ev = np.linalg.eigvalsh(r_T(R, u, factors=np.linalg.inv(
-                R.pencil(u))))
+            ev = np.linalg.eigvalsh(region.r_T(np.linalg.inv(R.pencil(u)),
+                                               u.n))
             scale = max(1.0, np.abs(ev).max())
             gaps.append(abs(ev[0] + region.tol * scale) / scale)
     return min(gaps)
@@ -631,7 +626,7 @@ def test_region_mask_matches_eigh_reference(kind, monkeypatch):
     # polynomial's pencil is always invertible
     for R, tol_inv in [(linearize_poly(p), 1e-10) for p in polys] \
             + [(resolvent_1, 0.3)]:
-        region = realize.Region(R, kind, tol_inv=tol_inv, radius=0.5)
+        region = realize.Region(R, kind, tol_inv=tol_inv)
         for n in (1, 2, 3):
             draws = herm_stack(n, R.h + R.g, 0.6, rng, 96)
             mask = region.test(draws)[0]
@@ -654,7 +649,7 @@ def test_region_mask_matches_eigh_reference(kind, monkeypatch):
     # P = I - 2A - 2X of resolvent_1 with eigenvalues (d, 0.7) in a
     # random frame: d = +-1e-9 gives condition number 7e8, d = 0 an
     # exactly singular pencil (diagonal, so the LU meets a zero pivot)
-    region = realize.Region(resolvent_1, kind, radius=1.0)
+    region = realize.Region(resolvent_1, kind)
     U = np.linalg.qr(rng.normal(size=(2, 2))
                      + 1j * rng.normal(size=(2, 2)))[0]
     A = np.diag([0.05, 0.1]).astype(complex)
@@ -681,7 +676,7 @@ def test_region_mask_matches_eigh_reference(kind, monkeypatch):
     # at a budget of 60 draws per probe
     monkeypatch.setattr(partialcvx, "MAX_ATTEMPTS", 60)
     for R in (linearize_poly(polys[1]), resolvent_1):
-        region = realize.Region(R, kind, radius=0.5)
+        region = realize.Region(R, kind)
         for n in (1, 2, 3):
             for seed in range(3):
                 ref, rng = (np.random.default_rng(seed) for _ in range(2))
@@ -699,19 +694,23 @@ def test_region_mask_matches_eigh_reference(kind, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ball_accepts_its_own_draws(n, radius):
     """Draws at scale radius are rescaled to norm radius, whose computed
-    norm may exceed it by a few ulps; the ball still holds them."""
-    R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
-    mats = herm_stack(n, R.h + R.g, radius, np.random.default_rng(n), 200)
-    mask, _ = realize.Region(R, "ball", radius=radius).test(mats)
-    assert mask.all()
+    norm may exceed it by a few ulps but not by 1e-12 of it: the ball of
+    that radius holds every draw, so --region ball:R is dom drawn at
+    scale min(--scale, R), with no rule of its own."""
+    mats = herm_stack(n, 2, radius, np.random.default_rng(n), 200)
+    norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+    assert np.all(norms <= radius * (1 + 1e-12))
 
 
 def test_region_rejects_bad_kind_and_radius():
+    """A region is one of REGION_KINDS and has no radius: a ball is the
+    command line's dom at a smaller scale (cli.make_region)."""
     R = linearize_poly(FreePoly.from_terms(CTX_AX, {(1, 0, 1): 1.0}))
-    for kind, radius in (("dom+", None), ("ball", None), ("ball", 0.0),
-                         ("ball", float("nan"))):
+    for kind in ("dom+", "ball", "ball:0.5"):
         with pytest.raises(ValueError):
-            realize.Region(R, kind, radius=radius)
+            realize.Region(R, kind)
+    with pytest.raises(TypeError):
+        realize.Region(R, "dom", radius=0.5)
 
 
 # ---------------------------------------------------------------------------
