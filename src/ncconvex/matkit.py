@@ -111,7 +111,9 @@ class MaxMinEig:
     Z is PSD with tr Z = 1 and <F_i, Z> = 0, so every theta has
     lambda_min(F0 + sum_i theta_i F_i) <= <F0, Z>: when <F0, Z> < 0 no
     theta makes the family PSD.  gap = <F0, Z> - t = n mu, the duality gap
-    of the last barrier centre; steps counts the Newton steps.
+    of the last barrier centre; steps counts the Newton steps.  A solve
+    stopped by its certify rule has Z = None, t = lambda_min at theta and
+    the gap of the centre it stopped at.
     """
 
     t: float
@@ -121,7 +123,7 @@ class MaxMinEig:
     steps: int
 
 
-def max_min_eig(F0, Fs):
+def max_min_eig(F0, Fs, certify=None):
     """Largest lambda_min(F0 + sum_i theta_i Fs[i]) over real theta.
 
     Path-following log-barrier method on the variables (theta, t):
@@ -135,6 +137,15 @@ def max_min_eig(F0, Fs):
     Z = mu F^-1 is the dual certificate.  It solves for
     F0 / max(1, max|F0|), so that the Hessian cannot underflow at large
     F0, and scales t, theta and the gap back (Z does not change).
+
+    With certify = tol the path stops at the first stage start (theta = 0
+    or a centre) where G = F0 + sum theta_i F_i has lambda_min(G) >=
+    tol max(1, max|G|): a PSD completion needs no optimum.  lambda_min(G)
+    is t plus the smallest eigenvalue of F, which the stage factors anyway.
+    A stop returns t = lambda_min(G), Z = None, the Newton steps taken and
+    the gap n mu of the centre it stopped at (0 at theta = 0).  A family
+    that never meets the rule takes the path of certify = None, bit for
+    bit.
 
     Each stage works in the eigenbasis of F at its start and inverts F
     through its Jacobi scaling: F's entries there are as small as its
@@ -155,14 +166,23 @@ def max_min_eig(F0, Fs):
     A = np.concatenate([np.asarray(Fs, dtype=complex).reshape(-1, n, n),
                         -np.eye(n)[None]])
     m = A.shape[0]
+    A2 = A.reshape(m, -1)
     c = np.zeros(m)
     c[-1] = 1.0
     eye = np.eye(n).ravel()
-    mu, steps = _SHRINK, 0
+    mu, steps, gap = _SHRINK, 0, 0.0
     x = c * (float(np.linalg.eigvalsh(F0)[0]) - n * mu)
     while True:
         last = n * mu <= GAP_REL
-        d, U = np.linalg.eigh(F0 + (x @ A.reshape(m, -1)).reshape(n, n))
+        Fx = F0 + (x @ A2).reshape(n, n)
+        d, U = np.linalg.eigh(Fx)
+        if certify is not None:
+            # G / scale = F + t I
+            lam = scale * (float(x[-1]) + float(d[0]))
+            if lam >= certify * max(1.0, scale * float(
+                    np.max(np.abs(Fx + x[-1] * np.eye(n))))):
+                return MaxMinEig(lam, scale * x[:-1], None, scale * gap,
+                                 steps)
         Af = U.conj().T @ A @ U
         Af2 = Af.reshape(m, -1)
         D = np.diag(d)
@@ -192,6 +212,7 @@ def max_min_eig(F0, Fs):
             Z = herm(mu * (U @ Fi @ U.conj().T))
             return MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
                              scale * n * mu, steps)
+        gap = n * mu
         mu *= _SHRINK
 
 

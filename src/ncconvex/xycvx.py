@@ -14,8 +14,9 @@ of (L_x, L_y, L_yx, L_xy), whose entries are pinned by the twelve
 structural coefficients.  Singular fully pinned 2 x 2 blocks give the
 face that every PSD completion lies on, and when their kernel vectors
 fix every free entry the Gram is read off that face with no solve;
-otherwise a log-barrier solve maximizes its smallest eigenvalue over the
-free entries, and its dual certificate proves the negative outcomes.
+otherwise a log-barrier solve over the free entries stops at its first
+completion that is PSD with a margin, or maximizes the smallest
+eigenvalue, whose dual certificate proves the negative outcomes.
 The columns of one factor G = F* F are the L vectors, which reassemble
 the polynomial coefficientwise.
 
@@ -590,9 +591,15 @@ class GramCertResult:
 
     face is the GramFace when G was read off the face of the pins with no
     solve (a rank-one Gram, say); only a feasible G is taken from it.
-    solver_steps and gap are the Newton step count and the duality gap of
-    the barrier solve, 0 when none ran: a pinned reject, no free entry, or
-    a G read off the face.
+    Otherwise a barrier solve gives G: it stops at its first completion
+    with lambda_min(G) >= tol max(1, max|G|), and only a Gram that never
+    meets this rule is solved to the largest smallest eigenvalue.
+    reduced_lambda is lambda_min of the completion taken, which is that
+    maximum only for a solve that did not stop.  solver_steps and gap
+    are the Newton step count and the duality gap n mu of the barrier
+    centre G came from: 0 when none ran (a pinned reject, no free entry,
+    or a G read off the face), and 0 steps and gap for a solve that
+    stopped at its start, where every free entry is 0.
     """
 
     status: str
@@ -660,7 +667,7 @@ def _face_completion(base, E, kernels, bound):
 
 
 def _reduced_feasibility(p, tol):
-    """Best achievable smallest eigenvalue of the pinned reduced Gram.
+    """A completion of the pinned reduced Gram and its smallest eigenvalue.
 
     Returns (verdict, lambda_or_pin, G, solve) where verdict
     "pinned-reject" carries a provable obstruction, otherwise
@@ -668,8 +675,10 @@ def _reduced_feasibility(p, tol):
     pins, and solve the GramCertResult fields of how it was found: none
     with no free entry; face (a GramFace) when the singular fully pinned
     blocks fix a completion that passes the Gram stage's rule; else
-    solver_steps, gap and Z of its matkit.max_min_eig solve, which
-    maximizes the smallest eigenvalue.
+    solver_steps, gap and Z of its matkit.max_min_eig solve.  That solve
+    stops at its first completion with lambda_min >= tol max(1, max|G|)
+    (no Z); only a family that never meets this rule is solved to the
+    tight centre, the largest smallest eigenvalue, with its dual Z.
     """
     diag, full, half = _reduced_pins(p)
     scale = _structural_scale(p)
@@ -736,9 +745,11 @@ def _reduced_feasibility(p, tol):
         lam = float(np.linalg.eigvalsh(G)[0])
         if not _uncertified(lam, G, tol):
             return "solved", lam, G, {"face": rec}
-    # the barrier's gap n mu sits far below the assembly tolerance, and
-    # the factor step clips it out of the pins
-    sol = matkit.max_min_eig(base, E)
+    # the path stops at its first completion with lambda_min >= tol
+    # max(1, max|G|), which _uncertified passes and whose factor keeps
+    # every row; otherwise its gap n mu sits far below the assembly
+    # tolerance, and the factor step clips it out of the pins
+    sol = matkit.max_min_eig(base, E, certify=tol)
     G = base + np.tensordot(sol.theta, E, 1)
     return "solved", float(np.linalg.eigvalsh(G)[0]), G, {
         "solver_steps": sol.steps, "gap": sol.gap, "Z": sol.Z}
@@ -786,13 +797,22 @@ class XYCert:
     pencil: dict  # word string -> complex
     residuals: dict = field(default_factory=dict)
 
+    def coeffs(self):
+        """The certified polynomial's {word string: coefficient}."""
+        return _certified_coeffs(self.pencil, self.Lx, self.Ly, self.Lxy,
+                                 self.Lyx)
+
     def reconstruct(self):
         """The certified polynomial, coefficientwise."""
-        coeffs = dict(self.pencil)
-        for w, v in _lambda_square_coeffs(self.Lx, self.Ly,
-                                          self.Lxy, self.Lyx).items():
-            coeffs[w] = coeffs.get(w, 0j) + v
-        return from_coeffs(coeffs)
+        return from_coeffs(self.coeffs())
+
+
+def _certified_coeffs(pencil, Lx, Ly, Lxy, Lyx):
+    """{word string: coefficient} of pencil + Lambda* Lambda."""
+    coeffs = dict(pencil)
+    for w, v in _lambda_square_coeffs(Lx, Ly, Lxy, Lyx).items():
+        coeffs[w] = coeffs.get(w, 0j) + v
+    return coeffs
 
 
 def _lambda_square_coeffs(Lx, Ly, Lxy, Lyx):
@@ -858,13 +878,13 @@ def verify_certificate(p, cert, samples=25, rng=None, dims=(2, 2, 2)):
     positivity (pairs at scale 0.8, matkit.psd_mask), separately."""
     rng = np.random.default_rng(0) if rng is None else rng
     poly = p.poly if isinstance(p, PLPoly) else p
-    recon = cert.reconstruct()
-    max_resid = 0.0
-    for w in set(poly.words()) | set(recon.words()):
-        max_resid = max(max_resid,
-                        abs(poly.scalar_coeff(w) - recon.scalar_coeff(w)))
+    given = {"".join("xy"[i] for i in w): complex(c[0, 0])
+             for w, c in poly.coeffs.items()}
+    recon = cert.coeffs()
+    max_resid = max(abs(given.get(w, 0j) - recon.get(w, 0j))
+                    for w in given.keys() | recon.keys())
     coeff_ok = max_resid <= 1e-8 * max(
-        [1.0] + [abs(poly.scalar_coeff(w)) for w in poly.words()])
+        [1.0] + [abs(v) for v in given.values()])
     # the sampled pairs as one stack, with is_psd's verdict per defect
     X, Y, V = sample_xy_pairs(dims, 0.8, rng, samples)
     _check_pairs(X, Y, V)
@@ -905,10 +925,8 @@ def synthesize_certified(rng, N=3, scale=1.0):
               "x": complex(rng.normal()) * scale,
               "y": complex(rng.normal()) * scale,
               "xy": lam_xy, "yx": np.conj(lam_xy)}
-    coeffs = dict(pencil)
-    for w, v in _lambda_square_coeffs(Lx, Ly, Lxy, Lyx).items():
-        coeffs[w] = coeffs.get(w, 0j) + v
-    return from_coeffs(coeffs), (Lx, Ly, Lxy, Lyx, pencil)
+    return (from_coeffs(_certified_coeffs(pencil, Lx, Ly, Lxy, Lyx)),
+            (Lx, Ly, Lxy, Lyx, pencil))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Random objects are drawn from seeded numpy generators; hypothesis drives
 the seeds so failures shrink to a reproducible integer.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from ncconvex import matkit, partialcvx, realize
+from ncconvex import matkit, partialcvx, realize, xycvx
 from ncconvex.ncalg import FreePoly, HermTuple, VarContext
 
 
@@ -178,6 +180,15 @@ def reference_max_min_eig(F0, Fs):
             return matkit.MaxMinEig(scale * float(x[-1]), scale * x[:-1], Z,
                                     scale * n * mu, steps)
         mu *= 1e-2
+
+
+def full_gram_certificate(pl, tol=1e-8):
+    """xycvx.gram_complete_certificate with its barrier solve taken to the
+    tight centre: matkit.max_min_eig without its certify stop."""
+    solve = matkit.max_min_eig
+    with mock.patch.object(matkit, "max_min_eig",
+                           lambda F0, Fs, certify=None: solve(F0, Fs)):
+        return xycvx.gram_complete_certificate(pl, tol)
 
 
 @pytest.fixture

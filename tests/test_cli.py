@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (congruent_copy, padded_copy, rand_minimal_smr,
-                      sample_in_region)
+from conftest import (congruent_copy, full_gram_certificate, padded_copy,
+                      rand_minimal_smr, sample_in_region)
 from ncconvex import butterfly, cli, matkit, ncalg, partialcvx, realize, \
     xycvx
 from ncconvex.cli import (
@@ -1613,8 +1613,15 @@ def test_xy_certified_report_counts_the_solve(tmp_path):
         "xy", str(pfile), "--samples", "4"])
     assert code == EXIT_OK
     gram = rep["results"]["gram"]
-    assert gram["solver_steps"] > 0
-    assert 0 < gram["gap"] <= 1e-10
+    # the solve stops at its first completion that certifies: fewer steps
+    # than the tight solve, at the gap n mu of that centre, with
+    # reduced_lambda the smallest eigenvalue of that completion
+    pl = xycvx.support_screen(p)
+    res, full = xycvx.gram_complete_certificate(pl), full_gram_certificate(pl)
+    assert 0 < gram["solver_steps"] == res.solver_steps < full.solver_steps
+    assert gram["gap"] == res.gap > full.gap
+    assert gram["reduced_lambda"] == float(np.linalg.eigvalsh(res.G)[0])
+    assert 1e-8 <= gram["reduced_lambda"] <= full.reduced_lambda
     assert "dual_value" not in gram and "Z" not in gram
 
 

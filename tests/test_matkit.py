@@ -151,6 +151,37 @@ def test_max_min_eig_matches_the_cold_start_reference(seed, n, m, scale):
     assert sol.gap == pytest.approx(ref.gap, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 4), m=st.integers(0, 3),
+       scale=st.sampled_from((0.01, 1, 100)), shift=st.floats(-0.5, 0.8))
+def test_max_min_eig_certify_stops_at_its_first_psd_iterate(seed, n, m,
+                                                           scale, shift):
+    """certify = tol stops at a theta whose family member G has
+    lambda_min(G) >= tol max(1, max|G|), reported as t, with no Z, no more
+    steps than the tight solve and its gap 0 at theta = 0; a solve that
+    does not stop is the tight solve, bit for bit."""
+    rng = np.random.default_rng(seed)
+    F0 = (herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+          + shift * n * np.eye(n)) * scale
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    E = pair_directions(n, pairs[:m])
+    full, sol = max_min_eig(F0, E), max_min_eig(F0, E, certify=1e-8)
+    if sol.Z is not None:
+        assert (sol.t, sol.gap, sol.steps) == (full.t, full.gap, full.steps)
+        assert sol.theta.tobytes() == full.theta.tobytes()
+        assert sol.Z.tobytes() == full.Z.tobytes()
+        return
+    G = F0 + np.tensordot(sol.theta, E.reshape(-1, n, n), 1)
+    lam = float(np.linalg.eigvalsh(G)[0])
+    assert lam >= 1e-8 * max(1.0, float(np.abs(G).max()))
+    assert sol.t == pytest.approx(lam, abs=1e-12 * max(1.0, np.abs(F0).max()))
+    assert sol.steps <= full.steps
+    if sol.steps == 0:
+        assert sol.gap == 0 and not sol.theta.any()
+    else:
+        assert full.gap < sol.gap <= n * 1e-2 * max(1.0, np.abs(F0).max())
+
+
 def test_max_min_eig_is_deterministic():
     rng = np.random.default_rng(7)
     F0 = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ncconvex import cli, matkit, xycvx
+from conftest import full_gram_certificate
+from ncconvex import cli, matkit, ncalg, xycvx
 from ncconvex.ncalg import (ContextError, FreePoly, HermTuple, SymmetryError,
                             VarContext, eval_poly, format_poly,
                             parse_poly)
@@ -747,15 +748,79 @@ def test_rank_one_grams_are_read_off_their_face(seed, u):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_gram_barrier_steps_on_synthesized_grams(N):
-    # the warm start at mu = 1e-2 takes 16-24 steps here, where the cold
-    # start at mu = 1 took 21-28; a Gram of rank two or more has no face
-    # to read off
+    # a Gram of rank two or more has no face to read off; its solve stops
+    # at its first completion with lambda_min >= 1e-8 max(1, max|G|):
+    # after 3-7 steps, or at theta = 0 (5 of these seeds at N = 3, 7 at
+    # N = 4), where the tight solve takes 16-24
     for seed in range(10):
         pl = support_screen(synthesize_certified(np.random.default_rng(seed),
                                                  N=N)[0])
-        res = gram_complete_certificate(pl)
-        assert res.is_feasible and res.face is None
-        assert 0 < res.solver_steps <= 24
+        res, full = gram_complete_certificate(pl), full_gram_certificate(pl)
+        assert res.is_feasible and res.face is None and res.Z is None
+        assert res.solver_steps <= 7 < 16 <= full.solver_steps <= 24
+        # reduced_lambda is lambda_min of the completion taken, at most
+        # the maximum that the tight solve finds
+        lam = float(np.linalg.eigvalsh(res.G)[0])
+        assert res.reduced_lambda == lam
+        assert 1e-8 * max(1.0, float(np.abs(res.G).max())) <= lam \
+            <= full.reduced_lambda
+        assert res.F.shape[0] == 4
+        # gap is n mu of the centre the solve stopped at: 0 at theta = 0,
+        # else 4 (1e-2)^k of the pins' scale for a stage k before the last
+        base, _ = pinned_family(pl)
+        if res.solver_steps == 0:
+            assert res.gap == 0 and np.array_equal(res.G, base)
+        else:
+            k = np.log(res.gap / (4 * max(1.0, np.abs(base).max()))) \
+                / np.log(1e-2)
+            assert k == pytest.approx(round(k), abs=1e-9)
+            assert 1 <= round(k) < 7 and res.gap > full.gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, N=st.integers(1, 4), u=st.floats(-2, 2),
+       perturb=st.booleans())
+def test_gram_stop_keeps_the_full_solve_outcome(seed, N, u, perturb):
+    """The barrier's stop at its first certifying completion changes no
+    status; a not-certifiable result is the tight solve's, byte for byte,
+    and a stopped feasible G is PSD with margin, factors with all four
+    rows and assembles and verifies.  perturb moves xyx and yxy so that
+    some Grams are not certifiable."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** u
+    p, _ = synthesize_certified(rng, N=N, scale=scale)
+    coeffs = {"".join("xy"[i] for i in w): p.scalar_coeff(w)
+              for w in p.words()}
+    if perturb:
+        for w in ("xyx", "yxy"):
+            coeffs[w] = coeffs.get(w, 0j) + 2 * scale * rng.normal()
+    pl = support_screen(from_coeffs(coeffs))
+    res, full = gram_complete_certificate(pl), full_gram_certificate(pl)
+    assert res.status == full.status
+    if not res.is_feasible:
+        assert (res.dual_value, res.solver_steps, res.gap,
+                res.reduced_lambda, res.pinned_lambda_min) \
+            == (full.dual_value, full.solver_steps, full.gap,
+                full.reduced_lambda, full.pinned_lambda_min)
+        assert (res.Z is None) == (full.Z is None)
+        if res.Z is not None:
+            assert res.Z.tobytes() == full.Z.tobytes()
+        return
+    if (res.solver_steps, res.gap) == (full.solver_steps, full.gap):
+        # read off the face, no free entry, or a path that never stopped
+        assert np.array_equal(res.G, full.G)
+        return
+    lam = float(np.linalg.eigvalsh(res.G)[0])
+    assert res.reduced_lambda == lam
+    assert lam >= 1e-8 * max(1.0, float(np.abs(res.G).max()))
+    assert res.face is None and res.F.shape[0] == 4
+    assert res.solver_steps < full.solver_steps
+    assert res.gap == 0 if res.solver_steps == 0 else res.gap > full.gap
+    cert = assemble_certificate(pl, res.F)
+    assert max(cert.residuals.values()) \
+        <= 1e-8 * xycvx._structural_scale(pl)
+    assert verify_certificate(pl, cert, samples=5,
+                              rng=np.random.default_rng(seed)).ok
 
 
 # a dual-certified reject whose first stage centres in 2 steps; a schedule
@@ -946,6 +1011,25 @@ def test_pencil_words_do_not_widen_the_assembly_bound(constant):
     with pytest.raises(AssemblyError,
                        match="^structural identity residual 1.50e-08$"):
         assemble_certificate(pl, res.F)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, N=st.integers(1, 4), u=st.floats(-3, 3))
+def test_verify_coefficient_residual_matches_the_freepoly_loop(seed, N, u):
+    """The word-string dicts of p and of cert.coeffs() give the residual
+    of the per-word loop over p and cert.reconstruct(), up to the
+    coefficients below COEFF_DROP that the FreePoly drops."""
+    p, _ = synthesize_certified(np.random.default_rng(seed), N=N,
+                                scale=10.0 ** u)
+    pl = support_screen(p)
+    cert = assemble_certificate(pl, gram_complete_certificate(pl).F)
+    recon = cert.reconstruct()
+    loop = max(abs(p.scalar_coeff(w) - recon.scalar_coeff(w))
+               for w in set(p.words()) | set(recon.words()))
+    rep = verify_certificate(pl, cert, samples=1)
+    assert abs(rep.max_coeff_residual - loop) < ncalg.COEFF_DROP
+    assert rep.coeff_ok
+    assert recon.coeffs.keys() <= {xycvx._w(w) for w in cert.coeffs()}
 
 
 def test_verify_catches_tampered_certificate(rng):
